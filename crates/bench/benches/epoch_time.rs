@@ -4,14 +4,12 @@
 
 use ssdrec_testkit::bench::Harness;
 
-use ssdrec_core::{SsdRec, SsdRecConfig};
-use ssdrec_data::{make_batches, prepare, SyntheticConfig};
-use ssdrec_denoise::Hsd;
-use ssdrec_graph::{build_graph, GraphConfig};
-use ssdrec_models::{BackboneKind, RecModel, SeqRec};
+use ssdrec_core::{build_model, ModelKind, Prepared};
+use ssdrec_data::{make_batches, Batch, SyntheticConfig};
+use ssdrec_models::{BackboneKind, RecModel};
 use ssdrec_tensor::{Adam, Graph, Rng};
 
-fn one_step<M: RecModel>(model: &mut M, batch: &ssdrec_data::Batch, opt: &mut Adam, rng: &mut Rng) {
+fn one_step(model: &mut dyn RecModel, batch: &Batch, opt: &mut Adam, rng: &mut Rng) {
     let mut g = Graph::new();
     let bind = model.store().bind_all(&mut g);
     let loss = model.loss(&mut g, &bind, batch, rng);
@@ -21,47 +19,24 @@ fn one_step<M: RecModel>(model: &mut M, batch: &ssdrec_data::Batch, opt: &mut Ad
 
 fn main() {
     let raw = SyntheticConfig::beauty().scaled(0.25).generate();
-    let (ds, split) = prepare(&raw, 50, 2);
-    let graph = build_graph(&ds, &GraphConfig::default());
-    let batches = make_batches(&split.train, 32, 0);
+    let prep = Prepared::new(&raw, 50, 2);
+    let batches = make_batches(&prep.split.train, 32, 0);
     let batch = batches
         .iter()
         .max_by_key(|b| b.len())
-        .expect("nonempty training data")
-        .clone();
-    let d = 16;
-
-    let mut sasrec = SeqRec::new(BackboneKind::SasRec, ds.num_items, d, 50, 0);
-    let mut hsd = Hsd::new(ds.num_users, ds.num_items, d, 50, 0);
-    let cfg = SsdRecConfig {
-        dim: d,
-        max_len: 50,
-        backbone: BackboneKind::SasRec,
-        ..SsdRecConfig::default()
-    };
-    let mut ssdrec = SsdRec::new(&graph, cfg);
+        .expect("nonempty training data");
+    let ctx = prep.context(16, 0, BackboneKind::SasRec);
 
     let mut h = Harness::new("epoch_time");
-    {
+    for (name, kind, seed) in [
+        ("train_step/sasrec", ModelKind::Backbone, 1),
+        ("train_step/hsd", ModelKind::Hsd, 2),
+        ("train_step/ssdrec", ModelKind::SsdRec, 3),
+    ] {
+        let mut model = build_model(kind, &ctx);
         let mut opt = Adam::new(1e-3);
-        let mut rng = Rng::seed(1);
-        h.bench("train_step/sasrec", || {
-            one_step(&mut sasrec, &batch, &mut opt, &mut rng)
-        });
-    }
-    {
-        let mut opt = Adam::new(1e-3);
-        let mut rng = Rng::seed(2);
-        h.bench("train_step/hsd", || {
-            one_step(&mut hsd, &batch, &mut opt, &mut rng)
-        });
-    }
-    {
-        let mut opt = Adam::new(1e-3);
-        let mut rng = Rng::seed(3);
-        h.bench("train_step/ssdrec", || {
-            one_step(&mut ssdrec, &batch, &mut opt, &mut rng)
-        });
+        let mut rng = Rng::seed(seed);
+        h.bench(name, || one_step(&mut *model, batch, &mut opt, &mut rng));
     }
     h.finish();
 }

@@ -4,8 +4,8 @@
 //! Adam) over the full SSDRec model on the default golden synthetic config
 //! and records per-step pool counters: hits, misses, bytes served from
 //! recycled storage, and steps/sec. The report is written to
-//! `target/ssdrec-bench/bench_alloc.json` and to `BENCH_alloc.json` at the
-//! repository root.
+//! `target/ssdrec-bench/bench_alloc.json` and, outside fast mode, to
+//! `BENCH_alloc.json` at the repository root.
 //!
 //! This binary **asserts the steady-state contract**: from the second
 //! training step onward at least 90% of buffer takes must be pool hits,
@@ -16,7 +16,6 @@
 //! `--fast` (or `SSDREC_BENCH_FAST=1`) shrinks the dataset to a CI smoke
 //! that still runs enough steps to check the steady-state hit rate.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use ssdrec_core::{SsdRec, SsdRecConfig};
@@ -34,8 +33,7 @@ struct Config {
 }
 
 fn config() -> Config {
-    let fast = std::env::var("SSDREC_BENCH_FAST").is_ok_and(|v| v == "1")
-        || std::env::args().skip(1).any(|a| a == "--fast");
+    let fast = ssdrec_bench::fast_mode();
     if fast {
         Config {
             fast,
@@ -56,17 +54,6 @@ fn config() -> Config {
             epochs: 4,
         }
     }
-}
-
-/// The outermost ancestor holding a `Cargo.lock` — the workspace root
-/// (cargo runs bin targets with cwd = the package dir).
-fn repo_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    cwd.ancestors()
-        .filter(|a| a.join("Cargo.lock").is_file())
-        .last()
-        .map(PathBuf::from)
-        .unwrap_or(cwd)
 }
 
 fn main() {
@@ -182,9 +169,8 @@ fn main() {
         hit_rate_from_step2,
     );
 
-    // Self-check: the report must parse with the workspace JSON parser and
-    // carry the telemetry fields CI validates.
-    let parsed = ssdrec_serve::json::parse(&json).expect("BENCH_alloc.json must be valid JSON");
+    // Self-check: the report must carry the telemetry fields CI validates.
+    let (path, parsed) = ssdrec_bench::write_report("alloc", &json, cfg.fast);
     for field in ["pool_hits", "pool_misses", "bytes_recycled", "steps"] {
         assert!(
             parsed.get(field).and_then(|v| v.as_usize()).is_some(),
@@ -192,11 +178,6 @@ fn main() {
         );
     }
 
-    let target = repo_root().join("target").join("ssdrec-bench");
-    let _ = std::fs::create_dir_all(&target);
-    let _ = std::fs::write(target.join("bench_alloc.json"), &json);
-    let path = repo_root().join("BENCH_alloc.json");
-    std::fs::write(&path, &json).expect("write BENCH_alloc.json");
     println!(
         "bench_alloc: hit rate {:.2}% from step 2 over {} steps; wrote {}",
         hit_rate_from_step2 * 100.0,

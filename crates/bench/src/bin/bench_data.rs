@@ -17,14 +17,13 @@
 //! [`FULL_RSS_BUDGET`], pinning the bounded-RAM claim of the out-of-core
 //! pipeline (see DESIGN.md §14).
 //!
-//! The report is written to `target/ssdrec-bench/bench_data.json` and to
-//! `BENCH_data.json` at the repository root.
+//! The report is written to `target/ssdrec-bench/bench_data.json` and,
+//! outside fast mode, to `BENCH_data.json` at the repository root.
 //!
 //! `cargo run --release -p ssdrec-bench --bin bench_data [-- --fast | -- --full]`
 //!
 //! `--fast` (or `SSDREC_BENCH_FAST=1`) shrinks the corpus to a CI smoke.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use ssdrec_data::{ColumnarReader, SequenceStore, SyntheticConfig, TruncatedStore};
@@ -48,8 +47,7 @@ struct Config {
 }
 
 fn config() -> Config {
-    let fast = std::env::var("SSDREC_BENCH_FAST").is_ok_and(|v| v == "1")
-        || std::env::args().skip(1).any(|a| a == "--fast");
+    let fast = ssdrec_bench::fast_mode();
     let full = !fast && std::env::args().skip(1).any(|a| a == "--full");
     if fast {
         Config {
@@ -86,17 +84,6 @@ fn config() -> Config {
     }
 }
 
-/// The outermost ancestor holding a `Cargo.lock` — the workspace root
-/// (cargo runs bin targets with cwd = the package dir).
-fn repo_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    cwd.ancestors()
-        .filter(|a| a.join("Cargo.lock").is_file())
-        .last()
-        .map(PathBuf::from)
-        .unwrap_or(cwd)
-}
-
 fn main() {
     let cfg = config();
     let threads = ssdrec_runtime::threads();
@@ -112,10 +99,7 @@ fn main() {
         cfg.num_users, cfg.num_items
     );
 
-    let work = repo_root()
-        .join("target")
-        .join("ssdrec-bench")
-        .join("data-work");
+    let work = ssdrec_bench::bench_dir().join("data-work");
     let _ = std::fs::remove_dir_all(&work);
     std::fs::create_dir_all(&work).expect("scratch dir");
     let path = work.join("corpus.ssdc");
@@ -199,9 +183,8 @@ fn main() {
         cfg.num_users, cfg.num_items, summary.bytes,
     );
 
-    // Self-check: the report must parse with the workspace JSON parser and
-    // carry the fields CI validates.
-    let parsed = ssdrec_serve::json::parse(&json).expect("BENCH_data.json must be valid JSON");
+    // Self-check: the report must carry the fields CI validates.
+    let (path, parsed) = ssdrec_bench::write_report("data", &json, cfg.fast);
     // Byte/RSS counts exceed the request-parser's u32 `as_usize` cap at full
     // scale; validate them as finite numbers instead.
     for field in [
@@ -220,11 +203,6 @@ fn main() {
         );
     }
 
-    let target = repo_root().join("target").join("ssdrec-bench");
-    let _ = std::fs::create_dir_all(&target);
-    let _ = std::fs::write(target.join("bench_data.json"), &json);
-    let path = repo_root().join("BENCH_data.json");
-    std::fs::write(&path, &json).expect("write BENCH_data.json");
     println!(
         "bench_data: {encode_ips:.0} inter/s encode, {scan_ips:.0} inter/s scan, \
          {graph_ms:.0} ms graph, peak RSS {:.1} MiB; wrote {}",

@@ -1,6 +1,7 @@
 //! Thread-scaling and kernel-backend benchmark for the runtime hot paths.
 //!
-//! Two sweeps, one report (`BENCH_runtime.json` at the repository root):
+//! Two sweeps, one report (`target/ssdrec-bench/bench_runtime.json`, and
+//! outside fast mode `BENCH_runtime.json` at the repository root):
 //!
 //! 1. **Thread sweep** — `SSDREC_THREADS` ∈ {1, 2, 4, 8} over the three hot
 //!    paths the runtime accelerates: a full-catalogue-sized gemm, one
@@ -25,7 +26,6 @@
 //! (speedups are recorded but not asserted in fast mode — smoke shapes are
 //! too small to be meaningful).
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use ssdrec_data::{make_batches, prepare, Split, SyntheticConfig};
@@ -52,8 +52,7 @@ struct Config {
 }
 
 fn config() -> Config {
-    let fast = std::env::var("SSDREC_BENCH_FAST").is_ok_and(|v| v == "1")
-        || std::env::args().skip(1).any(|a| a == "--fast");
+    let fast = ssdrec_bench::fast_mode();
     if fast {
         Config {
             fast,
@@ -133,17 +132,6 @@ fn time_best_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
         last = Some(r);
     }
     (best, last.expect("reps >= 1"))
-}
-
-/// The outermost ancestor holding a `Cargo.lock` — the workspace root
-/// (cargo runs bin targets with cwd = the package dir).
-fn repo_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    cwd.ancestors()
-        .filter(|a| a.join("Cargo.lock").is_file())
-        .last()
-        .map(PathBuf::from)
-        .unwrap_or(cwd)
 }
 
 struct SweepPoint {
@@ -423,8 +411,8 @@ fn main() {
         rows.join(",\n")
     );
 
-    // Self-check: the report must parse with the workspace JSON parser.
-    let parsed = ssdrec_serve::json::parse(&json).expect("BENCH_runtime.json must be valid JSON");
+    // Self-check: both sweeps must be in the report in full.
+    let (path, parsed) = ssdrec_bench::write_report("runtime", &json, cfg.fast);
     assert_eq!(
         parsed
             .get("sweep")
@@ -440,8 +428,6 @@ fn main() {
         Some(kernels.len())
     );
 
-    let path = repo_root().join("BENCH_runtime.json");
-    std::fs::write(&path, &json).expect("write BENCH_runtime.json");
     println!(
         "bench_runtime: speedup@4 gemm {speedup_gemm_4:.2}x, eval {speedup_eval_4:.2}x, \
          best 1-thread gemm backend speedup {gemm_speedup_best:.2}x \

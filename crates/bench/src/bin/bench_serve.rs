@@ -18,9 +18,11 @@
 //! the two-stage ANN path (HNSW candidates + exact re-rank) at catalogue
 //! scale — 10K items in fast mode, 10K/100K by default, plus 1M with
 //! `--full`. Reports single-thread QPS, p50/p95/p99, ANN-vs-exact
-//! recall@{10,20} and index build wall-clock to `BENCH_retrieval.json` at
-//! the repository root, and asserts the determinism contract (rebuild
-//! byte-identical, 1-vs-4-thread build byte-identical, served bits stable).
+//! recall@{10,20} and index build wall-clock to
+//! `target/ssdrec-bench/bench_retrieval.json` (and, outside fast mode,
+//! `BENCH_retrieval.json` at the repository root), and asserts the
+//! determinism contract (rebuild byte-identical, 1-vs-4-thread build
+//! byte-identical, served bits stable).
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -91,23 +93,6 @@ fn config() -> LoadConfig {
     cfg
 }
 
-/// Outermost ancestor holding a `Cargo.lock` — the workspace root, where
-/// the committed bench reports live.
-fn repo_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    cwd.ancestors()
-        .filter(|a| a.join("Cargo.lock").is_file())
-        .last()
-        .map(PathBuf::from)
-        .unwrap_or(cwd)
-}
-
-fn out_dir() -> PathBuf {
-    let dir = PathBuf::from("target/ssdrec-bench");
-    std::fs::create_dir_all(&dir).expect("create target/ssdrec-bench");
-    dir
-}
-
 fn checkpointed_world(cfg: &LoadConfig) -> (Split, MultiRelationGraph, PathBuf) {
     let raw = SyntheticConfig::beauty()
         .scaled(cfg.scale)
@@ -139,7 +124,7 @@ fn checkpointed_world(cfg: &LoadConfig) -> (Split, MultiRelationGraph, PathBuf) 
     });
     println!("trained {} in {train_secs:.1}s", "SSDRec[SASRec]");
 
-    let ckpt = out_dir().join("serve_ckpt.ssdt");
+    let ckpt = ssdrec_bench::bench_dir().join("serve_ckpt.ssdt");
     save_params(&model.store, &ckpt).expect("write checkpoint");
     (split, graph, ckpt)
 }
@@ -251,7 +236,7 @@ fn main() {
     assert_eq!(status, 200);
     println!("server /metrics: {metrics}");
 
-    let report = out_dir().join("serve_latency.csv");
+    let report = ssdrec_bench::bench_dir().join("serve_latency.csv");
     let csv = format!(
         "clients,requests,wall_secs,qps,mean_ms,p50_ms,p95_ms,p99_ms\n{},{},{:.3},{:.1},{:.3},{:.3},{:.3},{:.3}\n",
         cfg.clients, total, wall_secs, qps, mean, p50, p95, p99
@@ -273,7 +258,7 @@ mod retrieval {
     use ssdrec_serve::{Engine, EngineConfig, RetrievalConfig, RetrievalMode, ServerStats};
     use ssdrec_tensor::Graph;
 
-    use super::{percentile, repo_root};
+    use super::percentile;
 
     const MAX_LEN: usize = 20;
     const K: usize = 20;
@@ -286,8 +271,7 @@ mod retrieval {
     }
 
     fn config() -> RetrievalCfg {
-        let fast = std::env::var("SSDREC_BENCH_FAST").is_ok_and(|v| v == "1")
-            || std::env::args().any(|a| a == "--fast");
+        let fast = ssdrec_bench::fast_mode();
         let full = std::env::args().any(|a| a == "--full");
         if fast {
             RetrievalCfg {
@@ -507,10 +491,8 @@ mod retrieval {
             rows.join(",\n")
         );
 
-        // Self-check: the report must parse with the workspace JSON parser
-        // and keep the recall field CI greps for.
-        let parsed =
-            ssdrec_serve::json::parse(&json).expect("BENCH_retrieval.json must be valid JSON");
+        // Self-check: the report must keep the recall field CI greps for.
+        let (path, parsed) = ssdrec_bench::write_report("retrieval", &json, cfg.fast);
         let cats = parsed
             .get("catalogs")
             .and_then(|c| c.as_arr())
@@ -524,8 +506,6 @@ mod retrieval {
             assert!(r >= 0.95);
         }
 
-        let path = repo_root().join("BENCH_retrieval.json");
-        std::fs::write(&path, &json).expect("write BENCH_retrieval.json");
         println!("wrote {}", path.display());
     }
 }

@@ -12,15 +12,14 @@
 //!    thread publishes and hot-swaps further versions; the p99 of those
 //!    acquisitions is the swap pause a live request can observe.
 //!
-//! The report is written to `target/ssdrec-bench/bench_stream.json` and to
-//! `BENCH_stream.json` at the repository root.
+//! The report is written to `target/ssdrec-bench/bench_stream.json` and,
+//! outside fast mode, to `BENCH_stream.json` at the repository root.
 //!
 //! `cargo run --release -p ssdrec-bench --bin bench_stream [-- --fast]`
 //!
 //! `--fast` (or `SSDREC_BENCH_FAST=1`) shrinks the catalog and round count
 //! to a CI smoke.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -44,8 +43,7 @@ struct Config {
 }
 
 fn config() -> Config {
-    let fast = std::env::var("SSDREC_BENCH_FAST").is_ok_and(|v| v == "1")
-        || std::env::args().skip(1).any(|a| a == "--fast");
+    let fast = ssdrec_bench::fast_mode();
     if fast {
         Config {
             fast,
@@ -65,17 +63,6 @@ fn config() -> Config {
             swaps: 4,
         }
     }
-}
-
-/// The outermost ancestor holding a `Cargo.lock` — the workspace root
-/// (cargo runs bin targets with cwd = the package dir).
-fn repo_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    cwd.ancestors()
-        .filter(|a| a.join("Cargo.lock").is_file())
-        .last()
-        .map(PathBuf::from)
-        .unwrap_or(cwd)
 }
 
 fn spec(cfg: &Config) -> RetrainSpec {
@@ -112,10 +99,7 @@ fn main() {
         if cfg.fast { " (fast mode)" } else { "" }
     );
 
-    let work = repo_root()
-        .join("target")
-        .join("ssdrec-bench")
-        .join("stream-work");
+    let work = ssdrec_bench::bench_dir().join("stream-work");
     let _ = std::fs::remove_dir_all(&work);
     std::fs::create_dir_all(&work).expect("scratch dir");
     let log_path = work.join("events.sslg");
@@ -269,9 +253,8 @@ fn main() {
         pause_p99_ms,
     );
 
-    // Self-check: the report must parse with the workspace JSON parser and
-    // carry the fields CI validates.
-    let parsed = ssdrec_serve::json::parse(&json).expect("BENCH_stream.json must be valid JSON");
+    // Self-check: the report must carry the fields CI validates.
+    let (path, parsed) = ssdrec_bench::write_report("stream", &json, cfg.fast);
     for field in [
         "ingest_records",
         "swaps",
@@ -295,11 +278,6 @@ fn main() {
         );
     }
 
-    let target = repo_root().join("target").join("ssdrec-bench");
-    let _ = std::fs::create_dir_all(&target);
-    let _ = std::fs::write(target.join("bench_stream.json"), &json);
-    let path = repo_root().join("BENCH_stream.json");
-    std::fs::write(&path, &json).expect("write BENCH_stream.json");
     println!(
         "bench_stream: {:.0} rec/s ingest, {:.1} ms delta retrain, {:.3} ms swap-pause p99; wrote {}",
         ingest_rps,

@@ -18,12 +18,10 @@ fn main() {
         println!("{}", metric_header());
         for (label, use_att) in [("directed attention", true), ("untyped mean", false)] {
             let cfg = SsdRecConfig {
-                dim: h.dim,
-                max_len: prep.max_len,
-                backbone: BackboneKind::SasRec,
                 relation_attention: use_att,
-                seed: h.seed,
-                ..SsdRecConfig::default()
+                ..prep
+                    .context(h.dim, h.seed, BackboneKind::SasRec)
+                    .ssdrec_config()
             };
             let mut model = SsdRec::new(&prep.graph, cfg);
             let report = train(&mut model, &prep.split, &h.train_config());

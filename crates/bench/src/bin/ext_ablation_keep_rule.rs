@@ -7,10 +7,9 @@
 //! Usage: `cargo run --release -p ssdrec-bench --bin ext_ablation_keep_rule [--full]`
 
 use ssdrec_bench::{write_results, HarnessConfig};
-use ssdrec_core::{SsdRec, SsdRecConfig};
-use ssdrec_data::{inject_unobserved, prepare, SyntheticConfig};
+use ssdrec_core::{Prepared, SsdRec, SsdRecConfig};
+use ssdrec_data::{inject_unobserved, SyntheticConfig};
 use ssdrec_denoise::Denoiser;
-use ssdrec_graph::{build_graph, GraphConfig};
 use ssdrec_metrics::OupAccumulator;
 use ssdrec_models::{train, BackboneKind};
 
@@ -26,8 +25,11 @@ fn main() {
         .with_seed(h.seed)
         .generate();
     let noisy = inject_unobserved(&raw, 60, 2, h.seed);
-    let (dataset, split) = prepare(&noisy, 50, h.max_train_prefixes);
-    let graph = build_graph(&dataset, &GraphConfig::default());
+    let prep = Prepared::new(&noisy, 50, h.max_train_prefixes);
+    let (split, ctx) = (
+        &prep.split,
+        prep.context(h.dim, h.seed, BackboneKind::SasRec),
+    );
 
     println!(
         "{:>5} {:>6} {:>8} {:>8} {:>8}",
@@ -37,16 +39,12 @@ fn main() {
     for &beta in &[0.4f32, 0.6, 0.8] {
         for &kappa in &[4.0f32, 8.0, 16.0] {
             let cfg = SsdRecConfig {
-                dim: h.dim,
-                max_len: 50,
-                backbone: BackboneKind::SasRec,
                 keep_beta: beta,
                 keep_kappa: kappa,
-                seed: h.seed,
-                ..SsdRecConfig::default()
+                ..ctx.ssdrec_config()
             };
-            let mut model = SsdRec::new(&graph, cfg);
-            let report = train(&mut model, &split, &h.train_config());
+            let mut model = SsdRec::new(&prep.graph, cfg);
+            let report = train(&mut model, split, &h.train_config());
 
             let mut acc = OupAccumulator::new();
             for ex in &split.test {

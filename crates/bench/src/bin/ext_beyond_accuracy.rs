@@ -7,11 +7,12 @@
 //!
 //! Usage: `cargo run --release -p ssdrec-bench --bin ext_beyond_accuracy [--full]`
 
-use ssdrec_bench::{prepare_profile, run_ssdrec, write_results, HarnessConfig};
+use ssdrec_bench::{prepare_profile, run_model, run_ssdrec, write_results, HarnessConfig};
+use ssdrec_core::{ModelKind, Prepared};
 use ssdrec_metrics::RecListAccumulator;
-use ssdrec_models::{BackboneKind, RecModel, SeqRec};
+use ssdrec_models::{BackboneKind, RecModel};
 
-fn measure<M: RecModel>(model: &M, prep: &ssdrec_bench::Prepared, k: usize) -> (f64, f64, f64) {
+fn measure<M: RecModel + ?Sized>(model: &M, prep: &Prepared, k: usize) -> (f64, f64, f64) {
     let mut acc = RecListAccumulator::new(prep.dataset.num_items);
     for ex in &prep.split.test {
         if ex.seq.is_empty() {
@@ -24,8 +25,11 @@ fn measure<M: RecModel>(model: &M, prep: &ssdrec_bench::Prepared, k: usize) -> (
             .collect();
         acc.push(&items);
     }
-    let freq = prep.dataset.item_frequencies();
-    (acc.coverage(), acc.gini(), acc.popularity_bias(&freq))
+    (
+        acc.coverage(),
+        acc.gini(),
+        acc.popularity_bias(&prep.item_freq),
+    )
 }
 
 fn main() {
@@ -43,15 +47,8 @@ fn main() {
         let prep = prepare_profile(ds, &h);
 
         // Bare SASRec.
-        let mut base = SeqRec::new(
-            BackboneKind::SasRec,
-            prep.dataset.num_items,
-            h.dim,
-            prep.max_len,
-            h.seed,
-        );
-        let _ = ssdrec_models::train(&mut base, &prep.split, &h.train_config());
-        let (c, g, p) = measure(&base, &prep, k);
+        let (base, _) = run_model(ModelKind::Backbone, BackboneKind::SasRec, &prep, &h);
+        let (c, g, p) = measure(&*base, &prep, k);
         println!("{ds:<10} {:<14} {c:>9.3} {g:>7.3} {p:>10.2}", "SASRec");
         csv.push(format!("{ds},SASRec,{c:.4},{g:.4},{p:.4}"));
 

@@ -6,13 +6,16 @@
 //!
 //! Usage: `cargo run --release -p ssdrec-bench --bin ext_length_breakdown [--full]`
 
-use ssdrec_bench::{datasets_from_args, prepare_profile, run_ssdrec, write_results, HarnessConfig};
+use ssdrec_bench::{
+    datasets_from_args, prepare_profile, run_model, run_ssdrec, write_results, HarnessConfig,
+};
+use ssdrec_core::ModelKind;
 use ssdrec_data::make_batches;
 use ssdrec_metrics::{full_rank, LengthBuckets};
-use ssdrec_models::{train, BackboneKind, RecModel, SeqRec};
+use ssdrec_models::{BackboneKind, RecModel};
 use ssdrec_tensor::Graph;
 
-fn bucketed<M: RecModel>(model: &M, split: &ssdrec_data::Split) -> LengthBuckets {
+fn bucketed<M: RecModel + ?Sized>(model: &M, split: &ssdrec_data::Split) -> LengthBuckets {
     let mut buckets = LengthBuckets::short_medium_long();
     for batch in make_batches(&split.test, 64, 0) {
         let mut g = Graph::new();
@@ -40,15 +43,8 @@ fn main() {
     for ds in &datasets {
         let prep = prepare_profile(ds, &h);
 
-        let mut base = SeqRec::new(
-            BackboneKind::SasRec,
-            prep.dataset.num_items,
-            h.dim,
-            prep.max_len,
-            h.seed,
-        );
-        train(&mut base, &prep.split, &h.train_config());
-        let base_b = bucketed(&base, &prep.split);
+        let (base, _) = run_model(ModelKind::Backbone, BackboneKind::SasRec, &prep, &h);
+        let base_b = bucketed(&*base, &prep.split);
 
         let (model, _) = run_ssdrec(BackboneKind::SasRec, (true, true, true), &prep, &h, 1.0);
         let ssd_b = bucketed(&model, &prep.split);

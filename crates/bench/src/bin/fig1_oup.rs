@@ -14,17 +14,16 @@
 //! `cargo run --release -p ssdrec-bench --bin fig1_oup [--full] [--sweep-insert]`
 
 use ssdrec_bench::{write_results, HarnessConfig};
-use ssdrec_core::{SsdRec, SsdRecConfig};
-use ssdrec_data::{inject_unobserved, prepare, SyntheticConfig};
+use ssdrec_core::{Prepared, SsdRec};
+use ssdrec_data::{inject_unobserved, SyntheticConfig};
 use ssdrec_denoise::{Denoiser, Hsd, Steam};
-use ssdrec_graph::{build_graph, GraphConfig};
 use ssdrec_metrics::OupAccumulator;
 use ssdrec_models::{train, BackboneKind};
 
 /// Returns (under-denoising ratio, over-denoising ratio, mean keep score on
 /// noise positions, mean keep score on clean positions). The score gap is a
 /// threshold-free view of how well the denoiser separates injected noise.
-fn measure<D: Denoiser>(model: &D, split: &ssdrec_data::Split) -> (f64, f64, f64, f64) {
+fn measure(model: &dyn Denoiser, split: &ssdrec_data::Split) -> (f64, f64, f64, f64) {
     let mut acc = OupAccumulator::new();
     let (mut ns, mut nn, mut cs, mut nc) = (0.0f64, 0usize, 0.0f64, 0usize);
     for ex in &split.test {
@@ -62,9 +61,9 @@ fn run_one(per_seq: usize, h: &HarnessConfig, csv: &mut Vec<String>) {
         .with_seed(h.seed)
         .generate();
     let noisy = inject_unobserved(&raw, 60, per_seq, h.seed);
-    let (dataset, split) = prepare(&noisy, 50, h.max_train_prefixes);
-    let graph = build_graph(&dataset, &GraphConfig::default());
-    let tc = h.train_config();
+    let prep = Prepared::new(&noisy, 50, h.max_train_prefixes);
+    let ctx = prep.context(h.dim, h.seed, BackboneKind::SasRec);
+    let (nu, ni) = (ctx.num_users, ctx.num_items);
 
     println!("\n--- Fig. 1 (inserted per short sequence: {per_seq}) ---");
     println!(
@@ -72,30 +71,22 @@ fn run_one(per_seq: usize, h: &HarnessConfig, csv: &mut Vec<String>) {
         "model", "under-denoising", "over-denoising", "score|noise", "score|clean"
     );
 
-    let mut hsd = Hsd::new(dataset.num_users, dataset.num_items, h.dim, 50, h.seed);
-    train(&mut hsd, &split, &tc);
-    let (u, o, sn, sc) = measure(&hsd, &split);
-    println!("{:<10} {u:>16.4} {o:>16.4} {sn:>12.4} {sc:>12.4}", "HSD");
-    csv.push(format!("{per_seq},HSD,{u:.6},{o:.6},{sn:.6},{sc:.6}"));
-
-    let mut steam = Steam::new(dataset.num_items, h.dim, 50, h.seed);
-    train(&mut steam, &split, &tc);
-    let (u, o, sn, sc) = measure(&steam, &split);
-    println!("{:<10} {u:>16.4} {o:>16.4} {sn:>12.4} {sc:>12.4}", "STEAM");
-    csv.push(format!("{per_seq},STEAM,{u:.6},{o:.6},{sn:.6},{sc:.6}"));
-
-    let cfg = SsdRecConfig {
-        dim: h.dim,
-        max_len: 50,
-        backbone: BackboneKind::SasRec,
-        seed: h.seed,
-        ..SsdRecConfig::default()
-    };
-    let mut ssdrec = SsdRec::new(&graph, cfg);
-    train(&mut ssdrec, &split, &tc);
-    let (u, o, sn, sc) = measure(&ssdrec, &split);
-    println!("{:<10} {u:>16.4} {o:>16.4} {sn:>12.4} {sc:>12.4}", "SSDRec");
-    csv.push(format!("{per_seq},SSDRec,{u:.6},{o:.6},{sn:.6},{sc:.6}"));
+    // Built directly, not from the model table: the measurement needs
+    // each model's keep/drop decisions.
+    let models: [(&str, Box<dyn Denoiser>); 3] = [
+        ("HSD", Box::new(Hsd::new(nu, ni, h.dim, 50, h.seed))),
+        ("STEAM", Box::new(Steam::new(ni, h.dim, 50, h.seed))),
+        (
+            "SSDRec",
+            Box::new(SsdRec::new(&prep.graph, ctx.ssdrec_config())),
+        ),
+    ];
+    for (name, mut model) in models {
+        train(&mut *model, &prep.split, &h.train_config());
+        let (u, o, sn, sc) = measure(&*model, &prep.split);
+        println!("{name:<10} {u:>16.4} {o:>16.4} {sn:>12.4} {sc:>12.4}");
+        csv.push(format!("{per_seq},{name},{u:.6},{o:.6},{sn:.6},{sc:.6}"));
+    }
 }
 
 fn main() {

@@ -7,9 +7,10 @@
 //!     [--full] [--datasets beauty,yelp] [--models SASRec,GRU4Rec]`
 
 use ssdrec_bench::{
-    datasets_from_args, metric_csv, metric_header, metric_row, prepare_profile, run_backbone,
+    datasets_from_args, metric_csv, metric_header, metric_row, prepare_profile, run_model,
     run_ssdrec, write_results, HarnessConfig,
 };
+use ssdrec_core::ModelKind;
 use ssdrec_models::BackboneKind;
 
 fn models_from_args(args: &[String]) -> Vec<BackboneKind> {
@@ -19,10 +20,7 @@ fn models_from_args(args: &[String]) -> Vec<BackboneKind> {
                 return list
                     .split(',')
                     .map(|n| {
-                        BackboneKind::all()
-                            .into_iter()
-                            .find(|k| k.name().eq_ignore_ascii_case(n))
-                            .unwrap_or_else(|| panic!("unknown model {n}"))
+                        BackboneKind::by_name(n).unwrap_or_else(|| panic!("unknown model {n}"))
                     })
                     .collect();
             }
@@ -46,7 +44,7 @@ fn main() {
         );
         println!("{}", metric_header());
         for kind in &models {
-            let base = run_backbone(*kind, &prep, &h);
+            let (_, base) = run_model(ModelKind::Backbone, *kind, &prep, &h);
             println!(
                 "{}",
                 metric_row(&format!("{} (w/o)", kind.name()), &base.test)

@@ -12,9 +12,10 @@
 //! (unless `--datasets` overrides), emitting a machine-checkable JSON
 //! report to `results/table4_fast.json` with one row per method.
 use ssdrec_bench::{
-    datasets_from_args, metric_csv, metric_header, metric_row, prepare_profile, run_denoiser,
-    run_ssdrec, write_results, DenoiserKind, HarnessConfig,
+    datasets_from_args, metric_csv, metric_header, metric_row, prepare_profile, run_model,
+    run_ssdrec, write_results, HarnessConfig,
 };
+use ssdrec_core::ModelKind;
 use ssdrec_metrics::welch_t_test;
 use ssdrec_models::BackboneKind;
 
@@ -42,17 +43,18 @@ fn main() {
         println!("{}", metric_header());
 
         let mut best_baseline = None::<(String, ssdrec_models::TrainReport)>;
-        for kind in DenoiserKind::all() {
-            let report = run_denoiser(kind, &prep, &h);
-            println!("{}", metric_row(kind.name(), &report.test));
-            csv.push(metric_csv(ds, kind.name(), &report.test));
-            push_json(ds, kind.name(), &report.test);
+        for kind in ModelKind::BASELINES {
+            let (model, report) = run_model(kind, BackboneKind::SasRec, &prep, &h);
+            let name = model.model_name();
+            println!("{}", metric_row(&name, &report.test));
+            csv.push(metric_csv(ds, &name, &report.test));
+            push_json(ds, &name, &report.test);
             let better = match &best_baseline {
                 None => true,
                 Some((_, b)) => report.test.hr20 > b.test.hr20,
             };
             if better {
-                best_baseline = Some((kind.name().to_string(), report));
+                best_baseline = Some((name, report));
             }
         }
 

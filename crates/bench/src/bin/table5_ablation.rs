@@ -6,9 +6,10 @@
 //! `cargo run --release -p ssdrec-bench --bin table5_ablation [--full] [--datasets ml-100k]`
 
 use ssdrec_bench::{
-    datasets_from_args, metric_csv, metric_header, metric_row, prepare_profile, run_denoiser,
-    run_ssdrec, write_results, DenoiserKind, HarnessConfig,
+    datasets_from_args, metric_csv, metric_header, metric_row, prepare_profile, run_model,
+    run_ssdrec, write_results, HarnessConfig,
 };
+use ssdrec_core::ModelKind;
 use ssdrec_models::BackboneKind;
 
 fn main() {
@@ -36,7 +37,7 @@ fn main() {
         println!("{}", metric_header());
 
         // Plain HSD as the reference row (paper includes it).
-        let hsd = run_denoiser(DenoiserKind::Hsd, &prep, &h);
+        let (_, hsd) = run_model(ModelKind::Hsd, BackboneKind::SasRec, &prep, &h);
         println!("{}", metric_row("HSD", &hsd.test));
         csv.push(metric_csv(ds, "HSD", &hsd.test));
 

@@ -9,12 +9,9 @@
 //! Usage:
 //! `cargo run --release -p ssdrec-bench --bin table6_efficiency [--full] [--datasets beauty]`
 
-use ssdrec_bench::{
-    datasets_from_args, measure_efficiency, prepare_profile, write_results, HarnessConfig,
-};
-use ssdrec_core::{SsdRec, SsdRecConfig};
-use ssdrec_denoise::{DcRec, Hsd, Steam};
-use ssdrec_models::BackboneKind;
+use ssdrec_bench::{datasets_from_args, prepare_profile, write_results, HarnessConfig};
+use ssdrec_core::{build_model, ModelKind};
+use ssdrec_models::{train, BackboneKind, TrainConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,28 +27,21 @@ fn main() {
     let mut csv = Vec::new();
     for ds in &datasets {
         let prep = prepare_profile(ds, &h);
-        let ni = prep.dataset.num_items;
-        let nu = prep.dataset.num_users;
-
-        let mut hsd = Hsd::new(nu, ni, h.dim, prep.max_len, h.seed);
-        let (hsd_t, hsd_i) = measure_efficiency(&mut hsd, &prep.split, &h);
-
-        let mut steam = Steam::new(ni, h.dim, prep.max_len, h.seed);
-        let (steam_t, steam_i) = measure_efficiency(&mut steam, &prep.split, &h);
-
-        let freq = prep.dataset.item_frequencies();
-        let mut dcrec = DcRec::new(ni, h.dim, prep.max_len, &freq, h.seed);
-        let (dcrec_t, dcrec_i) = measure_efficiency(&mut dcrec, &prep.split, &h);
-
-        let cfg = SsdRecConfig {
-            dim: h.dim,
-            max_len: prep.max_len,
-            backbone: BackboneKind::SasRec,
-            seed: h.seed,
-            ..SsdRecConfig::default()
+        let ctx = prep.context(h.dim, h.seed, BackboneKind::SasRec);
+        // One epoch is the measurement: no need to converge.
+        let tc = TrainConfig {
+            epochs: 1,
+            patience: 10,
+            ..h.train_config()
         };
-        let mut ssdrec = SsdRec::new(&prep.graph, cfg);
-        let (ssd_t, ssd_i) = measure_efficiency(&mut ssdrec, &prep.split, &h);
+        let measure = |kind| {
+            let report = train(&mut *build_model(kind, &ctx), &prep.split, &tc);
+            (report.train_secs_per_epoch, report.infer_secs)
+        };
+        let (hsd_t, hsd_i) = measure(ModelKind::Hsd);
+        let (steam_t, steam_i) = measure(ModelKind::Steam);
+        let (dcrec_t, dcrec_i) = measure(ModelKind::DcRec);
+        let (ssd_t, ssd_i) = measure(ModelKind::SsdRec);
 
         println!(
             "{ds:<10} {hsd_t:>6.2}|{hsd_i:<5.2} {steam_t:>6.2}|{steam_i:<5.2} {dcrec_t:>6.2}|{dcrec_i:<5.2} {ssd_t:>6.2}|{ssd_i:<5.2}"

@@ -6,16 +6,14 @@
 
 #![warn(missing_docs)]
 
+use std::path::PathBuf;
 use std::time::Instant;
 
-use ssdrec_core::{SsdRec, SsdRecConfig};
-use ssdrec_data::{prepare, Dataset, Split, SyntheticConfig};
-use ssdrec_denoise::{DcRec, Dsan, FmlpRec, Hsd, Mgsd, Steam};
-use ssdrec_graph::{build_graph, GraphConfig, MultiRelationGraph};
+use ssdrec_core::{build_model, ModelKind, Prepared, SsdRec, SsdRecConfig};
+use ssdrec_data::SyntheticConfig;
 use ssdrec_metrics::MetricReport;
-use ssdrec_models::{
-    train, BackboneKind, ContrastiveSeqRec, RecModel, SeqRec, TrainConfig, TrainReport,
-};
+use ssdrec_models::{train, BackboneKind, RecModel, TrainConfig, TrainReport};
+use ssdrec_serve::json::Json;
 
 /// Experiment-scale knobs shared by all harness binaries.
 #[derive(Clone, Debug)]
@@ -101,18 +99,6 @@ impl HarnessConfig {
     }
 }
 
-/// The five paper dataset profiles by name.
-pub fn profile(name: &str) -> SyntheticConfig {
-    match name {
-        "ml-100k" => SyntheticConfig::ml100k(),
-        "ml-1m" => SyntheticConfig::ml1m(),
-        "beauty" => SyntheticConfig::beauty(),
-        "sports" => SyntheticConfig::sports(),
-        "yelp" => SyntheticConfig::yelp(),
-        other => panic!("unknown dataset profile {other}"),
-    }
-}
-
 /// Dataset names in the paper's Table III order.
 pub const DATASETS: [&str; 5] = ["ml-100k", "ml-1m", "beauty", "sports", "yelp"];
 
@@ -125,37 +111,30 @@ pub fn max_len_for(name: &str) -> usize {
     }
 }
 
-/// A fully prepared experiment dataset.
-pub struct Prepared {
-    /// Filtered, truncated dataset.
-    pub dataset: Dataset,
-    /// Leave-one-out split.
-    pub split: Split,
-    /// Multi-relation graph over the filtered data.
-    pub graph: MultiRelationGraph,
-    /// Max length used.
-    pub max_len: usize,
-}
-
 /// Generate, filter and split a named profile at the harness scale.
+///
+/// # Panics
+/// On a name that is not one of [`DATASETS`].
 pub fn prepare_profile(name: &str, h: &HarnessConfig) -> Prepared {
-    let cfg = profile(name).scaled(h.scale).with_seed(h.seed);
-    let raw = cfg.generate();
-    let max_len = max_len_for(name);
-    let (dataset, split) = prepare(&raw, max_len, h.max_train_prefixes);
-    let graph = build_graph(&dataset, &GraphConfig::default());
-    Prepared {
-        dataset,
-        split,
-        graph,
-        max_len,
-    }
+    let cfg = SyntheticConfig::by_name(name)
+        .unwrap_or_else(|| panic!("unknown dataset profile {name}"))
+        .scaled(h.scale)
+        .with_seed(h.seed);
+    Prepared::new(&cfg.generate(), max_len_for(name), h.max_train_prefixes)
 }
 
-/// Train a vanilla backbone (Table III "w/o" columns).
-pub fn run_backbone(kind: BackboneKind, prep: &Prepared, h: &HarnessConfig) -> TrainReport {
-    let mut model = SeqRec::new(kind, prep.dataset.num_items, h.dim, prep.max_len, h.seed);
-    train(&mut model, &prep.split, &h.train_config())
+/// Train one entry of the model table — a vanilla backbone (Table III "w/o"
+/// columns), a denoising baseline (Table IV) — at the harness scale.
+/// `backbone` matters to the kinds that wrap one.
+pub fn run_model(
+    kind: ModelKind,
+    backbone: BackboneKind,
+    prep: &Prepared,
+    h: &HarnessConfig,
+) -> (Box<dyn RecModel>, TrainReport) {
+    let mut model = build_model(kind, &prep.context(h.dim, h.seed, backbone));
+    let report = train(&mut *model, &prep.split, &h.train_config());
+    (model, report)
 }
 
 /// Train SSDRec with the given backbone and stage toggles.
@@ -167,106 +146,15 @@ pub fn run_ssdrec(
     tau: f32,
 ) -> (SsdRec, TrainReport) {
     let cfg = SsdRecConfig {
-        dim: h.dim,
-        max_len: prep.max_len,
-        backbone,
         tau,
         stage1: stages.0,
         stage2: stages.1,
         stage3: stages.2,
-        seed: h.seed,
-        ..SsdRecConfig::default()
+        ..prep.context(h.dim, h.seed, backbone).ssdrec_config()
     };
     let mut model = SsdRec::new(&prep.graph, cfg);
     let report = train(&mut model, &prep.split, &h.train_config());
     (model, report)
-}
-
-/// Which denoising baseline to train.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum DenoiserKind {
-    /// DSAN [23].
-    Dsan,
-    /// FMLP-Rec [28].
-    Fmlp,
-    /// HSD [27].
-    Hsd,
-    /// DCRec [41].
-    DcRec,
-    /// STEAM [29].
-    Steam,
-    /// CL4SRec-style contrastive self-supervision (2022 line).
-    Cl4s,
-    /// MGSD-WSS multi-granularity weakly-supervised denoising (2025 line).
-    Mgsd,
-}
-
-impl DenoiserKind {
-    /// All baselines in the paper's Table IV order, extended with the
-    /// post-paper methods (CL4SRec, MGSD-WSS).
-    pub fn all() -> [DenoiserKind; 7] {
-        [
-            DenoiserKind::Dsan,
-            DenoiserKind::Fmlp,
-            DenoiserKind::Hsd,
-            DenoiserKind::DcRec,
-            DenoiserKind::Steam,
-            DenoiserKind::Cl4s,
-            DenoiserKind::Mgsd,
-        ]
-    }
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DenoiserKind::Dsan => "DSAN",
-            DenoiserKind::Fmlp => "FMLP-Rec",
-            DenoiserKind::Hsd => "HSD",
-            DenoiserKind::DcRec => "DCRec",
-            DenoiserKind::Steam => "STEAM",
-            DenoiserKind::Cl4s => "CL4SRec",
-            DenoiserKind::Mgsd => "MGSD-WSS",
-        }
-    }
-}
-
-/// Train one denoising baseline; returns its report.
-pub fn run_denoiser(kind: DenoiserKind, prep: &Prepared, h: &HarnessConfig) -> TrainReport {
-    let ni = prep.dataset.num_items;
-    let nu = prep.dataset.num_users;
-    let tc = h.train_config();
-    match kind {
-        DenoiserKind::Dsan => {
-            let mut m = Dsan::new(ni, h.dim, h.seed);
-            train(&mut m, &prep.split, &tc)
-        }
-        DenoiserKind::Fmlp => {
-            let mut m = FmlpRec::new(ni, h.dim, prep.max_len.min(50), 2, h.seed);
-            train(&mut m, &prep.split, &tc)
-        }
-        DenoiserKind::Hsd => {
-            let mut m = Hsd::new(nu, ni, h.dim, prep.max_len, h.seed);
-            train(&mut m, &prep.split, &tc)
-        }
-        DenoiserKind::DcRec => {
-            let freq = prep.dataset.item_frequencies();
-            let mut m = DcRec::new(ni, h.dim, prep.max_len, &freq, h.seed);
-            train(&mut m, &prep.split, &tc)
-        }
-        DenoiserKind::Steam => {
-            let mut m = Steam::new(ni, h.dim, prep.max_len, h.seed);
-            train(&mut m, &prep.split, &tc)
-        }
-        DenoiserKind::Cl4s => {
-            let mut m =
-                ContrastiveSeqRec::new(BackboneKind::SasRec, ni, h.dim, prep.max_len, h.seed);
-            train(&mut m, &prep.split, &tc)
-        }
-        DenoiserKind::Mgsd => {
-            let mut m = Mgsd::new(nu, ni, h.dim, prep.max_len, h.seed);
-            train(&mut m, &prep.split, &tc)
-        }
-    }
 }
 
 /// Format one metric row in the paper's column order.
@@ -336,20 +224,56 @@ pub fn datasets_from_args(args: &[String]) -> Vec<String> {
     DATASETS.iter().map(|s| s.to_string()).collect()
 }
 
-/// Mean per-epoch training seconds and one-pass inference seconds for an
-/// arbitrary model (Table VI measurement without full convergence).
-pub fn measure_efficiency<M: RecModel>(
-    model: &mut M,
-    split: &Split,
-    h: &HarnessConfig,
-) -> (f64, f64) {
-    let tc = TrainConfig {
-        epochs: 1,
-        patience: 10,
-        ..h.train_config()
+/// True in fast (CI smoke) mode: `--fast` on the command line or
+/// `SSDREC_BENCH_FAST=1` in the environment.
+pub fn fast_mode() -> bool {
+    std::env::var("SSDREC_BENCH_FAST").is_ok_and(|v| v == "1")
+        || std::env::args().skip(1).any(|a| a == "--fast")
+}
+
+/// The outermost ancestor of the working directory holding a `Cargo.lock` —
+/// the workspace root (cargo runs bin targets with cwd = the package dir).
+pub fn repo_root() -> PathBuf {
+    let cwd = std::env::current_dir().expect("cwd");
+    cwd.ancestors()
+        .filter(|a| a.join("Cargo.lock").is_file())
+        .last()
+        .map(PathBuf::from)
+        .unwrap_or(cwd)
+}
+
+/// Scratch and report directory of the bench binaries, the one the testkit
+/// harness reports into: `ssdrec-bench/` under the cargo target directory,
+/// created if missing.
+pub fn bench_dir() -> PathBuf {
+    let dir = ssdrec_testkit::bench::target_dir().join("ssdrec-bench");
+    std::fs::create_dir_all(&dir).expect("create target/ssdrec-bench");
+    dir
+}
+
+/// Check that `json` parses with the workspace JSON parser, then write it
+/// to `target/ssdrec-bench/bench_<name>.json` and — in full mode only, so a
+/// smoke run never overwrites a committed result — to `BENCH_<name>.json`
+/// at the workspace root. Returns the path of the most authoritative copy
+/// written and the parsed document, for the caller's own field checks.
+///
+/// # Panics
+/// If the document does not parse or a file cannot be written.
+pub fn write_report(name: &str, json: &str, fast: bool) -> (PathBuf, Json) {
+    let parsed = ssdrec_serve::json::parse(json)
+        .unwrap_or_else(|e| panic!("the {name} report must be valid JSON: {e}"));
+    let write = |path: PathBuf| {
+        std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        path
     };
-    let report = train(model, split, &tc);
-    (report.train_secs_per_epoch, report.infer_secs)
+    let scratch = write(bench_dir().join(format!("bench_{name}.json")));
+    if fast {
+        return (scratch, parsed);
+    }
+    (
+        write(repo_root().join(format!("BENCH_{name}.json"))),
+        parsed,
+    )
 }
 
 #[cfg(test)]
@@ -359,15 +283,24 @@ mod tests {
     #[test]
     fn profiles_resolve() {
         for d in DATASETS {
-            let p = profile(d);
-            assert!(p.num_users > 0);
+            assert!(SyntheticConfig::by_name(d).is_some(), "{d}");
         }
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "unknown dataset profile imaginary")]
     fn unknown_profile_panics() {
-        profile("imaginary");
+        prepare_profile("imaginary", &HarnessConfig::fast());
+    }
+
+    #[test]
+    fn fast_reports_stay_under_target() {
+        let name = "write_report_selftest";
+        let (path, parsed) = write_report(name, "{\"fast\": true, \"n\": 3}", true);
+        assert_eq!(path, bench_dir().join(format!("bench_{name}.json")));
+        assert_eq!(parsed.get("n").and_then(|v| v.as_usize()), Some(3));
+        assert!(!repo_root().join(format!("BENCH_{name}.json")).exists());
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

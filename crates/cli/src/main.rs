@@ -46,23 +46,22 @@ mod args;
 use std::process::ExitCode;
 
 use args::Args;
-use ssdrec_core::{SsdRec, SsdRecConfig};
+use ssdrec_core::{build_model, ModelContext, ModelKind, Prepared, SsdRec};
 use ssdrec_data::{
-    decode_dataset, load_interactions, load_to_columnar, plan_leave_one_out, prepare,
-    ColumnarReader, Dataset, LoadOptions, SequenceStore, Split, StoreExamples, SyntheticConfig,
-    TruncatedStore,
+    decode_dataset, load_interactions, load_to_columnar, plan_leave_one_out, ColumnarReader,
+    Dataset, LoadOptions, SequenceStore, SyntheticConfig, TruncatedStore,
 };
-use ssdrec_denoise::{Denoiser, Mgsd};
-use ssdrec_graph::{build_graph, build_graph_from_store, GraphConfig, MultiRelationGraph};
+use ssdrec_denoise::Denoiser;
+use ssdrec_graph::{build_graph, build_graph_from_store, GraphConfig};
 use ssdrec_models::{
-    train, train_from_source, train_with_checkpoints, BackboneKind, CheckpointConfig,
-    ContrastiveSeqRec, RecModel, SeqRec, SourceSplit, TrainConfig,
+    fit, train, BackboneKind, CheckpointConfig, RecModel, SeqRec, SourceSplit, TrainConfig,
+    TrainOptions, TrainReport,
 };
 use ssdrec_serve::{
     Engine, EngineConfig, EngineSlot, InferenceModel, LoadedModel, ModelLoader, RetrievalConfig,
     RetrievalMode, ServeConfig, ServerStats,
 };
-use ssdrec_stream::{ArchSpec, LogHeader, RetrainOutcome, RetrainSpec};
+use ssdrec_stream::{ArchSpec, LogError, LogHeader, RetrainOutcome, RetrainSpec, StreamLog};
 use ssdrec_tensor::{load_params, save_params};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -172,69 +171,57 @@ fn configure_retrieval(a: &Args) -> Result<RetrievalConfig, String> {
     })
 }
 
-fn load_dataset(a: &Args) -> Result<Dataset, String> {
-    if let Some(path) = a.get("file") {
-        let opts = match a.get_or("format", "csv") {
-            "movielens" => LoadOptions::movielens(),
-            "csv" => LoadOptions::csv_triples(),
-            other => return Err(format!("unknown --format {other}")),
-        };
-        return load_interactions(path, &opts).map_err(|e| e.to_string());
+/// `--format movielens|csv` (default csv) → how `--file` is parsed.
+fn load_options(a: &Args) -> Result<LoadOptions, String> {
+    match a.get_or("format", "csv") {
+        "movielens" => Ok(LoadOptions::movielens()),
+        "csv" => Ok(LoadOptions::csv_triples()),
+        other => Err(format!("unknown --format {other}")),
     }
+}
+
+/// `--profile NAME --scale F --seed S` → the synthetic generator config.
+fn profile_config(a: &Args) -> Result<SyntheticConfig, String> {
     let name = a.get_or("profile", "beauty");
-    let cfg = match name {
-        "beauty" => SyntheticConfig::beauty(),
-        "sports" => SyntheticConfig::sports(),
-        "yelp" => SyntheticConfig::yelp(),
-        "ml-100k" => SyntheticConfig::ml100k(),
-        "ml-1m" => SyntheticConfig::ml1m(),
-        other => return Err(format!("unknown --profile {other}")),
-    };
+    let cfg = SyntheticConfig::by_name(name).ok_or_else(|| format!("unknown --profile {name}"))?;
     let scale: f64 = a.get_parse("scale", 0.5)?;
     let seed: u64 = a.get_parse("seed", 7)?;
-    Ok(cfg.scaled(scale).with_seed(seed).generate())
+    Ok(cfg.scaled(scale).with_seed(seed))
+}
+
+fn load_dataset(a: &Args) -> Result<Dataset, String> {
+    match a.get("file") {
+        Some(path) => load_interactions(path, &load_options(a)?).map_err(|e| e.to_string()),
+        None => Ok(profile_config(a)?.generate()),
+    }
 }
 
 fn backbone(a: &Args) -> Result<BackboneKind, String> {
     let name = a.get_or("backbone", "SASRec");
-    BackboneKind::all()
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| format!("unknown --backbone {name}"))
-}
-
-struct Prepared {
-    dataset: Dataset,
-    split: Split,
-    graph: MultiRelationGraph,
-    max_len: usize,
+    BackboneKind::by_name(name).ok_or_else(|| format!("unknown --backbone {name}"))
 }
 
 fn prepare_data(a: &Args) -> Result<Prepared, String> {
-    let raw = load_dataset(a)?;
-    let max_len: usize = a.get_parse("max-len", 50)?;
-    let (dataset, split) = prepare(&raw, max_len, 3);
-    if split.test.is_empty() {
+    let prep = Prepared::new(&load_dataset(a)?, a.get_parse("max-len", 50)?, 3);
+    if prep.split.test.is_empty() {
         return Err("no usable sequences after 5-core filtering".into());
     }
-    let graph = build_graph(&dataset, &GraphConfig::default());
-    Ok(Prepared {
-        dataset,
-        split,
-        graph,
-        max_len,
-    })
+    Ok(prep)
+}
+
+/// `--dim D --seed S --backbone B` over a prepared world → the context
+/// every model of this run is built from.
+fn model_context<'a>(a: &Args, prep: &'a Prepared) -> Result<ModelContext<'a>, String> {
+    Ok(prep.context(
+        a.get_parse("dim", 16)?,
+        a.get_parse("seed", 7)?,
+        backbone(a)?,
+    ))
 }
 
 fn build_ssdrec(a: &Args, prep: &Prepared) -> Result<SsdRec, String> {
-    let cfg = SsdRecConfig {
-        dim: a.get_parse("dim", 16)?,
-        max_len: prep.max_len,
-        backbone: backbone(a)?,
-        seed: a.get_parse("seed", 7)?,
-        ..SsdRecConfig::default()
-    };
-    Ok(SsdRec::new(&prep.graph, cfg))
+    let ctx = model_context(a, prep)?;
+    Ok(SsdRec::new(ctx.graph, ctx.ssdrec_config()))
 }
 
 fn train_config(a: &Args) -> Result<TrainConfig, String> {
@@ -282,81 +269,125 @@ fn checkpoint_config(a: &Args) -> Result<Option<CheckpointConfig>, String> {
     }))
 }
 
-/// Which training scenario `train` runs: the SSDRec wrapper (default), the
-/// bare backbone (`--baseline`), the contrastive head (`--contrastive`), or
-/// the multi-granularity denoiser (`--mgsd`).
-#[derive(Copy, Clone, PartialEq, Eq)]
-enum TrainScenario {
-    SsdRec,
-    Baseline,
-    Contrastive,
-    Mgsd,
-}
-
-fn train_scenario(a: &Args) -> Result<TrainScenario, String> {
-    let picked = [
-        (a.has_flag("baseline"), TrainScenario::Baseline),
-        (a.has_flag("contrastive"), TrainScenario::Contrastive),
-        (a.has_flag("mgsd"), TrainScenario::Mgsd),
-    ];
-    let mut chosen = TrainScenario::SsdRec;
-    let mut count = 0;
-    for (on, s) in picked {
-        if on {
-            chosen = s;
-            count += 1;
-        }
-    }
-    if count > 1 {
+/// Which entry of the model table `train` runs: the SSDRec wrapper
+/// (default), the bare backbone (`--baseline`), the contrastive head
+/// (`--contrastive`, with `--cl-weight` / `--cl-tau` / `--aug-rate`, all
+/// optional; workspace defaults otherwise), or the multi-granularity
+/// denoiser (`--mgsd`).
+fn model_kind(a: &Args) -> Result<ModelKind, String> {
+    let picked = ["baseline", "contrastive", "mgsd"].map(|flag| a.has_flag(flag));
+    if picked.iter().filter(|&&on| on).count() > 1 {
         return Err("--baseline, --contrastive and --mgsd are mutually exclusive".into());
     }
-    Ok(chosen)
+    Ok(match picked {
+        [true, _, _] => ModelKind::Backbone,
+        [_, true, _] => {
+            let cl_weight = a.get_parse("cl-weight", ssdrec_models::DEFAULT_CL_WEIGHT)?;
+            let cl_tau = a.get_parse("cl-tau", ssdrec_models::DEFAULT_CL_TAU)?;
+            let aug_rate = a.get_parse("aug-rate", ssdrec_models::DEFAULT_AUG_RATE)?;
+            if cl_weight < 0.0 {
+                return Err("--cl-weight must be ≥ 0".into());
+            }
+            if cl_tau <= 0.0 {
+                return Err("--cl-tau must be > 0".into());
+            }
+            if !(0.0..=1.0).contains(&aug_rate) {
+                return Err("--aug-rate must be in [0, 1]".into());
+            }
+            ModelKind::Contrastive {
+                cl_weight,
+                cl_tau,
+                aug_rate,
+            }
+        }
+        [_, _, true] => ModelKind::Mgsd,
+        _ => ModelKind::SsdRec,
+    })
 }
 
-/// Build the contrastive scenario from `--cl-weight` / `--cl-tau` /
-/// `--aug-rate` (all optional; workspace defaults otherwise).
-fn build_contrastive(
-    a: &Args,
-    num_items: usize,
-    max_len: usize,
-) -> Result<ContrastiveSeqRec, String> {
-    let mut m = ContrastiveSeqRec::new(
-        backbone(a)?,
-        num_items,
-        a.get_parse("dim", 16)?,
-        max_len,
-        a.get_parse("seed", 7)?,
+fn print_data_line(num_items: usize, sources: &SourceSplit<'_>) {
+    println!(
+        "data: {num_items} items, {} train / {} valid / {} test examples",
+        sources.train.num_examples(),
+        sources.valid.num_examples(),
+        sources.test.num_examples()
     );
-    m.cl_weight = a.get_parse("cl-weight", ssdrec_models::DEFAULT_CL_WEIGHT)?;
-    m.cl_tau = a.get_parse("cl-tau", ssdrec_models::DEFAULT_CL_TAU)?;
-    m.aug_rate = a.get_parse("aug-rate", ssdrec_models::DEFAULT_AUG_RATE)?;
-    if m.cl_weight < 0.0 {
-        return Err("--cl-weight must be ≥ 0".into());
-    }
-    if m.cl_tau <= 0.0 {
-        return Err("--cl-tau must be > 0".into());
-    }
-    if !(0.0..=1.0).contains(&m.aug_rate) {
-        return Err("--aug-rate must be in [0, 1]".into());
-    }
-    Ok(m)
 }
 
+/// The trainer's summary as `train` and `retrain` print it. The `skipped`
+/// line appears only when a step was skipped.
+fn print_report(report: &TrainReport) {
+    println!("epochs: {}", report.epochs_run);
+    if report.skipped_steps > 0 {
+        println!("skipped: {} non-finite step(s)", report.skipped_steps);
+    }
+    println!("valid : {}", report.valid);
+    println!("test  : {}", report.test);
+}
+
+/// `train`: resolve the input to a model context and a [`SourceSplit`],
+/// then build the model from the table and run the trainer.
+///
+/// `--profile`/`--file` take the in-RAM path: k-core filter, owned split.
+/// `--data FILE.ssdc [--data-mode windowed|ram]` is the out-of-core path:
+/// sequences are truncated lazily to `--max-len`, split with leave-one-out
+/// (min length 3, up to 3 training prefixes per user), the graph is built
+/// in counting passes over the store, and the trainer pulls batches through
+/// [`StoreExamples`](ssdrec_data::StoreExamples) — in `windowed` mode
+/// nothing ever materializes the whole corpus. Both modes print identical
+/// metric lines, which CI diffs to pin the bit-identity contract.
 fn cmd_train(a: &Args) -> Result<(), String> {
-    if let Some(data) = a.get("data") {
+    // Whichever backing the input resolves to must outlive the training run.
+    let (prep, reader, decoded, store, plan, views, graph);
+    let (ctx, sources): (ModelContext<'_>, SourceSplit<'_>) = if let Some(data) = a.get("data") {
         if a.get("file").is_some() || a.get("profile").is_some() {
             return Err("--data is exclusive with --file/--profile".into());
         }
-        return cmd_train_data(a, data);
-    }
-    let prep = prepare_data(a)?;
-    println!(
-        "data: {} items, {} train / {} valid / {} test examples",
-        prep.dataset.num_items,
-        prep.split.train.len(),
-        prep.split.valid.len(),
-        prep.split.test.len()
-    );
+        let mode = a.get_or("data-mode", "windowed");
+        let max_len: usize = a.get_parse("max-len", 50)?;
+        let base: &dyn SequenceStore = match mode {
+            "windowed" => {
+                reader = ColumnarReader::open(data).map_err(|e| e.to_string())?;
+                &reader
+            }
+            "ram" => {
+                decoded = decode_dataset(data).map_err(|e| e.to_string())?;
+                &decoded
+            }
+            other => {
+                return Err(format!(
+                    "unknown --data-mode {other} (expected \"windowed\" or \"ram\")"
+                ))
+            }
+        };
+        store = TruncatedStore::new(base, max_len);
+        plan = plan_leave_one_out(&store, 3, 3);
+        if plan.test.is_empty() {
+            return Err("no usable sequences in the columnar file (need length ≥ 3)".into());
+        }
+        views = plan.views(&store);
+        let sources = SourceSplit::from(&views);
+        print_data_line(store.num_items(), &sources);
+        println!("mode : {mode} ({data})");
+        graph = build_graph_from_store(&store, &GraphConfig::default());
+        let ctx = ModelContext {
+            num_users: store.num_users(),
+            num_items: store.num_items(),
+            dim: a.get_parse("dim", 16)?,
+            max_len,
+            seed: a.get_parse("seed", 7)?,
+            backbone: backbone(a)?,
+            graph: &graph,
+            // Read by DCRec only, which `train` does not offer.
+            item_freq: &[],
+        };
+        (ctx, sources)
+    } else {
+        prep = prepare_data(a)?;
+        let sources = SourceSplit::from(&prep.split);
+        print_data_line(prep.dataset.num_items, &sources);
+        (model_context(a, &prep)?, sources)
+    };
     let tc = train_config(a)?;
     let ckpt = checkpoint_config(a)?;
     if let Some(c) = &ckpt {
@@ -371,159 +402,16 @@ fn cmd_train(a: &Args) -> Result<(), String> {
             c.every.max(1)
         );
     }
-    let (name, test, store_snapshot) = match train_scenario(a)? {
-        TrainScenario::Baseline => {
-            let mut model = SeqRec::new(
-                backbone(a)?,
-                prep.dataset.num_items,
-                a.get_parse("dim", 16)?,
-                prep.max_len,
-                a.get_parse("seed", 7)?,
-            );
-            let report = train_with_checkpoints(&mut model, &prep.split, &tc, ckpt.as_ref())?;
-            (model.model_name(), report, model.store)
-        }
-        TrainScenario::Contrastive => {
-            let mut model = build_contrastive(a, prep.dataset.num_items, prep.max_len)?;
-            let report = train_with_checkpoints(&mut model, &prep.split, &tc, ckpt.as_ref())?;
-            (model.model_name(), report, model.base.store)
-        }
-        TrainScenario::Mgsd => {
-            let mut model = Mgsd::new(
-                prep.dataset.num_users,
-                prep.dataset.num_items,
-                a.get_parse("dim", 16)?,
-                prep.max_len,
-                a.get_parse("seed", 7)?,
-            );
-            let report = train_with_checkpoints(&mut model, &prep.split, &tc, ckpt.as_ref())?;
-            (model.model_name(), report, model.store)
-        }
-        TrainScenario::SsdRec => {
-            let mut model = build_ssdrec(a, &prep)?;
-            let report = train_with_checkpoints(&mut model, &prep.split, &tc, ckpt.as_ref())?;
-            (model.model_name(), report, model.store)
-        }
+    let mut model = build_model(model_kind(a)?, &ctx);
+    let opts = TrainOptions {
+        warm: None,
+        ckpt: ckpt.as_ref(),
     };
-    println!("model : {name}");
-    println!("epochs: {}", test.epochs_run);
-    println!("valid : {}", test.valid);
-    println!("test  : {}", test.test);
+    let report = fit(&mut *model, &sources, &tc, &opts)?;
+    println!("model : {}", model.model_name());
+    print_report(&report);
     if let Some(out) = a.get("out") {
-        save_params(&store_snapshot, out).map_err(|e| e.to_string())?;
-        println!("checkpoint written to {out}");
-    }
-    Ok(())
-}
-
-/// `train --data FILE.ssdc [--data-mode windowed|ram]`: the out-of-core
-/// training path. Sequences are truncated lazily to `--max-len`, split with
-/// leave-one-out (min length 3, up to 3 training prefixes per user), the
-/// graph is built in counting passes over the store, and the trainer pulls
-/// batches through [`StoreExamples`] — in `windowed` mode nothing ever
-/// materializes the whole corpus. Both modes print identical metric lines,
-/// which CI diffs to pin the bit-identity contract.
-fn cmd_train_data(a: &Args, data: &str) -> Result<(), String> {
-    let mode = a.get_or("data-mode", "windowed");
-    let max_len: usize = a.get_parse("max-len", 50)?;
-    // Whichever backing store we open must outlive the training run.
-    let reader;
-    let dataset;
-    let base: &dyn SequenceStore = match mode {
-        "windowed" => {
-            reader = ColumnarReader::open(data).map_err(|e| e.to_string())?;
-            &reader
-        }
-        "ram" => {
-            dataset = decode_dataset(data).map_err(|e| e.to_string())?;
-            &dataset
-        }
-        other => {
-            return Err(format!(
-                "unknown --data-mode {other} (expected \"windowed\" or \"ram\")"
-            ))
-        }
-    };
-    let store = TruncatedStore::new(base, max_len);
-    let plan = plan_leave_one_out(&store, 3, 3);
-    if plan.test.is_empty() {
-        return Err("no usable sequences in the columnar file (need length ≥ 3)".into());
-    }
-    println!(
-        "data: {} items, {} train / {} valid / {} test examples",
-        store.num_items(),
-        plan.train.len(),
-        plan.valid.len(),
-        plan.test.len()
-    );
-    println!("mode : {mode} ({data})");
-    let graph = build_graph_from_store(&store, &GraphConfig::default());
-    let tc = train_config(a)?;
-    let ckpt = checkpoint_config(a)?;
-    let tr = StoreExamples {
-        store: &store,
-        refs: &plan.train,
-    };
-    let va = StoreExamples {
-        store: &store,
-        refs: &plan.valid,
-    };
-    let te = StoreExamples {
-        store: &store,
-        refs: &plan.test,
-    };
-    let sources = SourceSplit {
-        train: &tr,
-        valid: &va,
-        test: &te,
-    };
-    let (name, report, store_snapshot) = match train_scenario(a)? {
-        TrainScenario::Baseline => {
-            let mut model = SeqRec::new(
-                backbone(a)?,
-                store.num_items(),
-                a.get_parse("dim", 16)?,
-                max_len,
-                a.get_parse("seed", 7)?,
-            );
-            let report = train_from_source(&mut model, &sources, &tc, None, ckpt.as_ref())?;
-            (model.model_name(), report, model.store)
-        }
-        TrainScenario::Contrastive => {
-            let mut model = build_contrastive(a, store.num_items(), max_len)?;
-            let report = train_from_source(&mut model, &sources, &tc, None, ckpt.as_ref())?;
-            (model.model_name(), report, model.base.store)
-        }
-        TrainScenario::Mgsd => {
-            let mut model = Mgsd::new(
-                store.num_users(),
-                store.num_items(),
-                a.get_parse("dim", 16)?,
-                max_len,
-                a.get_parse("seed", 7)?,
-            );
-            let report = train_from_source(&mut model, &sources, &tc, None, ckpt.as_ref())?;
-            (model.model_name(), report, model.store)
-        }
-        TrainScenario::SsdRec => {
-            let cfg = SsdRecConfig {
-                dim: a.get_parse("dim", 16)?,
-                max_len,
-                backbone: backbone(a)?,
-                seed: a.get_parse("seed", 7)?,
-                ..SsdRecConfig::default()
-            };
-            let mut model = SsdRec::new(&graph, cfg);
-            let report = train_from_source(&mut model, &sources, &tc, None, ckpt.as_ref())?;
-            (model.model_name(), report, model.store)
-        }
-    };
-    println!("model : {name}");
-    println!("epochs: {}", report.epochs_run);
-    println!("valid : {}", report.valid);
-    println!("test  : {}", report.test);
-    if let Some(out) = a.get("out") {
-        save_params(&store_snapshot, out).map_err(|e| e.to_string())?;
+        save_params(model.store(), out).map_err(|e| e.to_string())?;
         println!("checkpoint written to {out}");
     }
     Ok(())
@@ -537,29 +425,11 @@ fn cmd_gen_data(a: &Args) -> Result<(), String> {
     let out = a
         .get("out")
         .ok_or("gen-data requires --out FILE.ssdc (the destination columnar file)")?;
-    let summary = if let Some(path) = a.get("file") {
-        let opts = match a.get_or("format", "csv") {
-            "movielens" => LoadOptions::movielens(),
-            "csv" => LoadOptions::csv_triples(),
-            other => return Err(format!("unknown --format {other}")),
-        };
-        load_to_columnar(path, &opts, out).map_err(|e| e.to_string())?
-    } else {
-        let name = a.get_or("profile", "beauty");
-        let cfg = match name {
-            "beauty" => SyntheticConfig::beauty(),
-            "sports" => SyntheticConfig::sports(),
-            "yelp" => SyntheticConfig::yelp(),
-            "ml-100k" => SyntheticConfig::ml100k(),
-            "ml-1m" => SyntheticConfig::ml1m(),
-            other => return Err(format!("unknown --profile {other}")),
-        };
-        let scale: f64 = a.get_parse("scale", 0.5)?;
-        let seed: u64 = a.get_parse("seed", 7)?;
-        cfg.scaled(scale)
-            .with_seed(seed)
+    let summary = match a.get("file") {
+        Some(path) => load_to_columnar(path, &load_options(a)?, out).map_err(|e| e.to_string())?,
+        None => profile_config(a)?
             .generate_to(out)
-            .map_err(|e| e.to_string())?
+            .map_err(|e| e.to_string())?,
     };
     println!(
         "wrote {out}: {} users, {} interactions, {} bytes",
@@ -722,6 +592,31 @@ fn reload_poll(a: &Args) -> Result<Option<Duration>, String> {
     Ok(Some(Duration::from_millis(ms)))
 }
 
+/// Open (or create, pinning `catalog`) the log at `log_path`, run `append`
+/// on it, sync, and print the one-line summary.
+fn append_to_log(
+    log_path: &str,
+    catalog: Option<LogHeader>,
+    append: impl FnOnce(&mut StreamLog) -> Result<u64, LogError>,
+) -> Result<(), String> {
+    let (mut log, created) = ssdrec_stream::open_or_create_log(Path::new(log_path), catalog)?;
+    let before = log.records();
+    append(&mut log).map_err(|e| e.to_string())?;
+    log.sync().map_err(|e| e.to_string())?;
+    let h = log.header();
+    println!(
+        "{} {} ({} users, {} items): +{} records, {} total, end offset {}",
+        if created { "created" } else { "appended to" },
+        log_path,
+        h.num_users,
+        h.num_items,
+        log.records() - before,
+        log.records(),
+        log.end()
+    );
+    Ok(())
+}
+
 fn cmd_ingest(a: &Args) -> Result<(), String> {
     let log_path = a.get("log").ok_or("ingest requires --log PATH")?;
     let explicit = explicit_catalog(a)?;
@@ -737,22 +632,7 @@ fn cmd_ingest(a: &Args) -> Result<(), String> {
             num_users: ColumnarReader::num_users(&reader),
             num_items: ColumnarReader::num_items(&reader),
         }));
-        let (mut log, created) = ssdrec_stream::open_or_create_log(Path::new(log_path), catalog)?;
-        let before = log.records();
-        log.bulk_load(&reader).map_err(|e| e.to_string())?;
-        log.sync().map_err(|e| e.to_string())?;
-        let h = log.header();
-        println!(
-            "{} {} ({} users, {} items): +{} records, {} total, end offset {}",
-            if created { "created" } else { "appended to" },
-            log_path,
-            h.num_users,
-            h.num_items,
-            log.records() - before,
-            log.records(),
-            log.end()
-        );
-        return Ok(());
+        return append_to_log(log_path, catalog, |log| log.bulk_load(&reader));
     }
     let (catalog, events): (Option<LogHeader>, Vec<(usize, usize)>) = match a.get("events") {
         Some(spec) => (explicit, parse_events(spec)?),
@@ -771,22 +651,7 @@ fn cmd_ingest(a: &Args) -> Result<(), String> {
             (catalog, events)
         }
     };
-    let (mut log, created) = ssdrec_stream::open_or_create_log(Path::new(log_path), catalog)?;
-    let before = log.records();
-    log.append_all(events).map_err(|e| e.to_string())?;
-    log.sync().map_err(|e| e.to_string())?;
-    let h = log.header();
-    println!(
-        "{} {} ({} users, {} items): +{} records, {} total, end offset {}",
-        if created { "created" } else { "appended to" },
-        log_path,
-        h.num_users,
-        h.num_items,
-        log.records() - before,
-        log.records(),
-        log.end()
-    );
-    Ok(())
+    append_to_log(log_path, catalog, |log| log.append_all(events))
 }
 
 fn cmd_retrain(a: &Args) -> Result<(), String> {
@@ -809,11 +674,58 @@ fn cmd_retrain(a: &Args) -> Result<(), String> {
                 "published v{:04}: consumed {} new record(s) up to offset {}",
                 t.version, t.delta_records, t.consumed
             );
-            println!("epochs: {}", t.report.epochs_run);
-            println!("valid : {}", t.report.valid);
-            println!("test  : {}", t.report.test);
+            print_report(&t.report);
         }
     }
+    Ok(())
+}
+
+/// The serving engine over `model`, from the engine flags shared by both
+/// `serve` forms (`--workers`, `--max-batch`, `--linger-ms`, `--cache`,
+/// `--max-queue`, `--retrieval` and its knobs).
+fn build_engine(a: &Args, model: InferenceModel, max_len: usize) -> Result<Engine, String> {
+    let cfg = EngineConfig {
+        workers: a.get_parse("workers", 2)?,
+        max_batch: a.get_parse("max-batch", 32)?,
+        linger: Duration::from_millis(a.get_parse("linger-ms", 2)?),
+        cache_capacity: a.get_parse("cache", 1024)?,
+        max_len,
+        max_queue: a.get_parse("max-queue", 1024)?,
+        retrieval: configure_retrieval(a)?,
+    };
+    if cfg.retrieval.mode == RetrievalMode::Ann {
+        println!(
+            "building ann index (m={}, ef_search={})...",
+            cfg.retrieval.ann_m, cfg.retrieval.ef_search
+        );
+    }
+    Engine::try_new(model, cfg, Arc::new(ServerStats::new()))
+}
+
+/// Bind `--addr`, announce the endpoints, and block until `POST /shutdown`.
+fn serve_until_shutdown(
+    a: &Args,
+    slot: EngineSlot,
+    reload_poll: Option<Duration>,
+) -> Result<(), String> {
+    let reloadable = slot.is_reloadable();
+    let serve_cfg = ServeConfig {
+        read_timeout: Duration::from_millis(a.get_parse("read-timeout-ms", 30_000)?),
+        write_timeout: Duration::from_millis(a.get_parse("write-timeout-ms", 30_000)?),
+        reload_poll,
+    };
+    let addr = a.get_or("addr", "127.0.0.1:7878");
+    let handle = ssdrec_serve::serve_slot(slot, addr, serve_cfg).map_err(|e| e.to_string())?;
+    println!("serving on http://{}", handle.addr());
+    println!("  GET  /health");
+    println!("  GET  /recommend?user=U&seq=1,2,3&k=10   (or POST a JSON body)");
+    println!("  GET  /metrics");
+    if reloadable {
+        println!("  POST /reload");
+    }
+    println!("  POST /shutdown");
+    handle.join();
+    println!("server stopped");
     Ok(())
 }
 
@@ -832,22 +744,7 @@ fn cmd_serve_stream(a: &Args) -> Result<(), String> {
     let lv = ssdrec_stream::load_current(&log, &root)?
         .ok_or("no CURRENT version in --ckpt-dir (run `ssdrec retrain` first)")?;
     println!("loaded {} from {}", lv.meta, root.display());
-    let cfg = EngineConfig {
-        workers: a.get_parse("workers", 2)?,
-        max_batch: a.get_parse("max-batch", 32)?,
-        linger: Duration::from_millis(a.get_parse("linger-ms", 2)?),
-        cache_capacity: a.get_parse("cache", 1024)?,
-        max_len: lv.meta.spec.arch.max_len,
-        max_queue: a.get_parse("max-queue", 1024)?,
-        retrieval: configure_retrieval(a)?,
-    };
-    if cfg.retrieval.mode == RetrievalMode::Ann {
-        println!(
-            "building ann index (m={}, ef_search={})...",
-            cfg.retrieval.ann_m, cfg.retrieval.ef_search
-        );
-    }
-    let engine = Engine::try_new(lv.model.into(), cfg, Arc::new(ServerStats::new()))?;
+    let engine = build_engine(a, lv.model.into(), lv.meta.spec.arch.max_len)?;
     let loader: Box<ModelLoader> = Box::new(move |current| {
         Ok(
             ssdrec_stream::load_newer(&log, &root, current)?.map(|newer| LoadedModel {
@@ -856,23 +753,7 @@ fn cmd_serve_stream(a: &Args) -> Result<(), String> {
             }),
         )
     });
-    let slot = EngineSlot::reloadable(engine, lv.version, loader);
-    let addr = a.get_or("addr", "127.0.0.1:7878");
-    let serve_cfg = ServeConfig {
-        read_timeout: Duration::from_millis(a.get_parse("read-timeout-ms", 30_000)?),
-        write_timeout: Duration::from_millis(a.get_parse("write-timeout-ms", 30_000)?),
-        reload_poll: poll,
-    };
-    let handle = ssdrec_serve::serve_slot(slot, addr, serve_cfg).map_err(|e| e.to_string())?;
-    println!("serving on http://{}", handle.addr());
-    println!("  GET  /health");
-    println!("  GET  /recommend?user=U&seq=1,2,3&k=10   (or POST a JSON body)");
-    println!("  GET  /metrics");
-    println!("  POST /reload");
-    println!("  POST /shutdown");
-    handle.join();
-    println!("server stopped");
-    Ok(())
+    serve_until_shutdown(a, EngineSlot::reloadable(engine, lv.version, loader), poll)
 }
 
 fn cmd_serve(a: &Args) -> Result<(), String> {
@@ -887,13 +768,8 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         .get("model")
         .ok_or("serve requires --model CKPT (train one with `ssdrec train --out ...`)")?;
     let model: InferenceModel = if a.has_flag("baseline") {
-        let mut m = SeqRec::new(
-            backbone(a)?,
-            prep.dataset.num_items,
-            a.get_parse("dim", 16)?,
-            prep.max_len,
-            a.get_parse("seed", 7)?,
-        );
+        let ctx = model_context(a, &prep)?;
+        let mut m = SeqRec::new(ctx.backbone, ctx.num_items, ctx.dim, ctx.max_len, ctx.seed);
         load_params(&mut m.store, ckpt).map_err(|e| e.to_string())?;
         m.into()
     } else {
@@ -902,38 +778,8 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         m.into()
     };
     println!("loaded checkpoint {ckpt} ({})", model.model_name());
-
-    let cfg = EngineConfig {
-        workers: a.get_parse("workers", 2)?,
-        max_batch: a.get_parse("max-batch", 32)?,
-        linger: std::time::Duration::from_millis(a.get_parse("linger-ms", 2)?),
-        cache_capacity: a.get_parse("cache", 1024)?,
-        max_len: prep.max_len,
-        max_queue: a.get_parse("max-queue", 1024)?,
-        retrieval: configure_retrieval(a)?,
-    };
-    if cfg.retrieval.mode == RetrievalMode::Ann {
-        println!(
-            "building ann index (m={}, ef_search={})...",
-            cfg.retrieval.ann_m, cfg.retrieval.ef_search
-        );
-    }
-    let engine = Engine::try_new(model, cfg, Arc::new(ServerStats::new()))?;
-    let addr = a.get_or("addr", "127.0.0.1:7878");
-    let serve_cfg = ServeConfig {
-        read_timeout: std::time::Duration::from_millis(a.get_parse("read-timeout-ms", 30_000)?),
-        write_timeout: std::time::Duration::from_millis(a.get_parse("write-timeout-ms", 30_000)?),
-        reload_poll: None,
-    };
-    let handle = ssdrec_serve::serve_with(engine, addr, serve_cfg).map_err(|e| e.to_string())?;
-    println!("serving on http://{}", handle.addr());
-    println!("  GET  /health");
-    println!("  GET  /recommend?user=U&seq=1,2,3&k=10   (or POST a JSON body)");
-    println!("  GET  /metrics");
-    println!("  POST /shutdown");
-    handle.join();
-    println!("server stopped");
-    Ok(())
+    let engine = build_engine(a, model, prep.max_len)?;
+    serve_until_shutdown(a, EngineSlot::fixed(engine), None)
 }
 
 fn main() -> ExitCode {
@@ -944,11 +790,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Err(e) = configure_threads(&args) {
-        eprintln!("error: {e}\n{}", usage());
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = configure_backend(&args) {
+    if let Err(e) = configure_threads(&args).and_then(|_| configure_backend(&args)) {
         eprintln!("error: {e}\n{}", usage());
         return ExitCode::FAILURE;
     }
@@ -1066,6 +908,78 @@ mod cli_tests {
         let cfg =
             configure_retrieval(&parse("serve --retrieval ann --ef-search 64 --ann-m 8")).unwrap();
         assert_eq!((cfg.ann_m, cfg.ef_search), (8, 64));
+    }
+
+    #[test]
+    fn scenario_flags_are_mutually_exclusive_and_validate_their_knobs() {
+        let kind = |flags: &str| model_kind(&parse(flags));
+        for two in [
+            "train --baseline --contrastive",
+            "train --baseline --mgsd",
+            "train --contrastive --mgsd",
+            "train --baseline --contrastive --mgsd",
+        ] {
+            let err = kind(two).unwrap_err();
+            assert!(err.contains("mutually exclusive"), "for {two:?} got: {err}");
+        }
+        let tuned = ModelKind::Contrastive {
+            cl_weight: 0.3,
+            cl_tau: 2.0,
+            aug_rate: 0.25,
+        };
+        for (flags, want) in [
+            ("train", ModelKind::SsdRec),
+            ("train --baseline", ModelKind::Backbone),
+            ("train --mgsd", ModelKind::Mgsd),
+            ("train --contrastive", ModelKind::CL4SREC),
+            (
+                "train --contrastive --cl-weight 0.3 --cl-tau 2 --aug-rate 0.25",
+                tuned,
+            ),
+        ] {
+            assert_eq!(kind(flags), Ok(want), "for {flags:?}");
+        }
+        for (bad, flag) in [
+            ("train --contrastive --cl-weight -1", "--cl-weight"),
+            ("train --contrastive --cl-tau 0", "--cl-tau"),
+            ("train --contrastive --aug-rate 1.5", "--aug-rate"),
+        ] {
+            let err = kind(bad).unwrap_err();
+            assert!(err.contains(flag), "for {bad:?} got: {err}");
+        }
+    }
+
+    #[test]
+    fn each_scenario_builds_the_model_train_has_always_named() {
+        let a = parse("train --profile beauty --scale 0.05 --dim 8 --max-len 12");
+        let prep = prepare_data(&a).unwrap();
+        for (flags, name) in [
+            ("train", "SSDRec[SASRec]"),
+            ("train --backbone gru4rec", "SSDRec[GRU4Rec]"),
+            ("train --baseline", "SASRec"),
+            ("train --baseline --backbone narm", "NARM"),
+            ("train --contrastive", "CL4SRec"),
+            ("train --mgsd", "MGSD-WSS"),
+        ] {
+            let a = parse(flags);
+            let model = build_model(model_kind(&a).unwrap(), &model_context(&a, &prep).unwrap());
+            assert_eq!(model.model_name(), name, "for {flags:?}");
+        }
+    }
+
+    #[test]
+    fn unknown_profile_format_and_backbone_keep_their_error_text() {
+        let err = load_dataset(&parse("stats --profile imaginary")).unwrap_err();
+        assert_eq!(err, "unknown --profile imaginary");
+        let err = cmd_gen_data(&parse("gen-data --out x.ssdc --profile imaginary")).unwrap_err();
+        assert_eq!(err, "unknown --profile imaginary");
+        let err = load_dataset(&parse("stats --file x.csv --format parquet")).unwrap_err();
+        assert_eq!(err, "unknown --format parquet");
+        let err =
+            cmd_gen_data(&parse("gen-data --out x.ssdc --file x --format parquet")).unwrap_err();
+        assert_eq!(err, "unknown --format parquet");
+        let err = backbone(&parse("train --backbone lstm")).unwrap_err();
+        assert_eq!(err, "unknown --backbone lstm");
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //!
 //! The assembled [`SsdRec`] model plugs any backbone from `ssdrec-models`
 //! into Eq. 15 and trains with the shared workspace trainer.
+//!
+//! This is also the lowest crate that sees every trainable model, so it
+//! hosts the [`zoo`]: the one table from a [`ModelKind`] to a
+//! `Box<dyn RecModel>`.
 
 #![warn(missing_docs)]
 
@@ -22,9 +26,11 @@ pub mod fden;
 pub mod model;
 pub mod relation_encoder;
 pub mod util;
+pub mod zoo;
 
 pub use augment::{Augmented, SelfAugmenter};
 pub use denoise_stage::HierarchicalDenoiser;
 pub use fden::{AttentionGate, FdenKind};
 pub use model::{CaseStudy, FrozenTables, SsdRec, SsdRecConfig};
 pub use relation_encoder::{GlobalRelationEncoder, RelationAdjacency, RelationOutput};
+pub use zoo::{build_model, ModelContext, ModelKind, Prepared};

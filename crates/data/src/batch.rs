@@ -8,7 +8,7 @@ use ssdrec_testkit::Rng;
 use std::collections::BTreeMap;
 
 use crate::interaction::Example;
-use crate::store::{ExampleRef, SequenceStore};
+use crate::store::{ExampleRef, SequenceStore, SplitPlan};
 
 /// One dense mini-batch of equal-length sequences.
 #[derive(Clone, Debug)]
@@ -229,6 +229,18 @@ impl BatchSource for &[Example] {
     }
 }
 
+/// An owned example list is a source as it stands, so the three vectors of
+/// a [`Split`](crate::interaction::Split) reach the trainer by reference.
+impl BatchSource for Vec<Example> {
+    fn num_examples(&self) -> usize {
+        self.len()
+    }
+
+    fn for_each_batch(&self, batch_size: usize, seed: u64, f: &mut dyn FnMut(&Batch)) {
+        self.as_slice().for_each_batch(batch_size, seed, f)
+    }
+}
+
 /// The out-of-core [`BatchSource`]: examples live in a [`SequenceStore`],
 /// described by [`ExampleRef`]s.
 pub struct StoreExamples<'a> {
@@ -247,6 +259,15 @@ impl BatchSource for StoreExamples<'_> {
         for b in BatchIter::new(self.store, self.refs, batch_size, seed) {
             f(&b);
         }
+    }
+}
+
+impl SplitPlan {
+    /// The plan's train / valid / test parts as [`BatchSource`] views over
+    /// `store`. Nothing is materialized: each view decodes its sequences
+    /// batch by batch.
+    pub fn views<'a>(&'a self, store: &'a dyn SequenceStore) -> [StoreExamples<'a>; 3] {
+        [&self.train, &self.valid, &self.test].map(|refs| StoreExamples { store, refs })
     }
 }
 

@@ -104,6 +104,19 @@ impl SyntheticConfig {
         Self::profile("yelp-sim", 340, 320, 12, 10)
     }
 
+    /// The paper profile called `name` on every command line (`beauty`,
+    /// `sports`, `yelp`, `ml-100k`, `ml-1m`); `None` for anything else.
+    pub fn by_name(name: &str) -> Option<Self> {
+        match name {
+            "beauty" => Some(Self::beauty()),
+            "sports" => Some(Self::sports()),
+            "yelp" => Some(Self::yelp()),
+            "ml-100k" => Some(Self::ml100k()),
+            "ml-1m" => Some(Self::ml1m()),
+            _ => None,
+        }
+    }
+
     /// All five paper profiles, in the paper's order.
     pub fn all_profiles() -> Vec<Self> {
         vec![
@@ -296,6 +309,21 @@ mod tests {
         ds.validate().unwrap();
         assert_eq!(ds.num_users, 320);
         assert!(ds.sequences.iter().all(|s| s.len() >= 5));
+    }
+
+    #[test]
+    fn by_name_resolves_the_five_cli_names_and_nothing_else() {
+        for (name, want) in [
+            ("beauty", "beauty-sim"),
+            ("sports", "sports-sim"),
+            ("yelp", "yelp-sim"),
+            ("ml-100k", "ml-100k-sim"),
+            ("ml-1m", "ml-1m-sim"),
+        ] {
+            assert_eq!(SyntheticConfig::by_name(name).unwrap().name, want);
+        }
+        assert!(SyntheticConfig::by_name("imaginary").is_none());
+        assert!(SyntheticConfig::by_name("Beauty").is_none());
     }
 
     #[test]

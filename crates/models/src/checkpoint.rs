@@ -91,7 +91,9 @@ pub struct TrainState {
 impl TrainState {
     /// Capture the store side of the state (values + Adam moments) from a
     /// model. The caller fills in the scalar counters.
-    pub fn capture_params<M: RecModel>(model: &M) -> Vec<(String, Tensor, Tensor, Tensor)> {
+    pub fn capture_params<M: RecModel + ?Sized>(
+        model: &M,
+    ) -> Vec<(String, Tensor, Tensor, Tensor)> {
         let store = model.store();
         (0..store.num_tensors())
             .map(|i| {
@@ -109,7 +111,7 @@ impl TrainState {
 
     /// Restore parameter values, Adam moments and model-side state into a
     /// freshly built model. Strict: names and shapes must match.
-    pub fn apply_to<M: RecModel>(&self, model: &mut M) -> Result<(), String> {
+    pub fn apply_to<M: RecModel + ?Sized>(&self, model: &mut M) -> Result<(), String> {
         let store = model.store_mut();
         if self.params.len() != store.num_tensors() {
             return Err(format!(

@@ -60,6 +60,14 @@ impl BackboneKind {
         ]
     }
 
+    /// The backbone whose display name is `name`, ignoring ASCII case (how
+    /// `--backbone` flags and version metadata spell it).
+    pub fn by_name(name: &str) -> Option<BackboneKind> {
+        Self::all()
+            .into_iter()
+            .find(|k| k.name().eq_ignore_ascii_case(name))
+    }
+
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {

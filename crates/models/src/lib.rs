@@ -28,7 +28,6 @@ pub use contrastive::{
 pub use encoder::{BackboneKind, SeqEncoder};
 pub use model::{build_encoder, FrozenScorer, Objective, RecModel, SeqRec};
 pub use trainer::{
-    evaluate, evaluate_source_with, evaluate_with, train, train_from_source,
-    train_with_checkpoints, train_with_warm_start, LrSchedule, SourceSplit, TrainConfig,
+    evaluate, evaluate_with, fit, train, LrSchedule, SourceSplit, TrainConfig, TrainOptions,
     TrainReport,
 };

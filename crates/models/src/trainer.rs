@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use ssdrec_data::{BatchSource, Example, Split};
+use ssdrec_data::{BatchSource, Example, Split, StoreExamples};
 use ssdrec_metrics::{rank_rows, RankingAccumulator};
 use ssdrec_tensor::{Adam, Gradients, Graph, Rng};
 
@@ -92,8 +92,13 @@ pub struct TrainReport {
     pub train_secs_per_epoch: f64,
     /// Wall-clock seconds for one full test inference pass (Table VI).
     pub infer_secs: f64,
-    /// Final training loss.
+    /// Final training loss: the last epoch's mean over its finite-loss
+    /// steps (NaN when that epoch had none).
     pub final_loss: f32,
+    /// Steps skipped because their loss was not finite, counted over the
+    /// epochs this call ran (a resumed run does not see the earlier ones:
+    /// the checkpoint format is pinned and carries no such counter).
+    pub skipped_steps: usize,
 }
 
 /// Evaluate a model on a set of examples, returning the rank accumulator.
@@ -101,33 +106,23 @@ pub struct TrainReport {
 /// Convenience wrapper over [`evaluate_with`] that owns a throwaway graph;
 /// step loops that already hold a long-lived graph should pass it to
 /// [`evaluate_with`] so the tape storage is reused.
-pub fn evaluate<M: RecModel>(
+pub fn evaluate<M: RecModel + ?Sized>(
     model: &M,
     examples: &[Example],
     batch_size: usize,
 ) -> RankingAccumulator {
-    let mut g = Graph::new();
-    evaluate_with(model, examples, batch_size, &mut g)
+    evaluate_with(model, &examples, batch_size, &mut Graph::new())
 }
 
-/// Evaluate a model on a set of examples using a caller-provided graph.
+/// Evaluate a model over any [`BatchSource`] — owned examples or an
+/// out-of-core store + split plan — using a caller-provided graph. Batches
+/// (and hence the accumulator) are bit-identical across sources for the
+/// same examples.
 ///
 /// The graph is [`reset`](Graph::reset) before every batch, so tape
 /// storage is recycled through the buffer pool instead of reallocated;
 /// results are bit-identical to building a fresh graph per batch.
-pub fn evaluate_with<M: RecModel>(
-    model: &M,
-    examples: &[Example],
-    batch_size: usize,
-    g: &mut Graph,
-) -> RankingAccumulator {
-    evaluate_source_with(model, &examples, batch_size, g)
-}
-
-/// Evaluate a model over any [`BatchSource`] — owned examples or an
-/// out-of-core store + split plan. Batches (and hence the accumulator) are
-/// bit-identical across sources for the same examples.
-pub fn evaluate_source_with<M: RecModel>(
+pub fn evaluate_with<M: RecModel + ?Sized>(
     model: &M,
     source: &dyn BatchSource,
     batch_size: usize,
@@ -152,70 +147,18 @@ pub fn evaluate_source_with<M: RecModel>(
 /// Train a model with Adam + early stopping; restores the best checkpoint
 /// before the final test evaluation.
 ///
-/// Infallible convenience wrapper over [`train_with_checkpoints`] without
-/// periodic checkpointing (no I/O can fail).
-pub fn train<M: RecModel>(model: &mut M, split: &Split, cfg: &TrainConfig) -> TrainReport {
-    train_with_checkpoints(model, split, cfg, None)
+/// Infallible convenience over [`fit`] for an owned [`Split`] with default
+/// [`TrainOptions`] (no warm start, no checkpointing, so no I/O can fail).
+pub fn train<M: RecModel + ?Sized>(model: &mut M, split: &Split, cfg: &TrainConfig) -> TrainReport {
+    fit(model, &split.into(), cfg, &TrainOptions::default())
         .expect("training without a checkpoint config performs no fallible I/O")
 }
 
-/// [`train`], with optional periodic checkpointing and resume.
-///
-/// With a [`CheckpointConfig`], the full trainer state (parameters, Adam
-/// moments and step count, RNG stream, epoch/patience counters, best
-/// snapshot) is written atomically to `ckpt.path` every `ckpt.every` epochs
-/// and when training stops. With `ckpt.resume` and an existing state file,
-/// training restarts from the recorded epoch and the remainder of the run
-/// is **bit-identical** to one that was never interrupted (enforced by
-/// `tests/chaos.rs` and `tests/thread_determinism.rs`).
-///
-/// Fault sites: `ckpt.save` (inside the atomic write) and `train.epoch`
-/// (after each periodic save — arming a `panic` there simulates a kill).
-pub fn train_with_checkpoints<M: RecModel>(
-    model: &mut M,
-    split: &Split,
-    cfg: &TrainConfig,
-    ckpt: Option<&CheckpointConfig>,
-) -> Result<TrainReport, String> {
-    train_with_warm_start(model, split, cfg, None, ckpt)
-}
-
-/// [`train_with_checkpoints`], optionally warm-started from a prior run's
-/// [`TrainState`] — the continual-training entry point used by
-/// `ssdrec-stream`'s incremental retrain driver.
-///
-/// A warm start restores the *optimizer trajectory* (parameter values, Adam
-/// moments and step count, raw RNG stream, model-side state) of the prior
-/// run but starts fresh epoch/early-stopping counters: the loop runs
-/// `cfg.epochs` incremental epochs over `split` from epoch 0. This differs
-/// from `resume`, which continues the *same* run's epoch schedule.
-///
-/// Precedence: when `ckpt.resume` finds an existing state file, that state
-/// wins and `warm` is ignored — a killed warm-started run resumes from its
-/// own work checkpoint (which already embeds the warm start), keeping
-/// kill-and-resume bit-identical to an uninterrupted warm-started run.
-pub fn train_with_warm_start<M: RecModel>(
-    model: &mut M,
-    split: &Split,
-    cfg: &TrainConfig,
-    warm: Option<&TrainState>,
-    ckpt: Option<&CheckpointConfig>,
-) -> Result<TrainReport, String> {
-    let (tr, va, te): (&[Example], &[Example], &[Example]) =
-        (&split.train, &split.valid, &split.test);
-    let sources = SourceSplit {
-        train: &tr,
-        valid: &va,
-        test: &te,
-    };
-    train_from_source(model, &sources, cfg, warm, ckpt)
-}
-
-/// A train/valid/test triple of [`BatchSource`]s — the source-agnostic
-/// analogue of [`Split`]. Build one from references to `&[Example]` slices
-/// (in-RAM) or
-/// from [`StoreExamples`](ssdrec_data::StoreExamples) views over a columnar
-/// store + [`SplitPlan`](ssdrec_data::SplitPlan) (out-of-core).
+/// A train/valid/test triple of [`BatchSource`]s. `(&split).into()` borrows
+/// the three example vectors of an in-RAM [`Split`]; `(&views).into()`
+/// borrows the [`StoreExamples`] views of a
+/// [`SplitPlan`](ssdrec_data::SplitPlan) over a columnar store
+/// (out-of-core).
 pub struct SourceSplit<'a> {
     /// Training examples.
     pub train: &'a dyn BatchSource,
@@ -225,18 +168,76 @@ pub struct SourceSplit<'a> {
     pub test: &'a dyn BatchSource,
 }
 
-/// [`train_with_warm_start`] over arbitrary [`BatchSource`]s — the entry
-/// point for training straight off a columnar `.ssdc` file with bounded RAM.
-/// For the same underlying examples this is **bit-identical** to the
-/// `Split`-based path: same batch plans, same RNG stream, same checkpoint
-/// bytes (`crates/data/tests/prop_columnar.rs` and the golden-determinism
-/// suite pin this).
-pub fn train_from_source<M: RecModel>(
+impl<'a> From<&'a Split> for SourceSplit<'a> {
+    fn from(split: &'a Split) -> Self {
+        SourceSplit {
+            train: &split.train,
+            valid: &split.valid,
+            test: &split.test,
+        }
+    }
+}
+
+impl<'a> From<&'a [StoreExamples<'a>; 3]> for SourceSplit<'a> {
+    fn from([train, valid, test]: &'a [StoreExamples<'a>; 3]) -> Self {
+        SourceSplit { train, valid, test }
+    }
+}
+
+/// What [`fit`] takes beyond the data and the hyper-parameters.
+#[derive(Clone, Copy, Default)]
+pub struct TrainOptions<'a> {
+    /// Warm-start from a prior run's [`TrainState`] — the continual-training
+    /// input of `ssdrec-stream`'s incremental retrain driver.
+    ///
+    /// A warm start restores the *optimizer trajectory* (parameter values,
+    /// Adam moments and step count, raw RNG stream, model-side state) of the
+    /// prior run but starts fresh epoch/early-stopping counters: the loop
+    /// runs `cfg.epochs` incremental epochs from epoch 0. This differs from
+    /// `ckpt.resume`, which continues the *same* run's epoch schedule.
+    pub warm: Option<&'a TrainState>,
+    /// Periodic checkpointing and resume.
+    ///
+    /// The full trainer state (parameters, Adam moments and step count, RNG
+    /// stream, epoch/patience counters, best snapshot) is written atomically
+    /// to `ckpt.path` every `ckpt.every` epochs and when training stops.
+    /// With `ckpt.resume` and an existing state file, training restarts from
+    /// the recorded epoch and the remainder of the run is **bit-identical**
+    /// to one that was never interrupted (enforced by `tests/chaos.rs` and
+    /// `tests/thread_determinism.rs`). That state wins over `warm`: a killed
+    /// warm-started run resumes from its own work checkpoint (which already
+    /// embeds the warm start).
+    pub ckpt: Option<&'a CheckpointConfig>,
+}
+
+impl<'a> TrainOptions<'a> {
+    /// Checkpoint (and, if `ckpt.resume`, resume) as `ckpt` says; no warm
+    /// start.
+    pub fn checkpointed(ckpt: &'a CheckpointConfig) -> Self {
+        TrainOptions {
+            warm: None,
+            ckpt: Some(ckpt),
+        }
+    }
+}
+
+/// The trainer: the one function in the workspace that holds the epoch
+/// loop. Every model, in RAM or straight off a columnar `.ssdc` file with
+/// bounded RAM, trains through here; for the same underlying examples the
+/// two kinds of source are **bit-identical** — same batch plans, same RNG
+/// stream, same checkpoint bytes (`crates/data/tests/prop_columnar.rs` and
+/// the golden-determinism suite pin this).
+///
+/// A step whose loss is not finite is skipped — no backward pass, no
+/// optimizer update — and counted in [`TrainReport::skipped_steps`].
+///
+/// Fault sites: `ckpt.save` (inside the atomic write) and `train.epoch`
+/// (after each periodic save — arming a `panic` there simulates a kill).
+pub fn fit<M: RecModel + ?Sized>(
     model: &mut M,
     split: &SourceSplit<'_>,
     cfg: &TrainConfig,
-    warm: Option<&TrainState>,
-    ckpt: Option<&CheckpointConfig>,
+    opts: &TrainOptions<'_>,
 ) -> Result<TrainReport, String> {
     let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
     let mut rng = Rng::seed(cfg.seed);
@@ -248,42 +249,39 @@ pub fn train_from_source<M: RecModel>(
     let mut epochs_run = 0usize;
     let mut total_train_secs = 0.0f64;
     let mut final_loss = f32::NAN;
+    let mut skipped_steps = 0usize;
     let mut start_epoch = 0usize;
 
-    let resuming = ckpt.is_some_and(|c| c.resume && c.path.exists());
-    if let (Some(w), false) = (warm, resuming) {
+    let resume_from = opts.ckpt.filter(|c| c.resume && c.path.exists());
+    if let Some(c) = resume_from {
+        let st = checkpoint::load_train_state(&c.path)
+            .map_err(|e| format!("resume from {}: {e}", c.path.display()))?;
+        st.apply_to(model)
+            .map_err(|e| format!("resume from {}: {e}", c.path.display()))?;
+        opt.set_steps(st.adam_steps);
+        rng = Rng::from_state(st.rng_state);
+        best_hr20 = st.best_hr20;
+        best_valid = st.best_valid;
+        best_snapshot = st.best_snapshot;
+        since_best = st.since_best as usize;
+        total_train_secs = st.total_train_secs;
+        final_loss = st.final_loss;
+        start_epoch = st.next_epoch as usize;
+        epochs_run = start_epoch;
+        if cfg.verbose {
+            eprintln!(
+                "[{}] resumed from {} at epoch {start_epoch}",
+                model.model_name(),
+                c.path.display()
+            );
+        }
+    } else if let Some(w) = opts.warm {
         w.apply_to(model).map_err(|e| format!("warm start: {e}"))?;
         opt.set_steps(w.adam_steps);
         rng = Rng::from_state(w.rng_state);
         // The early-stopping baseline is the warm-started parameters, not
         // the random init captured above.
         best_snapshot = model.store().snapshot();
-    }
-
-    if let Some(c) = ckpt {
-        if c.resume && c.path.exists() {
-            let st = checkpoint::load_train_state(&c.path)
-                .map_err(|e| format!("resume from {}: {e}", c.path.display()))?;
-            st.apply_to(model)
-                .map_err(|e| format!("resume from {}: {e}", c.path.display()))?;
-            opt.set_steps(st.adam_steps);
-            rng = Rng::from_state(st.rng_state);
-            best_hr20 = st.best_hr20;
-            best_valid = st.best_valid;
-            best_snapshot = st.best_snapshot.clone();
-            since_best = st.since_best as usize;
-            total_train_secs = st.total_train_secs;
-            final_loss = st.final_loss;
-            start_epoch = st.next_epoch as usize;
-            epochs_run = start_epoch;
-            if cfg.verbose {
-                eprintln!(
-                    "[{}] resumed from {} at epoch {start_epoch}",
-                    model.model_name(),
-                    c.path.display()
-                );
-            }
-        }
     }
 
     // One graph and one gradient workspace for the whole run: each step
@@ -297,7 +295,7 @@ pub fn train_from_source<M: RecModel>(
         model.on_epoch_start(epoch, cfg.epochs);
         let t0 = Instant::now();
         let mut epoch_loss = 0.0f32;
-        let mut nb = 0usize;
+        let (mut nb, mut skipped) = (0usize, 0usize);
         split.train.for_each_batch(
             cfg.batch_size,
             cfg.seed.wrapping_add(epoch as u64),
@@ -312,22 +310,29 @@ pub fn train_from_source<M: RecModel>(
                     g.backward_into(loss, &mut ws);
                     opt.lr = cfg.lr * cfg.lr_schedule.factor(opt.steps() + 1);
                     opt.step(model.store_mut(), &bind, &mut ws);
+                } else {
+                    skipped += 1;
                 }
                 model.after_step();
             },
         );
         total_train_secs += t0.elapsed().as_secs_f64();
+        skipped_steps += skipped;
         final_loss = if nb > 0 {
             epoch_loss / nb as f32
         } else {
             f32::NAN
         };
 
-        let vacc = evaluate_source_with(model, split.valid, cfg.batch_size, &mut g);
+        let vacc = evaluate_with(model, split.valid, cfg.batch_size, &mut g);
         let hr20 = vacc.hr(20);
         if cfg.verbose {
+            let skipped_note = match skipped {
+                0 => String::new(),
+                n => format!(", skipped {n} non-finite step(s)"),
+            };
             eprintln!(
-                "[{}] epoch {epoch}: loss {final_loss:.4}, valid HR@20 {hr20:.4}",
+                "[{}] epoch {epoch}: loss {final_loss:.4}, valid HR@20 {hr20:.4}{skipped_note}",
                 model.model_name()
             );
         }
@@ -341,7 +346,7 @@ pub fn train_from_source<M: RecModel>(
         }
         let stopping = since_best > 0 && since_best >= cfg.patience;
 
-        if let Some(c) = ckpt {
+        if let Some(c) = opts.ckpt {
             let every = c.every.max(1);
             let done = epoch + 1;
             if done % every == 0 || stopping || done == cfg.epochs {
@@ -375,7 +380,7 @@ pub fn train_from_source<M: RecModel>(
     model.store_mut().restore(&best_snapshot);
 
     let t0 = Instant::now();
-    let tacc = evaluate_source_with(model, split.test, cfg.batch_size, &mut g);
+    let tacc = evaluate_with(model, split.test, cfg.batch_size, &mut g);
     let infer_secs = t0.elapsed().as_secs_f64();
 
     Ok(TrainReport {
@@ -390,6 +395,7 @@ pub fn train_from_source<M: RecModel>(
         },
         infer_secs,
         final_loss,
+        skipped_steps,
     })
 }
 
@@ -397,32 +403,41 @@ pub fn train_from_source<M: RecModel>(
 mod tests {
     use super::*;
     use crate::encoder::BackboneKind;
-    use crate::model::SeqRec;
+    use crate::model::{Objective, SeqRec};
     use ssdrec_data::{prepare, SyntheticConfig};
 
-    fn small_split() -> (usize, Split) {
-        // Large enough that "beats random" has real margin: at tiny scales
-        // random HR@20 approaches 1 and the assertion measures only noise.
+    /// `(num_items, split)` of the beauty profile at `scale`.
+    fn split_at(scale: f64, seed: u64) -> (usize, Split) {
         let ds = SyntheticConfig::beauty()
-            .scaled(0.3)
-            .with_seed(3)
+            .scaled(scale)
+            .with_seed(seed)
             .generate();
         let (filtered, split) = prepare(&ds, 50, 2);
         (filtered.num_items, split)
+    }
+
+    // Large enough that "beats random" has real margin: at tiny scales
+    // random HR@20 approaches 1 and the assertion measures only noise.
+    fn small_split() -> (usize, Split) {
+        split_at(0.3, 3)
+    }
+
+    fn config(epochs: usize, patience: usize) -> TrainConfig {
+        TrainConfig {
+            epochs,
+            batch_size: 32,
+            patience,
+            ..TrainConfig::default()
+        }
     }
 
     #[test]
     fn training_reduces_loss_and_beats_random() {
         let (num_items, split) = small_split();
         let mut model = SeqRec::new(BackboneKind::Gru4Rec, num_items, 16, 50, 0);
-        let cfg = TrainConfig {
-            epochs: 10,
-            batch_size: 32,
-            patience: 10,
-            ..TrainConfig::default()
-        };
-        let report = train(&mut model, &split, &cfg);
+        let report = train(&mut model, &split, &config(10, 10));
         assert!(report.final_loss.is_finite());
+        assert_eq!(report.skipped_steps, 0);
         // Random ranking would give HR@20 ≈ 20 / num_items.
         let random_hr = 20.0 / num_items as f64;
         assert!(
@@ -437,13 +452,7 @@ mod tests {
     fn early_stopping_restores_best() {
         let (num_items, split) = small_split();
         let mut model = SeqRec::new(BackboneKind::Stamp, num_items, 8, 50, 1);
-        let cfg = TrainConfig {
-            epochs: 3,
-            batch_size: 32,
-            patience: 1,
-            ..TrainConfig::default()
-        };
-        let report = train(&mut model, &split, &cfg);
+        let report = train(&mut model, &split, &config(3, 1));
         // Restored model must reproduce the reported valid metrics.
         let vacc = evaluate(&model, &split.valid, 32);
         assert!((vacc.hr(20) - report.valid.hr20).abs() < 1e-9);
@@ -453,44 +462,21 @@ mod tests {
     fn report_times_are_positive() {
         let (num_items, split) = small_split();
         let mut model = SeqRec::new(BackboneKind::Gru4Rec, num_items, 8, 50, 2);
-        let cfg = TrainConfig {
-            epochs: 1,
-            batch_size: 32,
-            ..TrainConfig::default()
-        };
-        let report = train(&mut model, &split, &cfg);
+        let report = train(&mut model, &split, &config(1, 10));
         assert!(report.train_secs_per_epoch > 0.0);
         assert!(report.infer_secs > 0.0);
         assert_eq!(report.epochs_run, 1);
     }
-}
-
-#[cfg(test)]
-mod objective_tests {
-    use super::*;
-    use crate::encoder::BackboneKind;
-    use crate::model::{Objective, SeqRec};
-    use ssdrec_data::{prepare, SyntheticConfig};
 
     #[test]
     fn all_positions_objective_trains_causal_backbones() {
-        let ds = SyntheticConfig::beauty()
-            .scaled(0.3)
-            .with_seed(3)
-            .generate();
-        let (filtered, split) = prepare(&ds, 50, 2);
+        let (num_items, split) = small_split();
         for kind in [BackboneKind::SasRec, BackboneKind::Gru4Rec] {
-            let mut model = SeqRec::new(kind, filtered.num_items, 8, 50, 0);
+            let mut model = SeqRec::new(kind, num_items, 8, 50, 0);
             model.objective = Objective::AllPositions;
-            let cfg = TrainConfig {
-                epochs: 5,
-                batch_size: 32,
-                patience: 10,
-                ..TrainConfig::default()
-            };
-            let report = train(&mut model, &split, &cfg);
+            let report = train(&mut model, &split, &config(5, 10));
             assert!(report.final_loss.is_finite(), "{kind:?} diverged");
-            let random = 20.0 / filtered.num_items as f64;
+            let random = 20.0 / num_items as f64;
             assert!(report.test.hr20 > random, "{kind:?} below random");
         }
     }
@@ -499,73 +485,32 @@ mod objective_tests {
     fn all_positions_falls_back_for_non_causal() {
         // STAMP has no causal per-position states; the objective must fall
         // back to last-position rather than fail.
-        let ds = SyntheticConfig::beauty()
-            .scaled(0.12)
-            .with_seed(4)
-            .generate();
-        let (filtered, split) = prepare(&ds, 50, 2);
-        let mut model = SeqRec::new(BackboneKind::Stamp, filtered.num_items, 8, 50, 1);
+        let (num_items, split) = split_at(0.12, 4);
+        let mut model = SeqRec::new(BackboneKind::Stamp, num_items, 8, 50, 1);
         model.objective = Objective::AllPositions;
-        let cfg = TrainConfig {
-            epochs: 1,
-            batch_size: 32,
-            ..TrainConfig::default()
-        };
-        let report = train(&mut model, &split, &cfg);
+        let report = train(&mut model, &split, &config(1, 10));
         assert!(report.final_loss.is_finite());
     }
-}
-
-#[cfg(test)]
-mod bpr_tests {
-    use super::*;
-    use crate::encoder::BackboneKind;
-    use crate::model::{Objective, SeqRec};
-    use ssdrec_data::{prepare, SyntheticConfig};
 
     #[test]
     fn bpr_objective_learns_ranking() {
-        let ds = SyntheticConfig::beauty()
-            .scaled(0.3)
-            .with_seed(5)
-            .generate();
-        let (filtered, split) = prepare(&ds, 50, 2);
-        let mut model = SeqRec::new(BackboneKind::Gru4Rec, filtered.num_items, 8, 50, 2);
+        let (num_items, split) = split_at(0.3, 5);
+        let mut model = SeqRec::new(BackboneKind::Gru4Rec, num_items, 8, 50, 2);
         model.objective = Objective::Bpr { negatives: 4 };
-        let cfg = TrainConfig {
-            epochs: 5,
-            batch_size: 32,
-            patience: 10,
-            ..TrainConfig::default()
-        };
-        let report = train(&mut model, &split, &cfg);
+        let report = train(&mut model, &split, &config(5, 10));
         assert!(report.final_loss.is_finite() && report.final_loss > 0.0);
-        let random = 20.0 / filtered.num_items as f64;
+        let random = 20.0 / num_items as f64;
         assert!(report.test.hr20 > random, "BPR below random");
     }
 
     #[test]
     #[should_panic]
     fn bpr_rejects_zero_negatives() {
-        let ds = SyntheticConfig::beauty()
-            .scaled(0.1)
-            .with_seed(6)
-            .generate();
-        let (filtered, split) = prepare(&ds, 50, 2);
-        let mut model = SeqRec::new(BackboneKind::Gru4Rec, filtered.num_items, 8, 50, 3);
+        let (num_items, split) = split_at(0.1, 6);
+        let mut model = SeqRec::new(BackboneKind::Gru4Rec, num_items, 8, 50, 3);
         model.objective = Objective::Bpr { negatives: 0 };
-        let cfg = TrainConfig {
-            epochs: 1,
-            batch_size: 32,
-            ..TrainConfig::default()
-        };
-        train(&mut model, &split, &cfg);
+        train(&mut model, &split, &config(1, 10));
     }
-}
-
-#[cfg(test)]
-mod schedule_tests {
-    use super::*;
 
     #[test]
     fn warmup_factor_ramps_then_saturates() {
@@ -584,20 +529,11 @@ mod schedule_tests {
 
     #[test]
     fn warmup_training_runs() {
-        use crate::encoder::BackboneKind;
-        use crate::model::SeqRec;
-        use ssdrec_data::{prepare, SyntheticConfig};
-        let ds = SyntheticConfig::beauty()
-            .scaled(0.1)
-            .with_seed(9)
-            .generate();
-        let (filtered, split) = prepare(&ds, 50, 2);
-        let mut model = SeqRec::new(BackboneKind::Gru4Rec, filtered.num_items, 8, 50, 0);
+        let (num_items, split) = split_at(0.1, 9);
+        let mut model = SeqRec::new(BackboneKind::Gru4Rec, num_items, 8, 50, 0);
         let cfg = TrainConfig {
-            epochs: 2,
-            batch_size: 32,
             lr_schedule: LrSchedule::WarmupLinear { warmup_steps: 5 },
-            ..TrainConfig::default()
+            ..config(2, 10)
         };
         let report = train(&mut model, &split, &cfg);
         assert!(report.final_loss.is_finite());

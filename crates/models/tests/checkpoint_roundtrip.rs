@@ -5,7 +5,7 @@
 
 use ssdrec_data::{prepare, Split, SyntheticConfig};
 use ssdrec_models::checkpoint::{load_train_state, save_train_state, TrainState};
-use ssdrec_models::{train_with_checkpoints, BackboneKind, CheckpointConfig, SeqRec, TrainConfig};
+use ssdrec_models::{fit, BackboneKind, CheckpointConfig, SeqRec, TrainConfig, TrainOptions};
 use ssdrec_testkit::{gens, property};
 
 const KINDS: [BackboneKind; 6] = [
@@ -43,7 +43,8 @@ fn assert_roundtrip(kind: BackboneKind, seed: u64) {
     };
     let mut model = SeqRec::new(kind, num_items, 8, 20, seed);
     let ckpt = CheckpointConfig::new(&path);
-    train_with_checkpoints(&mut model, &split, &cfg, Some(&ckpt)).unwrap();
+    let opts = TrainOptions::checkpointed(&ckpt);
+    fit(&mut model, &(&split).into(), &cfg, &opts).unwrap();
 
     let bytes1 = std::fs::read(&path).unwrap();
     let st = load_train_state(&path).unwrap();

@@ -21,7 +21,7 @@ use ssdrec_core::{SsdRec, SsdRecConfig};
 use ssdrec_data::{leave_one_out, truncate_to_max_len, Dataset, Interaction, Split};
 use ssdrec_graph::{build_graph, GraphConfig};
 use ssdrec_models::{
-    load_train_state, train_with_warm_start, CheckpointConfig, TrainConfig, TrainReport,
+    fit, load_train_state, CheckpointConfig, TrainConfig, TrainOptions, TrainReport,
 };
 use ssdrec_tensor::persist::{load_params, save_params};
 
@@ -228,13 +228,11 @@ pub fn retrain(
         every: spec.checkpoint_every.max(1),
         resume: true,
     };
-    let report = train_with_warm_start(
-        &mut model,
-        &split,
-        &train_cfg,
-        warm_state.as_ref(),
-        Some(&ckpt),
-    )?;
+    let opts = TrainOptions {
+        warm: warm_state.as_ref(),
+        ckpt: Some(&ckpt),
+    };
+    let report = fit(&mut model, &(&split).into(), &train_cfg, &opts)?;
 
     // Publish: vN fully written (atomic per file), then CURRENT, then work/.
     let vdir = cd.version_dir(target_version);

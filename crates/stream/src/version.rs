@@ -128,9 +128,7 @@ impl VersionMeta {
                 .map_err(|_| format!("meta key {key}: bad integer {v:?}"))
         };
         let backbone_name = get("backbone")?;
-        let backbone = BackboneKind::all()
-            .into_iter()
-            .find(|b| b.name().eq_ignore_ascii_case(&backbone_name))
+        let backbone = BackboneKind::by_name(&backbone_name)
             .ok_or_else(|| format!("meta key backbone: unknown backbone {backbone_name:?}"))?;
         let u = |key: &str| -> Result<u64, String> { parse_u64(key, &get(key)?) };
         let bits = |key: &str| -> Result<f32, String> {

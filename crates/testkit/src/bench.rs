@@ -322,7 +322,7 @@ fn escape(s: &str) -> String {
 /// bench binaries with cwd = the *package* dir, so a bare relative `target`
 /// would scatter reports across `crates/*/target/`). Falls back to
 /// cwd-relative `target`.
-fn target_dir() -> std::path::PathBuf {
+pub fn target_dir() -> std::path::PathBuf {
     if let Some(dir) = std::env::var_os("CARGO_TARGET_DIR") {
         return std::path::PathBuf::from(dir);
     }

@@ -22,13 +22,15 @@
 #      byte-identical metrics under SSDREC_BACKEND=reference and
 #      SSDREC_BACKEND=blocked (the v1 kernel bits-contract).
 #  11. bench_runtime smoke: the thread sweep and the per-kernel backend
-#      sweep run in fast mode and BENCH_runtime.json at the repo root
-#      parses as JSON with the kernel_sweep_1t section present.
+#      sweep run in fast mode and target/ssdrec-bench/bench_runtime.json
+#      parses as JSON with the kernel_sweep_1t section present. (Fast-mode
+#      bench reports land only under target/; the BENCH_*.json files at
+#      the repo root are written by full-mode runs alone.)
 #  12. Retrieval smoke: re-serve the checkpoint with --retrieval ann at an
 #      exhaustive --ef-search; the response body must be byte-identical to
 #      the exact-path baseline and /metrics must report the ann section.
 #  13. bench_serve --retrieval smoke: the recall harness runs in fast mode
-#      and BENCH_retrieval.json parses with recall@10 >= 0.95 per catalog.
+#      and its bench_retrieval.json parses with recall@10 >= 0.95 per catalog.
 #  14. Hot-swap smoke: ingest the smoke profile into an append-only log,
 #      retrain into a versioned checkpoint dir, serve CURRENT, capture a
 #      baseline body, ingest a delta under an armed stream.append latency
@@ -36,17 +38,22 @@
 #      /metrics must report swap_total:1 at the new model_version.
 #  15. bench_stream smoke: the online-loop harness (ingest throughput,
 #      delta-retrain wall-clock, swap pause p99) runs in fast mode and
-#      BENCH_stream.json parses with its telemetry fields present.
+#      its bench_stream.json parses with its telemetry fields present.
 #  16. Out-of-core smoke: gen-data writes a columnar .ssdc file, `train
 #      --data` runs off it in windowed and ram modes with byte-identical
 #      metric lines, ingest bulk-loads it into a log, and bench_data runs
-#      in fast mode with a valid BENCH_data.json.
+#      in fast mode with a valid bench_data.json.
 #  17. Training-scenario smoke: `train --contrastive` and `train --mgsd`
 #      each run two epochs and must emit byte-identical metric lines at
 #      SSDREC_THREADS=1 and --threads 4.
 #  18. table4 --fast smoke: the denoiser table runs every method in fast
 #      mode and results/table4_fast.json parses with one row per method,
 #      including the CL4SRec and MGSD-WSS rows.
+#  19. Benchmark API wall: benchmark/probes and benchmark/driver build
+#      against the working tree, so removing a public item a probe times
+#      fails here instead of silently nulling a per-layer metric.
+#  20. Line-count ledger: the number ROADMAP item 5 tracks, and a check
+#      that the run left `git status` as it found it.
 #
 # Everything runs with CARGO_NET_OFFLINE=true: any attempt to reach the
 # registry fails the build immediately.
@@ -55,6 +62,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
+BENCH_OUT=target/ssdrec-bench
+STATUS_BEFORE=$(git status --porcelain 2>/dev/null || true)
 
 echo "== registry-dependency deny-list =="
 # Collect dependency names from every [*dependencies] section. A dependency
@@ -303,57 +312,48 @@ echo "== bench_alloc pool-telemetry smoke =="
 # Fast mode still asserts the >= 90% steady-state hit-rate contract
 # internally; here we additionally check the JSON report parses.
 SSDREC_BENCH_FAST=1 cargo run --release -q -p ssdrec-bench --bin bench_alloc >/dev/null
-test -f BENCH_alloc.json
+test -f "$BENCH_OUT/bench_alloc.json"
 if command -v python3 >/dev/null 2>&1; then
-    python3 -c 'import json; r = json.load(open("BENCH_alloc.json")); [r[k] for k in ("pool_hits", "pool_misses", "bytes_recycled", "hit_rate_from_step2")]'
+    python3 -c 'import json, sys; r = json.load(open(sys.argv[1])); [r[k] for k in ("pool_hits", "pool_misses", "bytes_recycled", "hit_rate_from_step2")]' "$BENCH_OUT/bench_alloc.json"
 fi
-# The smoke overwrote the committed full-mode report; restore it so CI
-# leaves the tree clean.
-git checkout -- BENCH_alloc.json 2>/dev/null || true
-echo "ok: BENCH_alloc.json written and valid"
+echo "ok: $BENCH_OUT/bench_alloc.json written and valid"
 
 echo "== bench_runtime thread + kernel sweep smoke =="
 SSDREC_BENCH_FAST=1 cargo run --release -q -p ssdrec-bench --bin bench_runtime >/dev/null
-test -f BENCH_runtime.json
+test -f "$BENCH_OUT/bench_runtime.json"
 # Must parse as JSON with the per-kernel backend sweep present: python3 if
 # available, else the workspace parser already validated it inside
 # bench_runtime before writing (and asserted bits_match on every kernel).
 if command -v python3 >/dev/null 2>&1; then
     python3 -c '
-import json
-r = json.load(open("BENCH_runtime.json"))
+import json, sys
+r = json.load(open(sys.argv[1]))
 ks = r["kernel_sweep_1t"]
 assert ks, "kernel_sweep_1t is empty"
 assert all(p["bits_match"] for p in ks), "a kernel diverged between backends"
 assert any(p["kernel"].startswith("gemm_") for p in ks), "gemm variants missing"
-'
+' "$BENCH_OUT/bench_runtime.json"
 fi
-# The smoke overwrote the committed full-mode report; restore it so CI
-# leaves the tree clean.
-git checkout -- BENCH_runtime.json 2>/dev/null || true
-echo "ok: BENCH_runtime.json written and valid"
+echo "ok: $BENCH_OUT/bench_runtime.json written and valid"
 
 echo "== bench_serve retrieval recall smoke =="
 SSDREC_BENCH_FAST=1 cargo run --release -q -p ssdrec-bench --bin bench_serve -- --retrieval >/dev/null
-test -f BENCH_retrieval.json
+test -f "$BENCH_OUT/bench_retrieval.json"
 # The harness already asserts recall@10 >= 0.95 and the determinism
 # contract internally; double-check the committed-schema fields parse.
 if command -v python3 >/dev/null 2>&1; then
     python3 -c '
-import json
-r = json.load(open("BENCH_retrieval.json"))
+import json, sys
+r = json.load(open(sys.argv[1]))
 assert r["deterministic_rebuild"] and r["thread_invariant_build"]
 cats = r["catalogs"]
 assert cats, "catalogs is empty"
 for c in cats:
     assert c["recall_at_10"] >= 0.95, c
     assert c["serve_bits_stable"], c
-'
+' "$BENCH_OUT/bench_retrieval.json"
 fi
-# The smoke overwrote the committed full-mode report; restore it so CI
-# leaves the tree clean.
-git checkout -- BENCH_retrieval.json 2>/dev/null || true
-echo "ok: BENCH_retrieval.json written and valid"
+echo "ok: $BENCH_OUT/bench_retrieval.json written and valid"
 
 echo "== hot-swap smoke (ingest → retrain → serve --ckpt-dir → /reload) =="
 STREAM_DIR=target/ssdrec-smoke/stream
@@ -432,21 +432,18 @@ echo "ok: hot-swapped v1 → v2 with zero downtime; /metrics reports the swap"
 
 echo "== bench_stream online-loop smoke =="
 SSDREC_BENCH_FAST=1 cargo run --release -q -p ssdrec-bench --bin bench_stream >/dev/null
-test -f BENCH_stream.json
+test -f "$BENCH_OUT/bench_stream.json"
 if command -v python3 >/dev/null 2>&1; then
     python3 -c '
-import json
-r = json.load(open("BENCH_stream.json"))
+import json, sys
+r = json.load(open(sys.argv[1]))
 assert r["ingest_records"] > 0 and r["ingest_records_per_sec"] > 0
 assert r["retrain_delta_ms"] > 0 and r["swaps"] > 0
 assert r["swap_pause_p99_ms"] >= 0 and r["pause_samples"] > 0
 assert r["final_model_version"] == 2 + r["swaps"]
-'
+' "$BENCH_OUT/bench_stream.json"
 fi
-# The smoke overwrote the committed full-mode report; restore it so CI
-# leaves the tree clean.
-git checkout -- BENCH_stream.json 2>/dev/null || true
-echo "ok: BENCH_stream.json written and valid"
+echo "ok: $BENCH_OUT/bench_stream.json written and valid"
 
 echo "== out-of-core smoke (gen-data → train --data windowed/ram → ingest --data) =="
 OOC_DIR=target/ssdrec-smoke/ooc
@@ -478,21 +475,18 @@ echo "ok: windowed and ram metrics byte-identical; columnar bulk-load ingested"
 
 echo "== bench_data out-of-core pipeline smoke =="
 SSDREC_BENCH_FAST=1 cargo run --release -q -p ssdrec-bench --bin bench_data >/dev/null
-test -f BENCH_data.json
+test -f "$BENCH_OUT/bench_data.json"
 if command -v python3 >/dev/null 2>&1; then
     python3 -c '
-import json
-r = json.load(open("BENCH_data.json"))
+import json, sys
+r = json.load(open(sys.argv[1]))
 assert r["interactions"] > 0 and r["file_bytes"] > 0
 assert r["encode_interactions_per_sec"] > 0 and r["scan_interactions_per_sec"] > 0
 assert r["graph_edges"] > 0 and r["graph_interactions_per_sec"] > 0
 assert r["peak_rss_bytes"] >= 0 and r["rss_budget_bytes"] > 0
-'
+' "$BENCH_OUT/bench_data.json"
 fi
-# The smoke overwrote the committed full-mode report; restore it so CI
-# leaves the tree clean.
-git checkout -- BENCH_data.json 2>/dev/null || true
-echo "ok: BENCH_data.json written and valid"
+echo "ok: $BENCH_OUT/bench_data.json written and valid"
 
 echo "== training-scenario smoke (--contrastive / --mgsd at 1 vs 4 threads) =="
 SC_DIR=target/ssdrec-smoke/scenarios
@@ -531,5 +525,22 @@ fi
 # the tree clean (the directory is not under version control).
 rm -f results/table4_fast.json results/table4_denoisers.csv
 echo "ok: table4_fast.json has one valid row per method, new rows included"
+
+echo "== benchmark API wall (probes + driver build against the working tree) =="
+for pkg in probes driver; do
+    CARGO_TARGET_DIR=$PWD/target cargo build --release --offline \
+        --manifest-path "benchmark/$pkg/Cargo.toml" --bins
+done
+echo "ok: benchmark/probes and benchmark/driver build"
+
+echo "== line-count ledger + clean tree =="
+echo "rust lines: $(find crates src tests -name '*.rs' | xargs wc -l | tail -1)"
+STATUS_AFTER=$(git status --porcelain 2>/dev/null || true)
+if [ "$STATUS_AFTER" != "$STATUS_BEFORE" ]; then
+    echo "clean-tree check FAILED: CI changed the working tree"
+    diff <(printf '%s\n' "$STATUS_BEFORE") <(printf '%s\n' "$STATUS_AFTER") || true
+    exit 1
+fi
+echo "ok: git status unchanged by the run"
 
 echo "CI: all checks passed"

@@ -12,9 +12,9 @@
 //! | [`tensor`] | `ssdrec-tensor` | tensors, autograd, NN layers, optimizers |
 //! | [`data`] | `ssdrec-data` | synthetic datasets, preprocessing, batching |
 //! | [`graph`] | `ssdrec-graph` | the multi-relation graph `G` (paper §III-A) |
-//! | [`models`] | `ssdrec-models` | six backbone recommenders + shared trainer |
-//! | [`denoise`] | `ssdrec-denoise` | FMLP-Rec, DSAN, HSD, STEAM, DCRec |
-//! | [`core`] | `ssdrec-core` | the SSDRec three-stage framework |
+//! | [`models`] | `ssdrec-models` | six backbone recommenders + the one trainer ([`models::fit`]) |
+//! | [`denoise`] | `ssdrec-denoise` | FMLP-Rec, DSAN, HSD, STEAM, DCRec, MGSD-WSS |
+//! | [`core`] | `ssdrec-core` | the SSDRec three-stage framework + the model table ([`core::build_model`]) |
 //! | [`metrics`] | `ssdrec-metrics` | HR/NDCG/MRR, t-tests, OUP ratios |
 //! | [`runtime`] | `ssdrec-runtime` | thread pool + deterministic parallel kernels |
 //! | [`ann`] | `ssdrec-ann` | deterministic HNSW candidate retrieval |
@@ -37,6 +37,21 @@
 //! let report = train(&mut model, &split, &TrainConfig::default());
 //! println!("test HR@20 = {:.4}", report.test.hr20);
 //! ```
+//!
+//! ## One training path
+//!
+//! [`models::fit`] holds the only epoch loop. It takes a
+//! [`models::SourceSplit`] — borrowed from an in-RAM `Split`
+//! (`(&split).into()`) or from the views of a split plan over a columnar
+//! `.ssdc` store (`(&plan.views(&store)).into()`) — and
+//! [`models::TrainOptions`] for warm starts and checkpoint/resume.
+//! [`models::train`], used above, is the infallible shorthand for an in-RAM
+//! split with default options.
+//!
+//! Any of the fourteen trainable models can be built by name through
+//! [`core::build_model`] from a [`core::ModelKind`] and a
+//! [`core::ModelContext`] (usually [`core::Prepared::context`]); it returns
+//! a `Box<dyn RecModel>` that `train(&mut *model, ..)` and `fit` accept.
 
 pub use ssdrec_ann as ann;
 pub use ssdrec_core as core;

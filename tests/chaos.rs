@@ -13,28 +13,25 @@
 //! behind one mutex (arming guards alone are not enough: an unfaulted
 //! baseline phase would still bump another test's hit counters).
 
+mod common;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
-use ssdrec::core::{SsdRec, SsdRecConfig};
-use ssdrec::data::{prepare, Split, SyntheticConfig};
-use ssdrec::graph::{build_graph, GraphConfig};
-use ssdrec::models::{
-    train_with_checkpoints, BackboneKind, CheckpointConfig, RecModel, SeqRec, TrainConfig,
-    TrainReport,
+use common::{
+    assert_kill_and_resume_is_bit_identical, delta_events, retrain_spec, scratch, scratch_dir,
+    seed_events, served_bits, train_config, CATALOG,
 };
+use ssdrec::data::{prepare, SyntheticConfig};
+use ssdrec::models::{fit, BackboneKind, CheckpointConfig, SeqRec, TrainOptions};
 use ssdrec::serve::{
     client, json, request_with_retry, serve, ClientError, Engine, EngineConfig, RecError,
     RetryPolicy, ServerStats,
 };
-use ssdrec::stream::{
-    load_current, open_or_create_log, retrain, ArchSpec, CheckpointDir, LogHeader, RetrainOutcome,
-    RetrainSpec, StreamLog,
-};
-use ssdrec::tensor::save_params;
+use ssdrec::stream::{load_current, open_or_create_log, retrain, CheckpointDir, RetrainOutcome};
 use ssdrec_testkit::fault::{assert_fired_exactly, FaultPlan};
 
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
@@ -43,120 +40,14 @@ fn locked() -> std::sync::MutexGuard<'static, ()> {
     CHAOS_LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-fn state_path(tag: &str) -> PathBuf {
-    let dir = PathBuf::from("target").join("ssdrec-test");
-    std::fs::create_dir_all(&dir).expect("test dir");
-    let path = dir.join(format!("chaos_{tag}.sstc"));
-    let _ = std::fs::remove_file(&path); // never resume from a stale run
-    path
-}
-
 // ---------------------------------------------------------------------------
 // Training: kill + resume ≡ uninterrupted
 // ---------------------------------------------------------------------------
 
-fn ssdrec_world() -> (Split, SsdRec) {
-    let raw = SyntheticConfig::sports()
-        .scaled(0.03)
-        .with_seed(7)
-        .generate();
-    let (dataset, split) = prepare(&raw, 50, 2);
-    let graph = build_graph(&dataset, &GraphConfig::default());
-    let cfg = SsdRecConfig {
-        dim: 8,
-        max_len: 50,
-        seed: 7,
-        ..SsdRecConfig::default()
-    };
-    let model = SsdRec::new(&graph, cfg);
-    (split, model)
-}
-
-fn train_cfg() -> TrainConfig {
-    TrainConfig {
-        epochs: 4,
-        batch_size: 32,
-        seed: 7,
-        ..TrainConfig::default()
-    }
-}
-
-/// Everything observable about a finished run, excluding wall-clock times:
-/// final-loss bits, HR@10/NDCG@10 bits, and the exact model checkpoint
-/// bytes `save_params` would ship to serving.
-fn fingerprint(report: &TrainReport, model: &SsdRec, tag: &str) -> (u32, u64, u64, Vec<u8>) {
-    let path = state_path(&format!("fp_{tag}")).with_extension("ssdt");
-    save_params(model.store(), &path).expect("save fingerprint checkpoint");
-    let bytes = std::fs::read(&path).expect("read fingerprint checkpoint");
-    let _ = std::fs::remove_file(&path);
-    (
-        report.final_loss.to_bits(),
-        report.test.hr10.to_bits(),
-        report.test.ndcg10.to_bits(),
-        bytes,
-    )
-}
-
 #[test]
 fn killed_and_resumed_training_is_bit_identical() {
     let _g = locked();
-    let tc = train_cfg();
-
-    // Reference: 4 epochs straight through (checkpointing on, so the save
-    // path itself is part of both runs).
-    let straight_state = state_path("straight");
-    let (split, mut straight) = ssdrec_world();
-    let straight_report = train_with_checkpoints(
-        &mut straight,
-        &split,
-        &tc,
-        Some(&CheckpointConfig::new(&straight_state)),
-    )
-    .expect("uninterrupted run");
-    let want = fingerprint(&straight_report, &straight, "straight");
-
-    // Kill: an injected panic right after the epoch-2 state save, exactly
-    // like a `kill -9` between epochs.
-    let killed_state = state_path("killed");
-    let (split, mut victim) = ssdrec_world();
-    {
-        let _armed = FaultPlan::new().panic("train.epoch", 2).arm();
-        let ckpt = CheckpointConfig::new(&killed_state);
-        let died = catch_unwind(AssertUnwindSafe(|| {
-            train_with_checkpoints(&mut victim, &split, &tc, Some(&ckpt))
-        }));
-        assert!(died.is_err(), "the injected panic must kill the run");
-        assert_fired_exactly("train.epoch", 1);
-    }
-    assert!(
-        killed_state.exists(),
-        "the epoch-2 state must have survived the kill"
-    );
-
-    // Resume into a *fresh* process-equivalent: a brand-new model whose
-    // every parameter, optimizer moment and RNG word comes from the file.
-    let (split, mut resumed) = ssdrec_world();
-    let resumed_report = train_with_checkpoints(
-        &mut resumed,
-        &split,
-        &tc,
-        Some(&CheckpointConfig {
-            path: killed_state.clone(),
-            every: 1,
-            resume: true,
-        }),
-    )
-    .expect("resumed run");
-    assert_eq!(resumed_report.epochs_run, straight_report.epochs_run);
-
-    let got = fingerprint(&resumed_report, &resumed, "resumed");
-    assert_eq!(got.0, want.0, "final-loss bits diverged after resume");
-    assert_eq!(got.1, want.1, "HR@10 bits diverged after resume");
-    assert_eq!(got.2, want.2, "NDCG@10 bits diverged after resume");
-    assert_eq!(got.3, want.3, "checkpoint bytes diverged after resume");
-
-    let _ = std::fs::remove_file(&straight_state);
-    let _ = std::fs::remove_file(&killed_state);
+    assert_kill_and_resume_is_bit_identical("chaos");
 }
 
 #[test]
@@ -168,15 +59,12 @@ fn faulted_state_save_fails_cleanly_without_a_torn_file() {
         .generate();
     let (dataset, split) = prepare(&raw, 20, 2);
     let mut model = SeqRec::new(BackboneKind::Gru4Rec, dataset.num_items, 8, 20, 5);
-    let path = state_path("torn");
-    let tc = TrainConfig {
-        epochs: 1,
-        batch_size: 32,
-        seed: 5,
-        ..TrainConfig::default()
-    };
+    let path = scratch("chaos_torn.sstc");
+    let tc = train_config(1, 5);
     let _armed = FaultPlan::new().error("ckpt.save", 1).arm();
-    let err = train_with_checkpoints(&mut model, &split, &tc, Some(&CheckpointConfig::new(&path)))
+    let ckpt = CheckpointConfig::new(&path);
+    let opts = TrainOptions::checkpointed(&ckpt);
+    let err = fit(&mut model, &(&split).into(), &tc, &opts)
         .expect_err("the injected save fault must surface");
     assert!(err.contains("injected fault at ckpt.save"), "{err}");
     assert!(!path.exists(), "a failed save must not leave a state file");
@@ -422,63 +310,14 @@ fn faulted_ann_build_fails_engine_construction_without_a_torn_index() {
 // Streaming: kill mid-retrain / mid-publish / mid-swap, resume, equivalence
 // ---------------------------------------------------------------------------
 
-const STREAM_CATALOG: LogHeader = LogHeader {
-    num_users: 6,
-    num_items: 20,
-};
-
-fn stream_scratch(tag: &str) -> PathBuf {
-    let dir = PathBuf::from("target")
-        .join("ssdrec-test")
-        .join(format!("chaos_stream_{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
-
-fn stream_spec() -> RetrainSpec {
-    let tc = TrainConfig::default();
-    RetrainSpec {
-        arch: ArchSpec {
-            backbone: BackboneKind::SasRec,
-            dim: 8,
-            max_len: 12,
-            seed: 7,
-        },
-        epochs: 3,
-        batch_size: 16,
-        lr: tc.lr,
-        weight_decay: tc.weight_decay,
-        checkpoint_every: 1,
-    }
-}
-
-fn seed_stream(log: &mut StreamLog) {
-    for u in 0..STREAM_CATALOG.num_users {
-        for t in 0..6 {
-            log.append(u, (u * 3 + t) % STREAM_CATALOG.num_items + 1)
-                .expect("append");
-        }
-    }
-    log.sync().expect("sync");
-}
-
-fn delta_stream(log: &mut StreamLog) {
-    for u in 0..STREAM_CATALOG.num_users {
-        log.append(u, (u + 7) % STREAM_CATALOG.num_items + 1)
-            .expect("append");
-    }
-    log.sync().expect("sync");
-}
-
 /// Ingest the day-0 history and publish v1 under `dir`.
 fn stream_world(dir: &std::path::Path) -> (PathBuf, PathBuf) {
     let log_path = dir.join("events.sslg");
     let root = dir.join("ckpts");
-    let (mut log, _) = open_or_create_log(&log_path, Some(STREAM_CATALOG)).expect("create log");
-    seed_stream(&mut log);
+    let (mut log, _) = open_or_create_log(&log_path, Some(CATALOG)).expect("create log");
+    seed_events(&mut log);
     drop(log);
-    match retrain(&log_path, &root, &stream_spec(), false).expect("publish v1") {
+    match retrain(&log_path, &root, &retrain_spec(3), false).expect("publish v1") {
         RetrainOutcome::Trained(t) => assert_eq!(t.version, 1),
         other => panic!("expected v1, got {other:?}"),
     }
@@ -487,7 +326,7 @@ fn stream_world(dir: &std::path::Path) -> (PathBuf, PathBuf) {
 
 fn append_delta(log_path: &std::path::Path) {
     let (mut log, _) = open_or_create_log(log_path, None).expect("reopen log");
-    delta_stream(&mut log);
+    delta_events(&mut log);
 }
 
 /// The published parameter bytes of version `v` (the serving artifact; the
@@ -501,18 +340,8 @@ fn stream_served_bits(log_path: &std::path::Path, root: &std::path::Path) -> Vec
     let cur = load_current(log_path, root)
         .expect("load CURRENT")
         .expect("published");
-    let engine = Engine::new(
-        cur.model.into(),
-        EngineConfig {
-            workers: 1,
-            max_len: cur.meta.spec.arch.max_len,
-            cache_capacity: 0,
-            ..EngineConfig::default()
-        },
-        Arc::new(ServerStats::new()),
-    );
-    let rec = engine.recommend(0, &[3, 9, 4, 1], 8).expect("recommend");
-    rec.items.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+    let max_len = cur.meta.spec.arch.max_len;
+    served_bits(cur.model, max_len)
 }
 
 #[test]
@@ -524,21 +353,21 @@ fn killed_retrain_resumes_to_bytes_identical_to_uninterrupted_run() {
         let tag = format!("retrain_t{threads}");
 
         // Reference: v1 → delta → v2, never interrupted, in its own world.
-        let (ref_log, ref_root) = stream_world(&stream_scratch(&format!("{tag}_ref")));
+        let (ref_log, ref_root) = stream_world(&scratch_dir(&format!("chaos_stream_{tag}_ref")));
         append_delta(&ref_log);
-        match retrain(&ref_log, &ref_root, &stream_spec(), false).expect("reference v2") {
+        match retrain(&ref_log, &ref_root, &retrain_spec(3), false).expect("reference v2") {
             RetrainOutcome::Trained(t) => assert_eq!(t.version, 2),
             other => panic!("expected v2, got {other:?}"),
         }
 
         // Victim: identical history, but the v2 round is killed by an
         // injected panic right after the epoch-2 work checkpoint.
-        let (log, root) = stream_world(&stream_scratch(&format!("{tag}_victim")));
+        let (log, root) = stream_world(&scratch_dir(&format!("chaos_stream_{tag}_victim")));
         append_delta(&log);
         {
             let _armed = FaultPlan::new().panic("train.epoch", 2).arm();
             let died = catch_unwind(AssertUnwindSafe(|| {
-                retrain(&log, &root, &stream_spec(), false)
+                retrain(&log, &root, &retrain_spec(3), false)
             }));
             assert!(died.is_err(), "the injected panic must kill the round");
             assert_fired_exactly("train.epoch", 1);
@@ -556,7 +385,7 @@ fn killed_retrain_resumes_to_bytes_identical_to_uninterrupted_run() {
 
         // Resume: the re-run picks up the pinned round from work/ and lands
         // on byte-identical published parameters and served response bits.
-        match retrain(&log, &root, &stream_spec(), false).expect("resumed v2") {
+        match retrain(&log, &root, &retrain_spec(3), false).expect("resumed v2") {
             RetrainOutcome::Trained(t) => assert_eq!(t.version, 2),
             other => panic!("expected v2, got {other:?}"),
         }
@@ -579,18 +408,18 @@ fn killed_retrain_resumes_to_bytes_identical_to_uninterrupted_run() {
 fn killed_publish_is_rerun_idempotently() {
     let _g = locked();
 
-    let (ref_log, ref_root) = stream_world(&stream_scratch("publish_ref"));
+    let (ref_log, ref_root) = stream_world(&scratch_dir("chaos_stream_publish_ref"));
     append_delta(&ref_log);
-    retrain(&ref_log, &ref_root, &stream_spec(), false).expect("reference v2");
+    retrain(&ref_log, &ref_root, &retrain_spec(3), false).expect("reference v2");
 
-    let (log, root) = stream_world(&stream_scratch("publish_victim"));
+    let (log, root) = stream_world(&scratch_dir("chaos_stream_publish_victim"));
     let v1_bits = stream_served_bits(&log, &root);
     append_delta(&log);
     // Kill inside the publish sequence: v2's files are being written but
     // CURRENT has not flipped. Readers must still see v1 only.
     {
         let _armed = FaultPlan::new().error("stream.publish", 1).arm();
-        let err = retrain(&log, &root, &stream_spec(), false)
+        let err = retrain(&log, &root, &retrain_spec(3), false)
             .expect_err("the injected publish fault must surface");
         assert!(err.contains("stream.publish"), "{err}");
         assert_fired_exactly("stream.publish", 1);
@@ -609,7 +438,7 @@ fn killed_publish_is_rerun_idempotently() {
 
     // The re-run completes the same pinned round; the published bytes match
     // the never-interrupted reference exactly.
-    match retrain(&log, &root, &stream_spec(), false).expect("rerun v2") {
+    match retrain(&log, &root, &retrain_spec(3), false).expect("rerun v2") {
         RetrainOutcome::Trained(t) => assert_eq!(t.version, 2),
         other => panic!("expected v2, got {other:?}"),
     }
@@ -626,7 +455,7 @@ fn killed_swap_keeps_v1_serving_until_the_retry_lands_v2() {
     use ssdrec::serve::{EngineSlot, LoadedModel, ReloadOutcome};
 
     let _g = locked();
-    let (log_path, root) = stream_world(&stream_scratch("swap"));
+    let (log_path, root) = stream_world(&scratch_dir("chaos_stream_swap"));
 
     let booted = load_current(&log_path, &root)
         .expect("load")
@@ -668,7 +497,7 @@ fn killed_swap_keeps_v1_serving_until_the_retry_lands_v2() {
     // Publish v2, then kill the swap at the deliberate kill point — after
     // the replacement engine is built, before the commit.
     append_delta(&log_path);
-    retrain(&log_path, &root, &stream_spec(), false).expect("publish v2");
+    retrain(&log_path, &root, &retrain_spec(3), false).expect("publish v2");
     {
         let _armed = FaultPlan::new().panic("serve.swap", 1).arm();
         let err = slot

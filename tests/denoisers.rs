@@ -3,54 +3,47 @@
 //! implicit/explicit nature. The weak-supervision test at the bottom pins
 //! how much of the generator's injected noise MGSD-WSS must recover.
 
+mod common;
+
+use common::train_config;
+use ssdrec::core::{build_model, ModelKind, Prepared};
 use ssdrec::data::{inject_unobserved, prepare, SyntheticConfig};
 use ssdrec::denoise::{DcRec, Denoiser, Dsan, FmlpRec, Hsd, Mgsd, Steam};
 use ssdrec::metrics::OupAccumulator;
-use ssdrec::models::{train, BackboneKind, ContrastiveSeqRec, RecModel, TrainConfig};
+use ssdrec::models::{train, BackboneKind, RecModel};
 
-fn tiny_split() -> (ssdrec::data::Dataset, ssdrec::data::Split) {
-    let raw = SyntheticConfig::sports()
-        .scaled(0.12)
-        .with_seed(5)
-        .generate();
-    prepare(&raw, 50, 2)
+fn tiny_world() -> Prepared {
+    common::sports_world(0.12, 5)
 }
 
-fn tc() -> TrainConfig {
-    TrainConfig {
-        epochs: 2,
-        batch_size: 32,
-        ..TrainConfig::default()
+/// Every kind, built from the model table, trains two epochs on the tiny
+/// world to a finite loss.
+fn assert_trains_without_divergence(kinds: &[ModelKind]) {
+    let prep = tiny_world();
+    let ctx = prep.context(8, 0, BackboneKind::SasRec);
+    for &kind in kinds {
+        let mut model = build_model(kind, &ctx);
+        let report = train(&mut *model, &prep.split, &train_config(2, 7));
+        assert!(report.final_loss.is_finite(), "{kind:?} diverged");
     }
 }
 
 #[test]
 fn all_denoisers_train_without_divergence() {
-    let (ds, split) = tiny_split();
-    let freq = ds.item_frequencies();
+    assert_trains_without_divergence(&ModelKind::BASELINES[..5]);
+}
 
-    let mut dsan = Dsan::new(ds.num_items, 8, 0);
-    assert!(train(&mut dsan, &split, &tc()).final_loss.is_finite());
-
-    let mut fmlp = FmlpRec::new(ds.num_items, 8, 50, 1, 0);
-    assert!(train(&mut fmlp, &split, &tc()).final_loss.is_finite());
-
-    let mut hsd = Hsd::new(ds.num_users, ds.num_items, 8, 50, 0);
-    assert!(train(&mut hsd, &split, &tc()).final_loss.is_finite());
-
-    let mut dcrec = DcRec::new(ds.num_items, 8, 50, &freq, 0);
-    assert!(train(&mut dcrec, &split, &tc()).final_loss.is_finite());
-
-    let mut steam = Steam::new(ds.num_items, 8, 50, 0);
-    assert!(train(&mut steam, &split, &tc()).final_loss.is_finite());
+#[test]
+fn new_methods_train_without_divergence() {
+    assert_trains_without_divergence(&ModelKind::BASELINES[5..]);
 }
 
 #[test]
 fn implicit_methods_never_drop_items() {
-    let (ds, _split) = tiny_split();
-    let freq = ds.item_frequencies();
+    let prep = tiny_world();
+    let ds = &prep.dataset;
     let fmlp = FmlpRec::new(ds.num_items, 8, 50, 1, 0);
-    let dcrec = DcRec::new(ds.num_items, 8, 50, &freq, 0);
+    let dcrec = DcRec::new(ds.num_items, 8, 50, &prep.item_freq, 0);
     let seq: Vec<usize> = (1..=6).map(|i| (i % ds.num_items) + 1).collect();
     assert!(fmlp.keep_decisions(&seq, 0).iter().all(|&k| k));
     assert!(dcrec.keep_decisions(&seq, 0).iter().all(|&k| k));
@@ -58,7 +51,7 @@ fn implicit_methods_never_drop_items() {
 
 #[test]
 fn keep_scores_align_with_decisions_length() {
-    let (ds, _split) = tiny_split();
+    let ds = tiny_world().dataset;
     let hsd = Hsd::new(ds.num_users, ds.num_items, 8, 50, 1);
     let steam = Steam::new(ds.num_items, 8, 50, 1);
     let dsan = Dsan::new(ds.num_items, 8, 1);
@@ -96,7 +89,7 @@ fn oup_measurement_pipeline_runs() {
     let noisy = inject_unobserved(&raw, 40, 2, 9);
     let (ds, split) = prepare(&noisy, 50, 2);
     let mut hsd = Hsd::new(ds.num_users, ds.num_items, 8, 50, 2);
-    train(&mut hsd, &split, &tc());
+    train(&mut hsd, &split, &train_config(2, 7));
 
     let mut acc = OupAccumulator::new();
     for ex in &split.test {
@@ -109,17 +102,6 @@ fn oup_measurement_pipeline_runs() {
     assert!(acc.total() > 0, "no labelled positions measured");
     assert!((0.0..=1.0).contains(&acc.under_denoising_ratio()));
     assert!((0.0..=1.0).contains(&acc.over_denoising_ratio()));
-}
-
-#[test]
-fn new_methods_train_without_divergence() {
-    let (ds, split) = tiny_split();
-
-    let mut cl = ContrastiveSeqRec::new(BackboneKind::SasRec, ds.num_items, 8, 50, 0);
-    assert!(train(&mut cl, &split, &tc()).final_loss.is_finite());
-
-    let mut mgsd = Mgsd::new(ds.num_users, ds.num_items, 8, 50, 0);
-    assert!(train(&mut mgsd, &split, &tc()).final_loss.is_finite());
 }
 
 /// MGSD-WSS's weak supervision must actually *recover* the generator's
@@ -148,12 +130,7 @@ fn mgsd_weak_supervision_recovers_injected_noise() {
     let (ds, split) = prepare(&noisy, 50, 2);
     let mut mgsd = Mgsd::new(ds.num_users, ds.num_items, 8, 50, 2);
     mgsd.ws_weight = 4.0;
-    let tc = TrainConfig {
-        epochs: 8,
-        batch_size: 32,
-        ..TrainConfig::default()
-    };
-    train(&mut mgsd, &split, &tc);
+    train(&mut mgsd, &split, &train_config(8, 7));
 
     let (mut tp, mut flagged) = (0usize, 0usize);
     let mut labelled = 0usize;
@@ -206,7 +183,9 @@ fn mgsd_weak_supervision_recovers_injected_noise() {
 
 #[test]
 fn denoiser_eval_scores_cover_catalogue() {
-    let (ds, split) = tiny_split();
+    let Prepared {
+        dataset: ds, split, ..
+    } = tiny_world();
     let batches = ssdrec::data::make_batches(&split.test, 16, 0);
     let hsd = Hsd::new(ds.num_users, ds.num_items, 8, 50, 3);
     let mut g = ssdrec::tensor::Graph::new();

@@ -2,10 +2,13 @@
 //! SSDRec training → evaluation, exercising the whole workspace through the
 //! public facade.
 
+mod common;
+
+use common::train_config;
 use ssdrec::core::{SsdRec, SsdRecConfig};
 use ssdrec::data::{prepare, SyntheticConfig};
 use ssdrec::graph::{build_graph, GraphConfig};
-use ssdrec::models::{evaluate, train, BackboneKind, RecModel, TrainConfig};
+use ssdrec::models::{evaluate, train, BackboneKind, RecModel};
 
 fn tiny_setup() -> (
     ssdrec::data::Dataset,
@@ -21,21 +24,19 @@ fn tiny_setup() -> (
     (dataset, split, graph)
 }
 
-#[test]
-fn ssdrec_trains_and_beats_random_ranking() {
-    let (dataset, split, graph) = tiny_setup();
-    let cfg = SsdRecConfig {
+fn tiny_config() -> SsdRecConfig {
+    SsdRecConfig {
         dim: 8,
         max_len: 50,
         ..SsdRecConfig::default()
-    };
-    let mut model = SsdRec::new(&graph, cfg);
-    let tc = TrainConfig {
-        epochs: 4,
-        batch_size: 32,
-        patience: 10,
-        ..TrainConfig::default()
-    };
+    }
+}
+
+#[test]
+fn ssdrec_trains_and_beats_random_ranking() {
+    let (dataset, split, graph) = tiny_setup();
+    let mut model = SsdRec::new(&graph, tiny_config());
+    let tc = train_config(4, 7);
     let report = train(&mut model, &split, &tc);
     assert!(report.final_loss.is_finite());
     let random_hr20 = 20.0 / dataset.num_items as f64;
@@ -50,17 +51,8 @@ fn ssdrec_trains_and_beats_random_ranking() {
 #[test]
 fn trained_model_is_reusable_for_evaluation() {
     let (_dataset, split, graph) = tiny_setup();
-    let cfg = SsdRecConfig {
-        dim: 8,
-        max_len: 50,
-        ..SsdRecConfig::default()
-    };
-    let mut model = SsdRec::new(&graph, cfg);
-    let tc = TrainConfig {
-        epochs: 2,
-        batch_size: 32,
-        ..TrainConfig::default()
-    };
+    let mut model = SsdRec::new(&graph, tiny_config());
+    let tc = train_config(2, 7);
     let report = train(&mut model, &split, &tc);
     // Re-evaluating the restored model reproduces the reported test metrics.
     let acc = evaluate(&model, &split.test, 32);
@@ -71,23 +63,17 @@ fn trained_model_is_reusable_for_evaluation() {
 #[test]
 fn ablation_variants_all_run_end_to_end() {
     let (_dataset, split, graph) = tiny_setup();
-    let tc = TrainConfig {
-        epochs: 1,
-        batch_size: 32,
-        ..TrainConfig::default()
-    };
+    let tc = train_config(1, 7);
     for (s1, s2, s3) in [
         (false, true, true),
         (true, false, true),
         (true, true, false),
     ] {
         let cfg = SsdRecConfig {
-            dim: 8,
-            max_len: 50,
             stage1: s1,
             stage2: s2,
             stage3: s3,
-            ..SsdRecConfig::default()
+            ..tiny_config()
         };
         let mut model = SsdRec::new(&graph, cfg);
         let report = train(&mut model, &split, &tc);
@@ -105,17 +91,8 @@ fn ablation_variants_all_run_end_to_end() {
 #[test]
 fn keep_decisions_and_explain_work_after_training() {
     let (_dataset, split, graph) = tiny_setup();
-    let cfg = SsdRecConfig {
-        dim: 8,
-        max_len: 50,
-        ..SsdRecConfig::default()
-    };
-    let mut model = SsdRec::new(&graph, cfg);
-    let tc = TrainConfig {
-        epochs: 1,
-        batch_size: 32,
-        ..TrainConfig::default()
-    };
+    let mut model = SsdRec::new(&graph, tiny_config());
+    let tc = train_config(1, 7);
     train(&mut model, &split, &tc);
 
     let ex = split
@@ -136,17 +113,11 @@ fn keep_decisions_and_explain_work_after_training() {
 fn backbone_plug_in_compatibility() {
     // Every backbone must run inside SSDRec for at least one step.
     let (_dataset, split, graph) = tiny_setup();
-    let tc = TrainConfig {
-        epochs: 1,
-        batch_size: 32,
-        ..TrainConfig::default()
-    };
+    let tc = train_config(1, 7);
     for kind in BackboneKind::all() {
         let cfg = SsdRecConfig {
-            dim: 8,
-            max_len: 50,
             backbone: kind,
-            ..SsdRecConfig::default()
+            ..tiny_config()
         };
         let mut model = SsdRec::new(&graph, cfg);
         let report = train(&mut model, &split, &tc);

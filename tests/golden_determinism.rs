@@ -1,21 +1,27 @@
-//! Golden determinism: a fixed seed, a tiny synthetic dataset and two
+//! Determinism, pinned two ways on one fixture.
+//!
+//! **Golden values**: a fixed seed, a tiny synthetic dataset and two
 //! training epochs must reproduce *exactly* the HR@10 / NDCG@10 recorded
 //! here. This pins the full pipeline — testkit RNG stream, data generation,
 //! graph construction, training order, evaluation — across refactors; see
 //! the stream-stability contract in `ssdrec_testkit::rng`.
 //!
-//! If this test fails after an intentional RNG or pipeline change, rerun
+//! **Seed sensitivity**: the same pipeline run twice under one seed must be
+//! bit-identical, and must actually vary when the seed changes.
+//!
+//! If a golden test fails after an intentional RNG or pipeline change, rerun
 //! with `--nocapture`, verify the change is deliberate, and update the
 //! golden values together with a CHANGES.md note.
 
-use ssdrec::core::{SsdRec, SsdRecConfig};
-use ssdrec::data::{
-    encode_dataset, plan_leave_one_out, prepare, ColumnarReader, StoreExamples, SyntheticConfig,
-};
+mod common;
+
+use common::{scratch, sports_world, ssdrec_on, train_config, DIM, MAX_LEN};
+use ssdrec::core::{Prepared, SsdRec};
+use ssdrec::data::{encode_dataset, plan_leave_one_out, ColumnarReader};
 use ssdrec::denoise::Mgsd;
-use ssdrec::graph::{build_graph, build_graph_from_store, GraphConfig};
+use ssdrec::graph::{build_graph_from_store, GraphConfig};
 use ssdrec::models::{
-    train, train_from_source, BackboneKind, ContrastiveSeqRec, RecModel, SourceSplit, TrainConfig,
+    fit, train, BackboneKind, ContrastiveSeqRec, RecModel, TrainOptions, TrainReport,
 };
 use ssdrec::tensor::save_params;
 
@@ -31,28 +37,15 @@ const GOLDEN_CL_NDCG10: f64 = 0.2423614063351918;
 const GOLDEN_MGSD_HR10: f64 = 0.6428571428571429;
 const GOLDEN_MGSD_NDCG10: f64 = 0.3390576517898549;
 
+/// The world every golden value was recorded on.
+fn golden_world() -> Prepared {
+    sports_world(0.08, 7)
+}
+
 #[test]
 fn fixed_seed_two_epochs_reproduces_golden_metrics() {
-    let raw = SyntheticConfig::sports()
-        .scaled(0.08)
-        .with_seed(7)
-        .generate();
-    let (dataset, split) = prepare(&raw, 50, 2);
-    let graph = build_graph(&dataset, &GraphConfig::default());
-    let cfg = SsdRecConfig {
-        dim: 8,
-        max_len: 50,
-        seed: 7,
-        ..SsdRecConfig::default()
-    };
-    let mut model = SsdRec::new(&graph, cfg);
-    let tc = TrainConfig {
-        epochs: 2,
-        batch_size: 32,
-        seed: 7,
-        ..TrainConfig::default()
-    };
-    let report = train(&mut model, &split, &tc);
+    let prep = golden_world();
+    let report = train(&mut ssdrec_on(&prep, 7), &prep.split, &train_config(2, 7));
 
     println!("hr10 = {:?}", report.test.hr10);
     println!("ndcg10 = {:?}", report.test.ndcg10);
@@ -66,37 +59,49 @@ fn fixed_seed_two_epochs_reproduces_golden_metrics() {
     );
 }
 
-/// Fingerprint one training run of `model`: the exact test HR@10/NDCG@10
-/// and the exact checkpoint bytes `save_params` writes.
+/// The entire pipeline — generation, preprocessing, graph, training,
+/// evaluation — under `seed`: per-example test ranks, HR@20, MRR@20.
+fn run_pipeline(seed: u64) -> (Vec<usize>, f64, f64) {
+    let prep = sports_world(0.1, seed);
+    let report = train(
+        &mut ssdrec_on(&prep, seed),
+        &prep.split,
+        &train_config(2, seed),
+    );
+    (report.test_ranks, report.test.hr20, report.test.mrr20)
+}
+
+#[test]
+fn identical_seeds_produce_identical_results() {
+    let (ranks_a, hr_a, mrr_a) = run_pipeline(11);
+    let (ranks_b, hr_b, mrr_b) = run_pipeline(11);
+    assert_eq!(
+        ranks_a, ranks_b,
+        "per-example ranks diverged under the same seed"
+    );
+    assert_eq!(hr_a, hr_b);
+    assert_eq!(mrr_a, mrr_b);
+}
+
+#[test]
+fn different_seeds_produce_different_results() {
+    let (ranks_a, _, _) = run_pipeline(11);
+    let (ranks_b, _, _) = run_pipeline(12);
+    assert_ne!(
+        ranks_a, ranks_b,
+        "results identical across seeds — RNG not wired through"
+    );
+}
+
+/// Fingerprint one training run of `model` on the golden world: the exact
+/// test HR@10/NDCG@10 and the exact checkpoint bytes `save_params` writes.
 fn run_pinned<M: RecModel>(mut model: M, tag: &str) -> (f64, f64, Vec<u8>) {
-    let raw = SyntheticConfig::sports()
-        .scaled(0.08)
-        .with_seed(7)
-        .generate();
-    let (_dataset, split) = prepare(&raw, 50, 2);
-    let tc = TrainConfig {
-        epochs: 2,
-        batch_size: 32,
-        seed: 7,
-        ..TrainConfig::default()
-    };
-    let report = train(&mut model, &split, &tc);
-    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden");
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let path = dir.join(format!("golden_{tag}.ssdt"));
+    let report = train(&mut model, &golden_world().split, &train_config(2, 7));
+    let path = scratch(&format!("golden_{tag}.ssdt"));
     save_params(model.store(), &path).expect("save checkpoint");
     let bytes = std::fs::read(&path).expect("read checkpoint");
     let _ = std::fs::remove_file(&path);
     (report.test.hr10, report.test.ndcg10, bytes)
-}
-
-fn sports_dims() -> (usize, usize) {
-    let raw = SyntheticConfig::sports()
-        .scaled(0.08)
-        .with_seed(7)
-        .generate();
-    let (dataset, _) = prepare(&raw, 50, 2);
-    (dataset.num_users, dataset.num_items)
 }
 
 /// The contrastive scenario pinned end to end: exact HR@10/NDCG@10, and the
@@ -105,8 +110,8 @@ fn sports_dims() -> (usize, usize) {
 /// ordering leak into view generation would flip these bits).
 #[test]
 fn contrastive_run_reproduces_golden_metrics() {
-    let (_, num_items) = sports_dims();
-    let mk = || ContrastiveSeqRec::new(BackboneKind::SasRec, num_items, 8, 50, 7);
+    let num_items = golden_world().dataset.num_items;
+    let mk = || ContrastiveSeqRec::new(BackboneKind::SasRec, num_items, DIM, MAX_LEN, 7);
     let (hr10, ndcg10, bytes) = run_pinned(mk(), "cl_a");
     println!("cl hr10 = {hr10:?}");
     println!("cl ndcg10 = {ndcg10:?}");
@@ -130,8 +135,8 @@ fn contrastive_run_reproduces_golden_metrics() {
 /// gate trains on them rather than on correlation targets).
 #[test]
 fn mgsd_run_reproduces_golden_metrics() {
-    let (num_users, num_items) = sports_dims();
-    let mk = || Mgsd::new(num_users, num_items, 8, 50, 7);
+    let ds = golden_world().dataset;
+    let mk = || Mgsd::new(ds.num_users, ds.num_items, DIM, MAX_LEN, 7);
     let (hr10, ndcg10, bytes) = run_pinned(mk(), "mgsd_a");
     println!("mgsd hr10 = {hr10:?}");
     println!("mgsd ndcg10 = {ndcg10:?}");
@@ -147,46 +152,43 @@ fn mgsd_run_reproduces_golden_metrics() {
     assert_eq!(bytes, bytes2, "MGSD checkpoint bytes not reproducible");
 }
 
+/// The out-of-core path on the golden world: encode the prepared dataset
+/// (already 5-core-filtered and truncated, so the file holds exactly what
+/// the in-RAM pipeline trains on) to the columnar file `file`, re-plan the
+/// split over the windowed reader, build the model `mk` makes from that
+/// reader, and train it through the store views.
+fn train_from_columnar<M: RecModel>(
+    file: &str,
+    mk: impl FnOnce(&Prepared, &ColumnarReader) -> M,
+) -> TrainReport {
+    let prep = golden_world();
+    let path = scratch(file);
+    encode_dataset(&prep.dataset, &path).expect("encode");
+    let reader = ColumnarReader::open(&path).expect("open");
+    let plan = plan_leave_one_out(&reader, 5, 2);
+    let mut model = mk(&prep, &reader);
+    let views = plan.views(&reader);
+    let report = fit(
+        &mut model,
+        &(&views).into(),
+        &train_config(2, 7),
+        &TrainOptions::default(),
+    )
+    .expect("train");
+    let _ = std::fs::remove_file(path);
+    report
+}
+
 /// MGSD trained out-of-core from a `.ssdc` file must land on the *same*
 /// golden metrics as the in-RAM run: this pins the NOIS section round-trip
 /// — the columnar reader feeding the generator's noise labels back into the
 /// weak-supervision gate, bit for bit.
 #[test]
 fn mgsd_columnar_store_training_matches_in_ram_golden() {
-    let raw = SyntheticConfig::sports()
-        .scaled(0.08)
-        .with_seed(7)
-        .generate();
-    let (dataset, _) = prepare(&raw, 50, 2);
-    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden");
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let path = dir.join("sports_mgsd.ssdc");
-    encode_dataset(&dataset, &path).expect("encode");
-    let reader = ColumnarReader::open(&path).expect("open");
-
-    let plan = plan_leave_one_out(&reader, 5, 2);
-    let mut model = Mgsd::new(dataset.num_users, dataset.num_items, 8, 50, 7);
-    let tc = TrainConfig {
-        epochs: 2,
-        batch_size: 32,
-        seed: 7,
-        ..TrainConfig::default()
-    };
-    let sources = SourceSplit {
-        train: &StoreExamples {
-            store: &reader,
-            refs: &plan.train,
-        },
-        valid: &StoreExamples {
-            store: &reader,
-            refs: &plan.valid,
-        },
-        test: &StoreExamples {
-            store: &reader,
-            refs: &plan.test,
-        },
-    };
-    let report = train_from_source(&mut model, &sources, &tc, None, None).expect("train");
+    let report = train_from_columnar("sports_mgsd.ssdc", |prep, _| {
+        let ds = &prep.dataset;
+        Mgsd::new(ds.num_users, ds.num_items, DIM, MAX_LEN, 7)
+    });
     assert_eq!(
         report.test.hr10, GOLDEN_MGSD_HR10,
         "columnar-store MGSD training drifted from the golden HR@10"
@@ -195,59 +197,18 @@ fn mgsd_columnar_store_training_matches_in_ram_golden() {
         report.test.ndcg10, GOLDEN_MGSD_NDCG10,
         "columnar-store MGSD training drifted from the golden NDCG@10"
     );
-    let _ = std::fs::remove_file(path);
 }
 
-/// The out-of-core path — encode the prepared dataset to a columnar file,
-/// re-plan the split over the windowed reader, build the graph in counting
-/// passes, train through [`StoreExamples`] — must land on the *same* golden
-/// HR@10 / NDCG@10 as the in-RAM path above: not approximately, exactly.
+/// SSDRec out-of-core, the graph built in counting passes over the reader,
+/// must land on the *same* golden HR@10 / NDCG@10 as the in-RAM path above:
+/// not approximately, exactly.
 #[test]
 fn columnar_store_training_reproduces_golden_metrics() {
-    let raw = SyntheticConfig::sports()
-        .scaled(0.08)
-        .with_seed(7)
-        .generate();
-    // `prepare` already 5-core-filters and truncates to max_len; the file
-    // holds exactly what the in-RAM pipeline trains on.
-    let (dataset, _) = prepare(&raw, 50, 2);
-    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden");
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let path = dir.join("sports.ssdc");
-    encode_dataset(&dataset, &path).expect("encode");
-    let reader = ColumnarReader::open(&path).expect("open");
-
-    let plan = plan_leave_one_out(&reader, 5, 2);
-    let graph = build_graph_from_store(&reader, &GraphConfig::default());
-    let cfg = SsdRecConfig {
-        dim: 8,
-        max_len: 50,
-        seed: 7,
-        ..SsdRecConfig::default()
-    };
-    let mut model = SsdRec::new(&graph, cfg);
-    let tc = TrainConfig {
-        epochs: 2,
-        batch_size: 32,
-        seed: 7,
-        ..TrainConfig::default()
-    };
-    let sources = SourceSplit {
-        train: &StoreExamples {
-            store: &reader,
-            refs: &plan.train,
-        },
-        valid: &StoreExamples {
-            store: &reader,
-            refs: &plan.valid,
-        },
-        test: &StoreExamples {
-            store: &reader,
-            refs: &plan.test,
-        },
-    };
-    let report = train_from_source(&mut model, &sources, &tc, None, None).expect("train");
-
+    let report = train_from_columnar("sports.ssdc", |prep, reader| {
+        let graph = build_graph_from_store(reader, &GraphConfig::default());
+        let cfg = prep.context(DIM, 7, BackboneKind::SasRec).ssdrec_config();
+        SsdRec::new(&graph, cfg)
+    });
     assert_eq!(
         report.test.hr10, GOLDEN_HR10,
         "columnar-store training drifted from the golden HR@10"
@@ -256,5 +217,4 @@ fn columnar_store_training_reproduces_golden_metrics() {
         report.test.ndcg10, GOLDEN_NDCG10,
         "columnar-store training drifted from the golden NDCG@10"
     );
-    let _ = std::fs::remove_file(path);
 }

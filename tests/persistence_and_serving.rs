@@ -14,14 +14,18 @@ fn setup() -> (ssdrec::data::Split, ssdrec::graph::MultiRelationGraph) {
     (split, graph)
 }
 
+fn config(dim: usize) -> SsdRecConfig {
+    SsdRecConfig {
+        dim,
+        max_len: 50,
+        ..SsdRecConfig::default()
+    }
+}
+
 #[test]
 fn checkpoint_roundtrip_preserves_predictions() {
     let (split, graph) = setup();
-    let cfg = SsdRecConfig {
-        dim: 8,
-        max_len: 50,
-        ..SsdRecConfig::default()
-    };
+    let cfg = config(8);
     let mut model = SsdRec::new(&graph, cfg.clone());
     let tc = TrainConfig {
         epochs: 1,
@@ -47,20 +51,12 @@ fn checkpoint_roundtrip_preserves_predictions() {
 #[test]
 fn checkpoint_rejects_different_architecture() {
     let (_split, graph) = setup();
-    let cfg8 = SsdRecConfig {
-        dim: 8,
-        max_len: 50,
-        ..SsdRecConfig::default()
-    };
+    let cfg8 = config(8);
     let model = SsdRec::new(&graph, cfg8);
     let path = std::env::temp_dir().join("ssdrec_it_arch.ssdt");
     save_params(&model.store, &path).unwrap();
 
-    let cfg16 = SsdRecConfig {
-        dim: 16,
-        max_len: 50,
-        ..SsdRecConfig::default()
-    };
+    let cfg16 = config(16);
     let mut wrong = SsdRec::new(&graph, cfg16);
     assert!(load_params(&mut wrong.store, &path).is_err());
 }
@@ -68,11 +64,7 @@ fn checkpoint_rejects_different_architecture() {
 #[test]
 fn recommendations_exclude_pad_and_respect_k() {
     let (split, graph) = setup();
-    let cfg = SsdRecConfig {
-        dim: 8,
-        max_len: 50,
-        ..SsdRecConfig::default()
-    };
+    let cfg = config(8);
     let model = SsdRec::new(&graph, cfg);
     let ex = &split.test[0];
     let recs = model.recommend(ex.user, &ex.seq, 7);
@@ -99,11 +91,7 @@ fn parameter_count_scales_with_catalogue() {
         .generate();
     let gs = build_graph(&small, &GraphConfig::default());
     let gl = build_graph(&large, &GraphConfig::default());
-    let cfg = SsdRecConfig {
-        dim: 8,
-        max_len: 50,
-        ..SsdRecConfig::default()
-    };
+    let cfg = config(8);
     let ms = SsdRec::new(&gs, cfg.clone());
     let ml = SsdRec::new(&gl, cfg);
 

@@ -2,89 +2,20 @@
 //! run incremental retrain rounds into a versioned checkpoint directory,
 //! and hot-swap the published versions into a serving [`EngineSlot`].
 
-use std::path::PathBuf;
+mod common;
+
 use std::sync::Arc;
 
-use ssdrec::models::{BackboneKind, TrainConfig};
+use common::{delta_events, retrain_spec, scratch_dir, seed_events, served_bits, CATALOG};
 use ssdrec::serve::{Engine, EngineConfig, EngineSlot, LoadedModel, ReloadOutcome, ServerStats};
 use ssdrec::stream::{
-    load_current, load_newer, load_version, open_or_create_log, retrain, ArchSpec, CheckpointDir,
-    LogHeader, RetrainOutcome, RetrainSpec, StreamLog,
+    load_current, load_newer, load_version, open_or_create_log, retrain, CheckpointDir,
+    RetrainOutcome,
 };
-
-const CATALOG: LogHeader = LogHeader {
-    num_users: 6,
-    num_items: 20,
-};
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = PathBuf::from("target")
-        .join("ssdrec-test")
-        .join(format!("stream_{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
-
-fn spec() -> RetrainSpec {
-    let tc = TrainConfig::default();
-    RetrainSpec {
-        arch: ArchSpec {
-            backbone: BackboneKind::SasRec,
-            dim: 8,
-            max_len: 12,
-            seed: 7,
-        },
-        epochs: 2,
-        batch_size: 16,
-        lr: tc.lr,
-        weight_decay: tc.weight_decay,
-        checkpoint_every: 1,
-    }
-}
-
-/// Six events per user: enough history for every user to clear the
-/// leave-one-out minimum.
-fn seed_events(log: &mut StreamLog) {
-    for u in 0..CATALOG.num_users {
-        for t in 0..6 {
-            log.append(u, (u * 3 + t) % CATALOG.num_items + 1)
-                .expect("append");
-        }
-    }
-    log.sync().expect("sync");
-}
-
-fn delta_events(log: &mut StreamLog) {
-    for u in 0..CATALOG.num_users {
-        log.append(u, (u + 7) % CATALOG.num_items + 1)
-            .expect("append");
-    }
-    log.sync().expect("sync");
-}
-
-fn engine_for(model: ssdrec::core::SsdRec, max_len: usize) -> Engine {
-    Engine::new(
-        model.into(),
-        EngineConfig {
-            workers: 1,
-            max_len,
-            cache_capacity: 0,
-            ..EngineConfig::default()
-        },
-        Arc::new(ServerStats::new()),
-    )
-}
-
-fn served_bits(model: ssdrec::core::SsdRec, max_len: usize) -> Vec<(usize, u32)> {
-    let engine = engine_for(model, max_len);
-    let rec = engine.recommend(0, &[3, 9, 4, 1], 8).expect("recommend");
-    rec.items.iter().map(|&(i, s)| (i, s.to_bits())).collect()
-}
 
 #[test]
 fn ingest_retrain_publish_and_reload_round_trips() {
-    let dir = scratch("roundtrip");
+    let dir = scratch_dir("stream_roundtrip");
     let log_path = dir.join("events.sslg");
     let root = dir.join("ckpts");
 
@@ -95,7 +26,7 @@ fn ingest_retrain_publish_and_reload_round_trips() {
     let v1_end = log.end();
     drop(log);
 
-    let sp = spec();
+    let sp = retrain_spec(2);
     let v1 = match retrain(&log_path, &root, &sp, false).expect("first round") {
         RetrainOutcome::Trained(t) => t,
         other => panic!("expected a trained version, got {other:?}"),
@@ -159,14 +90,14 @@ fn ingest_retrain_publish_and_reload_round_trips() {
 
 #[test]
 fn published_versions_hot_swap_into_a_serving_slot() {
-    let dir = scratch("hotswap");
+    let dir = scratch_dir("stream_hotswap");
     let log_path = dir.join("events.sslg");
     let root = dir.join("ckpts");
 
     let (mut log, _) = open_or_create_log(&log_path, Some(CATALOG)).expect("create log");
     seed_events(&mut log);
     drop(log);
-    let sp = spec();
+    let sp = retrain_spec(2);
     retrain(&log_path, &root, &sp, false).expect("publish v1");
 
     // Boot the server exactly the way `serve --ckpt-dir` does: load CURRENT,

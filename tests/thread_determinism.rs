@@ -17,19 +17,17 @@
 //! backend, so the suite serialises itself behind one mutex and restores a
 //! 1-thread pool on the way out.
 
+mod common;
+
 use std::sync::Mutex;
 
-use ssdrec::core::{SsdRec, SsdRecConfig};
-use ssdrec::data::{prepare, SyntheticConfig};
+use common::{fingerprint, sports_world, ssdrec_on, train_config, Fingerprint};
 use ssdrec::denoise::Mgsd;
-use ssdrec::graph::{build_graph, GraphConfig};
 use ssdrec::metrics::{full_rank, par_top_k, rank_rows, top_k};
-use ssdrec::models::{
-    evaluate, train, BackboneKind, ContrastiveSeqRec, RecModel, SeqRec, TrainConfig,
-};
+use ssdrec::models::{evaluate, train, BackboneKind, ContrastiveSeqRec, RecModel, SeqRec};
 use ssdrec::serve::{Engine, EngineConfig, ServerStats};
 use ssdrec::tensor::kernels::{matmul, matmul_backward, scatter_rows};
-use ssdrec::tensor::{pool, save_params, with_each_backend, Tensor};
+use ssdrec::tensor::{pool, with_each_backend, Tensor};
 
 /// Serialises pool reconfiguration across `#[test]` threads.
 static POOL_LOCK: Mutex<()> = Mutex::new(());
@@ -204,47 +202,18 @@ fn top_k_selection_is_exact_at_any_thread_count() {
     });
 }
 
-/// Train a tiny SSDRec end to end and fingerprint everything observable:
-/// the final training-loss bits, HR@10/NDCG@10 bits, and the exact
-/// checkpoint bytes written by `save_params`. Two epochs cross the
-/// augmentation warm-up, so the full three-stage loss path is in the
-/// fingerprint.
-fn train_fingerprint(tag: &str) -> (Vec<u32>, u64, u64, Vec<u8>) {
-    let raw = SyntheticConfig::sports()
-        .scaled(0.03)
-        .with_seed(7)
-        .generate();
-    let (dataset, split) = prepare(&raw, 50, 2);
-    let graph = build_graph(&dataset, &GraphConfig::default());
-    let cfg = SsdRecConfig {
-        dim: 8,
-        max_len: 50,
-        seed: 7,
-        ..SsdRecConfig::default()
-    };
-    let mut model = SsdRec::new(&graph, cfg);
-    let tc = TrainConfig {
-        epochs: 2,
-        batch_size: 32,
-        seed: 7,
-        ..TrainConfig::default()
-    };
-    let report = train(&mut model, &split, &tc);
-    let loss_bits = vec![report.final_loss.to_bits()];
+/// The world every training test here runs on.
+fn tiny_world() -> ssdrec::core::Prepared {
+    sports_world(0.03, 7)
+}
 
-    let dir = std::path::Path::new("target").join("ssdrec-test");
-    std::fs::create_dir_all(&dir).expect("test dir");
-    let path = dir.join(format!("pool_identity_{tag}.ssdt"));
-    save_params(model.store(), &path).expect("save checkpoint");
-    let ckpt = std::fs::read(&path).expect("read checkpoint");
-    let _ = std::fs::remove_file(&path);
-
-    (
-        loss_bits,
-        report.test.hr10.to_bits(),
-        report.test.ndcg10.to_bits(),
-        ckpt,
-    )
+/// Train `model` for two epochs on the tiny sports world and fingerprint
+/// everything observable — final-loss bits, HR@10/NDCG@10 bits, checkpoint
+/// bytes. For SSDRec two epochs cross the augmentation warm-up, so the full
+/// three-stage loss path is in the fingerprint.
+fn model_fingerprint<M: RecModel>(mut model: M, tag: &str) -> Fingerprint {
+    let report = train(&mut model, &tiny_world().split, &train_config(2, 7));
+    fingerprint(&report, &model, tag)
 }
 
 /// The tentpole contract of the step-scoped arena, extended with the
@@ -257,7 +226,8 @@ fn train_fingerprint(tag: &str) -> (Vec<u32>, u64, u64, Vec<u8>) {
 fn pooled_and_fresh_training_are_bit_identical() {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let was = pool::is_enabled();
-    let mut cross: Option<(Vec<u32>, u64, u64, Vec<u8>)> = None;
+    let train_fingerprint = |tag: &str| model_fingerprint(ssdrec_on(&tiny_world(), 7), tag);
+    let mut cross: Option<Fingerprint> = None;
     with_each_backend(|kind| {
         let be = kind.name();
         for &t in &[1usize, 4] {
@@ -303,37 +273,6 @@ fn pooled_and_fresh_training_are_bit_identical() {
     ssdrec::runtime::set_threads(1);
 }
 
-/// Train `model` on the tiny sports world and fingerprint everything
-/// observable — final-loss bits, HR@10/NDCG@10 bits, checkpoint bytes.
-fn model_fingerprint<M: RecModel>(mut model: M, tag: &str) -> (u32, u64, u64, Vec<u8>) {
-    let raw = SyntheticConfig::sports()
-        .scaled(0.03)
-        .with_seed(7)
-        .generate();
-    let (_dataset, split) = prepare(&raw, 50, 2);
-    let tc = TrainConfig {
-        epochs: 2,
-        batch_size: 32,
-        seed: 7,
-        ..TrainConfig::default()
-    };
-    let report = train(&mut model, &split, &tc);
-
-    let dir = std::path::Path::new("target").join("ssdrec-test");
-    std::fs::create_dir_all(&dir).expect("test dir");
-    let path = dir.join(format!("loss_path_identity_{tag}.ssdt"));
-    save_params(model.store(), &path).expect("save checkpoint");
-    let ckpt = std::fs::read(&path).expect("read checkpoint");
-    let _ = std::fs::remove_file(&path);
-
-    (
-        report.final_loss.to_bits(),
-        report.test.hr10.to_bits(),
-        report.test.ndcg10.to_bits(),
-        ckpt,
-    )
-}
-
 /// The two newest loss paths — the contrastive joint CE + InfoNCE loss
 /// (whose per-example view RNG must be immune to batch sharding) and the
 /// multi-granularity weakly supervised loss — run through the full matrix:
@@ -343,18 +282,11 @@ fn model_fingerprint<M: RecModel>(mut model: M, tag: &str) -> (u32, u64, u64, Ve
 fn new_loss_paths_are_bit_identical_across_matrix() {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let was = pool::is_enabled();
-    let dims = || {
-        let raw = SyntheticConfig::sports()
-            .scaled(0.03)
-            .with_seed(7)
-            .generate();
-        let (dataset, _) = prepare(&raw, 50, 2);
-        (dataset.num_users, dataset.num_items)
-    };
-    let (num_users, num_items) = dims();
+    let ds = tiny_world().dataset;
+    let (num_users, num_items) = (ds.num_users, ds.num_items);
 
     for scenario in ["cl", "mgsd"] {
-        let run = |tag: &str| -> (u32, u64, u64, Vec<u8>) {
+        let run = |tag: &str| -> Fingerprint {
             if scenario == "cl" {
                 model_fingerprint(
                     ContrastiveSeqRec::new(BackboneKind::SasRec, num_items, 8, 50, 7),
@@ -364,10 +296,10 @@ fn new_loss_paths_are_bit_identical_across_matrix() {
                 model_fingerprint(Mgsd::new(num_users, num_items, 8, 50, 7), tag)
             }
         };
-        let mut cross: Option<(u32, u64, u64, Vec<u8>)> = None;
+        let mut cross: Option<Fingerprint> = None;
         with_each_backend(|kind| {
             let be = kind.name();
-            let mut reference: Option<(u32, u64, u64, Vec<u8>)> = None;
+            let mut reference: Option<Fingerprint> = None;
             for &t in &THREAD_COUNTS {
                 ssdrec::runtime::set_threads(t);
                 pool::set_enabled(true);
@@ -407,110 +339,10 @@ fn new_loss_paths_are_bit_identical_across_matrix() {
 /// test pins the *thread* dimension.
 #[test]
 fn resumed_training_is_bit_identical_across_thread_counts() {
-    use ssdrec::models::{train_with_checkpoints, CheckpointConfig};
-
     let _guard = POOL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let world = || {
-        let raw = SyntheticConfig::sports()
-            .scaled(0.03)
-            .with_seed(7)
-            .generate();
-        let (dataset, split) = prepare(&raw, 50, 2);
-        let graph = build_graph(&dataset, &GraphConfig::default());
-        let cfg = SsdRecConfig {
-            dim: 8,
-            max_len: 50,
-            seed: 7,
-            ..SsdRecConfig::default()
-        };
-        let model = SsdRec::new(&graph, cfg);
-        (split, model)
-    };
-    let tc = |epochs: usize| TrainConfig {
-        epochs,
-        batch_size: 32,
-        seed: 7,
-        ..TrainConfig::default()
-    };
-    let fingerprint = |report: &ssdrec::models::TrainReport, model: &SsdRec, tag: &str| {
-        let dir = std::path::Path::new("target").join("ssdrec-test");
-        std::fs::create_dir_all(&dir).expect("test dir");
-        let path = dir.join(format!("resume_eq_{tag}.ssdt"));
-        save_params(model.store(), &path).expect("save checkpoint");
-        let bytes = std::fs::read(&path).expect("read checkpoint");
-        let _ = std::fs::remove_file(&path);
-        (
-            report.final_loss.to_bits(),
-            report.test.hr10.to_bits(),
-            report.test.ndcg10.to_bits(),
-            bytes,
-        )
-    };
-
-    for &t in &[1usize, 4] {
+    for t in [1usize, 4] {
         ssdrec::runtime::set_threads(t);
-
-        let state = std::path::Path::new("target")
-            .join("ssdrec-test")
-            .join(format!("resume_eq_t{t}.sstc"));
-        std::fs::create_dir_all(state.parent().unwrap()).expect("test dir");
-        let _ = std::fs::remove_file(&state);
-
-        // 4 epochs straight through, checkpointing all the way.
-        let (split, mut straight) = world();
-        let straight_report = train_with_checkpoints(
-            &mut straight,
-            &split,
-            &tc(4),
-            Some(&CheckpointConfig::new(&state)),
-        )
-        .expect("uninterrupted run");
-        let want = fingerprint(&straight_report, &straight, &format!("straight_t{t}"));
-        let _ = std::fs::remove_file(&state);
-
-        // 2 epochs, kill; then resume the final 2 in a fresh model. The
-        // kill must happen inside a 4-epoch run (not a 2-epoch one): the
-        // augmentation schedule depends on the configured total, so only
-        // an interrupted 4-epoch run shares the uninterrupted prefix.
-        let (split, mut first_half) = world();
-        {
-            let _armed = ssdrec_testkit::fault::FaultPlan::new()
-                .panic("train.epoch", 2)
-                .arm();
-            let ckpt = CheckpointConfig::new(&state);
-            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                train_with_checkpoints(&mut first_half, &split, &tc(4), Some(&ckpt))
-            }));
-            assert!(died.is_err(), "the injected kill must abort the run");
-        }
-        let (split, mut resumed) = world();
-        let resumed_report = train_with_checkpoints(
-            &mut resumed,
-            &split,
-            &tc(4),
-            Some(&CheckpointConfig {
-                path: state.clone(),
-                every: 1,
-                resume: true,
-            }),
-        )
-        .expect("resumed half");
-        let got = fingerprint(&resumed_report, &resumed, &format!("resumed_t{t}"));
-
-        assert_eq!(
-            got.0, want.0,
-            "loss bits diverged after resume at {t} threads"
-        );
-        assert_eq!(
-            (got.1, got.2),
-            (want.1, want.2),
-            "HR@10/NDCG@10 bits diverged after resume at {t} threads"
-        );
-        assert_eq!(
-            got.3, want.3,
-            "checkpoint bytes diverged after resume at {t} threads"
-        );
-        let _ = std::fs::remove_file(&state);
+        common::assert_kill_and_resume_is_bit_identical(&format!("t{t}"));
     }
     ssdrec::runtime::set_threads(1);
 }
