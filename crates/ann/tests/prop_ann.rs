@@ -70,7 +70,7 @@ fn recall_is_one_when_ef_covers_the_catalogue() {
 fn recall_at_default_ef_is_high_on_a_real_beam() {
     // Approximate regime (ef ≪ catalogue): not exact by construction, but
     // the default parameters must keep recall@10 high — this is the same
-    // bound BENCH_retrieval.json enforces at catalogue scale.
+    // bound `ssdrec-bench retrieval` asserts at catalogue scale.
     let (dim, n) = (16, 2_000);
     let table = gaussian_table(n, dim, 1234);
     let idx = HnswIndex::build(&table, dim, n, AnnParams::default()).expect("build");

@@ -4,10 +4,8 @@
 //! in the served recommendations. Compares the bare backbone against SSDRec
 //! on catalogue coverage, Gini concentration and popularity bias of top-10
 //! lists.
-//!
-//! Usage: `cargo run --release -p ssdrec-bench --bin ext_beyond_accuracy [--full]`
 
-use ssdrec_bench::{prepare_profile, run_model, run_ssdrec, write_results, HarnessConfig};
+use crate::{prepare_profile, run_model, run_ssdrec, write_results, Args};
 use ssdrec_core::{ModelKind, Prepared};
 use ssdrec_metrics::RecListAccumulator;
 use ssdrec_models::{BackboneKind, RecModel};
@@ -32,9 +30,8 @@ fn measure<M: RecModel + ?Sized>(model: &M, prep: &Prepared, k: usize) -> (f64, 
     )
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let h = HarnessConfig::from_args(&args);
+pub(crate) fn run(a: &Args) {
+    let h = &a.h;
     let k = 10;
 
     println!("Beyond-accuracy comparison (top-{k} lists on the test users)");
@@ -43,17 +40,17 @@ fn main() {
         "dataset", "model", "coverage", "gini", "pop.bias"
     );
     let mut csv = Vec::new();
-    for ds in ["beauty", "sports"] {
-        let prep = prepare_profile(ds, &h);
+    for ds in a.datasets(&["beauty", "sports"]) {
+        let prep = prepare_profile(ds, h);
 
         // Bare SASRec.
-        let (base, _) = run_model(ModelKind::Backbone, BackboneKind::SasRec, &prep, &h);
+        let (base, _) = run_model(ModelKind::Backbone, BackboneKind::SasRec, &prep, h);
         let (c, g, p) = measure(&*base, &prep, k);
         println!("{ds:<10} {:<14} {c:>9.3} {g:>7.3} {p:>10.2}", "SASRec");
         csv.push(format!("{ds},SASRec,{c:.4},{g:.4},{p:.4}"));
 
         // SASRec inside SSDRec.
-        let (model, _report) = run_ssdrec(BackboneKind::SasRec, (true, true, true), &prep, &h, 1.0);
+        let (model, _report) = run_ssdrec(BackboneKind::SasRec, &prep, h);
         let (c, g, p) = measure(&model, &prep, k);
         println!(
             "{ds:<10} {:<14} {c:>9.3} {g:>7.3} {p:>10.2}",

@@ -1,14 +1,10 @@
 //! Extension experiment: where do SSDRec's gains come from? The paper argues
 //! denoising from intra-sequence information is least reliable on *short*
-//! sequences and that self-augmentation targets exactly those. This binary
+//! sequences and that self-augmentation targets exactly those. This entry
 //! buckets the test users by history length and reports SASRec vs SSDRec per
 //! bucket — the gains should concentrate in the short buckets.
-//!
-//! Usage: `cargo run --release -p ssdrec-bench --bin ext_length_breakdown [--full]`
 
-use ssdrec_bench::{
-    datasets_from_args, prepare_profile, run_model, run_ssdrec, write_results, HarnessConfig,
-};
+use crate::{prepare_profile, run_model, run_ssdrec, write_results, Args};
 use ssdrec_core::ModelKind;
 use ssdrec_data::make_batches;
 use ssdrec_metrics::{full_rank, LengthBuckets};
@@ -31,22 +27,16 @@ fn bucketed<M: RecModel + ?Sized>(model: &M, split: &ssdrec_data::Split) -> Leng
     buckets
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let h = HarnessConfig::from_args(&args);
-    let mut datasets = datasets_from_args(&args);
-    if !args.iter().any(|a| a == "--datasets") {
-        datasets = vec!["ml-100k".into(), "beauty".into()];
-    }
-
+pub(crate) fn run(a: &Args) {
+    let h = &a.h;
     let mut csv = Vec::new();
-    for ds in &datasets {
-        let prep = prepare_profile(ds, &h);
+    for ds in a.datasets(&["ml-100k", "beauty"]) {
+        let prep = prepare_profile(ds, h);
 
-        let (base, _) = run_model(ModelKind::Backbone, BackboneKind::SasRec, &prep, &h);
+        let (base, _) = run_model(ModelKind::Backbone, BackboneKind::SasRec, &prep, h);
         let base_b = bucketed(&*base, &prep.split);
 
-        let (model, _) = run_ssdrec(BackboneKind::SasRec, (true, true, true), &prep, &h, 1.0);
+        let (model, _) = run_ssdrec(BackboneKind::SasRec, &prep, h);
         let ssd_b = bucketed(&model, &prep.split);
 
         println!("\n=== {ds}: HR@20 by history length ===");

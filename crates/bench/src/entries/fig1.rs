@@ -9,30 +9,23 @@
 //!
 //! `--sweep-insert` additionally sweeps the number of inserted items
 //! (the DESIGN.md §5.3 ablation on insertion-count trade-offs).
-//!
-//! Usage:
-//! `cargo run --release -p ssdrec-bench --bin fig1_oup [--full] [--sweep-insert]`
 
-use ssdrec_bench::{write_results, HarnessConfig};
-use ssdrec_core::{Prepared, SsdRec};
-use ssdrec_data::{inject_unobserved, SyntheticConfig};
+use crate::{noisy_ml100k, oup, write_results, Args, HarnessConfig};
+use ssdrec_core::SsdRec;
 use ssdrec_denoise::{Denoiser, Hsd, Steam};
-use ssdrec_metrics::OupAccumulator;
 use ssdrec_models::{train, BackboneKind};
 
 /// Returns (under-denoising ratio, over-denoising ratio, mean keep score on
 /// noise positions, mean keep score on clean positions). The score gap is a
 /// threshold-free view of how well the denoiser separates injected noise.
 fn measure(model: &dyn Denoiser, split: &ssdrec_data::Split) -> (f64, f64, f64, f64) {
-    let mut acc = OupAccumulator::new();
+    let acc = oup(model, split);
     let (mut ns, mut nn, mut cs, mut nc) = (0.0f64, 0usize, 0.0f64, 0usize);
     for ex in &split.test {
         let Some(noise) = &ex.noise else { continue };
         if ex.seq.is_empty() {
             continue;
         }
-        let kept = model.keep_decisions(&ex.seq, ex.user);
-        acc.push(noise, &kept);
         let scores = model.keep_scores(&ex.seq, ex.user);
         for (&is_noise, &s) in noise.iter().zip(&scores) {
             if is_noise {
@@ -53,15 +46,7 @@ fn measure(model: &dyn Denoiser, split: &ssdrec_data::Split) -> (f64, f64, f64, 
 }
 
 fn run_one(per_seq: usize, h: &HarnessConfig, csv: &mut Vec<String>) {
-    // ML-100K profile, generator noise off so injected noise is the only
-    // ground truth (matching the paper's controlled setup).
-    let raw = SyntheticConfig::ml100k()
-        .scaled(h.scale)
-        .with_noise_ratio(0.0)
-        .with_seed(h.seed)
-        .generate();
-    let noisy = inject_unobserved(&raw, 60, per_seq, h.seed);
-    let prep = Prepared::new(&noisy, 50, h.max_train_prefixes);
+    let prep = noisy_ml100k(h, per_seq);
     let ctx = prep.context(h.dim, h.seed, BackboneKind::SasRec);
     let (nu, ni) = (ctx.num_users, ctx.num_items);
 
@@ -89,21 +74,12 @@ fn run_one(per_seq: usize, h: &HarnessConfig, csv: &mut Vec<String>) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut h = HarnessConfig::from_args(&args);
-    // OUP needs the denoiser past its conservative warm-up phase.
-    h.epochs = h.epochs.max(12);
-    h.patience = h.patience.max(12);
-    let sweep = args.iter().any(|a| a == "--sweep-insert");
-
+pub(crate) fn run(a: &Args) {
+    let h = a.h.past_warm_up();
     let mut csv = Vec::new();
-    if sweep {
-        for per_seq in [1usize, 2, 4] {
-            run_one(per_seq, &h, &mut csv);
-        }
-    } else {
-        run_one(2, &h, &mut csv);
+    let inserted: &[usize] = if a.sweep_insert { &[1, 2, 4] } else { &[2] };
+    for &per_seq in inserted {
+        run_one(per_seq, &h, &mut csv);
     }
     write_results(
         "fig1_oup.csv",

@@ -2,26 +2,15 @@
 //! raw sequence, the items the self-augmenter inserts (blue circles in the
 //! paper), the positions the denoiser removes (red circles), and how the
 //! true next item's score evolves raw → augmented → denoised.
-//!
-//! Usage:
-//! `cargo run --release -p ssdrec-bench --bin fig4_case_study [--full] [--users N]`
 
-use ssdrec_bench::{prepare_profile, run_ssdrec, write_results, HarnessConfig};
+use crate::{prepare_profile, run_ssdrec, write_results, Args};
 use ssdrec_models::BackboneKind;
 use ssdrec_tensor::Rng;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let h = HarnessConfig::from_args(&args);
-    let n_users = args
-        .iter()
-        .position(|a| a == "--users")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3usize);
-
-    let prep = prepare_profile("ml-100k", &h);
-    let (model, report) = run_ssdrec(BackboneKind::SasRec, (true, true, true), &prep, &h, 1.0);
+pub(crate) fn run(a: &Args) {
+    let h = &a.h;
+    let prep = prepare_profile("ml-100k", h);
+    let (model, report) = run_ssdrec(BackboneKind::SasRec, &prep, h);
     println!(
         "trained SSDRec on ml-100k: test HR@20 {:.4}\n",
         report.test.hr20
@@ -62,7 +51,7 @@ fn main() {
             removed.len()
         ));
         shown += 1;
-        if shown >= n_users {
+        if shown >= a.users {
             break;
         }
     }

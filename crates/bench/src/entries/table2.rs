@@ -3,10 +3,8 @@
 //! Prints the generated synthetic profiles' statistics in the paper's
 //! format (# Users, # Items, # Actions, # Avg. lens, # Sparsity) alongside
 //! the paper's reported values, so the structural correspondence is visible.
-//!
-//! Usage: `cargo run --release -p ssdrec-bench --bin table2_stats [--full]`
 
-use ssdrec_bench::{prepare_profile, write_results, HarnessConfig, DATASETS};
+use crate::{prepare_profile, write_results, Args, DATASETS};
 
 /// The paper's Table II rows for reference printing.
 const PAPER: [(&str, usize, usize, usize, f64, f64); 5] = [
@@ -17,18 +15,15 @@ const PAPER: [(&str, usize, usize, usize, f64, f64); 5] = [
     ("ml-1m", 6_041, 3_417, 999_611, 165.5, 95.16),
 ];
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let h = HarnessConfig::from_args(&args);
-
+pub(crate) fn run(a: &Args) {
     println!("Table II — dataset statistics (simulated profiles vs paper)");
     println!(
         "{:<10} {:>8} {:>8} {:>9} {:>9} {:>10}   | paper: users/items/actions/avg/sparsity",
         "dataset", "users", "items", "actions", "avg.len", "sparsity%"
     );
     let mut csv = Vec::new();
-    for name in DATASETS {
-        let prep = prepare_profile(name, &h);
+    for name in a.datasets(&DATASETS) {
+        let prep = prepare_profile(name, &a.h);
         let ds = &prep.dataset;
         let nonempty = ds.sequences.iter().filter(|s| !s.is_empty()).count();
         let paper = PAPER.iter().find(|p| p.0 == name).expect("paper row");

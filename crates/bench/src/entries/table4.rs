@@ -4,30 +4,22 @@
 //! strongest baseline and a two-sided t-test on the per-user HR@20
 //! indicators.
 //!
-//! Usage:
-//! `cargo run --release -p ssdrec-bench --bin table4_denoisers \
-//!     [--full | --fast] [--datasets beauty]`
-//!
 //! `--fast` is the CI smoke: two epochs at a tiny scale on one dataset
 //! (unless `--datasets` overrides), emitting a machine-checkable JSON
 //! report to `results/table4_fast.json` with one row per method.
-use ssdrec_bench::{
-    datasets_from_args, metric_csv, metric_header, metric_row, prepare_profile, run_model,
-    run_ssdrec, write_results, HarnessConfig,
+
+use crate::{
+    metric_csv, metric_header, metric_row, prepare_profile, run_model, run_ssdrec, write_results,
+    Args, Scale, DATASETS,
 };
 use ssdrec_core::ModelKind;
 use ssdrec_metrics::welch_t_test;
 use ssdrec_models::BackboneKind;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let h = HarnessConfig::from_args(&args);
-    let datasets = if fast && !args.iter().any(|a| a == "--datasets") {
-        vec!["sports".to_string()]
-    } else {
-        datasets_from_args(&args)
-    };
+pub(crate) fn run(a: &Args) {
+    let h = &a.h;
+    let fast = a.scale == Scale::Fast;
+    let datasets = a.datasets(if fast { &["sports"] } else { &DATASETS });
 
     let mut csv = Vec::new();
     let mut json_rows: Vec<String> = Vec::new();
@@ -37,14 +29,14 @@ fn main() {
             m.hr10, m.hr20, m.ndcg10
         ));
     };
-    for ds in &datasets {
-        let prep = prepare_profile(ds, &h);
+    for ds in datasets {
+        let prep = prepare_profile(ds, h);
         println!("\n=== Table IV — {ds} ===");
         println!("{}", metric_header());
 
         let mut best_baseline = None::<(String, ssdrec_models::TrainReport)>;
         for kind in ModelKind::BASELINES {
-            let (model, report) = run_model(kind, BackboneKind::SasRec, &prep, &h);
+            let (model, report) = run_model(kind, BackboneKind::SasRec, &prep, h);
             let name = model.model_name();
             println!("{}", metric_row(&name, &report.test));
             csv.push(metric_csv(ds, &name, &report.test));
@@ -58,7 +50,7 @@ fn main() {
             }
         }
 
-        let (_model, ssdrec) = run_ssdrec(BackboneKind::SasRec, (true, true, true), &prep, &h, 1.0);
+        let (_model, ssdrec) = run_ssdrec(BackboneKind::SasRec, &prep, h);
         println!("{}", metric_row("SSDRec", &ssdrec.test));
         csv.push(metric_csv(ds, "SSDRec", &ssdrec.test));
         push_json(ds, "SSDRec", &ssdrec.test);

@@ -5,19 +5,13 @@
 //! the *relationships* are what this reproduces: SSDRec's training epoch is
 //! the most expensive of the explicit methods (it contains HSD plus two
 //! extra stages), while its inference adds no augmentation cost.
-//!
-//! Usage:
-//! `cargo run --release -p ssdrec-bench --bin table6_efficiency [--full] [--datasets beauty]`
 
-use ssdrec_bench::{datasets_from_args, prepare_profile, write_results, HarnessConfig};
+use crate::{prepare_profile, write_results, Args, DATASETS};
 use ssdrec_core::{build_model, ModelKind};
 use ssdrec_models::{train, BackboneKind, TrainConfig};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let h = HarnessConfig::from_args(&args);
-    let datasets = datasets_from_args(&args);
-
+pub(crate) fn run(a: &Args) {
+    let h = &a.h;
     println!("Table VI — per-epoch training / inference seconds");
     println!(
         "{:<10} {:>12} {:>12} {:>12} {:>12}   (train | infer)",
@@ -25,8 +19,8 @@ fn main() {
     );
 
     let mut csv = Vec::new();
-    for ds in &datasets {
-        let prep = prepare_profile(ds, &h);
+    for ds in a.datasets(&DATASETS) {
+        let prep = prepare_profile(ds, h);
         let ctx = prep.context(h.dim, h.seed, BackboneKind::SasRec);
         // One epoch is the measurement: no need to converge.
         let tc = TrainConfig {

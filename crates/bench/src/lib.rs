@@ -1,23 +1,42 @@
 //! # ssdrec-bench
 //!
-//! The benchmark harness: shared experiment plumbing for the binaries that
-//! regenerate every table and figure of the paper (see `DESIGN.md` §3 for
-//! the experiment index) and the Criterion micro-benchmarks.
+//! The one binary that regenerates the paper's evidence: every table, figure
+//! and `ext-*` ablation is a row of `entries::ENTRIES`, behind one argument
+//! parser (`parse`) and one `results/` writer (`write_results`).
+//!
+//! `cargo run --release -p ssdrec-bench -- <entry> [--fast | --full]
+//! [--datasets a,b] [--models A,B] [--users N]`, `-- --list`, `-- all`.
+//!
+//! Performance is measured by `benchmark/run.sh`, not here. The two
+//! measuring entries kept (`retrieval`, `data-scale`) reach catalogue and
+//! corpus sizes the benchmark's CLI-driven workloads cannot.
 
 #![warn(missing_docs)]
+
+mod entries;
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use ssdrec_core::{build_model, ModelKind, Prepared, SsdRec, SsdRecConfig};
-use ssdrec_data::SyntheticConfig;
-use ssdrec_metrics::MetricReport;
+use ssdrec_data::{inject_unobserved, Split, SyntheticConfig};
+use ssdrec_denoise::Denoiser;
+use ssdrec_metrics::{MetricReport, OupAccumulator};
 use ssdrec_models::{train, BackboneKind, RecModel, TrainConfig, TrainReport};
-use ssdrec_serve::json::Json;
 
-/// Experiment-scale knobs shared by all harness binaries.
+use entries::ENTRIES;
+
+/// Experiment scale: `--fast` (CI smoke), the default quick mode, `--full`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Scale {
+    Fast,
+    Quick,
+    Full,
+}
+
+/// Experiment-scale knobs shared by all entries.
 #[derive(Clone, Debug)]
-pub struct HarnessConfig {
+pub(crate) struct HarnessConfig {
     /// Dataset scale multiplier (1.0 = the profiles in `DESIGN.md`).
     pub scale: f64,
     /// Max training epochs.
@@ -35,55 +54,33 @@ pub struct HarnessConfig {
 }
 
 impl HarnessConfig {
-    /// Quick mode: small enough to finish a whole table on one CPU core.
-    pub fn quick() -> Self {
+    /// Fast: two epochs at a tiny scale, a whole table in seconds. Quick:
+    /// small enough to finish a whole table on one CPU core. Full: the
+    /// `DESIGN.md` profiles, longer training.
+    fn for_scale(scale: Scale) -> Self {
+        let (scale, epochs, batch_size, dim, patience, max_train_prefixes) = match scale {
+            Scale::Fast => (0.08, 2, 32, 8, 10, 2),
+            Scale::Quick => (0.35, 20, 64, 16, 6, 2),
+            Scale::Full => (1.0, 25, 64, 32, 5, 3),
+        };
         HarnessConfig {
-            scale: 0.35,
-            epochs: 20,
-            batch_size: 64,
-            dim: 16,
-            patience: 6,
-            max_train_prefixes: 2,
+            scale,
+            epochs,
+            batch_size,
+            dim,
+            patience,
+            max_train_prefixes,
             seed: 7,
         }
     }
 
-    /// Standard mode: the `DESIGN.md` profiles, longer training.
-    pub fn standard() -> Self {
+    /// OUP measurements need the denoiser past its conservative warm-up
+    /// phase: at least 12 epochs, with patience to match.
+    pub fn past_warm_up(&self) -> Self {
         HarnessConfig {
-            scale: 1.0,
-            epochs: 25,
-            batch_size: 64,
-            dim: 32,
-            patience: 5,
-            max_train_prefixes: 3,
-            seed: 7,
-        }
-    }
-
-    /// Fast smoke mode: two epochs at a tiny scale — small enough for CI
-    /// to validate a whole table end-to-end in seconds.
-    pub fn fast() -> Self {
-        HarnessConfig {
-            scale: 0.08,
-            epochs: 2,
-            batch_size: 32,
-            dim: 8,
-            patience: 10,
-            max_train_prefixes: 2,
-            seed: 7,
-        }
-    }
-
-    /// Parse `--full` / `--fast` / `--quick` from CLI args (quick is the
-    /// default).
-    pub fn from_args(args: &[String]) -> Self {
-        if args.iter().any(|a| a == "--full") {
-            Self::standard()
-        } else if args.iter().any(|a| a == "--fast") {
-            Self::fast()
-        } else {
-            Self::quick()
+            epochs: self.epochs.max(12),
+            patience: self.patience.max(12),
+            ..self.clone()
         }
     }
 
@@ -100,10 +97,168 @@ impl HarnessConfig {
 }
 
 /// Dataset names in the paper's Table III order.
-pub const DATASETS: [&str; 5] = ["ml-100k", "ml-1m", "beauty", "sports", "yelp"];
+pub(crate) const DATASETS: [&str; 5] = ["ml-100k", "ml-1m", "beauty", "sports", "yelp"];
+
+/// The parsed command line every entry receives.
+#[derive(Clone, Debug)]
+pub(crate) struct Args {
+    /// `--fast` / default quick / `--full`.
+    pub scale: Scale,
+    /// The training knobs `scale` implies.
+    pub h: HarnessConfig,
+    datasets: Option<Vec<&'static str>>,
+    /// `--models`, default all six backbones.
+    pub models: Vec<BackboneKind>,
+    /// `--users`, default 3 (Fig. 4's traced users).
+    pub users: usize,
+    /// `--sweep-insert` (Fig. 1's insertion-count sweep).
+    pub sweep_insert: bool,
+}
+
+impl Args {
+    /// The `--datasets` selection, or the entry's own default.
+    pub fn datasets(&self, default: &[&'static str]) -> Vec<&'static str> {
+        self.datasets.clone().unwrap_or_else(|| default.to_vec())
+    }
+}
+
+/// One row of the experiment table.
+pub(crate) struct Entry {
+    /// What to type.
+    pub name: &'static str,
+    /// What it regenerates, and which selectors it honours.
+    pub what: &'static str,
+    /// The experiment.
+    pub run: fn(&Args),
+}
+
+/// What a command line asks for.
+pub(crate) enum Cmd {
+    /// `--list`.
+    List,
+    /// Run these entries, in table order, with these arguments.
+    Run(Vec<&'static Entry>, Args),
+}
+
+const FLAGS: &str = "--list, --fast, --full, --datasets, --models, --users, --sweep-insert";
+
+/// `--list`'s text: one line per entry.
+pub(crate) fn list() -> String {
+    let mut out = String::from(
+        "usage: ssdrec-bench <entry> | all | --list  [--fast | --full] \
+         [--datasets a,b] [--models A,B] [--users N] [--sweep-insert]\n\nentries:\n",
+    );
+    for e in &ENTRIES {
+        out.push_str(&format!("  {:<20} {}\n", e.name, e.what));
+    }
+    out
+}
+
+/// Resolve every comma-separated name through `find`, or name the valid ones.
+fn names<T>(
+    flag: &str,
+    list: &str,
+    valid: &[&str],
+    find: impl Fn(&str) -> Option<T>,
+) -> Result<Vec<T>, String> {
+    list.split(',')
+        .map(|n| {
+            find(n)
+                .ok_or_else(|| format!("{flag}: unknown name {n:?} (valid: {})", valid.join(", ")))
+        })
+        .collect()
+}
+
+/// The one parser. Every mistake is an `Err` with a one-line message:
+/// unknown flags, `--fast` with `--full`, unknown dataset / model / entry
+/// names, a missing or unparseable value.
+pub(crate) fn parse(argv: &[String]) -> Result<Cmd, String> {
+    let (mut entry, mut scale, mut datasets, mut models, mut users) =
+        (None::<&str>, None::<Scale>, None, None, 3usize);
+    let (mut sweep_insert, mut want_list) = (false, false);
+    let mut it = argv.iter().map(String::as_str);
+    while let Some(a) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{a} needs a value"));
+        match a {
+            "--list" => want_list = true,
+            "--fast" | "--full" => {
+                let s = if a == "--fast" {
+                    Scale::Fast
+                } else {
+                    Scale::Full
+                };
+                if scale.is_some_and(|prev| prev != s) {
+                    return Err("--fast and --full conflict: pick one scale".into());
+                }
+                scale = Some(s);
+            }
+            "--datasets" => {
+                datasets = Some(names(a, value()?, &DATASETS, |n| {
+                    DATASETS.iter().copied().find(|d| *d == n)
+                })?);
+            }
+            "--models" => {
+                let valid = BackboneKind::all().map(|k| k.name());
+                models = Some(names(a, value()?, &valid, BackboneKind::by_name)?);
+            }
+            "--users" => {
+                let v = value()?;
+                users = v
+                    .parse()
+                    .map_err(|_| format!("--users: cannot parse {v:?}"))?;
+            }
+            "--sweep-insert" => sweep_insert = true,
+            _ if a.starts_with('-') => return Err(format!("unknown flag {a} (valid: {FLAGS})")),
+            _ if entry.is_some() => {
+                return Err(format!("unexpected argument {a:?}: one entry per run"))
+            }
+            _ => entry = Some(a),
+        }
+    }
+    if want_list {
+        return Ok(Cmd::List);
+    }
+    let selected: Vec<&Entry> = match entry {
+        None => return Err(format!("no entry given\n{}", list().trim_end())),
+        Some("all") => ENTRIES.iter().collect(),
+        Some(name) => match ENTRIES.iter().find(|e| e.name == name) {
+            Some(e) => vec![e],
+            None => return Err(format!("unknown entry {name:?}\n{}", list().trim_end())),
+        },
+    };
+    let scale = scale.unwrap_or(Scale::Quick);
+    let args = Args {
+        scale,
+        h: HarnessConfig::for_scale(scale),
+        datasets,
+        models: models.unwrap_or_else(|| BackboneKind::all().to_vec()),
+        users,
+        sweep_insert,
+    };
+    Ok(Cmd::Run(selected, args))
+}
+
+/// Parse `argv` (without the program name) and run what it asks for.
+/// Returns the process exit code: 0, or 2 after printing `error: …` for a
+/// command line the parser rejects.
+pub fn run(argv: &[String]) -> u8 {
+    match parse(argv) {
+        Ok(Cmd::List) => print!("{}", list()),
+        Ok(Cmd::Run(selected, args)) => {
+            for e in selected {
+                (e.run)(&args);
+            }
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            return 2;
+        }
+    }
+    0
+}
 
 /// Per-profile max sequence length (paper: 200 for ML-1M, 50 otherwise).
-pub fn max_len_for(name: &str) -> usize {
+fn max_len_for(name: &str) -> usize {
     if name == "ml-1m" {
         200
     } else {
@@ -114,8 +269,8 @@ pub fn max_len_for(name: &str) -> usize {
 /// Generate, filter and split a named profile at the harness scale.
 ///
 /// # Panics
-/// On a name that is not one of [`DATASETS`].
-pub fn prepare_profile(name: &str, h: &HarnessConfig) -> Prepared {
+/// On a name that is not one of [`DATASETS`] ([`parse`] lets none through).
+pub(crate) fn prepare_profile(name: &str, h: &HarnessConfig) -> Prepared {
     let cfg = SyntheticConfig::by_name(name)
         .unwrap_or_else(|| panic!("unknown dataset profile {name}"))
         .scaled(h.scale)
@@ -123,10 +278,35 @@ pub fn prepare_profile(name: &str, h: &HarnessConfig) -> Prepared {
     Prepared::new(&cfg.generate(), max_len_for(name), h.max_train_prefixes)
 }
 
+/// The noise-labelled ML-100K setup of Fig. 1: generator noise off, so the
+/// `per_seq` unobserved items inserted into each short sequence are the
+/// only ground-truth noise (the paper's controlled setup).
+pub(crate) fn noisy_ml100k(h: &HarnessConfig, per_seq: usize) -> Prepared {
+    let raw = SyntheticConfig::ml100k()
+        .scaled(h.scale)
+        .with_noise_ratio(0.0)
+        .with_seed(h.seed)
+        .generate();
+    let noisy = inject_unobserved(&raw, 60, per_seq, h.seed);
+    Prepared::new(&noisy, 50, h.max_train_prefixes)
+}
+
+/// Over/under-denoising of `model`'s keep decisions against the test
+/// split's noise labels.
+pub(crate) fn oup(model: &dyn Denoiser, split: &Split) -> OupAccumulator {
+    let mut acc = OupAccumulator::new();
+    for ex in &split.test {
+        if let (Some(noise), false) = (&ex.noise, ex.seq.is_empty()) {
+            acc.push(noise, &model.keep_decisions(&ex.seq, ex.user));
+        }
+    }
+    acc
+}
+
 /// Train one entry of the model table — a vanilla backbone (Table III "w/o"
 /// columns), a denoising baseline (Table IV) — at the harness scale.
 /// `backbone` matters to the kinds that wrap one.
-pub fn run_model(
+pub(crate) fn run_model(
     kind: ModelKind,
     backbone: BackboneKind,
     prep: &Prepared,
@@ -137,28 +317,31 @@ pub fn run_model(
     (model, report)
 }
 
-/// Train SSDRec with the given backbone and stage toggles.
-pub fn run_ssdrec(
+/// Train SSDRec on `backbone` after `tweak` has adjusted its config.
+pub(crate) fn run_ssdrec_with(
     backbone: BackboneKind,
-    stages: (bool, bool, bool),
     prep: &Prepared,
     h: &HarnessConfig,
-    tau: f32,
+    tweak: impl FnOnce(&mut SsdRecConfig),
 ) -> (SsdRec, TrainReport) {
-    let cfg = SsdRecConfig {
-        tau,
-        stage1: stages.0,
-        stage2: stages.1,
-        stage3: stages.2,
-        ..prep.context(h.dim, h.seed, backbone).ssdrec_config()
-    };
+    let mut cfg = prep.context(h.dim, h.seed, backbone).ssdrec_config();
+    tweak(&mut cfg);
     let mut model = SsdRec::new(&prep.graph, cfg);
     let report = train(&mut model, &prep.split, &h.train_config());
     (model, report)
 }
 
+/// Train full SSDRec (all three stages, τ = 1) on the given backbone.
+pub(crate) fn run_ssdrec(
+    backbone: BackboneKind,
+    prep: &Prepared,
+    h: &HarnessConfig,
+) -> (SsdRec, TrainReport) {
+    run_ssdrec_with(backbone, prep, h, |_| ())
+}
+
 /// Format one metric row in the paper's column order.
-pub fn metric_row(name: &str, m: &MetricReport) -> String {
+pub(crate) fn metric_row(name: &str, m: &MetricReport) -> String {
     format!(
         "{name:<18} {:>8.4} {:>8.4} {:>8.4} {:>8.4} {:>8.4} {:>8.4} {:>8.4}",
         m.hr5, m.hr10, m.hr20, m.ndcg5, m.ndcg10, m.ndcg20, m.mrr20
@@ -166,7 +349,7 @@ pub fn metric_row(name: &str, m: &MetricReport) -> String {
 }
 
 /// The header matching [`metric_row`].
-pub fn metric_header() -> String {
+pub(crate) fn metric_header() -> String {
     format!(
         "{:<18} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "model", "HR@5", "HR@10", "HR@20", "N@5", "N@10", "N@20", "MRR"
@@ -174,19 +357,31 @@ pub fn metric_header() -> String {
 }
 
 /// CSV line for a metric report.
-pub fn metric_csv(dataset: &str, name: &str, m: &MetricReport) -> String {
+pub(crate) fn metric_csv(dataset: &str, name: &str, m: &MetricReport) -> String {
     format!(
         "{dataset},{name},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6}",
         m.hr5, m.hr10, m.hr20, m.ndcg5, m.ndcg10, m.ndcg20, m.mrr20
     )
 }
 
-/// Append lines to `results/<file>` under the workspace root, creating the
-/// directory if needed. Errors are printed, not fatal — results also go to
-/// stdout.
-pub fn write_results(file: &str, header: &str, lines: &[String]) {
-    let dir = std::path::Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
+/// The outermost ancestor of the working directory holding a `Cargo.lock` —
+/// the workspace root (cargo runs bin and test targets with cwd = the
+/// package dir).
+pub(crate) fn repo_root() -> PathBuf {
+    let cwd = std::env::current_dir().expect("cwd");
+    cwd.ancestors()
+        .filter(|a| a.join("Cargo.lock").is_file())
+        .last()
+        .map(PathBuf::from)
+        .unwrap_or(cwd)
+}
+
+/// Write `header` then `lines` to `results/<file>` under the workspace
+/// root, creating the directory if needed (a JSON report is all `header`,
+/// no `lines`). Errors are printed, not fatal — results also go to stdout.
+pub(crate) fn write_results(file: &str, header: &str, lines: &[String]) {
+    let dir = repo_root().join("results");
+    if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("warn: cannot create results dir: {e}");
         return;
     }
@@ -205,118 +400,92 @@ pub fn write_results(file: &str, header: &str, lines: &[String]) {
 }
 
 /// Time a closure, returning `(result, seconds)`.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = Instant::now();
     let r = f();
     (r, t0.elapsed().as_secs_f64())
-}
-
-/// Resolve dataset names from CLI args (`--datasets a,b,c`), defaulting to
-/// all five profiles.
-pub fn datasets_from_args(args: &[String]) -> Vec<String> {
-    for (i, a) in args.iter().enumerate() {
-        if a == "--datasets" {
-            if let Some(list) = args.get(i + 1) {
-                return list.split(',').map(str::to_string).collect();
-            }
-        }
-    }
-    DATASETS.iter().map(|s| s.to_string()).collect()
-}
-
-/// True in fast (CI smoke) mode: `--fast` on the command line or
-/// `SSDREC_BENCH_FAST=1` in the environment.
-pub fn fast_mode() -> bool {
-    std::env::var("SSDREC_BENCH_FAST").is_ok_and(|v| v == "1")
-        || std::env::args().skip(1).any(|a| a == "--fast")
-}
-
-/// The outermost ancestor of the working directory holding a `Cargo.lock` —
-/// the workspace root (cargo runs bin targets with cwd = the package dir).
-pub fn repo_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    cwd.ancestors()
-        .filter(|a| a.join("Cargo.lock").is_file())
-        .last()
-        .map(PathBuf::from)
-        .unwrap_or(cwd)
-}
-
-/// Scratch and report directory of the bench binaries, the one the testkit
-/// harness reports into: `ssdrec-bench/` under the cargo target directory,
-/// created if missing.
-pub fn bench_dir() -> PathBuf {
-    let dir = ssdrec_testkit::bench::target_dir().join("ssdrec-bench");
-    std::fs::create_dir_all(&dir).expect("create target/ssdrec-bench");
-    dir
-}
-
-/// Check that `json` parses with the workspace JSON parser, then write it
-/// to `target/ssdrec-bench/bench_<name>.json` and — in full mode only, so a
-/// smoke run never overwrites a committed result — to `BENCH_<name>.json`
-/// at the workspace root. Returns the path of the most authoritative copy
-/// written and the parsed document, for the caller's own field checks.
-///
-/// # Panics
-/// If the document does not parse or a file cannot be written.
-pub fn write_report(name: &str, json: &str, fast: bool) -> (PathBuf, Json) {
-    let parsed = ssdrec_serve::json::parse(json)
-        .unwrap_or_else(|e| panic!("the {name} report must be valid JSON: {e}"));
-    let write = |path: PathBuf| {
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        path
-    };
-    let scratch = write(bench_dir().join(format!("bench_{name}.json")));
-    if fast {
-        return (scratch, parsed);
-    }
-    (
-        write(repo_root().join(format!("BENCH_{name}.json"))),
-        parsed,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn parsed(s: &str) -> Result<Cmd, String> {
+        parse(&s.split_whitespace().map(str::to_string).collect::<Vec<_>>())
+    }
+
+    fn args(s: &str) -> (Vec<&'static str>, Args) {
+        match parsed(s) {
+            Ok(Cmd::Run(entries, a)) => (entries.iter().map(|e| e.name).collect(), a),
+            Ok(Cmd::List) => panic!("{s:?} parsed as --list"),
+            Err(e) => panic!("{s:?} rejected: {e}"),
+        }
+    }
+
+    fn err(s: &str) -> String {
+        parsed(s).err().unwrap_or_else(|| panic!("{s:?} accepted"))
+    }
+
+    #[test]
+    fn entry_names_are_unique_and_all_listed() {
+        let text = list();
+        for (i, e) in ENTRIES.iter().enumerate() {
+            assert!(ENTRIES[..i].iter().all(|o| o.name != e.name), "{}", e.name);
+            assert_ne!(e.name, "all");
+            let line = format!("  {:<20} {}\n", e.name, e.what);
+            assert!(text.contains(&line), "--list misses {}", e.name);
+        }
+        assert!(matches!(parsed("--list"), Ok(Cmd::List)));
+        assert!(matches!(parsed("table4 --list"), Ok(Cmd::List)));
+    }
+
+    #[test]
+    fn all_dispatches_every_entry_exactly_once() {
+        let (names, a) = args("all --fast");
+        assert_eq!(names, ENTRIES.iter().map(|e| e.name).collect::<Vec<_>>());
+        assert_eq!(a.scale, Scale::Fast);
+        assert_eq!(args("fig5").0, ["fig5"]);
+    }
+
+    #[test]
+    fn scale_and_selectors_reach_the_entry() {
+        let (_, a) = args("table3 --datasets beauty,yelp --models sasrec,GRU4Rec --full");
+        assert_eq!(a.datasets(&DATASETS), ["beauty", "yelp"]);
+        assert_eq!(a.models, [BackboneKind::SasRec, BackboneKind::Gru4Rec]);
+        assert_eq!((a.scale, a.h.scale, a.h.dim), (Scale::Full, 1.0, 32));
+        let (_, a) = args("fig4 --users 7 --fast --fast");
+        assert_eq!((a.users, a.h.scale, a.h.epochs), (7, 0.08, 2));
+        let (_, a) = args("fig1 --sweep-insert");
+        assert!(a.sweep_insert);
+        assert_eq!((a.scale, a.h.scale, a.users), (Scale::Quick, 0.35, 3));
+        assert_eq!(a.datasets(&["sports"]), ["sports"]);
+        assert_eq!(a.models, BackboneKind::all());
+    }
+
+    // The flag, scale-conflict and unknown-name messages are checked through
+    // the binary, with its exit code, in `tests/runner.rs`.
+    #[test]
+    fn malformed_command_lines_are_errors() {
+        assert_eq!(err("fig4 --users"), "--users needs a value");
+        assert_eq!(
+            err("table2 table3"),
+            "unexpected argument \"table3\": one entry per run"
+        );
+        let listed = list();
+        assert_eq!(
+            err("--fast"),
+            format!("no entry given\n{}", listed.trim_end())
+        );
+    }
+
     #[test]
     fn profiles_resolve() {
         for d in DATASETS {
             assert!(SyntheticConfig::by_name(d).is_some(), "{d}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown dataset profile imaginary")]
-    fn unknown_profile_panics() {
-        prepare_profile("imaginary", &HarnessConfig::fast());
-    }
-
-    #[test]
-    fn fast_reports_stay_under_target() {
-        let name = "write_report_selftest";
-        let (path, parsed) = write_report(name, "{\"fast\": true, \"n\": 3}", true);
-        assert_eq!(path, bench_dir().join(format!("bench_{name}.json")));
-        assert_eq!(parsed.get("n").and_then(|v| v.as_usize()), Some(3));
-        assert!(!repo_root().join(format!("BENCH_{name}.json")).exists());
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn prepare_profile_quick() {
-        let h = HarnessConfig::quick();
-        let prep = prepare_profile("beauty", &h);
+        let prep = prepare_profile("beauty", &HarnessConfig::for_scale(Scale::Quick));
         assert!(!prep.split.test.is_empty());
         assert!(prep.graph.total_edges() > 0);
-    }
-
-    #[test]
-    fn args_parsing() {
-        let args = vec!["--datasets".into(), "beauty,yelp".into(), "--full".into()];
-        assert_eq!(datasets_from_args(&args), vec!["beauty", "yelp"]);
-        assert_eq!(HarnessConfig::from_args(&args).scale, 1.0);
-        assert_eq!(HarnessConfig::from_args(&[]).scale, 0.35);
     }
 
     #[test]

@@ -229,34 +229,6 @@ impl Hsd {
         let mv = g.constant(mask);
         g.add_bcast(logits, mv)
     }
-
-    fn forward(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: Option<&mut Rng>) -> Var {
-        let b = batch.len();
-        let t = batch.seq_len;
-        let mut h = self.item_emb.lookup_seq(g, bind, &batch.items, b, t);
-        let train = rng.is_some();
-        if let Some(rng) = rng {
-            if self.dropout > 0.0 {
-                let mask = rng.dropout_mask(g.value(h).len(), self.dropout);
-                h = g.dropout_with_mask(h, mask);
-            }
-            let u = self.user_emb.lookup(g, bind, &batch.users);
-            let probs = self.core.keep_probs(g, bind, h, u);
-            let cal = self
-                .core
-                .calibrate(g, probs, crate::RELATIVE_KEEP_BETA, 8.0);
-            let mask = self.core.sample_mask(g, rng, cal, self.tau);
-            h = self.core.apply_mask(g, h, mask);
-        }
-        if !train {
-            let u = self.user_emb.lookup(g, bind, &batch.users);
-            let probs = self.core.keep_probs(g, bind, h, u);
-            let mask = self.core.hard_mask(g, probs);
-            h = self.core.apply_mask(g, h, mask);
-        }
-        let h_s = self.backbone.encode(g, bind, h);
-        self.score_repr(g, bind, h_s)
-    }
 }
 
 impl RecModel for Hsd {
@@ -298,7 +270,15 @@ impl RecModel for Hsd {
     }
 
     fn eval_scores(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var {
-        self.forward(g, bind, batch, None)
+        let h = self
+            .item_emb
+            .lookup_seq(g, bind, &batch.items, batch.len(), batch.seq_len);
+        let u = self.user_emb.lookup(g, bind, &batch.users);
+        let probs = self.core.keep_probs(g, bind, h, u);
+        let mask = self.core.hard_mask(g, probs);
+        let h = self.core.apply_mask(g, h, mask);
+        let h_s = self.backbone.encode(g, bind, h);
+        self.score_repr(g, bind, h_s)
     }
 
     fn after_step(&mut self) {

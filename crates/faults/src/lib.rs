@@ -13,8 +13,8 @@
 //!
 //! With nothing armed, [`point`] is a single relaxed atomic load — no lock,
 //! no allocation, no branch history beyond one predictable compare — so the
-//! sites can stay in release builds permanently (the `bench_serve` /
-//! `bench_alloc` contracts are asserted with the crate linked but idle).
+//! sites can stay in release builds permanently (every `benchmark/`
+//! workload runs with the crate linked but idle).
 //!
 //! A **plan** arms faults at specific sites. Each spec names a site, a kind
 //! and the 1-based armed hit on which it fires, and fires **exactly once**:

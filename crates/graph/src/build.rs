@@ -36,7 +36,7 @@ pub struct GraphConfig {
     /// Cap on the popular-item list per transitional context when pairing
     /// incompatible candidates. Pairing is quadratic per context;
     /// `usize::MAX` (the default) keeps the paper's exact definition —
-    /// finite values exist for corpus-scale builds (`bench_data --full`).
+    /// finite values exist for corpus-scale builds (`ssdrec-bench data-scale`).
     pub max_context_items: usize,
     /// Cap on the per-item user list when enumerating similar-user pairs
     /// (quadratic per item). `usize::MAX` = the paper's exact definition.

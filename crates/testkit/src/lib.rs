@@ -18,9 +18,6 @@
 //! * [`gradcheck`] — [`check_grads`], central finite-difference verification
 //!   of analytic gradients, used to validate the autograd tape layer by
 //!   layer.
-//! * [`bench`] — a criterion-style timer ([`bench::Harness`]) with warm-up,
-//!   auto-calibrated iteration counts, median/p95 reporting and JSON output
-//!   for `harness = false` bench targets.
 //! * [`fault`] — test-side hooks for the `ssdrec-faults` injection runtime:
 //!   the [`fault::FaultPlan`] builder (programmatic or parsed from the
 //!   `SSDREC_FAULTS` spec format), an RAII arming guard that serialises
@@ -33,7 +30,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod fault;
 pub mod gradcheck;
 pub mod prop;
