@@ -58,9 +58,15 @@ impl SelfAugmenter {
     /// Eq. 9 + Eq. 10: the combined inconsistency distribution `r_S`
     /// (`B×T`, positive, unnormalised product of the two softmaxes).
     pub fn inconsistency_scores(&self, g: &mut Graph, bind: &Binding, h_seq: Var) -> Var {
+        let context = self.bilstm.forward(g, bind, h_seq);
+        Self::scores_in_context(g, h_seq, context)
+    }
+
+    /// [`SelfAugmenter::inconsistency_scores`] given the Bi-LSTM states
+    /// `(H^L, H^R)` of `h_seq`.
+    fn scores_in_context(g: &mut Graph, h_seq: Var, (hl, hr): (Var, Var)) -> Var {
         let (_b, t, _d) = g.value(h_seq).dims3();
         // Sequentiality (Eq. 9): softmax_t( Σ_d h^L ⊙ h^R ⊙ h ).
-        let (hl, hr) = self.bilstm.forward(g, bind, h_seq);
         let p = g.mul(hl, hr);
         let p = g.mul(p, h_seq);
         let s = g.sum_last(p); // B×T
@@ -103,24 +109,22 @@ impl SelfAugmenter {
     }
 
     /// Eq. 12: select the two insert items against the full item table
-    /// `H_v` (`(V+1)×d`). Returns `(h_L, h_R, left IDs, right IDs)`.
+    /// `H_v` (`(V+1)×d`), given the sequence's Bi-LSTM states `(H^L, H^R)`
+    /// (`B×T×d` each). Returns `(h_L, h_R, left IDs, right IDs)`.
     ///
     /// The pad row (item 0) is excluded from the ranking.
-    #[allow(clippy::too_many_arguments)]
     pub fn select_items(
         &self,
         g: &mut Graph,
-        bind: &Binding,
         rng: &mut Rng,
-        h_seq: Var,
+        (hl, hr): (Var, Var),
         pos_onehot: Var,
         item_table: Var,
         tau: f32,
     ) -> (Var, Var, Vec<usize>, Vec<usize>) {
-        let (b, t, d) = g.value(h_seq).dims3();
+        let (b, t, d) = g.value(hl).dims3();
         let vocab = g.value(item_table).dims2().0;
         // Bidirectional queries at the chosen position: qᴸ/qᴿ = one-hot · H.
-        let (hl, hr) = self.bilstm.forward(g, bind, h_seq);
         let sel = g.reshape(pos_onehot, &[b, 1, t]);
         let ql = g.matmul(sel, hl); // B×1×d
         let ql = g.reshape(ql, &[b, d]);
@@ -193,6 +197,7 @@ impl SelfAugmenter {
     }
 
     /// Full stage-2 pass: select a position, select two items, insert them.
+    /// Both selectors read one Bi-LSTM pass over `h_seq`.
     pub fn augment(
         &self,
         g: &mut Graph,
@@ -203,10 +208,11 @@ impl SelfAugmenter {
         tau: f32,
     ) -> Augmented {
         let (b, t, d) = g.value(h_seq).dims3();
-        let r_s = self.inconsistency_scores(g, bind, h_seq);
+        let context = self.bilstm.forward(g, bind, h_seq);
+        let r_s = Self::scores_in_context(g, h_seq, context);
         let (onehot, positions) = self.select_positions(g, rng, r_s, tau);
         let (h_left, h_right, left_items, right_items) =
-            self.select_items(g, bind, rng, h_seq, onehot, item_table, tau);
+            self.select_items(g, rng, context, onehot, item_table, tau);
 
         let (gm, pl, pr) = Self::insertion_operators(b, t, &positions);
         let gmv = g.constant(gm);
@@ -325,6 +331,19 @@ mod tests {
         // Inserted IDs never the pad item.
         assert!(out.left_items.iter().all(|&i| i > 0));
         assert!(out.right_items.iter().all(|&i| i > 0));
+    }
+
+    /// Both selectors read one Bi-LSTM pass: two LSTM directions on the
+    /// tape, not four.
+    #[test]
+    fn augment_runs_its_bilstm_once() {
+        let (store, aug) = setup(8);
+        let mut g = Graph::new();
+        let bind = store.bind_all(&mut g);
+        let h = g.constant(rand_seq(2, 4, 8, 3));
+        let table = g.constant(rand_seq(1, 12, 8, 4).reshaped(&[12, 8]));
+        aug.augment(&mut g, &bind, &mut Rng::seed(2), h, table, 1.0);
+        assert_eq!(g.lstm_seq_nodes(), 2);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! pinpoints all noise in the *raw* positions (Eq. 14).
 
 use ssdrec_denoise::HsdCore;
-use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
+use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Var};
 
 use crate::augment::{Augmented, SelfAugmenter};
 use crate::fden::{AttentionGate, FdenKind};
@@ -80,7 +80,8 @@ impl HierarchicalDenoiser {
 
     /// Eq. 13: rebuild `H''_S` from the augmentation, gating each inserted
     /// row by `σ(κ·(1/(T+2) − r̂_row))` — rows more inconsistent than uniform
-    /// are squashed toward zero. Returns `(H''_S, left gate, right gate)`.
+    /// are squashed toward zero. Returns `(H''_S, left gate, right gate)`,
+    /// the gates of shape `[B]`.
     pub fn refine(
         &self,
         g: &mut Graph,
@@ -90,12 +91,11 @@ impl HierarchicalDenoiser {
     ) -> (Var, Var, Var) {
         let (b, t2, d) = g.value(aug.h_aug).dims3();
         let r = self.hdm.inconsistency_scores(g, bind, aug.h_aug); // B×T2 (>0)
-                                                                   // Normalise to a distribution.
+
+        // Normalise to a distribution.
         let sums = g.sum_last(r); // B
         let sums = g.add_scalar(sums, 1e-9);
-        let s2 = g.reshape(sums, &[b, 1]);
-        let ones_row = g.constant(Tensor::ones(&[1, t2]));
-        let denom = g.matmul(s2, ones_row); // B×T2
+        let denom = g.expand_last(sums, t2); // B×T2
         let rn = g.div(r, denom);
 
         let uniform = 1.0 / t2 as f32;
@@ -103,19 +103,18 @@ impl HierarchicalDenoiser {
         let gate_at = |g: &mut Graph, place: Var| -> Var {
             let rn3 = g.reshape(rn, &[b, 1, t2]);
             let v = g.matmul(rn3, place); // B×1×1
-            let v = g.reshape(v, &[b, 1]);
+            let v = g.reshape(v, &[b]);
             let v = g.scale(v, -kappa);
             let v = g.add_scalar(v, kappa * uniform);
-            g.sigmoid(v) // B×1, in (0,1)
+            g.sigmoid(v) // B, in (0,1)
         };
         let gate_l = gate_at(g, aug.place_left);
         let gate_r = gate_at(g, aug.place_right);
 
         // Rebuild: base copy + gated insertions.
         let base = g.matmul(aug.copy_matrix, h_seq);
-        let ones_d = g.constant(Tensor::ones(&[1, d]));
-        let gl = g.matmul(gate_l, ones_d); // B×d
-        let gr = g.matmul(gate_r, ones_d);
+        let gl = g.expand_last(gate_l, d); // B×d
+        let gr = g.expand_last(gate_r, d);
         let hl = g.mul(aug.h_left, gl);
         let hr = g.mul(aug.h_right, gr);
         let hl3 = g.reshape(hl, &[b, 1, d]);
@@ -210,6 +209,7 @@ impl HierarchicalDenoiser {
 mod tests {
     use super::*;
     use crate::augment::SelfAugmenter;
+    use ssdrec_tensor::Tensor;
 
     fn rand_seq(b: usize, t: usize, d: usize, seed: u64) -> Tensor {
         let mut rng = Rng::seed(seed);

@@ -788,6 +788,31 @@ mod curriculum_tests {
         assert!(m.aug_active);
     }
 
+    /// A full augmented step runs three Bi-LSTMs — the augmenter's (shared
+    /// by both selectors), the HDM re-scorer's and `f_den`'s — so six LSTM
+    /// directions sit on the tape; without augmentation only `f_den`'s two.
+    #[test]
+    fn augmented_loss_runs_three_bilstms() {
+        let mut m = model_with(|c| c.aug_warmup_frac = 0.0);
+        let batch = Batch {
+            users: vec![0, 1],
+            items: (0..10).map(|i| (i % m.num_items()) + 1).collect(),
+            seq_len: 5,
+            targets: vec![1, 2],
+            noise: None,
+        };
+        for (augmenting, directions) in [(false, 2), (true, 6)] {
+            if augmenting {
+                m.on_epoch_start(0, 10);
+            }
+            assert_eq!(m.aug_active, augmenting);
+            let mut g = Graph::new();
+            let bind = m.store.bind_all(&mut g);
+            m.loss(&mut g, &bind, &batch, &mut Rng::seed(0));
+            assert_eq!(g.lstm_seq_nodes(), directions);
+        }
+    }
+
     #[test]
     fn coherence_prior_present_iff_stage1() {
         let with = model_with(|_| {});

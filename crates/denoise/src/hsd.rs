@@ -80,16 +80,11 @@ impl HsdCore {
     /// same rule [`crate::relative_keep`] applies at decision time
     /// (`p_cal > 0.5 ⇔ p > β·mean`). Differentiable in `p`.
     pub fn calibrate(&self, g: &mut Graph, probs: Var, beta: f32, kappa: f32) -> Var {
-        let (b, t) = {
-            let s = g.value(probs).shape();
-            (s[0], s[1])
-        };
+        let t = g.value(probs).shape()[1];
         let sums = g.sum_last(probs); // B
         let means = g.scale(sums, 1.0 / t as f32);
         let means = g.add_scalar(means, 1e-9);
-        let m2 = g.reshape(means, &[b, 1]);
-        let ones = g.constant(Tensor::ones(&[1, t]));
-        let denom = g.matmul(m2, ones); // B×T
+        let denom = g.expand_last(means, t); // B×T
         let ratio = g.div(probs, denom);
         let centred = g.add_scalar(ratio, -beta);
         let scaled = g.scale(centred, kappa);

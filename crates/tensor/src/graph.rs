@@ -94,6 +94,20 @@ enum Op {
     Reshape(Var),
     /// Multiply by a fixed 0/1 (already scaled) dropout mask.
     Dropout(Var, Vec<f32>),
+    /// Repeat along a new last axis (`S → S×n`); the inverse of
+    /// [`Op::SumLast`].
+    ExpandLast(Var),
+    /// One direction of an LSTM over a whole sequence (see
+    /// [`Graph::lstm_seq`]). `saved` is the pool buffer of activations the
+    /// in-node BPTT reads, recycled with the node like a dropout mask.
+    LstmSeq {
+        x: Var,
+        wx: Var,
+        u: Var,
+        b: Var,
+        reversed: bool,
+        saved: Vec<f32>,
+    },
     /// Identity with severed gradient.
     Detach,
 }
@@ -265,9 +279,9 @@ impl Graph {
     }
 
     /// Clear the tape for the next step: every node is dropped, each value
-    /// buffer (and any dropout mask) returns to the buffer pool, and the
-    /// node `Vec` keeps its capacity. The recording mode and
-    /// [`Graph::high_water`] are preserved. All previously issued [`Var`]s
+    /// buffer (and any dropout mask or saved LSTM activations) returns to
+    /// the buffer pool, and the node `Vec` keeps its capacity. The
+    /// recording mode and [`Graph::high_water`] are preserved. All previously issued [`Var`]s
     /// become invalid; node ids restart at 0, so a step rebuilt after a
     /// reset produces bit-identical values and ids to one built on a fresh
     /// graph.
@@ -278,8 +292,8 @@ impl Graph {
     /// Drop nodes `start..` into the pool, keeping the `Vec` allocation.
     fn recycle_from(&mut self, start: usize) {
         for node in self.nodes.drain(start..) {
-            if let Op::Dropout(_, mask) = node.op {
-                pool::recycle(mask);
+            if let Op::Dropout(_, buf) | Op::LstmSeq { saved: buf, .. } = node.op {
+                pool::recycle(buf);
             }
             pool::recycle(node.value.into_data());
         }
@@ -656,6 +670,58 @@ impl Graph {
         self.push(t, Op::Dropout(a, mask), rg)
     }
 
+    /// Repeat every element `n` times along a new last axis (`S → S×n`,
+    /// e.g. a per-row scalar `[B]` broadcast to `B×n`); backward is
+    /// [`Graph::sum_last`]'s forward.
+    pub fn expand_last(&mut self, a: Var, n: usize) -> Var {
+        let t = kernels::expand_last(self.value(a), n);
+        let rg = self.rg(a);
+        self.push(t, Op::ExpandLast(a), rg)
+    }
+
+    /// One direction of an LSTM over `x` (`B×T×d`) as a single tape node,
+    /// returning every hidden state (`B×T×h`, aligned to input positions;
+    /// `reversed` runs the recurrence right to left). `wx` (`d×4h`), `u`
+    /// (`h×4h`) and `b` (`[4h]`) hold the input, forget, output and
+    /// candidate gates side by side.
+    ///
+    /// Forward values are bit-equal to the per-timestep chain of gate
+    /// matmuls, adds and activations. Gradients are not — back-propagation
+    /// through time runs inside the node on whole-sequence gemms — and are
+    /// held to that chain by a relative bound instead (`backend_parity`).
+    pub fn lstm_seq(&mut self, x: Var, wx: Var, u: Var, b: Var, reversed: bool) -> Var {
+        let (t, saved) = kernels::lstm_seq(
+            self.value(x),
+            self.value(wx),
+            self.value(u),
+            self.value(b),
+            reversed,
+        );
+        if !self.record {
+            // Nothing will walk back through an inference graph.
+            pool::recycle(saved);
+            return self.push(t, Op::Leaf, false);
+        }
+        let rg = self.rg(x) || self.rg(wx) || self.rg(u) || self.rg(b);
+        let op = Op::LstmSeq {
+            x,
+            wx,
+            u,
+            b,
+            reversed,
+            saved,
+        };
+        self.push(t, op, rg)
+    }
+
+    /// How many [`Graph::lstm_seq`] nodes the tape holds.
+    pub fn lstm_seq_nodes(&self) -> usize {
+        self.nodes
+            .iter()
+            .filter(|n| matches!(n.op, Op::LstmSeq { .. }))
+            .count()
+    }
+
     /// Identity in value, but blocks gradient flow.
     pub fn detach(&mut self, a: Var) -> Var {
         let t = self.value(a).clone();
@@ -1009,6 +1075,32 @@ impl Graph {
                 }
                 self.accum(grads, *a, Tensor::new(data, gout.shape()));
             }
+            Op::ExpandLast(a) => self.accum(grads, *a, kernels::sum_last(gout)),
+            Op::LstmSeq {
+                x,
+                wx,
+                u,
+                b,
+                reversed,
+                saved,
+            } => {
+                let inputs = [*x, *wx, *u, *b];
+                let gs = kernels::lstm_seq_backward(
+                    self.value(*x),
+                    self.value(*wx),
+                    self.value(*u),
+                    &node.value,
+                    saved,
+                    gout,
+                    *reversed,
+                    inputs.map(|v| self.rg(v)),
+                );
+                for (v, g) in inputs.into_iter().zip(gs) {
+                    if let Some(g) = g {
+                        self.accum(grads, v, g);
+                    }
+                }
+            }
             Op::Detach => {}
         }
     }
@@ -1246,6 +1338,25 @@ mod tests {
                 g.sum_all(sq)
             },
             t(&[1.0, -2.0, 3.0, 0.5, 0.1, 0.2, 0.3, 0.4], &[2, 4]),
+            1e-2,
+        );
+    }
+
+    #[test]
+    fn grad_expand_last() {
+        check_grad(
+            |g, x| {
+                let wide = g.expand_last(x, 3); // 2×2×3
+                assert_eq!(g.value(wide).shape(), &[2, 2, 3]);
+                let w = g.constant(t(
+                    &(0..12).map(|i| 0.3 * i as f32 - 1.5).collect::<Vec<_>>(),
+                    &[2, 2, 3],
+                ));
+                let y = g.mul(wide, w);
+                let sq = g.mul(y, wide);
+                g.sum_all(sq)
+            },
+            t(&[0.5, -1.2, 2.0, 0.7], &[2, 2]),
             1e-2,
         );
     }

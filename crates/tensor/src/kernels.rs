@@ -830,6 +830,218 @@ pub fn pick_per_row(a: &Tensor, idx: &[usize]) -> Tensor {
     out
 }
 
+/// Repeat every element of `a` `n` times along a new last axis
+/// (`S → S×n`): the inverse of [`sum_last`], whose backward it is.
+pub fn expand_last(a: &Tensor, n: usize) -> Tensor {
+    let mut shape = a.shape().to_vec();
+    shape.push(n);
+    sum_last_backward(&shape, a)
+}
+
+/// Logistic sigmoid, spelled exactly as [`crate::graph::Graph::sigmoid`].
+#[inline(always)]
+fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+/// The time index visited at recurrence step `step` of a `t`-step run.
+#[inline(always)]
+fn lstm_time(step: usize, t: usize, reversed: bool) -> usize {
+    if reversed {
+        t - 1 - step
+    } else {
+        step
+    }
+}
+
+/// One direction of an LSTM over a whole `B×T×d` sequence in one call:
+/// `wx` (`d×4h`), `u` (`h×4h`) and `b` (`[4h]`) hold the gates side by
+/// side in the order input, forget, output, candidate. Returns the hidden
+/// states `B×T×h` (aligned to input positions, also when `reversed` runs the
+/// recurrence right to left) and the saved activations [`lstm_seq_backward`]
+/// needs, one pool buffer the caller recycles: post-activation gates
+/// (`B·T×4h`), cell states and their `tanh` (`B·T×h` each), all row-indexed
+/// by `b·T + t` like the input.
+///
+/// Values are bit-equal to the per-timestep chain of four
+/// `(x_t·W + b) + h·U` gates: the packed gemms accumulate each output
+/// element over the contraction index ascending from zero exactly like the
+/// narrow ones, and the element-wise pass keeps the chain's association.
+pub fn lstm_seq(
+    x: &Tensor,
+    wx: &Tensor,
+    u: &Tensor,
+    b: &Tensor,
+    reversed: bool,
+) -> (Tensor, Vec<f32>) {
+    let (bs, t, d) = x.dims3();
+    let h = u.dims2().0;
+    let h4 = 4 * h;
+    assert_eq!(wx.dims2(), (d, h4), "lstm_seq input weights");
+    assert_eq!(u.dims2(), (h, h4), "lstm_seq recurrent weights");
+    assert_eq!(b.shape(), &[h4], "lstm_seq bias");
+    let rows = bs * t;
+
+    let mut saved = crate::pool::take_zeroed(rows * 6 * h);
+    let mut out = Tensor::zeros(&[bs, t, h]);
+    let (z, rest) = saved.split_at_mut(rows * h4);
+    let (c_all, tc_all) = rest.split_at_mut(rows * h);
+
+    // Every timestep's input projection in one gemm, then the bias.
+    gemm(x.data(), false, wx.data(), false, rows, d, h4, z);
+    for row in z.chunks_mut(h4.max(1)) {
+        for (zv, &bv) in row.iter_mut().zip(b.data()) {
+            *zv += bv;
+        }
+    }
+
+    // `hu` = h_prev·U, all zeros at the first step (h_0 = 0).
+    let mut h_prev = crate::pool::take(bs * h);
+    let mut hu = crate::pool::take_zeroed(bs * h4);
+    let o = out.data_mut();
+    for step in 0..t {
+        let ti = lstm_time(step, t, reversed);
+        let t_prev = step.checked_sub(1).map(|s| lstm_time(s, t, reversed));
+        if step > 0 {
+            hu.fill(0.0);
+            gemm(&h_prev, false, u.data(), false, bs, h, h4, &mut hu);
+        }
+        for bi in 0..bs {
+            let row = bi * t + ti;
+            let zr = &mut z[row * h4..(row + 1) * h4];
+            let hur = &hu[bi * h4..(bi + 1) * h4];
+            for j in 0..h {
+                let ig = sigmoid(zr[j] + hur[j]);
+                let fg = sigmoid(zr[h + j] + hur[h + j]);
+                let og = sigmoid(zr[2 * h + j] + hur[2 * h + j]);
+                let cand = (zr[3 * h + j] + hur[3 * h + j]).tanh();
+                let c_prev = t_prev.map_or(0.0, |tp| c_all[(bi * t + tp) * h + j]);
+                let c = fg * c_prev + ig * cand;
+                let tc = c.tanh();
+                let hv = og * tc;
+                zr[j] = ig;
+                zr[h + j] = fg;
+                zr[2 * h + j] = og;
+                zr[3 * h + j] = cand;
+                c_all[row * h + j] = c;
+                tc_all[row * h + j] = tc;
+                o[row * h + j] = hv;
+                h_prev[bi * h + j] = hv;
+            }
+        }
+    }
+    crate::pool::recycle(h_prev);
+    crate::pool::recycle(hu);
+    (out, saved)
+}
+
+/// Gradients of [`lstm_seq`] w.r.t. `(x, wx, u, b)` — each computed only
+/// when its `need` flag is set — by back-propagation through time: per step
+/// one element-wise pass and one `dz·Uᵀ` gemm, then one whole-sequence gemm
+/// each for `dX`, `dWx`, `dU` and a column sum for the bias.
+#[allow(clippy::too_many_arguments)]
+pub fn lstm_seq_backward(
+    x: &Tensor,
+    wx: &Tensor,
+    u: &Tensor,
+    h_out: &Tensor,
+    saved: &[f32],
+    gout: &Tensor,
+    reversed: bool,
+    need: [bool; 4],
+) -> [Option<Tensor>; 4] {
+    let (bs, t, d) = x.dims3();
+    let h = u.dims2().0;
+    let h4 = 4 * h;
+    let rows = bs * t;
+    let (gates, rest) = saved.split_at(rows * h4);
+    let (c_all, tc_all) = rest.split_at(rows * h);
+    let go = gout.data();
+
+    // `dz`: the gradient at every pre-activation, row-aligned with `x`;
+    // `dz_t`: the current step's rows of it, contiguous for the gemm.
+    let mut dz = crate::pool::take(rows * h4);
+    let mut dz_t = crate::pool::take(bs * h4);
+    let mut dh_rec = crate::pool::take_zeroed(bs * h);
+    let mut dc_next = crate::pool::take_zeroed(bs * h);
+    for step in (0..t).rev() {
+        let ti = lstm_time(step, t, reversed);
+        let t_prev = step.checked_sub(1).map(|s| lstm_time(s, t, reversed));
+        for bi in 0..bs {
+            let row = bi * t + ti;
+            let gr = &gates[row * h4..(row + 1) * h4];
+            for j in 0..h {
+                let (ig, fg, og, cand) = (gr[j], gr[h + j], gr[2 * h + j], gr[3 * h + j]);
+                let tc = tc_all[row * h + j];
+                let c_prev = t_prev.map_or(0.0, |tp| c_all[(bi * t + tp) * h + j]);
+                let dh = go[row * h + j] + dh_rec[bi * h + j];
+                let dc = dc_next[bi * h + j] + dh * og * (1.0 - tc * tc);
+                dc_next[bi * h + j] = dc * fg;
+                let dzr = [
+                    dc * cand * ig * (1.0 - ig),
+                    dc * c_prev * fg * (1.0 - fg),
+                    dh * tc * og * (1.0 - og),
+                    dc * ig * (1.0 - cand * cand),
+                ];
+                for (k, v) in dzr.into_iter().enumerate() {
+                    dz[row * h4 + k * h + j] = v;
+                    dz_t[bi * h4 + k * h + j] = v;
+                }
+            }
+        }
+        if step > 0 {
+            dh_rec.fill(0.0);
+            gemm(&dz_t, false, u.data(), true, bs, h4, h, &mut dh_rec);
+        }
+    }
+    crate::pool::recycle(dz_t);
+    crate::pool::recycle(dh_rec);
+    crate::pool::recycle(dc_next);
+
+    let [need_x, need_wx, need_u, need_b] = need;
+    let dx = need_x.then(|| {
+        let mut dx = Tensor::zeros(&[bs, t, d]);
+        gemm(&dz, false, wx.data(), true, rows, h4, d, dx.data_mut());
+        dx
+    });
+    let dwx = need_wx.then(|| {
+        let mut dwx = Tensor::zeros(&[d, h4]);
+        gemm(x.data(), true, &dz, false, d, rows, h4, dwx.data_mut());
+        dwx
+    });
+    let du = need_u.then(|| {
+        // Row `b·T + t` holds the state that fed step `t`: the previous
+        // step's output, zeros at the first step.
+        let mut fed = crate::pool::take_zeroed(rows * h);
+        for step in 1..t {
+            let (ti, tp) = (
+                lstm_time(step, t, reversed),
+                lstm_time(step - 1, t, reversed),
+            );
+            for bi in 0..bs {
+                let (row, prev_row) = (bi * t + ti, bi * t + tp);
+                fed[row * h..(row + 1) * h]
+                    .copy_from_slice(&h_out.data()[prev_row * h..(prev_row + 1) * h]);
+            }
+        }
+        let mut du = Tensor::zeros(&[h, h4]);
+        gemm(&fed, true, &dz, false, h, rows, h4, du.data_mut());
+        crate::pool::recycle(fed);
+        du
+    });
+    let db = need_b.then(|| {
+        let mut db = Tensor::zeros(&[h4]);
+        for row in dz.chunks(h4.max(1)) {
+            for (o, &v) in db.data_mut().iter_mut().zip(row) {
+                *o += v;
+            }
+        }
+        db
+    });
+    crate::pool::recycle(dz);
+    [dx, dwx, du, db]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -67,6 +67,11 @@ impl Linear {
         self.w
     }
 
+    /// The bias parameter, if the layer has one.
+    pub fn bias(&self) -> Option<ParamRef> {
+        self.b
+    }
+
     /// Apply the layer.
     pub fn forward(&self, g: &mut Graph, bind: &Binding, x: Var) -> Var {
         let w = bind.var(self.w);

@@ -1,8 +1,16 @@
 //! Recurrent layers: GRU (GRU4Rec, NARM) and LSTM / Bi-LSTM (SSDRec's
 //! context-aware encoder, paper Eq. 9 and Eq. 12).
 //!
-//! Sequences are short in this domain (T ≤ 200), so cells are unrolled on the
-//! tape step by step.
+//! The GRU is unrolled on the tape step by step. An LSTM direction is one
+//! tape node, [`Graph::lstm_seq`]: the whole recurrence runs inside it on
+//! gate-packed weights — one input gemm for every timestep, one recurrent
+//! gemm and one fused gate pass per step — and back-propagation through
+//! time happens inside the node's backward. Its forward values are bit-equal
+//! to the unrolled per-gate chain (kept as the oracle in
+//! `tests/backend_parity.rs`); its gradients agree with that chain to
+//! rounding, not to the bit. Parameters stay twelve separately named
+//! tensors per direction, packed by `concat_last` nodes on every call, so
+//! checkpoints keep their names, shapes and byte layout.
 
 use crate::graph::{Graph, Var};
 use crate::optim::{Binding, ParamStore};
@@ -107,16 +115,13 @@ impl Gru {
     }
 }
 
-/// One LSTM step.
+/// The parameters of one LSTM direction: per gate (input, forget, output,
+/// candidate) an input projection with bias and a bias-free recurrent
+/// projection — twelve tensors named `{name}.w{i,f,o,c}.{w,b}` and
+/// `{name}.u{i,f,o,c}.w`.
 pub struct LstmCell {
-    wi: Linear,
-    ui: Linear,
-    wf: Linear,
-    uf: Linear,
-    wo: Linear,
-    uo: Linear,
-    wc: Linear,
-    uc: Linear,
+    wx: [Linear; 4],
+    u: [Linear; 4],
     hidden: usize,
 }
 
@@ -129,15 +134,21 @@ impl LstmCell {
         hidden: usize,
         rng: &mut Rng,
     ) -> Self {
+        // Registration order (w, then u, gate by gate) is the checkpoint
+        // layout and the initialisation RNG order.
+        let mut gate = |g: &str| {
+            (
+                Linear::new(store, &format!("{name}.w{g}"), in_dim, hidden, rng),
+                Linear::new_no_bias(store, &format!("{name}.u{g}"), hidden, hidden, rng),
+            )
+        };
+        let (wi, ui) = gate("i");
+        let (wf, uf) = gate("f");
+        let (wo, uo) = gate("o");
+        let (wc, uc) = gate("c");
         LstmCell {
-            wi: Linear::new(store, &format!("{name}.wi"), in_dim, hidden, rng),
-            ui: Linear::new_no_bias(store, &format!("{name}.ui"), hidden, hidden, rng),
-            wf: Linear::new(store, &format!("{name}.wf"), in_dim, hidden, rng),
-            uf: Linear::new_no_bias(store, &format!("{name}.uf"), hidden, hidden, rng),
-            wo: Linear::new(store, &format!("{name}.wo"), in_dim, hidden, rng),
-            uo: Linear::new_no_bias(store, &format!("{name}.uo"), hidden, hidden, rng),
-            wc: Linear::new(store, &format!("{name}.wc"), in_dim, hidden, rng),
-            uc: Linear::new_no_bias(store, &format!("{name}.uc"), hidden, hidden, rng),
+            wx: [wi, wf, wo, wc],
+            u: [ui, uf, uo, uc],
             hidden,
         }
     }
@@ -147,27 +158,18 @@ impl LstmCell {
         self.hidden
     }
 
-    /// One step; returns `(h', c')`.
-    pub fn step(&self, g: &mut Graph, bind: &Binding, x: Var, h: Var, c: Var) -> (Var, Var) {
-        let gate = |g: &mut Graph, wx: &Linear, uh: &Linear, x: Var, h: Var| {
-            let a = wx.forward(g, bind, x);
-            let b = uh.forward(g, bind, h);
-            g.add(a, b)
-        };
-        let i_s = gate(g, &self.wi, &self.ui, x, h);
-        let i = g.sigmoid(i_s);
-        let f_s = gate(g, &self.wf, &self.uf, x, h);
-        let f = g.sigmoid(f_s);
-        let o_s = gate(g, &self.wo, &self.uo, x, h);
-        let o = g.sigmoid(o_s);
-        let c_s = gate(g, &self.wc, &self.uc, x, h);
-        let chat = g.tanh(c_s);
-        let fc = g.mul(f, c);
-        let ic = g.mul(i, chat);
-        let c2 = g.add(fc, ic);
-        let tc = g.tanh(c2);
-        let h2 = g.mul(o, tc);
-        (h2, c2)
+    /// The gates side by side as [`Graph::lstm_seq`] takes them:
+    /// `(Wx d×4h, U h×4h, b [4h])`. Packing is three `concat_last` nodes,
+    /// whose backward splits the gradient columns back onto the twelve
+    /// tensors.
+    fn pack(&self, g: &mut Graph, bind: &Binding) -> (Var, Var, Var) {
+        let wx = self.wx.each_ref().map(|l| bind.var(l.weight()));
+        let u = self.u.each_ref().map(|l| bind.var(l.weight()));
+        let b = self
+            .wx
+            .each_ref()
+            .map(|l| bind.var(l.bias().expect("input projections carry the bias")));
+        (g.concat_last(&wx), g.concat_last(&u), g.concat_last(&b))
     }
 }
 
@@ -201,23 +203,8 @@ impl Lstm {
     }
 
     fn run(&self, g: &mut Graph, bind: &Binding, x: Var, reversed: bool) -> Var {
-        let (b, t, _d) = g.value(x).dims3();
-        let mut h = g.constant(Tensor::zeros(&[b, self.cell.hidden()]));
-        let mut c = g.constant(Tensor::zeros(&[b, self.cell.hidden()]));
-        let mut states = vec![h; t];
-        let order: Vec<usize> = if reversed {
-            (0..t).rev().collect()
-        } else {
-            (0..t).collect()
-        };
-        for ti in order {
-            let xt = g.select_time(x, ti);
-            let (h2, c2) = self.cell.step(g, bind, xt, h, c);
-            h = h2;
-            c = c2;
-            states[ti] = h;
-        }
-        g.stack_time(&states)
+        let (wx, u, b) = self.cell.pack(g, bind);
+        g.lstm_seq(x, wx, u, b, reversed)
     }
 }
 

@@ -6,12 +6,17 @@
 //! edges; each backend must be insensitive to row partitioning and to stale
 //! pool-buffer contents; and the fused graph ops (bias+activation,
 //! scale+mask+softmax) must reproduce their unfused node chains bit-for-bit
-//! — values *and* gradients — under both backends.
+//! — values *and* gradients — under both backends. The fused LSTM node
+//! is held to the unrolled chain it replaced (kept below as the oracle):
+//! forward bit for bit, gradients within [`LSTM_GRAD_REL`].
 
 use ssdrec_tensor::backend::{
     assert_within_ulps, Backend, BackendKind, Blocked, Reference, KERNEL_BITS_MAX_ULPS,
 };
-use ssdrec_tensor::{kernels, with_each_backend, Activation, Graph, Rng, Tensor};
+use ssdrec_tensor::nn::{Linear, Lstm};
+use ssdrec_tensor::{
+    kernels, with_each_backend, Activation, Binding, Graph, ParamStore, Rng, Tensor, Var,
+};
 use ssdrec_testkit::{gens, property, Gen};
 
 /// Deterministic pseudo-random data in `[-1, 1)`.
@@ -291,6 +296,237 @@ property! {
                 (None, None) => {}
                 _ => panic!("{ctx}: mask gradient presence mismatch"),
             }
+        });
+    }
+}
+
+/// The LSTM as it ran before `Graph::lstm_seq`: unrolled on the tape step by
+/// step, ~27 nodes per timestep. Moved here verbatim from `nn::rnn` as the
+/// oracle of the fused node; it registers the same twelve tensors under the
+/// same names in the same order.
+mod unrolled {
+    use super::*;
+
+    pub struct LstmCell {
+        wi: Linear,
+        ui: Linear,
+        wf: Linear,
+        uf: Linear,
+        wo: Linear,
+        uo: Linear,
+        wc: Linear,
+        uc: Linear,
+        hidden: usize,
+    }
+
+    impl LstmCell {
+        pub fn new(
+            store: &mut ParamStore,
+            name: &str,
+            in_dim: usize,
+            hidden: usize,
+            rng: &mut Rng,
+        ) -> Self {
+            LstmCell {
+                wi: Linear::new(store, &format!("{name}.wi"), in_dim, hidden, rng),
+                ui: Linear::new_no_bias(store, &format!("{name}.ui"), hidden, hidden, rng),
+                wf: Linear::new(store, &format!("{name}.wf"), in_dim, hidden, rng),
+                uf: Linear::new_no_bias(store, &format!("{name}.uf"), hidden, hidden, rng),
+                wo: Linear::new(store, &format!("{name}.wo"), in_dim, hidden, rng),
+                uo: Linear::new_no_bias(store, &format!("{name}.uo"), hidden, hidden, rng),
+                wc: Linear::new(store, &format!("{name}.wc"), in_dim, hidden, rng),
+                uc: Linear::new_no_bias(store, &format!("{name}.uc"), hidden, hidden, rng),
+                hidden,
+            }
+        }
+
+        /// One step; returns `(h', c')`.
+        pub fn step(&self, g: &mut Graph, bind: &Binding, x: Var, h: Var, c: Var) -> (Var, Var) {
+            let gate = |g: &mut Graph, wx: &Linear, uh: &Linear, x: Var, h: Var| {
+                let a = wx.forward(g, bind, x);
+                let b = uh.forward(g, bind, h);
+                g.add(a, b)
+            };
+            let i_s = gate(g, &self.wi, &self.ui, x, h);
+            let i = g.sigmoid(i_s);
+            let f_s = gate(g, &self.wf, &self.uf, x, h);
+            let f = g.sigmoid(f_s);
+            let o_s = gate(g, &self.wo, &self.uo, x, h);
+            let o = g.sigmoid(o_s);
+            let c_s = gate(g, &self.wc, &self.uc, x, h);
+            let chat = g.tanh(c_s);
+            let fc = g.mul(f, c);
+            let ic = g.mul(i, chat);
+            let c2 = g.add(fc, ic);
+            let tc = g.tanh(c2);
+            let h2 = g.mul(o, tc);
+            (h2, c2)
+        }
+    }
+
+    pub struct Lstm {
+        cell: LstmCell,
+    }
+
+    impl Lstm {
+        pub fn new(
+            store: &mut ParamStore,
+            name: &str,
+            in_dim: usize,
+            hidden: usize,
+            rng: &mut Rng,
+        ) -> Self {
+            Lstm {
+                cell: LstmCell::new(store, &format!("{name}.cell"), in_dim, hidden, rng),
+            }
+        }
+
+        pub fn run(&self, g: &mut Graph, bind: &Binding, x: Var, reversed: bool) -> Var {
+            let (b, t, _d) = g.value(x).dims3();
+            let mut h = g.constant(Tensor::zeros(&[b, self.cell.hidden]));
+            let mut c = g.constant(Tensor::zeros(&[b, self.cell.hidden]));
+            let mut states = vec![h; t];
+            let order: Vec<usize> = if reversed {
+                (0..t).rev().collect()
+            } else {
+                (0..t).collect()
+            };
+            for ti in order {
+                let xt = g.select_time(x, ti);
+                let (h2, c2) = self.cell.step(g, bind, xt, h, c);
+                h = h2;
+                c = c2;
+                states[ti] = h;
+            }
+            g.stack_time(&states)
+        }
+    }
+}
+
+/// How far a fused-LSTM gradient may sit from the unrolled chain's, per
+/// tensor, relative to that tensor's largest chain gradient: the two sum the
+/// same terms in different orders (one `Xᵀ·dZ` gemm against `T` accumulated
+/// per-step gemms, one `4h`-wide `dz·Uᵀ` against four `h`-wide ones). The
+/// worst seen over the edge shapes is 1.3e-5.
+const LSTM_GRAD_REL: f32 = 1e-4;
+
+/// Floor of the scale [`LSTM_GRAD_REL`] applies to: a sum whose terms cancel
+/// to almost nothing still carries the absolute rounding of those terms.
+const LSTM_GRAD_SCALE_FLOOR: f32 = 0.05;
+
+fn assert_grad_close(want: &Tensor, got: &Tensor, ctx: &str) {
+    assert_eq!(want.shape(), got.shape(), "{ctx}: shape");
+    let scale = want.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+    for (i, (&w, &g)) in want.data().iter().zip(got.data()).enumerate() {
+        assert!(
+            (w - g).abs() <= LSTM_GRAD_REL * scale.max(LSTM_GRAD_SCALE_FLOOR),
+            "{ctx}: gradient [{i}] {g} vs chain {w} (tensor max {scale})"
+        );
+    }
+}
+
+property! {
+    cases = 40;
+
+    /// The one-node LSTM against the unrolled chain at the panel-edge
+    /// shapes, both directions, both backends: hidden states bit for bit;
+    /// `dX` and all twelve parameter gradients within `LSTM_GRAD_REL`; the
+    /// twelve tensors registered under the same names in the same order.
+    fn lstm_seq_matches_unrolled_chain(
+        shape in gens::usizes(0, 2 * 5 * 5 * 3 * 4),
+        seed in gens::usizes(0, 1 << 16),
+    ) {
+        // One index over reversed × d × h × T × B, smallest shapes first.
+        const WIDTHS: [usize; 5] = [1, 7, 8, 9, 32];
+        let reversed = shape % 2 == 1;
+        let (d, h) = (WIDTHS[shape / 2 % 5], WIDTHS[shape / 10 % 5]);
+        let (t, b) = ([1, 2, 9][shape / 50 % 3], [1, 2, 7, 64][shape / 150]);
+        let seed = seed as u64;
+        let xs = fill(b * t * d, seed + 5);
+        let readout = fill(b * t * h, seed + 6);
+
+        let mut fused_store = ParamStore::new();
+        let fused = Lstm::new(&mut fused_store, "l", d, h, &mut Rng::seed(seed));
+        let mut chain_store = ParamStore::new();
+        let chain = unrolled::Lstm::new(&mut chain_store, "l", d, h, &mut Rng::seed(seed));
+        assert_eq!(fused_store.num_tensors(), 12);
+        assert_eq!(chain_store.num_tensors(), 12);
+
+        with_each_backend(|kind| {
+            // Hidden states, dX, and the twelve parameter gradients.
+            let run = |store: &ParamStore, is_fused: bool| {
+                let mut g = Graph::new();
+                let bind = store.bind_all(&mut g);
+                let x = g.param(Tensor::new(xs.clone(), &[b, t, d]));
+                let hs = if !is_fused {
+                    chain.run(&mut g, &bind, x, reversed)
+                } else if reversed {
+                    fused.forward_reversed(&mut g, &bind, x)
+                } else {
+                    fused.forward(&mut g, &bind, x)
+                };
+                let w = g.constant(Tensor::new(readout.clone(), &[b, t, h]));
+                let weighted = g.mul(hs, w);
+                let loss = g.sum_all(weighted);
+                let grads = g.backward(loss);
+                let params: Vec<Tensor> = (0..12)
+                    .map(|i| {
+                        let p = ParamStore::param_ref_by_index(i);
+                        grads.get(bind.var(p)).expect("parameter gradient").clone()
+                    })
+                    .collect();
+                (
+                    g.value(hs).data().to_vec(),
+                    grads.get(x).expect("input gradient").clone(),
+                    params,
+                )
+            };
+            let (fh, fdx, fparams) = run(&fused_store, true);
+            let (ch, cdx, cparams) = run(&chain_store, false);
+            let ctx = format!("lstm b={b} t={t} d={d} h={h} reversed={reversed} on {kind:?}");
+            assert_within_ulps(&ch, &fh, 0, &ctx);
+            assert_grad_close(&cdx, &fdx, &format!("{ctx} dX"));
+            for (i, (cg, fg)) in cparams.iter().zip(&fparams).enumerate() {
+                let p = ParamStore::param_ref_by_index(i);
+                assert_eq!(fused_store.name(p), chain_store.name(p), "{ctx}: tensor {i}");
+                assert_grad_close(cg, fg, &format!("{ctx} d{}", chain_store.name(p)));
+            }
+        });
+    }
+
+    /// `expand_last` against the ones-matrix product it replaced: the same
+    /// values and the same gradient, bit for bit, on both backends.
+    fn expand_last_matches_ones_matmul(
+        rows in dims1(),
+        n in dims1(),
+        seed in gens::usizes(0, 1 << 16),
+    ) {
+        // Strictly positive, like the sums and gates it broadcasts (the
+        // gemm's `0 + v·1` would turn a `-0.0` into `+0.0`).
+        let vs: Vec<f32> = fill(rows, seed as u64 + 7).iter().map(|v| v.abs() + 0.1).collect();
+        let readout = fill(rows * n, seed as u64 + 8);
+        with_each_backend(|kind| {
+            let run = |expand: bool| {
+                let mut g = Graph::new();
+                let v = g.param(Tensor::new(vs.clone(), &[rows]));
+                let wide = if expand {
+                    g.expand_last(v, n)
+                } else {
+                    let col = g.reshape(v, &[rows, 1]);
+                    let ones = g.constant(Tensor::ones(&[1, n]));
+                    g.matmul(col, ones)
+                };
+                let w = g.constant(Tensor::new(readout.clone(), &[rows, n]));
+                let weighted = g.mul(wide, w);
+                let loss = g.sum_all(weighted);
+                let grads = g.backward(loss);
+                (g.value(wide).data().to_vec(), grads.get(v).unwrap().data().to_vec())
+            };
+            let (ey, eg) = run(true);
+            let (my, mg) = run(false);
+            let ctx = format!("expand_last rows={rows} n={n} on {kind:?}");
+            assert_within_ulps(&my, &ey, 0, &ctx);
+            assert_within_ulps(&mg, &eg, 0, &ctx);
         });
     }
 }

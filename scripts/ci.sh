@@ -204,6 +204,10 @@ echo "== thread determinism (golden metrics at 1 vs 4 threads) =="
 # counts — any parallel kernel that reorders a float sum fails it.
 SSDREC_THREADS=1 cargo test --release -q --test golden_determinism
 SSDREC_THREADS=4 cargo test --release -q --test golden_determinism
+# The fused ops against their unfused oracles and finite differences, with
+# the gemms inside them run sequentially and row-partitioned.
+SSDREC_THREADS=1 cargo test --release -q -p ssdrec-tensor --test backend_parity --test grad_layers
+SSDREC_THREADS=4 cargo test --release -q -p ssdrec-tensor --test backend_parity --test grad_layers
 # And a CLI train run must emit byte-identical metric lines either way.
 SSDREC_THREADS=1 train_metrics "$SMOKE_DIR/metrics_t1.txt" $SMOKE_FLAGS --epochs 1
 train_metrics "$SMOKE_DIR/metrics_t4.txt" $SMOKE_FLAGS --epochs 1 --threads 4
@@ -217,6 +221,10 @@ echo "== backend parity (golden metrics: reference vs blocked kernels) =="
 # either backend and a CLI train run emits byte-identical metric lines.
 SSDREC_BACKEND=reference cargo test --release -q --test golden_determinism
 SSDREC_BACKEND=blocked cargo test --release -q --test golden_determinism
+# Both suites switch backends themselves; the variable sets the one every
+# unswitched kernel call in them starts from.
+SSDREC_BACKEND=reference cargo test --release -q -p ssdrec-tensor --test backend_parity --test grad_layers
+SSDREC_BACKEND=blocked cargo test --release -q -p ssdrec-tensor --test backend_parity --test grad_layers
 train_metrics "$SMOKE_DIR/metrics_reference.txt" $SMOKE_FLAGS --epochs 1 --backend reference
 train_metrics "$SMOKE_DIR/metrics_blocked.txt" $SMOKE_FLAGS --epochs 1 --backend blocked
 diff -u "$SMOKE_DIR/metrics_reference.txt" "$SMOKE_DIR/metrics_blocked.txt" ||

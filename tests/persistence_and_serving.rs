@@ -1,11 +1,16 @@
 //! Integration tests for the serving path: checkpointing, reloading and
 //! top-k recommendation through the public facade.
 
+mod common;
+
+use std::path::PathBuf;
+
+use common::{served_bits, sports_world, ssdrec_on, train_config, MAX_LEN};
 use ssdrec::core::{SsdRec, SsdRecConfig};
-use ssdrec::data::{prepare, SyntheticConfig};
+use ssdrec::data::{make_batches, prepare, SyntheticConfig};
 use ssdrec::graph::{build_graph, GraphConfig};
 use ssdrec::models::{train, RecModel, TrainConfig};
-use ssdrec::tensor::{load_params, save_params};
+use ssdrec::tensor::{load_params, save_params, Graph};
 
 fn setup() -> (ssdrec::data::Split, ssdrec::graph::MultiRelationGraph) {
     let raw = SyntheticConfig::yelp().scaled(0.1).with_seed(21).generate();
@@ -105,4 +110,85 @@ fn parameter_count_scales_with_catalogue() {
         "non-embedding parameters should not scale with |V|+|U|"
     );
     assert!(ml.store.num_scalars() > ms.store.num_scalars());
+}
+
+/// `tests/fixtures/<name>`: files written once by [`record_parent_fixtures`]
+/// on the last commit whose LSTM was unrolled on the tape step by step.
+fn fixture(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
+
+/// The world the fixtures were recorded on (the golden-metrics one).
+fn pinned_world() -> ssdrec::core::Prepared {
+    sports_world(0.08, 7)
+}
+
+/// FNV-1a over the bits of every `eval_scores` row of the untrained
+/// `tests/common` model on its test split, batched as evaluation batches it.
+fn untrained_eval_scores_checksum() -> u64 {
+    let prep = pinned_world();
+    let model = ssdrec_on(&prep, 7);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for batch in make_batches(&prep.split.test, 32, 7) {
+        let mut g = Graph::new();
+        let bind = model.store().bind_all(&mut g);
+        let scores = model.eval_scores(&mut g, &bind, &batch);
+        for v in g.value(scores).data() {
+            for byte in v.to_bits().to_le_bytes() {
+                hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    hash
+}
+
+/// The pins as text: the checksum, then the served top-8 as `item:bits`.
+fn render_pins(checksum: u64, top: &[(usize, u32)]) -> String {
+    let top: Vec<String> = top.iter().map(|(i, s)| format!("{i}:{s:08x}")).collect();
+    format!(
+        "eval_scores_fnv64 {checksum:016x}\ntop8 {}\n",
+        top.join(" ")
+    )
+}
+
+/// What a one-worker, cache-less engine answers for `tests/common`'s probe
+/// request once `parent_trained.ssdt` is loaded into a fresh model.
+fn served_from_parent_checkpoint() -> Vec<(usize, u32)> {
+    let mut model = ssdrec_on(&pinned_world(), 7);
+    load_params(&mut model.store, fixture("parent_trained.ssdt"))
+        .expect("the parent's checkpoint must still load");
+    served_bits(model, MAX_LEN)
+}
+
+/// Writes the fixtures. Run on the parent of the fused-LSTM change, never
+/// after it: `cargo test --test persistence_and_serving -- --ignored`.
+#[test]
+#[ignore = "rewrites tests/fixtures from the checked-out code"]
+fn record_parent_fixtures() {
+    std::fs::create_dir_all(fixture("")).unwrap();
+    let prep = pinned_world();
+    let mut model = ssdrec_on(&prep, 7);
+    train(&mut model, &prep.split, &train_config(2, 7));
+    save_params(&model.store, fixture("parent_trained.ssdt")).unwrap();
+    let pins = render_pins(
+        untrained_eval_scores_checksum(),
+        &served_from_parent_checkpoint(),
+    );
+    std::fs::write(fixture("parent_pins.txt"), pins).unwrap();
+}
+
+/// Forward values are bit-equal to the unrolled LSTM and the checkpoint
+/// format is unchanged: the untrained model scores exactly what it scored
+/// on the parent commit, and a checkpoint the parent trained loads and
+/// serves the parent's top-K, score bits included.
+#[test]
+fn forward_bits_and_parent_checkpoint_are_unchanged() {
+    let want = std::fs::read_to_string(fixture("parent_pins.txt")).expect("pins fixture");
+    let got = render_pins(
+        untrained_eval_scores_checksum(),
+        &served_from_parent_checkpoint(),
+    );
+    assert_eq!(got, want, "forward bits or checkpoint layout moved");
 }

@@ -27,7 +27,7 @@ use ssdrec::metrics::{full_rank, par_top_k, rank_rows, top_k};
 use ssdrec::models::{evaluate, train, BackboneKind, ContrastiveSeqRec, RecModel, SeqRec};
 use ssdrec::serve::{Engine, EngineConfig, ServerStats};
 use ssdrec::tensor::kernels::{matmul, matmul_backward, scatter_rows};
-use ssdrec::tensor::{pool, with_each_backend, Tensor};
+use ssdrec::tensor::{pool, with_each_backend, Graph, Tensor};
 
 /// Serialises pool reconfiguration across `#[test]` threads.
 static POOL_LOCK: Mutex<()> = Mutex::new(());
@@ -130,6 +130,40 @@ fn batched_matmul_is_bit_identical_across_thread_counts() {
             bits(&ga32),
             bits(&gb32),
         )
+    });
+}
+
+/// The fused LSTM node, forward and in-node BPTT, at a shape whose packed
+/// and recurrent gemms all cross the parallel threshold — pooled and fresh
+/// allocation alike (its saved activations and scratch come from the pool
+/// with stale contents).
+#[test]
+fn lstm_seq_is_bit_identical_across_thread_counts() {
+    let (b, t, d, h) = (64, 9, 32, 32);
+    assert_bits_stable(|| {
+        let was = pool::is_enabled();
+        let run = |pooled: bool| {
+            pool::set_enabled(pooled);
+            let mut g = Graph::new();
+            let x = g.param(Tensor::new(fill(b * t * d, 41), &[b, t, d]));
+            let wx = g.param(Tensor::new(fill(d * 4 * h, 42), &[d, 4 * h]));
+            let u = g.param(Tensor::new(fill(h * 4 * h, 43), &[h, 4 * h]));
+            let bias = g.param(Tensor::new(fill(4 * h, 44), &[4 * h]));
+            let mut out = Vec::new();
+            for reversed in [false, true] {
+                let hs = g.lstm_seq(x, wx, u, bias, reversed);
+                let sq = g.mul(hs, hs);
+                let loss = g.sum_all(sq);
+                let grads = g.backward(loss);
+                out.push(bits(g.value(hs)));
+                out.extend([x, wx, u, bias].map(|v| bits(grads.get(v).unwrap())));
+            }
+            out
+        };
+        let (pooled, fresh) = (run(true), run(false));
+        pool::set_enabled(was);
+        assert_eq!(pooled, fresh, "pooled and fresh LSTM diverged");
+        pooled
     });
 }
 
