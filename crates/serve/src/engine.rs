@@ -1,12 +1,18 @@
 //! The inference engine: a frozen model behind an mpsc micro-batching queue.
 //!
-//! Each worker thread owns an inference-mode [`Graph`] (no tape, no gradient
-//! state) with the parameters bound **once** at startup and the
-//! request-independent graph nodes — stage-1 relation-encoded tables, the
-//! transposed tied-weight scorer, the pad mask — precomputed below a
-//! [`Graph::mark`]. Per request the worker appends only the activation nodes
-//! and truncates back to the mark afterwards, so steady-state serving
-//! allocates no parameter copies and no autograd bookkeeping.
+//! The request-independent tensors — stage-1 relation-encoded tables, the
+//! transposed tied-weight scorer, the pad mask — are computed **once per
+//! engine** on a scratch graph that is dropped before any worker starts
+//! ([`FrozenSet`]). Each worker thread owns an inference-mode [`Graph`]
+//! (no tape, no gradient state) with the parameters and those tensors bound
+//! as constants below a [`Graph::mark`]. Per request the worker appends only
+//! the activation nodes and truncates back to the mark afterwards, so
+//! steady-state serving allocates no parameter copies and no autograd
+//! bookkeeping, and no worker holds stage 1's dense adjacency operators.
+//!
+//! Coalescing is queue-driven ([`drain_jobs`]): a worker takes whatever is
+//! already queued and lingers only on a batch that is already coalescing, so
+//! a lone request goes straight to its forward pass.
 //!
 //! Scores are **bit-identical** to the offline
 //! [`RecModel::recommend`] path: the frozen forward runs the same kernels in
@@ -14,8 +20,8 @@
 //! `Batch` invariant), and every kernel is row-independent.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -24,7 +30,7 @@ use ssdrec_ann::{AnnParams, HnswIndex};
 use ssdrec_core::{FrozenTables, SsdRec};
 use ssdrec_data::Batch;
 use ssdrec_models::{FrozenScorer, RecModel, SeqRec};
-use ssdrec_tensor::{Binding, Graph, ParamStore, Var};
+use ssdrec_tensor::{Binding, Graph, ParamStore, Tensor, Var};
 
 use crate::cache::SessionCache;
 use crate::stats::{RetrievalInfo, ServerStats};
@@ -74,10 +80,19 @@ pub enum InferenceModel {
     Seq(SeqRec),
 }
 
-/// The per-worker precomputed request-independent graph nodes.
+/// The request-independent graph nodes as one worker's graph binds them.
 enum Frozen {
     Ssd(FrozenTables),
     Seq(FrozenScorer),
+}
+
+/// One engine's frozen-table set: a graph holding nothing but the tables
+/// `precompute_frozen` produced, copied out of the scratch graph it ran on
+/// before that graph (and, for SSDRec, the seven dense adjacency constants
+/// stage 1 read) was dropped. Shared by every worker and the ANN index build.
+struct FrozenSet {
+    g: Graph,
+    tables: Frozen,
 }
 
 impl From<SsdRec> for InferenceModel {
@@ -141,11 +156,19 @@ impl InferenceModel {
         }
     }
 
-    fn precompute(&self, g: &mut Graph, bind: &Binding) -> Frozen {
-        match self {
-            InferenceModel::Ssd(m) => Frozen::Ssd(m.precompute_frozen(g, bind)),
-            InferenceModel::Seq(m) => Frozen::Seq(m.precompute_frozen(g, bind)),
-        }
+    /// Run the request-independent half of the forward once, on a scratch
+    /// graph dropped on return; what is kept are copies of the same kernels'
+    /// output a per-worker `precompute_frozen` would read.
+    fn freeze(&self) -> FrozenSet {
+        let mut scratch = Graph::inference_with_capacity(Graph::DEFAULT_CAPACITY);
+        let bind = self.store().bind_all(&mut scratch);
+        let computed = match self {
+            InferenceModel::Ssd(m) => Frozen::Ssd(m.precompute_frozen(&mut scratch, &bind)),
+            InferenceModel::Seq(m) => Frozen::Seq(m.precompute_frozen(&mut scratch, &bind)),
+        };
+        let mut g = Graph::inference_with_capacity(4);
+        let tables = computed.copy_into(&scratch, &mut g);
+        FrozenSet { g, tables }
     }
 
     fn score(&self, g: &mut Graph, bind: &Binding, batch: &Batch, frozen: &Frozen) -> Var {
@@ -171,13 +194,44 @@ impl InferenceModel {
 }
 
 impl Frozen {
-    /// The `(V+1)×d` item matrix the tied-weight scorer reads — the source
-    /// of truth for both the ANN index and the exact re-rank.
+    /// The `(V+1)×d` item matrix the tied-weight scorer reads — what the
+    /// exact re-rank scores candidates against.
     fn items(&self) -> Var {
         match self {
             Frozen::Ssd(f) => f.items,
             Frozen::Seq(f) => f.table,
         }
+    }
+
+    /// The same tables, read from `src` (the graph `self` indexes) and
+    /// pushed onto `dst` as constants.
+    fn copy_into(&self, src: &Graph, dst: &mut Graph) -> Frozen {
+        let mut copy = |v: Var| dst.constant(src.value(v).clone());
+        match self {
+            Frozen::Ssd(f) => Frozen::Ssd(FrozenTables {
+                items: copy(f.items),
+                users: copy(f.users),
+                items_t: copy(f.items_t),
+                pad_mask: copy(f.pad_mask),
+            }),
+            Frozen::Seq(f) => Frozen::Seq(FrozenScorer {
+                table: copy(f.table),
+                table_t: copy(f.table_t),
+                pad_mask: copy(f.pad_mask),
+            }),
+        }
+    }
+}
+
+impl FrozenSet {
+    /// The `(V+1)×d` item matrix — what the ANN index is built over.
+    fn items(&self) -> &Tensor {
+        self.g.value(self.tables.items())
+    }
+
+    /// Bind the tables into a worker's graph as constants.
+    fn bind(&self, g: &mut Graph) -> Frozen {
+        self.tables.copy_into(&self.g, g)
     }
 }
 
@@ -252,50 +306,41 @@ struct RetrievalState {
 }
 
 impl RetrievalState {
+    /// `items` is the engine's frozen `(V+1)×d` scorer table; the index owns
+    /// a copy.
     fn build(
         model: &InferenceModel,
+        items: &Tensor,
         cfg: &RetrievalConfig,
         stats: &ServerStats,
     ) -> Result<RetrievalState, String> {
-        match cfg.mode {
+        let index = match cfg.mode {
             RetrievalMode::Exact => {
                 stats.set_retrieval(RetrievalInfo::default());
-                Ok(RetrievalState {
-                    ef_search: cfg.ef_search,
-                    index: None,
-                })
+                None
             }
             RetrievalMode::Ann => {
                 let t0 = Instant::now();
-                // A scratch frozen graph just to materialise the scorer's
-                // item matrix; the index owns a copy, the graph is dropped.
-                let mut g = Graph::inference_with_capacity(Graph::DEFAULT_CAPACITY);
-                let bind = model.store().bind_all(&mut g);
-                let frozen = model.precompute(&mut g, &bind);
                 let params = AnnParams {
                     m: cfg.ann_m,
                     ef_construction: ann_ef_construction(cfg.ann_m),
                     ..AnnParams::default()
                 };
-                let index = HnswIndex::build(
-                    g.value(frozen.items()).data(),
-                    model.dim(),
-                    model.num_items(),
-                    params,
-                )
-                .map_err(|e| e.to_string())?;
+                let index = HnswIndex::build(items.data(), model.dim(), model.num_items(), params)
+                    .map_err(|e| e.to_string())?;
                 stats.set_retrieval(RetrievalInfo {
                     mode: "ann".into(),
                     m: cfg.ann_m as u64,
                     ef_search: cfg.ef_search as u64,
                     build_us: t0.elapsed().as_micros() as u64,
                 });
-                Ok(RetrievalState {
-                    ef_search: cfg.ef_search,
-                    index: Some(index),
-                })
+                Some(index)
             }
-        }
+        };
+        Ok(RetrievalState {
+            ef_search: cfg.ef_search,
+            index,
+        })
     }
 }
 
@@ -306,8 +351,10 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Most requests coalesced into one forward pass.
     pub max_batch: usize,
-    /// How long a worker waits for more requests to coalesce after the
-    /// first one arrives.
+    /// Upper bound, from the first request's dequeue, on how long a worker
+    /// waits for more requests to join a batch that is already coalescing
+    /// (≥ 2 requests). A lone request never waits; what is already queued
+    /// joins without a timer.
     pub linger: Duration,
     /// Session-cache capacity in users (0 disables caching).
     pub cache_capacity: usize,
@@ -371,6 +418,9 @@ pub struct Engine {
     /// Jobs enqueued but not yet picked up by a worker (load-shedding
     /// signal; incremented on send, decremented on dequeue).
     queue_depth: Arc<AtomicUsize>,
+    /// Busy time in µs, one counter per worker thread (a respawned worker
+    /// keeps its counter).
+    worker_busy_us: Vec<Arc<AtomicU64>>,
 }
 
 impl Engine {
@@ -389,12 +439,33 @@ impl Engine {
         cfg: EngineConfig,
         stats: Arc<ServerStats>,
     ) -> Result<Engine, String> {
+        let engine = Engine::build(model, cfg, stats)?;
+        engine.publish_workers();
+        Ok(engine)
+    }
+
+    /// [`Engine::try_new`] without exporting the workers' busy counters: a
+    /// hot swap builds the replacement beside the serving engine and calls
+    /// [`Engine::publish_workers`] only at the commit.
+    pub(crate) fn build(
+        model: InferenceModel,
+        cfg: EngineConfig,
+        stats: Arc<ServerStats>,
+    ) -> Result<Engine, String> {
         assert!(cfg.workers >= 1, "need at least one worker");
         assert!(cfg.max_batch >= 1, "max_batch must be ≥ 1");
         assert!(cfg.max_len >= 1, "max_len must be ≥ 1");
         assert!(cfg.max_queue >= 1, "max_queue must be ≥ 1");
         let model = Arc::new(model);
-        let retrieval = Arc::new(RetrievalState::build(&model, &cfg.retrieval, &stats)?);
+        // Stage 1 once per engine: the scratch graph inside `freeze` is gone
+        // before the index build and before any worker exists.
+        let frozen = Arc::new(model.freeze());
+        let retrieval = Arc::new(RetrievalState::build(
+            &model,
+            frozen.items(),
+            &cfg.retrieval,
+            &stats,
+        )?);
         let (tx, rx) = mpsc::channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
         let queue_depth = Arc::new(AtomicUsize::new(0));
@@ -402,12 +473,18 @@ impl Engine {
         // tape it has seen, and later workers (or restarts) pre-size their
         // node Vec from it instead of the hard-coded default.
         let hwm = Arc::new(AtomicUsize::new(Graph::DEFAULT_CAPACITY));
-        let workers = (0..cfg.workers)
-            .map(|i| {
+        let worker_busy_us: Vec<_> = (0..cfg.workers)
+            .map(|_| Arc::new(AtomicU64::new(0)))
+            .collect();
+        let workers = worker_busy_us
+            .iter()
+            .enumerate()
+            .map(|(i, busy)| {
                 let model = Arc::clone(&model);
+                let frozen = Arc::clone(&frozen);
                 let rx = Arc::clone(&rx);
                 let stats = Arc::clone(&stats);
-                let busy = stats.register_worker();
+                let busy = Arc::clone(busy);
                 let hwm = Arc::clone(&hwm);
                 let depth = Arc::clone(&queue_depth);
                 let retrieval = Arc::clone(&retrieval);
@@ -418,15 +495,15 @@ impl Engine {
                         // Panic containment: a panicking forward pass (or an
                         // injected `engine.batch` panic fault) kills only the
                         // current worker_loop invocation. The outer loop
-                        // respawns it — rebuilding the frozen graph at the
+                        // respawns it — rebinding the frozen tables at the
                         // top of worker_loop — without dropping the shared
                         // queue, so already-enqueued jobs still get served.
                         loop {
                             let ran =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                     worker_loop(
-                                        &model, &retrieval, &rx, &stats, &busy, &hwm, &depth,
-                                        max_batch, linger,
+                                        &model, &frozen, &retrieval, &rx, &stats, &busy, &hwm,
+                                        &depth, max_batch, linger,
                                     )
                                 }));
                             match ran {
@@ -448,7 +525,14 @@ impl Engine {
             workers: Mutex::new(workers),
             stats,
             queue_depth,
+            worker_busy_us,
         })
+    }
+
+    /// Make this engine's workers the ones the `/metrics` `workers` section
+    /// describes, replacing whichever engine's were exported before.
+    pub(crate) fn publish_workers(&self) {
+        self.stats.set_workers(self.worker_busy_us.clone());
     }
 
     /// The shared stats the engine records into.
@@ -596,9 +680,11 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     }
 }
 
-/// Block for the first job, then linger briefly to coalesce whatever else
-/// is queued, up to `max_batch`. Empty result means the channel closed.
-/// Each dequeued job releases one queue-depth slot.
+/// Block for the first job, take whatever else is already queued, and wait
+/// on the linger deadline only while the batch holds ≥ 2 jobs — there is
+/// concurrency to extend. A lone request goes straight to its forward pass
+/// and a backlog coalesces to `max_batch` with no timer at all. Empty result
+/// means the channel closed. Each dequeued job releases one queue-depth slot.
 fn drain_jobs(
     rx: &Mutex<Receiver<Job>>,
     depth: &AtomicUsize,
@@ -614,15 +700,13 @@ fn drain_jobs(
     let mut jobs = vec![first];
     let deadline = Instant::now() + linger;
     while jobs.len() < max_batch {
-        let left = deadline.saturating_duration_since(Instant::now());
-        let next = if left.is_zero() {
-            rx.try_recv().ok()
-        } else {
-            match rx.recv_timeout(left) {
-                Ok(j) => Some(j),
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
+        let next = rx.try_recv().ok().or_else(|| {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if jobs.len() < 2 || left.is_zero() {
+                return None;
             }
-        };
+            rx.recv_timeout(left).ok()
+        });
         match next {
             Some(j) => {
                 depth.fetch_sub(1, Ordering::SeqCst);
@@ -637,10 +721,11 @@ fn drain_jobs(
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     model: &InferenceModel,
+    frozen: &FrozenSet,
     retrieval: &RetrievalState,
     rx: &Mutex<Receiver<Job>>,
     stats: &ServerStats,
-    busy_us: &std::sync::atomic::AtomicU64,
+    busy_us: &AtomicU64,
     hwm: &AtomicUsize,
     depth: &AtomicUsize,
     max_batch: usize,
@@ -648,7 +733,7 @@ fn worker_loop(
 ) {
     let mut g = Graph::inference_with_capacity(hwm.load(Ordering::Relaxed));
     let bind = model.store().bind_all(&mut g);
-    let frozen = model.precompute(&mut g, &bind);
+    let frozen = frozen.bind(&mut g);
     let mark = g.mark();
 
     loop {
@@ -898,6 +983,212 @@ mod tests {
         assert!(info.build_us > 0);
         assert_eq!(ann.stats().candidates.count(), 1);
         ann.shutdown();
+    }
+
+    /// A channel pre-filled with `n` jobs (what a backlog looks like to a
+    /// worker), its queue-depth counter, and the sender to add more.
+    fn backlog(n: usize) -> (Mutex<Receiver<Job>>, AtomicUsize, Sender<Job>) {
+        let (tx, rx) = mpsc::channel();
+        for user in 0..n {
+            tx.send(job(user, vec![1, 2, 3]).0).expect("receiver alive");
+        }
+        (Mutex::new(rx), AtomicUsize::new(n), tx)
+    }
+
+    fn job(user: usize, seq: Vec<usize>) -> (Job, Receiver<Arc<Recommendation>>) {
+        let (resp, answer) = mpsc::channel();
+        let job = Job {
+            user,
+            seq,
+            k: 5,
+            resp,
+        };
+        (job, answer)
+    }
+
+    /// Long enough that a wait the policy should not make is unmistakable.
+    const LONG_LINGER: Duration = Duration::from_millis(500);
+
+    #[test]
+    fn a_lone_job_is_not_lingered_on() {
+        let (rx, depth, _tx) = backlog(1);
+        let t0 = Instant::now();
+        let jobs = drain_jobs(&rx, &depth, 32, LONG_LINGER);
+        assert_eq!(jobs.len(), 1);
+        assert!(t0.elapsed() < LONG_LINGER / 2, "waited {:?}", t0.elapsed());
+        assert_eq!(depth.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_backlog_coalesces_to_max_batch_without_a_timer() {
+        // Exactly max_batch queued: all of it in one call, no wait.
+        let (rx, depth, _tx) = backlog(8);
+        let t0 = Instant::now();
+        let jobs = drain_jobs(&rx, &depth, 8, LONG_LINGER);
+        assert_eq!(jobs.len(), 8);
+        assert!(t0.elapsed() < LONG_LINGER / 2, "waited {:?}", t0.elapsed());
+        assert_eq!(depth.load(Ordering::SeqCst), 0);
+
+        // More than max_batch: exactly max_batch, in arrival order, one
+        // queue-depth slot released per job taken; the rest stay queued.
+        let (rx, depth, _tx) = backlog(11);
+        let t0 = Instant::now();
+        let jobs = drain_jobs(&rx, &depth, 8, LONG_LINGER);
+        assert_eq!(
+            jobs.iter().map(|j| j.user).collect::<Vec<_>>(),
+            (0..8).collect::<Vec<_>>()
+        );
+        assert!(t0.elapsed() < LONG_LINGER / 2, "waited {:?}", t0.elapsed());
+        assert_eq!(depth.load(Ordering::SeqCst), 3);
+        assert_eq!(drain_jobs(&rx, &depth, 8, Duration::ZERO).len(), 3);
+        assert_eq!(depth.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_coalescing_batch_lingers_for_more() {
+        // Fewer than max_batch but ≥ 2: everything queued is taken, then the
+        // batch waits out the linger for company that never comes.
+        let linger = Duration::from_millis(30);
+        let (rx, depth, _tx) = backlog(3);
+        let t0 = Instant::now();
+        assert_eq!(drain_jobs(&rx, &depth, 8, linger).len(), 3);
+        assert!(t0.elapsed() >= linger, "returned after {:?}", t0.elapsed());
+
+        // Two queued, a third arriving 10 ms later joins them — and fills
+        // the batch, which ends the wait long before the deadline.
+        let (rx, depth, tx) = backlog(2);
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            tx.send(job(2, vec![4, 5]).0).expect("receiver alive");
+        });
+        let t0 = Instant::now();
+        let jobs = drain_jobs(&rx, &depth, 3, LONG_LINGER);
+        assert_eq!(jobs.len(), 3, "the late job must join the batch");
+        assert!(t0.elapsed() < LONG_LINGER / 2, "waited {:?}", t0.elapsed());
+        late.join().expect("sender thread");
+    }
+
+    #[test]
+    fn a_closed_queue_drains_to_nothing() {
+        let (rx, depth, tx) = backlog(0);
+        drop(tx);
+        assert!(drain_jobs(&rx, &depth, 8, LONG_LINGER).is_empty());
+    }
+
+    #[test]
+    fn queued_requests_share_one_forward_pass_per_length() {
+        // Coalescing forced, not inferred: the jobs are queued before the
+        // worker is released. Four of length 3 and two of length 2 must run
+        // as exactly two forwards, each row bit-identical to offline scoring.
+        let model: InferenceModel = SeqRec::new(BackboneKind::SasRec, 20, 8, 10, 42).into();
+        let reference = SeqRec::new(BackboneKind::SasRec, 20, 8, 10, 42);
+        let frozen = model.freeze();
+        let stats = ServerStats::new();
+        let retrieval =
+            RetrievalState::build(&model, frozen.items(), &RetrievalConfig::default(), &stats)
+                .expect("exact retrieval needs no index");
+        let (tx, rx) = mpsc::channel();
+        let mut answers = Vec::new();
+        for user in 0..6 {
+            let seq = if user < 4 {
+                vec![user + 1, 7, 9]
+            } else {
+                vec![user + 1, 3]
+            };
+            let (job, answer) = job(user, seq.clone());
+            tx.send(job).expect("receiver alive");
+            answers.push((seq, answer));
+        }
+        drop(tx); // the worker returns once the backlog is served
+        let (busy, depth) = (AtomicU64::new(0), AtomicUsize::new(6));
+        let hwm = AtomicUsize::new(Graph::DEFAULT_CAPACITY);
+        worker_loop(
+            &model,
+            &frozen,
+            &retrieval,
+            &Mutex::new(rx),
+            &stats,
+            &busy,
+            &hwm,
+            &depth,
+            32,
+            Duration::ZERO,
+        );
+        for (seq, answer) in answers {
+            let rec = answer.recv().expect("every queued job is answered");
+            assert_eq!(rec.batch_size, if seq.len() == 3 { 4 } else { 2 });
+            let offline = reference.recommend(0, &seq, 5);
+            assert_eq!(rec.items.len(), offline.len());
+            for (s, o) in rec.items.iter().zip(&offline) {
+                assert_eq!((s.0, s.1.to_bits()), (o.0, o.1.to_bits()), "{seq:?}");
+            }
+        }
+        assert_eq!(stats.batches_total.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.batched_requests_total.load(Ordering::Relaxed), 6);
+        assert_eq!(stats.max_batch.load(Ordering::Relaxed), 4);
+        assert_eq!(depth.load(Ordering::SeqCst), 0);
+    }
+
+    /// `(name, shape, bits)` of every table a `Frozen` binds, read off its
+    /// graph.
+    fn frozen_bits(g: &Graph, frozen: &Frozen) -> Vec<(&'static str, Vec<usize>, Vec<u32>)> {
+        let vars = match frozen {
+            Frozen::Ssd(f) => vec![
+                ("items", f.items),
+                ("users", f.users),
+                ("items_t", f.items_t),
+                ("pad_mask", f.pad_mask),
+            ],
+            Frozen::Seq(f) => vec![
+                ("table", f.table),
+                ("table_t", f.table_t),
+                ("pad_mask", f.pad_mask),
+            ],
+        };
+        vars.into_iter()
+            .map(|(name, v)| {
+                let t = g.value(v);
+                let bits = t.data().iter().map(|x| x.to_bits()).collect();
+                (name, t.shape().to_vec(), bits)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn workers_bind_the_bits_a_fresh_precompute_produces() {
+        let raw = ssdrec_data::SyntheticConfig::beauty()
+            .scaled(0.03)
+            .with_seed(5)
+            .generate();
+        let (dataset, _) = ssdrec_data::prepare(&raw, 12, 3);
+        let graph = ssdrec_graph::build_graph(&dataset, &ssdrec_graph::GraphConfig::default());
+        let ssd = SsdRec::new(
+            &graph,
+            ssdrec_core::SsdRecConfig {
+                dim: 8,
+                max_len: 12,
+                seed: 11,
+                ..Default::default()
+            },
+        );
+        let seq = SeqRec::new(BackboneKind::SasRec, 20, 8, 10, 42);
+        for model in [InferenceModel::from(ssd), InferenceModel::from(seq)] {
+            // What each worker used to do: stage 1 on its own graph.
+            let mut fresh = Graph::inference();
+            let bind = model.store().bind_all(&mut fresh);
+            let want = match &model {
+                InferenceModel::Ssd(m) => Frozen::Ssd(m.precompute_frozen(&mut fresh, &bind)),
+                InferenceModel::Seq(m) => Frozen::Seq(m.precompute_frozen(&mut fresh, &bind)),
+            };
+            let want = frozen_bits(&fresh, &want);
+            // What every worker (and every panic-respawn) does now.
+            let shared = model.freeze();
+            for _worker in 0..2 {
+                let mut g = Graph::inference();
+                let bound = shared.bind(&mut g);
+                assert_eq!(frozen_bits(&g, &bound), want, "{}", model.model_name());
+            }
+        }
     }
 
     #[test]

@@ -10,10 +10,12 @@
 //! TcpListener ──► connection thread ──► validate ──► session cache ──┐
 //!                                                                    │ miss
 //!                      mpsc queue ◄─────────────────────────────────┘
-//!                          │  (coalesce up to max_batch, linger a moment)
+//!                          │  (take what is queued, up to max_batch; linger
+//!                          │   only on a batch that is already coalescing)
 //!                          ▼
-//!             worker thread: frozen Graph (params bound once, stage-1
-//!             tables + scorer transpose precomputed below a mark)
+//!             worker thread: frozen Graph (params and the engine's stage-1
+//!             tables + scorer transpose bound once, below a mark — the
+//!             tables are computed once per engine, not per worker)
 //!                          │  eval_scores_frozen → top_k per row
 //!                          ▼
 //!                  responses + /metrics histograms

@@ -168,8 +168,8 @@ pub struct ServerStats {
     pub sessions_invalidated_total: AtomicU64,
     /// Active retrieval mode + index parameters, set by the engine.
     retrieval: Mutex<RetrievalInfo>,
-    /// Per-worker busy time in µs, one counter per registered worker
-    /// thread. Registered once by the engine at startup.
+    /// Per-worker busy time in µs of the engine now serving (see
+    /// [`ServerStats::set_workers`]).
     worker_busy_us: Mutex<Vec<Arc<AtomicU64>>>,
 }
 
@@ -224,16 +224,16 @@ impl ServerStats {
         self.candidates.record_us(n);
     }
 
-    /// Register one engine worker thread; the returned counter accumulates
-    /// that worker's busy time in µs and feeds the `/metrics` `workers`
-    /// section.
-    pub fn register_worker(&self) -> Arc<AtomicU64> {
-        let counter = Arc::new(AtomicU64::new(0));
-        self.worker_busy_us
+    /// Export `busy_us` — one busy-time counter (µs) per worker thread of the
+    /// engine now serving — as the `/metrics` `workers` section, replacing
+    /// the previous engine's. An engine calls this when it starts serving: at
+    /// construction, or at the commit of a hot swap, so a failed swap leaves
+    /// the serving engine's counters exported.
+    pub fn set_workers(&self, busy_us: Vec<Arc<AtomicU64>>) {
+        *self
+            .worker_busy_us
             .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(Arc::clone(&counter));
-        counter
+            .unwrap_or_else(|p| p.into_inner()) = busy_us;
     }
 
     /// Currently served model version.
@@ -253,19 +253,6 @@ impl ServerStats {
         self.last_swap_us.store(elapsed_us, Ordering::Relaxed);
         self.sessions_invalidated_total
             .fetch_add(sessions_invalidated, Ordering::Relaxed);
-    }
-
-    /// Drop every registered worker counter. Called by a hot swap just
-    /// before the replacement engine registers its own workers, so the
-    /// `workers` section always describes the engine about to serve. (If
-    /// the swap then fails, the old engine keeps serving with its busy
-    /// counters no longer exported — a cosmetic gap, repaired by the next
-    /// successful swap.)
-    pub fn clear_workers(&self) {
-        self.worker_busy_us
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clear();
     }
 
     /// Record one completed request's end-to-end latency.
@@ -506,9 +493,9 @@ mod tests {
     #[test]
     fn workers_section_reports_count_and_busy_fraction() {
         let s = ServerStats::new();
-        let w0 = s.register_worker();
-        let _w1 = s.register_worker();
-        w0.fetch_add(10, Ordering::Relaxed);
+        let busy: Vec<_> = (0..2).map(|_| Arc::new(AtomicU64::new(0))).collect();
+        s.set_workers(busy.clone());
+        busy[0].fetch_add(10, Ordering::Relaxed);
         let j = crate::json::parse(&s.to_json()).expect("valid JSON");
         let workers = j.get("workers").expect("workers section");
         assert_eq!(workers.get("count").unwrap().as_usize(), Some(2));
@@ -549,11 +536,11 @@ mod tests {
     }
 
     #[test]
-    fn clear_workers_resets_worker_section() {
+    fn set_workers_replaces_the_worker_section() {
         let s = ServerStats::new();
-        let _w = s.register_worker();
-        s.clear_workers();
-        let _w2 = s.register_worker();
+        let engine = |workers| (0..workers).map(|_| Arc::new(AtomicU64::new(0))).collect();
+        s.set_workers(engine(2));
+        s.set_workers(engine(1));
         let j = crate::json::parse(&s.to_json()).expect("valid JSON");
         assert_eq!(
             j.get("workers").unwrap().get("count").unwrap().as_usize(),

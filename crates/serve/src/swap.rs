@@ -17,8 +17,8 @@
 //!   `model_version` at most once per published version.
 //! * **Failure isolation:** load, build, and the `serve.swap` fault site
 //!   all run under `catch_unwind` *before* the commit point. Any error or
-//!   panic leaves the old engine serving untouched and bumps
-//!   `swap_failed_total`.
+//!   panic leaves the old engine serving untouched — its busy counters
+//!   still exported in `/metrics` — and bumps `swap_failed_total`.
 //! * **Drain:** after the commit the old engine is held only by in-flight
 //!   requests. The swap waits (bounded) for those to retire, then drops its
 //!   own handle; if a straggler still holds the `Arc`, the engine shuts
@@ -146,8 +146,7 @@ impl EngineSlot {
                 let Some(LoadedModel { model, version }) = loader(current)? else {
                     return Ok(None);
                 };
-                self.stats.clear_workers();
-                let engine = Engine::try_new(model, self.cfg.clone(), Arc::clone(&self.stats))?;
+                let engine = Engine::build(model, self.cfg.clone(), Arc::clone(&self.stats))?;
                 // Deliberate kill point: after the replacement engine is fully
                 // built, before the commit. A fault here must leave the old
                 // engine serving.
@@ -179,7 +178,9 @@ impl EngineSlot {
             return Ok(ReloadOutcome::Unchanged { version: current });
         };
         // Commit: one write-lock assignment. Readers block only for the
-        // duration of the pointer swap.
+        // duration of the pointer swap. Only now do the new engine's workers
+        // take over the `/metrics` `workers` section.
+        engine.publish_workers();
         let old = {
             let mut guard = self.slot.write().unwrap_or_else(|p| p.into_inner());
             std::mem::replace(&mut *guard, Arc::new(engine))

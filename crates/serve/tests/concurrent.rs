@@ -1,7 +1,11 @@
 //! Concurrent-client behaviour: several simultaneous HTTP connections must
-//! all be answered correctly, the micro-batching queue must coalesce them
-//! into shared forward passes, and `/metrics` must report non-zero latency
-//! percentiles afterwards.
+//! all be answered correctly, and `/metrics` must account for every one of
+//! them — request count, batching totals, non-zero latency percentiles.
+//!
+//! Whether those requests *coalesce* is a property of the queue, not of six
+//! sockets and a timer: `engine::tests` pins it against pre-filled queues
+//! (`queued_requests_share_one_forward_pass_per_length` and the `drain_jobs`
+//! policy tests), where it can be forced instead of inferred.
 
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -11,6 +15,7 @@ use ssdrec_serve::{client, json, serve, Engine, EngineConfig, ServerStats};
 
 const NUM_ITEMS: usize = 30;
 const CLIENTS: usize = 6;
+const MAX_BATCH: usize = 16;
 
 fn start_server(linger_ms: u64, workers: usize) -> ssdrec_serve::ServerHandle {
     let model = SeqRec::new(BackboneKind::SasRec, NUM_ITEMS, 8, 10, 99);
@@ -18,7 +23,7 @@ fn start_server(linger_ms: u64, workers: usize) -> ssdrec_serve::ServerHandle {
         model.into(),
         EngineConfig {
             workers,
-            max_batch: 16,
+            max_batch: MAX_BATCH,
             linger: Duration::from_millis(linger_ms),
             cache_capacity: 64,
             max_len: 10,
@@ -30,10 +35,8 @@ fn start_server(linger_ms: u64, workers: usize) -> ssdrec_serve::ServerHandle {
 }
 
 #[test]
-fn concurrent_clients_coalesce_and_report_metrics() {
-    // One worker and a generous linger so the simultaneous requests land in
-    // the same micro-batch.
-    let mut handle = start_server(500, 1);
+fn concurrent_clients_are_answered_and_metrics_add_up() {
+    let mut handle = start_server(2, 1);
     let addr = handle.addr();
 
     let barrier = Arc::new(Barrier::new(CLIENTS));
@@ -42,8 +45,7 @@ fn concurrent_clients_coalesce_and_report_metrics() {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 barrier.wait();
-                // Same length (3) for every client so they batch together;
-                // distinct users + histories so the cache never hits.
+                // Distinct users + histories so the cache never hits.
                 let body = format!(
                     "{{\"user\":{c},\"seq\":[{},{},{}],\"k\":5}}",
                     c % NUM_ITEMS + 1,
@@ -69,15 +71,13 @@ fn concurrent_clients_coalesce_and_report_metrics() {
         }
         batch_sizes.push(v.get("batch_size").unwrap().as_usize().unwrap());
     }
-
-    // Coalescing: with one worker and a 500 ms linger, the six
-    // barrier-released requests cannot all have run alone.
     assert!(
-        batch_sizes.iter().any(|&b| b >= 2),
-        "no coalescing observed: {batch_sizes:?}"
+        batch_sizes.iter().all(|b| (1..=MAX_BATCH).contains(b)),
+        "{batch_sizes:?}"
     );
 
-    // /metrics: every request counted, latency percentiles non-zero.
+    // /metrics: every request counted once, in exactly one forward pass, and
+    // the batching section agrees with what the responses themselves said.
     let (status, body) = client::get(addr, "/metrics").expect("metrics");
     assert_eq!(status, 200);
     let m = json::parse(&body).expect("metrics JSON");
@@ -92,10 +92,21 @@ fn concurrent_clients_coalesce_and_report_metrics() {
         assert!(v > 0.0, "{q} = {v} in {body}");
     }
     let batching = m.get("batching").unwrap();
-    assert!(batching.get("max_batch").unwrap().as_usize().unwrap() >= 2);
     assert_eq!(
         batching.get("batched_requests_total").unwrap().as_usize(),
         Some(CLIENTS)
+    );
+    assert_eq!(
+        batching.get("max_batch").unwrap().as_usize(),
+        batch_sizes.iter().copied().max(),
+        "{body}"
+    );
+    // A request in a batch of b is one of b reporting b: Σ 1/b = batches.
+    let batches: f64 = batch_sizes.iter().map(|&b| 1.0 / b as f64).sum();
+    assert_eq!(
+        batching.get("batches_total").unwrap().as_usize(),
+        Some(batches.round() as usize),
+        "{batch_sizes:?} in {body}"
     );
 
     handle.shutdown();

@@ -45,6 +45,13 @@ fn reference_bits(seed: u64, user: usize, seq: &[usize], k: usize) -> Vec<(usize
     bits(&rec)
 }
 
+/// `workers.count` as `/metrics` reports it.
+fn exported_workers(stats: &ServerStats) -> usize {
+    let metrics = ssdrec_serve::json::parse(&stats.to_json()).expect("metrics JSON");
+    let workers = metrics.get("workers").expect("workers section");
+    workers.get("count").unwrap().as_usize().unwrap()
+}
+
 /// A loader that serves `seed_for(version)` models up to `max_version`.
 fn step_loader(max_version: u64) -> Box<ssdrec_serve::ModelLoader> {
     Box::new(move |current| {
@@ -138,10 +145,16 @@ fn failed_swap_keeps_old_model_serving() {
     });
     let slot = EngineSlot::reloadable(engine(1, Arc::clone(&stats)), 1, loader);
     let seq = vec![4, 5];
+    assert_eq!(exported_workers(&stats), engine_cfg().workers);
 
     let err = slot.reload().expect_err("first reload fails");
     assert!(err.contains("disk on fire"), "got: {err}");
     assert_eq!(stats.swap_failed_total.load(Ordering::Relaxed), 1);
+    assert_eq!(
+        exported_workers(&stats),
+        engine_cfg().workers,
+        "the serving engine's busy counters must stay in /metrics"
+    );
     assert_eq!(
         stats.model_version(),
         1,

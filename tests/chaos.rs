@@ -517,6 +517,12 @@ fn killed_swap_keeps_v1_serving_until_the_retry_lands_v2() {
         v1_bits,
         "v1 must keep serving bit-identically after the kill"
     );
+    // The replacement was fully built when the kill landed; /metrics must
+    // still export the serving engine's one worker, not the casualty's.
+    let metrics = json::parse(&stats.to_json()).expect("metrics JSON");
+    let workers = metrics.get("workers").expect("workers section");
+    assert_eq!(workers.get("count").unwrap().as_usize(), Some(1));
+    assert!(workers.get("busy_fraction").unwrap().as_arr().unwrap()[0].as_f64() > Some(0.0));
 
     // The retry lands v2 and serves exactly the published bytes.
     assert_eq!(
