@@ -136,9 +136,10 @@ struct GateInfo {
 /// Request-independent graph nodes for frozen serving: the relation-encoded
 /// item/user tables (running the stage-1 global relation encoder is the
 /// expensive, input-independent part of SSDRec's eval pass), the transposed
-/// scorer, and the pad mask. Produced once per worker by
-/// [`SsdRec::precompute_frozen`] below a [`Graph::mark`]; consumed per
-/// request by [`SsdRec::eval_scores_frozen`].
+/// scorer, and the pad mask. Produced once per serving engine by
+/// [`SsdRec::precompute_frozen`] on a scratch graph, whose four result
+/// tensors every worker then binds as constants below its [`Graph::mark`];
+/// consumed per request by [`SsdRec::eval_scores_frozen`].
 pub struct FrozenTables {
     /// Relation-encoded (or raw, when stage 1 is ablated) item table
     /// `(V+1)×d`.

@@ -177,9 +177,10 @@ impl GlobalRelationEncoder {
             let a_j = g.slice_last(alpha, 1, 1);
             // Weighted directed aggregate: α_i·msg_in + α_j·msg_out.
             let d = g.value(item_table).dims2().1;
-            let ones = g.constant(Tensor::ones(&[1, d]));
-            let ai_e = g.matmul(a_i, ones);
-            let aj_e = g.matmul(a_j, ones);
+            let a_i = g.reshape(a_i, &[v]);
+            let a_j = g.reshape(a_j, &[v]);
+            let ai_e = g.expand_last(a_i, d);
+            let aj_e = g.expand_last(a_j, d);
             let win = g.mul(ai_e, msg_in);
             let wout = g.mul(aj_e, msg_out);
             g.add(win, wout)

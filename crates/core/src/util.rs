@@ -1,4 +1,8 @@
 //! Small graph-composition helpers shared across SSDRec's stages.
+//!
+//! The learnable-scalar gates are broadcast nodes, not `N×1 · 1×1` gemms;
+//! per-row broadcasts elsewhere use `Graph::expand_last`, never a product
+//! with a ones matrix.
 
 use ssdrec_graph::Csr;
 use ssdrec_tensor::{Graph, Tensor, Var};
@@ -18,32 +22,24 @@ pub fn csr_to_dense(csr: &Csr, rows: usize, cols: usize) -> Tensor {
 }
 
 /// Multiply every element of `a` by a *learnable scalar* `s` (shape `[1]`),
-/// keeping the gradient path to `s` (realised as a rank-1 matmul).
+/// keeping the gradient path to `s`: one `[n,1] ⊙ [1]` broadcast node, off
+/// the gemm path.
 pub fn scale_by_scalar(g: &mut Graph, a: Var, s: Var) -> Var {
     let shape = g.value(a).shape().to_vec();
     let n = g.value(a).len();
     let flat = g.reshape(a, &[n, 1]);
-    let s2 = g.reshape(s, &[1, 1]);
-    let y = g.matmul(flat, s2);
+    let y = g.mul_bcast(flat, s);
     g.reshape(y, &shape)
 }
 
-/// Add a *learnable scalar* `b` (shape `[1]`) to every element of `a`.
+/// Add a *learnable scalar* `b` (shape `[1]`) to every element of `a`: one
+/// `[n,1] + [1]` broadcast node.
 pub fn add_scalar_var(g: &mut Graph, a: Var, b: Var) -> Var {
     let shape = g.value(a).shape().to_vec();
     let n = g.value(a).len();
-    let ones = g.constant(Tensor::ones(&[n, 1]));
-    let b2 = g.reshape(b, &[1, 1]);
-    let tiled = g.matmul(ones, b2);
-    let tiled = g.reshape(tiled, &shape);
-    g.add(a, tiled)
-}
-
-/// Expand a `B×T×1` gate to `B×T×d` and multiply it into `h`.
-pub fn gate_rows(g: &mut Graph, h: Var, gate: Var, d: usize) -> Var {
-    let ones = g.constant(Tensor::ones(&[1, d]));
-    let expanded = g.matmul(gate, ones);
-    g.mul(h, expanded)
+    let flat = g.reshape(a, &[n, 1]);
+    let y = g.add_bcast(flat, b);
+    g.reshape(y, &shape)
 }
 
 #[cfg(test)]
@@ -79,14 +75,5 @@ mod tests {
         let loss = g.sum_all(y);
         let grads = g.backward(loss);
         assert_eq!(grads.get(b).unwrap().item(), 6.0);
-    }
-
-    #[test]
-    fn gate_rows_zeroes_gated() {
-        let mut g = Graph::new();
-        let h = g.constant(Tensor::ones(&[1, 2, 3]));
-        let gate = g.constant(Tensor::new(vec![1.0, 0.0], &[1, 2, 1]));
-        let y = gate_rows(&mut g, h, gate, 3);
-        assert_eq!(g.value(y).data(), &[1.0, 1.0, 1.0, 0.0, 0.0, 0.0]);
     }
 }

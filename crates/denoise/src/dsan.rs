@@ -77,9 +77,7 @@ impl Dsan {
         let kept = g.mul(soft, mask);
         let sums = g.sum_last(kept); // B
         let sums = g.add_scalar(sums, 1e-9);
-        let sums3 = g.reshape(sums, &[b, 1]);
-        let ones = g.constant(Tensor::ones(&[1, t]));
-        let denom = g.matmul(sums3, ones); // B×T tiled row sums
+        let denom = g.expand_last(sums, t); // B×T tiled row sums
         g.div(kept, denom)
     }
 

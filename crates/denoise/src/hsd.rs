@@ -131,8 +131,9 @@ impl HsdCore {
 
     /// Zero out dropped positions: `h_seq ⊙ expand(mask)`.
     pub fn apply_mask(&self, g: &mut Graph, h_seq: Var, mask: Var) -> Var {
-        let ones = g.constant(Tensor::ones(&[1, self.dim]));
-        let expanded = g.matmul(mask, ones); // B×T×d
+        let (b, t, _) = g.value(mask).dims3();
+        let flat = g.reshape(mask, &[b, t]);
+        let expanded = g.expand_last(flat, self.dim); // B×T×d
         g.mul(h_seq, expanded)
     }
 

@@ -97,9 +97,8 @@ impl Steam {
         let pv = g.value(det_logits).clone();
         let (b, t) = (pv.shape()[0], pv.shape()[1]);
         let keep = pv.map(|l| if l <= 0.0 { 1.0 } else { 0.0 }); // σ(l) ≤ 0.5
-        let mask = g.constant(keep.reshaped(&[b, t, 1]));
-        let ones = g.constant(Tensor::ones(&[1, self.dim]));
-        let expanded = g.matmul(mask, ones);
+        let mask = g.constant(keep.reshaped(&[b, t]));
+        let expanded = g.expand_last(mask, self.dim);
         g.mul(h, expanded)
     }
 }

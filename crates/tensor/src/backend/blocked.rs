@@ -29,7 +29,9 @@
 //! # What is actually faster
 //!
 //! * gemm packs `a` into a `p`-major 8-row panel (and `b` into a `p`-major
-//!   matrix for the `tb` variants), turning every variant into the same
+//!   matrix for the `tb` variants, once per call — [`crate::kernels`]
+//!   already hands a 2-D gemm's transposed `b` over packed, once for all of
+//!   its row blocks), turning every variant into the same
 //!   unit-stride broadcast-multiply-accumulate over an 8×8 register tile.
 //!   The `tb` oracle variants are scalar dot-product reductions the
 //!   autovectorizer cannot touch (vectorizing an FP reduction would
@@ -49,7 +51,7 @@
 use super::{Activation, Backend, Reference};
 
 /// Register-tile rows (output rows advanced together per A panel).
-const MR: usize = 8;
+const MR: usize = super::TILE_ROWS;
 /// Register-tile columns.
 const NR: usize = 8;
 
@@ -152,15 +154,13 @@ impl Backend for Blocked {
         let from_out = !tb;
         // p-major view of b: the `!tb` variants already store b as k×n; the
         // `tb` variants pack n×k → k×n once per call so every tile streams
-        // contiguous rows instead of strided dot products.
+        // contiguous rows instead of strided dot products. (A row-parallel
+        // 2-D gemm never gets here with `tb`: `kernels` packs once for all
+        // of its blocks.)
         let packed_b;
         let bm: &[f32] = if tb {
             let mut bp = crate::pool::take(k * n);
-            for (j, brow) in b.chunks_exact(k).enumerate() {
-                for (p, &bv) in brow.iter().enumerate() {
-                    bp[p * n + j] = bv;
-                }
-            }
+            crate::kernels::transpose_into(b, n, k, &mut bp);
             packed_b = bp;
             &packed_b
         } else {

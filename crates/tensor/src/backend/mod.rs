@@ -59,6 +59,11 @@ pub const KERNEL_BITS_MAX_ULPS: u64 = 0;
 /// and by the backward kernel in [`crate::kernels`]).
 pub(crate) const LN_EPS: f32 = 1e-5;
 
+/// Rows of [`Blocked`]'s register tile. [`crate::kernels`] cuts parallel
+/// gemm row blocks at multiples of it, so only a call's last block can end
+/// in a partial (unvectorised) tile.
+pub(crate) const TILE_ROWS: usize = 8;
+
 /// Element-wise activations understood by [`Backend::bias_act`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Activation {

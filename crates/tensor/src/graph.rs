@@ -797,6 +797,21 @@ impl Graph {
         }
     }
 
+    /// [`Graph::accum`] for a kernel that computed only the gradients its
+    /// `need` flags (`rg` of each input) asked for.
+    fn accum_requested<const N: usize>(
+        &self,
+        grads: &mut [Option<Tensor>],
+        inputs: [Var; N],
+        gs: [Option<Tensor>; N],
+    ) {
+        for (v, g) in inputs.into_iter().zip(gs) {
+            if let Some(g) = g {
+                self.accum(grads, v, g);
+            }
+        }
+    }
+
     fn backprop_node(&self, node: &Node, gout: &Tensor, grads: &mut [Option<Tensor>]) {
         match &node.op {
             Op::Leaf => {}
@@ -921,13 +936,14 @@ impl Graph {
                 }
             }
             Op::Matmul(a, b) => {
-                let (ga, gb) = kernels::matmul_backward(self.value(*a), self.value(*b), gout);
-                if self.rg(*a) {
-                    self.accum(grads, *a, ga);
-                }
-                if self.rg(*b) {
-                    self.accum(grads, *b, gb);
-                }
+                let inputs = [*a, *b];
+                let gs = kernels::matmul_backward(
+                    self.value(*a),
+                    self.value(*b),
+                    gout,
+                    inputs.map(|v| self.rg(v)),
+                );
+                self.accum_requested(grads, inputs, gs);
             }
             Op::TransposeLast(a) => {
                 self.accum(grads, *a, kernels::transpose_last(gout));
@@ -1095,11 +1111,7 @@ impl Graph {
                     *reversed,
                     inputs.map(|v| self.rg(v)),
                 );
-                for (v, g) in inputs.into_iter().zip(gs) {
-                    if let Some(g) = g {
-                        self.accum(grads, v, g);
-                    }
-                }
+                self.accum_requested(grads, inputs, gs);
             }
             Op::Detach => {}
         }

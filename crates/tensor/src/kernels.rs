@@ -4,7 +4,28 @@
 //! lives in [`crate::graph`]. Kernels favour simple cache-friendly loops —
 //! shapes in this workspace are small (d ≤ 128, T ≤ 200) so a tuned BLAS is
 //! unnecessary.
+//!
+//! # One gemm per product
+//!
+//! Every matrix product reaches the [`crate::backend`] as one well-shaped
+//! gemm, because on these shapes the call's *shape* costs more than its
+//! flops:
+//!
+//! * a sequence-wide `Linear` (`B×m×k · k×n`, rhs broadcast over the batch)
+//!   is one `(B·m)×k` gemm for the forward, `dX` and `dW` — `dW`'s chain
+//!   over the contraction index is the batch loop's chain, ascending from
+//!   zero;
+//! * [`matmul_backward`] computes only the gradients the tape asks for;
+//! * parallel row blocks are whole multiples of the backend's 8-row tile;
+//! * a transposed operand is packed once per gemm, not once per row block:
+//!   every gemm writes into a `+0`-zeroed output, where the transposed
+//!   variant's "fresh sum, then add" and the plain variant's "add onto the
+//!   output" build the same `+0`-started chain.
+//!
+//! Only the lhs-broadcast case (`m×k · B×k×n`) keeps a sequential batch
+//! loop: its `dA` is a sum of per-batch fresh sums, not one chain.
 
+use crate::backend::TILE_ROWS;
 use crate::tensor::Tensor;
 
 /// Element-wise zip of two same-shape tensors.
@@ -51,11 +72,21 @@ const GEMM_PAR_WORK: usize = 16 * 1024;
 /// parallel scatter-add beats the sequential loop.
 const SCATTER_PAR_WORK: usize = 16 * 1024;
 
-/// Output-row chunking for parallel gemm. Derived from `m` alone — never
-/// from the thread count — so chunk boundaries (and hence results) are
-/// identical under any `SSDREC_THREADS`.
+/// Output-row chunking for parallel gemm: about a 32nd of the rows, rounded
+/// up to whole [`TILE_ROWS`] tiles. Derived from `m` alone — never from the
+/// thread count — so chunk boundaries (and hence results) are identical
+/// under any `SSDREC_THREADS`.
 fn gemm_row_grain(m: usize) -> usize {
-    m.div_ceil(32).max(1)
+    m.div_ceil(32).next_multiple_of(TILE_ROWS)
+}
+
+/// `dst[cols×rows] = srcᵀ` for a row-major `src[rows×cols]`.
+pub(crate) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    for i in 0..rows {
+        for j in 0..cols {
+            dst[j * rows + i] = src[i * cols + j];
+        }
+    }
 }
 
 /// Compute output rows `[r0, r1)` of `out[m×n] (+)= a[m×k] · b[k×n]` into
@@ -79,24 +110,36 @@ fn gemm_rows(
     crate::backend::backend().gemm_rows(a, ta, b, tb, m, k, n, block, r0, r1);
 }
 
-/// `out[m×n] (+)= a[m×k] · b[k×n]` with optional operand transposes.
+/// `out[m×n] = a[m×k] · b[k×n]` into a `+0`-zeroed `out`, with optional
+/// operand transposes.
 ///
-/// Large products are partitioned into output-row blocks and run on the
-/// [`ssdrec_runtime`] pool; both paths call [`gemm_rows`], whose per-element
-/// accumulation order is fixed, so results are bit-identical at every
-/// thread count.
+/// A transposed `b` (stored `n×k`) is packed to `k×n` once, and every row
+/// block runs the plain variant on it — bit-equal to the transposed one on a
+/// zeroed output (module docs). Products with at least two row blocks of
+/// work run on the [`ssdrec_runtime`] pool; both paths call [`gemm_rows`],
+/// whose per-element accumulation order is fixed, so results are
+/// bit-identical at every thread count.
 #[allow(clippy::too_many_arguments)]
 fn gemm(a: &[f32], ta: bool, b: &[f32], tb: bool, m: usize, k: usize, n: usize, out: &mut [f32]) {
     debug_assert_eq!(out.len(), m * n);
-    if 2 * m * k * n >= GEMM_PAR_WORK && m > 1 && ssdrec_runtime::threads() > 1 {
-        let rows = gemm_row_grain(m);
+    let packed = tb.then(|| {
+        let mut bp = crate::pool::take(k * n);
+        transpose_into(b, n, k, &mut bp);
+        bp
+    });
+    let b = packed.as_deref().unwrap_or(b);
+    let rows = gemm_row_grain(m);
+    if m > rows && 2 * m * k * n >= GEMM_PAR_WORK && ssdrec_runtime::threads() > 1 {
         ssdrec_runtime::parallel_chunks_mut(out, rows * n, |ci, block| {
             let r0 = ci * rows;
             let r1 = (r0 + rows).min(m);
-            gemm_rows(a, ta, b, tb, m, k, n, block, r0, r1);
+            gemm_rows(a, ta, b, false, m, k, n, block, r0, r1);
         });
     } else {
-        gemm_rows(a, ta, b, tb, m, k, n, out, 0, m);
+        gemm_rows(a, ta, b, false, m, k, n, out, 0, m);
+    }
+    if let Some(bp) = packed {
+        crate::pool::recycle(bp);
     }
 }
 
@@ -126,29 +169,28 @@ fn for_each_batch(
 
 /// Shape cases supported by [`matmul`].
 enum MatCase {
-    /// `(m×k)(k×n)`
-    TwoTwo(usize, usize, usize),
+    /// `(rows×k)(k×n)`: the 2-D product, and the rhs-broadcast
+    /// `(B×m×k)(k×n)` flattened to `rows = B·m` — one gemm either way.
+    Flat(usize, usize, usize),
     /// `(B×m×k)(B×k×n)`
     ThreeThree(usize, usize, usize, usize),
-    /// `(B×m×k)(k×n)` — rhs broadcast over batch.
-    ThreeTwo(usize, usize, usize, usize),
     /// `(m×k)(B×k×n)` — lhs broadcast over batch.
     TwoThree(usize, usize, usize, usize),
 }
 
 fn mat_case(a: &Tensor, b: &Tensor) -> MatCase {
     match (a.ndim(), b.ndim()) {
-        (2, 2) => {
-            let (m, k) = a.dims2();
+        (2 | 3, 2) => {
+            let (lead, k) = a.shape().split_at(a.ndim() - 1);
             let (k2, n) = b.dims2();
             assert_eq!(
-                k,
+                k[0],
                 k2,
                 "matmul inner dims: {:?} x {:?}",
                 a.shape(),
                 b.shape()
             );
-            MatCase::TwoTwo(m, k, n)
+            MatCase::Flat(lead.iter().product(), k2, n)
         }
         (3, 3) => {
             let (ba, m, k) = a.dims3();
@@ -162,18 +204,6 @@ fn mat_case(a: &Tensor, b: &Tensor) -> MatCase {
                 b.shape()
             );
             MatCase::ThreeThree(ba, m, k, n)
-        }
-        (3, 2) => {
-            let (ba, m, k) = a.dims3();
-            let (k2, n) = b.dims2();
-            assert_eq!(
-                k,
-                k2,
-                "matmul inner dims: {:?} x {:?}",
-                a.shape(),
-                b.shape()
-            );
-            MatCase::ThreeTwo(ba, m, k, n)
         }
         (2, 3) => {
             let (m, k) = a.dims2();
@@ -194,9 +224,11 @@ fn mat_case(a: &Tensor, b: &Tensor) -> MatCase {
 /// Matrix product with rank promotion (see [`crate::graph::Graph::matmul`]).
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     match mat_case(a, b) {
-        MatCase::TwoTwo(m, k, n) => {
-            let mut out = Tensor::zeros(&[m, n]);
-            gemm(a.data(), false, b.data(), false, m, k, n, out.data_mut());
+        MatCase::Flat(rows, k, n) => {
+            let mut shape = a.shape().to_vec();
+            *shape.last_mut().expect("rank ≥ 2") = n;
+            let mut out = Tensor::zeros(&shape);
+            gemm(a.data(), false, b.data(), false, rows, k, n, out.data_mut());
             out
         }
         MatCase::ThreeThree(bs, m, k, n) => {
@@ -206,24 +238,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
                     &a.data()[i * m * k..(i + 1) * m * k],
                     false,
                     &b.data()[i * k * n..(i + 1) * k * n],
-                    false,
-                    m,
-                    k,
-                    n,
-                    block,
-                    0,
-                    m,
-                );
-            });
-            out
-        }
-        MatCase::ThreeTwo(bs, m, k, n) => {
-            let mut out = Tensor::zeros(&[bs, m, n]);
-            for_each_batch(m * n, 2 * bs * m * k * n, out.data_mut(), |i, block| {
-                gemm_rows(
-                    &a.data()[i * m * k..(i + 1) * m * k],
-                    false,
-                    b.data(),
                     false,
                     m,
                     k,
@@ -256,118 +270,133 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     }
 }
 
-/// Gradients of [`matmul`] w.r.t. both operands given the output gradient.
-pub fn matmul_backward(a: &Tensor, b: &Tensor, gout: &Tensor) -> (Tensor, Tensor) {
+/// Gradients of [`matmul`] w.r.t. `(a, b)` given the output gradient, each
+/// computed only when its `need` flag is set — the tape asks only for the
+/// operands that require one, so a constant operand costs no gemm.
+pub fn matmul_backward(
+    a: &Tensor,
+    b: &Tensor,
+    gout: &Tensor,
+    need: [bool; 2],
+) -> [Option<Tensor>; 2] {
+    let [need_a, need_b] = need;
     match mat_case(a, b) {
-        MatCase::TwoTwo(m, k, n) => {
-            let mut ga = Tensor::zeros(&[m, k]);
-            let mut gb = Tensor::zeros(&[k, n]);
-            // dA = dC · Bᵀ ; dB = Aᵀ · dC
-            gemm(gout.data(), false, b.data(), true, m, n, k, ga.data_mut());
-            gemm(a.data(), true, gout.data(), false, k, m, n, gb.data_mut());
-            (ga, gb)
-        }
-        MatCase::ThreeThree(bs, m, k, n) => {
-            let mut ga = Tensor::zeros(&[bs, m, k]);
-            let mut gb = Tensor::zeros(&[bs, k, n]);
-            // Both gradients are per-batch disjoint: two parallel passes.
-            for_each_batch(m * k, 2 * bs * m * n * k, ga.data_mut(), |i, block| {
-                gemm_rows(
-                    &gout.data()[i * m * n..(i + 1) * m * n],
-                    false,
-                    &b.data()[i * k * n..(i + 1) * k * n],
-                    true,
-                    m,
-                    n,
-                    k,
-                    block,
-                    0,
-                    m,
-                );
-            });
-            for_each_batch(k * n, 2 * bs * k * m * n, gb.data_mut(), |i, block| {
-                gemm_rows(
-                    &a.data()[i * m * k..(i + 1) * m * k],
-                    true,
-                    &gout.data()[i * m * n..(i + 1) * m * n],
-                    false,
-                    k,
-                    m,
-                    n,
-                    block,
-                    0,
-                    k,
-                );
-            });
-            (ga, gb)
-        }
-        MatCase::ThreeTwo(bs, m, k, n) => {
-            let mut ga = Tensor::zeros(&[bs, m, k]);
-            let mut gb = Tensor::zeros(&[k, n]);
-            for_each_batch(m * k, 2 * bs * m * n * k, ga.data_mut(), |i, block| {
-                gemm_rows(
-                    &gout.data()[i * m * n..(i + 1) * m * n],
+        MatCase::Flat(rows, k, n) => [
+            // dA = dC · Bᵀ
+            need_a.then(|| {
+                let mut ga = Tensor::zeros(a.shape());
+                gemm(
+                    gout.data(),
                     false,
                     b.data(),
                     true,
-                    m,
-                    n,
-                    k,
-                    block,
-                    0,
-                    m,
-                );
-            });
-            // gb accumulates across batches: the batch loop must stay
-            // sequential so each element's adds keep batch-ascending order.
-            // The inner gemm may still row-parallelize (bit-identical).
-            for i in 0..bs {
-                gemm(
-                    &a.data()[i * m * k..(i + 1) * m * k],
-                    true,
-                    &gout.data()[i * m * n..(i + 1) * m * n],
-                    false,
-                    k,
-                    m,
-                    n,
-                    gb.data_mut(),
-                );
-            }
-            (ga, gb)
-        }
-        MatCase::TwoThree(bs, m, k, n) => {
-            let mut ga = Tensor::zeros(&[m, k]);
-            let mut gb = Tensor::zeros(&[bs, k, n]);
-            // ga accumulates across batches: sequential batch loop (order),
-            // row-parallel inside gemm. gb is per-batch disjoint.
-            for i in 0..bs {
-                gemm(
-                    &gout.data()[i * m * n..(i + 1) * m * n],
-                    false,
-                    &b.data()[i * k * n..(i + 1) * k * n],
-                    true,
-                    m,
+                    rows,
                     n,
                     k,
                     ga.data_mut(),
                 );
-            }
-            for_each_batch(k * n, 2 * bs * k * m * n, gb.data_mut(), |i, block| {
-                gemm_rows(
+                ga
+            }),
+            // dB = Aᵀ · dC: one chain over all `rows`, ascending from zero —
+            // the chain the rhs-broadcast case's batch loop built.
+            need_b.then(|| {
+                let mut gb = Tensor::zeros(&[k, n]);
+                gemm(
                     a.data(),
                     true,
-                    &gout.data()[i * m * n..(i + 1) * m * n],
+                    gout.data(),
                     false,
                     k,
-                    m,
+                    rows,
                     n,
-                    block,
-                    0,
-                    k,
+                    gb.data_mut(),
                 );
-            });
-            (ga, gb)
-        }
+                gb
+            }),
+        ],
+        // Both gradients are per-batch disjoint.
+        MatCase::ThreeThree(bs, m, k, n) => [
+            need_a.then(|| {
+                let mut ga = Tensor::zeros(&[bs, m, k]);
+                for_each_batch(m * k, 2 * bs * m * n * k, ga.data_mut(), |i, block| {
+                    gemm_rows(
+                        &gout.data()[i * m * n..(i + 1) * m * n],
+                        false,
+                        &b.data()[i * k * n..(i + 1) * k * n],
+                        true,
+                        m,
+                        n,
+                        k,
+                        block,
+                        0,
+                        m,
+                    );
+                });
+                ga
+            }),
+            need_b.then(|| {
+                let mut gb = Tensor::zeros(&[bs, k, n]);
+                for_each_batch(k * n, 2 * bs * k * m * n, gb.data_mut(), |i, block| {
+                    gemm_rows(
+                        &a.data()[i * m * k..(i + 1) * m * k],
+                        true,
+                        &gout.data()[i * m * n..(i + 1) * m * n],
+                        false,
+                        k,
+                        m,
+                        n,
+                        block,
+                        0,
+                        k,
+                    );
+                });
+                gb
+            }),
+        ],
+        MatCase::TwoThree(bs, m, k, n) => [
+            // dA is a sum of per-batch fresh sums `dC_i · B_iᵀ`, added in
+            // batch order: a sequential batch loop, one zeroed gemm each.
+            need_a.then(|| {
+                let mut ga = Tensor::zeros(&[m, k]);
+                let mut fresh = crate::pool::take(m * k);
+                for i in 0..bs {
+                    fresh.fill(0.0);
+                    gemm(
+                        &gout.data()[i * m * n..(i + 1) * m * n],
+                        false,
+                        &b.data()[i * k * n..(i + 1) * k * n],
+                        true,
+                        m,
+                        n,
+                        k,
+                        &mut fresh,
+                    );
+                    for (o, &v) in ga.data_mut().iter_mut().zip(&fresh) {
+                        *o += v;
+                    }
+                }
+                crate::pool::recycle(fresh);
+                ga
+            }),
+            need_b.then(|| {
+                let mut gb = Tensor::zeros(&[bs, k, n]);
+                for_each_batch(k * n, 2 * bs * k * m * n, gb.data_mut(), |i, block| {
+                    gemm_rows(
+                        a.data(),
+                        true,
+                        &gout.data()[i * m * n..(i + 1) * m * n],
+                        false,
+                        k,
+                        m,
+                        n,
+                        block,
+                        0,
+                        k,
+                    );
+                });
+                gb
+            }),
+        ],
     }
 }
 
@@ -377,11 +406,7 @@ pub fn transpose_last(a: &Tensor) -> Tensor {
         2 => {
             let (m, n) = a.dims2();
             let mut out = Tensor::zeros(&[n, m]);
-            for i in 0..m {
-                for j in 0..n {
-                    out.data_mut()[j * m + i] = a.data()[i * n + j];
-                }
-            }
+            transpose_into(a.data(), m, n, out.data_mut());
             out
         }
         3 => {
@@ -390,11 +415,7 @@ pub fn transpose_last(a: &Tensor) -> Tensor {
             for bi in 0..b {
                 let src = &a.data()[bi * m * n..(bi + 1) * m * n];
                 let dst = &mut out.data_mut()[bi * m * n..(bi + 1) * m * n];
-                for i in 0..m {
-                    for j in 0..n {
-                        dst[j * m + i] = src[i * n + j];
-                    }
-                }
+                transpose_into(src, m, n, dst);
             }
             out
         }
@@ -964,6 +985,9 @@ pub fn lstm_seq_backward(
     let mut dz_t = crate::pool::take(bs * h4);
     let mut dh_rec = crate::pool::take_zeroed(bs * h);
     let mut dc_next = crate::pool::take_zeroed(bs * h);
+    // `Uᵀ`, packed once for every step's `dz·Uᵀ` into a zeroed `dh_rec`.
+    let mut u_t = crate::pool::take(h4 * h);
+    transpose_into(u.data(), h, h4, &mut u_t);
     for step in (0..t).rev() {
         let ti = lstm_time(step, t, reversed);
         let t_prev = step.checked_sub(1).map(|s| lstm_time(s, t, reversed));
@@ -991,9 +1015,10 @@ pub fn lstm_seq_backward(
         }
         if step > 0 {
             dh_rec.fill(0.0);
-            gemm(&dz_t, false, u.data(), true, bs, h4, h, &mut dh_rec);
+            gemm(&dz_t, false, &u_t, false, bs, h4, h, &mut dh_rec);
         }
     }
+    crate::pool::recycle(u_t);
     crate::pool::recycle(dz_t);
     crate::pool::recycle(dh_rec);
     crate::pool::recycle(dc_next);
@@ -1080,6 +1105,18 @@ mod tests {
         assert_eq!(c.shape(), &[2, 2, 2]);
         // row [0,1,2] · b = [0*1+1*0+2*1, 0*0+1*1+2*1] = [2, 3]
         assert_eq!(&c.data()[..2], &[2.0, 3.0]);
+    }
+
+    #[test]
+    fn row_blocks_are_whole_tiles() {
+        for m in 1..2000 {
+            let rows = gemm_row_grain(m);
+            assert_eq!(rows % TILE_ROWS, 0, "m={m}");
+            assert!(
+                rows > 0 && m.div_ceil(rows) <= 32,
+                "m={m}: {rows}-row blocks"
+            );
+        }
     }
 
     #[test]

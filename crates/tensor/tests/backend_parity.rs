@@ -300,6 +300,197 @@ property! {
     }
 }
 
+/// `(a, b)` shapes of the four matmul rank cases: 2×2, 3×3, the
+/// rhs-broadcast 3×2 and the lhs-broadcast 2×3.
+fn rank_case(case: usize, bs: usize, m: usize, k: usize, n: usize) -> [Vec<usize>; 2] {
+    match case {
+        0 => [vec![m, k], vec![k, n]],
+        1 => [vec![bs, m, k], vec![bs, k, n]],
+        2 => [vec![bs, m, k], vec![k, n]],
+        _ => [vec![m, k], vec![bs, k, n]],
+    }
+}
+
+fn filled(shape: &[usize], salt: u64) -> Tensor {
+    Tensor::new(fill(shape.iter().product(), salt), shape)
+}
+
+/// The rhs-broadcast case (`B×m×k · k×n`) as it ran before it became one
+/// `(B·m)×k` gemm, kept verbatim on the public backend API as the oracle:
+/// per-batch blocks for the forward and `dX`, a sequential batch loop
+/// accumulating `dW` (its inner gemm was row-parallel, which the
+/// row-partition property makes one `gemm_rows` call).
+mod per_batch {
+    use ssdrec_tensor::backend::backend;
+
+    pub fn forward(a: &[f32], b: &[f32], bs: usize, m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; bs * m * n];
+        for i in 0..bs {
+            backend().gemm_rows(
+                &a[i * m * k..(i + 1) * m * k],
+                false,
+                b,
+                false,
+                m,
+                k,
+                n,
+                &mut out[i * m * n..(i + 1) * m * n],
+                0,
+                m,
+            );
+        }
+        out
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    pub fn backward(
+        a: &[f32],
+        b: &[f32],
+        gout: &[f32],
+        bs: usize,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let mut ga = vec![0.0f32; bs * m * k];
+        let mut gb = vec![0.0f32; k * n];
+        for i in 0..bs {
+            backend().gemm_rows(
+                &gout[i * m * n..(i + 1) * m * n],
+                false,
+                b,
+                true,
+                m,
+                n,
+                k,
+                &mut ga[i * m * k..(i + 1) * m * k],
+                0,
+                m,
+            );
+        }
+        // gb accumulates across batches: the batch loop must stay
+        // sequential so each element's adds keep batch-ascending order.
+        for i in 0..bs {
+            backend().gemm_rows(
+                &a[i * m * k..(i + 1) * m * k],
+                true,
+                &gout[i * m * n..(i + 1) * m * n],
+                false,
+                k,
+                m,
+                n,
+                &mut gb,
+                0,
+                k,
+            );
+        }
+        (ga, gb)
+    }
+}
+
+property! {
+    cases = 64;
+
+    /// One-sided backward: for every rank case and every `need`, each
+    /// requested gradient is bit-equal to the both-sided result and each
+    /// unrequested one is `None` — on both backends.
+    fn one_sided_backward_matches_both_sided(
+        m in dims(),
+        k in dims(),
+        n in dims(),
+        case in gens::usizes(0, 16),
+        seed in gens::usizes(0, 1 << 16),
+    ) {
+        // One index over rank case × batch size.
+        let (bs, case) = ([1, 2, 7, 0][case % 4], case / 4);
+        let [ash, bsh] = rank_case(case, bs, m, k, n);
+        let seed = seed as u64;
+        let (a, b) = (filled(&ash, seed + 1), filled(&bsh, seed + 2));
+        let gout = filled(kernels::matmul(&a, &b).shape(), seed + 3);
+        with_each_backend(|kind| {
+            let both = kernels::matmul_backward(&a, &b, &gout, [true; 2]);
+            for need in [[true, false], [false, true], [false, false]] {
+                let got = kernels::matmul_backward(&a, &b, &gout, need);
+                for side in 0..2 {
+                    let ctx = format!("{ash:?}×{bsh:?} need={need:?} side={side} on {kind:?}");
+                    match (&got[side], &both[side]) {
+                        (Some(g), Some(w)) if need[side] => {
+                            assert_within_ulps(w.data(), g.data(), 0, &ctx)
+                        }
+                        (None, _) if !need[side] => {}
+                        _ => panic!("{ctx}: gradient presence does not follow `need`"),
+                    }
+                }
+            }
+        });
+    }
+
+    /// The rhs-broadcast case as one 2-D gemm against the per-batch loop it
+    /// replaced: forward, `dX` and `dW` bit for bit at `B ∈ {1, 2, 7, 64}`,
+    /// on both backends.
+    fn rhs_broadcast_is_the_per_batch_loop(
+        m in dims(),
+        k in dims(),
+        n in dims(),
+        bs in gens::usizes(0, 4),
+        seed in gens::usizes(0, 1 << 16),
+    ) {
+        let bs = [1, 2, 7, 64][bs];
+        let m = if bs == 64 { m.min(17) } else { m };
+        let seed = seed as u64;
+        let a = filled(&[bs, m, k], seed + 1);
+        let b = filled(&[k, n], seed + 2);
+        let gout = filled(&[bs, m, n], seed + 3);
+        with_each_backend(|kind| {
+            let ctx = format!("B={bs} m={m} k={k} n={n} on {kind:?}");
+            let want = per_batch::forward(a.data(), b.data(), bs, m, k, n);
+            assert_within_ulps(&want, kernels::matmul(&a, &b).data(), 0, &ctx);
+            let (want_ga, want_gb) = per_batch::backward(a.data(), b.data(), gout.data(), bs, m, k, n);
+            let [ga, gb] = kernels::matmul_backward(&a, &b, &gout, [true; 2])
+                .map(|g| g.expect("requested gradient"));
+            assert_within_ulps(&want_ga, ga.data(), 0, &format!("{ctx} dX"));
+            assert_within_ulps(&want_gb, gb.data(), 0, &format!("{ctx} dW"));
+        });
+    }
+
+    /// A transposed operand packed once per call gives the bits of the
+    /// backend packing it once per 8-row block: `dA = dC·Bᵀ` through the
+    /// kernels against `gemm_rows(.., tb = true, ..)` block by block.
+    fn pack_once_matches_pack_per_block(
+        m in dims1(),
+        k in dims(),
+        n in dims(),
+        seed in gens::usizes(0, 1 << 16),
+    ) {
+        let seed = seed as u64;
+        let a = filled(&[m, k], seed + 1);
+        let b = filled(&[k, n], seed + 2);
+        let gout = filled(&[m, n], seed + 3);
+        with_each_backend(|kind| {
+            let mut want = vec![0.0f32; m * k];
+            for (ci, block) in want.chunks_mut(8 * k.max(1)).enumerate() {
+                let r0 = ci * 8;
+                let r1 = (r0 + 8).min(m);
+                ssdrec_tensor::backend::backend().gemm_rows(
+                    gout.data(),
+                    false,
+                    b.data(),
+                    true,
+                    m,
+                    n,
+                    k,
+                    block,
+                    r0,
+                    r1,
+                );
+            }
+            let [ga, _] = kernels::matmul_backward(&a, &b, &gout, [true, false]);
+            let ctx = format!("pack once m={m} k={k} n={n} on {kind:?}");
+            assert_within_ulps(&want, ga.expect("dA").data(), 0, &ctx);
+        });
+    }
+}
+
 /// The LSTM as it ran before `Graph::lstm_seq`: unrolled on the tape step by
 /// step, ~27 nodes per timestep. Moved here verbatim from `nn::rnn` as the
 /// oracle of the fused node; it registers the same twelve tensors under the
@@ -585,7 +776,8 @@ fn matmul_zero_dims_all_rank_cases() {
                         "zero-dim matmul must be all zeros"
                     );
                     let gout = Tensor::new(fill(out.len(), 7), out.shape());
-                    let (ga, gb) = kernels::matmul_backward(&a, &b, &gout);
+                    let [ga, gb] = kernels::matmul_backward(&a, &b, &gout, [true; 2])
+                        .map(|g| g.expect("requested gradient"));
                     assert_eq!(ga.shape(), &ash[..], "ga shape {ash:?}×{bsh:?}");
                     assert_eq!(gb.shape(), &bsh[..], "gb shape {ash:?}×{bsh:?}");
                 }

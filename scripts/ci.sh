@@ -208,12 +208,17 @@ SSDREC_THREADS=4 cargo test --release -q --test golden_determinism
 # the gemms inside them run sequentially and row-partitioned.
 SSDREC_THREADS=1 cargo test --release -q -p ssdrec-tensor --test backend_parity --test grad_layers
 SSDREC_THREADS=4 cargo test --release -q -p ssdrec-tensor --test backend_parity --test grad_layers
-# And a CLI train run must emit byte-identical metric lines either way.
-SSDREC_THREADS=1 train_metrics "$SMOKE_DIR/metrics_t1.txt" $SMOKE_FLAGS --epochs 1
-train_metrics "$SMOKE_DIR/metrics_t4.txt" $SMOKE_FLAGS --epochs 1 --threads 4
+# And a CLI train run must emit byte-identical metric lines and checkpoint
+# bytes either way.
+SSDREC_THREADS=1 train_metrics "$SMOKE_DIR/metrics_t1.txt" $SMOKE_FLAGS --epochs 1 \
+    --out "$SMOKE_DIR/ckpt_t1.ssdt"
+train_metrics "$SMOKE_DIR/metrics_t4.txt" $SMOKE_FLAGS --epochs 1 --threads 4 \
+    --out "$SMOKE_DIR/ckpt_t4.ssdt"
 diff -u "$SMOKE_DIR/metrics_t1.txt" "$SMOKE_DIR/metrics_t4.txt" ||
     die "thread determinism: metrics differ between 1 and 4 threads"
-echo "ok: golden + CLI metrics identical at 1 and 4 threads"
+cmp "$SMOKE_DIR/ckpt_t1.ssdt" "$SMOKE_DIR/ckpt_t4.ssdt" ||
+    die "thread determinism: checkpoints differ between 1 and 4 threads"
+echo "ok: golden + CLI metrics and checkpoints identical at 1 and 4 threads"
 
 echo "== backend parity (golden metrics: reference vs blocked kernels) =="
 # The v1 kernel bits-contract: the cache-blocked backend must reproduce the
@@ -225,19 +230,27 @@ SSDREC_BACKEND=blocked cargo test --release -q --test golden_determinism
 # unswitched kernel call in them starts from.
 SSDREC_BACKEND=reference cargo test --release -q -p ssdrec-tensor --test backend_parity --test grad_layers
 SSDREC_BACKEND=blocked cargo test --release -q -p ssdrec-tensor --test backend_parity --test grad_layers
-train_metrics "$SMOKE_DIR/metrics_reference.txt" $SMOKE_FLAGS --epochs 1 --backend reference
-train_metrics "$SMOKE_DIR/metrics_blocked.txt" $SMOKE_FLAGS --epochs 1 --backend blocked
+train_metrics "$SMOKE_DIR/metrics_reference.txt" $SMOKE_FLAGS --epochs 1 --backend reference \
+    --out "$SMOKE_DIR/ckpt_reference.ssdt"
+train_metrics "$SMOKE_DIR/metrics_blocked.txt" $SMOKE_FLAGS --epochs 1 --backend blocked \
+    --out "$SMOKE_DIR/ckpt_blocked.ssdt"
 diff -u "$SMOKE_DIR/metrics_reference.txt" "$SMOKE_DIR/metrics_blocked.txt" ||
     die "backend parity: metrics differ between reference and blocked kernels"
-echo "ok: golden + CLI metrics identical under reference and blocked backends"
+cmp "$SMOKE_DIR/ckpt_reference.ssdt" "$SMOKE_DIR/ckpt_blocked.ssdt" ||
+    die "backend parity: checkpoints differ between reference and blocked kernels"
+echo "ok: golden + CLI metrics and checkpoints identical under reference and blocked backends"
 
 echo "== pool identity (pooled vs fresh CLI metrics) =="
 # The step-scoped buffer pool must never change a bit of output.
-train_metrics "$SMOKE_DIR/metrics_pooled.txt" $SMOKE_FLAGS --epochs 1
-SSDREC_POOL=0 train_metrics "$SMOKE_DIR/metrics_fresh.txt" $SMOKE_FLAGS --epochs 1
+train_metrics "$SMOKE_DIR/metrics_pooled.txt" $SMOKE_FLAGS --epochs 1 \
+    --out "$SMOKE_DIR/ckpt_pooled.ssdt"
+SSDREC_POOL=0 train_metrics "$SMOKE_DIR/metrics_fresh.txt" $SMOKE_FLAGS --epochs 1 \
+    --out "$SMOKE_DIR/ckpt_fresh.ssdt"
 diff -u "$SMOKE_DIR/metrics_pooled.txt" "$SMOKE_DIR/metrics_fresh.txt" ||
     die "pool identity: metrics differ between pooled and fresh runs"
-echo "ok: pooled and fresh metrics byte-identical"
+cmp "$SMOKE_DIR/ckpt_pooled.ssdt" "$SMOKE_DIR/ckpt_fresh.ssdt" ||
+    die "pool identity: checkpoints differ between pooled and fresh runs"
+echo "ok: pooled and fresh metrics and checkpoints byte-identical"
 
 echo "== hot-swap smoke (ingest → retrain → serve --ckpt-dir → /reload) =="
 STREAM_DIR=$SMOKE_DIR/stream

@@ -5,11 +5,11 @@ mod common;
 
 use std::path::PathBuf;
 
-use common::{served_bits, sports_world, ssdrec_on, train_config, MAX_LEN};
+use common::{scratch, served_bits, sports_world, ssdrec_on, train_config, DIM, MAX_LEN};
 use ssdrec::core::{SsdRec, SsdRecConfig};
 use ssdrec::data::{make_batches, prepare, SyntheticConfig};
 use ssdrec::graph::{build_graph, GraphConfig};
-use ssdrec::models::{train, RecModel, TrainConfig};
+use ssdrec::models::{train, BackboneKind, RecModel, SeqRec, TrainConfig};
 use ssdrec::tensor::{load_params, save_params, Graph};
 
 fn setup() -> (ssdrec::data::Split, ssdrec::graph::MultiRelationGraph) {
@@ -112,8 +112,10 @@ fn parameter_count_scales_with_catalogue() {
     assert!(ml.store.num_scalars() > ms.store.num_scalars());
 }
 
-/// `tests/fixtures/<name>`: files written once by [`record_parent_fixtures`]
-/// on the last commit whose LSTM was unrolled on the tape step by step.
+/// `tests/fixtures/<name>`: `parent_trained.ssdt`, trained once on the last
+/// commit whose LSTM was unrolled on the tape step by step (e2fa74d) and kept
+/// as the older-checkpoint fixture, and `parent_pins.txt`, written by
+/// [`record_parent_fixtures`] on the parent of the change each pin guards.
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -125,56 +127,97 @@ fn pinned_world() -> ssdrec::core::Prepared {
     sports_world(0.08, 7)
 }
 
+/// FNV-1a over `bytes`.
+fn fnv64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |hash, byte| {
+            (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
 /// FNV-1a over the bits of every `eval_scores` row of the untrained
 /// `tests/common` model on its test split, batched as evaluation batches it.
 fn untrained_eval_scores_checksum() -> u64 {
     let prep = pinned_world();
     let model = ssdrec_on(&prep, 7);
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut bytes = Vec::new();
     for batch in make_batches(&prep.split.test, 32, 7) {
         let mut g = Graph::new();
         let bind = model.store().bind_all(&mut g);
         let scores = model.eval_scores(&mut g, &bind, &batch);
         for v in g.value(scores).data() {
-            for byte in v.to_bits().to_le_bytes() {
-                hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            bytes.extend(v.to_bits().to_le_bytes());
         }
     }
-    hash
-}
-
-/// The pins as text: the checksum, then the served top-8 as `item:bits`.
-fn render_pins(checksum: u64, top: &[(usize, u32)]) -> String {
-    let top: Vec<String> = top.iter().map(|(i, s)| format!("{i}:{s:08x}")).collect();
-    format!(
-        "eval_scores_fnv64 {checksum:016x}\ntop8 {}\n",
-        top.join(" ")
-    )
+    fnv64(bytes)
 }
 
 /// What a one-worker, cache-less engine answers for `tests/common`'s probe
-/// request once `parent_trained.ssdt` is loaded into a fresh model.
-fn served_from_parent_checkpoint() -> Vec<(usize, u32)> {
+/// request once `parent_trained.ssdt` is loaded into a fresh model, as
+/// `item:bits`.
+fn served_from_parent_checkpoint() -> String {
     let mut model = ssdrec_on(&pinned_world(), 7);
     load_params(&mut model.store, fixture("parent_trained.ssdt"))
         .expect("the parent's checkpoint must still load");
-    served_bits(model, MAX_LEN)
+    let top: Vec<String> = served_bits(model, MAX_LEN)
+        .iter()
+        .map(|(i, s)| format!("{i}:{s:08x}"))
+        .collect();
+    top.join(" ")
 }
 
-/// Writes the fixtures. Run on the parent of the fused-LSTM change, never
-/// after it: `cargo test --test persistence_and_serving -- --ignored`.
+/// FNV-1a of the `.ssdt` bytes of `model` after two epochs on the pinned
+/// world — for SSDRec, long enough for the augmentation stage to train.
+fn trained_ssdt_checksum(mut model: impl RecModel, tag: &str) -> u64 {
+    let prep = pinned_world();
+    train(&mut model, &prep.split, &train_config(2, 7));
+    let path = scratch(&format!("pinned_{tag}.ssdt"));
+    save_params(model.store(), &path).unwrap();
+    fnv64(std::fs::read(&path).unwrap())
+}
+
+fn trained_ssdrec_checksum() -> u64 {
+    trained_ssdt_checksum(ssdrec_on(&pinned_world(), 7), "ssdrec")
+}
+
+fn trained_sasrec_checksum() -> u64 {
+    let items = pinned_world().dataset.num_items;
+    trained_ssdt_checksum(
+        SeqRec::new(BackboneKind::SasRec, items, DIM, MAX_LEN, 7),
+        "sasrec",
+    )
+}
+
+/// The pin named `key` in `parent_pins.txt` (one `key value` per line).
+fn pin(key: &str) -> String {
+    let pins = std::fs::read_to_string(fixture("parent_pins.txt")).expect("pins fixture");
+    pins.lines()
+        .find_map(|line| line.strip_prefix(key)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no {key} pin"))
+        .to_string()
+}
+
+/// Writes `parent_pins.txt` from the checked-out code — run it on the parent
+/// of a change the pins must hold across, never after it:
+/// `cargo test --test persistence_and_serving -- --ignored`.
+/// `parent_trained.ssdt` is trained only if it is missing.
 #[test]
 #[ignore = "rewrites tests/fixtures from the checked-out code"]
 fn record_parent_fixtures() {
     std::fs::create_dir_all(fixture("")).unwrap();
-    let prep = pinned_world();
-    let mut model = ssdrec_on(&prep, 7);
-    train(&mut model, &prep.split, &train_config(2, 7));
-    save_params(&model.store, fixture("parent_trained.ssdt")).unwrap();
-    let pins = render_pins(
+    if !fixture("parent_trained.ssdt").exists() {
+        let prep = pinned_world();
+        let mut model = ssdrec_on(&prep, 7);
+        train(&mut model, &prep.split, &train_config(2, 7));
+        save_params(&model.store, fixture("parent_trained.ssdt")).unwrap();
+    }
+    let pins = format!(
+        "eval_scores_fnv64 {:016x}\ntop8 {}\ntrained_ssdt_fnv64_ssdrec {:016x}\ntrained_ssdt_fnv64_sasrec {:016x}\n",
         untrained_eval_scores_checksum(),
-        &served_from_parent_checkpoint(),
+        served_from_parent_checkpoint(),
+        trained_ssdrec_checksum(),
+        trained_sasrec_checksum(),
     );
     std::fs::write(fixture("parent_pins.txt"), pins).unwrap();
 }
@@ -185,10 +228,32 @@ fn record_parent_fixtures() {
 /// serves the parent's top-K, score bits included.
 #[test]
 fn forward_bits_and_parent_checkpoint_are_unchanged() {
-    let want = std::fs::read_to_string(fixture("parent_pins.txt")).expect("pins fixture");
-    let got = render_pins(
-        untrained_eval_scores_checksum(),
-        &served_from_parent_checkpoint(),
+    assert_eq!(
+        format!("{:016x}", untrained_eval_scores_checksum()),
+        pin("eval_scores_fnv64"),
+        "forward bits moved"
     );
-    assert_eq!(got, want, "forward bits or checkpoint layout moved");
+    assert_eq!(
+        served_from_parent_checkpoint(),
+        pin("top8"),
+        "checkpoint layout or served bits moved"
+    );
+}
+
+/// Training bits are unchanged: two epochs of SSDRec (augmentation active)
+/// and of a SASRec baseline write the very `.ssdt` bytes they wrote on the
+/// commit the pins were recorded on (the parent of the one-gemm-per-product
+/// change).
+#[test]
+fn trained_checkpoint_bytes_are_unchanged() {
+    assert_eq!(
+        format!("{:016x}", trained_ssdrec_checksum()),
+        pin("trained_ssdt_fnv64_ssdrec"),
+        "SSDRec training bits moved"
+    );
+    assert_eq!(
+        format!("{:016x}", trained_sasrec_checksum()),
+        pin("trained_ssdt_fnv64_sasrec"),
+        "SASRec training bits moved"
+    );
 }

@@ -92,45 +92,57 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|x| x.to_bits()).collect()
 }
 
-#[test]
-fn gemm_is_bit_identical_across_thread_counts() {
-    // Big enough to clear the parallel threshold in every case below.
-    let (m, k, n) = (96, 48, 80);
-    let a = Tensor::new(fill(m * k, 1), &[m, k]);
-    let b = Tensor::new(fill(k * n, 2), &[k, n]);
-    let gout = Tensor::new(fill(m * n, 3), &[m, n]);
-    assert_bits_stable(|| {
-        // Forward covers the (false, false) variant; the backward pair
-        // covers (false, true) and (true, false) over the same shapes.
-        let out = matmul(&a, &b);
-        let (ga, gb) = matmul_backward(&a, &b, &gout);
-        (bits(&out), bits(&ga), bits(&gb))
-    });
+/// Both operand gradients of a matmul.
+fn both_grads(a: &Tensor, b: &Tensor, gout: &Tensor) -> [Tensor; 2] {
+    matmul_backward(a, b, gout, [true; 2]).map(|g| g.expect("requested gradient"))
 }
 
 #[test]
+fn gemm_is_bit_identical_across_thread_counts() {
+    // Big enough to clear the parallel threshold in every case below. 194
+    // is `train_ssdrec`'s V+1 (row blocks of 8 and a 2-row tail), 384 a
+    // whole number of blocks.
+    let (k, n) = (48, 80);
+    for m in [96, 194, 384] {
+        let a = Tensor::new(fill(m * k, 1), &[m, k]);
+        let b = Tensor::new(fill(k * n, 2), &[k, n]);
+        let gout = Tensor::new(fill(m * n, 3), &[m, n]);
+        assert_bits_stable(|| {
+            // The forward is the (false, false) variant; the backward pair
+            // a transposed-and-packed `b` and the (true, false) variant.
+            let out = matmul(&a, &b);
+            let [ga, gb] = both_grads(&a, &b, &gout);
+            (bits(&out), bits(&ga), bits(&gb))
+        });
+    }
+}
+
+/// The batched cases at two shapes; the second's rhs-broadcast product is
+/// `B·m` = 63 rows — seven row blocks of 8, the last a partial tile.
+#[test]
 fn batched_matmul_is_bit_identical_across_thread_counts() {
-    let (bs, m, k, n) = (24, 12, 16, 20);
-    let a3 = Tensor::new(fill(bs * m * k, 4), &[bs, m, k]);
-    let b3 = Tensor::new(fill(bs * k * n, 5), &[bs, k, n]);
-    let b2 = Tensor::new(fill(k * n, 6), &[k, n]);
-    let gout = Tensor::new(fill(bs * m * n, 7), &[bs, m, n]);
-    assert_bits_stable(|| {
-        let out33 = matmul(&a3, &b3);
-        let out32 = matmul(&a3, &b2);
-        let (ga33, gb33) = matmul_backward(&a3, &b3, &gout);
-        // ThreeTwo backward: gb accumulates across batches — the
-        // order-sensitive case the sequential batch loop protects.
-        let (ga32, gb32) = matmul_backward(&a3, &b2, &gout);
-        (
-            bits(&out33),
-            bits(&out32),
-            bits(&ga33),
-            bits(&gb33),
-            bits(&ga32),
-            bits(&gb32),
-        )
-    });
+    for (bs, m, k, n) in [(24, 12, 16, 20), (7, 9, 16, 20)] {
+        let a3 = Tensor::new(fill(bs * m * k, 4), &[bs, m, k]);
+        let b3 = Tensor::new(fill(bs * k * n, 5), &[bs, k, n]);
+        let b2 = Tensor::new(fill(k * n, 6), &[k, n]);
+        let gout = Tensor::new(fill(bs * m * n, 7), &[bs, m, n]);
+        assert_bits_stable(|| {
+            let out33 = matmul(&a3, &b3);
+            let out32 = matmul(&a3, &b2);
+            let [ga33, gb33] = both_grads(&a3, &b3, &gout);
+            // ThreeTwo backward: gb is one chain over all B·m rows — the
+            // order-sensitive case.
+            let [ga32, gb32] = both_grads(&a3, &b2, &gout);
+            (
+                bits(&out33),
+                bits(&out32),
+                bits(&ga33),
+                bits(&gb33),
+                bits(&ga32),
+                bits(&gb32),
+            )
+        });
+    }
 }
 
 /// The fused LSTM node, forward and in-node BPTT, at a shape whose packed
