@@ -9,7 +9,8 @@
 //! 2. **Scan** — read every sequence back through the windowed
 //!    `ColumnarReader` (one reusable buffer, bounded window).
 //! 3. **Graph** — build all five relation CSRs with
-//!    `build_graph_from_store` in counting passes over the store.
+//!    `build_graph_from_store`: counting passes over the store, then the
+//!    quadratic relations row-parallel over the runtime pool.
 //!
 //! Peak RSS (`VmHWM`) is read at the end and must stay under
 //! [`RSS_BUDGET`], pinning the bounded-RAM claim of the out-of-core
@@ -26,10 +27,12 @@ use crate::{repo_root, write_results, Args, Scale};
 
 /// Peak-RSS ceiling for the 1M-user × 100K-item run, in bytes.
 ///
-/// The graph build dominates: the five CSRs plus the transition
-/// contribution buffer sit around 2–3 GiB at this scale; 8 GiB leaves
-/// headroom without letting the "bounded RAM" claim degenerate into
-/// "fits in a 128 GiB box".
+/// The graph build dominates: the transitional intermediates (the
+/// contribution buffer, the outgoing / incoming / mass rows) and the
+/// finished CSRs peak at ≈ 3.6 GiB at this scale (measured on a 2-cpu
+/// host; see DESIGN.md §14, *RSS budget*). 8 GiB leaves headroom without
+/// letting the "bounded RAM" claim degenerate into "fits in a 128 GiB
+/// box".
 const RSS_BUDGET: u64 = 8 * 1024 * 1024 * 1024;
 
 /// Peak resident set size of this process in bytes: `VmHWM` in
@@ -113,8 +116,8 @@ pub(crate) fn run(a: &Args) {
     assert!(checksum > 0, "scan must observe real items");
     eprintln!("  scan  : {interactions} interactions in {scan_ms:.1} ms ({scan_ips:.0} inter/s)");
 
-    // Phase 3: graph. Counting passes over the (truncated) store — no
-    // HashMap intermediates, peak RAM is the CSRs themselves.
+    // Phase 3: graph. Counting passes over the (truncated) store, then
+    // row-parallel relations — no HashMap intermediates, no global sorts.
     let store = TruncatedStore::new(&reader, 50);
     let t0 = Instant::now();
     let graph = build_graph_from_store(&store, &graph_cfg);

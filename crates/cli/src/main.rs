@@ -220,8 +220,8 @@ fn model_context<'a>(a: &Args, prep: &'a Prepared) -> Result<ModelContext<'a>, S
 }
 
 fn build_ssdrec(a: &Args, prep: &Prepared) -> Result<SsdRec, String> {
-    let ctx = model_context(a, prep)?;
-    Ok(SsdRec::new(ctx.graph, ctx.ssdrec_config()))
+    let cfg = model_context(a, prep)?.ssdrec_config();
+    Ok(SsdRec::new(&prep.graph, cfg))
 }
 
 fn train_config(a: &Args) -> Result<TrainConfig, String> {
@@ -332,11 +332,15 @@ fn print_report(report: &TrainReport) {
 /// `--data FILE.ssdc [--data-mode windowed|ram]` is the out-of-core path:
 /// sequences are truncated lazily to `--max-len`, split with leave-one-out
 /// (min length 3, up to 3 training prefixes per user), the graph is built
-/// in counting passes over the store, and the trainer pulls batches through
+/// over the store only when the model [reads it](ModelKind::reads_graph),
+/// and the trainer pulls batches through
 /// [`StoreExamples`](ssdrec_data::StoreExamples) — in `windowed` mode
 /// nothing ever materializes the whole corpus. Both modes print identical
 /// metric lines, which CI diffs to pin the bit-identity contract.
 fn cmd_train(a: &Args) -> Result<(), String> {
+    // A bad model flag is reported where the model is built, after the
+    // lines printed before it; resolving it here only decides the graph.
+    let kind = model_kind(a);
     // Whichever backing the input resolves to must outlive the training run.
     let (prep, reader, decoded, store, plan, views, graph);
     let (ctx, sources): (ModelContext<'_>, SourceSplit<'_>) = if let Some(data) = a.get("data") {
@@ -369,7 +373,10 @@ fn cmd_train(a: &Args) -> Result<(), String> {
         let sources = SourceSplit::from(&views);
         print_data_line(store.num_items(), &sources);
         println!("mode : {mode} ({data})");
-        graph = build_graph_from_store(&store, &GraphConfig::default());
+        graph = kind
+            .as_ref()
+            .is_ok_and(|k| k.reads_graph())
+            .then(|| build_graph_from_store(&store, &GraphConfig::default()));
         let ctx = ModelContext {
             num_users: store.num_users(),
             num_items: store.num_items(),
@@ -377,7 +384,7 @@ fn cmd_train(a: &Args) -> Result<(), String> {
             max_len,
             seed: a.get_parse("seed", 7)?,
             backbone: backbone(a)?,
-            graph: &graph,
+            graph: graph.as_ref(),
             // Read by DCRec only, which `train` does not offer.
             item_freq: &[],
         };
@@ -402,7 +409,7 @@ fn cmd_train(a: &Args) -> Result<(), String> {
             c.every.max(1)
         );
     }
-    let mut model = build_model(model_kind(a)?, &ctx);
+    let mut model = build_model(kind?, &ctx);
     let opts = TrainOptions {
         warm: None,
         ckpt: ckpt.as_ref(),

@@ -67,6 +67,13 @@ impl ModelKind {
         ModelKind::CL4SREC,
         ModelKind::Mgsd,
     ];
+
+    /// Whether building this kind reads [`ModelContext::graph`]: true for
+    /// SSDRec alone. A caller whose kind does not read the graph may skip
+    /// building one and pass `graph: None`.
+    pub fn reads_graph(self) -> bool {
+        matches!(self, ModelKind::SsdRec)
+    }
 }
 
 /// Everything a constructor in the table may read.
@@ -86,8 +93,9 @@ pub struct ModelContext<'a> {
     /// [`SsdRec`](ModelKind::SsdRec) and
     /// [`Contrastive`](ModelKind::Contrastive) kinds.
     pub backbone: BackboneKind,
-    /// The multi-relation graph SSDRec's first stage encodes.
-    pub graph: &'a MultiRelationGraph,
+    /// The multi-relation graph SSDRec's first stage encodes; `None` when
+    /// no kind built from this context [reads it](ModelKind::reads_graph).
+    pub graph: Option<&'a MultiRelationGraph>,
     /// Per-item interaction counts, index 0 the pad item
     /// ([`Dataset::item_frequencies`]); may be empty when
     /// [`ModelKind::DcRec`] is never built.
@@ -109,6 +117,10 @@ impl ModelContext<'_> {
 }
 
 /// Build the model `kind` names over `ctx`.
+///
+/// # Panics
+/// If `kind` [reads the graph](ModelKind::reads_graph) and `ctx.graph` is
+/// `None`.
 pub fn build_model(kind: ModelKind, ctx: &ModelContext<'_>) -> Box<dyn RecModel> {
     let &ModelContext {
         num_users: nu,
@@ -121,7 +133,12 @@ pub fn build_model(kind: ModelKind, ctx: &ModelContext<'_>) -> Box<dyn RecModel>
     } = ctx;
     match kind {
         ModelKind::Backbone => Box::new(SeqRec::new(backbone, ni, dim, max_len, seed)),
-        ModelKind::SsdRec => Box::new(SsdRec::new(ctx.graph, ctx.ssdrec_config())),
+        ModelKind::SsdRec => {
+            let graph = ctx.graph.unwrap_or_else(|| {
+                panic!("{kind:?} reads the graph (ModelKind::reads_graph) but the context has none")
+            });
+            Box::new(SsdRec::new(graph, ctx.ssdrec_config()))
+        }
         ModelKind::Contrastive {
             cl_weight,
             cl_tau,
@@ -181,7 +198,7 @@ impl Prepared {
             max_len: self.max_len,
             seed,
             backbone,
-            graph: &self.graph,
+            graph: Some(&self.graph),
             item_freq: &self.item_freq,
         }
     }
@@ -263,10 +280,27 @@ mod tests {
         assert_eq!(by_hand.len(), 14);
 
         for (kind, bb, want) in by_hand {
-            let mut boxed = build_model(kind, &prep.context(d, s, bb));
+            let ctx = prep.context(d, s, bb);
+            let mut boxed = build_model(kind, &ctx);
             let got = run(&mut *boxed, &prep, &tc);
             assert_eq!(got, want, "{kind:?}/{bb:?} differs from its concrete type");
+            if !kind.reads_graph() {
+                let graphless = ModelContext { graph: None, ..ctx };
+                let got = run(&mut *build_model(kind, &graphless), &prep, &tc);
+                assert_eq!(got, want, "{kind:?}/{bb:?} differs without the graph");
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "reads_graph")]
+    fn a_graph_reader_over_no_graph_names_reads_graph() {
+        let (prep, _) = tiny();
+        let ctx = ModelContext {
+            graph: None,
+            ..prep.context(8, 11, BackboneKind::SasRec)
+        };
+        build_model(ModelKind::SsdRec, &ctx);
     }
 
     #[test]

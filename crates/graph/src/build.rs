@@ -14,9 +14,11 @@
 //! * **dissimilar** user edges between users who never co-interact yet share
 //!   a similar user.
 
+use std::cmp::Ordering;
+
 use ssdrec_data::{Dataset, SequenceStore};
 
-use crate::csr::Csr;
+use crate::csr::{keep_heaviest, prefix_offsets, Csr};
 
 /// Knobs for graph construction. Defaults follow the paper's implementation
 /// details (few-shot ratios 0.9 users / 0.8 items via the 20/80 principle).
@@ -146,70 +148,152 @@ fn popular_flags(freq: &[usize], fewshot_ratio: f64) -> Vec<bool> {
         .collect()
 }
 
-/// Exclusive prefix sum of per-node counts into CSR offsets.
-fn prefix_offsets(deg: &[usize]) -> Vec<usize> {
-    let mut offs = Vec::with_capacity(deg.len() + 1);
-    let mut acc = 0usize;
-    offs.push(0);
-    for &d in deg {
-        acc += d;
-        offs.push(acc);
-    }
-    offs
-}
+/// Rows per block of [`par_rows`] never drop below this, so small graphs
+/// do not pay a dispatch per handful of rows.
+const MIN_BLOCK_ROWS: usize = 16;
+/// [`par_rows`] cuts a relation into at most this many blocks.
+const MAX_BLOCKS: usize = 256;
 
-/// Stable-sort a contribution stream by key, then merge-sum duplicate keys
-/// left to right.
-///
-/// This is the replacement for `HashMap` `+=` accumulation: when the
-/// contributions were *emitted* in encounter order, the stable sort keeps
-/// that order within each key, and the left-to-right fold performs the
-/// additions in exactly the sequence the hash map would have — so the merged
-/// weights are bit-identical (float addition is order-sensitive), and the
-/// output is already in ascending key order (the old `sorted_edges`).
-fn merge_contributions<K: Ord + Copy>(v: &mut Vec<(K, f32)>) {
-    v.sort_by_key(|&(k, _)| k);
-    let mut w = 0usize;
-    let mut r = 0usize;
-    while r < v.len() {
-        let (k, mut acc) = v[r];
-        r += 1;
-        while r < v.len() && v[r].0 == k {
-            acc += v[r].1;
-            r += 1;
+/// Build the rows `0..n` of a relation over the global pool: `fill(i,
+/// scratch, out)` appends row `i` to `out`. Block bounds derive from `n`
+/// alone (DESIGN §8 rule 1); each block gets a fresh `scratch()` and an
+/// output of its own, and the blocks are joined in order, so the result is
+/// the same at every thread count.
+fn par_rows<S>(
+    n: usize,
+    scratch: impl Fn() -> S + Sync,
+    fill: impl Fn(usize, &mut S, &mut Vec<(usize, f32)>) + Sync,
+) -> Csr {
+    // One block's rows: where each row ends in the block's entries, and the
+    // entries.
+    type Block = (Vec<usize>, Vec<(usize, f32)>);
+    let grain = n.div_ceil(MAX_BLOCKS).max(MIN_BLOCK_ROWS);
+    let mut blocks: Vec<Block> = vec![(Vec::new(), Vec::new()); n.div_ceil(grain)];
+    ssdrec_runtime::parallel_chunks_mut(&mut blocks, 1, |b, block| {
+        let (ends, out) = &mut block[0];
+        let mut s = scratch();
+        for i in b * grain..((b + 1) * grain).min(n) {
+            fill(i, &mut s, out);
+            ends.push(out.len());
         }
-        v[w] = (k, acc);
-        w += 1;
+    });
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    let mut nbrs = Vec::with_capacity(blocks.iter().map(|b| b.1.len()).sum());
+    for (ends, out) in blocks {
+        let base = nbrs.len();
+        offsets.extend(ends.iter().map(|e| base + e));
+        nbrs.extend(out);
     }
-    v.truncate(w);
+    Csr::from_parts(offsets, nbrs)
 }
 
-/// Scatter an ascending-key undirected edge list into per-node CSR arrays
-/// (each edge appears in both endpoint rows).
-fn fill_undirected(n: usize, edges: &[((usize, usize), f32)]) -> (Vec<usize>, Vec<(usize, f32)>) {
-    let mut deg = vec![0usize; n];
-    for &((a, b), _) in edges {
-        deg[a] += 1;
-        deg[b] += 1;
-    }
-    let offs = prefix_offsets(&deg);
-    let mut cur = offs[..n].to_vec();
-    let mut nbrs = vec![(0usize, 0.0f32); offs[n]];
-    for &((a, b), w) in edges {
-        nbrs[cur[a]] = (b, w);
-        cur[a] += 1;
-        nbrs[cur[b]] = (a, w);
-        cur[b] += 1;
-    }
-    (offs, nbrs)
+/// The pairs of nodes that share a list, as an upper triangle: row `i`
+/// holds its partners `j > i`, ascending.
+///
+/// `lists` rows are id-ascending member lists, each member carrying its
+/// weight in that list. Every pair `i < j` listed together in list `k`
+/// contributes `w_ik + w_jk`; a pair's contributions are folded in
+/// ascending `k`, the first assigned and each later one added — the order
+/// in which the historical builder stable-sorted and folded one global
+/// contribution stream, so the sums keep their bits. Pairs `keep` rejects
+/// are dropped.
+fn co_listed(n: usize, lists: &Csr, keep: impl Fn(usize, usize) -> bool + Sync) -> Csr {
+    let member_of = lists.transpose(n);
+    par_rows(
+        n,
+        || (vec![0usize; n], vec![0.0f32; n], Vec::new()),
+        |i, (seen, acc, touched), out| {
+            touched.clear();
+            for &(k, w_ik) in member_of.neighbors(i) {
+                let list = lists.neighbors(k);
+                let after = list.partition_point(|&(j, _)| j <= i);
+                for &(j, w_jk) in &list[after..] {
+                    let w = w_ik + w_jk;
+                    if seen[j] == i + 1 {
+                        acc[j] += w;
+                    } else {
+                        seen[j] = i + 1;
+                        acc[j] = w;
+                        touched.push(j);
+                    }
+                }
+            }
+            touched.sort_unstable();
+            out.extend(
+                touched
+                    .iter()
+                    .filter(|&&j| keep(i, j))
+                    .map(|&j| (j, acc[j])),
+            );
+        },
+    )
 }
 
-/// Binary-search a key-sorted CSR row.
-fn row_get(offsets: &[usize], nbrs: &[(usize, f32)], i: usize, j: usize) -> Option<f32> {
-    let row = &nbrs[offsets[i]..offsets[i + 1]];
-    row.binary_search_by_key(&j, |&(k, _)| k)
-        .ok()
-        .map(|p| row[p].1)
+/// Row-wise union of two id-ascending relations, the weights of an edge
+/// both carry summed.
+fn sum_rows(a: &Csr, b: &Csr) -> Csr {
+    let mut offsets = Vec::with_capacity(a.num_nodes() + 1);
+    offsets.push(0);
+    let mut nbrs = Vec::with_capacity(a.num_edges() + b.num_edges());
+    for i in 0..a.num_nodes() {
+        let (ra, rb) = (a.neighbors(i), b.neighbors(i));
+        let (mut x, mut y) = (0, 0);
+        loop {
+            let next = match (ra.get(x), rb.get(y)) {
+                (Some(&(j, w)), Some(&(k, v))) => match j.cmp(&k) {
+                    Ordering::Less => {
+                        x += 1;
+                        (j, w)
+                    }
+                    Ordering::Greater => {
+                        y += 1;
+                        (k, v)
+                    }
+                    Ordering::Equal => {
+                        x += 1;
+                        y += 1;
+                        (j, w + v)
+                    }
+                },
+                (Some(&e), None) => {
+                    x += 1;
+                    e
+                }
+                (None, Some(&e)) => {
+                    y += 1;
+                    e
+                }
+                (None, None) => break,
+            };
+            nbrs.push(next);
+        }
+        offsets.push(nbrs.len());
+    }
+    Csr::from_parts(offsets, nbrs)
+}
+
+/// The items two item-ascending rows share, ascending, with both weights.
+fn shared_items<'a>(
+    ra: &'a [(usize, f32)],
+    rb: &'a [(usize, f32)],
+) -> impl Iterator<Item = (usize, f32, f32)> + 'a {
+    let (mut x, mut y) = (0, 0);
+    std::iter::from_fn(move || {
+        while x < ra.len() && y < rb.len() {
+            match ra[x].0.cmp(&rb[y].0) {
+                Ordering::Less => x += 1,
+                Ordering::Greater => y += 1,
+                Ordering::Equal => {
+                    let shared = (ra[x].0, ra[x].1, rb[y].1);
+                    x += 1;
+                    y += 1;
+                    return Some(shared);
+                }
+            }
+        }
+        None
+    })
 }
 
 /// Build the full multi-relation graph from an in-RAM dataset.
@@ -220,15 +304,17 @@ pub fn build_graph(ds: &Dataset, cfg: &GraphConfig) -> MultiRelationGraph {
 /// Build the full multi-relation graph by counting passes over a
 /// [`SequenceStore`] — the out-of-core path.
 ///
-/// The construction makes three sequential passes over the store (interaction
-/// rows + frequencies, transitional-pair counts, transitional-pair fill); all
-/// later relations derive from those CSR intermediates. Each relation follows
-/// the count → offsets → fill → sort → weight-merge discipline instead of
-/// hash-map accumulation, and [`merge_contributions`] reproduces the hash
-/// map's addition order exactly, so the resulting graph is **byte-identical**
-/// to the historical builder on every input
-/// (`crates/graph/tests/csr_regression.rs` pins this against hashes captured
-/// before the rewrite).
+/// Three sequential passes over the store (interaction rows + frequencies,
+/// transitional-pair counts, transitional-pair fill) produce the CSR
+/// intermediates every later relation derives from. The quadratic
+/// relations — incompatible, similar, dissimilar — are then built one
+/// destination row at a time over the `ssdrec_runtime` pool, with no global
+/// sort; each row adds its weights in the order the historical
+/// sort-and-merge builder did, so the graph is **byte-identical** to it on
+/// every input and at every thread count (`crates/graph/tests/`:
+/// `csr_regression.rs` pins hashes recorded before both rewrites, and
+/// `reference_oracle.rs` compares against the sort-and-merge builder kept
+/// verbatim).
 pub fn build_graph_from_store(store: &dyn SequenceStore, cfg: &GraphConfig) -> MultiRelationGraph {
     let n_items = store.num_items() + 1; // include pad slot 0
     let n_users = store.num_users();
@@ -264,28 +350,16 @@ pub fn build_graph_from_store(store: &dyn SequenceStore, cfg: &GraphConfig) -> M
         }
         ui_offsets.push(ui_nbrs.len());
     }
-
-    // item → interacting users: counting transpose of the `ui` rows. Filling
-    // in ascending user order leaves every row user-sorted.
-    let mut iu_deg = vec![0usize; n_items];
-    for &(i, _) in &ui_nbrs {
-        iu_deg[i] += 1;
-    }
-    let iu_offsets = prefix_offsets(&iu_deg);
-    let mut cur = iu_offsets[..n_items].to_vec();
-    let mut iu_nbrs = vec![(0usize, 0.0f32); ui_nbrs.len()];
-    for u in 0..n_users {
-        for &(i, w) in &ui_nbrs[ui_offsets[u]..ui_offsets[u + 1]] {
-            iu_nbrs[cur[i]] = (u, w);
-            cur[i] += 1;
-        }
-    }
+    let ui = Csr::from_parts(ui_offsets, ui_nbrs);
+    // item → interacting users, every row user-ascending.
+    let iu = ui.transpose(n_items);
 
     // --- transitional relations (E+_vv) -----------------------------------
     // w+_{ij} = Σ over sequences containing v_i before v_j of (n - Dis)/n.
     // Store pass 2 counts one contribution per ordered pair; pass 3 scatters
     // `(target, w)` into a flat per-source buffer. Contributions land in scan
-    // order, so the per-row sort + merge reproduces hash-map accumulation.
+    // order, so the per-row stable sort + fold reproduces hash-map
+    // accumulation.
     let pair_range = |a: usize, n: usize| -> std::ops::Range<usize> {
         let hi = if cfg.max_transition_distance == usize::MAX {
             n
@@ -344,233 +418,108 @@ pub fn build_graph_from_store(store: &dyn SequenceStore, cfg: &GraphConfig) -> M
         trans_offsets.push(trans_nbrs.len());
     }
     drop(tbuf);
-
-    // Incoming transpose; ascending-source fill keeps rows source-sorted.
-    let mut tin_deg = vec![0usize; n_items];
-    for &(j, _) in &trans_nbrs {
-        tin_deg[j] += 1;
-    }
-    let tin_offsets = prefix_offsets(&tin_deg);
-    let mut cur = tin_offsets[..n_items].to_vec();
-    let mut tin_nbrs = vec![(0usize, 0.0f32); trans_nbrs.len()];
-    for i in 0..n_items {
-        for &(j, w) in &trans_nbrs[trans_offsets[i]..trans_offsets[i + 1]] {
-            tin_nbrs[cur[j]] = (i, w);
-            cur[j] += 1;
-        }
-    }
+    let trans = Csr::from_parts(trans_offsets, trans_nbrs);
+    let trans_in = trans.transpose(n_items);
 
     // --- incompatible relations (E-_vv) ------------------------------------
     // Popular items i, j with no transitional edge either way but a common
-    // transitional neighbour k; weight Σ_k (w+_ik + w+_ki + w+_jk + w+_kj).
+    // transitional neighbour k; weight Σ_k (mass(i,k) + mass(j,k)), where
+    // mass(i,k) = w+_ik + w+_ki. k's context list holds the popular items
+    // with mass to k, ascending and capped, each with its mass to k; pairs
+    // linked by mass are transitional neighbours and drop out.
     let item_popular = popular_flags(&freq, cfg.item_fewshot_ratio);
-
-    // Per-item transitional mass to/from each neighbour (symmetrised once):
-    // scatter both directions of every edge in ascending-edge order, then
-    // sort + merge each row.
-    let mut mass_deg = vec![0usize; n_items];
-    for i in 0..n_items {
-        for &(j, _) in &trans_nbrs[trans_offsets[i]..trans_offsets[i + 1]] {
-            mass_deg[i] += 1;
-            mass_deg[j] += 1;
-        }
-    }
-    let mbuf_offs = prefix_offsets(&mass_deg);
-    let mut mbuf: Vec<(usize, f32)> = vec![(0, 0.0); mbuf_offs[n_items]];
-    let mut cur = mbuf_offs[..n_items].to_vec();
-    for i in 0..n_items {
-        for &(j, w) in &trans_nbrs[trans_offsets[i]..trans_offsets[i + 1]] {
-            mbuf[cur[i]] = (j, w);
-            cur[i] += 1;
-            mbuf[cur[j]] = (i, w);
-            cur[j] += 1;
-        }
-    }
-    let mut mass_offsets: Vec<usize> = Vec::with_capacity(n_items + 1);
-    mass_offsets.push(0);
-    let mut mass_nbrs: Vec<(usize, f32)> = Vec::new();
-    for i in 0..n_items {
-        let row = &mut mbuf[mbuf_offs[i]..mbuf_offs[i + 1]];
-        row.sort_by_key(|&(j, _)| j);
-        let mut p = 0;
-        while p < row.len() {
-            let (j, mut acc) = row[p];
-            p += 1;
-            while p < row.len() && row[p].0 == j {
-                acc += row[p].1;
-                p += 1;
-            }
-            mass_nbrs.push((j, acc));
-        }
-        mass_offsets.push(mass_nbrs.len());
-    }
-    drop(mbuf);
-
-    // Invert: for each context item k, the popular items connected to k.
-    // The counting transpose fills in ascending popular-item order, which is
-    // exactly the old per-context push order.
-    let popular_items: Vec<usize> = (1..n_items).filter(|&i| item_popular[i]).collect();
-    let mut ctx_deg = vec![0usize; n_items];
-    for &i in &popular_items {
-        for &(k, _) in &mass_nbrs[mass_offsets[i]..mass_offsets[i + 1]] {
-            ctx_deg[k] += 1;
-        }
-    }
-    let ctx_offs = prefix_offsets(&ctx_deg);
-    let mut cur = ctx_offs[..n_items].to_vec();
-    let mut ctx_items = vec![0usize; ctx_offs[n_items]];
-    for &i in &popular_items {
-        for &(k, _) in &mass_nbrs[mass_offsets[i]..mass_offsets[i + 1]] {
-            ctx_items[cur[k]] = i;
-            cur[k] += 1;
-        }
-    }
-
-    // Contributions stream in ascending context order (the old BTreeMap
-    // iteration); merge_contributions restores per-pair accumulation order.
-    let mut icontrib: Vec<((usize, usize), f32)> = Vec::new();
-    for k in 0..n_items {
-        let items = &ctx_items[ctx_offs[k]..ctx_offs[k + 1]];
-        let items = &items[..items.len().min(cfg.max_context_items)];
-        for ai in 0..items.len() {
-            for bi in (ai + 1)..items.len() {
-                let (i, j) = (items[ai], items[bi]); // ascending ⇒ i < j
-                if row_get(&trans_offsets, &trans_nbrs, i, j).is_some()
-                    || row_get(&trans_offsets, &trans_nbrs, j, i).is_some()
-                {
-                    continue;
-                }
-                let w = row_get(&mass_offsets, &mass_nbrs, i, k).unwrap_or(0.0)
-                    + row_get(&mass_offsets, &mass_nbrs, j, k).unwrap_or(0.0);
-                icontrib.push(((i, j), w));
-            }
-        }
-    }
-    merge_contributions(&mut icontrib);
-    let (inc_offsets, inc_nbrs) = fill_undirected(n_items, &icontrib);
-    drop(icontrib);
+    let mass = sum_rows(&trans, &trans_in);
+    let contexts = mass
+        .filter(|i, _, _| item_popular[i])
+        .transpose(n_items)
+        .filter(|_, pos, _| pos < cfg.max_context_items);
+    let unlinked = |i: usize, j: usize| {
+        mass.neighbors(i)
+            .binary_search_by_key(&j, |&(k, _)| k)
+            .is_err()
+    };
+    let incompatible = co_listed(n_items, &contexts, unlinked).symmetric();
 
     // --- similar user relations (E+_uu) -------------------------------------
-    // Users sharing an item; weight = Σ_k (w_ik + w_jk) / (Σ w_i + Σ w_j).
-    // The `iu` rows are user-sorted, so pair enumeration per item emits
-    // `(a, b)` with `a < b` directly; sort + dedup gives the canonical pair
-    // set. Each pair's weight is independent (no accumulation), computed by
-    // a two-pointer merge over the two item-sorted `ui` rows — the same
-    // ascending-item addition order as the old per-user hash-map probe.
+    // Users sharing an item within its capped user list; weight =
+    // Σ_k (w_ik + w_jk) / (Σ w_i + Σ w_j) over every item both interacted
+    // with, added in ascending item order. Each user's row collects its
+    // candidates off the capped lists, weighs them, and keeps the
+    // `max_neighbors` heaviest — weight descending, ties to the lower id,
+    // the order `similar` keeps through normalization.
     let user_mass: Vec<f32> = (0..n_users)
-        .map(|u| {
-            ui_nbrs[ui_offsets[u]..ui_offsets[u + 1]]
-                .iter()
-                .map(|&(_, w)| w)
-                .sum()
-        })
+        .map(|u| ui.neighbors(u).iter().map(|&(_, w)| w).sum())
         .collect();
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    for i in 0..n_items {
-        let us = &iu_nbrs[iu_offsets[i]..iu_offsets[i + 1]];
-        let us = &us[..us.len().min(cfg.max_item_users)];
-        for ai in 0..us.len() {
-            for bi in (ai + 1)..us.len() {
-                pairs.push((us[ai].0 as u32, us[bi].0 as u32));
+    let capped_users = |i: usize| {
+        let us = iu.neighbors(i);
+        &us[..us.len().min(cfg.max_item_users)]
+    };
+    let listed = |us: &[(usize, f32)], u: usize| us.binary_search_by_key(&u, |&(v, _)| v).is_ok();
+    let similar = par_rows(
+        n_users,
+        || (vec![0usize; n_users], vec![0.0f32; n_items]),
+        |a, (seen, counts_a), out| {
+            // a's interaction counts, scattered by item: a candidate's
+            // shared mass is then one ascending pass over its own row.
+            for &(i, w) in ui.neighbors(a) {
+                counts_a[i] = w;
             }
-        }
-    }
-    pairs.sort_unstable();
-    pairs.dedup();
-
-    let mut sim_edges: Vec<((usize, usize), f32)> = Vec::with_capacity(pairs.len());
-    for &(a, b) in &pairs {
-        let (a, b) = (a as usize, b as usize);
-        let ra = &ui_nbrs[ui_offsets[a]..ui_offsets[a + 1]];
-        let rb = &ui_nbrs[ui_offsets[b]..ui_offsets[b + 1]];
-        let mut shared = 0.0f32;
-        let (mut x, mut y) = (0usize, 0usize);
-        while x < ra.len() && y < rb.len() {
-            match ra[x].0.cmp(&rb[y].0) {
-                std::cmp::Ordering::Less => x += 1,
-                std::cmp::Ordering::Greater => y += 1,
-                std::cmp::Ordering::Equal => {
-                    shared += ra[x].1 + rb[y].1;
-                    x += 1;
-                    y += 1;
-                }
-            }
-        }
-        let w = shared / (user_mass[a] + user_mass[b]).max(1e-9);
-        sim_edges.push(((a, b), w));
-    }
-
-    // Scatter both directions, then per-row weight-descending sort with an
-    // explicit id tie-break (a total order, so fill order is irrelevant) and
-    // truncation — `similar` keeps this order through normalization, and the
-    // dissimilar scan below consumes it.
-    let (sbuf_offs, mut sbuf) = fill_undirected(n_users, &sim_edges);
-    let mut sim_offsets: Vec<usize> = Vec::with_capacity(n_users + 1);
-    sim_offsets.push(0);
-    let mut sim_nbrs: Vec<(usize, f32)> = Vec::new();
-    for u in 0..n_users {
-        let row = &mut sbuf[sbuf_offs[u]..sbuf_offs[u + 1]];
-        row.sort_by(|x, y| {
-            y.1.partial_cmp(&x.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(x.0.cmp(&y.0))
-        });
-        let keep = row.len().min(cfg.max_neighbors);
-        sim_nbrs.extend_from_slice(&row[..keep]);
-        sim_offsets.push(sim_nbrs.len());
-    }
-    drop(sbuf);
-
-    // --- dissimilar user relations (E-_uu) -----------------------------------
-    // Popular users who never co-interact but share a similar user k;
-    // weight Σ_k (w+_ik + w+_kj) over shared similar users. Contributions
-    // stream in ascending-user scan order, matching the old hash-map walk.
-    let user_popular = popular_flags(&user_freq, cfg.user_fewshot_ratio);
-    let mut dcontrib: Vec<((usize, usize), f32)> = Vec::new();
-    for u in 0..n_users {
-        let nbrs = &sim_nbrs[sim_offsets[u]..sim_offsets[u + 1]];
-        for ai in 0..nbrs.len() {
-            for bi in (ai + 1)..nbrs.len() {
-                let (a, wa) = nbrs[ai];
-                let (b, wb) = nbrs[bi];
-                if !user_popular[a] || !user_popular[b] {
+            let start = out.len();
+            for &(i, _) in ui.neighbors(a) {
+                let users = capped_users(i);
+                if !listed(users, a) {
                     continue;
                 }
-                let (lo, hi) = (a.min(b), a.max(b));
-                if pairs.binary_search(&(lo as u32, hi as u32)).is_ok() {
-                    continue; // they are similar, not dissimilar
+                for &(b, _) in users {
+                    if b == a || seen[b] == a + 1 {
+                        continue;
+                    }
+                    seen[b] = a + 1;
+                    let shared = ui
+                        .neighbors(b)
+                        .iter()
+                        .filter(|&&(j, _)| counts_a[j] != 0.0)
+                        .fold(0.0f32, |s, &(j, wb)| s + (counts_a[j] + wb));
+                    out.push((b, shared / (user_mass[a] + user_mass[b]).max(1e-9)));
                 }
-                dcontrib.push(((lo, hi), wa + wb));
             }
-        }
-    }
-    merge_contributions(&mut dcontrib);
-    let (dis_offsets, dis_nbrs) = fill_undirected(n_users, &dcontrib);
-    drop(dcontrib);
+            for &(i, _) in ui.neighbors(a) {
+                counts_a[i] = 0.0;
+            }
+            let keep = keep_heaviest(&mut out[start..], cfg.max_neighbors);
+            out.truncate(start + keep);
+        },
+    );
+
+    // --- dissimilar user relations (E-_uu) -----------------------------------
+    // Popular users who share no item within the caps (so are not similar)
+    // but share a similar user k; weight Σ_k (w+_ik + w+_kj) in ascending k.
+    // Each user's popular similar neighbours, put in id order by two
+    // counting transposes, are the lists.
+    let user_popular = popular_flags(&user_freq, cfg.user_fewshot_ratio);
+    let circles = similar
+        .filter(|_, _, b| user_popular[b])
+        .transpose(n_users)
+        .transpose(n_users);
+    let never_co_listed = |a: usize, b: usize| {
+        !shared_items(ui.neighbors(a), ui.neighbors(b)).any(|(i, _, _)| {
+            let users = capped_users(i);
+            listed(users, a) && listed(users, b)
+        })
+    };
+    let dissimilar = co_listed(n_users, &circles, never_co_listed).symmetric();
 
     let cap = cfg.max_neighbors;
     MultiRelationGraph {
         num_users: n_users,
         num_items: store.num_items(),
-        user_item: Csr::from_parts(ui_offsets, ui_nbrs)
-            .top_k(cap)
-            .row_normalized(),
-        item_user: Csr::from_parts(iu_offsets, iu_nbrs)
-            .top_k(cap)
-            .row_normalized(),
-        trans_out: Csr::from_parts(trans_offsets, trans_nbrs)
-            .top_k(cap)
-            .row_normalized(),
-        trans_in: Csr::from_parts(tin_offsets, tin_nbrs)
-            .top_k(cap)
-            .row_normalized(),
-        incompatible: Csr::from_parts(inc_offsets, inc_nbrs)
-            .top_k(cap)
-            .row_normalized(),
-        similar: Csr::from_parts(sim_offsets, sim_nbrs).row_normalized(),
-        dissimilar: Csr::from_parts(dis_offsets, dis_nbrs)
-            .top_k(cap)
-            .row_normalized(),
+        user_item: ui.top_k(cap).row_normalized(),
+        item_user: iu.top_k(cap).row_normalized(),
+        trans_out: trans.top_k(cap).row_normalized(),
+        trans_in: trans_in.top_k(cap).row_normalized(),
+        incompatible: incompatible.top_k(cap).row_normalized(),
+        similar: similar.row_normalized(),
+        dissimilar: dissimilar.top_k(cap).row_normalized(),
         item_popular,
     }
 }

@@ -54,23 +54,72 @@ impl Csr {
         self.offsets[i + 1] - self.offsets[i]
     }
 
-    /// Keep at most `k` heaviest neighbours per node.
+    /// Keep at most `k` heaviest neighbours per node, heaviest first (ties
+    /// to the lower id).
     pub fn top_k(&self, k: usize) -> Csr {
-        let lists = (0..self.num_nodes())
-            .map(|i| {
-                let mut l = self.neighbors(i).to_vec();
-                // Explicit id tie-break: equal weights must truncate to the
-                // same neighbours regardless of the caller's list order.
-                l.sort_by(|a, b| {
-                    b.1.partial_cmp(&a.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0.cmp(&b.0))
-                });
-                l.truncate(k);
-                l
-            })
-            .collect();
-        Csr::from_lists(lists)
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        offsets.push(0);
+        let mut nbrs = Vec::new();
+        let mut row = Vec::new();
+        for i in 0..self.num_nodes() {
+            row.clear();
+            row.extend_from_slice(self.neighbors(i));
+            let keep = keep_heaviest(&mut row, k);
+            nbrs.extend_from_slice(&row[..keep]);
+            offsets.push(nbrs.len());
+        }
+        Csr { offsets, nbrs }
+    }
+
+    /// The transpose over `n` columns: row `j` lists `(i, w)` for every edge
+    /// `i → j`, in ascending `i` (a counting transpose, no sort).
+    pub(crate) fn transpose(&self, n: usize) -> Csr {
+        let mut deg = vec![0usize; n];
+        for &(j, _) in &self.nbrs {
+            deg[j] += 1;
+        }
+        let offsets = prefix_offsets(&deg);
+        let mut cur = offsets[..n].to_vec();
+        let mut nbrs = vec![(0usize, 0.0f32); self.nbrs.len()];
+        for i in 0..self.num_nodes() {
+            for &(j, w) in self.neighbors(i) {
+                nbrs[cur[j]] = (i, w);
+                cur[j] += 1;
+            }
+        }
+        Csr { offsets, nbrs }
+    }
+
+    /// The edges `keep(row, position in row, neighbour)` accepts, in their
+    /// original order.
+    pub(crate) fn filter(&self, keep: impl Fn(usize, usize, usize) -> bool) -> Csr {
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        offsets.push(0);
+        let mut nbrs = Vec::new();
+        for i in 0..self.num_nodes() {
+            let row = self.neighbors(i).iter().enumerate();
+            nbrs.extend(row.filter(|&(p, &(j, _))| keep(i, p, j)).map(|(_, &e)| e));
+            offsets.push(nbrs.len());
+        }
+        Csr { offsets, nbrs }
+    }
+
+    /// The undirected relation whose upper triangle is `self` (every row
+    /// id-ascending with neighbours above the row id): row `r` is the
+    /// transpose's row `r` followed by row `r` itself, so it stays
+    /// id-ascending.
+    pub(crate) fn symmetric(&self) -> Csr {
+        let n = self.num_nodes();
+        let lower = self.transpose(n);
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut nbrs = Vec::with_capacity(2 * self.nbrs.len());
+        for r in 0..n {
+            nbrs.extend_from_slice(lower.neighbors(r));
+            nbrs.extend_from_slice(self.neighbors(r));
+            offsets.push(nbrs.len());
+        }
+        Csr { offsets, nbrs }
     }
 
     /// Row-normalise weights so each node's outgoing weights sum to 1.
@@ -96,6 +145,39 @@ impl Csr {
             .find(|&&(n, _)| n == j)
             .map(|&(_, w)| w)
     }
+}
+
+/// Exclusive prefix sum of per-node counts into CSR offsets.
+pub(crate) fn prefix_offsets(deg: &[usize]) -> Vec<usize> {
+    let mut offs = Vec::with_capacity(deg.len() + 1);
+    let mut acc = 0usize;
+    offs.push(0);
+    for &d in deg {
+        acc += d;
+        offs.push(acc);
+    }
+    offs
+}
+
+/// Move the `k` heaviest entries of `row` to its front, heaviest first, and
+/// return how many that is (`min(k, len)`). The order is total — weight
+/// descending, ties to the lower id — so selecting and then sorting the
+/// kept entries equals sorting the whole row and truncating it.
+pub(crate) fn keep_heaviest(row: &mut [(usize, f32)], k: usize) -> usize {
+    let heavier = |a: &(usize, f32), b: &(usize, f32)| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.0.cmp(&b.0))
+    };
+    let keep = row.len().min(k);
+    if keep == 0 {
+        return 0;
+    }
+    if keep < row.len() {
+        row.select_nth_unstable_by(keep - 1, heavier);
+    }
+    row[..keep].sort_by(heavier);
+    keep
 }
 
 #[cfg(test)]

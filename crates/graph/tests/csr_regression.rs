@@ -1,12 +1,13 @@
-//! Regression pin for the multi-relation graph builder.
+//! Regression pins for the multi-relation graph builder.
 //!
-//! The checksums below were captured from the original `HashMap`-of-edges
-//! builder *before* it was rewritten into counting passes over a
-//! [`ssdrec_graph::build`] store. Any builder change that shifts a single
-//! neighbour id, a single weight bit, or a popularity flag on any of these
-//! fixtures fails this test — the stage-1 relation encoder (and hence every
-//! trained checkpoint in the workspace) inherits all of its low bits from
-//! these CSRs.
+//! The first eight checksums were captured from the original
+//! `HashMap`-of-edges builder *before* it was rewritten into counting passes
+//! over a [`ssdrec_graph::build`] store; the corpus-scale ones, from that
+//! sort-and-merge builder before it was rewritten into row-parallel passes.
+//! Any builder change that shifts a single neighbour id, a single weight
+//! bit, or a popularity flag on any of these fixtures fails this test — the
+//! stage-1 relation encoder (and hence every trained checkpoint in the
+//! workspace) inherits all of its low bits from these CSRs.
 
 use ssdrec_data::{Dataset, SyntheticConfig};
 use ssdrec_graph::{build_graph, Csr, GraphConfig, MultiRelationGraph};
@@ -132,6 +133,58 @@ fn graph_builder_matches_pre_rewrite_pins() {
     assert!(
         failures.is_empty(),
         "graph builder diverged from the pre-rewrite pin:\n{}",
+        failures.join("\n")
+    );
+}
+
+/// The corpus sizes the row-parallel rewrite targets, under the default
+/// configuration and under the caps `ssdrec-bench data-scale` uses, pinned
+/// from the sort-and-merge builder. `(fixture, default pin, capped pin)`.
+#[test]
+fn graph_builder_matches_pins_at_corpus_scale() {
+    let capped = GraphConfig {
+        max_item_users: 16,
+        max_context_items: 64,
+        ..GraphConfig::default()
+    };
+    let corpora = [
+        (
+            "beauty_10_seed1",
+            SyntheticConfig::beauty().scaled(10.0).with_seed(1),
+            0x8fe1e39c7abc7588,
+            0x3d2b097bf5555ecb,
+        ),
+        (
+            "beauty_10_seed5",
+            SyntheticConfig::beauty().scaled(10.0).with_seed(5),
+            0x1f248037c00050a0,
+            0x938ba952fbd7a178,
+        ),
+        (
+            "ml1m_1.0",
+            SyntheticConfig::ml1m().scaled(1.0),
+            0x8eae8e81a1185ac3,
+            0xb1103e7929260480,
+        ),
+    ];
+    let mut failures = Vec::new();
+    for (name, corpus, default_pin, capped_pin) in corpora {
+        let ds = corpus.generate();
+        for (cfg_name, cfg, pinned) in [
+            ("default", GraphConfig::default(), default_pin),
+            ("capped", capped.clone(), capped_pin),
+        ] {
+            let got = hash_graph(&build_graph(&ds, &cfg));
+            if got != pinned {
+                failures.push(format!(
+                    "{name}/{cfg_name}: got 0x{got:016x}, pinned 0x{pinned:016x}"
+                ));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "graph builder diverged from the corpus-scale pins:\n{}",
         failures.join("\n")
     );
 }

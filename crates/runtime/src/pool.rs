@@ -313,8 +313,14 @@ impl Drop for Pool {
     fn drop(&mut self) {
         lock(&self.shared.state).shutdown = true;
         self.shared.work.notify_all();
+        // A worker can drop the last handle on its own pool (a nested global
+        // call that outlived `set_threads`); it exits its loop on return
+        // instead of joining itself.
+        let me = std::thread::current().id();
         for h in self.handles.drain(..) {
-            let _ = h.join();
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -342,7 +348,10 @@ impl<T> Copy for SendPtr<T> {}
 // The process-global pool.
 // ---------------------------------------------------------------------------
 
-static GLOBAL: Mutex<Option<Pool>> = Mutex::new(None);
+/// The global pool. A call clones the `Arc` under the lock and runs outside
+/// it, so a global call made inside a chunk, and independent callers on
+/// different threads, never wait on this mutex for each other's calls.
+static GLOBAL: Mutex<Option<Arc<Pool>>> = Mutex::new(None);
 /// Cached thread count for the hot-path gate (0 = pool not yet created).
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
@@ -367,31 +376,37 @@ pub fn threads() -> usize {
     if t != 0 {
         return t;
     }
+    global().threads()
+}
+
+/// A handle on the global pool, spawning it on first use.
+fn global() -> Arc<Pool> {
     let mut g = lock(&GLOBAL);
-    if g.is_none() {
+    let pool = g.get_or_insert_with(|| {
         let n = default_threads();
-        *g = Some(Pool::new(n));
         THREADS.store(n, Ordering::Relaxed);
-    }
-    g.as_ref().expect("just initialised").threads()
+        Arc::new(Pool::new(n))
+    });
+    Arc::clone(pool)
 }
 
 /// Reconfigure the global pool to `threads` total threads (≥ 1), joining
-/// the old workers first. Used by `--threads N` and the bench sweep; safe
-/// to call at any time between parallel regions.
+/// the old workers first. Used by `--threads N` and the bench sweep.
+///
+/// Call it only between parallel regions: a call still running on the old
+/// pool keeps it alive, and the old workers are then joined when that call
+/// returns instead of here.
 pub fn set_threads(threads: usize) {
     assert!(threads >= 1, "set_threads needs at least one thread");
     let mut g = lock(&GLOBAL);
     // Drop (and join) any previous pool before spawning the new one.
     *g = None;
-    *g = Some(Pool::new(threads));
+    *g = Some(Arc::new(Pool::new(threads)));
     THREADS.store(threads, Ordering::Relaxed);
 }
 
 fn with_global<R>(f: impl FnOnce(&Pool) -> R) -> R {
-    threads(); // ensure initialised
-    let g = lock(&GLOBAL);
-    f(g.as_ref().expect("initialised by threads()"))
+    f(&global())
 }
 
 /// [`Pool::parallel_for`] on the global pool.
@@ -511,17 +526,15 @@ mod tests {
 
     #[test]
     fn nested_parallel_for_completes() {
+        // Nesting through the global pool is `tests/global_pool.rs`.
         let pool = Pool::new(3);
         let total = AtomicU64::new(0);
-        pool.parallel_for(8, 1, |s, e| {
-            for _ in s..e {
-                // Nested call on the same (global-free) pool instance would
-                // need &pool captured; nesting through the global pool is
-                // exercised in the integration tests. Here: plain work.
-                total.fetch_add(1, Ordering::Relaxed);
-            }
+        pool.parallel_for(8, 1, |_, _| {
+            pool.parallel_for(4, 1, |s, e| {
+                total.fetch_add((e - s) as u64, Ordering::Relaxed);
+            });
         });
-        assert_eq!(total.load(Ordering::Relaxed), 8);
+        assert_eq!(total.load(Ordering::Relaxed), 32);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 #   7. Retrieval smoke: re-serve the checkpoint with --retrieval ann at an
 #      exhaustive --ef-search; the response body must be byte-identical to
 #      the exact-path baseline and /metrics must report the ann section.
-#   8. Thread determinism: the golden HR@10/NDCG@10 test and a CLI train
-#      run must produce byte-identical metrics under SSDREC_THREADS=1
-#      and SSDREC_THREADS=4.
+#   8. Thread determinism: the golden HR@10/NDCG@10 test, the graph
+#      builder's pins and oracle, and a CLI train run must pass or produce
+#      byte-identical metrics under SSDREC_THREADS=1 and SSDREC_THREADS=4.
 #   9. Backend parity: the same golden test and CLI train run must produce
 #      byte-identical metrics under SSDREC_BACKEND=reference and
 #      SSDREC_BACKEND=blocked (the v1 kernel bits-contract).
@@ -29,9 +29,11 @@
 #      baseline body, ingest a delta under an armed stream.append latency
 #      fault, retrain again, POST /reload — the body must change and
 #      /metrics must report swap_total:1 at the new model_version.
-#  12. Out-of-core smoke: gen-data writes a columnar .ssdc file, `train
-#      --data` runs off it in windowed and ram modes with byte-identical
-#      metric lines, and ingest bulk-loads it into a log.
+#  12. Out-of-core smoke: gen-data writes a columnar .ssdc file; `train
+#      --data` runs off it — SSDRec, which builds the graph, and the bare
+#      backbone (`--baseline`), which builds none — windowed at 1 and 4
+#      threads and in ram mode, with byte-identical metric lines and
+#      checkpoints; and ingest bulk-loads it into a log.
 #  13. Training-scenario smoke: `train --contrastive` and `train --mgsd`
 #      each run two epochs and must emit byte-identical metric lines at
 #      SSDREC_THREADS=1 and --threads 4.
@@ -208,6 +210,10 @@ SSDREC_THREADS=4 cargo test --release -q --test golden_determinism
 # the gemms inside them run sequentially and row-partitioned.
 SSDREC_THREADS=1 cargo test --release -q -p ssdrec-tensor --test backend_parity --test grad_layers
 SSDREC_THREADS=4 cargo test --release -q -p ssdrec-tensor --test backend_parity --test grad_layers
+# The row-parallel graph builder against its pins and its sort-and-merge
+# oracle, with its rows built sequentially and over four threads.
+SSDREC_THREADS=1 cargo test --release -q -p ssdrec-graph
+SSDREC_THREADS=4 cargo test --release -q -p ssdrec-graph
 # And a CLI train run must emit byte-identical metric lines and checkpoint
 # bytes either way.
 SSDREC_THREADS=1 train_metrics "$SMOKE_DIR/metrics_t1.txt" $SMOKE_FLAGS --epochs 1 \
@@ -293,21 +299,32 @@ OOC_FILE="$OOC_DIR/smoke.ssdc"
 ./target/release/ssdrec gen-data --profile beauty --scale 0.1 --seed 7 \
     --out "$OOC_FILE" >/dev/null
 test -f "$OOC_FILE"
-# The same columnar file trained windowed and fully-decoded must emit
-# byte-identical metric lines: the bounded-RAM path is not allowed to cost
-# a single bit of output.
-for mode in windowed ram; do
-    train_metrics "$OOC_DIR/metrics_$mode.txt" --data "$OOC_FILE" --data-mode $mode \
-        --epochs 1 --dim 8 --seed 7
+# The same columnar file trained windowed and fully-decoded, at 1 thread
+# and at 4, must emit byte-identical metric lines and checkpoints: neither
+# the bounded-RAM path nor the thread count may cost a single bit of
+# output. SSDRec builds the graph over the store; the bare backbone builds
+# none.
+for kind in ssdrec baseline; do
+    flags="--data $OOC_FILE --epochs 1 --dim 8 --seed 7"
+    [ "$kind" = baseline ] && flags="$flags --baseline"
+    SSDREC_THREADS=1 train_metrics "$OOC_DIR/${kind}_t1.txt" $flags --data-mode windowed \
+        --out "$OOC_DIR/${kind}_t1.ssdt"
+    train_metrics "$OOC_DIR/${kind}_t4.txt" $flags --data-mode windowed --threads 4 \
+        --out "$OOC_DIR/${kind}_t4.ssdt"
+    train_metrics "$OOC_DIR/${kind}_ram.txt" $flags --data-mode ram
+    diff -u "$OOC_DIR/${kind}_t1.txt" "$OOC_DIR/${kind}_t4.txt" ||
+        die "out-of-core smoke: $kind metrics differ between 1 and 4 threads"
+    cmp "$OOC_DIR/${kind}_t1.ssdt" "$OOC_DIR/${kind}_t4.ssdt" ||
+        die "out-of-core smoke: $kind checkpoints differ between 1 and 4 threads"
+    diff -u "$OOC_DIR/${kind}_t1.txt" "$OOC_DIR/${kind}_ram.txt" ||
+        die "out-of-core smoke: $kind windowed and ram metrics differ"
 done
-diff -u "$OOC_DIR/metrics_windowed.txt" "$OOC_DIR/metrics_ram.txt" ||
-    die "out-of-core smoke: windowed and ram metrics differ"
 # Bulk-load the columnar file into a fresh log; the record count must
 # match the file's interaction count.
 ./target/release/ssdrec ingest --log "$OOC_DIR/events.sslg" --data "$OOC_FILE" \
     >"$OOC_DIR/ingest.txt"
 grep -q '^created' "$OOC_DIR/ingest.txt"
-echo "ok: windowed and ram metrics byte-identical; columnar bulk-load ingested"
+echo "ok: SSDRec and baseline metrics and checkpoints byte-identical across modes and threads; columnar bulk-load ingested"
 
 echo "== training-scenario smoke (--contrastive / --mgsd at 1 vs 4 threads) =="
 for sc in contrastive mgsd; do

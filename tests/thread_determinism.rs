@@ -22,7 +22,9 @@ mod common;
 use std::sync::Mutex;
 
 use common::{fingerprint, sports_world, ssdrec_on, train_config, Fingerprint};
+use ssdrec::data::SyntheticConfig;
 use ssdrec::denoise::Mgsd;
+use ssdrec::graph::{build_graph, GraphConfig, MultiRelationGraph};
 use ssdrec::metrics::{full_rank, par_top_k, rank_rows, top_k};
 use ssdrec::models::{evaluate, train, BackboneKind, ContrastiveSeqRec, RecModel, SeqRec};
 use ssdrec::serve::{Engine, EngineConfig, ServerStats};
@@ -245,6 +247,56 @@ fn top_k_selection_is_exact_at_any_thread_count() {
         got.iter()
             .map(|&(i, s)| (i, s.to_bits()))
             .collect::<Vec<_>>()
+    });
+}
+
+/// FNV-1a over every neighbour id, weight bit and popularity flag.
+fn graph_hash(g: &MultiRelationGraph) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |x: u64| {
+        for b in x.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for csr in [
+        &g.user_item,
+        &g.item_user,
+        &g.trans_out,
+        &g.trans_in,
+        &g.incompatible,
+        &g.similar,
+        &g.dissimilar,
+    ] {
+        for i in 0..csr.num_nodes() {
+            mix(csr.degree(i) as u64);
+            for &(j, w) in csr.neighbors(i) {
+                mix(j as u64);
+                mix(w.to_bits() as u64);
+            }
+        }
+    }
+    for &p in &g.item_popular {
+        mix(p as u64);
+    }
+    h
+}
+
+#[test]
+fn graph_build_is_bit_identical_across_thread_counts() {
+    // Enough users and items for dozens of row blocks per relation, under
+    // the default configuration and under `data-scale`'s caps.
+    let ds = SyntheticConfig::beauty()
+        .scaled(2.0)
+        .with_seed(3)
+        .generate();
+    let capped = GraphConfig {
+        max_item_users: 16,
+        max_context_items: 64,
+        ..GraphConfig::default()
+    };
+    assert_bits_stable(|| {
+        [GraphConfig::default(), capped.clone()].map(|cfg| graph_hash(&build_graph(&ds, &cfg)))
     });
 }
 
