@@ -88,8 +88,9 @@ fn usage() -> &'static str {
      --out CKPT      write a checkpoint after training\n\
      --model CKPT    checkpoint to load (recommend, serve)\n\
      --user U --k K  serving target (recommend)\n\
-     --threads N     compute threads for every subcommand (default: the\n\
-                     SSDREC_THREADS env var, else all available cores)\n\
+     --threads N     compute threads for every subcommand, at most the\n\
+                     available cores (default: the SSDREC_THREADS env var\n\
+                     under the same cap, else all available cores)\n\
      --backend reference|blocked   kernel backend for every subcommand\n\
                      (default: the SSDREC_BACKEND env var, else blocked;\n\
                      both produce bit-identical results)\n\
@@ -112,9 +113,11 @@ fn usage() -> &'static str {
 }
 
 /// Apply `--threads N` (uniform across subcommands) to the runtime pool and
-/// return the effective thread count. Without the flag the pool keeps its
-/// default, which honours the `SSDREC_THREADS` env var. Results are
-/// bit-identical at every thread count; this only trades wall-clock time.
+/// return the effective thread count: `N` capped at the available cores,
+/// with a warning when it is. Without the flag the pool keeps its default,
+/// which honours the `SSDREC_THREADS` env var under the same cap. Results
+/// are bit-identical at every thread count; this only trades wall-clock
+/// time.
 fn configure_threads(a: &Args) -> Result<usize, String> {
     match a.get_parse::<usize>("threads", 0)? {
         0 if a.get("threads").is_some() => {
@@ -122,6 +125,7 @@ fn configure_threads(a: &Args) -> Result<usize, String> {
         }
         0 => Ok(ssdrec_runtime::threads()),
         n => {
+            let n = ssdrec_runtime::clamp_to_cores(n, "--threads");
             ssdrec_runtime::set_threads(n);
             Ok(n)
         }
@@ -849,11 +853,19 @@ mod cli_tests {
         assert!(err.contains("--threads"), "got: {err}");
         // Unparseable values are refused too.
         assert!(configure_threads(&parse("train --threads lots")).is_err());
-        // Positive path: the pool is resized to the requested count.
-        assert_eq!(configure_threads(&parse("train --threads 3")), Ok(3));
-        assert_eq!(ssdrec_runtime::threads(), 3);
+        // Positive path: the pool is resized to the requested count, capped
+        // at the host's cores.
+        let want = 3.min(ssdrec_runtime::available_cores());
+        assert_eq!(configure_threads(&parse("train --threads 3")), Ok(want));
+        assert_eq!(ssdrec_runtime::threads(), want);
         // No flag: keeps whatever the pool already runs.
-        assert_eq!(configure_threads(&parse("train")), Ok(3));
+        assert_eq!(configure_threads(&parse("train")), Ok(want));
+        // More threads than any host has: the cores.
+        let cores = ssdrec_runtime::available_cores();
+        assert_eq!(
+            configure_threads(&parse("train --threads 100000")),
+            Ok(cores)
+        );
         ssdrec_runtime::set_threads(1);
     }
 

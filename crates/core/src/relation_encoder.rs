@@ -11,15 +11,20 @@
 //! * **similar / dissimilar users** (Eq. 6–7): conv aggregation,
 //! * **fusion** (Eq. 8): two feed-forward layers per node type.
 //!
-//! Message passing is realised as dense constant adjacency matmuls — the
-//! graphs in this workspace have a few hundred nodes, so dense operators are
-//! both simple and fast.
+//! Message passing multiplies by seven constant sparse operators
+//! ([`CsrMatrix`]): each relation keeps at most its top-k neighbours per
+//! node, so an operator stores O(k·N) weights where a dense one would store
+//! N², and a product costs O(k·N·d). They are built once per model and
+//! shared with every tape node by reference count, so a step or an eval
+//! batch neither copies nor re-binds them.
 
-use ssdrec_graph::MultiRelationGraph;
+use ssdrec_graph::{Csr, MultiRelationGraph};
 use ssdrec_tensor::nn::Linear;
-use ssdrec_tensor::{Activation, Binding, Graph, ParamRef, ParamStore, Rng, Tensor, Var};
+use ssdrec_tensor::{
+    Activation, Binding, CsrMatrix, Graph, ParamRef, ParamStore, Rng, Tensor, Var,
+};
 
-use crate::util::{add_scalar_var, csr_to_dense, scale_by_scalar};
+use crate::util::{add_scalar_var, scale_by_scalar};
 
 /// The paper's `f(x‖e | Θ)` aggregator: a convolution with a 2×1 filter over
 /// the stacked `[aggregate; ego]` pair — two scalar taps and a scalar bias.
@@ -48,39 +53,46 @@ impl PairConv {
     }
 }
 
-/// Constant dense adjacency operators derived from the multi-relation graph.
+/// Constant sparse adjacency operators derived from the multi-relation
+/// graph.
 pub struct RelationAdjacency {
     /// `(V+1)×(V+1)` incoming transitional weights (`row v ← its sources`).
-    pub trans_in: Tensor,
+    pub trans_in: CsrMatrix,
     /// `(V+1)×(V+1)` outgoing transitional weights.
-    pub trans_out: Tensor,
+    pub trans_out: CsrMatrix,
     /// `(V+1)×(V+1)` incompatible weights.
-    pub incompatible: Tensor,
+    pub incompatible: CsrMatrix,
     /// `(V+1)×U` item←user interaction weights.
-    pub item_user: Tensor,
+    pub item_user: CsrMatrix,
     /// `U×(V+1)` user←item interaction weights.
-    pub user_item: Tensor,
+    pub user_item: CsrMatrix,
     /// `U×U` similar-user weights.
-    pub similar: Tensor,
+    pub similar: CsrMatrix,
     /// `U×U` dissimilar-user weights.
-    pub dissimilar: Tensor,
+    pub dissimilar: CsrMatrix,
 }
 
 impl RelationAdjacency {
-    /// Densify the CSR relations once at model-build time.
+    /// Build the seven operators once, at model-build time.
     pub fn from_graph(mg: &MultiRelationGraph) -> Self {
         let v = mg.num_items + 1;
         let u = mg.num_users;
         RelationAdjacency {
-            trans_in: csr_to_dense(&mg.trans_in, v, v),
-            trans_out: csr_to_dense(&mg.trans_out, v, v),
-            incompatible: csr_to_dense(&mg.incompatible, v, v),
-            item_user: csr_to_dense(&mg.item_user, v, u),
-            user_item: csr_to_dense(&mg.user_item, u, v),
-            similar: csr_to_dense(&mg.similar, u, u),
-            dissimilar: csr_to_dense(&mg.dissimilar, u, u),
+            trans_in: operator(&mg.trans_in, v, v),
+            trans_out: operator(&mg.trans_out, v, v),
+            incompatible: operator(&mg.incompatible, v, v),
+            item_user: operator(&mg.item_user, v, u),
+            user_item: operator(&mg.user_item, u, v),
+            similar: operator(&mg.similar, u, u),
+            dissimilar: operator(&mg.dissimilar, u, u),
         }
     }
+}
+
+/// The `rows×cols` operator `out[i][j] = w(i→j)` of a CSR relation.
+fn operator(csr: &Csr, rows: usize, cols: usize) -> CsrMatrix {
+    assert_eq!(csr.num_nodes(), rows, "relation rows");
+    CsrMatrix::from_rows(rows, cols, |i| csr.neighbors(i).iter().copied())
 }
 
 /// Stage 1: the global relation encoder.
@@ -155,10 +167,8 @@ impl GlobalRelationEncoder {
         let (v, _d) = g.value(item_table).dims2();
 
         // --- item transitional (Eq. 2–3) ---------------------------------
-        let a_in = g.constant(self.adj.trans_in.clone());
-        let a_out = g.constant(self.adj.trans_out.clone());
-        let msg_in = g.matmul(a_in, item_table); // Σ w⁺ e_{v_i}
-        let msg_out = g.matmul(a_out, item_table); // Σ w⁺ e_{v_j}
+        let msg_in = g.spmm(&self.adj.trans_in, item_table); // Σ w⁺ e_{v_i}
+        let msg_out = g.spmm(&self.adj.trans_out, item_table); // Σ w⁺ e_{v_j}
         let agg_t = if self.use_attention {
             // α = ρ( σ(e_v W_in · msg_in) ‖ σ(e_v W_out · msg_out) ) per node.
             let q_in = self.w_att_in.forward(g, bind, item_table);
@@ -192,22 +202,17 @@ impl GlobalRelationEncoder {
         let h_v_plus = self.conv_trans.forward(g, bind, agg_t, item_table);
 
         // --- item incompatible (Eq. 4) ------------------------------------
-        let a_inc = g.constant(self.adj.incompatible.clone());
-        let msg_inc = g.matmul(a_inc, item_table);
+        let msg_inc = g.spmm(&self.adj.incompatible, item_table);
         let h_v_minus = self.conv_incomp.forward(g, bind, msg_inc, item_table);
 
         // --- interactional (Eq. 5, LightGCN-style) ------------------------
-        let a_iu = g.constant(self.adj.item_user.clone());
-        let h_v_int = g.matmul(a_iu, user_table);
-        let a_ui = g.constant(self.adj.user_item.clone());
-        let h_u_int = g.matmul(a_ui, item_table);
+        let h_v_int = g.spmm(&self.adj.item_user, user_table);
+        let h_u_int = g.spmm(&self.adj.user_item, item_table);
 
         // --- user similar / dissimilar (Eq. 6–7) --------------------------
-        let a_sim = g.constant(self.adj.similar.clone());
-        let msg_sim = g.matmul(a_sim, user_table);
+        let msg_sim = g.spmm(&self.adj.similar, user_table);
         let h_u_plus = self.conv_sim.forward(g, bind, msg_sim, user_table);
-        let a_dis = g.constant(self.adj.dissimilar.clone());
-        let msg_dis = g.matmul(a_dis, user_table);
+        let msg_dis = g.spmm(&self.adj.dissimilar, user_table);
         let h_u_minus = self.conv_dissim.forward(g, bind, msg_dis, user_table);
 
         // --- fusion (Eq. 8) -------------------------------------------------

@@ -4,22 +4,7 @@
 //! per-row broadcasts elsewhere use `Graph::expand_last`, never a product
 //! with a ones matrix.
 
-use ssdrec_graph::Csr;
-use ssdrec_tensor::{Graph, Tensor, Var};
-
-/// Convert a CSR adjacency into a dense `rows×cols` weight matrix
-/// (`out[i][j] = w(i→j)`), used as a constant message-passing operator.
-pub fn csr_to_dense(csr: &Csr, rows: usize, cols: usize) -> Tensor {
-    let mut t = Tensor::zeros(&[rows, cols]);
-    for i in 0..csr.num_nodes().min(rows) {
-        for &(j, w) in csr.neighbors(i) {
-            if j < cols {
-                t.data_mut()[i * cols + j] = w;
-            }
-        }
-    }
-    t
-}
+use ssdrec_tensor::{Graph, Var};
 
 /// Multiply every element of `a` by a *learnable scalar* `s` (shape `[1]`),
 /// keeping the gradient path to `s`: one `[n,1] ⊙ [1]` broadcast node, off
@@ -45,13 +30,7 @@ pub fn add_scalar_var(g: &mut Graph, a: Var, b: Var) -> Var {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn csr_to_dense_places_weights() {
-        let csr = Csr::from_lists(vec![vec![(1, 0.5)], vec![(0, 2.0), (2, 1.0)], vec![]]);
-        let d = csr_to_dense(&csr, 3, 3);
-        assert_eq!(d.data(), &[0.0, 0.5, 0.0, 2.0, 0.0, 1.0, 0.0, 0.0, 0.0]);
-    }
+    use ssdrec_tensor::Tensor;
 
     #[test]
     fn scale_by_scalar_grads_flow_to_scalar() {

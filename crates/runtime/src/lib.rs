@@ -38,12 +38,17 @@
 //!
 //! ## Configuration
 //!
-//! The pool is spawned lazily on first use with `SSDREC_THREADS` threads
-//! (or the machine's available parallelism when unset). [`set_threads`]
-//! reconfigures it at runtime — the CLI's `--threads N` flag maps to this.
+//! The pool is spawned lazily on first use with `SSDREC_THREADS` threads,
+//! capped at the machine's available parallelism ([`clamp_to_cores`]), or
+//! with all of it when unset. [`set_threads`] reconfigures it at runtime,
+//! exactly as asked — the CLI's `--threads N` flag maps to it after the
+//! same cap.
 
 #![warn(missing_docs)]
 
 pub mod pool;
 
-pub use pool::{parallel_chunks_mut, parallel_for, parallel_reduce, set_threads, threads, Pool};
+pub use pool::{
+    available_cores, clamp_to_cores, parallel_chunks_mut, parallel_for, parallel_reduce,
+    set_threads, threads, Pool,
+};

@@ -359,18 +359,37 @@ fn default_threads() -> usize {
     if let Ok(v) = std::env::var("SSDREC_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
             if n >= 1 {
-                return n;
+                return clamp_to_cores(n, "SSDREC_THREADS");
             }
         }
         eprintln!("SSDREC_THREADS={v:?} is not a positive integer; using auto detection");
     }
+    available_cores()
+}
+
+/// The machine's available parallelism (1 when it cannot be determined).
+pub fn available_cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
 }
 
+/// A requested thread count capped at [`available_cores`], with one stderr
+/// line naming `source` when it had to cap: more threads than cores only
+/// time-slice the parallel regions against each other (results are the
+/// same at any count). [`set_threads`] itself stays exact, so tests can
+/// oversubscribe on purpose.
+pub fn clamp_to_cores(requested: usize, source: &str) -> usize {
+    let cores = available_cores();
+    if requested <= cores {
+        return requested;
+    }
+    eprintln!("{source}={requested} exceeds the {cores} available cores; using {cores}");
+    cores
+}
+
 /// The thread count parallel calls will use, spawning the global pool on
-/// first call (`SSDREC_THREADS`, else the machine's available parallelism).
+/// first call (`SSDREC_THREADS` capped at the cores, else all of them).
 pub fn threads() -> usize {
     let t = THREADS.load(Ordering::Relaxed);
     if t != 0 {
@@ -567,6 +586,16 @@ mod tests {
         });
         drop(pool); // must not hang
         assert_eq!(n.load(Ordering::Relaxed), 100);
+    }
+
+    #[test]
+    fn requested_threads_are_capped_at_the_cores() {
+        let cores = available_cores();
+        assert!(cores >= 1);
+        assert_eq!(clamp_to_cores(1, "test"), 1);
+        assert_eq!(clamp_to_cores(cores, "test"), cores);
+        assert_eq!(clamp_to_cores(cores + 1, "test"), cores);
+        assert_eq!(clamp_to_cores(usize::MAX, "test"), cores);
     }
 
     #[test]

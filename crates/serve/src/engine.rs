@@ -8,7 +8,7 @@
 //! as constants below a [`Graph::mark`]. Per request the worker appends only
 //! the activation nodes and truncates back to the mark afterwards, so
 //! steady-state serving allocates no parameter copies and no autograd
-//! bookkeeping, and no worker holds stage 1's dense adjacency operators.
+//! bookkeeping, and no worker holds a copy of stage 1's adjacency operators.
 //!
 //! Coalescing is queue-driven ([`drain_jobs`]): a worker takes whatever is
 //! already queued and lingers only on a batch that is already coalescing, so
@@ -88,8 +88,9 @@ enum Frozen {
 
 /// One engine's frozen-table set: a graph holding nothing but the tables
 /// `precompute_frozen` produced, copied out of the scratch graph it ran on
-/// before that graph (and, for SSDRec, the seven dense adjacency constants
-/// stage 1 read) was dropped. Shared by every worker and the ANN index build.
+/// before that graph (and, for SSDRec, every intermediate of stage 1's
+/// message passing) was dropped. Shared by every worker and the ANN index
+/// build.
 struct FrozenSet {
     g: Graph,
     tables: Frozen,

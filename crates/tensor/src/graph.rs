@@ -17,6 +17,7 @@
 use crate::backend::Activation;
 use crate::kernels;
 use crate::pool;
+use crate::sparse::CsrMatrix;
 use crate::tensor::Tensor;
 
 /// Handle to a node in a [`Graph`].
@@ -57,6 +58,8 @@ enum Op {
     Max2(Var, Var),
     /// Matrix product supporting 2×2, 3×3 (batched), 3×2 and 2×3 operand ranks.
     Matmul(Var, Var),
+    /// Constant sparse operator times a 2-D input (see [`Graph::spmm`]).
+    Spmm(CsrMatrix, Var),
     /// Swap the last two dimensions (2-D or 3-D input).
     TransposeLast(Var),
     SoftmaxLast(Var),
@@ -495,6 +498,16 @@ impl Graph {
         let t = kernels::matmul(self.value(a), self.value(b));
         let rg = self.rg(a) || self.rg(b);
         self.push(t, Op::Matmul(a, b), rg)
+    }
+
+    /// `a · x` for a constant sparse operator `a` (`rows×cols`) and a 2-D
+    /// `x` (`cols×d`). The node holds a shared handle on `a`, never a copy.
+    /// Values and the gradient w.r.t. `x` are bit-equal to
+    /// [`Graph::matmul`] with the densified `a` as a constant.
+    pub fn spmm(&mut self, a: &CsrMatrix, x: Var) -> Var {
+        let t = kernels::spmm(a, self.value(x));
+        let rg = self.rg(x);
+        self.push(t, Op::Spmm(a.clone(), x), rg)
     }
 
     /// Swap the last two dimensions of a 2-D or 3-D tensor.
@@ -945,6 +958,7 @@ impl Graph {
                 );
                 self.accum_requested(grads, inputs, gs);
             }
+            Op::Spmm(a, x) => self.accum(grads, *x, kernels::spmm_backward(a, gout)),
             Op::TransposeLast(a) => {
                 self.accum(grads, *a, kernels::transpose_last(gout));
             }

@@ -26,6 +26,7 @@
 //! loop: its `dA` is a sum of per-batch fresh sums, not one chain.
 
 use crate::backend::TILE_ROWS;
+use crate::sparse::{CsrMatrix, CsrRows};
 use crate::tensor::Tensor;
 
 /// Element-wise zip of two same-shape tensors.
@@ -144,9 +145,8 @@ fn gemm(a: &[f32], ta: bool, b: &[f32], tb: bool, m: usize, k: usize, n: usize, 
 }
 
 /// Run `f(batch, out_block)` over every batch's disjoint output block,
-/// in parallel when `work` (flops) justifies it. One chunk per batch, so
-/// chunking depends only on the shape and results match the sequential
-/// batch loop bit-for-bit.
+/// in parallel when `work` (flops) justifies it: [`for_each_part`] with one
+/// part per batch.
 fn for_each_batch(
     block_len: usize,
     work: usize,
@@ -158,12 +158,18 @@ fn for_each_batch(
         // `chunks_mut(0)` panics even on an empty slice.
         return;
     }
-    if out.len() > block_len && work >= GEMM_PAR_WORK && ssdrec_runtime::threads() > 1 {
-        ssdrec_runtime::parallel_chunks_mut(out, block_len, f);
+    let mut blocks: Vec<_> = out.chunks_mut(block_len).enumerate().collect();
+    for_each_part(&mut blocks, work, |(i, block)| f(*i, block));
+}
+
+/// Run `f` over every part, in parallel when `work` (flops) justifies it.
+/// Parts are disjoint and fixed by the caller from the shape alone, so the
+/// result matches the sequential loop bit for bit.
+fn for_each_part<T: Send>(parts: &mut [T], work: usize, f: impl Fn(&mut T) + Sync) {
+    if parts.len() > 1 && work >= GEMM_PAR_WORK && ssdrec_runtime::threads() > 1 {
+        ssdrec_runtime::parallel_chunks_mut(parts, 1, |_, p| f(&mut p[0]));
     } else {
-        for (i, block) in out.chunks_mut(block_len).enumerate() {
-            f(i, block);
-        }
+        parts.iter_mut().for_each(f);
     }
 }
 
@@ -398,6 +404,66 @@ pub fn matmul_backward(
             }),
         ],
     }
+}
+
+/// `out[rows×d] = A · x` over one CSR half, the rows `[r0, r0 + out.len()/d)`
+/// of it: each output element is one `+0`-started chain over the row's
+/// columns ascending — the dense `!ta && !tb` gemm's chain without its `±0`
+/// terms, which are bitwise no-ops on such a chain (see the `blocked`
+/// backend's docs).
+fn spmm_rows(a: &CsrRows, x: &[f32], d: usize, out: &mut [f32], r0: usize) {
+    for (ri, orow) in out.chunks_mut(d).enumerate() {
+        for (j, w) in a.row(r0 + ri) {
+            for (o, &xv) in orow.iter_mut().zip(&x[j * d..(j + 1) * d]) {
+                *o += w * xv;
+            }
+        }
+    }
+}
+
+/// [`spmm_rows`] over every row of `a` (`n_rows` of them) into a zeroed
+/// `n_rows×d` tensor, row-parallel on the [`ssdrec_runtime`] pool when the
+/// product is worth a dispatch. Rows are disjoint outputs, and the row
+/// grain is derived from `n_rows` alone, so the bits are the same at every
+/// thread count.
+fn spmm_half(a: &CsrRows, n_rows: usize, x: &[f32], d: usize) -> Tensor {
+    let mut out = Tensor::zeros(&[n_rows, d]);
+    if d == 0 {
+        return out;
+    }
+    let rows = n_rows.div_ceil(32);
+    if n_rows > rows && 2 * a.idx.len() * d >= GEMM_PAR_WORK && ssdrec_runtime::threads() > 1 {
+        ssdrec_runtime::parallel_chunks_mut(out.data_mut(), rows * d, |ci, block| {
+            spmm_rows(a, x, d, block, ci * rows);
+        });
+    } else {
+        spmm_rows(a, x, d, out.data_mut(), 0);
+    }
+    out
+}
+
+/// `A · x` for a constant sparse `A` (`rows×cols`) and a dense `x`
+/// (`cols×d`): bit-equal to [`matmul`] on the densified `A`.
+pub fn spmm(a: &CsrMatrix, x: &Tensor) -> Tensor {
+    let (rows, cols) = a.dims();
+    let (xr, d) = x.dims2();
+    assert_eq!(xr, cols, "spmm inner dims: {rows}×{cols} x {:?}", x.shape());
+    spmm_half(a.rows(), rows, x.data(), d)
+}
+
+/// Gradient of [`spmm`] w.r.t. `x`: `Aᵀ · gout` over the precomputed
+/// transpose, whose rows list sources ascending — bit-equal to
+/// [`matmul_backward`]'s `dB` on the densified `A`.
+pub fn spmm_backward(a: &CsrMatrix, gout: &Tensor) -> Tensor {
+    let (rows, cols) = a.dims();
+    let (gr, d) = gout.dims2();
+    assert_eq!(
+        gr,
+        rows,
+        "spmm gradient rows: {rows}×{cols} vs {:?}",
+        gout.shape()
+    );
+    spmm_half(a.transposed(), cols, gout.data(), d)
 }
 
 /// Swap the last two dims of a 2-D or 3-D tensor.
@@ -875,6 +941,10 @@ fn lstm_time(step: usize, t: usize, reversed: bool) -> usize {
     }
 }
 
+/// Sequences per recurrence chunk of [`lstm_seq`] / [`lstm_seq_backward`]:
+/// one [`TILE_ROWS`] tile of the per-step `h·U` and `dz·Uᵀ` gemms.
+const LSTM_SEQ_CHUNK: usize = TILE_ROWS;
+
 /// One direction of an LSTM over a whole `B×T×d` sequence in one call:
 /// `wx` (`d×4h`), `u` (`h×4h`) and `b` (`[4h]`) hold the gates side by
 /// side in the order input, forget, output, candidate. Returns the hidden
@@ -888,6 +958,11 @@ fn lstm_time(step: usize, t: usize, reversed: bool) -> usize {
 /// `(x_t·W + b) + h·U` gates: the packed gemms accumulate each output
 /// element over the contraction index ascending from zero exactly like the
 /// narrow ones, and the element-wise pass keeps the chain's association.
+///
+/// The input projection is one whole-batch gemm; the recurrence then runs
+/// per chunk of [`LSTM_SEQ_CHUNK`] sequences on the pool. Sequences are
+/// independent and a gemm's rows are partition-exact, so a chunk's per-step
+/// `h·U` gemm gives the rows the whole-batch one would.
 pub fn lstm_seq(
     x: &Tensor,
     wx: &Tensor,
@@ -916,18 +991,47 @@ pub fn lstm_seq(
         }
     }
 
+    let span = (LSTM_SEQ_CHUNK * t * h).max(1);
+    let mut parts: Vec<_> = z
+        .chunks_mut(4 * span)
+        .zip(c_all.chunks_mut(span))
+        .zip(tc_all.chunks_mut(span))
+        .zip(out.data_mut().chunks_mut(span))
+        .map(|(((z, c), tc), o)| [z, c, tc, o])
+        .collect();
+    for_each_part(&mut parts, 2 * rows * h * h4, |[z, c, tc, o]| {
+        lstm_recurrence(z, c, tc, o, u.data(), t, h, reversed);
+    });
+    (out, saved)
+}
+
+/// The recurrence of [`lstm_seq`] over one chunk of `nb` sequences (the
+/// chunk's rows of each buffer, `nb·T` of them): `z` holds the projected
+/// inputs and is overwritten with the post-activation gates.
+#[allow(clippy::too_many_arguments)]
+fn lstm_recurrence(
+    z: &mut [f32],
+    c_all: &mut [f32],
+    tc_all: &mut [f32],
+    o: &mut [f32],
+    u: &[f32],
+    t: usize,
+    h: usize,
+    reversed: bool,
+) {
+    let h4 = 4 * h;
+    let nb = o.len() / (t * h);
     // `hu` = h_prev·U, all zeros at the first step (h_0 = 0).
-    let mut h_prev = crate::pool::take(bs * h);
-    let mut hu = crate::pool::take_zeroed(bs * h4);
-    let o = out.data_mut();
+    let mut h_prev = crate::pool::take(nb * h);
+    let mut hu = crate::pool::take_zeroed(nb * h4);
     for step in 0..t {
         let ti = lstm_time(step, t, reversed);
         let t_prev = step.checked_sub(1).map(|s| lstm_time(s, t, reversed));
         if step > 0 {
             hu.fill(0.0);
-            gemm(&h_prev, false, u.data(), false, bs, h, h4, &mut hu);
+            gemm(&h_prev, false, u, false, nb, h, h4, &mut hu);
         }
-        for bi in 0..bs {
+        for bi in 0..nb {
             let row = bi * t + ti;
             let zr = &mut z[row * h4..(row + 1) * h4];
             let hur = &hu[bi * h4..(bi + 1) * h4];
@@ -953,13 +1057,14 @@ pub fn lstm_seq(
     }
     crate::pool::recycle(h_prev);
     crate::pool::recycle(hu);
-    (out, saved)
 }
 
 /// Gradients of [`lstm_seq`] w.r.t. `(x, wx, u, b)` — each computed only
 /// when its `need` flag is set — by back-propagation through time: per step
-/// one element-wise pass and one `dz·Uᵀ` gemm, then one whole-sequence gemm
-/// each for `dX`, `dWx`, `dU` and a column sum for the bias.
+/// one element-wise pass and one `dz·Uᵀ` gemm, run per chunk of
+/// [`LSTM_SEQ_CHUNK`] sequences on the pool like the forward recurrence;
+/// then one whole-sequence gemm each for `dX`, `dWx`, `dU` and a column sum
+/// for the bias.
 #[allow(clippy::too_many_arguments)]
 pub fn lstm_seq_backward(
     x: &Tensor,
@@ -977,51 +1082,25 @@ pub fn lstm_seq_backward(
     let rows = bs * t;
     let (gates, rest) = saved.split_at(rows * h4);
     let (c_all, tc_all) = rest.split_at(rows * h);
-    let go = gout.data();
 
-    // `dz`: the gradient at every pre-activation, row-aligned with `x`;
-    // `dz_t`: the current step's rows of it, contiguous for the gemm.
+    // `dz`: the gradient at every pre-activation, row-aligned with `x`.
     let mut dz = crate::pool::take(rows * h4);
-    let mut dz_t = crate::pool::take(bs * h4);
-    let mut dh_rec = crate::pool::take_zeroed(bs * h);
-    let mut dc_next = crate::pool::take_zeroed(bs * h);
     // `Uᵀ`, packed once for every step's `dz·Uᵀ` into a zeroed `dh_rec`.
     let mut u_t = crate::pool::take(h4 * h);
     transpose_into(u.data(), h, h4, &mut u_t);
-    for step in (0..t).rev() {
-        let ti = lstm_time(step, t, reversed);
-        let t_prev = step.checked_sub(1).map(|s| lstm_time(s, t, reversed));
-        for bi in 0..bs {
-            let row = bi * t + ti;
-            let gr = &gates[row * h4..(row + 1) * h4];
-            for j in 0..h {
-                let (ig, fg, og, cand) = (gr[j], gr[h + j], gr[2 * h + j], gr[3 * h + j]);
-                let tc = tc_all[row * h + j];
-                let c_prev = t_prev.map_or(0.0, |tp| c_all[(bi * t + tp) * h + j]);
-                let dh = go[row * h + j] + dh_rec[bi * h + j];
-                let dc = dc_next[bi * h + j] + dh * og * (1.0 - tc * tc);
-                dc_next[bi * h + j] = dc * fg;
-                let dzr = [
-                    dc * cand * ig * (1.0 - ig),
-                    dc * c_prev * fg * (1.0 - fg),
-                    dh * tc * og * (1.0 - og),
-                    dc * ig * (1.0 - cand * cand),
-                ];
-                for (k, v) in dzr.into_iter().enumerate() {
-                    dz[row * h4 + k * h + j] = v;
-                    dz_t[bi * h4 + k * h + j] = v;
-                }
-            }
-        }
-        if step > 0 {
-            dh_rec.fill(0.0);
-            gemm(&dz_t, false, &u_t, false, bs, h4, h, &mut dh_rec);
-        }
-    }
+    let span = (LSTM_SEQ_CHUNK * t * h).max(1);
+    let mut parts: Vec<_> = dz
+        .chunks_mut(4 * span)
+        .zip(gates.chunks(4 * span))
+        .zip(c_all.chunks(span))
+        .zip(tc_all.chunks(span))
+        .zip(gout.data().chunks(span))
+        .map(|((((dz, gates), c), tc), go)| (dz, [gates, c, tc, go]))
+        .collect();
+    for_each_part(&mut parts, 2 * rows * h4 * h, |(dz, saved)| {
+        lstm_bptt(dz, *saved, &u_t, t, h, reversed);
+    });
     crate::pool::recycle(u_t);
-    crate::pool::recycle(dz_t);
-    crate::pool::recycle(dh_rec);
-    crate::pool::recycle(dc_next);
 
     let [need_x, need_wx, need_u, need_b] = need;
     let dx = need_x.then(|| {
@@ -1065,6 +1144,52 @@ pub fn lstm_seq_backward(
     });
     crate::pool::recycle(dz);
     [dx, dwx, du, db]
+}
+
+/// The BPTT loop of [`lstm_seq_backward`] over one chunk of sequences: the
+/// chunk's rows of `dz` from its rows of the saved gates, cell states,
+/// their `tanh` and the output gradient (`[gates, c, tc, gout]`).
+fn lstm_bptt(dz: &mut [f32], saved: [&[f32]; 4], u_t: &[f32], t: usize, h: usize, reversed: bool) {
+    let [gates, c_all, tc_all, go] = saved;
+    let h4 = 4 * h;
+    let nb = go.len() / (t * h);
+    // `dz_t`: the current step's rows of `dz`, contiguous for the gemm.
+    let mut dz_t = crate::pool::take(nb * h4);
+    let mut dh_rec = crate::pool::take_zeroed(nb * h);
+    let mut dc_next = crate::pool::take_zeroed(nb * h);
+    for step in (0..t).rev() {
+        let ti = lstm_time(step, t, reversed);
+        let t_prev = step.checked_sub(1).map(|s| lstm_time(s, t, reversed));
+        for bi in 0..nb {
+            let row = bi * t + ti;
+            let gr = &gates[row * h4..(row + 1) * h4];
+            for j in 0..h {
+                let (ig, fg, og, cand) = (gr[j], gr[h + j], gr[2 * h + j], gr[3 * h + j]);
+                let tc = tc_all[row * h + j];
+                let c_prev = t_prev.map_or(0.0, |tp| c_all[(bi * t + tp) * h + j]);
+                let dh = go[row * h + j] + dh_rec[bi * h + j];
+                let dc = dc_next[bi * h + j] + dh * og * (1.0 - tc * tc);
+                dc_next[bi * h + j] = dc * fg;
+                let dzr = [
+                    dc * cand * ig * (1.0 - ig),
+                    dc * c_prev * fg * (1.0 - fg),
+                    dh * tc * og * (1.0 - og),
+                    dc * ig * (1.0 - cand * cand),
+                ];
+                for (k, v) in dzr.into_iter().enumerate() {
+                    dz[row * h4 + k * h + j] = v;
+                    dz_t[bi * h4 + k * h + j] = v;
+                }
+            }
+        }
+        if step > 0 {
+            dh_rec.fill(0.0);
+            gemm(&dz_t, false, u_t, false, nb, h4, h, &mut dh_rec);
+        }
+    }
+    crate::pool::recycle(dz_t);
+    crate::pool::recycle(dh_rec);
+    crate::pool::recycle(dc_next);
 }
 
 #[cfg(test)]

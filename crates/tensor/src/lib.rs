@@ -1,9 +1,10 @@
 //! # ssdrec-tensor
 //!
-//! A compact, pure-Rust deep-learning substrate: dense `f32` tensors, a
-//! tape-based reverse-mode autograd engine, standard neural layers (Linear,
-//! Embedding, GRU/LSTM/Bi-LSTM, multi-head attention, transformer blocks,
-//! Gumbel-Softmax, frequency-domain filtering) and optimizers (Adam, SGD).
+//! A compact, pure-Rust deep-learning substrate: dense `f32` tensors,
+//! constant sparse (CSR) operators, a tape-based reverse-mode autograd
+//! engine, standard neural layers (Linear, Embedding, GRU/LSTM/Bi-LSTM,
+//! multi-head attention, transformer blocks, Gumbel-Softmax,
+//! frequency-domain filtering) and optimizers (Adam, SGD).
 //!
 //! This crate exists because the SSDRec reproduction (ICDE 2024) needs a DL
 //! framework and the Rust ecosystem does not ship one suited to this
@@ -36,6 +37,7 @@ pub mod optim;
 pub mod persist;
 pub mod pool;
 pub mod rng;
+pub mod sparse;
 pub mod tensor;
 
 pub use backend::{
@@ -46,4 +48,5 @@ pub use graph::{Gradients, Graph, Var};
 pub use optim::{Adam, Binding, ParamRef, ParamStore, Sgd};
 pub use persist::{load_params, save_params};
 pub use rng::Rng;
+pub use sparse::CsrMatrix;
 pub use tensor::Tensor;

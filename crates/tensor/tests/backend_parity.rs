@@ -15,7 +15,7 @@ use ssdrec_tensor::backend::{
 };
 use ssdrec_tensor::nn::{Linear, Lstm};
 use ssdrec_tensor::{
-    kernels, with_each_backend, Activation, Binding, Graph, ParamStore, Rng, Tensor, Var,
+    kernels, with_each_backend, Activation, Binding, CsrMatrix, Graph, ParamStore, Rng, Tensor, Var,
 };
 use ssdrec_testkit::{gens, property, Gen};
 
@@ -832,4 +832,331 @@ fn graph_forward_backward_bits_equal_across_backends() {
     };
     assert_within_ulps(y0, y1, KERNEL_BITS_MAX_ULPS, "cross-backend forward");
     assert_within_ulps(gw0, gw1, KERNEL_BITS_MAX_ULPS, "cross-backend gradient");
+}
+
+/// The panel-edge sizes every wall below sweeps.
+const EDGES: [usize; 8] = [0, 1, 7, 8, 9, 63, 64, 65];
+
+/// A `rows×cols` operator's per-row entries the way the relation graph
+/// hands them over: weight-descending (so columns arrive unsorted), every
+/// third row empty, an exact-zero weight now and then, and a repeated
+/// column in every fifth row, listed last with a new weight.
+fn relation_rows(rows: usize, cols: usize, salt: u64) -> Vec<Vec<(usize, f32)>> {
+    let mut r = Rng::seed(salt);
+    (0..rows)
+        .map(|i| {
+            if i % 3 == 1 || cols == 0 {
+                return Vec::new();
+            }
+            let mut row: Vec<(usize, f32)> = (0..1 + i % 12)
+                .map(|e| {
+                    let w = if (i + e) % 11 == 0 {
+                        0.0
+                    } else {
+                        r.next_f32() * 2.0 - 1.0
+                    };
+                    (r.between(0, cols - 1), w)
+                })
+                .collect();
+            row.sort_by(|a, b| b.1.total_cmp(&a.1));
+            if i % 5 == 0 {
+                row.push((row[0].0, 0.25 + i as f32));
+            }
+            row
+        })
+        .collect()
+}
+
+/// What writing the entries into a zeroed dense matrix in order leaves —
+/// the last of a repeated `(i, j)` wins.
+fn densified(lists: &[Vec<(usize, f32)>], rows: usize, cols: usize) -> Tensor {
+    let mut t = Tensor::zeros(&[rows, cols]);
+    for (i, row) in lists.iter().enumerate() {
+        for &(j, w) in row {
+            t.data_mut()[i * cols + j] = w;
+        }
+    }
+    t
+}
+
+/// `spmm` against the dense product it replaces in stage 1: the forward
+/// bit-equal to `matmul` and `dX` to `matmul_backward(.., [false, true])`
+/// on the densified operator, for every pair of panel-edge sizes, on both
+/// backends.
+#[test]
+fn spmm_matches_dense_matmul_bit_for_bit() {
+    with_each_backend(|kind| {
+        for (ri, &rows) in EDGES.iter().enumerate() {
+            for (ci, &cols) in EDGES.iter().enumerate() {
+                let d = [1, 8, 9, 17][(ri + ci) % 4];
+                let salt = (ri * 8 + ci) as u64;
+                let lists = relation_rows(rows, cols, salt);
+                let a = CsrMatrix::from_rows(rows, cols, |i| lists[i].clone());
+                let dense = densified(&lists, rows, cols);
+                let x = filled(&[cols, d], salt + 100);
+                let gout = filled(&[rows, d], salt + 200);
+                let ctx = format!("spmm {rows}×{cols} · {cols}×{d} on {kind:?}");
+                let want = kernels::matmul(&dense, &x);
+                assert_within_ulps(want.data(), kernels::spmm(&a, &x).data(), 0, &ctx);
+                let [_, want_dx] = kernels::matmul_backward(&dense, &x, &gout, [false, true]);
+                let got_dx = kernels::spmm_backward(&a, &gout);
+                assert_eq!(got_dx.shape(), &[cols, d], "{ctx} dX shape");
+                assert_within_ulps(
+                    want_dx.expect("dX").data(),
+                    got_dx.data(),
+                    0,
+                    &format!("{ctx} dX"),
+                );
+            }
+        }
+    });
+}
+
+/// `lstm_seq` / `lstm_seq_backward` as they ran before the recurrence was
+/// split into sequence chunks, kept verbatim on the public backend API as
+/// the oracle: `gemm` is the parent's (one transpose-pack, then the plain
+/// kernel over all rows, which the row-partition property makes one
+/// `gemm_rows` call) and pool buffers are plain vectors.
+mod parent_lstm {
+    use ssdrec_tensor::backend::backend;
+    use ssdrec_tensor::Tensor;
+
+    fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+        for i in 0..rows {
+            for j in 0..cols {
+                dst[j * rows + i] = src[i * cols + j];
+            }
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn gemm(
+        a: &[f32],
+        ta: bool,
+        b: &[f32],
+        tb: bool,
+        m: usize,
+        k: usize,
+        n: usize,
+        out: &mut [f32],
+    ) {
+        let packed = tb.then(|| {
+            let mut bp = vec![0.0f32; k * n];
+            transpose_into(b, n, k, &mut bp);
+            bp
+        });
+        let b = packed.as_deref().unwrap_or(b);
+        backend().gemm_rows(a, ta, b, false, m, k, n, out, 0, m);
+    }
+
+    fn sigmoid(x: f32) -> f32 {
+        1.0 / (1.0 + (-x).exp())
+    }
+
+    fn lstm_time(step: usize, t: usize, reversed: bool) -> usize {
+        if reversed {
+            t - 1 - step
+        } else {
+            step
+        }
+    }
+
+    pub fn lstm_seq(
+        x: &Tensor,
+        wx: &Tensor,
+        u: &Tensor,
+        b: &Tensor,
+        reversed: bool,
+    ) -> (Tensor, Vec<f32>) {
+        let (bs, t, d) = x.dims3();
+        let h = u.dims2().0;
+        let h4 = 4 * h;
+        let rows = bs * t;
+
+        let mut saved = vec![0.0f32; rows * 6 * h];
+        let mut out = Tensor::zeros(&[bs, t, h]);
+        let (z, rest) = saved.split_at_mut(rows * h4);
+        let (c_all, tc_all) = rest.split_at_mut(rows * h);
+
+        gemm(x.data(), false, wx.data(), false, rows, d, h4, z);
+        for row in z.chunks_mut(h4.max(1)) {
+            for (zv, &bv) in row.iter_mut().zip(b.data()) {
+                *zv += bv;
+            }
+        }
+
+        let mut h_prev = vec![0.0f32; bs * h];
+        let mut hu = vec![0.0f32; bs * h4];
+        let o = out.data_mut();
+        for step in 0..t {
+            let ti = lstm_time(step, t, reversed);
+            let t_prev = step.checked_sub(1).map(|s| lstm_time(s, t, reversed));
+            if step > 0 {
+                hu.fill(0.0);
+                gemm(&h_prev, false, u.data(), false, bs, h, h4, &mut hu);
+            }
+            for bi in 0..bs {
+                let row = bi * t + ti;
+                let zr = &mut z[row * h4..(row + 1) * h4];
+                let hur = &hu[bi * h4..(bi + 1) * h4];
+                for j in 0..h {
+                    let ig = sigmoid(zr[j] + hur[j]);
+                    let fg = sigmoid(zr[h + j] + hur[h + j]);
+                    let og = sigmoid(zr[2 * h + j] + hur[2 * h + j]);
+                    let cand = (zr[3 * h + j] + hur[3 * h + j]).tanh();
+                    let c_prev = t_prev.map_or(0.0, |tp| c_all[(bi * t + tp) * h + j]);
+                    let c = fg * c_prev + ig * cand;
+                    let tc = c.tanh();
+                    let hv = og * tc;
+                    zr[j] = ig;
+                    zr[h + j] = fg;
+                    zr[2 * h + j] = og;
+                    zr[3 * h + j] = cand;
+                    c_all[row * h + j] = c;
+                    tc_all[row * h + j] = tc;
+                    o[row * h + j] = hv;
+                    h_prev[bi * h + j] = hv;
+                }
+            }
+        }
+        (out, saved)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    pub fn lstm_seq_backward(
+        x: &Tensor,
+        wx: &Tensor,
+        u: &Tensor,
+        h_out: &Tensor,
+        saved: &[f32],
+        gout: &Tensor,
+        reversed: bool,
+    ) -> [Tensor; 4] {
+        let (bs, t, d) = x.dims3();
+        let h = u.dims2().0;
+        let h4 = 4 * h;
+        let rows = bs * t;
+        let (gates, rest) = saved.split_at(rows * h4);
+        let (c_all, tc_all) = rest.split_at(rows * h);
+        let go = gout.data();
+
+        let mut dz = vec![0.0f32; rows * h4];
+        let mut dz_t = vec![0.0f32; bs * h4];
+        let mut dh_rec = vec![0.0f32; bs * h];
+        let mut dc_next = vec![0.0f32; bs * h];
+        let mut u_t = vec![0.0f32; h4 * h];
+        transpose_into(u.data(), h, h4, &mut u_t);
+        for step in (0..t).rev() {
+            let ti = lstm_time(step, t, reversed);
+            let t_prev = step.checked_sub(1).map(|s| lstm_time(s, t, reversed));
+            for bi in 0..bs {
+                let row = bi * t + ti;
+                let gr = &gates[row * h4..(row + 1) * h4];
+                for j in 0..h {
+                    let (ig, fg, og, cand) = (gr[j], gr[h + j], gr[2 * h + j], gr[3 * h + j]);
+                    let tc = tc_all[row * h + j];
+                    let c_prev = t_prev.map_or(0.0, |tp| c_all[(bi * t + tp) * h + j]);
+                    let dh = go[row * h + j] + dh_rec[bi * h + j];
+                    let dc = dc_next[bi * h + j] + dh * og * (1.0 - tc * tc);
+                    dc_next[bi * h + j] = dc * fg;
+                    let dzr = [
+                        dc * cand * ig * (1.0 - ig),
+                        dc * c_prev * fg * (1.0 - fg),
+                        dh * tc * og * (1.0 - og),
+                        dc * ig * (1.0 - cand * cand),
+                    ];
+                    for (k, v) in dzr.into_iter().enumerate() {
+                        dz[row * h4 + k * h + j] = v;
+                        dz_t[bi * h4 + k * h + j] = v;
+                    }
+                }
+            }
+            if step > 0 {
+                dh_rec.fill(0.0);
+                gemm(&dz_t, false, &u_t, false, bs, h4, h, &mut dh_rec);
+            }
+        }
+
+        let mut dx = Tensor::zeros(&[bs, t, d]);
+        gemm(&dz, false, wx.data(), true, rows, h4, d, dx.data_mut());
+        let mut dwx = Tensor::zeros(&[d, h4]);
+        gemm(x.data(), true, &dz, false, d, rows, h4, dwx.data_mut());
+        let mut fed = vec![0.0f32; rows * h];
+        for step in 1..t {
+            let (ti, tp) = (
+                lstm_time(step, t, reversed),
+                lstm_time(step - 1, t, reversed),
+            );
+            for bi in 0..bs {
+                let (row, prev_row) = (bi * t + ti, bi * t + tp);
+                fed[row * h..(row + 1) * h]
+                    .copy_from_slice(&h_out.data()[prev_row * h..(prev_row + 1) * h]);
+            }
+        }
+        let mut du = Tensor::zeros(&[h, h4]);
+        gemm(&fed, true, &dz, false, h, rows, h4, du.data_mut());
+        let mut db = Tensor::zeros(&[h4]);
+        for row in dz.chunks(h4.max(1)) {
+            for (o, &v) in db.data_mut().iter_mut().zip(row) {
+                *o += v;
+            }
+        }
+        [dx, dwx, du, db]
+    }
+}
+
+/// The sequence-chunked LSTM kernels against the whole-batch ones they
+/// replaced: hidden states and all four gradients bit for bit at
+/// `B ∈ {1, 7, 8, 9, 63, 64, 65}` (one partial chunk, whole chunks, whole
+/// chunks plus one sequence) and `T ∈ {1, 2, 9}`, both directions, pooled
+/// and fresh, on both backends.
+#[test]
+fn lstm_seq_chunks_match_the_whole_batch_recurrence() {
+    let was = ssdrec_tensor::pool::is_enabled();
+    with_each_backend(|kind| {
+        for (bi, b) in [1, 7, 8, 9, 63, 64, 65].into_iter().enumerate() {
+            for t in [1, 2, 9] {
+                let (d, h) = [(5, 8), (9, 7)][bi % 2];
+                let salt = (b * 10 + t) as u64;
+                let x = filled(&[b, t, d], salt);
+                let wx = filled(&[d, 4 * h], salt + 1);
+                let u = filled(&[h, 4 * h], salt + 2);
+                let bias = filled(&[4 * h], salt + 3);
+                let gout = filled(&[b, t, h], salt + 4);
+                for reversed in [false, true] {
+                    let (want_h, want_saved) = parent_lstm::lstm_seq(&x, &wx, &u, &bias, reversed);
+                    let want_grads = parent_lstm::lstm_seq_backward(
+                        &x,
+                        &wx,
+                        &u,
+                        &want_h,
+                        &want_saved,
+                        &gout,
+                        reversed,
+                    );
+                    for pooled in [true, false] {
+                        ssdrec_tensor::pool::set_enabled(pooled);
+                        let ctx = format!(
+                            "lstm B={b} T={t} d={d} h={h} reversed={reversed} \
+                             pooled={pooled} on {kind:?}"
+                        );
+                        let (got_h, saved) = kernels::lstm_seq(&x, &wx, &u, &bias, reversed);
+                        assert_within_ulps(want_h.data(), got_h.data(), 0, &ctx);
+                        let got = kernels::lstm_seq_backward(
+                            &x, &wx, &u, &got_h, &saved, &gout, reversed, [true; 4],
+                        );
+                        for (name, (w, g)) in ["dX", "dWx", "dU", "db"]
+                            .into_iter()
+                            .zip(want_grads.iter().zip(got))
+                        {
+                            let g = g.expect("requested gradient");
+                            assert_within_ulps(w.data(), g.data(), 0, &format!("{ctx} {name}"));
+                        }
+                        ssdrec_tensor::pool::recycle(saved);
+                    }
+                }
+            }
+        }
+    });
+    ssdrec_tensor::pool::set_enabled(was);
 }

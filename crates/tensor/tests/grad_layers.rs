@@ -12,7 +12,9 @@ use ssdrec_tensor::nn::{
     causal_mask, gumbel_softmax, BiLstm, DftFilter, Embedding, FeedForward, Gru, GumbelMode,
     LayerNorm, Linear, Lstm, MultiHeadAttention, TransformerBlock,
 };
-use ssdrec_tensor::{fd_check_all_params, Binding, Graph, ParamRef, ParamStore, Rng, Tensor, Var};
+use ssdrec_tensor::{
+    fd_check_all_params, Binding, CsrMatrix, Graph, ParamRef, ParamStore, Rng, Tensor, Var,
+};
 
 const EPS: f32 = 1e-2;
 const TOL: f32 = 1e-3;
@@ -204,5 +206,23 @@ fn dft_filter_gradients() {
         let xv = bind.var(x);
         let y = f.forward(g, bind, xv);
         readout(g, y, 30)
+    });
+}
+
+#[test]
+fn spmm_gradients() {
+    // Unsorted rows, an empty row and a repeated column, as stage 1's
+    // relation operators arrive.
+    let lists = [
+        vec![(2, 0.7), (0, 0.4)],
+        vec![],
+        vec![(3, 0.9), (1, -0.5), (3, 0.2)],
+    ];
+    let a = CsrMatrix::from_rows(3, 4, |i| lists[i].clone());
+    let mut store = ParamStore::new();
+    let x = input_param(&mut store, &[4, 3], 31);
+    fd_check_both(&mut store, EPS, TOL, |g, bind: &Binding| {
+        let y = g.spmm(&a, bind.var(x));
+        readout(g, y, 32)
     });
 }

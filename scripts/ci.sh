@@ -17,37 +17,40 @@
 #      exhaustive --ef-search; the response body must be byte-identical to
 #      the exact-path baseline and /metrics must report the ann section.
 #   8. Thread determinism: the golden HR@10/NDCG@10 test, the graph
-#      builder's pins and oracle, and a CLI train run must pass or produce
-#      byte-identical metrics under SSDREC_THREADS=1 and SSDREC_THREADS=4.
+#      builder's and SSDRec stages' pins and oracles, and a CLI train run
+#      must pass or produce byte-identical metrics under SSDREC_THREADS=1
+#      and SSDREC_THREADS=4 (capped at the host's cores).
 #   9. Backend parity: the same golden test and CLI train run must produce
 #      byte-identical metrics under SSDREC_BACKEND=reference and
 #      SSDREC_BACKEND=blocked (the v1 kernel bits-contract).
 #  10. Pool identity: a CLI train run with the tensor pool on and one with
 #      SSDREC_POOL=0 must emit byte-identical metric lines.
-#  11. Hot-swap smoke: ingest the smoke profile into an append-only log,
+#  11. Scale smoke: SSDRec trains one epoch of beauty --scale 70 (~20 K
+#      users) under `ulimit -v 2097152`; prints its wall time and peak RSS.
+#  12. Hot-swap smoke: ingest the smoke profile into an append-only log,
 #      retrain into a versioned checkpoint dir, serve CURRENT, capture a
 #      baseline body, ingest a delta under an armed stream.append latency
 #      fault, retrain again, POST /reload — the body must change and
 #      /metrics must report swap_total:1 at the new model_version.
-#  12. Out-of-core smoke: gen-data writes a columnar .ssdc file; `train
+#  13. Out-of-core smoke: gen-data writes a columnar .ssdc file; `train
 #      --data` runs off it — SSDRec, which builds the graph, and the bare
 #      backbone (`--baseline`), which builds none — windowed at 1 and 4
 #      threads and in ram mode, with byte-identical metric lines and
 #      checkpoints; and ingest bulk-loads it into a log.
-#  13. Training-scenario smoke: `train --contrastive` and `train --mgsd`
+#  14. Training-scenario smoke: `train --contrastive` and `train --mgsd`
 #      each run two epochs and must emit byte-identical metric lines at
 #      SSDREC_THREADS=1 and --threads 4.
-#  14. ssdrec-bench smoke: `table4 --fast` runs every method and writes
+#  15. ssdrec-bench smoke: `table4 --fast` runs every method and writes
 #      results/table4_fast.json with the CL4SRec and MGSD-WSS rows;
 #      `retrieval --fast` holds its recall and determinism assertions and
 #      writes results/retrieval.json; `data-scale --fast` runs the
 #      out-of-core phases end to end.
-#  15. Repo benchmark: benchmark/probes and benchmark/driver build against
+#  16. Repo benchmark: benchmark/probes and benchmark/driver build against
 #      the working tree (removing a public item a probe times fails here
 #      instead of silently nulling a per-layer metric), then
 #      `benchmark/run.sh --smoke` runs every workload's correctness checks
 #      and all seven probes at tiny sizes.
-#  16. Line-count ledger: the number ROADMAP item 5 tracks, and a check
+#  17. Line-count ledger: the number ROADMAP item 5 tracks, and a check
 #      that the run left `git status` as it found it.
 #
 # Everything runs with CARGO_NET_OFFLINE=true: any attempt to reach the
@@ -211,9 +214,11 @@ SSDREC_THREADS=4 cargo test --release -q --test golden_determinism
 SSDREC_THREADS=1 cargo test --release -q -p ssdrec-tensor --test backend_parity --test grad_layers
 SSDREC_THREADS=4 cargo test --release -q -p ssdrec-tensor --test backend_parity --test grad_layers
 # The row-parallel graph builder against its pins and its sort-and-merge
-# oracle, with its rows built sequentially and over four threads.
-SSDREC_THREADS=1 cargo test --release -q -p ssdrec-graph
-SSDREC_THREADS=4 cargo test --release -q -p ssdrec-graph
+# oracle, and SSDRec's stages (sparse stage 1, the sequence-chunked
+# Bi-LSTMs) against theirs, run sequentially and over four threads (capped
+# at the host's cores).
+SSDREC_THREADS=1 cargo test --release -q -p ssdrec-graph -p ssdrec-core
+SSDREC_THREADS=4 cargo test --release -q -p ssdrec-graph -p ssdrec-core
 # And a CLI train run must emit byte-identical metric lines and checkpoint
 # bytes either way.
 SSDREC_THREADS=1 train_metrics "$SMOKE_DIR/metrics_t1.txt" $SMOKE_FLAGS --epochs 1 \
@@ -257,6 +262,25 @@ diff -u "$SMOKE_DIR/metrics_pooled.txt" "$SMOKE_DIR/metrics_fresh.txt" ||
 cmp "$SMOKE_DIR/ckpt_pooled.ssdt" "$SMOKE_DIR/ckpt_fresh.ssdt" ||
     die "pool identity: checkpoints differ between pooled and fresh runs"
 echo "ok: pooled and fresh metrics and checkpoints byte-identical"
+
+echo "== SSDRec at scale (beauty --scale 70 under a 2 GiB address-space limit) =="
+# Stage 1's seven relation operators are sparse, so a catalogue of ~20 K
+# users × ~5.6 K items trains in a few hundred MiB; one dense U×U operator
+# alone would need 1.6 GB. Prints the wall time and the peak RSS (VmHWM,
+# polled while the run lives).
+SCALE_LOG=$SMOKE_DIR/scale70.txt
+t0=$(date +%s%N)
+(ulimit -v 2097152 && exec ./target/release/ssdrec train --profile beauty --scale 70 \
+    --epochs 1 --batch-size 256) >"$SCALE_LOG" 2>&1 &
+SCALE_PID=$!
+PEAK_KIB=0
+while HWM=$(awk '/^VmHWM:/ {print $2}' "/proc/$SCALE_PID/status" 2>/dev/null) && [ -n "$HWM" ]; do
+    [ "$HWM" -gt "$PEAK_KIB" ] && PEAK_KIB=$HWM
+    sleep 0.2
+done
+wait "$SCALE_PID" || die "scale-70 train failed under the 2 GiB limit: see $SCALE_LOG"
+grep -q '^test ' "$SCALE_LOG" || die "scale-70 train printed no test metrics: see $SCALE_LOG"
+echo "ok: $(head -1 "$SCALE_LOG"); wall $(( ($(date +%s%N) - t0) / 1000000 )) ms, peak RSS $((PEAK_KIB / 1024)) MiB"
 
 echo "== hot-swap smoke (ingest → retrain → serve --ckpt-dir → /reload) =="
 STREAM_DIR=$SMOKE_DIR/stream

@@ -28,8 +28,8 @@ use ssdrec::graph::{build_graph, GraphConfig, MultiRelationGraph};
 use ssdrec::metrics::{full_rank, par_top_k, rank_rows, top_k};
 use ssdrec::models::{evaluate, train, BackboneKind, ContrastiveSeqRec, RecModel, SeqRec};
 use ssdrec::serve::{Engine, EngineConfig, ServerStats};
-use ssdrec::tensor::kernels::{matmul, matmul_backward, scatter_rows};
-use ssdrec::tensor::{pool, with_each_backend, Graph, Tensor};
+use ssdrec::tensor::kernels::{matmul, matmul_backward, scatter_rows, spmm, spmm_backward};
+use ssdrec::tensor::{pool, with_each_backend, CsrMatrix, Graph, Tensor};
 
 /// Serialises pool reconfiguration across `#[test]` threads.
 static POOL_LOCK: Mutex<()> = Mutex::new(());
@@ -147,13 +147,20 @@ fn batched_matmul_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// The fused LSTM node, forward and in-node BPTT, at a shape whose packed
-/// and recurrent gemms all cross the parallel threshold — pooled and fresh
-/// allocation alike (its saved activations and scratch come from the pool
-/// with stale contents).
+/// The fused LSTM node, forward and in-node BPTT, at shapes whose packed
+/// gemms and sequence-chunked recurrence all cross the parallel threshold —
+/// eight whole 8-sequence chunks, and the same plus a partial last chunk —
+/// pooled and fresh allocation alike (its saved activations and scratch
+/// come from the pool with stale contents).
 #[test]
 fn lstm_seq_is_bit_identical_across_thread_counts() {
-    let (b, t, d, h) = (64, 9, 32, 32);
+    let (t, d, h) = (9, 32, 32);
+    for b in [64, 65] {
+        lstm_bits_stable(b, t, d, h);
+    }
+}
+
+fn lstm_bits_stable(b: usize, t: usize, d: usize, h: usize) {
     assert_bits_stable(|| {
         let was = pool::is_enabled();
         let run = |pooled: bool| {
@@ -179,6 +186,25 @@ fn lstm_seq_is_bit_identical_across_thread_counts() {
         assert_eq!(pooled, fresh, "pooled and fresh LSTM diverged");
         pooled
     });
+}
+
+/// Stage 1's sparse product at `train_ssdrec`'s U×U shape (384 rows, 32
+/// weight-descending neighbours each, so rows arrive unsorted): the
+/// row-parallel forward and the transposed-operator `dX`.
+#[test]
+fn spmm_is_bit_identical_across_thread_counts() {
+    let (n, k, d) = (384, 32, 32);
+    let weights = fill(n * k, 45);
+    let a = CsrMatrix::from_rows(n, n, |i| {
+        let mut row: Vec<(usize, f32)> = (0..k)
+            .map(|e| ((i * 131 + e * e * 17 + e) % n, weights[i * k + e]))
+            .collect();
+        row.sort_by(|p, q| q.1.total_cmp(&p.1));
+        row
+    });
+    let x = Tensor::new(fill(n * d, 46), &[n, d]);
+    let gout = Tensor::new(fill(n * d, 47), &[n, d]);
+    assert_bits_stable(|| (bits(&spmm(&a, &x)), bits(&spmm_backward(&a, &gout))));
 }
 
 #[test]
