@@ -12,7 +12,7 @@
 
 use ssdrec_data::Batch;
 use ssdrec_graph::MultiRelationGraph;
-use ssdrec_models::{build_encoder, BackboneKind, RecModel, SeqEncoder};
+use ssdrec_models::{build_encoder, BackboneKind, EvalForward, RecModel, SeqEncoder};
 use ssdrec_tensor::nn::Embedding;
 use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
 
@@ -364,22 +364,6 @@ impl SsdRec {
         (self.score_repr(g, items, h_s), gate, items)
     }
 
-    /// Evaluation forward: no augmentation (paper §III-F), deterministic
-    /// denoising.
-    fn forward_eval(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var {
-        let (items, users) = self.tables(g, bind);
-        let (h_seq, hu) = self.sequence_reprs(g, items, users, batch);
-        let prior = self.coherence_prior(g, batch);
-        let h_in = if self.cfg.stage3 {
-            let (denoised, _) = self.denoiser.denoise_eval(g, bind, h_seq, hu, prior);
-            denoised
-        } else {
-            h_seq
-        };
-        let h_s = self.backbone.encode(g, bind, h_in);
-        self.score_repr(g, items, h_s)
-    }
-
     /// Precompute the request-independent pieces of the frozen serving
     /// forward pass. Must be called on the same graph (below the
     /// [`Graph::mark`]) as later [`SsdRec::eval_scores_frozen`] calls.
@@ -397,11 +381,9 @@ impl SsdRec {
         }
     }
 
-    /// Frozen-serving forward: the same kernels in the same order as
-    /// [`RecModel::eval_scores`] (scores are bit-identical), except that the
+    /// The per-batch half of the eval forward (and of frozen serving): the
     /// stage-1 relation encoding and the scorer transpose come precomputed
-    /// from [`SsdRec::precompute_frozen`] instead of being re-derived per
-    /// request.
+    /// from [`SsdRec::precompute_frozen`].
     pub fn eval_scores_frozen(
         &self,
         g: &mut Graph,
@@ -558,7 +540,15 @@ impl RecModel for SsdRec {
     }
 
     fn eval_scores(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var {
-        self.forward_eval(g, bind, batch)
+        self.eval_prepare(g, bind)(g, bind, batch)
+    }
+
+    /// The eval forward is the frozen-serving one: stage 1 and the scorer
+    /// transpose once per pass, then per batch no augmentation (paper
+    /// §III-F) and deterministic denoising.
+    fn eval_prepare(&self, g: &mut Graph, bind: &Binding) -> EvalForward<'_> {
+        let frozen = self.precompute_frozen(g, bind);
+        Box::new(move |g, bind, batch| self.eval_scores_frozen(g, bind, batch, &frozen))
     }
 
     fn on_epoch_start(&mut self, epoch: usize, total: usize) {

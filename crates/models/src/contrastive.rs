@@ -31,7 +31,7 @@ use ssdrec_data::Batch;
 use ssdrec_tensor::{Binding, Graph, Rng, Var};
 
 use crate::encoder::BackboneKind;
-use crate::model::{RecModel, SeqRec};
+use crate::model::{EvalForward, RecModel, SeqRec};
 
 /// Default weight of the contrastive term (`--cl-weight`).
 pub const DEFAULT_CL_WEIGHT: f32 = 0.1;
@@ -221,6 +221,10 @@ impl RecModel for ContrastiveSeqRec {
 
     fn eval_scores(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var {
         self.base.eval_scores(g, bind, batch)
+    }
+
+    fn eval_prepare(&self, g: &mut Graph, bind: &Binding) -> EvalForward<'_> {
+        self.base.eval_prepare(g, bind)
     }
 
     fn model_name(&self) -> String {

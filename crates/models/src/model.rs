@@ -32,6 +32,10 @@ pub fn build_encoder(
     }
 }
 
+/// The per-batch half of an eval forward, as [`RecModel::eval_prepare`]
+/// returns it: a batch's `B×(V+1)` logits on the graph it was prepared on.
+pub type EvalForward<'a> = Box<dyn Fn(&mut Graph, &Binding, &Batch) -> Var + 'a>;
+
 /// Anything the shared trainer can optimise and evaluate.
 pub trait RecModel {
     /// The parameter store (for binding/optimizer steps).
@@ -42,6 +46,16 @@ pub trait RecModel {
     fn loss(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: &mut Rng) -> Var;
     /// Full-catalogue logits `B×(V+1)` for evaluation (deterministic).
     fn eval_scores(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var;
+
+    /// Build the batch-independent part of the eval forward once for a
+    /// whole pass — on `g`, below a [`Graph::mark`] the caller then
+    /// [`truncate`](Graph::truncate)s back to before every batch — and
+    /// return the per-batch rest. Its scores are bit-identical to
+    /// [`RecModel::eval_scores`]'s. The default prepares nothing: every
+    /// batch runs `eval_scores` whole.
+    fn eval_prepare(&self, _g: &mut Graph, _bind: &Binding) -> EvalForward<'_> {
+        Box::new(move |g, bind, batch| self.eval_scores(g, bind, batch))
+    }
     /// Hook called after every optimisation step (e.g. τ annealing).
     fn after_step(&mut self) {}
     /// Hook called at the start of each epoch with `(epoch, total_epochs)`
@@ -221,9 +235,8 @@ impl SeqRec {
         self.encoder.encode(g, bind, h)
     }
 
-    /// Frozen-serving forward: identical kernels (and therefore bit-identical
-    /// scores) to [`RecModel::eval_scores`], but scoring against the
-    /// precomputed transposed table instead of re-deriving it per request.
+    /// The per-batch half of the eval forward (and of frozen serving):
+    /// scores against the precomputed transposed table.
     pub fn eval_scores_frozen(
         &self,
         g: &mut Graph,
@@ -375,7 +388,14 @@ impl RecModel for SeqRec {
     }
 
     fn eval_scores(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var {
-        self.forward(g, bind, batch, None)
+        self.eval_prepare(g, bind)(g, bind, batch)
+    }
+
+    /// The eval forward is the frozen-serving one: the transposed scorer
+    /// and the pad mask once per pass.
+    fn eval_prepare(&self, g: &mut Graph, bind: &Binding) -> EvalForward<'_> {
+        let frozen = self.precompute_frozen(g, bind);
+        Box::new(move |g, bind, batch| self.eval_scores_frozen(g, bind, batch, &frozen))
     }
 
     fn model_name(&self) -> String {

@@ -119,9 +119,11 @@ pub fn evaluate<M: RecModel + ?Sized>(
 /// (and hence the accumulator) are bit-identical across sources for the
 /// same examples.
 ///
-/// The graph is [`reset`](Graph::reset) before every batch, so tape
-/// storage is recycled through the buffer pool instead of reallocated;
-/// results are bit-identical to building a fresh graph per batch.
+/// The pass binds the parameters and runs [`RecModel::eval_prepare`] once,
+/// below a [`Graph::mark`]; each batch then appends its own nodes and is
+/// [`truncate`](Graph::truncate)d away, its storage recycled through the
+/// buffer pool. Scores are bit-identical to a fresh graph and a whole
+/// [`RecModel::eval_scores`] per batch.
 pub fn evaluate_with<M: RecModel + ?Sized>(
     model: &M,
     source: &dyn BatchSource,
@@ -129,10 +131,13 @@ pub fn evaluate_with<M: RecModel + ?Sized>(
     g: &mut Graph,
 ) -> RankingAccumulator {
     let mut acc = RankingAccumulator::new();
+    g.reset();
+    let bind = model.store().bind_all(g);
+    let forward = model.eval_prepare(g, &bind);
+    let mark = g.mark();
     source.for_each_batch(batch_size, 0, &mut |batch| {
-        g.reset();
-        let bind = model.store().bind_all(g);
-        let scores = model.eval_scores(g, &bind, batch);
+        g.truncate(mark);
+        let scores = forward(g, &bind, batch);
         let sv = g.value(scores);
         let v = sv.shape()[1];
         // Rank the whole batch on the runtime pool; row order (and hence

@@ -2,9 +2,9 @@
 //! cache purging (a stale cached recommendation can never outlive a swap),
 //! failure isolation, and zero dropped requests under concurrent load.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ssdrec_models::{BackboneKind, SeqRec};
 use ssdrec_serve::{
@@ -185,18 +185,30 @@ fn concurrent_load_sees_zero_drops_and_single_version_flip() {
         step_loader(2),
     ));
 
+    // Each client runs at least `ROUNDS` requests and keeps going until it
+    // has sent `AFTER_SWAP` requests that started after the swap returned;
+    // the swap waits until `CLIENTS` answers have come back. Nothing depends
+    // on timing; the deadline only bounds a hang.
     const CLIENTS: usize = 6;
     const ROUNDS: usize = 60;
+    const AFTER_SWAP: usize = 3;
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let answered = Arc::new(AtomicUsize::new(0));
+    let swapped = Arc::new(AtomicBool::new(false));
     let barrier = Arc::new(Barrier::new(CLIENTS + 1));
     let clients: Vec<_> = (0..CLIENTS)
         .map(|c| {
             let slot = Arc::clone(&slot);
             let barrier = Arc::clone(&barrier);
+            let (answered, swapped) = (Arc::clone(&answered), Arc::clone(&swapped));
             std::thread::spawn(move || {
                 barrier.wait();
                 let mut answers = Vec::with_capacity(ROUNDS);
-                for r in 0..ROUNDS {
-                    // Distinct seqs so nothing is answered from the cache.
+                let mut after_swap = 0;
+                for r in 0.. {
+                    let post_swap = swapped.load(Ordering::SeqCst);
+                    // Distinct seqs within the first rounds, so they are not
+                    // answered from the cache.
                     let seq = vec![
                         c % NUM_ITEMS + 1,
                         (c + r) % NUM_ITEMS + 1,
@@ -207,6 +219,15 @@ fn concurrent_load_sees_zero_drops_and_single_version_flip() {
                         .recommend(c, &seq, 5)
                         .expect("no request may fail across the swap");
                     answers.push((seq, bits(&rec)));
+                    answered.fetch_add(1, Ordering::SeqCst);
+                    after_swap += usize::from(post_swap);
+                    if r + 1 >= ROUNDS && after_swap >= AFTER_SWAP {
+                        break;
+                    }
+                    assert!(
+                        Instant::now() < deadline,
+                        "client {c} did not see the swap land"
+                    );
                 }
                 answers
             })
@@ -214,13 +235,17 @@ fn concurrent_load_sees_zero_drops_and_single_version_flip() {
         .collect();
 
     barrier.wait();
-    // Let the clients get going, then swap mid-stream. Extra reloads while
+    // Swap mid-stream, once answers are coming back. Extra reloads while
     // loaded must not flip the version again.
-    std::thread::sleep(Duration::from_millis(5));
+    while answered.load(Ordering::SeqCst) < CLIENTS {
+        assert!(Instant::now() < deadline, "the clients never got going");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     assert_eq!(
         slot.reload().expect("swap"),
         ReloadOutcome::Swapped { version: 2 }
     );
+    swapped.store(true, Ordering::SeqCst);
     assert_eq!(
         slot.reload().expect("noop"),
         ReloadOutcome::Unchanged { version: 2 }
@@ -247,7 +272,8 @@ fn concurrent_load_sees_zero_drops_and_single_version_flip() {
             }
         }
     }
-    assert_eq!(old_answers + new_answers, CLIENTS * ROUNDS);
+    assert_eq!(old_answers + new_answers, answered.load(Ordering::SeqCst));
+    assert!(old_answers > 0, "the swap must not land before the run");
     assert!(new_answers > 0, "the swap must have landed during the run");
     assert_eq!(stats.model_version(), 2);
     assert_eq!(

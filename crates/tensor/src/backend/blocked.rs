@@ -5,11 +5,12 @@
 //!
 //! The oracle computes every output element as one `p`-ascending addition
 //! chain. The blocked gemm computes the *same chain for the same element* —
-//! it only changes where the partial sums live (an 8×8 register tile
+//! it only changes where the partial sums live (an `8×W` register tile
 //! instead of the output buffer) and in what order *different* elements are
 //! advanced. Floating-point addition is not reassociated, the operand
 //! packing copies values verbatim, and Rust never contracts `a*b + c` into
-//! an FMA, so the result bits match the oracle exactly.
+//! an FMA, so the result bits match the oracle exactly — at every tile
+//! width `W` the per-instruction-set builds use ([`TileIsa`](super::TileIsa)).
 //!
 //! Two oracle quirks need care:
 //!
@@ -32,13 +33,19 @@
 //!   matrix for the `tb` variants, once per call — [`crate::kernels`]
 //!   already hands a 2-D gemm's transposed `b` over packed, once for all of
 //!   its row blocks), turning every variant into the same
-//!   unit-stride broadcast-multiply-accumulate over an 8×8 register tile.
-//!   The `tb` oracle variants are scalar dot-product reductions the
-//!   autovectorizer cannot touch (vectorizing an FP reduction would
-//!   reassociate); the tiled form keeps each lane's chain separate, so it
-//!   vectorizes across the 8 output columns — that is where the large wins
-//!   come from. The `!tb` variants gain from streaming each `b` row once
-//!   per 8 output rows instead of once per row.
+//!   unit-stride broadcast-multiply-accumulate over an `8×W` register tile,
+//!   `W` one vector register wide: 8 columns in the portable (SSE2) and
+//!   AVX2 builds, 16 in the AVX-512F build. The `tb` oracle variants are
+//!   scalar dot-product reductions the autovectorizer cannot touch
+//!   (vectorizing an FP reduction would reassociate); the tiled form keeps
+//!   each lane's chain separate, so it vectorizes across the output
+//!   columns — that is where the large wins come from. The `!tb` variants
+//!   gain from streaming each `b` row once per 8 output rows instead of
+//!   once per row.
+//! * Every tile runs at full width: the last `n mod W` columns of `b` are
+//!   copied once per call into a zero-padded `W`-column strip, and a last
+//!   partial row panel packs zeros into its unused lanes. The padding lanes
+//!   compute products nobody stores; no stored lane ever sees them.
 //! * [`Backend::bias_act`] runs in one pass instead of add-then-activate.
 //! * [`Backend::scaled_masked_softmax`] fuses the scale/mask pass with the
 //!   row-max scan (3 passes instead of 4).
@@ -48,73 +55,165 @@
 //! `E[x²]−E[x]²` variance, would change bits), so this backend delegates
 //! them to the oracle unchanged.
 
+use super::per_isa;
 use super::{Activation, Backend, Reference};
 
 /// Register-tile rows (output rows advanced together per A panel).
 const MR: usize = super::TILE_ROWS;
-/// Register-tile columns.
-const NR: usize = 8;
 
-/// Accumulate an `mr×nr` output tile at `(ri0, j0)` of `block` from a
-/// packed A panel (`k×MR`, `p`-major, lanes `ii < mr` valid) and a
-/// `p`-major B (`k×n`).
+/// Accumulate one `MR×W` register tile over the whole contraction, from a
+/// packed A panel (`k×MR`, `p`-major) and the `W` columns of a `p`-major B
+/// starting at `b` (row stride `ldb`), into the `MR×W` corner of `c` (row
+/// stride `ldc`).
 ///
 /// `from_out` selects the oracle's two accumulation styles: the `!tb`
 /// variants add term-by-term onto the existing output (tile preloads the
 /// output and stores it back), the `tb` variants form a fresh sum and add
 /// it once at the end.
 ///
-/// `#[inline(always)]` so the full-tile call site (literal `MR`/`NR`)
-/// const-propagates and the inner loops unroll to straight-line
-/// vectorizable code, while the edge call site keeps runtime bounds.
+/// The eight tile rows are spelled out rather than looped over: a row
+/// loop is one the vectoriser may pick to vectorise *across rows*, which
+/// keeps the accumulator in memory behind gathers and scatters (the
+/// AVX-512F build did, at a tenth of the speed). Spelled out, each row is
+/// one `W`-lane multiply and add per `p`, and the accumulator stays in
+/// vector registers. `#[inline(always)]` compiles it inside each build.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn tile(
+fn tile<const W: usize>(
     k: usize,
     ap: &[f32],
-    bm: &[f32],
-    n: usize,
-    j0: usize,
-    mr: usize,
-    nr: usize,
-    block: &mut [f32],
-    ri0: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
     from_out: bool,
 ) {
-    let mut acc = [0.0f32; MR * NR];
+    let mut acc = [[0.0f32; W]; MR];
     if from_out {
-        for ii in 0..mr {
-            let o = (ri0 + ii) * n + j0;
-            acc[ii * NR..ii * NR + nr].copy_from_slice(&block[o..o + nr]);
+        for (ii, row) in acc.iter_mut().enumerate() {
+            row.copy_from_slice(&c[ii * ldc..ii * ldc + W]);
         }
     }
     for p in 0..k {
-        let arow = &ap[p * MR..p * MR + MR];
-        let brow = &bm[p * n + j0..p * n + j0 + nr];
-        for ii in 0..mr {
-            let av = arow[ii];
-            let dst = &mut acc[ii * NR..ii * NR + nr];
-            for (o, &bv) in dst.iter_mut().zip(brow.iter()) {
-                *o += av * bv;
-            }
-        }
+        let a: &[f32; MR] = ap[p * MR..p * MR + MR].try_into().expect("MR rows");
+        let brow: &[f32; W] = b[p * ldb..p * ldb + W].try_into().expect("W columns");
+        let [r0, r1, r2, r3, r4, r5, r6, r7] = &mut acc;
+        row_axpy(r0, a[0], brow);
+        row_axpy(r1, a[1], brow);
+        row_axpy(r2, a[2], brow);
+        row_axpy(r3, a[3], brow);
+        row_axpy(r4, a[4], brow);
+        row_axpy(r5, a[5], brow);
+        row_axpy(r6, a[6], brow);
+        row_axpy(r7, a[7], brow);
     }
-    if from_out {
-        for ii in 0..mr {
-            let o = (ri0 + ii) * n + j0;
-            block[o..o + nr].copy_from_slice(&acc[ii * NR..ii * NR + nr]);
-        }
-    } else {
-        for ii in 0..mr {
-            let o = (ri0 + ii) * n + j0;
-            for (d, &v) in block[o..o + nr]
-                .iter_mut()
-                .zip(acc[ii * NR..ii * NR + nr].iter())
-            {
+    for (ii, row) in acc.iter().enumerate() {
+        let dst = &mut c[ii * ldc..ii * ldc + W];
+        if from_out {
+            dst.copy_from_slice(row);
+        } else {
+            for (d, &v) in dst.iter_mut().zip(row) {
                 *d += v;
             }
         }
     }
+}
+
+/// `row += av · brow`, lane by lane: one term of each lane's chain.
+#[inline(always)]
+fn row_axpy<const W: usize>(row: &mut [f32; W], av: f32, brow: &[f32; W]) {
+    for (o, &bv) in row.iter_mut().zip(brow) {
+        *o += av * bv;
+    }
+}
+
+/// Rows `[r0, r1)` of `a · bm` into `block` with `8×W` tiles: `bm` is the
+/// `p`-major (`k×n`) B, `a` is `m×k` (`k×m` when `ta`), `k, n ≥ 1`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn panels<const W: usize>(
+    a: &[f32],
+    ta: bool,
+    bm: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    from_out: bool,
+    block: &mut [f32],
+    r0: usize,
+    r1: usize,
+) {
+    // The columns past the last whole `W` block, zero-padded to `W` once
+    // for every row panel.
+    let full = n - n % W;
+    let edge = (full < n).then(|| {
+        let mut strip = crate::pool::take_zeroed(k * W);
+        for (srow, brow) in strip.chunks_exact_mut(W).zip(bm.chunks_exact(n)) {
+            srow[..n - full].copy_from_slice(&brow[full..]);
+        }
+        strip
+    });
+    let mut ap = crate::pool::take(k * MR);
+    for i0 in (r0..r1).step_by(MR) {
+        let mr = MR.min(r1 - i0);
+        if mr < MR {
+            ap.fill(0.0);
+        }
+        // Pack the A panel p-major: ap[p·MR + ii] = a[i0+ii, p].
+        if ta {
+            for (p, dst) in ap.chunks_exact_mut(MR).enumerate() {
+                dst[..mr].copy_from_slice(&a[p * m + i0..p * m + i0 + mr]);
+            }
+        } else {
+            for (ii, arow) in a[i0 * k..(i0 + mr) * k].chunks_exact(k).enumerate() {
+                for (p, &av) in arow.iter().enumerate() {
+                    ap[p * MR + ii] = av;
+                }
+            }
+        }
+        let ri0 = i0 - r0;
+        let column_blocks = (0..full)
+            .step_by(W)
+            .map(|j0| (j0, W, &bm[j0..], n))
+            .chain(edge.as_deref().map(|strip| (full, n - full, strip, W)));
+        for (j0, nr, b, ldb) in column_blocks {
+            if mr == MR && nr == W {
+                tile::<W>(k, &ap, b, ldb, &mut block[ri0 * n + j0..], n, from_out);
+            } else {
+                // An edge tile runs on a zero-padded copy of its corner.
+                let mut ct = [[0.0f32; W]; MR];
+                for (ii, row) in ct.iter_mut().enumerate().take(mr) {
+                    let o = (ri0 + ii) * n + j0;
+                    row[..nr].copy_from_slice(&block[o..o + nr]);
+                }
+                tile::<W>(k, &ap, b, ldb, ct.as_flattened_mut(), W, from_out);
+                for (ii, row) in ct.iter().enumerate().take(mr) {
+                    let o = (ri0 + ii) * n + j0;
+                    block[o..o + nr].copy_from_slice(&row[..nr]);
+                }
+            }
+        }
+    }
+    crate::pool::recycle(ap);
+    if let Some(strip) = edge {
+        crate::pool::recycle(strip);
+    }
+}
+
+per_isa! {
+    /// [`panels`] in the active build, at its tile width.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_panels(
+        a: &[f32],
+        ta: bool,
+        bm: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        from_out: bool,
+        block: &mut [f32],
+        r0: usize,
+        r1: usize,
+    ) = |W| panels::<W>(a, ta, bm, m, k, n, from_out, block, r0, r1);
 }
 
 /// The cache-blocked, register-tiled default kernels.
@@ -151,57 +250,18 @@ impl Backend for Blocked {
             }
             return;
         }
-        let from_out = !tb;
         // p-major view of b: the `!tb` variants already store b as k×n; the
         // `tb` variants pack n×k → k×n once per call so every tile streams
         // contiguous rows instead of strided dot products. (A row-parallel
         // 2-D gemm never gets here with `tb`: `kernels` packs once for all
         // of its blocks.)
-        let packed_b;
-        let bm: &[f32] = if tb {
+        if tb {
             let mut bp = crate::pool::take(k * n);
             crate::kernels::transpose_into(b, n, k, &mut bp);
-            packed_b = bp;
-            &packed_b
+            gemm_panels(a, ta, &bp, m, k, n, false, block, r0, r1);
+            crate::pool::recycle(bp);
         } else {
-            packed_b = Vec::new();
-            b
-        };
-        let mut ap = crate::pool::take(k * MR);
-        let mut i0 = r0;
-        while i0 < r1 {
-            let mr = MR.min(r1 - i0);
-            // Pack the A panel p-major: ap[p·MR + ii] = a[i0+ii, p]. Lanes
-            // ii ≥ mr keep whatever the pool buffer held; the edge tile
-            // never reads them.
-            if ta {
-                for p in 0..k {
-                    ap[p * MR..p * MR + mr].copy_from_slice(&a[p * m + i0..p * m + i0 + mr]);
-                }
-            } else {
-                for (ii, arow) in a[i0 * k..(i0 + mr) * k].chunks_exact(k).enumerate() {
-                    for (p, &av) in arow.iter().enumerate() {
-                        ap[p * MR + ii] = av;
-                    }
-                }
-            }
-            let ri0 = i0 - r0;
-            let mut j0 = 0;
-            while j0 < n {
-                let nr = NR.min(n - j0);
-                if mr == MR && nr == NR {
-                    // Literal bounds → fully unrolled vector tile.
-                    tile(k, &ap, bm, n, j0, MR, NR, block, ri0, from_out);
-                } else {
-                    tile(k, &ap, bm, n, j0, mr, nr, block, ri0, from_out);
-                }
-                j0 += NR;
-            }
-            i0 += MR;
-        }
-        crate::pool::recycle(ap);
-        if tb {
-            crate::pool::recycle(packed_b);
+            gemm_panels(a, ta, b, m, k, n, true, block, r0, r1);
         }
     }
 

@@ -7,8 +7,9 @@
 //! * [`Reference`] — the original straight-line loops, kept verbatim as the
 //!   oracle every other backend is tested against.
 //! * [`Blocked`] — the default: cache-blocked, register-tiled gemm
-//!   ([`Blocked`] packs operands into p-major panels and computes 8×8 output
-//!   tiles) plus single-pass fused element-wise kernels.
+//!   ([`Blocked`] packs operands into p-major panels and computes `8×W`
+//!   output tiles, `W` one vector register of the [`TileIsa`] build the
+//!   host runs) plus single-pass fused element-wise kernels.
 //!
 //! # The kernel bits-contract
 //!
@@ -24,10 +25,12 @@
 //!   [`KERNEL_BITS_VERSION`] pins the bound at **0** — `Blocked` is
 //!   bit-identical to `Reference`, because its tiling only changes *where*
 //!   partial sums live (registers instead of memory), never the per-element
-//!   accumulation order. A future SIMD-intrinsics or GPU backend that
-//!   reassociates sums would bump the version and widen the bound, and the
-//!   parity suite in `crates/tensor/tests/backend_parity.rs` would keep
-//!   enforcing the new bound.
+//!   accumulation order — in every [`TileIsa`] build, since vectorising
+//!   across output elements reassociates nothing. Only a kernel that
+//!   reassociates sums (a vectorised reduction, split-K) would bump the
+//!   version and widen the bound, and the parity suite in
+//!   `crates/tensor/tests/backend_parity.rs` would keep enforcing the new
+//!   bound.
 //!
 //! The selected backend is process-global: `SSDREC_BACKEND=reference|blocked`
 //! at startup, or [`set_backend`] (the CLI's `--backend` flag). Tests that
@@ -36,12 +39,15 @@
 //! threads cannot observe each other's backend.
 
 mod blocked;
+mod isa;
 mod reference;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 
 pub use blocked::Blocked;
+pub(crate) use isa::per_isa;
+pub use isa::{with_tile_isa, TileIsa};
 pub use reference::Reference;
 
 /// Version of the kernel bits-contract (see the module docs). Bump when a

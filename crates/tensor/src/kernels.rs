@@ -1,9 +1,12 @@
 //! Numeric kernels backing the autograd ops.
 //!
 //! These are plain functions over [`Tensor`] values; all differentiation logic
-//! lives in [`crate::graph`]. Kernels favour simple cache-friendly loops —
-//! shapes in this workspace are small (d ≤ 128, T ≤ 200) so a tuned BLAS is
-//! unnecessary.
+//! lives in [`crate::graph`]. Shapes in this workspace are small (d ≤ 128,
+//! T ≤ 200), so what a kernel costs is mostly its shape and its vector
+//! width: products go to the [`crate::backend`]'s register-tiled gemm,
+//! compiled for the widest instruction set the host runs
+//! ([`crate::backend::TileIsa`]), and a parallel region starts only above its
+//! kernel's measured crossover (the `*_PAR_WORK` gates below).
 //!
 //! # One gemm per product
 //!
@@ -25,7 +28,7 @@
 //! Only the lhs-broadcast case (`m×k · B×k×n`) keeps a sequential batch
 //! loop: its `dA` is a sum of per-batch fresh sums, not one chain.
 
-use crate::backend::TILE_ROWS;
+use crate::backend::{per_isa, TILE_ROWS};
 use crate::sparse::{CsrMatrix, CsrRows};
 use crate::tensor::Tensor;
 
@@ -40,38 +43,99 @@ pub fn zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
 }
 
 /// Zip where `b`'s shape is a suffix of `a`'s shape; `b` is tiled over the
-/// leading dimensions of `a`.
+/// leading dimensions of `a`, one `b`-sized row of `a` at a time.
 pub fn bcast_zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
     let (ash, bsh) = (a.shape(), b.shape());
     assert!(
         bsh.len() <= ash.len() && ash[ash.len() - bsh.len()..] == *bsh,
         "broadcast: {bsh:?} is not a suffix of {ash:?}"
     );
-    let bn = b.len();
     let mut data = crate::pool::take(a.len());
-    for (i, (o, &x)) in data.iter_mut().zip(a.data()).enumerate() {
-        *o = f(x, b.data()[i % bn]);
+    match b.data() {
+        // A 0-sized suffix leaves `a` empty too.
+        [] => {}
+        &[y] => {
+            for (o, &x) in data.iter_mut().zip(a.data()) {
+                *o = f(x, y);
+            }
+        }
+        bd => {
+            for (orow, arow) in data
+                .chunks_exact_mut(bd.len())
+                .zip(a.data().chunks_exact(bd.len()))
+            {
+                for ((o, &x), &y) in orow.iter_mut().zip(arow).zip(bd) {
+                    *o = f(x, y);
+                }
+            }
+        }
     }
     Tensor::new(data, ash)
 }
 
-/// Sum a tensor down to a suffix shape (inverse of suffix broadcasting).
+/// Sum a tensor down to a suffix shape (inverse of suffix broadcasting):
+/// each output element is one `+0`-started chain over the leading rows in
+/// order.
 pub fn reduce_to_suffix(a: &Tensor, suffix: &[usize]) -> Tensor {
     let bn: usize = suffix.iter().product();
     let mut out = Tensor::zeros(suffix);
-    for (i, &x) in a.data().iter().enumerate() {
-        out.data_mut()[i % bn] += x;
+    match out.data_mut() {
+        [] => {}
+        [o] => {
+            for &x in a.data() {
+                *o += x;
+            }
+        }
+        od => {
+            for row in a.data().chunks_exact(bn) {
+                for (o, &x) in od.iter_mut().zip(row) {
+                    *o += x;
+                }
+            }
+        }
     }
     out
 }
 
-/// Parallelize a gemm only when it is worth a dispatch: roughly `2·m·k·n`
-/// flops. Below this the inline sequential path wins outright.
-const GEMM_PAR_WORK: usize = 16 * 1024;
+// The parallel gates: the least work (flops, counted from the shape) at
+// which a kernel's parts run faster on the pool than inline. Each is the
+// measured crossover of its kernel family, inline vs two threads, on the
+// AVX-512F build (2-cpu x86-64 host, best of 7 runs); a gate decides only
+// *whether* to dispatch — the partition comes from the shape — so no bit
+// depends on it.
 
-/// Minimum scattered elements (`N·d`) before the destination-partitioned
-/// parallel scatter-add beats the sequential loop.
-const SCATTER_PAR_WORK: usize = 16 * 1024;
+/// A 2-D gemm's row blocks: `197×32·32×32` (0.4 M flops) takes 9.2 µs
+/// inline and 16.0 µs on two threads, `1024×32·32×32` (2.1 M) 49.3 vs
+/// 49.9 µs, `512×32·32×128` (4.2 M) 79 vs 70 µs, `3200×32·32×128` (26 M)
+/// 561 vs 392 µs.
+const GEMM_PAR_WORK: usize = 2 << 20;
+
+/// A batched gemm's per-batch products, each too small to run at the
+/// tile's full rate: `16×(30×32·32×30)` (0.9 M) 31 vs 36 µs,
+/// `64×(20×32·32×20)` (1.6 M) 93 vs 76 µs, `64×(50×32·32×50)` (10 M) 348
+/// vs 245 µs.
+const BATCH_PAR_WORK: usize = 1 << 20;
+
+/// [`lstm_seq`]'s sequence chunks, counted as `2·B·T·h·4h`; the gate pass's
+/// five transcendentals per hidden unit and step cost more than those
+/// flops: `B=16, T=2, h=32` (0.26 M) 61 vs 67 µs, `T=5` (0.66 M) 195 vs
+/// 179 µs, `B=64, T=2` (1.0 M) 321 vs 218 µs.
+const LSTM_PAR_WORK: usize = 512 << 10;
+
+/// [`lstm_seq_backward`]'s BPTT chunks (no transcendentals), counted the
+/// same way: `B=64, T=3` (1.6 M) 166 vs 185 µs, `T=5` (2.6 M) 287 vs
+/// 256 µs.
+const BPTT_PAR_WORK: usize = 2 << 20;
+
+/// [`spmm`]'s row blocks, counted as `2·nnz·d`; every term gathers a row:
+/// `197×384`, 32 entries a row, `d = 32` (0.4 M) 29.4 vs 29.7 µs,
+/// `384×384` (0.8 M) 48.8 vs 42.2 µs.
+const SPMM_PAR_WORK: usize = 512 << 10;
+
+/// Whether `work` clears a parallel `gate` on a pool with a second thread.
+fn par_pays(work: usize, gate: usize) -> bool {
+    work >= gate && ssdrec_runtime::threads() > 1
+}
 
 /// Output-row chunking for parallel gemm: about a 32nd of the rows, rounded
 /// up to whole [`TILE_ROWS`] tiles. Derived from `m` alone — never from the
@@ -130,7 +194,7 @@ fn gemm(a: &[f32], ta: bool, b: &[f32], tb: bool, m: usize, k: usize, n: usize, 
     });
     let b = packed.as_deref().unwrap_or(b);
     let rows = gemm_row_grain(m);
-    if m > rows && 2 * m * k * n >= GEMM_PAR_WORK && ssdrec_runtime::threads() > 1 {
+    if m > rows && par_pays(2 * m * k * n, GEMM_PAR_WORK) {
         ssdrec_runtime::parallel_chunks_mut(out, rows * n, |ci, block| {
             let r0 = ci * rows;
             let r1 = (r0 + rows).min(m);
@@ -145,8 +209,8 @@ fn gemm(a: &[f32], ta: bool, b: &[f32], tb: bool, m: usize, k: usize, n: usize, 
 }
 
 /// Run `f(batch, out_block)` over every batch's disjoint output block,
-/// in parallel when `work` (flops) justifies it: [`for_each_part`] with one
-/// part per batch.
+/// in parallel when `work` (flops) clears [`BATCH_PAR_WORK`]:
+/// [`for_each_part`] with one part per batch.
 fn for_each_batch(
     block_len: usize,
     work: usize,
@@ -159,14 +223,16 @@ fn for_each_batch(
         return;
     }
     let mut blocks: Vec<_> = out.chunks_mut(block_len).enumerate().collect();
-    for_each_part(&mut blocks, work, |(i, block)| f(*i, block));
+    for_each_part(&mut blocks, par_pays(work, BATCH_PAR_WORK), |(i, block)| {
+        f(*i, block)
+    });
 }
 
-/// Run `f` over every part, in parallel when `work` (flops) justifies it.
-/// Parts are disjoint and fixed by the caller from the shape alone, so the
-/// result matches the sequential loop bit for bit.
-fn for_each_part<T: Send>(parts: &mut [T], work: usize, f: impl Fn(&mut T) + Sync) {
-    if parts.len() > 1 && work >= GEMM_PAR_WORK && ssdrec_runtime::threads() > 1 {
+/// Run `f` over every part, on the pool when `par`. Parts are disjoint and
+/// fixed by the caller from the shape alone, so the result matches the
+/// sequential loop bit for bit.
+fn for_each_part<T: Send>(parts: &mut [T], par: bool, f: impl Fn(&mut T) + Sync) {
+    if parts.len() > 1 && par {
         ssdrec_runtime::parallel_chunks_mut(parts, 1, |_, p| f(&mut p[0]));
     } else {
         parts.iter_mut().for_each(f);
@@ -411,14 +477,76 @@ pub fn matmul_backward(
 /// columns ascending — the dense `!ta && !tb` gemm's chain without its `±0`
 /// terms, which are bitwise no-ops on such a chain (see the `blocked`
 /// backend's docs).
-fn spmm_rows(a: &CsrRows, x: &[f32], d: usize, out: &mut [f32], r0: usize) {
+///
+/// A row's output is taken in chunks of `W2 = 2·W` columns (two registers
+/// of the build) while they fill, then `W`, each chunk's accumulator held
+/// in registers across all the row's terms; fewer chunks mean fewer passes
+/// over the row's entries. A last partial chunk keeps the `W`-lane shape:
+/// it goes in and out through a zero-padded copy, and its extra lanes read
+/// whatever follows in `x` — values no stored lane depends on. (Added in
+/// place instead, a partial chunk hit masked vector stores on every term
+/// and ran several times slower than the portable build.)
+#[inline(always)]
+fn spmm_rows_in<const W: usize, const W2: usize>(
+    a: &CsrRows,
+    x: &[f32],
+    d: usize,
+    out: &mut [f32],
+    r0: usize,
+) {
     for (ri, orow) in out.chunks_mut(d).enumerate() {
-        for (j, w) in a.row(r0 + ri) {
-            for (o, &xv) in orow.iter_mut().zip(&x[j * d..(j + 1) * d]) {
-                *o += w * xv;
-            }
+        let terms = |c0: usize| a.row(r0 + ri).map(move |(j, w)| (j * d + c0, w));
+        let mut c0 = 0;
+        while d - c0 >= W2 {
+            let o: &mut [f32; W2] = (&mut orow[c0..c0 + W2]).try_into().expect("W2 lanes");
+            *o = chunk_terms(*o, terms(c0), |at| &x[at..at + W2]);
+            c0 += W2;
+        }
+        if d - c0 >= W {
+            let o: &mut [f32; W] = (&mut orow[c0..c0 + W]).try_into().expect("W lanes");
+            *o = chunk_terms(*o, terms(c0), |at| &x[at..at + W]);
+            c0 += W;
+        }
+        if c0 < d {
+            let nr = d - c0;
+            let mut padded = [0.0f32; W];
+            padded[..nr].copy_from_slice(&orow[c0..]);
+            let padded = chunk_terms(padded, terms(c0), |at| match x.get(at..at + W) {
+                Some(lanes) => lanes,
+                None => &x[at..at + nr],
+            });
+            orow[c0..].copy_from_slice(&padded[..nr]);
         }
     }
+}
+
+/// `acc += w · x[at..]` lane by lane for every `(at, w)` term in order,
+/// reading the lanes through `lanes(at)`, zero-padded when it returns fewer
+/// than `L`.
+#[inline(always)]
+fn chunk_terms<'x, const L: usize>(
+    mut acc: [f32; L],
+    terms: impl Iterator<Item = (usize, f32)>,
+    lanes: impl Fn(usize) -> &'x [f32],
+) -> [f32; L] {
+    for (at, w) in terms {
+        let src = lanes(at);
+        let xv: [f32; L] = src.try_into().unwrap_or_else(|_| {
+            let mut v = [0.0f32; L];
+            v[..src.len()].copy_from_slice(src);
+            v
+        });
+        for l in 0..L {
+            acc[l] += w * xv[l];
+        }
+    }
+    acc
+}
+
+per_isa! {
+    /// [`spmm_rows_in`] in the active build, at its register width.
+    fn spmm_rows(a: &CsrRows, x: &[f32], d: usize, out: &mut [f32], r0: usize) =
+        |W| spmm_rows_in::<W, { 2 * W }>(a, x, d, out, r0);
 }
 
 /// [`spmm_rows`] over every row of `a` (`n_rows` of them) into a zeroed
@@ -432,7 +560,7 @@ fn spmm_half(a: &CsrRows, n_rows: usize, x: &[f32], d: usize) -> Tensor {
         return out;
     }
     let rows = n_rows.div_ceil(32);
-    if n_rows > rows && 2 * a.idx.len() * d >= GEMM_PAR_WORK && ssdrec_runtime::threads() > 1 {
+    if n_rows > rows && par_pays(2 * a.idx.len() * d, SPMM_PAR_WORK) {
         ssdrec_runtime::parallel_chunks_mut(out.data_mut(), rows * d, |ci, block| {
             spmm_rows(a, x, d, block, ci * rows);
         });
@@ -864,42 +992,23 @@ pub fn gather_rows(weight: &Tensor, indices: &[usize]) -> Tensor {
     out
 }
 
-/// Scatter-add row gradients back into a `V×d` weight gradient.
+/// Scatter-add row gradients back into a `V×d` weight gradient: every
+/// weight row receives its additions in ascending-`i` order.
 ///
-/// The parallel path partitions by **destination** rows — each task owns a
-/// disjoint block of vocabulary rows and scans all indices for hits — so
-/// every weight row receives its additions in ascending-`i` order, exactly
-/// like the sequential loop, and the result is bit-identical at every
-/// thread count.
+/// It runs inline. A destination-partitioned parallel version, each task
+/// scanning every index for its own block of rows, lost at every measured
+/// size (2-cpu host): 3 200 indices × `d = 32` into 198 rows took 18.9 µs
+/// inline and 56.6 µs on two threads, 100 000 × 32 into 1 000 rows 0.78
+/// vs 1.98 ms.
 pub fn scatter_rows(weight_shape: &[usize], indices: &[usize], gout: &Tensor) -> Tensor {
     let (v, d) = (weight_shape[0], weight_shape[1]);
-    for &ix in indices {
-        assert!(ix < v, "scatter index {ix} out of vocabulary {v}");
-    }
     let mut out = Tensor::zeros(weight_shape);
-    if indices.len() * d >= SCATTER_PAR_WORK && v > 1 && ssdrec_runtime::threads() > 1 {
-        let rows = v.div_ceil(16).max(1);
-        ssdrec_runtime::parallel_chunks_mut(out.data_mut(), rows * d, |ci, block| {
-            let lo = ci * rows;
-            let hi = (lo + rows).min(v);
-            for (i, &ix) in indices.iter().enumerate() {
-                if ix < lo || ix >= hi {
-                    continue;
-                }
-                let src = &gout.data()[i * d..(i + 1) * d];
-                let dst = &mut block[(ix - lo) * d..(ix - lo + 1) * d];
-                for (o, &s) in dst.iter_mut().zip(src.iter()) {
-                    *o += s;
-                }
-            }
-        });
-    } else {
-        for (i, &ix) in indices.iter().enumerate() {
-            let src = &gout.data()[i * d..(i + 1) * d];
-            let dst = &mut out.data_mut()[ix * d..(ix + 1) * d];
-            for (o, &s) in dst.iter_mut().zip(src.iter()) {
-                *o += s;
-            }
+    for (i, &ix) in indices.iter().enumerate() {
+        assert!(ix < v, "scatter index {ix} out of vocabulary {v}");
+        let src = &gout.data()[i * d..(i + 1) * d];
+        let dst = &mut out.data_mut()[ix * d..(ix + 1) * d];
+        for (o, &s) in dst.iter_mut().zip(src.iter()) {
+            *o += s;
         }
     }
     out
@@ -999,7 +1108,8 @@ pub fn lstm_seq(
         .zip(out.data_mut().chunks_mut(span))
         .map(|(((z, c), tc), o)| [z, c, tc, o])
         .collect();
-    for_each_part(&mut parts, 2 * rows * h * h4, |[z, c, tc, o]| {
+    let par = par_pays(2 * rows * h * h4, LSTM_PAR_WORK);
+    for_each_part(&mut parts, par, |[z, c, tc, o]| {
         lstm_recurrence(z, c, tc, o, u.data(), t, h, reversed);
     });
     (out, saved)
@@ -1097,7 +1207,8 @@ pub fn lstm_seq_backward(
         .zip(gout.data().chunks(span))
         .map(|((((dz, gates), c), tc), go)| (dz, [gates, c, tc, go]))
         .collect();
-    for_each_part(&mut parts, 2 * rows * h4 * h, |(dz, saved)| {
+    let par = par_pays(2 * rows * h4 * h, BPTT_PAR_WORK);
+    for_each_part(&mut parts, par, |(dz, saved)| {
         lstm_bptt(dz, *saved, &u_t, t, h, reversed);
     });
     crate::pool::recycle(u_t);

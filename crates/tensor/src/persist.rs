@@ -14,7 +14,10 @@
 //!
 //! Loading is strict: the target store must have the same tensor names,
 //! order and shapes (it is a *checkpoint* format, not a model format — the
-//! code that built the store defines the architecture).
+//! code that built the store defines the architecture). The loader checks
+//! every length field against the store before it allocates anything from
+//! it, so a hostile or corrupt file is a typed `Err`, never a multi-GiB
+//! allocation or a panic.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -120,20 +123,32 @@ pub fn load_params(store: &mut ParamStore, path: impl AsRef<Path>) -> io::Result
         // Every failure from here on names the offending tensor so a bad
         // checkpoint can be diagnosed without a hex dump.
         let named = |name: &str, e: io::Error| err(format!("tensor {i} ({name}): {e}"));
+        let pr = crate::optim::ParamStore::param_ref_by_index(i);
+        let want_name = store.name(pr);
         let name_len = read_u32(&mut r).map_err(|e| named("<header>", e))? as usize;
+        if name_len != want_name.len() {
+            return Err(err(format!(
+                "tensor {i}: checkpoint name is {name_len} bytes, store {want_name:?} is {}",
+                want_name.len()
+            )));
+        }
         let mut name_bytes = vec![0u8; name_len];
         r.read_exact(&mut name_bytes)
             .map_err(|e| named("<header>", e))?;
         let name = String::from_utf8(name_bytes)
             .map_err(|_| err(format!("tensor {i}: invalid name encoding")))?;
-        let pr = crate::optim::ParamStore::param_ref_by_index(i);
-        if store.name(pr) != name {
+        if want_name != name {
             return Err(err(format!(
-                "tensor {i}: checkpoint name {name:?} vs store {:?}",
-                store.name(pr)
+                "tensor {i}: checkpoint name {name:?} vs store {want_name:?}"
             )));
         }
         let ndim = read_u32(&mut r).map_err(|e| named(&name, e))? as usize;
+        if ndim != store.get(pr).ndim() {
+            return Err(err(format!(
+                "tensor {i} ({name}): checkpoint shape has {ndim} dims vs store {:?}",
+                store.get(pr).shape()
+            )));
+        }
         let mut shape = Vec::with_capacity(ndim);
         for _ in 0..ndim {
             shape.push(read_u32(&mut r).map_err(|e| named(&name, e))? as usize);

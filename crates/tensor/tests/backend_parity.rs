@@ -2,16 +2,21 @@
 //!
 //! `Blocked` must agree with the `Reference` oracle within
 //! [`KERNEL_BITS_MAX_ULPS`] (0 under contract v1 — exact bits) on
-//! randomized shapes, including ragged/odd sizes that stress the 8×8 panel
-//! edges; each backend must be insensitive to row partitioning and to stale
-//! pool-buffer contents; and the fused graph ops (bias+activation,
-//! scale+mask+softmax) must reproduce their unfused node chains bit-for-bit
-//! — values *and* gradients — under both backends. The fused LSTM node
-//! is held to the unrolled chain it replaced (kept below as the oracle):
-//! forward bit for bit, gradients within [`LSTM_GRAD_REL`].
+//! randomized shapes, including ragged/odd sizes that stress the `8×W`
+//! panel edges, in every tile build the host can run (portable `W = 8`,
+//! AVX2 `W = 8`, AVX-512F `W = 16`, each reached through the hidden
+//! `with_tile_isa` entry point); each backend must be insensitive to row
+//! partitioning and to stale pool-buffer contents; and the fused graph ops
+//! (bias+activation, scale+mask+softmax) must reproduce their unfused node
+//! chains bit-for-bit — values *and* gradients — under both backends. The
+//! fused LSTM node is held to the unrolled chain it replaced (kept below as
+//! the oracle): forward bit for bit, gradients within [`LSTM_GRAD_REL`].
+//! The suffix-broadcast kernels are held to the per-element `%` loops they
+//! replaced.
 
 use ssdrec_tensor::backend::{
-    assert_within_ulps, Backend, BackendKind, Blocked, Reference, KERNEL_BITS_MAX_ULPS,
+    assert_within_ulps, with_tile_isa, Backend, BackendKind, Blocked, Reference, TileIsa,
+    KERNEL_BITS_MAX_ULPS,
 };
 use ssdrec_tensor::nn::{Linear, Lstm};
 use ssdrec_tensor::{
@@ -73,6 +78,13 @@ fn dims1() -> Gen<usize> {
     )
 }
 
+/// Run `f` once in every tile build this host can run, narrowest first.
+fn each_tile_build(mut f: impl FnMut(TileIsa)) {
+    for isa in TileIsa::supported() {
+        with_tile_isa(isa, || f(isa));
+    }
+}
+
 fn gemm_once(
     be: &dyn Backend,
     variant: usize,
@@ -94,7 +106,7 @@ property! {
 
     /// Blocked gemm matches the oracle within the pinned ULP bound on all
     /// four transpose variants, including degenerate and partial-panel
-    /// shapes.
+    /// shapes, in every tile build.
     fn gemm_parity_all_variants(
         m in dims(),
         k in dims(),
@@ -103,13 +115,15 @@ property! {
         seed in gens::usizes(0, 1 << 16),
     ) {
         let want = gemm_once(&Reference, variant, m, k, n, seed);
-        let got = gemm_once(&Blocked, variant, m, k, n, seed);
-        assert_within_ulps(
-            &want,
-            &got,
-            KERNEL_BITS_MAX_ULPS,
-            &format!("gemm variant={variant} m={m} k={k} n={n}"),
-        );
+        each_tile_build(|isa| {
+            let got = gemm_once(&Blocked, variant, m, k, n, seed);
+            assert_within_ulps(
+                &want,
+                &got,
+                KERNEL_BITS_MAX_ULPS,
+                &format!("gemm {isa:?} variant={variant} m={m} k={k} n={n}"),
+            );
+        });
     }
 
     /// Each backend is insensitive to output-row partitioning: computing
@@ -127,20 +141,25 @@ property! {
         let (ta, tb) = [(false, false), (true, false), (false, true), (true, true)][variant];
         let a = fill(m * k, 11);
         let b = fill(k * n, 12);
-        for (be, name) in [(&Reference as &dyn Backend, "reference"), (&Blocked, "blocked")] {
-            let mut whole = vec![0.0f32; m * n];
-            be.gemm_rows(&a, ta, &b, tb, m, k, n, &mut whole, 0, m);
-            let mut split = vec![0.0f32; m * n];
-            let (lo, hi) = split.split_at_mut(r * n);
-            be.gemm_rows(&a, ta, &b, tb, m, k, n, lo, 0, r);
-            be.gemm_rows(&a, ta, &b, tb, m, k, n, hi, r, m);
-            assert_within_ulps(
-                &whole,
-                &split,
-                0,
-                &format!("{name} split at {r} (variant={variant} m={m} k={k} n={n})"),
-            );
-        }
+        each_tile_build(|isa| {
+            for be in [&Reference as &dyn Backend, &Blocked] {
+                let mut whole = vec![0.0f32; m * n];
+                be.gemm_rows(&a, ta, &b, tb, m, k, n, &mut whole, 0, m);
+                let mut split = vec![0.0f32; m * n];
+                let (lo, hi) = split.split_at_mut(r * n);
+                be.gemm_rows(&a, ta, &b, tb, m, k, n, lo, 0, r);
+                be.gemm_rows(&a, ta, &b, tb, m, k, n, hi, r, m);
+                assert_within_ulps(
+                    &whole,
+                    &split,
+                    0,
+                    &format!(
+                        "{} ({isa:?}) split at {r} (variant={variant} m={m} k={k} n={n})",
+                        be.name()
+                    ),
+                );
+            }
+        });
     }
 
     /// Row softmax / log-softmax / LayerNorm parity on ragged shapes.
@@ -727,21 +746,53 @@ property! {
 /// not change a single output bit (i.e. no stale lane is ever read).
 #[test]
 fn blocked_gemm_ignores_stale_pool_contents() {
-    for &(m, k, n) in &[(13, 9, 21), (8, 64, 8), (1, 7, 65), (9, 1, 9)] {
-        for variant in 0..4 {
-            let want = gemm_once(&Blocked, variant, m, k, n, 99);
-            // Poison pool buffers of the sizes the blocked gemm takes.
-            ssdrec_tensor::pool::recycle(vec![f32::NAN; k * 8]);
-            ssdrec_tensor::pool::recycle(vec![f32::NAN; k * n]);
-            let got = gemm_once(&Blocked, variant, m, k, n, 99);
-            assert_within_ulps(
-                &want,
-                &got,
-                0,
-                &format!("stale-pool gemm variant={variant} m={m} k={k} n={n}"),
-            );
+    each_tile_build(|isa| {
+        for &(m, k, n) in &[(13, 9, 21), (8, 64, 8), (1, 7, 65), (9, 1, 9), (5, 3, 31)] {
+            for variant in 0..4 {
+                let want = gemm_once(&Blocked, variant, m, k, n, 99);
+                // Poison pool buffers of the sizes the blocked gemm takes:
+                // the A panel, the packed B and the edge-column strip.
+                ssdrec_tensor::pool::recycle(vec![f32::NAN; k * 8]);
+                ssdrec_tensor::pool::recycle(vec![f32::NAN; k * n]);
+                ssdrec_tensor::pool::recycle(vec![f32::NAN; k * isa.width()]);
+                let got = gemm_once(&Blocked, variant, m, k, n, 99);
+                assert_within_ulps(
+                    &want,
+                    &got,
+                    0,
+                    &format!("stale-pool gemm {isa:?} variant={variant} m={m} k={k} n={n}"),
+                );
+            }
         }
-    }
+    });
+}
+
+/// Every tile build the host can run against the oracle, all four
+/// transpose variants, at the edges of both tile widths. Prints the builds
+/// it ran: `ci.sh` fails when the host's CPU flags name an instruction set
+/// this line leaves out.
+#[test]
+fn every_tile_build_matches_the_oracle() {
+    let mut covered = Vec::new();
+    each_tile_build(|isa| {
+        for m in [0, 1, 7, 8, 9, 17, 65] {
+            for k in [0, 1, 2, 9, 33] {
+                for n in [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65] {
+                    for variant in 0..4 {
+                        let seed = m * 1000 + k * 100 + n;
+                        assert_within_ulps(
+                            &gemm_once(&Reference, variant, m, k, n, seed),
+                            &gemm_once(&Blocked, variant, m, k, n, seed),
+                            0,
+                            &format!("gemm {isa:?} variant={variant} m={m} k={k} n={n}"),
+                        );
+                    }
+                }
+            }
+        }
+        covered.push(format!("{}/{}", isa.name(), isa.width()));
+    });
+    println!("tile builds covered: {}", covered.join(" "));
 }
 
 /// Degenerate (zero-sized) dims through the public matmul/matmul_backward
@@ -882,33 +933,38 @@ fn densified(lists: &[Vec<(usize, f32)>], rows: usize, cols: usize) -> Tensor {
 /// `spmm` against the dense product it replaces in stage 1: the forward
 /// bit-equal to `matmul` and `dX` to `matmul_backward(.., [false, true])`
 /// on the densified operator, for every pair of panel-edge sizes, on both
-/// backends.
+/// backends, in every tile build.
 #[test]
 fn spmm_matches_dense_matmul_bit_for_bit() {
-    with_each_backend(|kind| {
-        for (ri, &rows) in EDGES.iter().enumerate() {
-            for (ci, &cols) in EDGES.iter().enumerate() {
-                let d = [1, 8, 9, 17][(ri + ci) % 4];
-                let salt = (ri * 8 + ci) as u64;
-                let lists = relation_rows(rows, cols, salt);
-                let a = CsrMatrix::from_rows(rows, cols, |i| lists[i].clone());
-                let dense = densified(&lists, rows, cols);
-                let x = filled(&[cols, d], salt + 100);
-                let gout = filled(&[rows, d], salt + 200);
-                let ctx = format!("spmm {rows}×{cols} · {cols}×{d} on {kind:?}");
-                let want = kernels::matmul(&dense, &x);
-                assert_within_ulps(want.data(), kernels::spmm(&a, &x).data(), 0, &ctx);
-                let [_, want_dx] = kernels::matmul_backward(&dense, &x, &gout, [false, true]);
-                let got_dx = kernels::spmm_backward(&a, &gout);
-                assert_eq!(got_dx.shape(), &[cols, d], "{ctx} dX shape");
-                assert_within_ulps(
-                    want_dx.expect("dX").data(),
-                    got_dx.data(),
-                    0,
-                    &format!("{ctx} dX"),
-                );
+    each_tile_build(|isa| {
+        with_each_backend(|kind| {
+            let kind = format!("{kind:?} ({isa:?})");
+            for (ri, &rows) in EDGES.iter().enumerate() {
+                for (ci, &cols) in EDGES.iter().enumerate() {
+                    // Every chunk shape of `spmm_rows` in every build: one or
+                    // two registers (8, 16 or 32 lanes), and a padded rest.
+                    let d = [1, 8, 9, 17, 33, 48][(ri + ci) % 6];
+                    let salt = (ri * 8 + ci) as u64;
+                    let lists = relation_rows(rows, cols, salt);
+                    let a = CsrMatrix::from_rows(rows, cols, |i| lists[i].clone());
+                    let dense = densified(&lists, rows, cols);
+                    let x = filled(&[cols, d], salt + 100);
+                    let gout = filled(&[rows, d], salt + 200);
+                    let ctx = format!("spmm {rows}×{cols} · {cols}×{d} on {kind}");
+                    let want = kernels::matmul(&dense, &x);
+                    assert_within_ulps(want.data(), kernels::spmm(&a, &x).data(), 0, &ctx);
+                    let [_, want_dx] = kernels::matmul_backward(&dense, &x, &gout, [false, true]);
+                    let got_dx = kernels::spmm_backward(&a, &gout);
+                    assert_eq!(got_dx.shape(), &[cols, d], "{ctx} dX shape");
+                    assert_within_ulps(
+                        want_dx.expect("dX").data(),
+                        got_dx.data(),
+                        0,
+                        &format!("{ctx} dX"),
+                    );
+                }
             }
-        }
+        })
     });
 }
 
@@ -1159,4 +1215,95 @@ fn lstm_seq_chunks_match_the_whole_batch_recurrence() {
         }
     });
     ssdrec_tensor::pool::set_enabled(was);
+}
+
+/// `bcast_zip` and `reduce_to_suffix` as they ran before they walked the
+/// output in suffix-sized rows: one `%` per element. Kept verbatim as the
+/// oracle.
+mod modulo_bcast {
+    use ssdrec_tensor::Tensor;
+
+    pub fn bcast_zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+        let (ash, bsh) = (a.shape(), b.shape());
+        assert!(
+            bsh.len() <= ash.len() && ash[ash.len() - bsh.len()..] == *bsh,
+            "broadcast: {bsh:?} is not a suffix of {ash:?}"
+        );
+        let bn = b.len();
+        let mut data = ssdrec_tensor::pool::take(a.len());
+        for (i, (o, &x)) in data.iter_mut().zip(a.data()).enumerate() {
+            *o = f(x, b.data()[i % bn]);
+        }
+        Tensor::new(data, ash)
+    }
+
+    pub fn reduce_to_suffix(a: &Tensor, suffix: &[usize]) -> Tensor {
+        let bn: usize = suffix.iter().product();
+        let mut out = Tensor::zeros(suffix);
+        for (i, &x) in a.data().iter().enumerate() {
+            out.data_mut()[i % bn] += x;
+        }
+        out
+    }
+}
+
+/// The row-walking broadcasts against the `%` loops: every suffix length
+/// in {1, 2, 7, 8, 197} — as `[n]`, and split over two axes where it can
+/// be — under leading sizes {0, 1, 3, 64}, for an add, a product and a
+/// non-commutative map, and the reduction back; bit for bit. The values
+/// include `±0` and a `−0` suffix so a changed addition order or a dropped
+/// term would show.
+#[test]
+fn broadcasts_match_the_modulo_loops() {
+    type Map = fn(f32, f32) -> f32;
+    let maps: [(&str, Map); 3] = [
+        ("add", |x, y| x + y),
+        ("mul", |x, y| x * y),
+        ("x - 3y", |x, y| x - 3.0 * y),
+    ];
+    for bn in [1, 2, 7, 8, 197] {
+        let mut suffixes = vec![vec![bn]];
+        if bn % 2 == 0 {
+            suffixes.push(vec![2, bn / 2]);
+        }
+        if bn == 1 {
+            suffixes.push(vec![1, 1]);
+        }
+        for suffix in suffixes {
+            for lead in [0, 1, 3, 64] {
+                let mut ash = vec![lead];
+                ash.extend(&suffix);
+                let mut av = fill(lead * bn, (bn * 100 + lead) as u64);
+                for (i, v) in av.iter_mut().enumerate() {
+                    match i % 9 {
+                        0 => *v = 0.0,
+                        4 => *v = -0.0,
+                        _ => {}
+                    }
+                }
+                let a = Tensor::new(av, &ash);
+                let mut bv = fill(bn, bn as u64 + 7);
+                bv[0] = -0.0;
+                let b = Tensor::new(bv, &suffix);
+                let ctx = format!("{ash:?} by {suffix:?}");
+                for (name, f) in maps {
+                    assert_within_ulps(
+                        modulo_bcast::bcast_zip(&a, &b, f).data(),
+                        kernels::bcast_zip(&a, &b, f).data(),
+                        0,
+                        &format!("bcast_zip {name} {ctx}"),
+                    );
+                }
+                let want = modulo_bcast::reduce_to_suffix(&a, &suffix);
+                let got = kernels::reduce_to_suffix(&a, &suffix);
+                assert_eq!(got.shape(), &suffix[..], "reduce_to_suffix shape {ctx}");
+                assert_within_ulps(
+                    want.data(),
+                    got.data(),
+                    0,
+                    &format!("reduce_to_suffix {ctx}"),
+                );
+            }
+        }
+    }
 }

@@ -226,3 +226,27 @@ fn spmm_gradients() {
         readout(g, y, 32)
     });
 }
+
+#[test]
+fn broadcast_gradients() {
+    // Both suffix-broadcast ops, through a scalar gate (`[N·d, 1] ⊙ [1]`,
+    // stage 1's PairConv), a two-axis suffix and a row bias.
+    for (i, (ash, bsh)) in [
+        (&[6, 1][..], &[1][..]),
+        (&[2, 3, 4], &[3, 4]),
+        (&[5, 7], &[7]),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let seed = 33 + 3 * i as u64;
+        let mut store = ParamStore::new();
+        let a = input_param(&mut store, ash, seed);
+        let b = store.add("b", rand_tensor(bsh, seed + 1));
+        fd_check_both(&mut store, EPS, TOL, |g, bind: &Binding| {
+            let s = g.add_bcast(bind.var(a), bind.var(b));
+            let p = g.mul_bcast(s, bind.var(b));
+            readout(g, p, seed + 2)
+        });
+    }
+}

@@ -22,7 +22,9 @@
 #      and SSDREC_THREADS=4 (capped at the host's cores).
 #   9. Backend parity: the same golden test and CLI train run must produce
 #      byte-identical metrics under SSDREC_BACKEND=reference and
-#      SSDREC_BACKEND=blocked (the v1 kernel bits-contract).
+#      SSDREC_BACKEND=blocked (the v1 kernel bits-contract), and the parity
+#      suite must have run every tile build (portable, AVX2, AVX-512F) the
+#      host's CPU flags name.
 #  10. Pool identity: a CLI train run with the tensor pool on and one with
 #      SSDREC_POOL=0 must emit byte-identical metric lines.
 #  11. Scale smoke: SSDRec trains one epoch of beauty --scale 70 (~20 K
@@ -241,6 +243,19 @@ SSDREC_BACKEND=blocked cargo test --release -q --test golden_determinism
 # unswitched kernel call in them starts from.
 SSDREC_BACKEND=reference cargo test --release -q -p ssdrec-tensor --test backend_parity --test grad_layers
 SSDREC_BACKEND=blocked cargo test --release -q -p ssdrec-tensor --test backend_parity --test grad_layers
+# The gemm tile is compiled once per instruction set and the widest the
+# host runs is picked at run time; the parity suite holds every build the
+# host can run to the oracle and names them. A build the CPU flags promise
+# but the suite skipped fails here.
+COVERED=$(cargo test --release -q -p ssdrec-tensor --test backend_parity \
+    every_tile_build_matches_the_oracle -- --nocapture | sed -n 's/^tile builds covered: //p')
+echo "tile builds covered: $COVERED"
+printf '%s' "$COVERED" | grep -qw portable || die "backend parity: the portable tile build did not run"
+for isa in avx2 avx512f; do
+    if grep -qw "$isa" /proc/cpuinfo 2>/dev/null && ! printf '%s' "$COVERED" | grep -qw "$isa"; then
+        die "backend parity: the host has $isa but the parity suite did not run that tile build"
+    fi
+done
 train_metrics "$SMOKE_DIR/metrics_reference.txt" $SMOKE_FLAGS --epochs 1 --backend reference \
     --out "$SMOKE_DIR/ckpt_reference.ssdt"
 train_metrics "$SMOKE_DIR/metrics_blocked.txt" $SMOKE_FLAGS --epochs 1 --backend blocked \
@@ -249,7 +264,7 @@ diff -u "$SMOKE_DIR/metrics_reference.txt" "$SMOKE_DIR/metrics_blocked.txt" ||
     die "backend parity: metrics differ between reference and blocked kernels"
 cmp "$SMOKE_DIR/ckpt_reference.ssdt" "$SMOKE_DIR/ckpt_blocked.ssdt" ||
     die "backend parity: checkpoints differ between reference and blocked kernels"
-echo "ok: golden + CLI metrics and checkpoints identical under reference and blocked backends"
+echo "ok: golden + CLI metrics and checkpoints identical under reference and blocked backends; tile builds $COVERED match the oracle"
 
 echo "== pool identity (pooled vs fresh CLI metrics) =="
 # The step-scoped buffer pool must never change a bit of output.

@@ -101,10 +101,10 @@ fn both_grads(a: &Tensor, b: &Tensor, gout: &Tensor) -> [Tensor; 2] {
 
 #[test]
 fn gemm_is_bit_identical_across_thread_counts() {
-    // Big enough to clear the parallel threshold in every case below. 194
-    // is `train_ssdrec`'s V+1 (row blocks of 8 and a 2-row tail), 384 a
-    // whole number of blocks.
-    let (k, n) = (48, 80);
+    // Big enough to clear the 2-D gemm's parallel gate (2 Mi flops) in
+    // every case below. 194 is `train_ssdrec`'s V+1 (row blocks of 8 and a
+    // 2-row tail), 384 a whole number of blocks.
+    let (k, n) = (64, 176);
     for m in [96, 194, 384] {
         let a = Tensor::new(fill(m * k, 1), &[m, k]);
         let b = Tensor::new(fill(k * n, 2), &[k, n]);
@@ -119,11 +119,13 @@ fn gemm_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// The batched cases at two shapes; the second's rhs-broadcast product is
-/// `B·m` = 63 rows — seven row blocks of 8, the last a partial tile.
+/// The batched cases at two shapes, each over the parallel gates of the
+/// per-batch products (1 Mi flops) and of the rhs-broadcast case's one 2-D
+/// gemm (2 Mi); the second's rhs-broadcast product is `B·m` = 63 rows —
+/// seven row blocks of 8, the last a partial tile.
 #[test]
 fn batched_matmul_is_bit_identical_across_thread_counts() {
-    for (bs, m, k, n) in [(24, 12, 16, 20), (7, 9, 16, 20)] {
+    for (bs, m, k, n) in [(64, 12, 48, 32), (7, 9, 128, 136)] {
         let a3 = Tensor::new(fill(bs * m * k, 4), &[bs, m, k]);
         let b3 = Tensor::new(fill(bs * k * n, 5), &[bs, k, n]);
         let b2 = Tensor::new(fill(k * n, 6), &[k, n]);
@@ -210,7 +212,8 @@ fn spmm_is_bit_identical_across_thread_counts() {
 #[test]
 fn embedding_backward_is_bit_identical_across_thread_counts() {
     // Repeating indices make the scatter-add order observable: f32 addition
-    // is non-associative, so any reordering would flip low bits.
+    // is non-associative, so any reordering would flip low bits. (The
+    // scatter runs inline at every thread count; this keeps it that way.)
     let (v, d, n) = (160, 32, 900);
     let indices: Vec<usize> = (0..n).map(|i| (i * 37 + i * i * 11) % v).collect();
     let gout = Tensor::new(fill(n * d, 8), &[n, d]);
