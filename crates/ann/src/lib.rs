@@ -1,5 +1,9 @@
 //! Deterministic HNSW candidate retrieval over the frozen item table.
 //!
+//! **Retired from the product:** no workspace crate links this one and
+//! serving is exact only (DESIGN.md §12). It stays a workspace member only
+//! while `benchmark/probes`' `probe_ann` path-depends on it.
+//!
 //! Serving full-rank-scores every item per request — `O(items)` per user —
 //! which stops scaling somewhere between a 100K- and a 1M-item catalogue.
 //! This crate provides the approximate stage of the two-stage retrieval

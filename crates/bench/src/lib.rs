@@ -7,9 +7,9 @@
 //! `cargo run --release -p ssdrec-bench -- <entry> [--fast | --full]
 //! [--datasets a,b] [--models A,B] [--users N]`, `-- --list`, `-- all`.
 //!
-//! Performance is measured by `benchmark/run.sh`, not here. The two
-//! measuring entries kept (`retrieval`, `data-scale`) reach catalogue and
-//! corpus sizes the benchmark's CLI-driven workloads cannot.
+//! Performance is measured by `benchmark/run.sh`, not here. The one
+//! measuring entry kept (`data-scale`) reaches corpus sizes the benchmark's
+//! CLI-driven workloads cannot.
 
 #![warn(missing_docs)]
 

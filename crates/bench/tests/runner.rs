@@ -53,13 +53,7 @@ fn unknown_entry_prints_the_list_and_list_exits_0() {
     let listed = bench(&["--list"]);
     assert_eq!(listed.status.code(), Some(0));
     let list = String::from_utf8_lossy(&listed.stdout);
-    for name in [
-        "table2",
-        "fig5",
-        "ext-gumbel-cost",
-        "retrieval",
-        "data-scale",
-    ] {
+    for name in ["table2", "fig5", "ext-gumbel-cost", "data-scale"] {
         assert!(list.contains(&format!("\n  {name} ")), "{name} not listed");
     }
 

@@ -58,8 +58,8 @@ use ssdrec_models::{
     TrainOptions, TrainReport,
 };
 use ssdrec_serve::{
-    Engine, EngineConfig, EngineSlot, InferenceModel, LoadedModel, ModelLoader, RetrievalConfig,
-    RetrievalMode, ServeConfig, ServerStats,
+    Engine, EngineConfig, EngineSlot, InferenceModel, LoadedModel, ModelLoader, ServeConfig,
+    ServerStats,
 };
 use ssdrec_stream::{ArchSpec, LogError, LogHeader, RetrainOutcome, RetrainSpec, StreamLog};
 use ssdrec_tensor::{load_params, save_params};
@@ -99,10 +99,6 @@ fn usage() -> &'static str {
      --checkpoint-every N   epochs between state saves (default 1)\n\
      --addr HOST:PORT --workers N --max-batch B --linger-ms MS --cache N (serve)\n\
      --max-queue N --read-timeout-ms MS --write-timeout-ms MS (serve)\n\
-     --retrieval exact|ann   serving retrieval stage (default exact;\n\
-                     ann = deterministic HNSW candidates + exact re-rank)\n\
-     --ef-search N   ann candidate beam width, 1..=1000000 (default 128)\n\
-     --ann-m M       HNSW max degree, 2..=1024 (default 16)\n\
      --log PATH      append-only interaction log (ingest, retrain, serve --ckpt-dir)\n\
      --events L      comma-separated user:item pairs to append (ingest)\n\
      --users N --items M   explicit catalog when creating a log (ingest)\n\
@@ -148,31 +144,6 @@ fn configure_backend(a: &Args) -> Result<&'static str, String> {
             Ok(kind.name())
         }
     }
-}
-
-/// Parse `--retrieval exact|ann`, `--ef-search N`, `--ann-m M` into the
-/// engine's retrieval config, rejecting unknown modes and zero/absurd
-/// parameter values up front (a typo'd beam width should fail fast, not
-/// build a useless index).
-fn configure_retrieval(a: &Args) -> Result<RetrievalConfig, String> {
-    let mode: RetrievalMode = a.get_or("retrieval", "exact").parse()?;
-    let ef_search: usize = a.get_parse("ef-search", 128)?;
-    if !(1..=1_000_000).contains(&ef_search) {
-        return Err(format!(
-            "--ef-search {ef_search} out of range 1..=1000000 (candidate beam width)"
-        ));
-    }
-    let ann_m: usize = a.get_parse("ann-m", 16)?;
-    if !(2..=1024).contains(&ann_m) {
-        return Err(format!(
-            "--ann-m {ann_m} out of range 2..=1024 (HNSW degree)"
-        ));
-    }
-    Ok(RetrievalConfig {
-        mode,
-        ann_m,
-        ef_search,
-    })
 }
 
 /// `--format movielens|csv` (default csv) → how `--file` is parsed.
@@ -693,7 +664,7 @@ fn cmd_retrain(a: &Args) -> Result<(), String> {
 
 /// The serving engine over `model`, from the engine flags shared by both
 /// `serve` forms (`--workers`, `--max-batch`, `--linger-ms`, `--cache`,
-/// `--max-queue`, `--retrieval` and its knobs).
+/// `--max-queue`).
 fn build_engine(a: &Args, model: InferenceModel, max_len: usize) -> Result<Engine, String> {
     let cfg = EngineConfig {
         workers: a.get_parse("workers", 2)?,
@@ -702,15 +673,8 @@ fn build_engine(a: &Args, model: InferenceModel, max_len: usize) -> Result<Engin
         cache_capacity: a.get_parse("cache", 1024)?,
         max_len,
         max_queue: a.get_parse("max-queue", 1024)?,
-        retrieval: configure_retrieval(a)?,
     };
-    if cfg.retrieval.mode == RetrievalMode::Ann {
-        println!(
-            "building ann index (m={}, ef_search={})...",
-            cfg.retrieval.ann_m, cfg.retrieval.ef_search
-        );
-    }
-    Engine::try_new(model, cfg, Arc::new(ServerStats::new()))
+    Ok(Engine::new(model, cfg, Arc::new(ServerStats::new())))
 }
 
 /// Bind `--addr`, announce the endpoints, and block until `POST /shutdown`.
@@ -891,42 +855,6 @@ mod cli_tests {
             // No flag: keeps whatever is already selected.
             assert_eq!(configure_backend(&parse("train")), Ok("blocked"));
         });
-    }
-
-    #[test]
-    fn retrieval_flag_parses_modes_and_rejects_unknown() {
-        // Default: exact, with the knob defaults passed through.
-        let cfg = configure_retrieval(&parse("serve")).unwrap();
-        assert_eq!(cfg.mode, RetrievalMode::Exact);
-        assert_eq!((cfg.ann_m, cfg.ef_search), (16, 128));
-        // Both modes parse.
-        let cfg = configure_retrieval(&parse("serve --retrieval ann")).unwrap();
-        assert_eq!(cfg.mode, RetrievalMode::Ann);
-        let cfg = configure_retrieval(&parse("serve --retrieval exact")).unwrap();
-        assert_eq!(cfg.mode, RetrievalMode::Exact);
-        // Unknown modes are refused with a clear message.
-        let err = configure_retrieval(&parse("serve --retrieval fuzzy")).unwrap_err();
-        assert!(err.contains("fuzzy"), "got: {err}");
-    }
-
-    #[test]
-    fn retrieval_knobs_reject_zero_and_absurd_values() {
-        // ef-search: zero, absurd, and unparseable all fail fast.
-        let err = configure_retrieval(&parse("serve --ef-search 0")).unwrap_err();
-        assert!(err.contains("--ef-search"), "got: {err}");
-        let err = configure_retrieval(&parse("serve --ef-search 99999999")).unwrap_err();
-        assert!(err.contains("--ef-search"), "got: {err}");
-        assert!(configure_retrieval(&parse("serve --ef-search many")).is_err());
-        // ann-m: a degree of 0 or 1 cannot form a navigable graph; huge
-        // degrees are a typo, not a config.
-        let err = configure_retrieval(&parse("serve --ann-m 1")).unwrap_err();
-        assert!(err.contains("--ann-m"), "got: {err}");
-        assert!(configure_retrieval(&parse("serve --ann-m 0")).is_err());
-        assert!(configure_retrieval(&parse("serve --ann-m 4096")).is_err());
-        // In-range values pass through.
-        let cfg =
-            configure_retrieval(&parse("serve --retrieval ann --ef-search 64 --ann-m 8")).unwrap();
-        assert_eq!((cfg.ann_m, cfg.ef_search), (8, 64));
     }
 
     #[test]

@@ -31,6 +31,6 @@ pub mod zoo;
 pub use augment::{Augmented, SelfAugmenter};
 pub use denoise_stage::HierarchicalDenoiser;
 pub use fden::{AttentionGate, FdenKind};
-pub use model::{CaseStudy, FrozenTables, SsdRec, SsdRecConfig};
+pub use model::{CaseStudy, SsdRec, SsdRecConfig};
 pub use relation_encoder::{GlobalRelationEncoder, RelationAdjacency, RelationOutput};
 pub use zoo::{build_model, ModelContext, ModelKind, Prepared};

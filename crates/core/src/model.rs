@@ -12,7 +12,7 @@
 
 use ssdrec_data::Batch;
 use ssdrec_graph::MultiRelationGraph;
-use ssdrec_models::{build_encoder, BackboneKind, EvalForward, RecModel, SeqEncoder};
+use ssdrec_models::{build_encoder, BackboneKind, RecModel, SeqEncoder};
 use ssdrec_tensor::nn::Embedding;
 use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
 
@@ -131,25 +131,6 @@ struct GateInfo {
     h_seq: Var,
     /// The graph-coherence prior, if stage 1 is active.
     prior: Option<Var>,
-}
-
-/// Request-independent graph nodes for frozen serving: the relation-encoded
-/// item/user tables (running the stage-1 global relation encoder is the
-/// expensive, input-independent part of SSDRec's eval pass), the transposed
-/// scorer, and the pad mask. Produced once per serving engine by
-/// [`SsdRec::precompute_frozen`] on a scratch graph, whose four result
-/// tensors every worker then binds as constants below its [`Graph::mark`];
-/// consumed per request by [`SsdRec::eval_scores_frozen`].
-pub struct FrozenTables {
-    /// Relation-encoded (or raw, when stage 1 is ablated) item table
-    /// `(V+1)×d`.
-    pub items: Var,
-    /// Relation-encoded (or raw) user table.
-    pub users: Var,
-    /// `items` transposed to `d×(V+1)` for the tied-weight scorer.
-    pub items_t: Var,
-    /// The `[V+1]` additive mask row with `−1e9` at the pad index.
-    pub pad_mask: Var,
 }
 
 /// A per-example trace for the paper's Fig. 4 case study.
@@ -290,10 +271,15 @@ impl SsdRec {
     fn score_repr(&self, g: &mut Graph, items_table: Var, h_s: Var) -> Var {
         let tt = g.transpose_last(items_table);
         let logits = g.matmul(h_s, tt);
+        let mv = self.pad_mask(g);
+        g.add_bcast(logits, mv)
+    }
+
+    /// The `[V+1]` additive mask row with `−1e9` at the pad index.
+    fn pad_mask(&self, g: &mut Graph) -> Var {
         let mut mask = Tensor::zeros(&[self.num_items + 1]);
         mask.data_mut()[0] = -1e9;
-        let mv = g.constant(mask);
-        g.add_bcast(logits, mv)
+        g.constant(mask)
     }
 
     /// Training forward: full three-stage pipeline; returns logits plus the
@@ -362,61 +348,6 @@ impl SsdRec {
 
         let h_s = self.backbone.encode(g, bind, h_in);
         (self.score_repr(g, items, h_s), gate, items)
-    }
-
-    /// Precompute the request-independent pieces of the frozen serving
-    /// forward pass. Must be called on the same graph (below the
-    /// [`Graph::mark`]) as later [`SsdRec::eval_scores_frozen`] calls.
-    pub fn precompute_frozen(&self, g: &mut Graph, bind: &Binding) -> FrozenTables {
-        let (items, users) = self.tables(g, bind);
-        let items_t = g.transpose_last(items);
-        let mut mask = Tensor::zeros(&[self.num_items + 1]);
-        mask.data_mut()[0] = -1e9;
-        let pad_mask = g.constant(mask);
-        FrozenTables {
-            items,
-            users,
-            items_t,
-            pad_mask,
-        }
-    }
-
-    /// The per-batch half of the eval forward (and of frozen serving): the
-    /// stage-1 relation encoding and the scorer transpose come precomputed
-    /// from [`SsdRec::precompute_frozen`].
-    pub fn eval_scores_frozen(
-        &self,
-        g: &mut Graph,
-        bind: &Binding,
-        batch: &Batch,
-        frozen: &FrozenTables,
-    ) -> Var {
-        let h_s = self.eval_repr_frozen(g, bind, batch, frozen);
-        let logits = g.matmul(h_s, frozen.items_t);
-        g.add_bcast(logits, frozen.pad_mask)
-    }
-
-    /// The request-dependent half of the frozen forward, stopped at the
-    /// sequence representation `h_S` (`B×d`) — the same nodes, in the same
-    /// order, as the front of [`SsdRec::eval_scores_frozen`]. ANN retrieval
-    /// uses this as the query vector and defers catalogue scoring to the
-    /// candidate re-rank.
-    pub fn eval_repr_frozen(
-        &self,
-        g: &mut Graph,
-        bind: &Binding,
-        batch: &Batch,
-        frozen: &FrozenTables,
-    ) -> Var {
-        let (h_seq, hu) = self.sequence_reprs(g, frozen.items, frozen.users, batch);
-        let prior = self.coherence_prior(g, batch);
-        let h_in = if self.cfg.stage3 {
-            let (denoised, _) = self.denoiser.denoise_eval(g, bind, h_seq, hu, prior);
-            denoised
-        } else {
-            h_seq
-        };
-        self.backbone.encode(g, bind, h_in)
     }
 
     /// Continuous keep probabilities over a raw sequence.
@@ -540,15 +471,47 @@ impl RecModel for SsdRec {
     }
 
     fn eval_scores(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var {
-        self.eval_prepare(g, bind)(g, bind, batch)
+        let frozen = self.precompute_frozen(g, bind);
+        self.eval_scores_frozen(g, bind, batch, &frozen)
     }
 
-    /// The eval forward is the frozen-serving one: stage 1 and the scorer
-    /// transpose once per pass, then per batch no augmentation (paper
-    /// §III-F) and deterministic denoising.
-    fn eval_prepare(&self, g: &mut Graph, bind: &Binding) -> EvalForward<'_> {
-        let frozen = self.precompute_frozen(g, bind);
-        Box::new(move |g, bind, batch| self.eval_scores_frozen(g, bind, batch, &frozen))
+    /// `[items, users, itemsᵀ, pad mask]`: stage 1's relation-encoded (raw,
+    /// when stage 1 is ablated) item `(V+1)×d` and user tables — the
+    /// expensive, input-independent part of the eval pass (paper §III-F) —
+    /// the tied-weight scorer transposed to `d×(V+1)`, and the pad-masking
+    /// row.
+    fn precompute_frozen(&self, g: &mut Graph, bind: &Binding) -> Vec<Var> {
+        let (items, users) = self.tables(g, bind);
+        let items_t = g.transpose_last(items);
+        vec![items, users, items_t, self.pad_mask(g)]
+    }
+
+    /// Per batch: no augmentation (paper §III-F) and deterministic
+    /// denoising over the frozen tables.
+    fn eval_scores_frozen(
+        &self,
+        g: &mut Graph,
+        bind: &Binding,
+        batch: &Batch,
+        frozen: &[Var],
+    ) -> Var {
+        let &[items, users, items_t, pad_mask] = frozen else {
+            panic!(
+                "SSDRec freezes [items, users, itemsᵀ, pad mask], got {} nodes",
+                frozen.len()
+            );
+        };
+        let (h_seq, hu) = self.sequence_reprs(g, items, users, batch);
+        let prior = self.coherence_prior(g, batch);
+        let h_in = if self.cfg.stage3 {
+            let (denoised, _) = self.denoiser.denoise_eval(g, bind, h_seq, hu, prior);
+            denoised
+        } else {
+            h_seq
+        };
+        let h_s = self.backbone.encode(g, bind, h_in);
+        let logits = g.matmul(h_s, items_t);
+        g.add_bcast(logits, pad_mask)
     }
 
     fn on_epoch_start(&mut self, epoch: usize, total: usize) {

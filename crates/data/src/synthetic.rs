@@ -135,19 +135,6 @@ impl SyntheticConfig {
         self
     }
 
-    /// Override the user count exactly (the retrieval bench pins catalogue
-    /// sizes, where `scaled`'s rounding would drift).
-    pub fn with_users(mut self, n: usize) -> Self {
-        self.num_users = n.max(1);
-        self
-    }
-
-    /// Override the item count exactly.
-    pub fn with_items(mut self, n: usize) -> Self {
-        self.num_items = n.max(self.num_clusters);
-        self
-    }
-
     /// Override the injected-noise fraction.
     pub fn with_noise_ratio(mut self, r: f64) -> Self {
         self.noise_ratio = r;

@@ -127,7 +127,8 @@ fn top_k_range(scores: &[f32], k: usize, lo: usize, hi: usize) -> Vec<Scored> {
 
 /// [`top_k`] over a sparse candidate set `(item ID, score)` instead of a
 /// dense score row — the selection stage of two-stage (ANN + exact re-rank)
-/// retrieval in `ssdrec-serve`. Same bounded min-heap, same [`better`]
+/// retrieval, which serving no longer runs; only the benchmark's ANN probe
+/// calls it. Same bounded min-heap, same [`better`]
 /// total order: fed the full catalogue it returns exactly what [`top_k`]
 /// returns on the dense row, and on any subset the result is the best-`k`
 /// prefix of that subset under the pessimistic tie rule (equal scores break

@@ -31,7 +31,7 @@ use ssdrec_data::Batch;
 use ssdrec_tensor::{Binding, Graph, Rng, Var};
 
 use crate::encoder::BackboneKind;
-use crate::model::{EvalForward, RecModel, SeqRec};
+use crate::model::{RecModel, SeqRec};
 
 /// Default weight of the contrastive term (`--cl-weight`).
 pub const DEFAULT_CL_WEIGHT: f32 = 0.1;
@@ -223,8 +223,18 @@ impl RecModel for ContrastiveSeqRec {
         self.base.eval_scores(g, bind, batch)
     }
 
-    fn eval_prepare(&self, g: &mut Graph, bind: &Binding) -> EvalForward<'_> {
-        self.base.eval_prepare(g, bind)
+    fn precompute_frozen(&self, g: &mut Graph, bind: &Binding) -> Vec<Var> {
+        self.base.precompute_frozen(g, bind)
+    }
+
+    fn eval_scores_frozen(
+        &self,
+        g: &mut Graph,
+        bind: &Binding,
+        batch: &Batch,
+        frozen: &[Var],
+    ) -> Var {
+        self.base.eval_scores_frozen(g, bind, batch, frozen)
     }
 
     fn model_name(&self) -> String {

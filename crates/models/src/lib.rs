@@ -26,7 +26,7 @@ pub use contrastive::{
     DEFAULT_CL_TAU, DEFAULT_CL_WEIGHT,
 };
 pub use encoder::{BackboneKind, SeqEncoder};
-pub use model::{build_encoder, EvalForward, FrozenScorer, Objective, RecModel, SeqRec};
+pub use model::{build_encoder, Objective, RecModel, SeqRec};
 pub use trainer::{
     evaluate, evaluate_with, fit, train, LrSchedule, SourceSplit, TrainConfig, TrainOptions,
     TrainReport,

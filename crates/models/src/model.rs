@@ -32,10 +32,6 @@ pub fn build_encoder(
     }
 }
 
-/// The per-batch half of an eval forward, as [`RecModel::eval_prepare`]
-/// returns it: a batch's `B×(V+1)` logits on the graph it was prepared on.
-pub type EvalForward<'a> = Box<dyn Fn(&mut Graph, &Binding, &Batch) -> Var + 'a>;
-
 /// Anything the shared trainer can optimise and evaluate.
 pub trait RecModel {
     /// The parameter store (for binding/optimizer steps).
@@ -47,14 +43,29 @@ pub trait RecModel {
     /// Full-catalogue logits `B×(V+1)` for evaluation (deterministic).
     fn eval_scores(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var;
 
-    /// Build the batch-independent part of the eval forward once for a
-    /// whole pass — on `g`, below a [`Graph::mark`] the caller then
-    /// [`truncate`](Graph::truncate)s back to before every batch — and
-    /// return the per-batch rest. Its scores are bit-identical to
-    /// [`RecModel::eval_scores`]'s. The default prepares nothing: every
-    /// batch runs `eval_scores` whole.
-    fn eval_prepare(&self, _g: &mut Graph, _bind: &Binding) -> EvalForward<'_> {
-        Box::new(move |g, bind, batch| self.eval_scores(g, bind, batch))
+    /// The frozen half of the eval forward: the nodes that depend on the
+    /// parameters but on no batch, built once on `g` below a
+    /// [`Graph::mark`] the caller [`truncate`](Graph::truncate)s back to
+    /// before every batch. Every eval pass and every serving engine makes
+    /// this call once, then [`RecModel::eval_scores_frozen`] per batch.
+    /// The default freezes nothing.
+    fn precompute_frozen(&self, _g: &mut Graph, _bind: &Binding) -> Vec<Var> {
+        Vec::new()
+    }
+
+    /// A batch's `B×(V+1)` logits given what
+    /// [`RecModel::precompute_frozen`] returned on the same graph — or the
+    /// same values bound as constants on another. Bit-identical to
+    /// [`RecModel::eval_scores`]. The default ignores `frozen` and runs
+    /// `eval_scores` whole.
+    fn eval_scores_frozen(
+        &self,
+        g: &mut Graph,
+        bind: &Binding,
+        batch: &Batch,
+        _frozen: &[Var],
+    ) -> Var {
+        self.eval_scores(g, bind, batch)
     }
     /// Hook called after every optimisation step (e.g. τ annealing).
     fn after_step(&mut self) {}
@@ -131,18 +142,6 @@ pub enum Objective {
     },
 }
 
-/// Request-independent graph nodes precomputed once for frozen serving
-/// (see [`SeqRec::precompute_frozen`]).
-pub struct FrozenScorer {
-    /// The untransposed item table `E`, shape `(V+1)×d` — the matrix the
-    /// ANN retrieval index is built over and re-rank scores read from.
-    pub table: Var,
-    /// The transposed tied-weight scorer `Eᵀ`, shape `d×(V+1)`.
-    pub table_t: Var,
-    /// The `[V+1]` additive mask row with `−1e9` at the pad index.
-    pub pad_mask: Var,
-}
-
 /// A vanilla sequential recommender: embeddings → encoder → tied scorer.
 pub struct SeqRec {
     /// Trainable parameters.
@@ -201,52 +200,15 @@ impl SeqRec {
         let table = self.item_emb.table(bind);
         let tt = g.transpose_last(table); // d×(V+1)
         let logits = g.matmul(h_s, tt); // B×(V+1)
-        let mut mask = Tensor::zeros(&[self.num_items + 1]);
-        mask.data_mut()[0] = -1e9;
-        let mv = g.constant(mask);
+        let mv = self.pad_mask(g);
         g.add_bcast(logits, mv)
     }
 
-    /// Precompute the request-independent pieces of the frozen serving
-    /// forward pass: the transposed tied-weight scorer `Eᵀ` and the
-    /// pad-masking row. Bind the store into an inference graph once, call
-    /// this below the [`Graph::mark`], and feed the result to
-    /// [`SeqRec::eval_scores_frozen`] per request.
-    pub fn precompute_frozen(&self, g: &mut Graph, bind: &Binding) -> FrozenScorer {
-        let table = self.item_emb.table(bind);
-        let table_t = g.transpose_last(table); // d×(V+1)
+    /// The `[V+1]` additive mask row with `−1e9` at the pad index.
+    fn pad_mask(&self, g: &mut Graph) -> Var {
         let mut mask = Tensor::zeros(&[self.num_items + 1]);
         mask.data_mut()[0] = -1e9;
-        let pad_mask = g.constant(mask);
-        FrozenScorer {
-            table,
-            table_t,
-            pad_mask,
-        }
-    }
-
-    /// The request-dependent half of the frozen forward, stopped at the
-    /// sequence representation `h_S` (`B×d`) — the same nodes, in the same
-    /// order, as the front of [`SeqRec::eval_scores_frozen`]. ANN retrieval
-    /// uses this as the query vector and defers catalogue scoring to the
-    /// candidate re-rank.
-    pub fn eval_repr_frozen(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var {
-        let h = self.embed_batch(g, bind, batch);
-        self.encoder.encode(g, bind, h)
-    }
-
-    /// The per-batch half of the eval forward (and of frozen serving):
-    /// scores against the precomputed transposed table.
-    pub fn eval_scores_frozen(
-        &self,
-        g: &mut Graph,
-        bind: &Binding,
-        batch: &Batch,
-        frozen: &FrozenScorer,
-    ) -> Var {
-        let h_s = self.eval_repr_frozen(g, bind, batch);
-        let logits = g.matmul(h_s, frozen.table_t);
-        g.add_bcast(logits, frozen.pad_mask)
+        g.constant(mask)
     }
 
     /// Full forward for a batch; `rng` enables dropout (training mode).
@@ -388,14 +350,31 @@ impl RecModel for SeqRec {
     }
 
     fn eval_scores(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var {
-        self.eval_prepare(g, bind)(g, bind, batch)
+        let frozen = self.precompute_frozen(g, bind);
+        self.eval_scores_frozen(g, bind, batch, &frozen)
     }
 
-    /// The eval forward is the frozen-serving one: the transposed scorer
-    /// and the pad mask once per pass.
-    fn eval_prepare(&self, g: &mut Graph, bind: &Binding) -> EvalForward<'_> {
-        let frozen = self.precompute_frozen(g, bind);
-        Box::new(move |g, bind, batch| self.eval_scores_frozen(g, bind, batch, &frozen))
+    /// `[Eᵀ, pad mask]`: the transposed tied-weight scorer (`d×(V+1)`) and
+    /// the pad-masking row, once per pass.
+    fn precompute_frozen(&self, g: &mut Graph, bind: &Binding) -> Vec<Var> {
+        let table_t = g.transpose_last(self.item_emb.table(bind));
+        vec![table_t, self.pad_mask(g)]
+    }
+
+    fn eval_scores_frozen(
+        &self,
+        g: &mut Graph,
+        bind: &Binding,
+        batch: &Batch,
+        frozen: &[Var],
+    ) -> Var {
+        let &[table_t, pad_mask] = frozen else {
+            panic!("SeqRec freezes [Eᵀ, pad mask], got {} nodes", frozen.len());
+        };
+        let h = self.embed_batch(g, bind, batch);
+        let h_s = self.encoder.encode(g, bind, h);
+        let logits = g.matmul(h_s, table_t);
+        g.add_bcast(logits, pad_mask)
     }
 
     fn model_name(&self) -> String {

@@ -119,11 +119,13 @@ pub fn evaluate<M: RecModel + ?Sized>(
 /// (and hence the accumulator) are bit-identical across sources for the
 /// same examples.
 ///
-/// The pass binds the parameters and runs [`RecModel::eval_prepare`] once,
-/// below a [`Graph::mark`]; each batch then appends its own nodes and is
+/// The pass binds the parameters and runs [`RecModel::precompute_frozen`]
+/// once, below a [`Graph::mark`]; each batch then appends its
+/// [`RecModel::eval_scores_frozen`] nodes and is
 /// [`truncate`](Graph::truncate)d away, its storage recycled through the
-/// buffer pool. Scores are bit-identical to a fresh graph and a whole
-/// [`RecModel::eval_scores`] per batch.
+/// buffer pool — the two calls a serving engine makes. Scores are
+/// bit-identical to a fresh graph and a whole [`RecModel::eval_scores`] per
+/// batch.
 pub fn evaluate_with<M: RecModel + ?Sized>(
     model: &M,
     source: &dyn BatchSource,
@@ -133,11 +135,11 @@ pub fn evaluate_with<M: RecModel + ?Sized>(
     let mut acc = RankingAccumulator::new();
     g.reset();
     let bind = model.store().bind_all(g);
-    let forward = model.eval_prepare(g, &bind);
+    let frozen = model.precompute_frozen(g, &bind);
     let mark = g.mark();
     source.for_each_batch(batch_size, 0, &mut |batch| {
         g.truncate(mark);
-        let scores = forward(g, &bind, batch);
+        let scores = model.eval_scores_frozen(g, &bind, batch, &frozen);
         let sv = g.value(scores);
         let v = sv.shape()[1];
         // Rank the whole batch on the runtime pool; row order (and hence

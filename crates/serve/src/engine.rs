@@ -1,9 +1,10 @@
 //! The inference engine: a frozen model behind an mpsc micro-batching queue.
 //!
-//! The request-independent tensors — stage-1 relation-encoded tables, the
-//! transposed tied-weight scorer, the pad mask — are computed **once per
-//! engine** on a scratch graph that is dropped before any worker starts
-//! ([`FrozenSet`]). Each worker thread owns an inference-mode [`Graph`]
+//! The request-independent tensors — [`RecModel::precompute_frozen`]'s
+//! output: for SSDRec the stage-1 relation-encoded tables, the transposed
+//! tied-weight scorer and the pad mask — are computed **once per engine** on
+//! a scratch graph that is dropped before any worker starts. Each worker
+//! thread owns an inference-mode [`Graph`]
 //! (no tape, no gradient state) with the parameters and those tensors bound
 //! as constants below a [`Graph::mark`]. Per request the worker appends only
 //! the activation nodes and truncates back to the mark afterwards, so
@@ -15,9 +16,11 @@
 //! a lone request goes straight to its forward pass.
 //!
 //! Scores are **bit-identical** to the offline
-//! [`RecModel::recommend`] path: the frozen forward runs the same kernels in
-//! the same order, batching is over equal-length rows only (the workspace's
-//! `Batch` invariant), and every kernel is row-independent.
+//! [`RecModel::recommend`] path: a worker makes the same two calls as the
+//! trainer's eval pass, [`RecModel::precompute_frozen`] once and
+//! [`RecModel::eval_scores_frozen`] per batch, so the same kernels run in
+//! the same order; batching is over equal-length rows only (the
+//! workspace's `Batch` invariant), and every kernel is row-independent.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -26,14 +29,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ssdrec_ann::{AnnParams, HnswIndex};
-use ssdrec_core::{FrozenTables, SsdRec};
+use ssdrec_core::SsdRec;
 use ssdrec_data::Batch;
-use ssdrec_models::{FrozenScorer, RecModel, SeqRec};
-use ssdrec_tensor::{Binding, Graph, ParamStore, Tensor, Var};
+use ssdrec_models::{RecModel, SeqRec};
+use ssdrec_tensor::{Graph, Tensor, Var};
 
 use crate::cache::SessionCache;
-use crate::stats::{RetrievalInfo, ServerStats};
+use crate::stats::ServerStats;
 
 /// Why a recommendation request failed, mapped to an HTTP status by the
 /// front-end.
@@ -72,276 +74,61 @@ impl std::fmt::Display for RecError {
 
 impl std::error::Error for RecError {}
 
-/// A servable model: SSDRec or a bare-backbone baseline.
-pub enum InferenceModel {
-    /// The full three-stage SSDRec model.
-    Ssd(SsdRec),
-    /// A vanilla backbone recommender (`--baseline` checkpoints).
-    Seq(SeqRec),
-}
-
-/// The request-independent graph nodes as one worker's graph binds them.
-enum Frozen {
-    Ssd(FrozenTables),
-    Seq(FrozenScorer),
-}
-
-/// One engine's frozen-table set: a graph holding nothing but the tables
-/// `precompute_frozen` produced, copied out of the scratch graph it ran on
-/// before that graph (and, for SSDRec, every intermediate of stage 1's
-/// message passing) was dropped. Shared by every worker and the ANN index
-/// build.
-struct FrozenSet {
-    g: Graph,
-    tables: Frozen,
+/// A servable model: a [`RecModel`] behind its frozen forward, plus the
+/// catalogue bounds request validation reads. Built from an [`SsdRec`] or,
+/// for `--baseline` checkpoints, a bare-backbone [`SeqRec`].
+pub struct InferenceModel {
+    model: Box<dyn RecModel + Send + Sync>,
+    num_items: usize,
+    num_users: Option<usize>,
 }
 
 impl From<SsdRec> for InferenceModel {
     fn from(m: SsdRec) -> Self {
-        InferenceModel::Ssd(m)
+        InferenceModel {
+            num_items: m.num_items(),
+            num_users: Some(m.num_users()),
+            model: Box::new(m),
+        }
     }
 }
 
 impl From<SeqRec> for InferenceModel {
     fn from(m: SeqRec) -> Self {
-        InferenceModel::Seq(m)
+        InferenceModel {
+            num_items: m.num_items(),
+            num_users: None,
+            model: Box::new(m),
+        }
     }
 }
 
 impl InferenceModel {
     /// Catalogue size (valid item IDs are `1..=num_items`).
     pub fn num_items(&self) -> usize {
-        match self {
-            InferenceModel::Ssd(m) => m.num_items(),
-            InferenceModel::Seq(m) => m.num_items(),
-        }
-    }
-
-    /// Embedding width `d` (the ANN index and re-rank query width).
-    pub fn dim(&self) -> usize {
-        match self {
-            InferenceModel::Ssd(m) => m.cfg.dim,
-            InferenceModel::Seq(m) => m.dim,
-        }
+        self.num_items
     }
 
     /// Number of valid user IDs, when the model embeds users (`None` means
     /// any user ID is acceptable — bare backbones ignore the user).
     pub fn num_users(&self) -> Option<usize> {
-        match self {
-            InferenceModel::Ssd(m) => Some(m.num_users()),
-            InferenceModel::Seq(_) => None,
-        }
+        self.num_users
     }
 
     /// Display name of the underlying model.
     pub fn model_name(&self) -> String {
-        match self {
-            InferenceModel::Ssd(m) => m.model_name(),
-            InferenceModel::Seq(m) => m.model_name(),
-        }
+        self.model.model_name()
     }
 
-    /// The parameter store (for checkpoint loading before serving starts).
-    pub fn store_mut(&mut self) -> &mut ParamStore {
-        match self {
-            InferenceModel::Ssd(m) => m.store_mut(),
-            InferenceModel::Seq(m) => m.store_mut(),
-        }
-    }
-
-    fn store(&self) -> &ParamStore {
-        match self {
-            InferenceModel::Ssd(m) => m.store(),
-            InferenceModel::Seq(m) => m.store(),
-        }
-    }
-
-    /// Run the request-independent half of the forward once, on a scratch
-    /// graph dropped on return; what is kept are copies of the same kernels'
-    /// output a per-worker `precompute_frozen` would read.
-    fn freeze(&self) -> FrozenSet {
+    /// Run [`RecModel::precompute_frozen`] once, on a scratch graph dropped
+    /// on return — and with it, for SSDRec, every intermediate of stage 1's
+    /// message passing. What is kept are the values every worker binds as
+    /// constants.
+    fn freeze(&self) -> Vec<Tensor> {
         let mut scratch = Graph::inference_with_capacity(Graph::DEFAULT_CAPACITY);
-        let bind = self.store().bind_all(&mut scratch);
-        let computed = match self {
-            InferenceModel::Ssd(m) => Frozen::Ssd(m.precompute_frozen(&mut scratch, &bind)),
-            InferenceModel::Seq(m) => Frozen::Seq(m.precompute_frozen(&mut scratch, &bind)),
-        };
-        let mut g = Graph::inference_with_capacity(4);
-        let tables = computed.copy_into(&scratch, &mut g);
-        FrozenSet { g, tables }
-    }
-
-    fn score(&self, g: &mut Graph, bind: &Binding, batch: &Batch, frozen: &Frozen) -> Var {
-        match (self, frozen) {
-            (InferenceModel::Ssd(m), Frozen::Ssd(f)) => m.eval_scores_frozen(g, bind, batch, f),
-            (InferenceModel::Seq(m), Frozen::Seq(f)) => m.eval_scores_frozen(g, bind, batch, f),
-            _ => unreachable!("frozen state built from this model"),
-        }
-    }
-
-    /// The frozen forward stopped at the sequence representation `h_S`
-    /// (`B×d`) — the ANN query vectors. Same nodes, same order as the
-    /// front of [`InferenceModel::score`], so the exact re-rank over the
-    /// candidate set is bit-identical to the corresponding entries of the
-    /// full score row.
-    fn repr(&self, g: &mut Graph, bind: &Binding, batch: &Batch, frozen: &Frozen) -> Var {
-        match (self, frozen) {
-            (InferenceModel::Ssd(m), Frozen::Ssd(f)) => m.eval_repr_frozen(g, bind, batch, f),
-            (InferenceModel::Seq(m), Frozen::Seq(_)) => m.eval_repr_frozen(g, bind, batch),
-            _ => unreachable!("frozen state built from this model"),
-        }
-    }
-}
-
-impl Frozen {
-    /// The `(V+1)×d` item matrix the tied-weight scorer reads — what the
-    /// exact re-rank scores candidates against.
-    fn items(&self) -> Var {
-        match self {
-            Frozen::Ssd(f) => f.items,
-            Frozen::Seq(f) => f.table,
-        }
-    }
-
-    /// The same tables, read from `src` (the graph `self` indexes) and
-    /// pushed onto `dst` as constants.
-    fn copy_into(&self, src: &Graph, dst: &mut Graph) -> Frozen {
-        let mut copy = |v: Var| dst.constant(src.value(v).clone());
-        match self {
-            Frozen::Ssd(f) => Frozen::Ssd(FrozenTables {
-                items: copy(f.items),
-                users: copy(f.users),
-                items_t: copy(f.items_t),
-                pad_mask: copy(f.pad_mask),
-            }),
-            Frozen::Seq(f) => Frozen::Seq(FrozenScorer {
-                table: copy(f.table),
-                table_t: copy(f.table_t),
-                pad_mask: copy(f.pad_mask),
-            }),
-        }
-    }
-}
-
-impl FrozenSet {
-    /// The `(V+1)×d` item matrix — what the ANN index is built over.
-    fn items(&self) -> &Tensor {
-        self.g.value(self.tables.items())
-    }
-
-    /// Bind the tables into a worker's graph as constants.
-    fn bind(&self, g: &mut Graph) -> Frozen {
-        self.tables.copy_into(&self.g, g)
-    }
-}
-
-/// Which retrieval stage answers a request.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RetrievalMode {
-    /// Full-rank scoring of every catalogue item (the default; the
-    /// bit-identity parity tests guard this path).
-    #[default]
-    Exact,
-    /// Deterministic HNSW candidate search + exact re-rank of the
-    /// `ef_search` candidate set.
-    Ann,
-}
-
-impl std::str::FromStr for RetrievalMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "exact" => Ok(RetrievalMode::Exact),
-            "ann" => Ok(RetrievalMode::Ann),
-            other => Err(format!(
-                "unknown retrieval mode '{other}' (want exact or ann)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for RetrievalMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            RetrievalMode::Exact => "exact",
-            RetrievalMode::Ann => "ann",
-        })
-    }
-}
-
-/// Retrieval-stage knobs (`--retrieval`, `--ann-m`, `--ef-search`).
-#[derive(Clone, Debug)]
-pub struct RetrievalConfig {
-    /// Exact full-rank scoring or ANN candidates + exact re-rank.
-    pub mode: RetrievalMode,
-    /// HNSW max degree on layers ≥ 1 (layer 0 keeps `2·m`).
-    pub ann_m: usize,
-    /// Candidate beam width per request. `ef ≥ catalogue` degenerates to
-    /// exhaustive retrieval (bit-identical to exact mode).
-    pub ef_search: usize,
-}
-
-impl Default for RetrievalConfig {
-    fn default() -> Self {
-        RetrievalConfig {
-            mode: RetrievalMode::Exact,
-            ann_m: 16,
-            ef_search: 128,
-        }
-    }
-}
-
-/// Construction beam width derived from the degree bound: wide enough that
-/// recall is set by `ef_search`, not by build quality.
-fn ann_ef_construction(m: usize) -> usize {
-    (m * 6).max(64)
-}
-
-/// The immutable retrieval state shared by every worker: built once before
-/// the first worker spawns (all-or-nothing — a faulted `ann.build` fails
-/// [`Engine::try_new`] cleanly with no torn index).
-struct RetrievalState {
-    ef_search: usize,
-    index: Option<HnswIndex>,
-}
-
-impl RetrievalState {
-    /// `items` is the engine's frozen `(V+1)×d` scorer table; the index owns
-    /// a copy.
-    fn build(
-        model: &InferenceModel,
-        items: &Tensor,
-        cfg: &RetrievalConfig,
-        stats: &ServerStats,
-    ) -> Result<RetrievalState, String> {
-        let index = match cfg.mode {
-            RetrievalMode::Exact => {
-                stats.set_retrieval(RetrievalInfo::default());
-                None
-            }
-            RetrievalMode::Ann => {
-                let t0 = Instant::now();
-                let params = AnnParams {
-                    m: cfg.ann_m,
-                    ef_construction: ann_ef_construction(cfg.ann_m),
-                    ..AnnParams::default()
-                };
-                let index = HnswIndex::build(items.data(), model.dim(), model.num_items(), params)
-                    .map_err(|e| e.to_string())?;
-                stats.set_retrieval(RetrievalInfo {
-                    mode: "ann".into(),
-                    m: cfg.ann_m as u64,
-                    ef_search: cfg.ef_search as u64,
-                    build_us: t0.elapsed().as_micros() as u64,
-                });
-                Some(index)
-            }
-        };
-        Ok(RetrievalState {
-            ef_search: cfg.ef_search,
-            index,
-        })
+        let bind = self.model.store().bind_all(&mut scratch);
+        let frozen = self.model.precompute_frozen(&mut scratch, &bind);
+        frozen.iter().map(|&v| scratch.value(v).clone()).collect()
     }
 }
 
@@ -366,8 +153,6 @@ pub struct EngineConfig {
     /// queued for the workers are rejected with [`RecError::Overloaded`]
     /// (HTTP 503) instead of growing the queue without limit.
     pub max_queue: usize,
-    /// Retrieval stage: exact full-rank (default) or ANN + exact re-rank.
-    pub retrieval: RetrievalConfig,
 }
 
 impl Default for EngineConfig {
@@ -379,7 +164,6 @@ impl Default for EngineConfig {
             cache_capacity: 1024,
             max_len: 50,
             max_queue: 1024,
-            retrieval: RetrievalConfig::default(),
         }
     }
 }
@@ -425,48 +209,29 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Spin up the worker pool around a frozen model. Panics if the
-    /// retrieval index build fails — use [`Engine::try_new`] to surface
-    /// that as an error instead.
+    /// Spin up the worker pool around a frozen model.
     pub fn new(model: InferenceModel, cfg: EngineConfig, stats: Arc<ServerStats>) -> Engine {
-        Engine::try_new(model, cfg, stats).expect("engine init")
-    }
-
-    /// Fallible [`Engine::new`]: an ANN index build failure (including an
-    /// injected `ann.build` fault) returns `Err` before any worker spawns,
-    /// so no engine — and no torn index — escapes.
-    pub fn try_new(
-        model: InferenceModel,
-        cfg: EngineConfig,
-        stats: Arc<ServerStats>,
-    ) -> Result<Engine, String> {
-        let engine = Engine::build(model, cfg, stats)?;
+        let engine = Engine::build(model, cfg, stats);
         engine.publish_workers();
-        Ok(engine)
+        engine
     }
 
-    /// [`Engine::try_new`] without exporting the workers' busy counters: a
-    /// hot swap builds the replacement beside the serving engine and calls
+    /// [`Engine::new`] without exporting the workers' busy counters: a hot
+    /// swap builds the replacement beside the serving engine and calls
     /// [`Engine::publish_workers`] only at the commit.
     pub(crate) fn build(
         model: InferenceModel,
         cfg: EngineConfig,
         stats: Arc<ServerStats>,
-    ) -> Result<Engine, String> {
+    ) -> Engine {
         assert!(cfg.workers >= 1, "need at least one worker");
         assert!(cfg.max_batch >= 1, "max_batch must be ≥ 1");
         assert!(cfg.max_len >= 1, "max_len must be ≥ 1");
         assert!(cfg.max_queue >= 1, "max_queue must be ≥ 1");
         let model = Arc::new(model);
         // Stage 1 once per engine: the scratch graph inside `freeze` is gone
-        // before the index build and before any worker exists.
-        let frozen = Arc::new(model.freeze());
-        let retrieval = Arc::new(RetrievalState::build(
-            &model,
-            frozen.items(),
-            &cfg.retrieval,
-            &stats,
-        )?);
+        // before any worker exists.
+        let frozen: Arc<[Tensor]> = model.freeze().into();
         let (tx, rx) = mpsc::channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
         let queue_depth = Arc::new(AtomicUsize::new(0));
@@ -488,7 +253,6 @@ impl Engine {
                 let busy = Arc::clone(busy);
                 let hwm = Arc::clone(&hwm);
                 let depth = Arc::clone(&queue_depth);
-                let retrieval = Arc::clone(&retrieval);
                 let (max_batch, linger) = (cfg.max_batch, cfg.linger);
                 std::thread::Builder::new()
                     .name(format!("ssdrec-worker-{i}"))
@@ -503,8 +267,8 @@ impl Engine {
                             let ran =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                     worker_loop(
-                                        &model, &frozen, &retrieval, &rx, &stats, &busy, &hwm,
-                                        &depth, max_batch, linger,
+                                        &model, &frozen, &rx, &stats, &busy, &hwm, &depth,
+                                        max_batch, linger,
                                     )
                                 }));
                             match ran {
@@ -518,7 +282,7 @@ impl Engine {
                     .expect("spawn worker thread")
             })
             .collect();
-        Ok(Engine {
+        Engine {
             model,
             cache: Mutex::new(SessionCache::new(cfg.cache_capacity)),
             cfg,
@@ -527,7 +291,7 @@ impl Engine {
             stats,
             queue_depth,
             worker_busy_us,
-        })
+        }
     }
 
     /// Make this engine's workers the ones the `/metrics` `workers` section
@@ -719,11 +483,15 @@ fn drain_jobs(
     jobs
 }
 
+/// Bind an engine's frozen values into a worker's graph as constants.
+fn bind_frozen(g: &mut Graph, frozen: &[Tensor]) -> Vec<Var> {
+    frozen.iter().map(|t| g.constant(t.clone())).collect()
+}
+
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     model: &InferenceModel,
-    frozen: &FrozenSet,
-    retrieval: &RetrievalState,
+    frozen: &[Tensor],
     rx: &Mutex<Receiver<Job>>,
     stats: &ServerStats,
     busy_us: &AtomicU64,
@@ -732,9 +500,11 @@ fn worker_loop(
     max_batch: usize,
     linger: Duration,
 ) {
+    let width = model.num_items() + 1;
+    let model = &*model.model;
     let mut g = Graph::inference_with_capacity(hwm.load(Ordering::Relaxed));
     let bind = model.store().bind_all(&mut g);
-    let frozen = frozen.bind(&mut g);
+    let frozen = bind_frozen(&mut g, frozen);
     let mark = g.mark();
 
     loop {
@@ -768,54 +538,18 @@ fn worker_loop(
                 targets: group.iter().map(|j| j.seq[seq_len - 1]).collect(),
                 noise: None,
             };
-            match &retrieval.index {
-                None => {
-                    // Exact path: full-rank score row + bounded-heap top-K.
-                    let scores = model.score(&mut g, &bind, &batch, &frozen);
-                    let width = model.num_items() + 1;
-                    let values = g.value(scores);
-                    for (row, job) in group.iter().enumerate() {
-                        let row_scores = &values.data()[row * width..(row + 1) * width];
-                        let items = ssdrec_metrics::par_top_k(row_scores, job.k);
-                        let _ = job.resp.send(Arc::new(Recommendation {
-                            user: job.user,
-                            k: job.k,
-                            items,
-                            batch_size: group.len(),
-                        }));
-                    }
-                }
-                Some(index) => {
-                    // ANN path: stop the forward at h_S, search the HNSW
-                    // index for ef_search candidates, then re-rank only
-                    // those through the exact scorer arithmetic
-                    // (`rerank_score` is bit-identical to the full row's
-                    // entries) and the shared pessimistic-tie top-K.
-                    let h_s = model.repr(&mut g, &bind, &batch, &frozen);
-                    let d = model.dim();
-                    let table_var = frozen.items();
-                    let hv = g.value(h_s);
-                    let table = g.value(table_var);
-                    for (row, job) in group.iter().enumerate() {
-                        let q = &hv.data()[row * d..(row + 1) * d];
-                        let cands = index.candidates(q, retrieval.ef_search);
-                        stats.record_candidates(cands.len() as u64);
-                        let items = ssdrec_metrics::top_k_sparse(
-                            cands.iter().map(|&c| {
-                                let ci = c as usize;
-                                let e = &table.data()[ci * d..(ci + 1) * d];
-                                (ci, ssdrec_ann::rerank_score(q, e))
-                            }),
-                            job.k,
-                        );
-                        let _ = job.resp.send(Arc::new(Recommendation {
-                            user: job.user,
-                            k: job.k,
-                            items,
-                            batch_size: group.len(),
-                        }));
-                    }
-                }
+            // Full-rank score row + bounded-heap top-K.
+            let scores = model.eval_scores_frozen(&mut g, &bind, &batch, &frozen);
+            let values = g.value(scores);
+            for (row, job) in group.iter().enumerate() {
+                let row_scores = &values.data()[row * width..(row + 1) * width];
+                let items = ssdrec_metrics::par_top_k(row_scores, job.k);
+                let _ = job.resp.send(Arc::new(Recommendation {
+                    user: job.user,
+                    k: job.k,
+                    items,
+                    batch_size: group.len(),
+                }));
             }
             stats.record_batch(group.len() as u64);
             // Drop this request's activation nodes; parameters and the
@@ -907,83 +641,6 @@ mod tests {
         engine.shutdown();
         engine.shutdown();
         assert!(engine.recommend(0, &[1], 3).is_err());
-    }
-
-    fn ann_cfg(ef_search: usize) -> EngineConfig {
-        EngineConfig {
-            max_len: 10,
-            retrieval: RetrievalConfig {
-                mode: RetrievalMode::Ann,
-                ef_search,
-                ..RetrievalConfig::default()
-            },
-            ..EngineConfig::default()
-        }
-    }
-
-    #[test]
-    fn ann_with_exhaustive_ef_matches_exact_bitwise() {
-        // ef_search ≥ catalogue: the candidate set is every item, so the
-        // re-rank must reproduce the exact path bit-for-bit.
-        let (exact, _) = tiny_engine(EngineConfig {
-            max_len: 10,
-            ..EngineConfig::default()
-        });
-        let model = SeqRec::new(BackboneKind::SasRec, 20, 8, 10, 42);
-        let ann = Engine::new(model.into(), ann_cfg(64), Arc::new(ServerStats::new()));
-        for seq in [vec![1, 2, 3], vec![5], vec![7, 7, 7, 7], vec![19, 2]] {
-            let e = exact.recommend(0, &seq, 7).expect("exact");
-            let a = ann.recommend(0, &seq, 7).expect("ann");
-            assert_eq!(e.items.len(), a.items.len());
-            for (x, y) in e.items.iter().zip(&a.items) {
-                assert_eq!(x.0, y.0, "item mismatch for {seq:?}");
-                assert_eq!(x.1.to_bits(), y.1.to_bits(), "score bits for {seq:?}");
-            }
-        }
-        exact.shutdown();
-        ann.shutdown();
-    }
-
-    #[test]
-    fn ann_rerank_scores_are_exact_scores() {
-        // Even with a narrow beam, every returned score must equal the
-        // exact path's score of that item (the re-rank is exact; only the
-        // candidate *set* is approximate).
-        let (_, reference) = tiny_engine(EngineConfig::default());
-        let model = SeqRec::new(BackboneKind::SasRec, 20, 8, 10, 42);
-        let ann = Engine::new(model.into(), ann_cfg(8), Arc::new(ServerStats::new()));
-        let seq = vec![3, 9, 14];
-        let served = ann.recommend(0, &seq, 5).expect("ann");
-        let full = reference.recommend(0, &seq, 20); // whole catalogue
-        let truth: std::collections::HashMap<usize, u32> =
-            full.iter().map(|&(i, s)| (i, s.to_bits())).collect();
-        assert_eq!(served.items.len(), 5);
-        for &(item, score) in &served.items {
-            assert_eq!(
-                Some(&score.to_bits()),
-                truth.get(&item),
-                "re-rank bits for item {item}"
-            );
-        }
-        // scores descending, ids unique
-        for w in served.items.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
-        ann.shutdown();
-    }
-
-    #[test]
-    fn ann_mode_publishes_retrieval_stats() {
-        let model = SeqRec::new(BackboneKind::SasRec, 20, 8, 10, 42);
-        let ann = Engine::new(model.into(), ann_cfg(8), Arc::new(ServerStats::new()));
-        ann.recommend(0, &[1, 2], 3).expect("serve");
-        let info = ann.stats().retrieval();
-        assert_eq!(info.mode, "ann");
-        assert_eq!(info.m, 16);
-        assert_eq!(info.ef_search, 8);
-        assert!(info.build_us > 0);
-        assert_eq!(ann.stats().candidates.count(), 1);
-        ann.shutdown();
     }
 
     /// A channel pre-filled with `n` jobs (what a backlog looks like to a
@@ -1085,9 +742,6 @@ mod tests {
         let reference = SeqRec::new(BackboneKind::SasRec, 20, 8, 10, 42);
         let frozen = model.freeze();
         let stats = ServerStats::new();
-        let retrieval =
-            RetrievalState::build(&model, frozen.items(), &RetrievalConfig::default(), &stats)
-                .expect("exact retrieval needs no index");
         let (tx, rx) = mpsc::channel();
         let mut answers = Vec::new();
         for user in 0..6 {
@@ -1106,7 +760,6 @@ mod tests {
         worker_loop(
             &model,
             &frozen,
-            &retrieval,
             &Mutex::new(rx),
             &stats,
             &busy,
@@ -1130,27 +783,16 @@ mod tests {
         assert_eq!(depth.load(Ordering::SeqCst), 0);
     }
 
-    /// `(name, shape, bits)` of every table a `Frozen` binds, read off its
-    /// graph.
-    fn frozen_bits(g: &Graph, frozen: &Frozen) -> Vec<(&'static str, Vec<usize>, Vec<u32>)> {
-        let vars = match frozen {
-            Frozen::Ssd(f) => vec![
-                ("items", f.items),
-                ("users", f.users),
-                ("items_t", f.items_t),
-                ("pad_mask", f.pad_mask),
-            ],
-            Frozen::Seq(f) => vec![
-                ("table", f.table),
-                ("table_t", f.table_t),
-                ("pad_mask", f.pad_mask),
-            ],
-        };
-        vars.into_iter()
-            .map(|(name, v)| {
+    /// `(shape, bits)` of every frozen node, read off `g`.
+    fn frozen_bits(g: &Graph, frozen: &[Var]) -> Vec<(Vec<usize>, Vec<u32>)> {
+        frozen
+            .iter()
+            .map(|&v| {
                 let t = g.value(v);
-                let bits = t.data().iter().map(|x| x.to_bits()).collect();
-                (name, t.shape().to_vec(), bits)
+                (
+                    t.shape().to_vec(),
+                    t.data().iter().map(|x| x.to_bits()).collect(),
+                )
             })
             .collect()
     }
@@ -1173,20 +815,21 @@ mod tests {
             },
         );
         let seq = SeqRec::new(BackboneKind::SasRec, 20, 8, 10, 42);
-        for model in [InferenceModel::from(ssd), InferenceModel::from(seq)] {
+        for (model, nodes) in [
+            (InferenceModel::from(ssd), 4),
+            (InferenceModel::from(seq), 2),
+        ] {
             // What each worker used to do: stage 1 on its own graph.
             let mut fresh = Graph::inference();
-            let bind = model.store().bind_all(&mut fresh);
-            let want = match &model {
-                InferenceModel::Ssd(m) => Frozen::Ssd(m.precompute_frozen(&mut fresh, &bind)),
-                InferenceModel::Seq(m) => Frozen::Seq(m.precompute_frozen(&mut fresh, &bind)),
-            };
+            let bind = model.model.store().bind_all(&mut fresh);
+            let want = model.model.precompute_frozen(&mut fresh, &bind);
+            assert_eq!(want.len(), nodes, "{}", model.model_name());
             let want = frozen_bits(&fresh, &want);
             // What every worker (and every panic-respawn) does now.
             let shared = model.freeze();
             for _worker in 0..2 {
                 let mut g = Graph::inference();
-                let bound = shared.bind(&mut g);
+                let bound = bind_frozen(&mut g, &shared);
                 assert_eq!(frozen_bits(&g, &bound), want, "{}", model.model_name());
             }
         }

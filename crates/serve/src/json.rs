@@ -71,23 +71,37 @@ impl Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The request
+/// protocol needs 2 and `/metrics` 3; the bound keeps a hostile body from
+/// recursing a connection thread off the end of its stack.
+pub const MAX_DEPTH: usize = 32;
+
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
+/// garbage and nesting deeper than [`MAX_DEPTH`] rejected).
 pub fn parse(s: &str) -> Result<Json, String> {
-    let b = s.as_bytes();
-    let mut p = Parser { b, i: 0 };
+    let mut p = Parser {
+        s,
+        b: s.as_bytes(),
+        i: 0,
+        depth: 0,
+    };
     p.ws();
     let v = p.value()?;
     p.ws();
-    if p.i != b.len() {
+    if p.i != p.b.len() {
         return Err(format!("trailing bytes at offset {}", p.i));
     }
     Ok(v)
 }
 
+/// A cursor over the document. `i` only ever advances past ASCII bytes or
+/// whole `char`s, so it always sits on a `char` boundary of `s`.
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects open at the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -112,8 +126,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -121,6 +135,21 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {other:?} at offset {}", self.i)),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.i
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -143,7 +172,7 @@ impl<'a> Parser<'a> {
         {
             self.i += 1;
         }
-        let text = std::str::from_utf8(&self.b[start..self.i]).map_err(|e| e.to_string())?;
+        let text = &self.s[start..self.i];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("bad number {text:?} at offset {start}"))
@@ -173,11 +202,10 @@ impl<'a> Parser<'a> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            if self.i + 4 > self.b.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(&self.b[self.i..self.i + 4])
-                                .map_err(|e| e.to_string())?;
+                            let hex = self
+                                .s
+                                .get(self.i..self.i + 4)
+                                .ok_or("truncated \\u escape")?;
                             let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                             self.i += 4;
                             out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
@@ -186,10 +214,9 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let ch = rest.chars().next().expect("peeked non-empty");
+                    // Consume one code point: O(1) off the `&str`, never a
+                    // re-validation of the rest of the document.
+                    let ch = self.s[self.i..].chars().next().expect("peeked non-empty");
                     out.push(ch);
                     self.i += ch.len_utf8();
                 }
@@ -346,5 +373,120 @@ mod tests {
         assert_eq!(parse("1.5").unwrap().as_usize(), None);
         assert_eq!(parse("-2").unwrap().as_usize(), None);
         assert_eq!(parse("42").unwrap().as_usize(), Some(42));
+    }
+
+    // ------------------------------------------------------------------
+    // The hostile-input wall: whatever a client sends as a body, `parse`
+    // answers with a value or a typed error — never a panic, a stack
+    // overflow or a scan quadratic in the body's length.
+    // ------------------------------------------------------------------
+
+    use ssdrec_testkit::{gens, property, Gen, Rng};
+
+    /// Whitespace a client may put between two tokens.
+    fn ws(rng: &mut Rng) -> &'static str {
+        const WS: &[&str] = &["", "", " ", "\n\t", " \r\n "];
+        WS[rng.below(WS.len())]
+    }
+
+    /// A `/recommend` body as a client might write it: the protocol fields
+    /// plus optional extras (escapes, non-ASCII text, nested values), keys
+    /// in any order, whitespace between tokens — and none after the closing
+    /// brace, so every strict prefix is incomplete.
+    fn arb_body() -> Gen<String> {
+        Gen::from_fn(|rng| {
+            let seq: Vec<String> = (0..rng.between(1, 12))
+                .map(|_| rng.between(1, 99_999).to_string())
+                .collect();
+            let mut fields = vec![
+                format!("\"user\"{}:{}", ws(rng), rng.below(1_000_000)),
+                format!(
+                    "\"seq\":{}[{}]",
+                    ws(rng),
+                    seq.join(&format!(",{}", ws(rng)))
+                ),
+            ];
+            if rng.bernoulli(0.5) {
+                fields.push(format!("\"k\":{}", rng.between(1, 100)));
+            }
+            if rng.bernoulli(0.5) {
+                let text: String = (0..rng.between(0, 24))
+                    .map(|_| {
+                        *rng.choice(&["a", "é", "日本", "\\\"", "\\\\", "\\n", "\\u00e9", " "])
+                    })
+                    .collect();
+                fields.push(format!("\"note\":\"{text}\""));
+            }
+            if rng.bernoulli(0.3) {
+                fields.push("\"extra\":{\"a\":[true, null, -1.5e2, {}], \"b\":[]}".into());
+            }
+            rng.shuffle(&mut fields);
+            let mut body = String::from("{");
+            for (i, f) in fields.iter().enumerate() {
+                if i > 0 {
+                    body += ",";
+                }
+                body += ws(rng);
+                body += f;
+                body += ws(rng);
+            }
+            body + "}"
+        })
+    }
+
+    property! {
+        cases = 64;
+
+        /// A body parses whole, and every strict prefix of it is an `Err`.
+        fn every_strict_prefix_of_a_body_is_an_error(body in arb_body()) {
+            let v = parse(&body).expect("the whole body parses");
+            assert!(v.get("user").and_then(Json::as_usize).is_some(), "{body}");
+            assert!(v.get("seq").and_then(Json::as_arr).is_some(), "{body}");
+            for cut in (0..body.len()).filter(|&c| body.is_char_boundary(c)) {
+                assert!(parse(&body[..cut]).is_err(), "prefix {cut} of {body:?} parsed");
+            }
+        }
+
+        /// A body with 1–6 bytes flipped may parse or may not; it never
+        /// panics (bytes that are no longer UTF-8 reach the parser the way
+        /// a lossy decoder would pass them on).
+        fn flipped_bodies_never_panic(
+            body in arb_body(),
+            flips in gens::vecs(gens::u64s(), 1, 6)
+        ) {
+            let mut bytes = body.into_bytes();
+            for f in flips {
+                let at = (f >> 8) as usize % bytes.len();
+                bytes[at] ^= (f as u8).max(1);
+            }
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+        }
+    }
+
+    #[test]
+    fn nesting_at_the_bound_parses_and_one_level_deeper_is_rejected() {
+        let arrays = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        for nest in [arrays, objects] {
+            assert!(parse(&nest(MAX_DEPTH)).is_ok());
+            let err = parse(&nest(MAX_DEPTH + 1)).expect_err("one level too deep");
+            assert!(err.contains("nesting"), "{err}");
+        }
+        // What would otherwise recurse once per byte: rejected at the bound.
+        let err = parse(&"[".repeat(10_000)).expect_err("far too deep");
+        assert!(err.contains("nesting"), "{err}");
+    }
+
+    #[test]
+    fn a_one_mib_string_body_parses_in_linear_time() {
+        let note = "é日ab\\n".repeat(1 << 17); // 1.1 MiB: past the HTTP body cap
+        let body = format!("{{\"user\":1,\"seq\":[2],\"note\":\"{note}\"}}");
+        let t0 = std::time::Instant::now();
+        let v = parse(&body).expect("a 1 MiB body parses");
+        // A rescan of the rest of the document per character takes tens of
+        // seconds here; one pass takes milliseconds.
+        assert!(t0.elapsed().as_secs() < 5, "took {:?}", t0.elapsed());
+        let parsed = v.get("note").and_then(Json::as_str).expect("note");
+        assert_eq!(parsed.chars().count(), 5 << 17);
     }
 }

@@ -35,9 +35,7 @@ pub mod stats;
 pub mod swap;
 
 pub use client::{request_with_retry, ClientError, RetryPolicy};
-pub use engine::{
-    Engine, EngineConfig, InferenceModel, RecError, Recommendation, RetrievalConfig, RetrievalMode,
-};
+pub use engine::{Engine, EngineConfig, InferenceModel, RecError, Recommendation};
 pub use server::{serve, serve_slot, serve_with, ServeConfig, ServerHandle};
-pub use stats::{LatencyHistogram, RetrievalInfo, ServerStats};
+pub use stats::{LatencyHistogram, ServerStats};
 pub use swap::{EngineSlot, LoadedModel, ModelLoader, ReloadOutcome};

@@ -69,54 +69,23 @@ impl LatencyHistogram {
     /// 0 when the histogram is empty; any recorded observation yields a
     /// strictly positive estimate (the smallest bucket edge is 1 µs).
     pub fn quantile_ms(&self, q: f64) -> f64 {
-        self.quantile_raw(q) as f64 / 1000.0
-    }
-
-    /// The `q`-quantile in the raw recorded unit (bucket upper edge). The
-    /// histogram is unit-agnostic — the retrieval section records candidate
-    /// *counts* through the same geometric buckets.
-    pub fn quantile_raw(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
-            return 0;
+            return 0.0;
         }
         let target = ((q * total as f64).ceil() as u64).clamp(1, total);
         let mut seen = 0u64;
         for (i, c) in self.counts.iter().enumerate() {
             seen += c.load(Ordering::Relaxed);
             if seen >= target {
-                return *self
+                let edge = self
                     .edges
                     .get(i)
                     .unwrap_or(self.edges.last().expect("non-empty"));
+                return *edge as f64 / 1000.0;
             }
         }
         unreachable!("quantile target within total count")
-    }
-}
-
-/// Active retrieval configuration, published once by the engine at startup
-/// and rendered as the `/metrics` `retrieval` section.
-#[derive(Clone, Debug)]
-pub struct RetrievalInfo {
-    /// `"exact"` or `"ann"`.
-    pub mode: String,
-    /// HNSW max degree `M` (0 in exact mode).
-    pub m: u64,
-    /// Candidate beam width (0 in exact mode).
-    pub ef_search: u64,
-    /// Index build wall-clock in µs (0 in exact mode).
-    pub build_us: u64,
-}
-
-impl Default for RetrievalInfo {
-    fn default() -> Self {
-        RetrievalInfo {
-            mode: "exact".into(),
-            m: 0,
-            ef_search: 0,
-            build_us: 0,
-        }
     }
 }
 
@@ -149,9 +118,6 @@ pub struct ServerStats {
     /// Connection-level I/O failures (read/write faults or timeouts) the
     /// server absorbed without dying.
     pub io_faults: AtomicU64,
-    /// Candidate-set size per ANN-mode request (the histogram buckets are
-    /// unit-agnostic; this one records item counts, not µs).
-    pub candidates: LatencyHistogram,
     /// Version of the model currently serving (0 until a versioned
     /// checkpoint is loaded; bumped by every successful hot swap).
     pub model_version: AtomicU64,
@@ -166,8 +132,6 @@ pub struct ServerStats {
     /// Session-cache entries invalidated by swaps (the whole cache is
     /// discarded with the old engine on every swap).
     pub sessions_invalidated_total: AtomicU64,
-    /// Active retrieval mode + index parameters, set by the engine.
-    retrieval: Mutex<RetrievalInfo>,
     /// Per-worker busy time in µs of the engine now serving (see
     /// [`ServerStats::set_workers`]).
     worker_busy_us: Mutex<Vec<Arc<AtomicU64>>>,
@@ -195,33 +159,13 @@ impl ServerStats {
             worker_panics: AtomicU64::new(0),
             shed_total: AtomicU64::new(0),
             io_faults: AtomicU64::new(0),
-            candidates: LatencyHistogram::new(),
             model_version: AtomicU64::new(0),
             swap_total: AtomicU64::new(0),
             swap_failed_total: AtomicU64::new(0),
             last_swap_us: AtomicU64::new(0),
             sessions_invalidated_total: AtomicU64::new(0),
-            retrieval: Mutex::new(RetrievalInfo::default()),
             worker_busy_us: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Publish the active retrieval configuration (engine startup).
-    pub fn set_retrieval(&self, info: RetrievalInfo) {
-        *self.retrieval.lock().unwrap_or_else(|p| p.into_inner()) = info;
-    }
-
-    /// A copy of the active retrieval configuration.
-    pub fn retrieval(&self) -> RetrievalInfo {
-        self.retrieval
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
-    }
-
-    /// Record the candidate-set size of one ANN-mode request row.
-    pub fn record_candidates(&self, n: u64) {
-        self.candidates.record_us(n);
     }
 
     /// Export `busy_us` — one busy-time counter (µs) per worker thread of the
@@ -308,20 +252,6 @@ impl ServerStats {
         // the pool (workers included): recycled-buffer hit/miss counts and
         // bytes served from recycled storage.
         let pool = ssdrec_tensor::pool::global_stats();
-        let ri = self.retrieval();
-        let retrieval = format!(
-            concat!(
-                "{{\"mode\":\"{}\",\"m\":{},\"ef_search\":{},\"index_build_ms\":{},",
-                "\"candidates\":{{\"count\":{},\"p50\":{},\"p99\":{}}}}}"
-            ),
-            ri.mode,
-            ri.m,
-            ri.ef_search,
-            f64_to_json(ri.build_us as f64 / 1000.0),
-            self.candidates.count(),
-            self.candidates.quantile_raw(0.50),
-            self.candidates.quantile_raw(0.99),
-        );
         let model = format!(
             concat!(
                 "{{\"model_version\":{},\"swap_total\":{},\"swap_failed_total\":{},",
@@ -338,7 +268,6 @@ impl ServerStats {
                 "{{\"uptime_secs\":{},\"requests_total\":{},\"qps\":{},",
                 "\"backend\":\"{}\",",
                 "\"model\":{},",
-                "\"retrieval\":{},",
                 "\"latency_ms\":{{\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{}}},",
                 "\"cache\":{{\"hits\":{},\"misses\":{}}},",
                 "\"batching\":{{\"batches_total\":{},\"batched_requests_total\":{},\"max_batch\":{}}},",
@@ -353,7 +282,6 @@ impl ServerStats {
             f64_to_json(self.qps()),
             ssdrec_tensor::backend_kind().name(),
             model,
-            retrieval,
             self.latency.count(),
             f64_to_json(self.latency.mean_ms()),
             f64_to_json(self.latency.quantile_ms(0.50)),
@@ -407,46 +335,6 @@ mod tests {
         let h = LatencyHistogram::new();
         h.record_us(0);
         assert!(h.quantile_ms(0.5) > 0.0);
-    }
-
-    #[test]
-    fn retrieval_section_reports_mode_and_candidates() {
-        let s = ServerStats::new();
-        s.set_retrieval(RetrievalInfo {
-            mode: "ann".into(),
-            m: 16,
-            ef_search: 128,
-            build_us: 2_500,
-        });
-        s.record_candidates(100);
-        s.record_candidates(120);
-        let j = crate::json::parse(&s.to_json()).expect("valid JSON");
-        let r = j.get("retrieval").expect("retrieval section");
-        assert_eq!(r.get("mode").unwrap().as_str(), Some("ann"));
-        assert_eq!(r.get("m").unwrap().as_usize(), Some(16));
-        assert_eq!(r.get("ef_search").unwrap().as_usize(), Some(128));
-        assert!(r.get("index_build_ms").unwrap().as_f64().unwrap() > 0.0);
-        let c = r.get("candidates").unwrap();
-        assert_eq!(c.get("count").unwrap().as_usize(), Some(2));
-        let p50 = c.get("p50").unwrap().as_usize().unwrap();
-        let p99 = c.get("p99").unwrap().as_usize().unwrap();
-        assert!(p50 >= 100 && p50 <= p99, "p50 {p50} p99 {p99}");
-    }
-
-    #[test]
-    fn default_retrieval_section_is_exact() {
-        let s = ServerStats::new();
-        let j = crate::json::parse(&s.to_json()).expect("valid JSON");
-        let r = j.get("retrieval").expect("retrieval section");
-        assert_eq!(r.get("mode").unwrap().as_str(), Some("exact"));
-        assert_eq!(
-            r.get("candidates")
-                .unwrap()
-                .get("count")
-                .unwrap()
-                .as_usize(),
-            Some(0)
-        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! [`EngineSlot`] owns the `Arc`'d [`Engine`] that connection threads serve
 //! from. A reload builds a complete replacement engine — frozen tables,
-//! retrieval index, fresh worker pool, empty session cache — entirely off
-//! to the side, then swaps the `Arc` in one `RwLock` write. Requests that
+//! fresh worker pool, empty session cache — entirely off to the side, then
+//! swaps the `Arc` in one `RwLock` write. Requests that
 //! already cloned the old `Arc` finish against the old engine; every
 //! request that starts after the swap sees the new one. Nothing in between
 //! can observe a torn mix of old and new tables, because a request only
@@ -146,7 +146,7 @@ impl EngineSlot {
                 let Some(LoadedModel { model, version }) = loader(current)? else {
                     return Ok(None);
                 };
-                let engine = Engine::build(model, self.cfg.clone(), Arc::clone(&self.stats))?;
+                let engine = Engine::build(model, self.cfg.clone(), Arc::clone(&self.stats));
                 // Deliberate kill point: after the replacement engine is fully
                 // built, before the commit. A fault here must leave the old
                 // engine serving.

@@ -75,6 +75,19 @@ fn malformed_json_body_is_400_and_server_survives() {
 }
 
 #[test]
+fn deeply_nested_body_is_400_and_server_survives() {
+    let handle = start_server(Duration::from_secs(5));
+    let addr = handle.addr();
+    // One recursion per `[` would run a connection thread off its stack and
+    // abort the process; past the parser's depth bound it is a typed error.
+    let (status, body) = client::post(addr, "/recommend", &"[".repeat(10_000)).expect("response");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting"), "{body}");
+    let (status, _) = client::get(addr, "/health").expect("health");
+    assert_eq!(status, 200);
+}
+
+#[test]
 fn oversized_declared_body_is_rejected() {
     let handle = start_server(Duration::from_secs(5));
     let addr = handle.addr();

@@ -17,8 +17,7 @@
 //! | [`core`] | `ssdrec-core` | the SSDRec three-stage framework + the model table ([`core::build_model`]) |
 //! | [`metrics`] | `ssdrec-metrics` | HR/NDCG/MRR, t-tests, OUP ratios |
 //! | [`runtime`] | `ssdrec-runtime` | thread pool + deterministic parallel kernels |
-//! | [`ann`] | `ssdrec-ann` | deterministic HNSW candidate retrieval |
-//! | [`serve`] | `ssdrec-serve` | the online inference HTTP server |
+//! | [`serve`] | `ssdrec-serve` | the online inference HTTP server: the models' frozen eval forward, exact top-K |
 //! | [`stream`] | `ssdrec-stream` | interaction log, versioned checkpoints, incremental retrain |
 //! | [`faults`] | `ssdrec-faults` | deterministic fault-injection sites for chaos testing |
 //!
@@ -53,7 +52,6 @@
 //! [`core::ModelContext`] (usually [`core::Prepared::context`]); it returns
 //! a `Box<dyn RecModel>` that `train(&mut *model, ..)` and `fit` accept.
 
-pub use ssdrec_ann as ann;
 pub use ssdrec_core as core;
 pub use ssdrec_data as data;
 pub use ssdrec_denoise as denoise;

@@ -255,57 +255,6 @@ fn overloaded_queue_sheds_with_503_and_never_deadlocks() {
     engine.shutdown();
 }
 
-#[test]
-fn faulted_ann_build_fails_engine_construction_without_a_torn_index() {
-    use ssdrec::serve::{RetrievalConfig, RetrievalMode};
-
-    let _g = locked();
-    let ann_cfg = || EngineConfig {
-        max_len: 10,
-        retrieval: RetrievalConfig {
-            mode: RetrievalMode::Ann,
-            ann_m: 8,
-            ef_search: 64, // ≥ catalogue ⇒ exhaustive, comparable to exact
-        },
-        ..EngineConfig::default()
-    };
-    let model = || SeqRec::new(BackboneKind::SasRec, NUM_ITEMS, 8, 10, 42);
-
-    // The index is built all-or-nothing before any worker spawns: an
-    // injected build fault must surface as a clean constructor error —
-    // no engine, no workers, no partially-linked index.
-    let armed = FaultPlan::new().error("ann.build", 1).arm();
-    let err = Engine::try_new(model().into(), ann_cfg(), Arc::new(ServerStats::new()))
-        .err()
-        .expect("faulted ann build must fail Engine::try_new");
-    assert!(err.contains("ann.build"), "{err}");
-    assert_fired_exactly("ann.build", 1);
-    drop(armed);
-
-    // Once the fault is consumed, a fresh build succeeds and the engine
-    // serves the exact-path bytes (exhaustive beam ⇒ bit-identical).
-    let exact = Engine::new(
-        model().into(),
-        EngineConfig {
-            max_len: 10,
-            ..EngineConfig::default()
-        },
-        Arc::new(ServerStats::new()),
-    );
-    let ann = Engine::try_new(model().into(), ann_cfg(), Arc::new(ServerStats::new()))
-        .expect("clean rebuild after disarm");
-    let seq = vec![3, 9, 4, 1];
-    let want = exact.recommend(0, &seq, 8).expect("exact");
-    let got = ann.recommend(0, &seq, 8).expect("ann");
-    assert_eq!(got.items.len(), want.items.len());
-    for (g, w) in got.items.iter().zip(&want.items) {
-        assert_eq!(g.0, w.0, "item diverged after recovery");
-        assert_eq!(g.1.to_bits(), w.1.to_bits(), "score bits after recovery");
-    }
-    exact.shutdown();
-    ann.shutdown();
-}
-
 // ---------------------------------------------------------------------------
 // Streaming: kill mid-retrain / mid-publish / mid-swap, resume, equivalence
 // ---------------------------------------------------------------------------

@@ -503,54 +503,3 @@ fn served_request_is_bit_identical_across_thread_counts() {
             .collect::<Vec<_>>()
     });
 }
-
-#[test]
-fn ann_retrieval_is_bit_identical_across_thread_counts() {
-    use ssdrec::ann::{AnnParams, HnswIndex};
-    use ssdrec::serve::{RetrievalConfig, RetrievalMode};
-
-    assert_bits_stable(|| {
-        let model = SeqRec::new(BackboneKind::SasRec, 60, 8, 10, 42);
-
-        // Index bytes: the batched HNSW build parallelises candidate
-        // search across the pool, so the serialized graph itself is part
-        // of the determinism contract.
-        let mut g = ssdrec::tensor::Graph::inference_with_capacity(4096);
-        let bind = model.store.bind_all(&mut g);
-        let frozen = model.precompute_frozen(&mut g, &bind);
-        let index = HnswIndex::build(
-            g.value(frozen.table).data(),
-            8,
-            model.num_items(),
-            AnnParams::default(),
-        )
-        .expect("index build");
-        let index_bytes = index.to_bytes();
-
-        // Served top-K through the two-stage ann path, with a beam narrow
-        // enough (ef ≪ catalogue) that the approximate search is real.
-        let engine = Engine::try_new(
-            model.into(),
-            EngineConfig {
-                max_len: 10,
-                retrieval: RetrievalConfig {
-                    mode: RetrievalMode::Ann,
-                    ann_m: 8,
-                    ef_search: 12,
-                },
-                ..EngineConfig::default()
-            },
-            std::sync::Arc::new(ServerStats::new()),
-        )
-        .expect("engine");
-        let served = engine.recommend(0, &[3, 9, 4, 1], 8).expect("serve");
-        engine.shutdown();
-
-        let bits: Vec<(usize, u32)> = served
-            .items
-            .iter()
-            .map(|&(i, s)| (i, s.to_bits()))
-            .collect();
-        (index_bytes, bits)
-    });
-}
