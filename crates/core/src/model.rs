@@ -230,10 +230,10 @@ impl SsdRec {
             if mean <= 1e-9 {
                 data.extend(std::iter::repeat_n(0.5, t));
             } else {
-                data.extend(c.iter().map(|&ct| {
-                    let z = kappa * (ct / mean - 1.0);
-                    1.0 / (1.0 + (-z).exp())
-                }));
+                data.extend(
+                    c.iter()
+                        .map(|&ct| ssdrec_tensor::math::sigmoid(kappa * (ct / mean - 1.0))),
+                );
             }
         }
         Some(g.constant(Tensor::new(data, &[b, t])))

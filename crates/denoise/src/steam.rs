@@ -195,7 +195,7 @@ impl crate::Denoiser for Steam {
         g.value(det)
             .data()
             .iter()
-            .map(|&l| 1.0 - 1.0 / (1.0 + (-l).exp()))
+            .map(|&l| 1.0 - ssdrec_tensor::math::sigmoid(l))
             .collect()
     }
 

@@ -28,6 +28,6 @@ pub use contrastive::{
 pub use encoder::{BackboneKind, SeqEncoder};
 pub use model::{build_encoder, Objective, RecModel, SeqRec};
 pub use trainer::{
-    evaluate, evaluate_with, fit, train, LrSchedule, SourceSplit, TrainConfig, TrainOptions,
-    TrainReport,
+    evaluate, evaluate_with, fit, train, LrSchedule, SourceSplit, TrainConfig, TrainError,
+    TrainOptions, TrainReport,
 };

@@ -101,6 +101,49 @@ pub struct TrainReport {
     pub skipped_steps: usize,
 }
 
+/// Why [`fit`] returned no [`TrainReport`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum TrainError {
+    /// Every step of `epoch` had a non-finite loss, so none of them updated
+    /// the model: the run has diverged, and its report could only carry a
+    /// NaN `final_loss`.
+    NonFiniteEpoch {
+        /// The epoch, counted from 0 as the run's log lines count it.
+        epoch: usize,
+        /// How many steps it skipped (all of them).
+        steps: usize,
+    },
+    /// Resuming, warm-starting or checkpointing failed, or an injected
+    /// fault fired; the message names the file.
+    State(String),
+}
+
+impl std::fmt::Display for TrainError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TrainError::NonFiniteEpoch { epoch, steps } => write!(
+                f,
+                "epoch {epoch}: all {steps} step(s) had a non-finite loss; training diverged"
+            ),
+            TrainError::State(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for TrainError {}
+
+impl From<String> for TrainError {
+    fn from(msg: String) -> Self {
+        TrainError::State(msg)
+    }
+}
+
+impl From<TrainError> for String {
+    fn from(e: TrainError) -> Self {
+        e.to_string()
+    }
+}
+
 /// Evaluate a model on a set of examples, returning the rank accumulator.
 ///
 /// Convenience wrapper over [`evaluate_with`] that owns a throwaway graph;
@@ -154,11 +197,14 @@ pub fn evaluate_with<M: RecModel + ?Sized>(
 /// Train a model with Adam + early stopping; restores the best checkpoint
 /// before the final test evaluation.
 ///
-/// Infallible convenience over [`fit`] for an owned [`Split`] with default
+/// Convenience over [`fit`] for an owned [`Split`] with default
 /// [`TrainOptions`] (no warm start, no checkpointing, so no I/O can fail).
+///
+/// # Panics
+/// If training diverges: an epoch whose every step had a non-finite loss
+/// ([`TrainError::NonFiniteEpoch`]).
 pub fn train<M: RecModel + ?Sized>(model: &mut M, split: &Split, cfg: &TrainConfig) -> TrainReport {
-    fit(model, &split.into(), cfg, &TrainOptions::default())
-        .expect("training without a checkpoint config performs no fallible I/O")
+    fit(model, &split.into(), cfg, &TrainOptions::default()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// A train/valid/test triple of [`BatchSource`]s. `(&split).into()` borrows
@@ -236,7 +282,9 @@ impl<'a> TrainOptions<'a> {
 /// the golden-determinism suite pin this).
 ///
 /// A step whose loss is not finite is skipped — no backward pass, no
-/// optimizer update — and counted in [`TrainReport::skipped_steps`].
+/// optimizer update — and counted in [`TrainReport::skipped_steps`]. An
+/// epoch that skips every one of its steps ends the run with
+/// [`TrainError::NonFiniteEpoch`].
 ///
 /// Fault sites: `ckpt.save` (inside the atomic write) and `train.epoch`
 /// (after each periodic save — arming a `panic` there simulates a kill).
@@ -245,7 +293,7 @@ pub fn fit<M: RecModel + ?Sized>(
     split: &SourceSplit<'_>,
     cfg: &TrainConfig,
     opts: &TrainOptions<'_>,
-) -> Result<TrainReport, String> {
+) -> Result<TrainReport, TrainError> {
     let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
     let mut rng = Rng::seed(cfg.seed);
 
@@ -324,6 +372,12 @@ pub fn fit<M: RecModel + ?Sized>(
             },
         );
         total_train_secs += t0.elapsed().as_secs_f64();
+        if nb == 0 && skipped > 0 {
+            return Err(TrainError::NonFiniteEpoch {
+                epoch,
+                steps: skipped,
+            });
+        }
         skipped_steps += skipped;
         final_loss = if nb > 0 {
             epoch_loss / nb as f32
@@ -436,6 +490,58 @@ mod tests {
             patience,
             ..TrainConfig::default()
         }
+    }
+
+    /// A GRU4Rec whose every training loss is NaN.
+    struct Diverged(SeqRec);
+
+    impl RecModel for Diverged {
+        fn store(&self) -> &ssdrec_tensor::ParamStore {
+            self.0.store()
+        }
+        fn store_mut(&mut self) -> &mut ssdrec_tensor::ParamStore {
+            self.0.store_mut()
+        }
+        fn loss(
+            &self,
+            g: &mut Graph,
+            bind: &ssdrec_tensor::Binding,
+            batch: &ssdrec_data::Batch,
+            rng: &mut Rng,
+        ) -> ssdrec_tensor::Var {
+            let loss = self.0.loss(g, bind, batch, rng);
+            g.scale(loss, f32::NAN)
+        }
+        fn eval_scores(
+            &self,
+            g: &mut Graph,
+            bind: &ssdrec_tensor::Binding,
+            batch: &ssdrec_data::Batch,
+        ) -> ssdrec_tensor::Var {
+            self.0.eval_scores(g, bind, batch)
+        }
+        fn model_name(&self) -> String {
+            "diverged".into()
+        }
+    }
+
+    #[test]
+    fn an_all_non_finite_epoch_is_an_error_naming_it() {
+        let (num_items, split) = split_at(0.05, 3);
+        let mut model = Diverged(SeqRec::new(BackboneKind::Gru4Rec, num_items, 8, 20, 0));
+        let err = fit(
+            &mut model,
+            &(&split).into(),
+            &config(3, 3),
+            &TrainOptions::default(),
+        )
+        .expect_err("a run whose every loss is NaN must not report");
+        let TrainError::NonFiniteEpoch { epoch, steps } = err else {
+            panic!("wrong error: {err}");
+        };
+        assert_eq!(epoch, 0);
+        assert!(steps > 0);
+        assert!(err.to_string().starts_with("epoch 0: all"), "{err}");
     }
 
     #[test]

@@ -48,15 +48,23 @@
 //!   compute products nobody stores; no stored lane ever sees them.
 //! * [`Backend::bias_act`] runs in one pass instead of add-then-activate.
 //! * [`Backend::scaled_masked_softmax`] fuses the scale/mask pass with the
-//!   row-max scan (3 passes instead of 4).
+//!   row-max scan.
+//! * The softmax family (softmax, log-softmax, scale+mask+softmax) splits
+//!   the oracle's exponential-and-sum loop. Every row's `x − max` is
+//!   written first; then one pass over the call's whole output takes the
+//!   exponentials ([`crate::math::exp`], no reduction) at the vector width
+//!   of the [`TileIsa`](super::TileIsa) build; then each row is summed and
+//!   divided. The row max and the row sum stay one scalar chain each in the
+//!   oracle's order. Every element goes through the oracle's operations,
+//!   so the bits are its bits.
 //!
-//! Row softmax, log-softmax and LayerNorm have no bit-safe pass fusion
-//! (e.g. multiplying by `1/sum` instead of dividing, or a one-pass
-//! `E[x²]−E[x]²` variance, would change bits), so this backend delegates
-//! them to the oracle unchanged.
+//! LayerNorm has no bit-safe pass fusion (a one-pass `E[x²]−E[x]²`
+//! variance, or multiplying by `1/σ` differently, would change bits), so
+//! this backend delegates it to the oracle unchanged.
 
-use super::per_isa;
+use super::{lanes, per_isa, store_lanes};
 use super::{Activation, Backend, Reference};
+use crate::math;
 
 /// Register-tile rows (output rows advanced together per A panel).
 const MR: usize = super::TILE_ROWS;
@@ -216,6 +224,54 @@ per_isa! {
     ) = |W| panels::<W>(a, ta, bm, m, k, n, from_out, block, r0, r1);
 }
 
+/// `x ← exp(x)` over a whole buffer, `W` lanes at a time through
+/// register-sized arrays, the last block zero-padded. One call covers every
+/// row of a kernel call, so a short row costs no dispatch and no partial
+/// block of its own. (Left to the vectoriser, a loop over one 50-wide
+/// attention row ran entirely in its scalar remainder: the AVX-512F build's
+/// vector body takes 64 elements.)
+#[inline(always)]
+fn exp_in_place_in<const W: usize>(xs: &mut [f32]) {
+    for block in xs.chunks_mut(W) {
+        let x = lanes::<W>(block);
+        let mut e = [0.0; W];
+        for (o, &v) in e.iter_mut().zip(&x) {
+            *o = math::exp(v);
+        }
+        store_lanes(block, &e);
+    }
+}
+
+per_isa! {
+    /// [`exp_in_place_in`] in the active build.
+    fn exp_in_place(xs: &mut [f32]) = |W| exp_in_place_in::<W>(xs);
+}
+
+/// The oracle's row max: one `f32::max` fold from `−∞` in index order.
+fn row_max(row: &[f32]) -> f32 {
+    row.iter().cloned().fold(f32::NEG_INFINITY, f32::max)
+}
+
+/// `dst = src − max src`: the argument of every exponential of a softmax
+/// row, the oracle's `s − mx`.
+fn shifted(src: &[f32], dst: &mut [f32]) {
+    let mx = row_max(src);
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = s - mx;
+    }
+}
+
+/// `row /= Σ row`, the sum one `+0`-started chain in index order.
+fn normalise(row: &mut [f32]) {
+    let mut sum = 0.0;
+    for &v in row.iter() {
+        sum += v;
+    }
+    for v in row {
+        *v /= sum;
+    }
+}
+
 /// The cache-blocked, register-tiled default kernels.
 pub struct Blocked;
 
@@ -266,12 +322,25 @@ impl Backend for Blocked {
     }
 
     fn softmax_rows(&self, src: &[f32], dst: &mut [f32], n: usize) {
-        // No bit-safe fusion exists (see module docs) — use the oracle.
-        Reference.softmax_rows(src, dst, n);
+        for (srow, drow) in src.chunks(n).zip(dst.chunks_mut(n)) {
+            shifted(srow, drow);
+        }
+        exp_in_place(dst);
+        dst.chunks_mut(n).for_each(normalise);
     }
 
     fn log_softmax_rows(&self, src: &[f32], dst: &mut [f32], n: usize) {
-        Reference.log_softmax_rows(src, dst, n);
+        // The exponentials are parked in `dst` while their sum runs.
+        for (srow, drow) in src.chunks(n).zip(dst.chunks_mut(n)) {
+            shifted(srow, drow);
+        }
+        exp_in_place(dst);
+        for (srow, drow) in src.chunks(n).zip(dst.chunks_mut(n)) {
+            let lse = math::ln(drow.iter().sum::<f32>()) + row_max(srow);
+            for (d, &s) in drow.iter_mut().zip(srow) {
+                *d = s - lse;
+            }
+        }
     }
 
     fn layer_norm_rows(&self, x: &[f32], gamma: &[f32], beta: &[f32], dst: &mut [f32], n: usize) {
@@ -322,15 +391,11 @@ impl Backend for Blocked {
                     }
                 }
             }
-            let mut sum = 0.0;
             for d in drow.iter_mut() {
-                let e = (*d - mx).exp();
-                *d = e;
-                sum += e;
-            }
-            for d in drow.iter_mut() {
-                *d /= sum;
+                *d -= mx;
             }
         }
+        exp_in_place(dst);
+        dst.chunks_mut(n).for_each(normalise);
     }
 }

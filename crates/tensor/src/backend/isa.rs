@@ -11,9 +11,14 @@
 //! No build changes a bit. Rust never contracts `a*b + c` into a fused
 //! multiply-add and never reassociates a float sum, and every kernel
 //! compiled here vectorises *across* output elements, each lane carrying
-//! its element's one `p`-ascending chain. So the three builds and the
-//! [`Reference`](super::Reference) oracle agree exactly, and the kernel
-//! bits-contract stays at version 1.
+//! its element's one `p`-ascending chain. Element-wise passes over
+//! transcendentals (the LSTM gates, softmax exponentials, Gumbel noise)
+//! call [`crate::math`]'s branch-free, always-inlined functions, which
+//! vectorise lane for lane into the same IEEE operations as the scalar
+//! call. So the three builds and the [`Reference`](super::Reference)
+//! oracle agree exactly: a per-build kernel never moves the kernel
+//! bits-contract (version 2 moved every build and both backends together,
+//! when those functions replaced libm).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
@@ -178,6 +183,32 @@ macro_rules! per_isa {
     };
 }
 pub(crate) use per_isa;
+
+/// `W` lanes from `src` (at most `W` long), zero-padded past its end: a
+/// `per_isa!` body's register-sized block, so that a short row or a row's
+/// last partial block still runs at the build's full width. A whole block
+/// is one fixed-size load; only a partial one copies by length.
+#[inline(always)]
+pub(crate) fn lanes<const W: usize>(src: &[f32]) -> [f32; W] {
+    src.try_into().unwrap_or_else(|_| {
+        let mut v = [0.0; W];
+        v[..src.len()].copy_from_slice(src);
+        v
+    })
+}
+
+/// The first `dst.len()` (at most `W`) lanes of `v` into `dst`: the store
+/// matching [`lanes`], one fixed-size store for a whole block.
+#[inline(always)]
+pub(crate) fn store_lanes<const W: usize>(dst: &mut [f32], v: &[f32; W]) {
+    let n = dst.len();
+    if n == W {
+        let whole: &mut [f32; W] = dst.try_into().expect("W lanes");
+        *whole = *v;
+    } else {
+        dst.copy_from_slice(&v[..n]);
+    }
+}
 
 #[cfg(test)]
 mod tests {

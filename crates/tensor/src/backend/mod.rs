@@ -32,6 +32,20 @@
 //!   `crates/tensor/tests/backend_parity.rs` would keep enforcing the new
 //!   bound.
 //!
+//! The version also moves, with the bound left at 0, when every backend's
+//! bits move together on purpose. History:
+//!
+//! * **v1** — `Blocked` bit-identical to `Reference`; transcendentals from
+//!   the platform's libm.
+//! * **v2** — every `exp`, `ln`, `tanh` and sigmoid in this crate is
+//!   [`crate::math`]'s, built from IEEE add/multiply/divide and bit
+//!   operations only. Every value downstream of one moved once (the
+//!   forward and trained-checkpoint pins were re-recorded; the golden
+//!   metrics held); trained bits no longer depend on the host's C library;
+//!   and the LSTM gate pass and `Blocked`'s softmax exponentials run at the
+//!   vector width of the [`TileIsa`] build, still bit-identical to
+//!   `Reference`.
+//!
 //! The selected backend is process-global: `SSDREC_BACKEND=reference|blocked`
 //! at startup, or [`set_backend`] (the CLI's `--backend` flag). Tests that
 //! switch backends must serialize through [`with_backend`] /
@@ -45,15 +59,17 @@ mod reference;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 
+use crate::math;
+
 pub use blocked::Blocked;
-pub(crate) use isa::per_isa;
+pub(crate) use isa::{lanes, per_isa, store_lanes};
 pub use isa::{with_tile_isa, TileIsa};
 pub use reference::Reference;
 
 /// Version of the kernel bits-contract (see the module docs). Bump when a
 /// backend is allowed to diverge from `Reference` by more than the current
 /// [`KERNEL_BITS_MAX_ULPS`].
-pub const KERNEL_BITS_VERSION: u32 = 1;
+pub const KERNEL_BITS_VERSION: u32 = 2;
 
 /// Maximum ULP distance permitted between any two backends' outputs on
 /// finite inputs under contract version [`KERNEL_BITS_VERSION`]. A bound of
@@ -91,8 +107,8 @@ impl Activation {
         match self {
             Activation::Identity => x,
             Activation::Relu => x.max(0.0),
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Tanh => x.tanh(),
+            Activation::Sigmoid => math::sigmoid(x),
+            Activation::Tanh => math::tanh(x),
         }
     }
 
@@ -323,7 +339,7 @@ pub fn ulp_distance(a: f32, b: f32) -> u64 {
 }
 
 /// Assert element-wise agreement of `got` with `want` under the ULP bound:
-/// a bound of 0 demands exact bit equality per element (the v1 contract);
+/// a bound of 0 demands exact bit equality per element (contracts v1, v2);
 /// larger bounds use [`ulp_distance`]. Panics with `ctx`, the offending
 /// index and both values on the first violation.
 pub fn assert_within_ulps(want: &[f32], got: &[f32], max_ulps: u64, ctx: &str) {
@@ -396,9 +412,9 @@ mod tests {
             assert_eq!(Activation::Relu.apply(x).to_bits(), x.max(0.0).to_bits());
             assert_eq!(
                 Activation::Sigmoid.apply(x).to_bits(),
-                (1.0 / (1.0 + (-x).exp())).to_bits()
+                math::sigmoid(x).to_bits()
             );
-            assert_eq!(Activation::Tanh.apply(x).to_bits(), x.tanh().to_bits());
+            assert_eq!(Activation::Tanh.apply(x).to_bits(), math::tanh(x).to_bits());
             assert_eq!(Activation::Identity.apply(x).to_bits(), x.to_bits());
         }
     }

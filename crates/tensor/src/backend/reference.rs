@@ -1,14 +1,16 @@
 //! The oracle backend: the original straight-line kernels, kept verbatim.
 //!
 //! Every loop body here is the pre-backend implementation from
-//! `kernels.rs`, moved without arithmetic changes. The parity suite tests
-//! [`Blocked`](super::Blocked) (and any future backend) against these
+//! `kernels.rs`, moved without arithmetic changes; since bits contract v2
+//! its exponentials and logarithm are [`crate::math`]'s. The parity suite
+//! tests [`Blocked`](super::Blocked) (and any future backend) against these
 //! kernels, so keep them boring: no tiling, no manual unrolling, no pass
 //! fusion beyond what the graph ops themselves pinned (the fused entry
 //! points below apply the same per-element operation sequence as the
 //! unfused node chains they replace).
 
 use super::{Activation, Backend, LN_EPS};
+use crate::math;
 
 /// The straight-line oracle kernels.
 pub struct Reference;
@@ -95,7 +97,7 @@ impl Backend for Reference {
             let mx = src.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
             let mut sum = 0.0;
             for (d, &s) in dst.iter_mut().zip(src.iter()) {
-                *d = (s - mx).exp();
+                *d = math::exp(s - mx);
                 sum += *d;
             }
             for d in dst.iter_mut() {
@@ -107,7 +109,7 @@ impl Backend for Reference {
     fn log_softmax_rows(&self, src: &[f32], dst: &mut [f32], n: usize) {
         for (src, dst) in src.chunks(n).zip(dst.chunks_mut(n)) {
             let mx = src.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let lse = src.iter().map(|&s| (s - mx).exp()).sum::<f32>().ln() + mx;
+            let lse = math::ln(src.iter().map(|&s| math::exp(s - mx)).sum::<f32>()) + mx;
             for (d, &s) in dst.iter_mut().zip(src.iter()) {
                 *d = s - lse;
             }
@@ -168,7 +170,7 @@ impl Backend for Reference {
             let mut sum = 0.0;
             for d in row.iter_mut() {
                 let s = *d;
-                *d = (s - mx).exp();
+                *d = math::exp(s - mx);
                 sum += *d;
             }
             for d in row.iter_mut() {

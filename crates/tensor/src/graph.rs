@@ -16,6 +16,7 @@
 
 use crate::backend::Activation;
 use crate::kernels;
+use crate::math;
 use crate::pool;
 use crate::sparse::CsrMatrix;
 use crate::tensor::Tensor;
@@ -442,28 +443,28 @@ impl Graph {
 
     /// `exp(a)`.
     pub fn exp(&mut self, a: Var) -> Var {
-        let t = self.value(a).map(f32::exp);
+        let t = self.value(a).map(math::exp);
         let rg = self.rg(a);
         self.push(t, Op::Exp(a), rg)
     }
 
     /// `ln(max(a, LN_CLAMP))` — clamped for numerical safety.
     pub fn ln(&mut self, a: Var) -> Var {
-        let t = self.value(a).map(|x| x.max(LN_CLAMP).ln());
+        let t = self.value(a).map(|x| math::ln(x.max(LN_CLAMP)));
         let rg = self.rg(a);
         self.push(t, Op::Ln(a), rg)
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let t = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let t = self.value(a).map(math::sigmoid);
         let rg = self.rg(a);
         self.push(t, Op::Sigmoid(a), rg)
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let t = self.value(a).map(f32::tanh);
+        let t = self.value(a).map(math::tanh);
         let rg = self.rg(a);
         self.push(t, Op::Tanh(a), rg)
     }

@@ -32,6 +32,7 @@ pub mod gradtest;
 pub mod graph;
 pub mod init;
 pub mod kernels;
+pub mod math;
 pub mod nn;
 pub mod optim;
 pub mod persist;

@@ -3,7 +3,9 @@
 //! Used by SSDRec's position selector and item selector, and by HSD's subset
 //! selection, to make discrete choices differentiable.
 
+use crate::backend::per_isa;
 use crate::graph::{Graph, Var};
+use crate::math;
 use crate::rng::Rng;
 use crate::tensor::Tensor;
 
@@ -26,7 +28,14 @@ pub fn gumbel_softmax(g: &mut Graph, rng: &mut Rng, probs: Var, tau: f32, mode: 
     assert!(tau > 0.0, "gumbel temperature must be positive");
     let shape = g.value(probs).shape().to_vec();
     let n: usize = shape.iter().product();
-    let noise = Tensor::new((0..n).map(|_| rng.gumbel()).collect(), &shape);
+    // The uniforms `Rng::gumbel` draws, in its order, then its transform
+    // in one pass at the vector width.
+    let mut noise = crate::pool::take(n);
+    for u in noise.iter_mut() {
+        *u = f32::EPSILON.max(rng.next_f32());
+    }
+    gumbel_from_uniform(&mut noise);
+    let noise = Tensor::new(noise, &shape);
 
     let logp = g.ln(probs);
     let gn = g.constant(noise);
@@ -61,6 +70,19 @@ pub fn gumbel_softmax(g: &mut Graph, rng: &mut Rng, probs: Var, tau: f32, mode: 
             g.add(diff, soft)
         }
     }
+}
+
+/// `u ← −ln(−ln u)`: standard Gumbel noise from uniforms in `(0, 1)`.
+#[inline(always)]
+fn gumbel_from_uniform_in(u: &mut [f32]) {
+    for v in u {
+        *v = -math::ln(-math::ln(*v));
+    }
+}
+
+per_isa! {
+    /// [`gumbel_from_uniform_in`] in the active build.
+    fn gumbel_from_uniform(u: &mut [f32]) = |_W| gumbel_from_uniform_in(u);
 }
 
 #[cfg(test)]
@@ -118,6 +140,20 @@ mod tests {
             }
         }
         assert!(hits > 150, "argmax hit only {hits}/200");
+    }
+
+    /// The noise takes `Rng::gumbel`'s draws in its order, one per element,
+    /// so the stream after a sample is the stream after that many draws.
+    #[test]
+    fn noise_draws_the_stream_rng_gumbel_draws() {
+        let (mut a, mut b) = (Rng::seed(9), Rng::seed(9));
+        let mut g = Graph::new();
+        let p = g.constant(Tensor::new((1..=15).map(|v| v as f32).collect(), &[3, 5]));
+        gumbel_softmax(&mut g, &mut a, p, 0.7, GumbelMode::Soft);
+        for _ in 0..15 {
+            b.gumbel();
+        }
+        assert_eq!(a.state(), b.state());
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! tape node, [`Graph::lstm_seq`]: the whole recurrence runs inside it on
 //! gate-packed weights — one input gemm for every timestep, one recurrent
 //! gemm and one fused gate pass per step — and back-propagation through
-//! time happens inside the node's backward. Its forward values are bit-equal
-//! to the unrolled per-gate chain (kept as the oracle in
-//! `tests/backend_parity.rs`); its gradients agree with that chain to
-//! rounding, not to the bit. Parameters stay twelve separately named
-//! tensors per direction, packed by `concat_last` nodes on every call, so
-//! checkpoints keep their names, shapes and byte layout.
+//! time happens inside the node's backward. The gate and BPTT passes are
+//! compiled per instruction set and run a register's worth of hidden units
+//! at once, each lane the scalar [`crate::math::lstm_cell`]. Its forward
+//! values are bit-equal to the unrolled per-gate chain (kept as the oracle
+//! in `tests/backend_parity.rs`) in every build; its gradients agree with
+//! that chain to rounding, not to the bit. Parameters stay twelve
+//! separately named tensors per direction, packed by `concat_last` nodes on
+//! every call, so checkpoints keep their names, shapes and byte layout.
 
 use crate::graph::{Graph, Var};
 use crate::optim::{Binding, ParamStore};

@@ -1,7 +1,7 @@
 //! Backend parity: the property-tested kernel bits-contract.
 //!
 //! `Blocked` must agree with the `Reference` oracle within
-//! [`KERNEL_BITS_MAX_ULPS`] (0 under contract v1 — exact bits) on
+//! [`KERNEL_BITS_MAX_ULPS`] (0 under contract v2 — exact bits) on
 //! randomized shapes, including ragged/odd sizes that stress the `8×W`
 //! panel edges, in every tile build the host can run (portable `W = 8`,
 //! AVX2 `W = 8`, AVX-512F `W = 16`, each reached through the hidden
@@ -162,40 +162,51 @@ property! {
         });
     }
 
-    /// Row softmax / log-softmax / LayerNorm parity on ragged shapes.
+    /// Row softmax / log-softmax / scale+mask+softmax / LayerNorm parity on
+    /// ragged shapes, in every tile build (the softmax family's
+    /// exponentials run at the build's width). Inputs span `[-40, 40)` so
+    /// row maxima sit far from most entries, and the mask pads with `-1e9`.
     fn row_kernel_parity(
         rows in dims(),
         n in dims1(),
         seed in gens::usizes(0, 1 << 16),
     ) {
-        let src = fill(rows * n, seed as u64);
+        let src: Vec<f32> = fill(rows * n, seed as u64).iter().map(|v| v * 40.0).collect();
         let gamma = fill(n, seed as u64 + 7);
         let beta = fill(n, seed as u64 + 8);
+        let mask: Vec<f32> = fill(n, seed as u64 + 9)
+            .into_iter()
+            .map(|v| if v > 0.5 { -1e9 } else { v })
+            .collect();
         let mut want = vec![0.0f32; rows * n];
         let mut got = vec![0.0f32; rows * n];
-        for (label, run) in [
-            ("softmax", 0usize),
-            ("log_softmax", 1),
-            ("layer_norm", 2),
-        ] {
-            for (be, dst) in [
-                (&Reference as &dyn Backend, &mut want),
-                (&Blocked, &mut got),
+        each_tile_build(|isa| {
+            for (label, run) in [
+                ("softmax", 0usize),
+                ("log_softmax", 1),
+                ("scaled_masked_softmax", 2),
+                ("layer_norm", 3),
             ] {
-                dst.fill(0.0);
-                match run {
-                    0 => be.softmax_rows(&src, dst, n),
-                    1 => be.log_softmax_rows(&src, dst, n),
-                    _ => be.layer_norm_rows(&src, &gamma, &beta, dst, n),
+                for (be, dst) in [
+                    (&Reference as &dyn Backend, &mut want),
+                    (&Blocked, &mut got),
+                ] {
+                    dst.fill(0.0);
+                    match run {
+                        0 => be.softmax_rows(&src, dst, n),
+                        1 => be.log_softmax_rows(&src, dst, n),
+                        2 => be.scaled_masked_softmax(&src, 0.37, Some(&mask), dst, n),
+                        _ => be.layer_norm_rows(&src, &gamma, &beta, dst, n),
+                    }
                 }
+                assert_within_ulps(
+                    &want,
+                    &got,
+                    KERNEL_BITS_MAX_ULPS,
+                    &format!("{label} {isa:?} rows={rows} n={n}"),
+                );
             }
-            assert_within_ulps(
-                &want,
-                &got,
-                KERNEL_BITS_MAX_ULPS,
-                &format!("{label} rows={rows} n={n}"),
-            );
-        }
+        });
     }
 
     /// Fused bias+activation parity across backends, and bit-equality of
@@ -856,7 +867,7 @@ fn row_ops_zero_last_dim() {
 
 /// End-to-end graph equality across backends: a small attention-style
 /// forward/backward produces bit-identical outputs and gradients under
-/// `Reference` and `Blocked` (contract v1: 0 ULPs).
+/// `Reference` and `Blocked` (contract v2: 0 ULPs).
 #[test]
 fn graph_forward_backward_bits_equal_across_backends() {
     let mut per_backend: Vec<(BackendKind, Vec<f32>, Vec<f32>)> = Vec::new();
@@ -969,13 +980,16 @@ fn spmm_matches_dense_matmul_bit_for_bit() {
 }
 
 /// `lstm_seq` / `lstm_seq_backward` as they ran before the recurrence was
-/// split into sequence chunks, kept verbatim on the public backend API as
-/// the oracle: `gemm` is the parent's (one transpose-pack, then the plain
-/// kernel over all rows, which the row-partition property makes one
-/// `gemm_rows` call) and pool buffers are plain vectors.
+/// split into sequence chunks and its element passes compiled per
+/// instruction set, kept on the public backend API as the oracle: `gemm` is
+/// the parent's (one transpose-pack, then the plain kernel over all rows,
+/// which the row-partition property makes one `gemm_rows` call), pool
+/// buffers are plain vectors, and every hidden unit is one scalar
+/// [`math::lstm_cell`](ssdrec_tensor::math::lstm_cell) or one scalar
+/// gradient chain, one sequence row at a time.
 mod parent_lstm {
     use ssdrec_tensor::backend::backend;
-    use ssdrec_tensor::Tensor;
+    use ssdrec_tensor::{math, Tensor};
 
     fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
         for i in 0..rows {
@@ -1003,10 +1017,6 @@ mod parent_lstm {
         });
         let b = packed.as_deref().unwrap_or(b);
         backend().gemm_rows(a, ta, b, false, m, k, n, out, 0, m);
-    }
-
-    fn sigmoid(x: f32) -> f32 {
-        1.0 / (1.0 + (-x).exp())
     }
 
     fn lstm_time(step: usize, t: usize, reversed: bool) -> usize {
@@ -1056,22 +1066,16 @@ mod parent_lstm {
                 let zr = &mut z[row * h4..(row + 1) * h4];
                 let hur = &hu[bi * h4..(bi + 1) * h4];
                 for j in 0..h {
-                    let ig = sigmoid(zr[j] + hur[j]);
-                    let fg = sigmoid(zr[h + j] + hur[h + j]);
-                    let og = sigmoid(zr[2 * h + j] + hur[2 * h + j]);
-                    let cand = (zr[3 * h + j] + hur[3 * h + j]).tanh();
+                    let pre = [0, 1, 2, 3].map(|k| zr[k * h + j] + hur[k * h + j]);
                     let c_prev = t_prev.map_or(0.0, |tp| c_all[(bi * t + tp) * h + j]);
-                    let c = fg * c_prev + ig * cand;
-                    let tc = c.tanh();
-                    let hv = og * tc;
-                    zr[j] = ig;
-                    zr[h + j] = fg;
-                    zr[2 * h + j] = og;
-                    zr[3 * h + j] = cand;
-                    c_all[row * h + j] = c;
-                    tc_all[row * h + j] = tc;
-                    o[row * h + j] = hv;
-                    h_prev[bi * h + j] = hv;
+                    let cell = math::lstm_cell(pre, c_prev);
+                    for (k, gate) in cell.gates.into_iter().enumerate() {
+                        zr[k * h + j] = gate;
+                    }
+                    c_all[row * h + j] = cell.c;
+                    tc_all[row * h + j] = cell.tc;
+                    o[row * h + j] = cell.h;
+                    h_prev[bi * h + j] = cell.h;
                 }
             }
         }
@@ -1161,58 +1165,64 @@ mod parent_lstm {
     }
 }
 
-/// The sequence-chunked LSTM kernels against the whole-batch ones they
-/// replaced: hidden states and all four gradients bit for bit at
-/// `B ∈ {1, 7, 8, 9, 63, 64, 65}` (one partial chunk, whole chunks, whole
-/// chunks plus one sequence) and `T ∈ {1, 2, 9}`, both directions, pooled
-/// and fresh, on both backends.
+/// The sequence-chunked, per-instruction-set LSTM kernels against the
+/// whole-batch scalar ones they replaced: hidden states and all four
+/// gradients bit for bit at `B ∈ {1, 7, 8, 9, 63, 64, 65}` (one partial
+/// chunk, whole chunks, whole chunks plus one sequence), `T ∈ {1, 2, 9}` and
+/// hidden widths below, at and past one vector register of every build
+/// (`h ∈ {7, 8, 17, 32}`), both directions, pooled and fresh, on both
+/// backends, in every tile build.
 #[test]
 fn lstm_seq_chunks_match_the_whole_batch_recurrence() {
     let was = ssdrec_tensor::pool::is_enabled();
-    with_each_backend(|kind| {
-        for (bi, b) in [1, 7, 8, 9, 63, 64, 65].into_iter().enumerate() {
-            for t in [1, 2, 9] {
-                let (d, h) = [(5, 8), (9, 7)][bi % 2];
-                let salt = (b * 10 + t) as u64;
-                let x = filled(&[b, t, d], salt);
-                let wx = filled(&[d, 4 * h], salt + 1);
-                let u = filled(&[h, 4 * h], salt + 2);
-                let bias = filled(&[4 * h], salt + 3);
-                let gout = filled(&[b, t, h], salt + 4);
-                for reversed in [false, true] {
-                    let (want_h, want_saved) = parent_lstm::lstm_seq(&x, &wx, &u, &bias, reversed);
-                    let want_grads = parent_lstm::lstm_seq_backward(
-                        &x,
-                        &wx,
-                        &u,
-                        &want_h,
-                        &want_saved,
-                        &gout,
-                        reversed,
-                    );
-                    for pooled in [true, false] {
-                        ssdrec_tensor::pool::set_enabled(pooled);
-                        let ctx = format!(
-                            "lstm B={b} T={t} d={d} h={h} reversed={reversed} \
-                             pooled={pooled} on {kind:?}"
+    each_tile_build(|isa| {
+        with_each_backend(|kind| {
+            let kind = format!("{kind:?} ({isa:?})");
+            for (bi, b) in [1, 7, 8, 9, 63, 64, 65].into_iter().enumerate() {
+                for t in [1, 2, 9] {
+                    let (d, h) = [(5, 8), (9, 7), (3, 17), (6, 32)][(bi + t) % 4];
+                    let salt = (b * 10 + t) as u64;
+                    let x = filled(&[b, t, d], salt);
+                    let wx = filled(&[d, 4 * h], salt + 1);
+                    let u = filled(&[h, 4 * h], salt + 2);
+                    let bias = filled(&[4 * h], salt + 3);
+                    let gout = filled(&[b, t, h], salt + 4);
+                    for reversed in [false, true] {
+                        let (want_h, want_saved) =
+                            parent_lstm::lstm_seq(&x, &wx, &u, &bias, reversed);
+                        let want_grads = parent_lstm::lstm_seq_backward(
+                            &x,
+                            &wx,
+                            &u,
+                            &want_h,
+                            &want_saved,
+                            &gout,
+                            reversed,
                         );
-                        let (got_h, saved) = kernels::lstm_seq(&x, &wx, &u, &bias, reversed);
-                        assert_within_ulps(want_h.data(), got_h.data(), 0, &ctx);
-                        let got = kernels::lstm_seq_backward(
-                            &x, &wx, &u, &got_h, &saved, &gout, reversed, [true; 4],
-                        );
-                        for (name, (w, g)) in ["dX", "dWx", "dU", "db"]
-                            .into_iter()
-                            .zip(want_grads.iter().zip(got))
-                        {
-                            let g = g.expect("requested gradient");
-                            assert_within_ulps(w.data(), g.data(), 0, &format!("{ctx} {name}"));
+                        for pooled in [true, false] {
+                            ssdrec_tensor::pool::set_enabled(pooled);
+                            let ctx = format!(
+                                "lstm B={b} T={t} d={d} h={h} reversed={reversed} \
+                             pooled={pooled} on {kind}"
+                            );
+                            let (got_h, saved) = kernels::lstm_seq(&x, &wx, &u, &bias, reversed);
+                            assert_within_ulps(want_h.data(), got_h.data(), 0, &ctx);
+                            let got = kernels::lstm_seq_backward(
+                                &x, &wx, &u, &got_h, &saved, &gout, reversed, [true; 4],
+                            );
+                            for (name, (w, g)) in ["dX", "dWx", "dU", "db"]
+                                .into_iter()
+                                .zip(want_grads.iter().zip(got))
+                            {
+                                let g = g.expect("requested gradient");
+                                assert_within_ulps(w.data(), g.data(), 0, &format!("{ctx} {name}"));
+                            }
+                            ssdrec_tensor::pool::recycle(saved);
                         }
-                        ssdrec_tensor::pool::recycle(saved);
                     }
                 }
             }
-        }
+        })
     });
     ssdrec_tensor::pool::set_enabled(was);
 }

@@ -2,8 +2,10 @@
 # Offline-first CI gate for the SSDRec workspace.
 #
 #   1. Deny-list: no Cargo.toml may name a registry dependency — only
-#      workspace path crates (ssdrec-*) are allowed — and the CLI's normal
-#      dependency tree must not reach the retired ssdrec-ann crate.
+#      workspace path crates (ssdrec-*) are allowed — the CLI's normal
+#      dependency tree must not reach the retired ssdrec-ann crate, and no
+#      file under crates/tensor/src but math.rs may call libm's exp, ln or
+#      tanh.
 #   2. cargo fmt --check
 #   3. Offline release build of the whole workspace.
 #   4. Offline test run.
@@ -23,7 +25,7 @@
 #      and SSDREC_THREADS=4 (capped at the host's cores).
 #   9. Backend parity: the same golden test and CLI train run must produce
 #      byte-identical metrics under SSDREC_BACKEND=reference and
-#      SSDREC_BACKEND=blocked (the v1 kernel bits-contract), and the parity
+#      SSDREC_BACKEND=blocked (the v2 kernel bits-contract), and the parity
 #      suite must have run every tile build (portable, AVX2, AVX-512F) the
 #      host's CPU flags name.
 #  10. Pool identity: a CLI train run with the tensor pool on and one with
@@ -166,6 +168,17 @@ if printf '%s\n' "$CLI_TREE" | grep -q 'ssdrec-ann'; then
     die "the ssdrec CLI depends on ssdrec-ann again"
 fi
 echo "ok: the CLI does not link ssdrec-ann"
+# Kernel bits must not depend on the host's C library: every exp, ln and
+# tanh in the tensor crate is math.rs's. A float method call (`x.exp()`, no
+# argument — graph ops such as `g.exp(v)` take one) or an `f32::exp` path
+# anywhere else brings libm-dependent bits back.
+LIBM_CALLS=$(grep -rnE '\.(exp|ln|tanh)\(\)|f32::(exp|ln|tanh)\b' crates/tensor/src --include='*.rs' |
+    grep -v '^crates/tensor/src/math\.rs:' || true)
+if [ -n "$LIBM_CALLS" ]; then
+    printf '%s\n' "$LIBM_CALLS"
+    die "libm transcendentals in crates/tensor/src outside math.rs (call crate::math instead)"
+fi
+echo "ok: crates/tensor's transcendentals all go through math.rs"
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
@@ -253,7 +266,7 @@ cmp "$SMOKE_DIR/ckpt_t1.ssdt" "$SMOKE_DIR/ckpt_t4.ssdt" ||
 echo "ok: golden + CLI metrics and checkpoints identical at 1 and 4 threads"
 
 echo "== backend parity (golden metrics: reference vs blocked kernels) =="
-# The v1 kernel bits-contract: the cache-blocked backend must reproduce the
+# The v2 kernel bits-contract: the cache-blocked backend must reproduce the
 # reference oracle's bits exactly, so the pinned golden metrics pass under
 # either backend and a CLI train run emits byte-identical metric lines.
 SSDREC_BACKEND=reference cargo test --release -q --test golden_determinism

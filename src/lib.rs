@@ -44,8 +44,10 @@
 //! (`(&split).into()`) or from the views of a split plan over a columnar
 //! `.ssdc` store (`(&plan.views(&store)).into()`) — and
 //! [`models::TrainOptions`] for warm starts and checkpoint/resume.
-//! [`models::train`], used above, is the infallible shorthand for an in-RAM
-//! split with default options.
+//! [`models::train`], used above, is the shorthand for an in-RAM split with
+//! default options; it panics only where `fit` returns
+//! [`models::TrainError::NonFiniteEpoch`] (an epoch whose every loss was
+//! non-finite).
 //!
 //! Any of the fourteen trainable models can be built by name through
 //! [`core::build_model`] from a [`core::ModelKind`] and a

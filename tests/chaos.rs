@@ -66,7 +66,10 @@ fn faulted_state_save_fails_cleanly_without_a_torn_file() {
     let opts = TrainOptions::checkpointed(&ckpt);
     let err = fit(&mut model, &(&split).into(), &tc, &opts)
         .expect_err("the injected save fault must surface");
-    assert!(err.contains("injected fault at ckpt.save"), "{err}");
+    assert!(
+        err.to_string().contains("injected fault at ckpt.save"),
+        "{err}"
+    );
     assert!(!path.exists(), "a failed save must not leave a state file");
     assert!(
         !path.with_extension("sstc.tmp").exists(),

@@ -199,7 +199,8 @@ fn pin(key: &str) -> String {
 }
 
 /// Writes `parent_pins.txt` from the checked-out code — run it on the parent
-/// of a change the pins must hold across, never after it:
+/// of a change the pins must hold across, never after it; only a change that
+/// bumps `KERNEL_BITS_VERSION` re-records them on itself:
 /// `cargo test --test persistence_and_serving -- --ignored`.
 /// `parent_trained.ssdt` is trained only if it is missing.
 #[test]

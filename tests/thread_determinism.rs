@@ -8,7 +8,7 @@
 //! The matrix also has a **backend** dimension: every thread-count sweep
 //! runs once per kernel backend (`reference`, `blocked`), and each backend
 //! must be bit-identical across thread counts on its own. On top of that,
-//! the v1 kernel-bits contract (`KERNEL_BITS_MAX_ULPS == 0`) says the
+//! the kernel-bits contract (v2, `KERNEL_BITS_MAX_ULPS == 0`) says the
 //! blocked backend reproduces the reference oracle exactly, so the matrix
 //! is also asserted to collapse *across* backends — including checkpoint
 //! bytes, which are pinned per backend and equal between them.
@@ -28,6 +28,7 @@ use ssdrec::graph::{build_graph, GraphConfig, MultiRelationGraph};
 use ssdrec::metrics::{full_rank, par_top_k, rank_rows, top_k};
 use ssdrec::models::{evaluate, train, BackboneKind, ContrastiveSeqRec, RecModel, SeqRec};
 use ssdrec::serve::{Engine, EngineConfig, ServerStats};
+use ssdrec::tensor::backend::{with_tile_isa, TileIsa};
 use ssdrec::tensor::kernels::{matmul, matmul_backward, scatter_rows, spmm, spmm_backward};
 use ssdrec::tensor::{pool, with_each_backend, CsrMatrix, Graph, Tensor};
 
@@ -38,9 +39,9 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
 
 /// Run `f` once per (backend, thread count) cell. Within each backend the
 /// outputs must be bit-identical across thread counts; across backends the
-/// per-backend references must match too (the v1 kernel-bits contract —
-/// `blocked` reproduces `reference` exactly).
-fn assert_bits_stable<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) {
+/// per-backend references must match too (the kernel-bits contract —
+/// `blocked` reproduces `reference` exactly). Returns the one output.
+fn assert_bits_stable<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) -> T {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let mut cross: Option<T> = None;
     with_each_backend(|kind| {
@@ -70,6 +71,7 @@ fn assert_bits_stable<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) {
         }
     });
     ssdrec::runtime::set_threads(1);
+    cross.expect("at least one backend")
 }
 
 /// A deterministic dense fill that produces "awkward" floats (varied signs
@@ -153,16 +155,27 @@ fn batched_matmul_is_bit_identical_across_thread_counts() {
 /// gemms and sequence-chunked recurrence all cross the parallel threshold —
 /// eight whole 8-sequence chunks, and the same plus a partial last chunk —
 /// pooled and fresh allocation alike (its saved activations and scratch
-/// come from the pool with stale contents).
+/// come from the pool with stale contents), in every tile build the host
+/// runs: its gate and BPTT passes are compiled per instruction set, and
+/// every build must give the same bits.
 #[test]
 fn lstm_seq_is_bit_identical_across_thread_counts() {
     let (t, d, h) = (9, 32, 32);
     for b in [64, 65] {
-        lstm_bits_stable(b, t, d, h);
+        let mut builds = TileIsa::supported().into_iter();
+        let first = builds.next().expect("the portable build");
+        let want = with_tile_isa(first, || lstm_bits_stable(b, t, d, h));
+        for isa in builds {
+            let got = with_tile_isa(isa, || lstm_bits_stable(b, t, d, h));
+            assert!(
+                got == want,
+                "B={b}: the {isa:?} build diverged from {first:?}"
+            );
+        }
     }
 }
 
-fn lstm_bits_stable(b: usize, t: usize, d: usize, h: usize) {
+fn lstm_bits_stable(b: usize, t: usize, d: usize, h: usize) -> Vec<Vec<u32>> {
     assert_bits_stable(|| {
         let was = pool::is_enabled();
         let run = |pooled: bool| {
@@ -187,7 +200,7 @@ fn lstm_bits_stable(b: usize, t: usize, d: usize, h: usize) {
         pool::set_enabled(was);
         assert_eq!(pooled, fresh, "pooled and fresh LSTM diverged");
         pooled
-    });
+    })
 }
 
 /// Stage 1's sparse product at `train_ssdrec`'s U×U shape (384 rows, 32
@@ -348,7 +361,7 @@ fn model_fingerprint<M: RecModel>(mut model: M, tag: &str) -> Fingerprint {
 /// training run must still produce the exact bits — losses, metrics and
 /// checkpoint bytes — of a fresh-allocation run, at 1 thread and at 4,
 /// under each kernel backend. The checkpoint bytes are additionally pinned
-/// *across* backends (the v1 kernel-bits contract).
+/// *across* backends (the kernel-bits contract).
 #[test]
 fn pooled_and_fresh_training_are_bit_identical() {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
