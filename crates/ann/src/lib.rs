@@ -142,7 +142,7 @@ fn decode_worst(k: u64) -> (u32, f32) {
 /// Inner product replicating the workspace gemm kernel bit-for-bit: adds run
 /// over ascending `p` and terms whose **query** element is `±0.0` are
 /// skipped, exactly like the `nn` gemm variant the frozen scorer uses
-/// (`crates/tensor/src/backend/reference.rs`).
+/// (the oracle gemm in `crates/tensor/tests/oracle/mod.rs`).
 #[inline]
 pub fn dot_zskip(q: &[f32], v: &[f32]) -> f32 {
     let mut acc = 0.0f32;

@@ -1,6 +1,6 @@
 //! Minimal flag parsing for the CLI (no external dependencies).
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Parsed command line: a subcommand plus `--key value` / `--flag` options.
 #[derive(Debug, Default)]
@@ -73,6 +73,20 @@ impl Args {
     pub fn has_flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// Every option name given, valued or bare, in sorted order.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        let all = self.opts.keys().chain(&self.flags).map(String::as_str);
+        all.collect::<BTreeSet<_>>().into_iter()
+    }
+}
+
+/// Every `--name` spelled in `text` (a usage text), without the dashes.
+pub fn option_names(text: &str) -> BTreeSet<&str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter_map(|word| word.strip_prefix("--"))
+        .filter(|name| !name.is_empty())
+        .collect()
 }
 
 #[cfg(test)]
@@ -140,6 +154,21 @@ mod tests {
     fn empty_value_via_equals() {
         let a = parse("train --note=");
         assert_eq!(a.get("note"), Some(""));
+    }
+
+    #[test]
+    fn names_lists_options_and_flags_once_each() {
+        let a = parse("train --epochs 3 --verbose --out=x --epochs 4");
+        assert_eq!(a.names().collect::<Vec<_>>(), ["epochs", "out", "verbose"]);
+    }
+
+    #[test]
+    fn option_names_reads_every_spelled_option() {
+        let names = option_names("--dim D --max-len L\n --baseline  train (--out CKPT)");
+        assert_eq!(
+            names.into_iter().collect::<Vec<_>>(),
+            ["baseline", "dim", "max-len", "out"]
+        );
     }
 
     #[test]

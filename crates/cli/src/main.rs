@@ -67,10 +67,13 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// The usage text. It is also the list of accepted options: any `--NAME`
+/// it does not spell is refused (see [`main`]).
 fn usage() -> &'static str {
     "usage: ssdrec <stats|train|recommend|denoise|serve|ingest|retrain|gen-data> [options]\n\
-     run `ssdrec <command> --help`-style flags per the module docs; common options:\n\
+     options (each command reads those it needs; the module docs list them per command):\n\
      --profile beauty|sports|yelp|ml-100k|ml-1m   synthetic profile (default beauty)\n\
+     --scale F       synthetic profile size factor (default 0.5)\n\
      --file PATH --format movielens|csv           load real interaction data instead\n\
      --out FILE.ssdc  destination columnar file (gen-data)\n\
      --data FILE.ssdc train/ingest from a columnar file (train, ingest)\n\
@@ -78,6 +81,8 @@ fn usage() -> &'static str {
                      both modes are bit-identical, windowed bounds peak RAM)\n\
      --backbone SASRec|GRU4Rec|NARM|STAMP|Caser|BERT4Rec (default SASRec)\n\
      --dim D --epochs E --batch-size B --max-len L --seed S\n\
+     --patience P    early-stopping patience in epochs (default 5; train, denoise)\n\
+     --verbose       per-epoch progress on stderr (train, denoise, retrain)\n\
      --baseline      train the bare backbone (no SSDRec wrapper)\n\
      --contrastive   train the CL4SRec-style contrastive scenario on the\n\
                      backbone (crop/reorder/mask views + InfoNCE)\n\
@@ -91,9 +96,6 @@ fn usage() -> &'static str {
      --threads N     compute threads for every subcommand, at most the\n\
                      available cores (default: the SSDREC_THREADS env var\n\
                      under the same cap, else all available cores)\n\
-     --backend reference|blocked   kernel backend for every subcommand\n\
-                     (default: the SSDREC_BACKEND env var, else blocked;\n\
-                     both produce bit-identical results)\n\
      --state PATH    training-state file for periodic checkpointing (train)\n\
      --resume        continue bit-identically from --state if it exists\n\
      --checkpoint-every N   epochs between state saves (default 1)\n\
@@ -124,24 +126,6 @@ fn configure_threads(a: &Args) -> Result<usize, String> {
             let n = ssdrec_runtime::clamp_to_cores(n, "--threads");
             ssdrec_runtime::set_threads(n);
             Ok(n)
-        }
-    }
-}
-
-/// Apply `--backend reference|blocked` to the process-global kernel backend
-/// and return the effective backend name. Without the flag the backend
-/// honours the `SSDREC_BACKEND` env var (default `blocked`). The v1 kernel
-/// bits-contract makes both backends bit-identical, so — like `--threads` —
-/// this flag only trades wall-clock time, never a bit of output.
-fn configure_backend(a: &Args) -> Result<&'static str, String> {
-    match a.get("backend") {
-        None => Ok(ssdrec_tensor::backend_kind().name()),
-        Some(v) => {
-            let kind = ssdrec_tensor::BackendKind::parse(v).ok_or_else(|| {
-                format!("unknown --backend {v:?} (expected \"reference\" or \"blocked\")")
-            })?;
-            ssdrec_tensor::set_backend(kind);
-            Ok(kind.name())
         }
     }
 }
@@ -765,7 +749,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Err(e) = configure_threads(&args).and_then(|_| configure_backend(&args)) {
+    let known = args::option_names(usage());
+    if let Some(name) = args.names().find(|n| !known.contains(n)) {
+        eprintln!("error: unknown option --{name}");
+        return ExitCode::from(2);
+    }
+    if let Err(e) = configure_threads(&args) {
         eprintln!("error: {e}\n{}", usage());
         return ExitCode::FAILURE;
     }
@@ -834,27 +823,73 @@ mod cli_tests {
     }
 
     #[test]
-    fn backend_flag_selects_kernel_backend_and_rejects_unknown() {
-        // The backend is process-global; serialize against any concurrently
-        // running switched region and restore on exit.
-        ssdrec_tensor::with_backend(ssdrec_tensor::backend_kind(), || {
-            let err = configure_backend(&parse("train --backend turbo")).unwrap_err();
-            assert!(err.contains("--backend"), "got: {err}");
-            assert_eq!(
-                configure_backend(&parse("train --backend reference")),
-                Ok("reference")
-            );
-            assert_eq!(
-                ssdrec_tensor::backend_kind(),
-                ssdrec_tensor::BackendKind::Reference
-            );
-            assert_eq!(
-                configure_backend(&parse("train --backend blocked")),
-                Ok("blocked")
-            );
-            // No flag: keeps whatever is already selected.
-            assert_eq!(configure_backend(&parse("train")), Ok("blocked"));
-        });
+    fn only_the_options_the_usage_text_names_are_known() {
+        let known = args::option_names(usage());
+        let unknown = |line: &str| -> Vec<String> {
+            let a = parse(line);
+            let names = a.names().filter(|n| !known.contains(n));
+            names.map(str::to_string).collect()
+        };
+        // The kernel-backend flag is retired: one kernel set ships.
+        let retired = "backend";
+        assert_eq!(unknown(&format!("train --{retired} reference")), [retired]);
+        assert_eq!(unknown("train --epoch 5"), ["epoch"]);
+        assert_eq!(unknown("train --epochs=5 --verbos"), ["verbos"]);
+        // Every option the usage text spells is accepted, as a value and
+        // as a bare flag.
+        for name in &known {
+            assert!(unknown(&format!("train --{name} 1")).is_empty(), "--{name}");
+            assert!(unknown(&format!("train --{name}")).is_empty(), "--{name}");
+        }
+        // The options every command reads: the usage text names them all.
+        for name in [
+            "addr",
+            "aug-rate",
+            "backbone",
+            "baseline",
+            "batch-size",
+            "cache",
+            "checkpoint-every",
+            "ckpt-dir",
+            "cl-tau",
+            "cl-weight",
+            "contrastive",
+            "data",
+            "data-mode",
+            "dim",
+            "epochs",
+            "events",
+            "file",
+            "format",
+            "items",
+            "k",
+            "linger-ms",
+            "log",
+            "max-batch",
+            "max-len",
+            "max-queue",
+            "mgsd",
+            "model",
+            "out",
+            "patience",
+            "profile",
+            "read-timeout-ms",
+            "reload-poll-ms",
+            "resume",
+            "scale",
+            "seed",
+            "state",
+            "threads",
+            "user",
+            "users",
+            "verbose",
+            "watch-current",
+            "workers",
+            "write-timeout-ms",
+        ] {
+            assert!(known.contains(name), "usage text omits --{name}");
+        }
+        assert_eq!(known.len(), 43, "{known:?}");
     }
 
     #[test]

@@ -24,7 +24,11 @@
 //! [`ssdrec_tensor::persist::atomic_write`], fault site `ckpt.save`): a
 //! crash mid-save never replaces a good checkpoint with a torn one.
 //! Loading is strict — tensor names and shapes must match the live model
-//! exactly, and every failure names the offending tensor.
+//! exactly, and every failure names the offending tensor. It is also
+//! hostile-input safe: every count, length and shape is checked against the
+//! bytes left in the file before anything is allocated from it, so a
+//! corrupt or truncated file gives a typed `io::Error`, never a panic or a
+//! runaway allocation.
 
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -151,18 +155,6 @@ fn w_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
 
-fn r_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn r_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
 fn err(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
@@ -178,20 +170,79 @@ fn w_tensor(w: &mut impl Write, t: &Tensor) -> io::Result<()> {
     Ok(())
 }
 
-fn r_tensor(r: &mut impl Read) -> io::Result<Tensor> {
-    let ndim = r_u32(r)? as usize;
-    let mut shape = Vec::with_capacity(ndim);
-    for _ in 0..ndim {
-        shape.push(r_u32(r)? as usize);
+/// A training-state file being read, and how many of its bytes are left.
+struct StateReader<R> {
+    r: R,
+    left: u64,
+}
+
+impl<R: Read> StateReader<R> {
+    fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        let mut b = [0u8; N];
+        self.r.read_exact(&mut b)?;
+        self.left = self.left.saturating_sub(N as u64);
+        Ok(b)
     }
-    let n: usize = shape.iter().product();
-    let mut data = vec![0f32; n];
-    for x in data.iter_mut() {
-        let mut b = [0u8; 4];
-        r.read_exact(&mut b)?;
-        *x = f32::from_le_bytes(b);
+
+    fn u32(&mut self) -> io::Result<u32> {
+        Ok(u32::from_le_bytes(self.array()?))
     }
-    Ok(Tensor::new(data, &shape))
+
+    fn u64(&mut self) -> io::Result<u64> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// Refuse `n` items of `item_bytes` each unless the rest of the file can
+    /// hold them.
+    fn check_fits(&self, n: u64, item_bytes: u64, what: &str) -> io::Result<()> {
+        match n.checked_mul(item_bytes) {
+            Some(need) if need <= self.left => Ok(()),
+            _ => Err(err(format!(
+                "{what} of {n} overruns the {} bytes left",
+                self.left
+            ))),
+        }
+    }
+
+    /// A `u32` count of items of at least `item_bytes` each, checked
+    /// against the bytes left.
+    fn count(&mut self, item_bytes: u64, what: &str) -> io::Result<usize> {
+        let n = self.u32()?;
+        self.check_fits(n as u64, item_bytes, what)?;
+        Ok(n as usize)
+    }
+
+    /// `n` raw bytes, `n` already checked.
+    fn bytes(&mut self, n: usize) -> io::Result<Vec<u8>> {
+        let mut b = vec![0u8; n];
+        self.r.read_exact(&mut b)?;
+        self.left = self.left.saturating_sub(n as u64);
+        Ok(b)
+    }
+
+    /// A rank and dims, refused unless `copies` tensors of that shape fit in
+    /// the bytes left.
+    fn shape(&mut self, copies: u64) -> io::Result<Vec<usize>> {
+        let ndim = self.count(4, "a rank")?;
+        let shape = (0..ndim)
+            .map(|_| Ok(self.u32()? as usize))
+            .collect::<io::Result<Vec<usize>>>()?;
+        let len = shape
+            .iter()
+            .try_fold(1u64, |n, &d| n.checked_mul(d as u64))
+            .ok_or_else(|| err(format!("shape {shape:?} overflows")))?;
+        self.check_fits(len, 4 * copies, &format!("shape {shape:?}"))?;
+        Ok(shape)
+    }
+
+    /// A tensor of `shape`, already checked.
+    fn tensor(&mut self, shape: &[usize]) -> io::Result<Tensor> {
+        let mut data = vec![0f32; shape.iter().product()];
+        for x in data.iter_mut() {
+            *x = f32::from_le_bytes(self.array()?);
+        }
+        Ok(Tensor::new(data, shape))
+    }
 }
 
 /// Atomically serialise a [`TrainState`] to `path` (fault site `ckpt.save`).
@@ -243,31 +294,34 @@ pub fn save_train_state(st: &TrainState, path: impl AsRef<Path>) -> io::Result<(
 /// Load a [`TrainState`] from `path`. Validation against the live model
 /// happens in [`TrainState::apply_to`].
 pub fn load_train_state(path: impl AsRef<Path>) -> io::Result<TrainState> {
-    let mut r = io::BufReader::new(std::fs::File::open(path)?);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+    let file = std::fs::File::open(path)?;
+    let left = file.metadata()?.len();
+    let mut r = StateReader {
+        r: io::BufReader::new(file),
+        left,
+    };
+    if &r.array::<4>()? != MAGIC {
         return Err(err("not an SSTC training checkpoint"));
     }
-    let version = r_u32(&mut r)?;
+    let version = r.u32()?;
     if version != VERSION {
         return Err(err(format!(
             "unsupported training-checkpoint version {version}"
         )));
     }
-    let next_epoch = r_u32(&mut r)?;
-    let since_best = r_u32(&mut r)?;
-    let adam_steps = r_u64(&mut r)?;
+    let next_epoch = r.u32()?;
+    let since_best = r.u32()?;
+    let adam_steps = r.u64()?;
     let mut rng_state = [0u64; 4];
     for s in &mut rng_state {
-        *s = r_u64(&mut r)?;
+        *s = r.u64()?;
     }
-    let best_hr20 = f64::from_bits(r_u64(&mut r)?);
-    let total_train_secs = f64::from_bits(r_u64(&mut r)?);
-    let final_loss = f32::from_bits(r_u32(&mut r)?);
+    let best_hr20 = f64::from_bits(r.u64()?);
+    let total_train_secs = f64::from_bits(r.u64()?);
+    let final_loss = f32::from_bits(r.u32()?);
     let mut bv = [0f64; 7];
     for m in &mut bv {
-        *m = f64::from_bits(r_u64(&mut r)?);
+        *m = f64::from_bits(r.u64()?);
     }
     let best_valid = MetricReport {
         hr5: bv[0],
@@ -278,45 +332,31 @@ pub fn load_train_state(path: impl AsRef<Path>) -> io::Result<TrainState> {
         ndcg20: bv[5],
         mrr20: bv[6],
     };
-    let n_state = r_u32(&mut r)? as usize;
-    let mut model_state = Vec::with_capacity(n_state);
-    for _ in 0..n_state {
-        model_state.push(r_u64(&mut r)?);
-    }
-    let n_params = r_u32(&mut r)? as usize;
+    let n_state = r.count(8, "a model state")?;
+    let model_state = (0..n_state).map(|_| r.u64()).collect::<io::Result<_>>()?;
+    // A parameter is at least its name length and its rank.
+    let n_params = r.count(8, "a parameter count")?;
     let mut params = Vec::with_capacity(n_params);
     for i in 0..n_params {
         let named = |name: &str, e: io::Error| err(format!("tensor {i} ({name}): {e}"));
-        let name_len = r_u32(&mut r).map_err(|e| named("<header>", e))? as usize;
-        let mut name_bytes = vec![0u8; name_len];
-        r.read_exact(&mut name_bytes)
+        let name_len = r
+            .count(1, "a name length")
             .map_err(|e| named("<header>", e))?;
+        let name_bytes = r.bytes(name_len).map_err(|e| named("<header>", e))?;
         let name = String::from_utf8(name_bytes)
             .map_err(|_| err(format!("tensor {i}: invalid name encoding")))?;
-        let ndim = r_u32(&mut r).map_err(|e| named(&name, e))? as usize;
-        let mut shape = Vec::with_capacity(ndim);
-        for _ in 0..ndim {
-            shape.push(r_u32(&mut r).map_err(|e| named(&name, e))? as usize);
-        }
-        let n: usize = shape.iter().product();
-        let read_t = |r: &mut dyn Read| -> io::Result<Tensor> {
-            let mut data = vec![0f32; n];
-            for x in data.iter_mut() {
-                let mut b = [0u8; 4];
-                r.read_exact(&mut b)?;
-                *x = f32::from_le_bytes(b);
-            }
-            Ok(Tensor::new(data, &shape))
-        };
-        let value = read_t(&mut r).map_err(|e| named(&name, e))?;
-        let m = read_t(&mut r).map_err(|e| named(&name, e))?;
-        let v = read_t(&mut r).map_err(|e| named(&name, e))?;
+        // The value and its two Adam moments.
+        let shape = r.shape(3).map_err(|e| named(&name, e))?;
+        let mut tensor = || r.tensor(&shape).map_err(|e| named(&name, e));
+        let (value, m, v) = (tensor()?, tensor()?, tensor()?);
         params.push((name, value, m, v));
     }
-    let n_snap = r_u32(&mut r)? as usize;
+    // A snapshot tensor is at least its rank.
+    let n_snap = r.count(4, "a snapshot count")?;
     let mut best_snapshot = Vec::with_capacity(n_snap);
     for i in 0..n_snap {
-        best_snapshot.push(r_tensor(&mut r).map_err(|e| err(format!("snapshot tensor {i}: {e}")))?);
+        let snap = r.shape(1).and_then(|shape| r.tensor(&shape));
+        best_snapshot.push(snap.map_err(|e| err(format!("snapshot tensor {i}: {e}")))?);
     }
     Ok(TrainState {
         next_epoch,

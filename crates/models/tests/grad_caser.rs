@@ -4,7 +4,7 @@
 
 use ssdrec_models::backbones::CaserEncoder;
 use ssdrec_models::SeqEncoder;
-use ssdrec_tensor::{fd_check_all_params, with_each_backend, Binding, ParamStore, Rng, Tensor};
+use ssdrec_tensor::{fd_check_all_params, Binding, ParamStore, Rng, Tensor};
 
 #[test]
 fn caser_conv_gradients() {
@@ -21,17 +21,13 @@ fn caser_conv_gradients() {
     };
     // ReLU + max-over-time kinks: use a small step so central differences
     // stay on one side of each kink (near-ties between pooled windows flip
-    // the argmax under larger steps). Checked under both kernel backends so
-    // the fused conv/ReLU backward is verified against finite differences
-    // on each, not just against the other backend.
-    with_each_backend(|_| {
-        fd_check_all_params(&mut store, 5e-4, 1e-3, |g, bind: &Binding| {
-            let xv = bind.var(x);
-            let h = caser.encode(g, bind, xv);
-            let w = g.constant(w0.clone());
-            let t = g.tanh(h);
-            let p = g.mul(t, w);
-            g.sum_all(p)
-        });
+    // the argmax under larger steps).
+    fd_check_all_params(&mut store, 5e-4, 1e-3, |g, bind: &Binding| {
+        let xv = bind.var(x);
+        let h = caser.encode(g, bind, xv);
+        let w = g.constant(w0.clone());
+        let t = g.tanh(h);
+        let p = g.mul(t, w);
+        g.sum_all(p)
     });
 }

@@ -266,7 +266,6 @@ impl ServerStats {
         format!(
             concat!(
                 "{{\"uptime_secs\":{},\"requests_total\":{},\"qps\":{},",
-                "\"backend\":\"{}\",",
                 "\"model\":{},",
                 "\"latency_ms\":{{\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{}}},",
                 "\"cache\":{{\"hits\":{},\"misses\":{}}},",
@@ -280,7 +279,6 @@ impl ServerStats {
             f64_to_json(self.uptime_secs()),
             get(&self.requests_total),
             f64_to_json(self.qps()),
-            ssdrec_tensor::backend_kind().name(),
             model,
             self.latency.count(),
             f64_to_json(self.latency.mean_ms()),
@@ -369,13 +367,6 @@ mod tests {
                 "missing pool field {field}"
             );
         }
-        // The active kernel backend is surfaced so operators can see which
-        // kernels a live server is running.
-        let backend = j.get("backend").and_then(|v| v.as_str()).expect("backend");
-        assert!(
-            backend == "reference" || backend == "blocked",
-            "unexpected backend {backend:?}"
-        );
     }
 
     #[test]

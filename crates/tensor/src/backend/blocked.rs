@@ -1,5 +1,6 @@
-//! The default backend: cache-blocked, register-tiled gemm plus single-pass
-//! fused element-wise kernels — bit-identical to [`Reference`].
+//! The production kernels: cache-blocked, register-tiled gemm plus
+//! single-pass fused element-wise kernels — bit-identical to the
+//! straight-line oracle in `crates/tensor/tests/oracle`.
 //!
 //! # Why tiling does not change bits
 //!
@@ -14,20 +15,20 @@
 //!
 //! Two oracle quirks need care:
 //!
-//! * **Zero skipping.** The `!tb` oracle variants skip `a` elements that
+//! * **Zero skipping.** The oracle's `!tb` variants skip `a` elements that
 //!   are exactly `±0.0`; the blocked kernel does not. Adding the skipped
 //!   `±0·b = ±0` term anyway cannot change an accumulator under
 //!   round-to-nearest unless the accumulator is exactly `-0.0` — and an
 //!   accumulation chain that starts at `+0.0` can never produce `-0.0`
 //!   (IEEE 754 only yields `-0` from `(-0) + (-0)`). Output buffers here
 //!   are always `+0`-zeroed (or the result of prior chains with the same
-//!   property), and inputs are finite per the [`Backend`] contract, so the
+//!   property), and inputs are finite per [`gemm_rows`]' contract, so the
 //!   skipped terms are bitwise no-ops.
-//! * **Degenerate `k = 0`.** The `tb` oracle variants still add an empty
+//! * **Degenerate `k = 0`.** The oracle's `tb` variants still add an empty
 //!   sum (`+0.0`) to every output element; the `!tb` variants add nothing.
 //!   The blocked kernel mirrors both.
 //!
-//! # What is actually faster
+//! # What is faster than the oracle
 //!
 //! * gemm packs `a` into a `p`-major 8-row panel (and `b` into a `p`-major
 //!   matrix for the `tb` variants, once per call — [`crate::kernels`]
@@ -35,7 +36,7 @@
 //!   its row blocks), turning every variant into the same
 //!   unit-stride broadcast-multiply-accumulate over an `8×W` register tile,
 //!   `W` one vector register wide: 8 columns in the portable (SSE2) and
-//!   AVX2 builds, 16 in the AVX-512F build. The `tb` oracle variants are
+//!   AVX2 builds, 16 in the AVX-512F build. The oracle's `tb` variants are
 //!   scalar dot-product reductions the autovectorizer cannot touch
 //!   (vectorizing an FP reduction would reassociate); the tiled form keeps
 //!   each lane's chain separate, so it vectorizes across the output
@@ -46,9 +47,9 @@
 //!   copied once per call into a zero-padded `W`-column strip, and a last
 //!   partial row panel packs zeros into its unused lanes. The padding lanes
 //!   compute products nobody stores; no stored lane ever sees them.
-//! * [`Backend::bias_act`] runs in one pass instead of add-then-activate.
-//! * [`Backend::scaled_masked_softmax`] fuses the scale/mask pass with the
-//!   row-max scan.
+//! * [`bias_act_rows`] runs in one pass instead of add-then-activate.
+//! * [`scaled_masked_softmax_rows`] fuses the scale/mask pass with the row-max
+//!   scan.
 //! * The softmax family (softmax, log-softmax, scale+mask+softmax) splits
 //!   the oracle's exponential-and-sum loop. Every row's `x − max` is
 //!   written first; then one pass over the call's whole output takes the
@@ -58,12 +59,12 @@
 //!   oracle's order. Every element goes through the oracle's operations,
 //!   so the bits are its bits.
 //!
-//! LayerNorm has no bit-safe pass fusion (a one-pass `E[x²]−E[x]²`
-//! variance, or multiplying by `1/σ` differently, would change bits), so
-//! this backend delegates it to the oracle unchanged.
+//! [`layer_norm_rows`] has no bit-safe pass fusion (a one-pass
+//! `E[x²]−E[x]²` variance, or multiplying by `1/σ` differently, would
+//! change bits), so it is the oracle's loop.
 
 use super::{lanes, per_isa, store_lanes};
-use super::{Activation, Backend, Reference};
+use super::{Activation, LN_EPS};
 use crate::math;
 
 /// Register-tile rows (output rows advanced together per A panel).
@@ -272,130 +273,146 @@ fn normalise(row: &mut [f32]) {
     }
 }
 
-/// The cache-blocked, register-tiled default kernels.
-pub struct Blocked;
-
-impl Backend for Blocked {
-    fn name(&self) -> &'static str {
-        "blocked"
+/// Compute output rows `[r0, r1)` of `out[m×n] (+)= a[m×k] · b[k×n]` into
+/// `block` (the slice for exactly those rows), with optional operand
+/// transposes (`ta`: `a` stored `k×m`; `tb`: `b` stored `n×k`).
+///
+/// Accumulation-chain contract: the `!tb` variants add each `p` term
+/// directly onto the existing output value; the `tb` variants form a fresh
+/// `p`-ascending sum and add it to the output once. Per output element the
+/// operation sequence is fixed by the shape alone, so any row partition of
+/// the same product is bit-identical. Inputs are assumed finite (no
+/// ±inf/NaN); score masking uses large finite values (−1e9), never
+/// infinities.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_rows(
+    a: &[f32],
+    ta: bool,
+    b: &[f32],
+    tb: bool,
+    m: usize,
+    k: usize,
+    n: usize,
+    block: &mut [f32],
+    r0: usize,
+    r1: usize,
+) {
+    debug_assert_eq!(block.len(), (r1 - r0) * n);
+    if n == 0 || r1 <= r0 {
+        return;
     }
-
-    fn gemm_rows(
-        &self,
-        a: &[f32],
-        ta: bool,
-        b: &[f32],
-        tb: bool,
-        m: usize,
-        k: usize,
-        n: usize,
-        block: &mut [f32],
-        r0: usize,
-        r1: usize,
-    ) {
-        debug_assert_eq!(block.len(), (r1 - r0) * n);
-        if n == 0 || r1 <= r0 {
-            return;
-        }
-        if k == 0 {
-            // Mirror the oracle's degenerate semantics (see module docs).
-            if tb {
-                for o in block.iter_mut() {
-                    *o += 0.0;
-                }
-            }
-            return;
-        }
-        // p-major view of b: the `!tb` variants already store b as k×n; the
-        // `tb` variants pack n×k → k×n once per call so every tile streams
-        // contiguous rows instead of strided dot products. (A row-parallel
-        // 2-D gemm never gets here with `tb`: `kernels` packs once for all
-        // of its blocks.)
+    if k == 0 {
+        // Mirror the oracle's degenerate semantics (see module docs).
         if tb {
-            let mut bp = crate::pool::take(k * n);
-            crate::kernels::transpose_into(b, n, k, &mut bp);
-            gemm_panels(a, ta, &bp, m, k, n, false, block, r0, r1);
-            crate::pool::recycle(bp);
-        } else {
-            gemm_panels(a, ta, b, m, k, n, true, block, r0, r1);
-        }
-    }
-
-    fn softmax_rows(&self, src: &[f32], dst: &mut [f32], n: usize) {
-        for (srow, drow) in src.chunks(n).zip(dst.chunks_mut(n)) {
-            shifted(srow, drow);
-        }
-        exp_in_place(dst);
-        dst.chunks_mut(n).for_each(normalise);
-    }
-
-    fn log_softmax_rows(&self, src: &[f32], dst: &mut [f32], n: usize) {
-        // The exponentials are parked in `dst` while their sum runs.
-        for (srow, drow) in src.chunks(n).zip(dst.chunks_mut(n)) {
-            shifted(srow, drow);
-        }
-        exp_in_place(dst);
-        for (srow, drow) in src.chunks(n).zip(dst.chunks_mut(n)) {
-            let lse = math::ln(drow.iter().sum::<f32>()) + row_max(srow);
-            for (d, &s) in drow.iter_mut().zip(srow) {
-                *d = s - lse;
+            for o in block.iter_mut() {
+                *o += 0.0;
             }
         }
+        return;
     }
-
-    fn layer_norm_rows(&self, x: &[f32], gamma: &[f32], beta: &[f32], dst: &mut [f32], n: usize) {
-        Reference.layer_norm_rows(x, gamma, beta, dst, n);
+    // p-major view of b: the `!tb` variants already store b as k×n; the
+    // `tb` variants pack n×k → k×n once per call so every tile streams
+    // contiguous rows instead of strided dot products. (A row-parallel
+    // 2-D gemm never gets here with `tb`: `kernels` packs once for all
+    // of its blocks.)
+    if tb {
+        let mut bp = crate::pool::take(k * n);
+        crate::kernels::transpose_into(b, n, k, &mut bp);
+        gemm_panels(a, ta, &bp, m, k, n, false, block, r0, r1);
+        crate::pool::recycle(bp);
+    } else {
+        gemm_panels(a, ta, b, m, k, n, true, block, r0, r1);
     }
+}
 
-    fn bias_act(&self, a: &[f32], bias: &[f32], act: Activation, dst: &mut [f32]) {
-        if dst.is_empty() {
-            return;
+/// Row-wise numerically-stable softmax: `src` and `dst` are `rows × n`
+/// with `n ≥ 1`.
+pub fn softmax_rows(src: &[f32], dst: &mut [f32], n: usize) {
+    for (srow, drow) in src.chunks(n).zip(dst.chunks_mut(n)) {
+        shifted(srow, drow);
+    }
+    exp_in_place(dst);
+    dst.chunks_mut(n).for_each(normalise);
+}
+
+/// Row-wise numerically-stable log-softmax (`n ≥ 1`).
+pub fn log_softmax_rows(src: &[f32], dst: &mut [f32], n: usize) {
+    // The exponentials are parked in `dst` while their sum runs.
+    for (srow, drow) in src.chunks(n).zip(dst.chunks_mut(n)) {
+        shifted(srow, drow);
+    }
+    exp_in_place(dst);
+    for (srow, drow) in src.chunks(n).zip(dst.chunks_mut(n)) {
+        let lse = math::ln(drow.iter().sum::<f32>()) + row_max(srow);
+        for (d, &s) in drow.iter_mut().zip(srow) {
+            *d = s - lse;
         }
-        // Single fused pass; `act(x + b)` is the same per-element operation
-        // sequence as the oracle's add-then-activate double pass.
-        for (arow, drow) in a.chunks(bias.len()).zip(dst.chunks_mut(bias.len())) {
-            for ((d, &x), &bv) in drow.iter_mut().zip(arow.iter()).zip(bias.iter()) {
-                *d = act.apply(x + bv);
-            }
+    }
+}
+
+/// Row-wise LayerNorm with scale/shift: `gamma`/`beta` have length `n`.
+pub fn layer_norm_rows(x: &[f32], gamma: &[f32], beta: &[f32], dst: &mut [f32], n: usize) {
+    for (src, dst) in x.chunks(n).zip(dst.chunks_mut(n)) {
+        let mean = src.iter().sum::<f32>() / n as f32;
+        let var = src.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / n as f32;
+        let inv = 1.0 / (var + LN_EPS).sqrt();
+        for j in 0..n {
+            dst[j] = gamma[j] * (src[j] - mean) * inv + beta[j];
         }
     }
+}
 
-    fn scaled_masked_softmax(
-        &self,
-        a: &[f32],
-        scale: f32,
-        mask: Option<&[f32]>,
-        dst: &mut [f32],
-        n: usize,
-    ) {
-        let mn = mask.map_or(0, |mv| mv.len());
-        for (r, (arow, drow)) in a.chunks(n).zip(dst.chunks_mut(n)).enumerate() {
-            // Fused pass 1: z = a·scale (+ mask row) while scanning the row
-            // max — same per-element ops and max fold order as the oracle.
-            let mut mx = f32::NEG_INFINITY;
-            match mask {
-                Some(mv) => {
-                    let mo = (r * n) % mn;
-                    let mrow = &mv[mo..mo + n];
-                    for ((d, &x), &add) in drow.iter_mut().zip(arow.iter()).zip(mrow.iter()) {
-                        let z = x * scale + add;
-                        *d = z;
-                        mx = mx.max(z);
-                    }
+/// Fused `dst[i] = act(a[i] + bias[i % bias.len()])` (suffix broadcast).
+pub fn bias_act_rows(a: &[f32], bias: &[f32], act: Activation, dst: &mut [f32]) {
+    if dst.is_empty() {
+        return;
+    }
+    // Single fused pass; `act(x + b)` is the same per-element operation
+    // sequence as the oracle's add-then-activate double pass.
+    for (arow, drow) in a.chunks(bias.len()).zip(dst.chunks_mut(bias.len())) {
+        for ((d, &x), &bv) in drow.iter_mut().zip(arow.iter()).zip(bias.iter()) {
+            *d = act.apply(x + bv);
+        }
+    }
+}
+
+/// Fused `dst = softmax_rows(a * scale + broadcast(mask))` over rows of
+/// length `n`; `mask` (when present) has length a multiple of `n` and is
+/// tiled over the leading rows (suffix broadcast).
+pub fn scaled_masked_softmax_rows(
+    a: &[f32],
+    scale: f32,
+    mask: Option<&[f32]>,
+    dst: &mut [f32],
+    n: usize,
+) {
+    let mn = mask.map_or(0, |mv| mv.len());
+    for (r, (arow, drow)) in a.chunks(n).zip(dst.chunks_mut(n)).enumerate() {
+        // Fused pass 1: z = a·scale (+ mask row) while scanning the row
+        // max — same per-element ops and max fold order as the oracle.
+        let mut mx = f32::NEG_INFINITY;
+        match mask {
+            Some(mv) => {
+                let mo = (r * n) % mn;
+                let mrow = &mv[mo..mo + n];
+                for ((d, &x), &add) in drow.iter_mut().zip(arow.iter()).zip(mrow.iter()) {
+                    let z = x * scale + add;
+                    *d = z;
+                    mx = mx.max(z);
                 }
-                None => {
-                    for (d, &x) in drow.iter_mut().zip(arow.iter()) {
-                        let z = x * scale;
-                        *d = z;
-                        mx = mx.max(z);
-                    }
+            }
+            None => {
+                for (d, &x) in drow.iter_mut().zip(arow.iter()) {
+                    let z = x * scale;
+                    *d = z;
+                    mx = mx.max(z);
                 }
             }
-            for d in drow.iter_mut() {
-                *d -= mx;
-            }
         }
-        exp_in_place(dst);
-        dst.chunks_mut(n).for_each(normalise);
+        for d in drow.iter_mut() {
+            *d -= mx;
+        }
     }
+    exp_in_place(dst);
+    dst.chunks_mut(n).for_each(normalise);
 }

@@ -15,9 +15,9 @@
 //! transcendentals (the LSTM gates, softmax exponentials, Gumbel noise)
 //! call [`crate::math`]'s branch-free, always-inlined functions, which
 //! vectorise lane for lane into the same IEEE operations as the scalar
-//! call. So the three builds and the [`Reference`](super::Reference)
+//! call. So the three builds of the one kernel set and the test-only
 //! oracle agree exactly: a per-build kernel never moves the kernel
-//! bits-contract (version 2 moved every build and both backends together,
+//! bits-contract (version 2 moved every build and the oracle together,
 //! when those functions replaced libm).
 
 use std::sync::atomic::{AtomicU8, Ordering};

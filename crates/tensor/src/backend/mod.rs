@@ -1,92 +1,83 @@
-//! Pluggable CPU kernel backends.
+//! The production CPU kernels and their bits-contract.
 //!
-//! Every compute-dense kernel (gemm, softmax, log-softmax, LayerNorm, and the
-//! fused bias+activation / scale+mask+softmax passes) dispatches through the
-//! [`Backend`] trait. Two implementations ship:
-//!
-//! * [`Reference`] — the original straight-line loops, kept verbatim as the
-//!   oracle every other backend is tested against.
-//! * [`Blocked`] — the default: cache-blocked, register-tiled gemm
-//!   ([`Blocked`] packs operands into p-major panels and computes `8×W`
-//!   output tiles, `W` one vector register of the [`TileIsa`] build the
-//!   host runs) plus single-pass fused element-wise kernels.
+//! Every compute-dense kernel — gemm, softmax, log-softmax, LayerNorm, and
+//! the fused bias+activation / scale+mask+softmax passes — is one free
+//! function here, over flat `&[f32]` slices; shape-level concerns (rank
+//! promotion, batching, thread partitioning, degenerate shapes) live in
+//! [`crate::kernels`]. There is one implementation of each: the gemm packs
+//! operands into p-major panels and computes `8×W` output tiles, `W` one
+//! vector register of the [`TileIsa`] build the host runs, and the
+//! element-wise passes are single-pass and fused (see `blocked.rs`).
 //!
 //! # The kernel bits-contract
 //!
 //! This workspace pins golden HR@10/NDCG@10 values, checkpoint bytes and
-//! per-kernel bit checksums, so a kernel swap must not perturb results. The
-//! contract has two layers:
+//! per-kernel bit checksums, so a kernel rewrite must not perturb results.
+//! The contract has two layers:
 //!
-//! * **Self-contract (bit identity).** Each backend is bit-identical to
-//!   itself across runs and thread counts: every output element's
-//!   floating-point addition chain is fixed by the shape alone.
-//! * **Cross-backend parity (ULP bound).** Any two backends agree within
+//! * **Self-contract (bit identity).** Every kernel is bit-identical to
+//!   itself across runs, thread counts and [`TileIsa`] builds: every output
+//!   element's floating-point operation chain is fixed by the shape alone.
+//! * **Oracle parity (ULP bound).** The production kernels agree with the
+//!   straight-line oracle — the original loops, kept verbatim in
+//!   `crates/tensor/tests/oracle` and compiled only into the tests — within
 //!   [`KERNEL_BITS_MAX_ULPS`] on finite inputs. Version
-//!   [`KERNEL_BITS_VERSION`] pins the bound at **0** — `Blocked` is
-//!   bit-identical to `Reference`, because its tiling only changes *where*
-//!   partial sums live (registers instead of memory), never the per-element
-//!   accumulation order — in every [`TileIsa`] build, since vectorising
-//!   across output elements reassociates nothing. Only a kernel that
-//!   reassociates sums (a vectorised reduction, split-K) would bump the
-//!   version and widen the bound, and the parity suite in
-//!   `crates/tensor/tests/backend_parity.rs` would keep enforcing the new
-//!   bound.
+//!   [`KERNEL_BITS_VERSION`] pins the bound at **0**: tiling only changes
+//!   *where* partial sums live (registers instead of memory), never the
+//!   per-element accumulation order, and vectorising across output elements
+//!   reassociates nothing. Only a kernel that reassociates sums (a
+//!   vectorised reduction, split-K) would bump the version and widen the
+//!   bound, and `crates/tensor/tests/backend_parity.rs`, which holds every
+//!   kernel to the oracle in every tile build the host runs, would keep
+//!   enforcing the new bound.
 //!
-//! The version also moves, with the bound left at 0, when every backend's
-//! bits move together on purpose. History:
+//! The version also moves, with the bound left at 0, when the production
+//! kernels and the oracle move together on purpose. History:
 //!
-//! * **v1** — `Blocked` bit-identical to `Reference`; transcendentals from
-//!   the platform's libm.
+//! * **v1** — the production kernels bit-identical to the oracle;
+//!   transcendentals from the platform's libm.
 //! * **v2** — every `exp`, `ln`, `tanh` and sigmoid in this crate is
 //!   [`crate::math`]'s, built from IEEE add/multiply/divide and bit
 //!   operations only. Every value downstream of one moved once (the
 //!   forward and trained-checkpoint pins were re-recorded; the golden
 //!   metrics held); trained bits no longer depend on the host's C library;
-//!   and the LSTM gate pass and `Blocked`'s softmax exponentials run at the
-//!   vector width of the [`TileIsa`] build, still bit-identical to
-//!   `Reference`.
-//!
-//! The selected backend is process-global: `SSDREC_BACKEND=reference|blocked`
-//! at startup, or [`set_backend`] (the CLI's `--backend` flag). Tests that
-//! switch backends must serialize through [`with_backend`] /
-//! [`with_each_backend`], which hold a global lock so concurrent `#[test]`
-//! threads cannot observe each other's backend.
+//!   and the LSTM gate pass and the softmax exponentials run at the vector
+//!   width of the [`TileIsa`] build, still bit-identical to the oracle.
 
 mod blocked;
 mod isa;
-mod reference;
-
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
 
 use crate::math;
 
-pub use blocked::Blocked;
+pub use blocked::{
+    bias_act_rows, gemm_rows, layer_norm_rows, log_softmax_rows, scaled_masked_softmax_rows,
+    softmax_rows,
+};
 pub(crate) use isa::{lanes, per_isa, store_lanes};
 pub use isa::{with_tile_isa, TileIsa};
-pub use reference::Reference;
 
-/// Version of the kernel bits-contract (see the module docs). Bump when a
-/// backend is allowed to diverge from `Reference` by more than the current
-/// [`KERNEL_BITS_MAX_ULPS`].
+/// Version of the kernel bits-contract (see the module docs). Bump when the
+/// production kernels are allowed to diverge from the oracle by more than
+/// the current [`KERNEL_BITS_MAX_ULPS`].
 pub const KERNEL_BITS_VERSION: u32 = 2;
 
-/// Maximum ULP distance permitted between any two backends' outputs on
-/// finite inputs under contract version [`KERNEL_BITS_VERSION`]. A bound of
-/// 0 demands exact bit equality (±0 and NaN payloads included), which is
-/// what keeps golden metric pins and checkpoint bytes backend-independent.
+/// Maximum ULP distance permitted between the production kernels' outputs
+/// and the oracle's on finite inputs under contract version
+/// [`KERNEL_BITS_VERSION`]. A bound of 0 demands exact bit equality (±0 and
+/// NaN payloads included), which is what keeps golden metric pins and
+/// checkpoint bytes independent of how the kernels are written.
 pub const KERNEL_BITS_MAX_ULPS: u64 = 0;
 
-/// Epsilon inside LayerNorm's variance square root (shared by every backend
-/// and by the backward kernel in [`crate::kernels`]).
+/// Epsilon inside LayerNorm's variance square root (shared by
+/// [`layer_norm_rows`] and the backward kernel in [`crate::kernels`]).
 pub(crate) const LN_EPS: f32 = 1e-5;
 
-/// Rows of [`Blocked`]'s register tile. [`crate::kernels`] cuts parallel
+/// Rows of [`gemm_rows`]' register tile. [`crate::kernels`] cuts parallel
 /// gemm row blocks at multiples of it, so only a call's last block can end
 /// in a partial (unvectorised) tile.
 pub(crate) const TILE_ROWS: usize = 8;
 
-/// Element-wise activations understood by [`Backend::bias_act`].
+/// Element-wise activations understood by [`bias_act_rows`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Activation {
     /// The identity map (bias add only).
@@ -130,187 +121,6 @@ impl Activation {
             Activation::Sigmoid => g * y * (1.0 - y),
             Activation::Tanh => g * (1.0 - y * y),
         }
-    }
-}
-
-/// A CPU kernel implementation. All methods speak flat `&[f32]` slices so
-/// backends stay independent of [`crate::tensor::Tensor`]; shape-level
-/// concerns (rank promotion, batching, thread partitioning, degenerate
-/// shapes) live in [`crate::kernels`].
-///
-/// Every method must honour the bits-contract in the module docs: per
-/// output element, the floating-point operation sequence is fixed by the
-/// shape alone (accumulations run over the contraction index ascending), so
-/// any row/batch partition of the same kernel is bit-identical.
-pub trait Backend: Send + Sync {
-    /// The backend's name as accepted by `SSDREC_BACKEND`.
-    fn name(&self) -> &'static str;
-
-    /// Compute output rows `[r0, r1)` of `out[m×n] (+)= a[m×k] · b[k×n]`
-    /// into `block` (the slice for exactly those rows), with optional
-    /// operand transposes (`ta`: `a` stored `k×m`; `tb`: `b` stored `n×k`).
-    ///
-    /// Accumulation-chain contract, matching the original kernels: the
-    /// `!tb` variants add each `p` term directly onto the existing output
-    /// value; the `tb` variants form a fresh `p`-ascending sum and add it to
-    /// the output once. Inputs are assumed finite (no ±inf/NaN); score
-    /// masking uses large finite values (−1e9), never infinities.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_rows(
-        &self,
-        a: &[f32],
-        ta: bool,
-        b: &[f32],
-        tb: bool,
-        m: usize,
-        k: usize,
-        n: usize,
-        block: &mut [f32],
-        r0: usize,
-        r1: usize,
-    );
-
-    /// Row-wise numerically-stable softmax: `src` and `dst` are
-    /// `rows × n` with `n ≥ 1`.
-    fn softmax_rows(&self, src: &[f32], dst: &mut [f32], n: usize);
-
-    /// Row-wise numerically-stable log-softmax (`n ≥ 1`).
-    fn log_softmax_rows(&self, src: &[f32], dst: &mut [f32], n: usize);
-
-    /// Row-wise LayerNorm with scale/shift: `gamma`/`beta` have length `n`.
-    fn layer_norm_rows(&self, x: &[f32], gamma: &[f32], beta: &[f32], dst: &mut [f32], n: usize);
-
-    /// Fused `dst[i] = act(a[i] + bias[i % bias.len()])` (suffix broadcast).
-    fn bias_act(&self, a: &[f32], bias: &[f32], act: Activation, dst: &mut [f32]);
-
-    /// Fused `dst = softmax_rows(a * scale + broadcast(mask))` over rows of
-    /// length `n`; `mask` (when present) has length a multiple of `n` and is
-    /// tiled over the leading rows (suffix broadcast).
-    fn scaled_masked_softmax(
-        &self,
-        a: &[f32],
-        scale: f32,
-        mask: Option<&[f32]>,
-        dst: &mut [f32],
-        n: usize,
-    );
-}
-
-/// Which [`Backend`] implementation to use.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum BackendKind {
-    /// The straight-line oracle kernels.
-    Reference,
-    /// The cache-blocked default kernels.
-    Blocked,
-}
-
-impl BackendKind {
-    /// Parse a `SSDREC_BACKEND` / `--backend` value.
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s {
-            "reference" => Some(BackendKind::Reference),
-            "blocked" => Some(BackendKind::Blocked),
-            _ => None,
-        }
-    }
-
-    /// The name as accepted by `SSDREC_BACKEND`.
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Reference => "reference",
-            BackendKind::Blocked => "blocked",
-        }
-    }
-
-    /// Every available backend (the iteration order of
-    /// [`with_each_backend`]).
-    pub fn all() -> [BackendKind; 2] {
-        [BackendKind::Reference, BackendKind::Blocked]
-    }
-}
-
-static REFERENCE: Reference = Reference;
-static BLOCKED: Blocked = Blocked;
-
-/// 0 = unset (resolve from the environment on first use).
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-fn resolve_env() -> BackendKind {
-    match std::env::var("SSDREC_BACKEND") {
-        Ok(v) => BackendKind::parse(&v).unwrap_or_else(|| {
-            panic!("SSDREC_BACKEND must be \"reference\" or \"blocked\", got {v:?}")
-        }),
-        Err(_) => BackendKind::Blocked,
-    }
-}
-
-/// The currently selected backend kind. Resolved from `SSDREC_BACKEND` on
-/// first use (default: [`BackendKind::Blocked`]).
-pub fn backend_kind() -> BackendKind {
-    match ACTIVE.load(Ordering::Relaxed) {
-        1 => BackendKind::Reference,
-        2 => BackendKind::Blocked,
-        _ => {
-            let k = resolve_env();
-            set_backend(k);
-            k
-        }
-    }
-}
-
-/// Select the process-global backend (the CLI's `--backend` flag). Takes
-/// effect for all subsequent kernel calls on every thread.
-pub fn set_backend(kind: BackendKind) {
-    let v = match kind {
-        BackendKind::Reference => 1,
-        BackendKind::Blocked => 2,
-    };
-    ACTIVE.store(v, Ordering::Relaxed);
-}
-
-/// The active [`Backend`] implementation.
-pub fn backend() -> &'static dyn Backend {
-    match backend_kind() {
-        BackendKind::Reference => &REFERENCE,
-        BackendKind::Blocked => &BLOCKED,
-    }
-}
-
-/// Serializes backend switching across test threads: the backend is
-/// process-global, so concurrent `#[test]`s that switch it must hold this
-/// lock for the whole switched region.
-static SWITCH_LOCK: Mutex<()> = Mutex::new(());
-
-/// Restores the previous backend on drop (including on panic, so a failing
-/// shrunk property case cannot leak its backend to the next case).
-struct Restore(BackendKind);
-
-impl Drop for Restore {
-    fn drop(&mut self) {
-        set_backend(self.0);
-    }
-}
-
-/// Run `f` with `kind` selected, holding the global switch lock, and restore
-/// the previous backend afterwards (also on panic). Not reentrant: do not
-/// nest with itself or [`with_each_backend`].
-pub fn with_backend<R>(kind: BackendKind, f: impl FnOnce() -> R) -> R {
-    let _lock = SWITCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = Restore(backend_kind());
-    set_backend(kind);
-    f()
-}
-
-/// Run `f` once per backend in [`BackendKind::all`] order, holding the
-/// global switch lock throughout, and restore the previous backend
-/// afterwards (also on panic). Not reentrant (see [`with_backend`]).
-pub fn with_each_backend(mut f: impl FnMut(BackendKind)) {
-    let _lock = SWITCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = Restore(backend_kind());
-    for kind in BackendKind::all() {
-        set_backend(kind);
-        f(kind);
     }
 }
 
@@ -366,28 +176,6 @@ pub fn assert_within_ulps(want: &[f32], got: &[f32], max_ulps: u64, ctx: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_round_trips() {
-        for kind in BackendKind::all() {
-            assert_eq!(BackendKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(BackendKind::parse("simd"), None);
-    }
-
-    #[test]
-    fn with_backend_restores_on_exit_and_panic() {
-        let before = backend_kind();
-        with_backend(BackendKind::Reference, || {
-            assert_eq!(backend_kind(), BackendKind::Reference);
-        });
-        assert_eq!(backend_kind(), before);
-        let r = std::panic::catch_unwind(|| {
-            with_backend(BackendKind::Reference, || panic!("boom"));
-        });
-        assert!(r.is_err());
-        assert_eq!(backend_kind(), before, "backend leaked across a panic");
-    }
 
     #[test]
     fn ulp_distance_basics() {

@@ -19,7 +19,7 @@
 //!   over the contraction index is the batch loop's chain, ascending from
 //!   zero;
 //! * [`matmul_backward`] computes only the gradients the tape asks for;
-//! * parallel row blocks are whole multiples of the backend's 8-row tile;
+//! * parallel row blocks are whole multiples of the gemm's 8-row tile;
 //! * a transposed operand is packed once per gemm, not once per row block:
 //!   every gemm writes into a `+0`-zeroed output, where the transposed
 //!   variant's "fresh sum, then add" and the plain variant's "add onto the
@@ -40,7 +40,10 @@
 //! Each lane runs the scalar chain unchanged, so every build gives the
 //! scalar bits.
 
-use crate::backend::{lanes, per_isa, store_lanes, TILE_ROWS};
+use crate::backend::{
+    bias_act_rows, gemm_rows, lanes, layer_norm_rows, log_softmax_rows, per_isa,
+    scaled_masked_softmax_rows, softmax_rows, store_lanes, Activation, LN_EPS, TILE_ROWS,
+};
 use crate::math;
 use crate::sparse::{CsrMatrix, CsrRows};
 use crate::tensor::Tensor;
@@ -166,27 +169,6 @@ pub(crate) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f
             dst[j * rows + i] = src[i * cols + j];
         }
     }
-}
-
-/// Compute output rows `[r0, r1)` of `out[m×n] (+)= a[m×k] · b[k×n]` into
-/// `block` (the slice for exactly those rows) on the active
-/// [`crate::backend::Backend`]. For every output element the inner
-/// accumulation runs over `p` ascending in all four transpose variants, so
-/// any row partition produces bits identical to `[0, m)`.
-#[allow(clippy::too_many_arguments)]
-fn gemm_rows(
-    a: &[f32],
-    ta: bool,
-    b: &[f32],
-    tb: bool,
-    m: usize,
-    k: usize,
-    n: usize,
-    block: &mut [f32],
-    r0: usize,
-    r1: usize,
-) {
-    crate::backend::backend().gemm_rows(a, ta, b, tb, m, k, n, block, r0, r1);
 }
 
 /// `out[m×n] = a[m×k] · b[k×n]` into a `+0`-zeroed `out`, with optional
@@ -489,8 +471,8 @@ pub fn matmul_backward(
 /// `out[rows×d] = A · x` over one CSR half, the rows `[r0, r0 + out.len()/d)`
 /// of it: each output element is one `+0`-started chain over the row's
 /// columns ascending — the dense `!ta && !tb` gemm's chain without its `±0`
-/// terms, which are bitwise no-ops on such a chain (see the `blocked`
-/// backend's docs).
+/// terms, which are bitwise no-ops on such a chain (see `backend/blocked.rs`'
+/// module docs).
 ///
 /// A row's output is taken in chunks of `W2 = 2·W` columns (two registers
 /// of the build) while they fill, then `W`, each chunk's accumulator held
@@ -642,7 +624,7 @@ pub fn softmax_last(a: &Tensor) -> Tensor {
     if n == 0 {
         return out;
     }
-    crate::backend::backend().softmax_rows(a.data(), out.data_mut(), n);
+    softmax_rows(a.data(), out.data_mut(), n);
     out
 }
 
@@ -674,7 +656,7 @@ pub fn log_softmax_last(a: &Tensor) -> Tensor {
     if n == 0 {
         return out;
     }
-    crate::backend::backend().log_softmax_rows(a.data(), out.data_mut(), n);
+    log_softmax_rows(a.data(), out.data_mut(), n);
     out
 }
 
@@ -699,8 +681,6 @@ pub fn log_softmax_last_backward(y: &Tensor, gout: &Tensor) -> Tensor {
     out
 }
 
-use crate::backend::LN_EPS;
-
 /// Layer normalisation over the last dimension with scale/shift.
 pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> Tensor {
     let n = last_dim(x.shape());
@@ -710,13 +690,7 @@ pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> Tensor {
     if n == 0 {
         return out;
     }
-    crate::backend::backend().layer_norm_rows(
-        x.data(),
-        gamma.data(),
-        beta.data(),
-        out.data_mut(),
-        n,
-    );
+    layer_norm_rows(x.data(), gamma.data(), beta.data(), out.data_mut(), n);
     out
 }
 
@@ -762,20 +736,20 @@ pub fn layer_norm_backward(x: &Tensor, gamma: &Tensor, gout: &Tensor) -> (Tensor
 /// Fused `act(a + broadcast(bias))` where `bias`'s shape is a suffix of
 /// `a`'s shape — one backend pass instead of an add node plus an
 /// activation node.
-pub fn bias_act(a: &Tensor, bias: &Tensor, act: crate::backend::Activation) -> Tensor {
+pub fn bias_act(a: &Tensor, bias: &Tensor, act: Activation) -> Tensor {
     let (ash, bsh) = (a.shape(), bias.shape());
     assert!(
         bsh.len() <= ash.len() && ash[ash.len() - bsh.len()..] == *bsh,
         "bias_act: {bsh:?} is not a suffix of {ash:?}"
     );
     let mut data = crate::pool::take(a.len());
-    crate::backend::backend().bias_act(a.data(), bias.data(), act, &mut data);
+    bias_act_rows(a.data(), bias.data(), act, &mut data);
     Tensor::new(data, ash)
 }
 
 /// Backward of the activation half of [`bias_act`], expressed via the fused
 /// output `y` — the exact formulas of the unfused activation backward ops.
-pub fn act_backward(gout: &Tensor, y: &Tensor, act: crate::backend::Activation) -> Tensor {
+pub fn act_backward(gout: &Tensor, y: &Tensor, act: Activation) -> Tensor {
     zip(gout, y, |g, yv| act.grad_from_output(g, yv))
 }
 
@@ -794,13 +768,7 @@ pub fn scaled_masked_softmax(a: &Tensor, scale: f32, mask: Option<&Tensor>) -> T
     if n == 0 {
         return out;
     }
-    crate::backend::backend().scaled_masked_softmax(
-        a.data(),
-        scale,
-        mask.map(|mv| mv.data()),
-        out.data_mut(),
-        n,
-    );
+    scaled_masked_softmax_rows(a.data(), scale, mask.map(|mv| mv.data()), out.data_mut(), n);
     out
 }
 

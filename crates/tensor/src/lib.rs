@@ -41,9 +41,7 @@ pub mod rng;
 pub mod sparse;
 pub mod tensor;
 
-pub use backend::{
-    backend_kind, set_backend, with_backend, with_each_backend, Activation, Backend, BackendKind,
-};
+pub use backend::Activation;
 pub use gradtest::fd_check_all_params;
 pub use graph::{Gradients, Graph, Var};
 pub use optim::{Adam, Binding, ParamRef, ParamStore, Sgd};

@@ -1,27 +1,28 @@
-//! Backend parity: the property-tested kernel bits-contract.
+//! Kernel parity: the property-tested kernel bits-contract.
 //!
-//! `Blocked` must agree with the `Reference` oracle within
+//! The production kernels (`ssdrec_tensor::backend`) must agree with the
+//! straight-line oracle (`oracle/`, compiled only into the tests) within
 //! [`KERNEL_BITS_MAX_ULPS`] (0 under contract v2 — exact bits) on
 //! randomized shapes, including ragged/odd sizes that stress the `8×W`
 //! panel edges, in every tile build the host can run (portable `W = 8`,
 //! AVX2 `W = 8`, AVX-512F `W = 16`, each reached through the hidden
-//! `with_tile_isa` entry point); each backend must be insensitive to row
+//! `with_tile_isa` entry point); the gemm must be insensitive to row
 //! partitioning and to stale pool-buffer contents; and the fused graph ops
 //! (bias+activation, scale+mask+softmax) must reproduce their unfused node
-//! chains bit-for-bit — values *and* gradients — under both backends. The
-//! fused LSTM node is held to the unrolled chain it replaced (kept below as
-//! the oracle): forward bit for bit, gradients within [`LSTM_GRAD_REL`].
-//! The suffix-broadcast kernels are held to the per-element `%` loops they
-//! replaced.
+//! chains bit-for-bit — values *and* gradients. The sparse product and the
+//! sequence-chunked LSTM are held to dense and whole-batch recurrences
+//! built on the oracle's gemm. The fused LSTM node is held to the unrolled
+//! chain it replaced (kept below as the oracle): forward bit for bit,
+//! gradients within [`LSTM_GRAD_REL`]. The suffix-broadcast kernels are
+//! held to the per-element `%` loops they replaced.
+
+mod oracle;
 
 use ssdrec_tensor::backend::{
-    assert_within_ulps, with_tile_isa, Backend, BackendKind, Blocked, Reference, TileIsa,
-    KERNEL_BITS_MAX_ULPS,
+    self, assert_within_ulps, with_tile_isa, TileIsa, KERNEL_BITS_MAX_ULPS,
 };
 use ssdrec_tensor::nn::{Linear, Lstm};
-use ssdrec_tensor::{
-    kernels, with_each_backend, Activation, Binding, CsrMatrix, Graph, ParamStore, Rng, Tensor, Var,
-};
+use ssdrec_tensor::{kernels, Activation, Binding, CsrMatrix, Graph, ParamStore, Rng, Tensor, Var};
 use ssdrec_testkit::{gens, property, Gen};
 
 /// Deterministic pseudo-random data in `[-1, 1)`.
@@ -55,7 +56,7 @@ fn dims() -> Gen<usize> {
 }
 
 /// Like [`dims`] but never 0 (for row kernels whose `n = 0` case is handled
-/// above the backend).
+/// in `kernels`).
 fn dims1() -> Gen<usize> {
     const EDGES: [usize; 7] = [1, 7, 8, 9, 63, 64, 65];
     Gen::new(
@@ -85,8 +86,11 @@ fn each_tile_build(mut f: impl FnMut(TileIsa)) {
     }
 }
 
+/// A slice-level gemm: the oracle's or the production one.
+type GemmRows = fn(&[f32], bool, &[f32], bool, usize, usize, usize, &mut [f32], usize, usize);
+
 fn gemm_once(
-    be: &dyn Backend,
+    gemm: GemmRows,
     variant: usize,
     m: usize,
     k: usize,
@@ -97,16 +101,16 @@ fn gemm_once(
     let a = fill(m * k, seed as u64 * 4 + 1);
     let b = fill(k * n, seed as u64 * 4 + 2);
     let mut out = vec![0.0f32; m * n];
-    be.gemm_rows(&a, ta, &b, tb, m, k, n, &mut out, 0, m);
+    gemm(&a, ta, &b, tb, m, k, n, &mut out, 0, m);
     out
 }
 
 property! {
     cases = 96;
 
-    /// Blocked gemm matches the oracle within the pinned ULP bound on all
-    /// four transpose variants, including degenerate and partial-panel
-    /// shapes, in every tile build.
+    /// The production gemm matches the oracle within the pinned ULP bound
+    /// on all four transpose variants, including degenerate and
+    /// partial-panel shapes, in every tile build.
     fn gemm_parity_all_variants(
         m in dims(),
         k in dims(),
@@ -114,9 +118,9 @@ property! {
         variant in gens::usizes(0, 4),
         seed in gens::usizes(0, 1 << 16),
     ) {
-        let want = gemm_once(&Reference, variant, m, k, n, seed);
+        let want = gemm_once(oracle::gemm_rows, variant, m, k, n, seed);
         each_tile_build(|isa| {
-            let got = gemm_once(&Blocked, variant, m, k, n, seed);
+            let got = gemm_once(backend::gemm_rows, variant, m, k, n, seed);
             assert_within_ulps(
                 &want,
                 &got,
@@ -126,8 +130,8 @@ property! {
         });
     }
 
-    /// Each backend is insensitive to output-row partitioning: computing
-    /// rows `[0, r)` and `[r, m)` separately is bit-identical to one call.
+    /// The gemm is insensitive to output-row partitioning: computing rows
+    /// `[0, r)` and `[r, m)` separately is bit-identical to one call.
     /// This is the property that makes the thread pool's row chunking (and
     /// hence any thread count) bit-stable.
     fn gemm_row_partition_bit_identical(
@@ -142,23 +146,18 @@ property! {
         let a = fill(m * k, 11);
         let b = fill(k * n, 12);
         each_tile_build(|isa| {
-            for be in [&Reference as &dyn Backend, &Blocked] {
-                let mut whole = vec![0.0f32; m * n];
-                be.gemm_rows(&a, ta, &b, tb, m, k, n, &mut whole, 0, m);
-                let mut split = vec![0.0f32; m * n];
-                let (lo, hi) = split.split_at_mut(r * n);
-                be.gemm_rows(&a, ta, &b, tb, m, k, n, lo, 0, r);
-                be.gemm_rows(&a, ta, &b, tb, m, k, n, hi, r, m);
-                assert_within_ulps(
-                    &whole,
-                    &split,
-                    0,
-                    &format!(
-                        "{} ({isa:?}) split at {r} (variant={variant} m={m} k={k} n={n})",
-                        be.name()
-                    ),
-                );
-            }
+            let mut whole = vec![0.0f32; m * n];
+            backend::gemm_rows(&a, ta, &b, tb, m, k, n, &mut whole, 0, m);
+            let mut split = vec![0.0f32; m * n];
+            let (lo, hi) = split.split_at_mut(r * n);
+            backend::gemm_rows(&a, ta, &b, tb, m, k, n, lo, 0, r);
+            backend::gemm_rows(&a, ta, &b, tb, m, k, n, hi, r, m);
+            assert_within_ulps(
+                &whole,
+                &split,
+                0,
+                &format!("{isa:?} split at {r} (variant={variant} m={m} k={k} n={n})"),
+            );
         });
     }
 
@@ -187,16 +186,24 @@ property! {
                 ("scaled_masked_softmax", 2),
                 ("layer_norm", 3),
             ] {
-                for (be, dst) in [
-                    (&Reference as &dyn Backend, &mut want),
-                    (&Blocked, &mut got),
-                ] {
-                    dst.fill(0.0);
-                    match run {
-                        0 => be.softmax_rows(&src, dst, n),
-                        1 => be.log_softmax_rows(&src, dst, n),
-                        2 => be.scaled_masked_softmax(&src, 0.37, Some(&mask), dst, n),
-                        _ => be.layer_norm_rows(&src, &gamma, &beta, dst, n),
+                want.fill(0.0);
+                got.fill(0.0);
+                match run {
+                    0 => {
+                        oracle::softmax_rows(&src, &mut want, n);
+                        backend::softmax_rows(&src, &mut got, n);
+                    }
+                    1 => {
+                        oracle::log_softmax_rows(&src, &mut want, n);
+                        backend::log_softmax_rows(&src, &mut got, n);
+                    }
+                    2 => {
+                        oracle::scaled_masked_softmax_rows(&src, 0.37, Some(&mask), &mut want, n);
+                        backend::scaled_masked_softmax_rows(&src, 0.37, Some(&mask), &mut got, n);
+                    }
+                    _ => {
+                        oracle::layer_norm_rows(&src, &gamma, &beta, &mut want, n);
+                        backend::layer_norm_rows(&src, &gamma, &beta, &mut got, n);
                     }
                 }
                 assert_within_ulps(
@@ -209,9 +216,9 @@ property! {
         });
     }
 
-    /// Fused bias+activation parity across backends, and bit-equality of
-    /// the fused graph node against the unfused add_bcast → activation
-    /// chain (values and gradients) under each backend.
+    /// Fused bias+activation parity with the oracle in every tile build,
+    /// and bit-equality of the fused graph node against the unfused
+    /// add_bcast → activation chain (values and gradients).
     fn bias_act_matches_unfused_chain(
         rows in dims(),
         n in dims1(),
@@ -227,50 +234,50 @@ property! {
         let xs = fill(rows * n, seed as u64 + 1);
         let bs = fill(n, seed as u64 + 2);
 
-        // Backend-direct parity.
+        // Kernel-direct parity.
         let mut want = vec![0.0f32; rows * n];
-        let mut got = vec![0.0f32; rows * n];
-        Reference.bias_act(&xs, &bs, act, &mut want);
-        Blocked.bias_act(&xs, &bs, act, &mut got);
-        assert_within_ulps(
-            &want,
-            &got,
-            KERNEL_BITS_MAX_ULPS,
-            &format!("bias_act {act:?} rows={rows} n={n}"),
-        );
-
-        // Fused node vs unfused chain, per backend, values + grads.
-        with_each_backend(|kind| {
-            let run = |fused: bool| {
-                let mut g = Graph::new();
-                let x = g.param(Tensor::new(xs.clone(), &[rows, n]));
-                let b = g.param(Tensor::new(bs.clone(), &[n]));
-                let y = if fused {
-                    g.bias_act(x, b, act)
-                } else {
-                    let s = g.add_bcast(x, b);
-                    g.activation(s, act)
-                };
-                let loss = g.sum_all(y);
-                let grads = g.backward(loss);
-                (
-                    g.value(y).data().to_vec(),
-                    grads.get(x).unwrap().data().to_vec(),
-                    grads.get(b).unwrap().data().to_vec(),
-                )
-            };
-            let (fy, fgx, fgb) = run(true);
-            let (uy, ugx, ugb) = run(false);
-            let ctx = format!("bias_act fused-vs-unfused {act:?} on {kind:?}");
-            assert_within_ulps(&uy, &fy, 0, &ctx);
-            assert_within_ulps(&ugx, &fgx, 0, &ctx);
-            assert_within_ulps(&ugb, &fgb, 0, &ctx);
+        oracle::bias_act_rows(&xs, &bs, act, &mut want);
+        each_tile_build(|isa| {
+            let mut got = vec![0.0f32; rows * n];
+            backend::bias_act_rows(&xs, &bs, act, &mut got);
+            assert_within_ulps(
+                &want,
+                &got,
+                KERNEL_BITS_MAX_ULPS,
+                &format!("bias_act {act:?} {isa:?} rows={rows} n={n}"),
+            );
         });
+
+        // Fused node vs unfused chain, values + grads.
+        let run = |fused: bool| {
+            let mut g = Graph::new();
+            let x = g.param(Tensor::new(xs.clone(), &[rows, n]));
+            let b = g.param(Tensor::new(bs.clone(), &[n]));
+            let y = if fused {
+                g.bias_act(x, b, act)
+            } else {
+                let s = g.add_bcast(x, b);
+                g.activation(s, act)
+            };
+            let loss = g.sum_all(y);
+            let grads = g.backward(loss);
+            (
+                g.value(y).data().to_vec(),
+                grads.get(x).unwrap().data().to_vec(),
+                grads.get(b).unwrap().data().to_vec(),
+            )
+        };
+        let (fy, fgx, fgb) = run(true);
+        let (uy, ugx, ugb) = run(false);
+        let ctx = format!("bias_act fused-vs-unfused {act:?}");
+        assert_within_ulps(&uy, &fy, 0, &ctx);
+        assert_within_ulps(&ugx, &fgx, 0, &ctx);
+        assert_within_ulps(&ugb, &fgb, 0, &ctx);
     }
 
     /// Fused scale+mask+softmax vs the unfused scale → mask-add → softmax
     /// chain: bit-equal values and gradients (through both the scores and
-    /// the mask), per backend, for no mask, a broadcast T×T mask and a full
+    /// the mask), for no mask, a broadcast T×T mask and a full
     /// B×T×T mask.
     fn scaled_masked_softmax_matches_unfused_chain(
         b in dims1(),
@@ -288,45 +295,43 @@ property! {
             .into_iter()
             .map(|v| if v > 0.4 { -1e9 } else { 0.0 })
             .collect();
-        with_each_backend(|kind| {
-            let run = |fused: bool| {
-                let mut g = Graph::new();
-                let x = g.param(Tensor::new(scores.clone(), &[b, t, t]));
-                let mask = match mask_kind {
-                    0 => None,
-                    1 => Some(g.param(Tensor::new(mask_vals.clone(), &[t, t]))),
-                    _ => Some(g.param(Tensor::new(mask_vals.clone(), &[b, t, t]))),
-                };
-                let y = if fused {
-                    g.scaled_masked_softmax(x, scale, mask)
-                } else {
-                    let s = g.scale(x, scale);
-                    let s = match mask {
-                        Some(m) if mask_kind == 1 => g.add_bcast(s, m),
-                        Some(m) => g.add(s, m),
-                        None => s,
-                    };
-                    g.softmax_last(s)
-                };
-                let loss = g.sum_all(y);
-                let grads = g.backward(loss);
-                (
-                    g.value(y).data().to_vec(),
-                    grads.get(x).unwrap().data().to_vec(),
-                    mask.map(|m| grads.get(m).unwrap().data().to_vec()),
-                )
+        let run = |fused: bool| {
+            let mut g = Graph::new();
+            let x = g.param(Tensor::new(scores.clone(), &[b, t, t]));
+            let mask = match mask_kind {
+                0 => None,
+                1 => Some(g.param(Tensor::new(mask_vals.clone(), &[t, t]))),
+                _ => Some(g.param(Tensor::new(mask_vals.clone(), &[b, t, t]))),
             };
-            let (fy, fgx, fgm) = run(true);
-            let (uy, ugx, ugm) = run(false);
-            let ctx = format!("smsm fused-vs-unfused mask_kind={mask_kind} on {kind:?}");
-            assert_within_ulps(&uy, &fy, 0, &ctx);
-            assert_within_ulps(&ugx, &fgx, 0, &ctx);
-            match (ugm, fgm) {
-                (Some(u), Some(f)) => assert_within_ulps(&u, &f, 0, &ctx),
-                (None, None) => {}
-                _ => panic!("{ctx}: mask gradient presence mismatch"),
-            }
-        });
+            let y = if fused {
+                g.scaled_masked_softmax(x, scale, mask)
+            } else {
+                let s = g.scale(x, scale);
+                let s = match mask {
+                    Some(m) if mask_kind == 1 => g.add_bcast(s, m),
+                    Some(m) => g.add(s, m),
+                    None => s,
+                };
+                g.softmax_last(s)
+            };
+            let loss = g.sum_all(y);
+            let grads = g.backward(loss);
+            (
+                g.value(y).data().to_vec(),
+                grads.get(x).unwrap().data().to_vec(),
+                mask.map(|m| grads.get(m).unwrap().data().to_vec()),
+            )
+        };
+        let (fy, fgx, fgm) = run(true);
+        let (uy, ugx, ugm) = run(false);
+        let ctx = format!("smsm fused-vs-unfused mask_kind={mask_kind}");
+        assert_within_ulps(&uy, &fy, 0, &ctx);
+        assert_within_ulps(&ugx, &fgx, 0, &ctx);
+        match (ugm, fgm) {
+            (Some(u), Some(f)) => assert_within_ulps(&u, &f, 0, &ctx),
+            (None, None) => {}
+            _ => panic!("{ctx}: mask gradient presence mismatch"),
+        }
     }
 }
 
@@ -346,17 +351,17 @@ fn filled(shape: &[usize], salt: u64) -> Tensor {
 }
 
 /// The rhs-broadcast case (`B×m×k · k×n`) as it ran before it became one
-/// `(B·m)×k` gemm, kept verbatim on the public backend API as the oracle:
+/// `(B·m)×k` gemm, kept verbatim as the oracle on the oracle's gemm:
 /// per-batch blocks for the forward and `dX`, a sequential batch loop
 /// accumulating `dW` (its inner gemm was row-parallel, which the
 /// row-partition property makes one `gemm_rows` call).
 mod per_batch {
-    use ssdrec_tensor::backend::backend;
+    use super::oracle::gemm_rows;
 
     pub fn forward(a: &[f32], b: &[f32], bs: usize, m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; bs * m * n];
         for i in 0..bs {
-            backend().gemm_rows(
+            gemm_rows(
                 &a[i * m * k..(i + 1) * m * k],
                 false,
                 b,
@@ -385,7 +390,7 @@ mod per_batch {
         let mut ga = vec![0.0f32; bs * m * k];
         let mut gb = vec![0.0f32; k * n];
         for i in 0..bs {
-            backend().gemm_rows(
+            gemm_rows(
                 &gout[i * m * n..(i + 1) * m * n],
                 false,
                 b,
@@ -401,7 +406,7 @@ mod per_batch {
         // gb accumulates across batches: the batch loop must stay
         // sequential so each element's adds keep batch-ascending order.
         for i in 0..bs {
-            backend().gemm_rows(
+            gemm_rows(
                 &a[i * m * k..(i + 1) * m * k],
                 true,
                 &gout[i * m * n..(i + 1) * m * n],
@@ -423,7 +428,7 @@ property! {
 
     /// One-sided backward: for every rank case and every `need`, each
     /// requested gradient is bit-equal to the both-sided result and each
-    /// unrequested one is `None` — on both backends.
+    /// unrequested one is `None`.
     fn one_sided_backward_matches_both_sided(
         m in dims(),
         k in dims(),
@@ -437,27 +442,24 @@ property! {
         let seed = seed as u64;
         let (a, b) = (filled(&ash, seed + 1), filled(&bsh, seed + 2));
         let gout = filled(kernels::matmul(&a, &b).shape(), seed + 3);
-        with_each_backend(|kind| {
-            let both = kernels::matmul_backward(&a, &b, &gout, [true; 2]);
-            for need in [[true, false], [false, true], [false, false]] {
-                let got = kernels::matmul_backward(&a, &b, &gout, need);
-                for side in 0..2 {
-                    let ctx = format!("{ash:?}×{bsh:?} need={need:?} side={side} on {kind:?}");
-                    match (&got[side], &both[side]) {
-                        (Some(g), Some(w)) if need[side] => {
-                            assert_within_ulps(w.data(), g.data(), 0, &ctx)
-                        }
-                        (None, _) if !need[side] => {}
-                        _ => panic!("{ctx}: gradient presence does not follow `need`"),
+        let both = kernels::matmul_backward(&a, &b, &gout, [true; 2]);
+        for need in [[true, false], [false, true], [false, false]] {
+            let got = kernels::matmul_backward(&a, &b, &gout, need);
+            for side in 0..2 {
+                let ctx = format!("{ash:?}×{bsh:?} need={need:?} side={side}");
+                match (&got[side], &both[side]) {
+                    (Some(g), Some(w)) if need[side] => {
+                        assert_within_ulps(w.data(), g.data(), 0, &ctx)
                     }
+                    (None, _) if !need[side] => {}
+                    _ => panic!("{ctx}: gradient presence does not follow `need`"),
                 }
             }
-        });
+        }
     }
 
     /// The rhs-broadcast case as one 2-D gemm against the per-batch loop it
-    /// replaced: forward, `dX` and `dW` bit for bit at `B ∈ {1, 2, 7, 64}`,
-    /// on both backends.
+    /// replaced: forward, `dX` and `dW` bit for bit at `B ∈ {1, 2, 7, 64}`.
     fn rhs_broadcast_is_the_per_batch_loop(
         m in dims(),
         k in dims(),
@@ -471,20 +473,18 @@ property! {
         let a = filled(&[bs, m, k], seed + 1);
         let b = filled(&[k, n], seed + 2);
         let gout = filled(&[bs, m, n], seed + 3);
-        with_each_backend(|kind| {
-            let ctx = format!("B={bs} m={m} k={k} n={n} on {kind:?}");
-            let want = per_batch::forward(a.data(), b.data(), bs, m, k, n);
-            assert_within_ulps(&want, kernels::matmul(&a, &b).data(), 0, &ctx);
-            let (want_ga, want_gb) = per_batch::backward(a.data(), b.data(), gout.data(), bs, m, k, n);
-            let [ga, gb] = kernels::matmul_backward(&a, &b, &gout, [true; 2])
-                .map(|g| g.expect("requested gradient"));
-            assert_within_ulps(&want_ga, ga.data(), 0, &format!("{ctx} dX"));
-            assert_within_ulps(&want_gb, gb.data(), 0, &format!("{ctx} dW"));
-        });
+        let ctx = format!("B={bs} m={m} k={k} n={n}");
+        let want = per_batch::forward(a.data(), b.data(), bs, m, k, n);
+        assert_within_ulps(&want, kernels::matmul(&a, &b).data(), 0, &ctx);
+        let (want_ga, want_gb) = per_batch::backward(a.data(), b.data(), gout.data(), bs, m, k, n);
+        let [ga, gb] = kernels::matmul_backward(&a, &b, &gout, [true; 2])
+            .map(|g| g.expect("requested gradient"));
+        assert_within_ulps(&want_ga, ga.data(), 0, &format!("{ctx} dX"));
+        assert_within_ulps(&want_gb, gb.data(), 0, &format!("{ctx} dW"));
     }
 
     /// A transposed operand packed once per call gives the bits of the
-    /// backend packing it once per 8-row block: `dA = dC·Bᵀ` through the
+    /// gemm packing it once per 8-row block: `dA = dC·Bᵀ` through the
     /// kernels against `gemm_rows(.., tb = true, ..)` block by block.
     fn pack_once_matches_pack_per_block(
         m in dims1(),
@@ -496,28 +496,26 @@ property! {
         let a = filled(&[m, k], seed + 1);
         let b = filled(&[k, n], seed + 2);
         let gout = filled(&[m, n], seed + 3);
-        with_each_backend(|kind| {
-            let mut want = vec![0.0f32; m * k];
-            for (ci, block) in want.chunks_mut(8 * k.max(1)).enumerate() {
-                let r0 = ci * 8;
-                let r1 = (r0 + 8).min(m);
-                ssdrec_tensor::backend::backend().gemm_rows(
-                    gout.data(),
-                    false,
-                    b.data(),
-                    true,
-                    m,
-                    n,
-                    k,
-                    block,
-                    r0,
-                    r1,
-                );
-            }
-            let [ga, _] = kernels::matmul_backward(&a, &b, &gout, [true, false]);
-            let ctx = format!("pack once m={m} k={k} n={n} on {kind:?}");
-            assert_within_ulps(&want, ga.expect("dA").data(), 0, &ctx);
-        });
+        let mut want = vec![0.0f32; m * k];
+        for (ci, block) in want.chunks_mut(8 * k.max(1)).enumerate() {
+            let r0 = ci * 8;
+            let r1 = (r0 + 8).min(m);
+            backend::gemm_rows(
+                gout.data(),
+                false,
+                b.data(),
+                true,
+                m,
+                n,
+                k,
+                block,
+                r0,
+                r1,
+            );
+        }
+        let [ga, _] = kernels::matmul_backward(&a, &b, &gout, [true, false]);
+        let ctx = format!("pack once m={m} k={k} n={n}");
+        assert_within_ulps(&want, ga.expect("dA").data(), 0, &ctx);
     }
 }
 
@@ -650,7 +648,7 @@ property! {
     cases = 40;
 
     /// The one-node LSTM against the unrolled chain at the panel-edge
-    /// shapes, both directions, both backends: hidden states bit for bit;
+    /// shapes, both directions: hidden states bit for bit;
     /// `dX` and all twelve parameter gradients within `LSTM_GRAD_REL`; the
     /// twelve tensors registered under the same names in the same order.
     fn lstm_seq_matches_unrolled_chain(
@@ -673,50 +671,48 @@ property! {
         assert_eq!(fused_store.num_tensors(), 12);
         assert_eq!(chain_store.num_tensors(), 12);
 
-        with_each_backend(|kind| {
-            // Hidden states, dX, and the twelve parameter gradients.
-            let run = |store: &ParamStore, is_fused: bool| {
-                let mut g = Graph::new();
-                let bind = store.bind_all(&mut g);
-                let x = g.param(Tensor::new(xs.clone(), &[b, t, d]));
-                let hs = if !is_fused {
-                    chain.run(&mut g, &bind, x, reversed)
-                } else if reversed {
-                    fused.forward_reversed(&mut g, &bind, x)
-                } else {
-                    fused.forward(&mut g, &bind, x)
-                };
-                let w = g.constant(Tensor::new(readout.clone(), &[b, t, h]));
-                let weighted = g.mul(hs, w);
-                let loss = g.sum_all(weighted);
-                let grads = g.backward(loss);
-                let params: Vec<Tensor> = (0..12)
-                    .map(|i| {
-                        let p = ParamStore::param_ref_by_index(i);
-                        grads.get(bind.var(p)).expect("parameter gradient").clone()
-                    })
-                    .collect();
-                (
-                    g.value(hs).data().to_vec(),
-                    grads.get(x).expect("input gradient").clone(),
-                    params,
-                )
+        // Hidden states, dX, and the twelve parameter gradients.
+        let run = |store: &ParamStore, is_fused: bool| {
+            let mut g = Graph::new();
+            let bind = store.bind_all(&mut g);
+            let x = g.param(Tensor::new(xs.clone(), &[b, t, d]));
+            let hs = if !is_fused {
+                chain.run(&mut g, &bind, x, reversed)
+            } else if reversed {
+                fused.forward_reversed(&mut g, &bind, x)
+            } else {
+                fused.forward(&mut g, &bind, x)
             };
-            let (fh, fdx, fparams) = run(&fused_store, true);
-            let (ch, cdx, cparams) = run(&chain_store, false);
-            let ctx = format!("lstm b={b} t={t} d={d} h={h} reversed={reversed} on {kind:?}");
-            assert_within_ulps(&ch, &fh, 0, &ctx);
-            assert_grad_close(&cdx, &fdx, &format!("{ctx} dX"));
-            for (i, (cg, fg)) in cparams.iter().zip(&fparams).enumerate() {
-                let p = ParamStore::param_ref_by_index(i);
-                assert_eq!(fused_store.name(p), chain_store.name(p), "{ctx}: tensor {i}");
-                assert_grad_close(cg, fg, &format!("{ctx} d{}", chain_store.name(p)));
-            }
-        });
+            let w = g.constant(Tensor::new(readout.clone(), &[b, t, h]));
+            let weighted = g.mul(hs, w);
+            let loss = g.sum_all(weighted);
+            let grads = g.backward(loss);
+            let params: Vec<Tensor> = (0..12)
+                .map(|i| {
+                    let p = ParamStore::param_ref_by_index(i);
+                    grads.get(bind.var(p)).expect("parameter gradient").clone()
+                })
+                .collect();
+            (
+                g.value(hs).data().to_vec(),
+                grads.get(x).expect("input gradient").clone(),
+                params,
+            )
+        };
+        let (fh, fdx, fparams) = run(&fused_store, true);
+        let (ch, cdx, cparams) = run(&chain_store, false);
+        let ctx = format!("lstm b={b} t={t} d={d} h={h} reversed={reversed}");
+        assert_within_ulps(&ch, &fh, 0, &ctx);
+        assert_grad_close(&cdx, &fdx, &format!("{ctx} dX"));
+        for (i, (cg, fg)) in cparams.iter().zip(&fparams).enumerate() {
+            let p = ParamStore::param_ref_by_index(i);
+            assert_eq!(fused_store.name(p), chain_store.name(p), "{ctx}: tensor {i}");
+            assert_grad_close(cg, fg, &format!("{ctx} d{}", chain_store.name(p)));
+        }
     }
 
     /// `expand_last` against the ones-matrix product it replaced: the same
-    /// values and the same gradient, bit for bit, on both backends.
+    /// values and the same gradient, bit for bit.
     fn expand_last_matches_ones_matmul(
         rows in dims1(),
         n in dims1(),
@@ -726,47 +722,45 @@ property! {
         // gemm's `0 + v·1` would turn a `-0.0` into `+0.0`).
         let vs: Vec<f32> = fill(rows, seed as u64 + 7).iter().map(|v| v.abs() + 0.1).collect();
         let readout = fill(rows * n, seed as u64 + 8);
-        with_each_backend(|kind| {
-            let run = |expand: bool| {
-                let mut g = Graph::new();
-                let v = g.param(Tensor::new(vs.clone(), &[rows]));
-                let wide = if expand {
-                    g.expand_last(v, n)
-                } else {
-                    let col = g.reshape(v, &[rows, 1]);
-                    let ones = g.constant(Tensor::ones(&[1, n]));
-                    g.matmul(col, ones)
-                };
-                let w = g.constant(Tensor::new(readout.clone(), &[rows, n]));
-                let weighted = g.mul(wide, w);
-                let loss = g.sum_all(weighted);
-                let grads = g.backward(loss);
-                (g.value(wide).data().to_vec(), grads.get(v).unwrap().data().to_vec())
+        let run = |expand: bool| {
+            let mut g = Graph::new();
+            let v = g.param(Tensor::new(vs.clone(), &[rows]));
+            let wide = if expand {
+                g.expand_last(v, n)
+            } else {
+                let col = g.reshape(v, &[rows, 1]);
+                let ones = g.constant(Tensor::ones(&[1, n]));
+                g.matmul(col, ones)
             };
-            let (ey, eg) = run(true);
-            let (my, mg) = run(false);
-            let ctx = format!("expand_last rows={rows} n={n} on {kind:?}");
-            assert_within_ulps(&my, &ey, 0, &ctx);
-            assert_within_ulps(&mg, &eg, 0, &ctx);
-        });
+            let w = g.constant(Tensor::new(readout.clone(), &[rows, n]));
+            let weighted = g.mul(wide, w);
+            let loss = g.sum_all(weighted);
+            let grads = g.backward(loss);
+            (g.value(wide).data().to_vec(), grads.get(v).unwrap().data().to_vec())
+        };
+        let (ey, eg) = run(true);
+        let (my, mg) = run(false);
+        let ctx = format!("expand_last rows={rows} n={n}");
+        assert_within_ulps(&my, &ey, 0, &ctx);
+        assert_within_ulps(&mg, &eg, 0, &ctx);
     }
 }
 
-/// The blocked gemm packs operands into pool buffers with unspecified
+/// The gemm packs operands into pool buffers with unspecified
 /// contents; poisoning the pool with NaNs between two identical calls must
 /// not change a single output bit (i.e. no stale lane is ever read).
 #[test]
-fn blocked_gemm_ignores_stale_pool_contents() {
+fn gemm_ignores_stale_pool_contents() {
     each_tile_build(|isa| {
         for &(m, k, n) in &[(13, 9, 21), (8, 64, 8), (1, 7, 65), (9, 1, 9), (5, 3, 31)] {
             for variant in 0..4 {
-                let want = gemm_once(&Blocked, variant, m, k, n, 99);
-                // Poison pool buffers of the sizes the blocked gemm takes:
+                let want = gemm_once(backend::gemm_rows, variant, m, k, n, 99);
+                // Poison pool buffers of the sizes the gemm takes:
                 // the A panel, the packed B and the edge-column strip.
                 ssdrec_tensor::pool::recycle(vec![f32::NAN; k * 8]);
                 ssdrec_tensor::pool::recycle(vec![f32::NAN; k * n]);
                 ssdrec_tensor::pool::recycle(vec![f32::NAN; k * isa.width()]);
-                let got = gemm_once(&Blocked, variant, m, k, n, 99);
+                let got = gemm_once(backend::gemm_rows, variant, m, k, n, 99);
                 assert_within_ulps(
                     &want,
                     &got,
@@ -792,8 +786,8 @@ fn every_tile_build_matches_the_oracle() {
                     for variant in 0..4 {
                         let seed = m * 1000 + k * 100 + n;
                         assert_within_ulps(
-                            &gemm_once(&Reference, variant, m, k, n, seed),
-                            &gemm_once(&Blocked, variant, m, k, n, seed),
+                            &gemm_once(oracle::gemm_rows, variant, m, k, n, seed),
+                            &gemm_once(backend::gemm_rows, variant, m, k, n, seed),
                             0,
                             &format!("gemm {isa:?} variant={variant} m={m} k={k} n={n}"),
                         );
@@ -812,66 +806,58 @@ fn every_tile_build_matches_the_oracle() {
 /// batched paths, and gemm's row-grain heuristic silently assumed `k ≥ 1`).
 #[test]
 fn matmul_zero_dims_all_rank_cases() {
-    with_each_backend(|kind| {
-        for &(m, k, n) in &[(0, 3, 4), (2, 0, 4), (2, 3, 0), (0, 0, 0)] {
-            for &bs in &[0usize, 1, 3] {
-                // (shape of a, shape of b) for the four rank cases.
-                let cases: [(Vec<usize>, Vec<usize>); 4] = [
-                    (vec![m, k], vec![k, n]),
-                    (vec![bs, m, k], vec![bs, k, n]),
-                    (vec![bs, m, k], vec![k, n]),
-                    (vec![m, k], vec![bs, k, n]),
-                ];
-                for (ash, bsh) in cases {
-                    let a = Tensor::new(fill(ash.iter().product(), 5), &ash);
-                    let b = Tensor::new(fill(bsh.iter().product(), 6), &bsh);
-                    let out = kernels::matmul(&a, &b);
-                    let batched = ash.len() == 3 || bsh.len() == 3;
-                    let want_shape: Vec<usize> = if batched { vec![bs, m, n] } else { vec![m, n] };
-                    assert_eq!(
-                        out.shape(),
-                        &want_shape[..],
-                        "matmul {ash:?}×{bsh:?} on {kind:?}"
-                    );
-                    assert!(
-                        out.data().iter().all(|&v| v == 0.0),
-                        "zero-dim matmul must be all zeros"
-                    );
-                    let gout = Tensor::new(fill(out.len(), 7), out.shape());
-                    let [ga, gb] = kernels::matmul_backward(&a, &b, &gout, [true; 2])
-                        .map(|g| g.expect("requested gradient"));
-                    assert_eq!(ga.shape(), &ash[..], "ga shape {ash:?}×{bsh:?}");
-                    assert_eq!(gb.shape(), &bsh[..], "gb shape {ash:?}×{bsh:?}");
-                }
+    for &(m, k, n) in &[(0, 3, 4), (2, 0, 4), (2, 3, 0), (0, 0, 0)] {
+        for &bs in &[0usize, 1, 3] {
+            // (shape of a, shape of b) for the four rank cases.
+            let cases: [(Vec<usize>, Vec<usize>); 4] = [
+                (vec![m, k], vec![k, n]),
+                (vec![bs, m, k], vec![bs, k, n]),
+                (vec![bs, m, k], vec![k, n]),
+                (vec![m, k], vec![bs, k, n]),
+            ];
+            for (ash, bsh) in cases {
+                let a = Tensor::new(fill(ash.iter().product(), 5), &ash);
+                let b = Tensor::new(fill(bsh.iter().product(), 6), &bsh);
+                let out = kernels::matmul(&a, &b);
+                let batched = ash.len() == 3 || bsh.len() == 3;
+                let want_shape: Vec<usize> = if batched { vec![bs, m, n] } else { vec![m, n] };
+                assert_eq!(out.shape(), &want_shape[..], "matmul {ash:?}×{bsh:?}");
+                assert!(
+                    out.data().iter().all(|&v| v == 0.0),
+                    "zero-dim matmul must be all zeros"
+                );
+                let gout = Tensor::new(fill(out.len(), 7), out.shape());
+                let [ga, gb] = kernels::matmul_backward(&a, &b, &gout, [true; 2])
+                    .map(|g| g.expect("requested gradient"));
+                assert_eq!(ga.shape(), &ash[..], "ga shape {ash:?}×{bsh:?}");
+                assert_eq!(gb.shape(), &bsh[..], "gb shape {ash:?}×{bsh:?}");
             }
         }
-    });
+    }
 }
 
 /// Zero-sized last dimension through softmax/log-softmax/LayerNorm and the
 /// fused ops (regression: `chunks(0)` used to panic).
 #[test]
 fn row_ops_zero_last_dim() {
-    with_each_backend(|_| {
-        let x = Tensor::zeros(&[3, 0]);
-        assert_eq!(kernels::softmax_last(&x).shape(), &[3, 0]);
-        assert_eq!(kernels::log_softmax_last(&x).shape(), &[3, 0]);
-        let y = kernels::layer_norm(&x, &Tensor::zeros(&[0]), &Tensor::zeros(&[0]));
-        assert_eq!(y.shape(), &[3, 0]);
-        let f = kernels::bias_act(&x, &Tensor::zeros(&[0]), Activation::Relu);
-        assert_eq!(f.shape(), &[3, 0]);
-        let s = kernels::scaled_masked_softmax(&x, 0.5, None);
-        assert_eq!(s.shape(), &[3, 0]);
-    });
+    let x = Tensor::zeros(&[3, 0]);
+    assert_eq!(kernels::softmax_last(&x).shape(), &[3, 0]);
+    assert_eq!(kernels::log_softmax_last(&x).shape(), &[3, 0]);
+    let y = kernels::layer_norm(&x, &Tensor::zeros(&[0]), &Tensor::zeros(&[0]));
+    assert_eq!(y.shape(), &[3, 0]);
+    let f = kernels::bias_act(&x, &Tensor::zeros(&[0]), Activation::Relu);
+    assert_eq!(f.shape(), &[3, 0]);
+    let s = kernels::scaled_masked_softmax(&x, 0.5, None);
+    assert_eq!(s.shape(), &[3, 0]);
 }
 
-/// End-to-end graph equality across backends: a small attention-style
-/// forward/backward produces bit-identical outputs and gradients under
-/// `Reference` and `Blocked` (contract v2: 0 ULPs).
+/// End-to-end graph equality across tile builds: a small attention-style
+/// forward/backward produces bit-identical outputs and gradients in every
+/// build the host runs.
 #[test]
-fn graph_forward_backward_bits_equal_across_backends() {
-    let mut per_backend: Vec<(BackendKind, Vec<f32>, Vec<f32>)> = Vec::new();
-    with_each_backend(|kind| {
+fn graph_forward_backward_bits_equal_across_tile_builds() {
+    let mut per_build: Vec<(TileIsa, Vec<f32>, Vec<f32>)> = Vec::new();
+    each_tile_build(|isa| {
         let mut g = Graph::new();
         let x = g.param(Tensor::new(fill(2 * 5 * 8, 21), &[2, 5, 8]));
         let w = g.param(Tensor::new(fill(8 * 8, 22), &[8, 8]));
@@ -883,17 +869,17 @@ fn graph_forward_backward_bits_equal_across_backends() {
         let normed = g.layer_norm(out, ln_g, ln_b);
         let loss = g.sum_all(normed);
         let grads = g.backward(loss);
-        per_backend.push((
-            kind,
+        per_build.push((
+            isa,
             g.value(normed).data().to_vec(),
             grads.get(w).unwrap().data().to_vec(),
         ));
     });
-    let [(_, ref y0, ref gw0), (_, ref y1, ref gw1)] = per_backend[..] else {
-        panic!("expected two backends");
-    };
-    assert_within_ulps(y0, y1, KERNEL_BITS_MAX_ULPS, "cross-backend forward");
-    assert_within_ulps(gw0, gw1, KERNEL_BITS_MAX_ULPS, "cross-backend gradient");
+    let (first, y0, gw0) = &per_build[0];
+    for (isa, y, gw) in &per_build[1..] {
+        assert_within_ulps(y0, y, 0, &format!("forward, {isa:?} vs {first:?}"));
+        assert_within_ulps(gw0, gw, 0, &format!("gradient, {isa:?} vs {first:?}"));
+    }
 }
 
 /// The panel-edge sizes every wall below sweeps.
@@ -941,54 +927,49 @@ fn densified(lists: &[Vec<(usize, f32)>], rows: usize, cols: usize) -> Tensor {
     t
 }
 
-/// `spmm` against the dense product it replaces in stage 1: the forward
-/// bit-equal to `matmul` and `dX` to `matmul_backward(.., [false, true])`
-/// on the densified operator, for every pair of panel-edge sizes, on both
-/// backends, in every tile build.
+/// `spmm` against the dense product it replaces in stage 1, on the
+/// oracle's gemm: the forward bit-equal to `A·X` and `dX` to `Aᵀ·dY` on the
+/// densified operator, for every pair of panel-edge sizes, in every tile
+/// build.
 #[test]
 fn spmm_matches_dense_matmul_bit_for_bit() {
     each_tile_build(|isa| {
-        with_each_backend(|kind| {
-            let kind = format!("{kind:?} ({isa:?})");
-            for (ri, &rows) in EDGES.iter().enumerate() {
-                for (ci, &cols) in EDGES.iter().enumerate() {
-                    // Every chunk shape of `spmm_rows` in every build: one or
-                    // two registers (8, 16 or 32 lanes), and a padded rest.
-                    let d = [1, 8, 9, 17, 33, 48][(ri + ci) % 6];
-                    let salt = (ri * 8 + ci) as u64;
-                    let lists = relation_rows(rows, cols, salt);
-                    let a = CsrMatrix::from_rows(rows, cols, |i| lists[i].clone());
-                    let dense = densified(&lists, rows, cols);
-                    let x = filled(&[cols, d], salt + 100);
-                    let gout = filled(&[rows, d], salt + 200);
-                    let ctx = format!("spmm {rows}×{cols} · {cols}×{d} on {kind}");
-                    let want = kernels::matmul(&dense, &x);
-                    assert_within_ulps(want.data(), kernels::spmm(&a, &x).data(), 0, &ctx);
-                    let [_, want_dx] = kernels::matmul_backward(&dense, &x, &gout, [false, true]);
-                    let got_dx = kernels::spmm_backward(&a, &gout);
-                    assert_eq!(got_dx.shape(), &[cols, d], "{ctx} dX shape");
-                    assert_within_ulps(
-                        want_dx.expect("dX").data(),
-                        got_dx.data(),
-                        0,
-                        &format!("{ctx} dX"),
-                    );
-                }
+        for (ri, &rows) in EDGES.iter().enumerate() {
+            for (ci, &cols) in EDGES.iter().enumerate() {
+                // Every chunk shape of `spmm_rows` in every build: one or
+                // two registers (8, 16 or 32 lanes), and a padded rest.
+                let d = [1, 8, 9, 17, 33, 48][(ri + ci) % 6];
+                let salt = (ri * 8 + ci) as u64;
+                let lists = relation_rows(rows, cols, salt);
+                let a = CsrMatrix::from_rows(rows, cols, |i| lists[i].clone());
+                let dense = densified(&lists, rows, cols);
+                let x = filled(&[cols, d], salt + 100);
+                let gout = filled(&[rows, d], salt + 200);
+                let ctx = format!("spmm {rows}×{cols} · {cols}×{d} in {isa:?}");
+                let (a_d, x_d, g_d) = (dense.data(), x.data(), gout.data());
+                let mut want = vec![0.0f32; rows * d];
+                oracle::gemm_rows(a_d, false, x_d, false, rows, cols, d, &mut want, 0, rows);
+                assert_within_ulps(&want, kernels::spmm(&a, &x).data(), 0, &ctx);
+                let mut want_dx = vec![0.0f32; cols * d];
+                oracle::gemm_rows(a_d, true, g_d, false, cols, rows, d, &mut want_dx, 0, cols);
+                let got_dx = kernels::spmm_backward(&a, &gout);
+                assert_eq!(got_dx.shape(), &[cols, d], "{ctx} dX shape");
+                assert_within_ulps(&want_dx, got_dx.data(), 0, &format!("{ctx} dX"));
             }
-        })
+        }
     });
 }
 
 /// `lstm_seq` / `lstm_seq_backward` as they ran before the recurrence was
 /// split into sequence chunks and its element passes compiled per
-/// instruction set, kept on the public backend API as the oracle: `gemm` is
-/// the parent's (one transpose-pack, then the plain kernel over all rows,
-/// which the row-partition property makes one `gemm_rows` call), pool
+/// instruction set, kept as the oracle on the oracle's gemm: `gemm` is the
+/// parent's (one transpose-pack, then the plain kernel over all rows, which
+/// the row-partition property makes one `gemm_rows` call), pool
 /// buffers are plain vectors, and every hidden unit is one scalar
 /// [`math::lstm_cell`](ssdrec_tensor::math::lstm_cell) or one scalar
 /// gradient chain, one sequence row at a time.
 mod parent_lstm {
-    use ssdrec_tensor::backend::backend;
+    use super::oracle::gemm_rows;
     use ssdrec_tensor::{math, Tensor};
 
     fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
@@ -1016,7 +997,7 @@ mod parent_lstm {
             bp
         });
         let b = packed.as_deref().unwrap_or(b);
-        backend().gemm_rows(a, ta, b, false, m, k, n, out, 0, m);
+        gemm_rows(a, ta, b, false, m, k, n, out, 0, m);
     }
 
     fn lstm_time(step: usize, t: usize, reversed: bool) -> usize {
@@ -1170,59 +1151,55 @@ mod parent_lstm {
 /// gradients bit for bit at `B ∈ {1, 7, 8, 9, 63, 64, 65}` (one partial
 /// chunk, whole chunks, whole chunks plus one sequence), `T ∈ {1, 2, 9}` and
 /// hidden widths below, at and past one vector register of every build
-/// (`h ∈ {7, 8, 17, 32}`), both directions, pooled and fresh, on both
-/// backends, in every tile build.
+/// (`h ∈ {7, 8, 17, 32}`), both directions, pooled and fresh, in every
+/// tile build.
 #[test]
 fn lstm_seq_chunks_match_the_whole_batch_recurrence() {
     let was = ssdrec_tensor::pool::is_enabled();
     each_tile_build(|isa| {
-        with_each_backend(|kind| {
-            let kind = format!("{kind:?} ({isa:?})");
-            for (bi, b) in [1, 7, 8, 9, 63, 64, 65].into_iter().enumerate() {
-                for t in [1, 2, 9] {
-                    let (d, h) = [(5, 8), (9, 7), (3, 17), (6, 32)][(bi + t) % 4];
-                    let salt = (b * 10 + t) as u64;
-                    let x = filled(&[b, t, d], salt);
-                    let wx = filled(&[d, 4 * h], salt + 1);
-                    let u = filled(&[h, 4 * h], salt + 2);
-                    let bias = filled(&[4 * h], salt + 3);
-                    let gout = filled(&[b, t, h], salt + 4);
-                    for reversed in [false, true] {
-                        let (want_h, want_saved) =
-                            parent_lstm::lstm_seq(&x, &wx, &u, &bias, reversed);
-                        let want_grads = parent_lstm::lstm_seq_backward(
-                            &x,
-                            &wx,
-                            &u,
-                            &want_h,
-                            &want_saved,
-                            &gout,
-                            reversed,
+        for (bi, b) in [1, 7, 8, 9, 63, 64, 65].into_iter().enumerate() {
+            for t in [1, 2, 9] {
+                let (d, h) = [(5, 8), (9, 7), (3, 17), (6, 32)][(bi + t) % 4];
+                let salt = (b * 10 + t) as u64;
+                let x = filled(&[b, t, d], salt);
+                let wx = filled(&[d, 4 * h], salt + 1);
+                let u = filled(&[h, 4 * h], salt + 2);
+                let bias = filled(&[4 * h], salt + 3);
+                let gout = filled(&[b, t, h], salt + 4);
+                for reversed in [false, true] {
+                    let (want_h, want_saved) = parent_lstm::lstm_seq(&x, &wx, &u, &bias, reversed);
+                    let want_grads = parent_lstm::lstm_seq_backward(
+                        &x,
+                        &wx,
+                        &u,
+                        &want_h,
+                        &want_saved,
+                        &gout,
+                        reversed,
+                    );
+                    for pooled in [true, false] {
+                        ssdrec_tensor::pool::set_enabled(pooled);
+                        let ctx = format!(
+                            "lstm B={b} T={t} d={d} h={h} reversed={reversed} \
+                         pooled={pooled} in {isa:?}"
                         );
-                        for pooled in [true, false] {
-                            ssdrec_tensor::pool::set_enabled(pooled);
-                            let ctx = format!(
-                                "lstm B={b} T={t} d={d} h={h} reversed={reversed} \
-                             pooled={pooled} on {kind}"
-                            );
-                            let (got_h, saved) = kernels::lstm_seq(&x, &wx, &u, &bias, reversed);
-                            assert_within_ulps(want_h.data(), got_h.data(), 0, &ctx);
-                            let got = kernels::lstm_seq_backward(
-                                &x, &wx, &u, &got_h, &saved, &gout, reversed, [true; 4],
-                            );
-                            for (name, (w, g)) in ["dX", "dWx", "dU", "db"]
-                                .into_iter()
-                                .zip(want_grads.iter().zip(got))
-                            {
-                                let g = g.expect("requested gradient");
-                                assert_within_ulps(w.data(), g.data(), 0, &format!("{ctx} {name}"));
-                            }
-                            ssdrec_tensor::pool::recycle(saved);
+                        let (got_h, saved) = kernels::lstm_seq(&x, &wx, &u, &bias, reversed);
+                        assert_within_ulps(want_h.data(), got_h.data(), 0, &ctx);
+                        let got = kernels::lstm_seq_backward(
+                            &x, &wx, &u, &got_h, &saved, &gout, reversed, [true; 4],
+                        );
+                        for (name, (w, g)) in ["dX", "dWx", "dU", "db"]
+                            .into_iter()
+                            .zip(want_grads.iter().zip(got))
+                        {
+                            let g = g.expect("requested gradient");
+                            assert_within_ulps(w.data(), g.data(), 0, &format!("{ctx} {name}"));
                         }
+                        ssdrec_tensor::pool::recycle(saved);
                     }
                 }
             }
-        })
+        }
     });
     ssdrec_tensor::pool::set_enabled(was);
 }

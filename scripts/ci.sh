@@ -3,9 +3,10 @@
 #
 #   1. Deny-list: no Cargo.toml may name a registry dependency — only
 #      workspace path crates (ssdrec-*) are allowed — the CLI's normal
-#      dependency tree must not reach the retired ssdrec-ann crate, and no
+#      dependency tree must not reach the retired ssdrec-ann crate, no
 #      file under crates/tensor/src but math.rs may call libm's exp, ln or
-#      tanh.
+#      tanh, and the SSDREC_* environment variables the code reads are
+#      exactly FAULTS, POOL, PROP_SEED and THREADS (option creep fails).
 #   2. cargo fmt --check
 #   3. Offline release build of the whole workspace.
 #   4. Offline test run.
@@ -23,11 +24,10 @@
 #      builder's and SSDRec stages' pins and oracles, and a CLI train run
 #      must pass or produce byte-identical metrics under SSDREC_THREADS=1
 #      and SSDREC_THREADS=4 (capped at the host's cores).
-#   9. Backend parity: the same golden test and CLI train run must produce
-#      byte-identical metrics under SSDREC_BACKEND=reference and
-#      SSDREC_BACKEND=blocked (the v2 kernel bits-contract), and the parity
-#      suite must have run every tile build (portable, AVX2, AVX-512F) the
-#      host's CPU flags name.
+#   9. Kernel parity: the parity suite, which holds the production kernels
+#      to the test-only oracle (the v2 kernel bits-contract), must have run
+#      every tile build (portable, AVX2, AVX-512F) the host's CPU flags
+#      name.
 #  10. Pool identity: a CLI train run with the tensor pool on and one with
 #      SSDREC_POOL=0 must emit byte-identical metric lines.
 #  11. Scale smoke: SSDRec trains one epoch of beauty --scale 70 (~20 K
@@ -53,7 +53,7 @@
 #      instead of silently nulling a per-layer metric), then
 #      `benchmark/run.sh --smoke` runs every workload's correctness checks
 #      and all seven probes at tiny sizes.
-#  17. Line-count ledger: the number ROADMAP item 5 tracks, and a check
+#  17. Line-count ledger: the number ROADMAP item 7 tracks, and a check
 #      that the run left `git status` as it found it.
 #
 # Everything runs with CARGO_NET_OFFLINE=true: any attempt to reach the
@@ -179,6 +179,16 @@ if [ -n "$LIBM_CALLS" ]; then
     die "libm transcendentals in crates/tensor/src outside math.rs (call crate::math instead)"
 fi
 echo "ok: crates/tensor's transcendentals all go through math.rs"
+# Every environment variable is an option nobody sees in --help: the set
+# the code spells may only change together with this line.
+ENV_WANT="FAULTS POOL PROP_SEED THREADS"
+ENV_GOT=$(grep -rhoE '"SSDREC_[A-Z_]+"' crates src tests | tr -d '"' | sed 's/^SSDREC_//' |
+    sort -u | tr '\n' ' ' | sed 's/ $//')
+if [ "$ENV_GOT" != "$ENV_WANT" ]; then
+    diff <(tr ' ' '\n' <<<"$ENV_WANT") <(tr ' ' '\n' <<<"$ENV_GOT") || true
+    die "SSDREC_* variables changed: want $ENV_WANT, the code reads $ENV_GOT"
+fi
+echo "ok: the code reads SSDREC_{${ENV_WANT// /,}} and no other SSDREC_* variable"
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
@@ -265,38 +275,22 @@ cmp "$SMOKE_DIR/ckpt_t1.ssdt" "$SMOKE_DIR/ckpt_t4.ssdt" ||
     die "thread determinism: checkpoints differ between 1 and 4 threads"
 echo "ok: golden + CLI metrics and checkpoints identical at 1 and 4 threads"
 
-echo "== backend parity (golden metrics: reference vs blocked kernels) =="
-# The v2 kernel bits-contract: the cache-blocked backend must reproduce the
-# reference oracle's bits exactly, so the pinned golden metrics pass under
-# either backend and a CLI train run emits byte-identical metric lines.
-SSDREC_BACKEND=reference cargo test --release -q --test golden_determinism
-SSDREC_BACKEND=blocked cargo test --release -q --test golden_determinism
-# Both suites switch backends themselves; the variable sets the one every
-# unswitched kernel call in them starts from.
-SSDREC_BACKEND=reference cargo test --release -q -p ssdrec-tensor --test backend_parity --test grad_layers
-SSDREC_BACKEND=blocked cargo test --release -q -p ssdrec-tensor --test backend_parity --test grad_layers
-# The gemm tile is compiled once per instruction set and the widest the
-# host runs is picked at run time; the parity suite holds every build the
-# host can run to the oracle and names them. A build the CPU flags promise
-# but the suite skipped fails here.
+echo "== kernel parity (every tile build the host runs vs the oracle) =="
+# The gemm tile, the softmax exponentials and the LSTM passes are compiled
+# once per instruction set and the widest the host runs is picked at run
+# time; the parity suite holds every build the host can run to the oracle
+# and names them. A build the CPU flags promise but the suite skipped fails
+# here.
 COVERED=$(cargo test --release -q -p ssdrec-tensor --test backend_parity \
     every_tile_build_matches_the_oracle -- --nocapture | sed -n 's/^tile builds covered: //p')
 echo "tile builds covered: $COVERED"
-printf '%s' "$COVERED" | grep -qw portable || die "backend parity: the portable tile build did not run"
+printf '%s' "$COVERED" | grep -qw portable || die "kernel parity: the portable tile build did not run"
 for isa in avx2 avx512f; do
     if grep -qw "$isa" /proc/cpuinfo 2>/dev/null && ! printf '%s' "$COVERED" | grep -qw "$isa"; then
-        die "backend parity: the host has $isa but the parity suite did not run that tile build"
+        die "kernel parity: the host has $isa but the parity suite did not run that tile build"
     fi
 done
-train_metrics "$SMOKE_DIR/metrics_reference.txt" $SMOKE_FLAGS --epochs 1 --backend reference \
-    --out "$SMOKE_DIR/ckpt_reference.ssdt"
-train_metrics "$SMOKE_DIR/metrics_blocked.txt" $SMOKE_FLAGS --epochs 1 --backend blocked \
-    --out "$SMOKE_DIR/ckpt_blocked.ssdt"
-diff -u "$SMOKE_DIR/metrics_reference.txt" "$SMOKE_DIR/metrics_blocked.txt" ||
-    die "backend parity: metrics differ between reference and blocked kernels"
-cmp "$SMOKE_DIR/ckpt_reference.ssdt" "$SMOKE_DIR/ckpt_blocked.ssdt" ||
-    die "backend parity: checkpoints differ between reference and blocked kernels"
-echo "ok: golden + CLI metrics and checkpoints identical under reference and blocked backends; tile builds $COVERED match the oracle"
+echo "ok: tile builds $COVERED match the oracle"
 
 echo "== pool identity (pooled vs fresh CLI metrics) =="
 # The step-scoped buffer pool must never change a bit of output.

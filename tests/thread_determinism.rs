@@ -5,17 +5,16 @@
 //! in `ssdrec_runtime` — parallelism may only trade wall-clock time, never
 //! a single bit of output.
 //!
-//! The matrix also has a **backend** dimension: every thread-count sweep
-//! runs once per kernel backend (`reference`, `blocked`), and each backend
-//! must be bit-identical across thread counts on its own. On top of that,
-//! the kernel-bits contract (v2, `KERNEL_BITS_MAX_ULPS == 0`) says the
-//! blocked backend reproduces the reference oracle exactly, so the matrix
-//! is also asserted to collapse *across* backends — including checkpoint
-//! bytes, which are pinned per backend and equal between them.
+//! The matrix also has a **tile build** dimension: every thread-count sweep
+//! runs once in every instruction-set build of the kernels the host can run
+//! (`TileIsa::supported`: portable, AVX2, AVX-512F), and the whole matrix
+//! must collapse to one output — including trained losses, HR/NDCG bits and
+//! checkpoint bytes. These are the builds real hosts pick, so a result does
+//! not depend on which CPU trained it.
 //!
-//! Each test reconfigures the shared global pool and the process-global
-//! backend, so the suite serialises itself behind one mutex and restores a
-//! 1-thread pool on the way out.
+//! Each test reconfigures the shared global pool and the active tile build,
+//! so the suite serialises itself behind one mutex and restores a 1-thread
+//! pool on the way out.
 
 mod common;
 
@@ -30,48 +29,37 @@ use ssdrec::models::{evaluate, train, BackboneKind, ContrastiveSeqRec, RecModel,
 use ssdrec::serve::{Engine, EngineConfig, ServerStats};
 use ssdrec::tensor::backend::{with_tile_isa, TileIsa};
 use ssdrec::tensor::kernels::{matmul, matmul_backward, scatter_rows, spmm, spmm_backward};
-use ssdrec::tensor::{pool, with_each_backend, CsrMatrix, Graph, Tensor};
+use ssdrec::tensor::{pool, CsrMatrix, Graph, Tensor};
 
 /// Serialises pool reconfiguration across `#[test]` threads.
 static POOL_LOCK: Mutex<()> = Mutex::new(());
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
 
-/// Run `f` once per (backend, thread count) cell. Within each backend the
-/// outputs must be bit-identical across thread counts; across backends the
-/// per-backend references must match too (the kernel-bits contract —
-/// `blocked` reproduces `reference` exactly). Returns the one output.
+/// Run `f` once in every tile build the host can run, narrowest first.
+fn each_tile_build(mut f: impl FnMut(TileIsa)) {
+    for isa in TileIsa::supported() {
+        with_tile_isa(isa, || f(isa));
+    }
+}
+
+/// Run `f` once per (tile build, thread count) cell; every cell must give
+/// the same output. Returns the one output.
 fn assert_bits_stable<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) -> T {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let mut cross: Option<T> = None;
-    with_each_backend(|kind| {
-        let mut reference: Option<T> = None;
+    let mut want: Option<T> = None;
+    each_tile_build(|isa| {
         for &t in &THREAD_COUNTS {
             ssdrec::runtime::set_threads(t);
             let got = f();
-            match &reference {
-                None => reference = Some(got),
-                Some(want) => assert_eq!(
-                    &got,
-                    want,
-                    "output diverged at {t} threads ({} backend)",
-                    kind.name()
-                ),
+            match &want {
+                None => want = Some(got),
+                Some(w) => assert_eq!(&got, w, "output diverged at {t} threads ({isa:?} build)"),
             }
-        }
-        let got = reference.take().unwrap();
-        match &cross {
-            None => cross = Some(got),
-            Some(want) => assert_eq!(
-                &got,
-                want,
-                "output diverged between backends (at {} backend)",
-                kind.name()
-            ),
         }
     });
     ssdrec::runtime::set_threads(1);
-    cross.expect("at least one backend")
+    want.expect("the portable build")
 }
 
 /// A deterministic dense fill that produces "awkward" floats (varied signs
@@ -155,27 +143,17 @@ fn batched_matmul_is_bit_identical_across_thread_counts() {
 /// gemms and sequence-chunked recurrence all cross the parallel threshold —
 /// eight whole 8-sequence chunks, and the same plus a partial last chunk —
 /// pooled and fresh allocation alike (its saved activations and scratch
-/// come from the pool with stale contents), in every tile build the host
-/// runs: its gate and BPTT passes are compiled per instruction set, and
-/// every build must give the same bits.
+/// come from the pool with stale contents). Its gate and BPTT passes are
+/// compiled per instruction set, which the matrix's tile-build axis covers.
 #[test]
 fn lstm_seq_is_bit_identical_across_thread_counts() {
     let (t, d, h) = (9, 32, 32);
     for b in [64, 65] {
-        let mut builds = TileIsa::supported().into_iter();
-        let first = builds.next().expect("the portable build");
-        let want = with_tile_isa(first, || lstm_bits_stable(b, t, d, h));
-        for isa in builds {
-            let got = with_tile_isa(isa, || lstm_bits_stable(b, t, d, h));
-            assert!(
-                got == want,
-                "B={b}: the {isa:?} build diverged from {first:?}"
-            );
-        }
+        lstm_bits_stable(b, t, d, h);
     }
 }
 
-fn lstm_bits_stable(b: usize, t: usize, d: usize, h: usize) -> Vec<Vec<u32>> {
+fn lstm_bits_stable(b: usize, t: usize, d: usize, h: usize) {
     assert_bits_stable(|| {
         let was = pool::is_enabled();
         let run = |pooled: bool| {
@@ -200,7 +178,7 @@ fn lstm_bits_stable(b: usize, t: usize, d: usize, h: usize) -> Vec<Vec<u32>> {
         pool::set_enabled(was);
         assert_eq!(pooled, fresh, "pooled and fresh LSTM diverged");
         pooled
-    })
+    });
 }
 
 /// Stage 1's sparse product at `train_ssdrec`'s U×U shape (384 rows, 32
@@ -356,54 +334,53 @@ fn model_fingerprint<M: RecModel>(mut model: M, tag: &str) -> Fingerprint {
     fingerprint(&report, &model, tag)
 }
 
-/// The tentpole contract of the step-scoped arena, extended with the
-/// backend dimension: pooled buffers carry stale contents, so a pooled
+/// The tentpole contract of the step-scoped arena, extended with the tile
+/// build dimension: pooled buffers carry stale contents, so a pooled
 /// training run must still produce the exact bits — losses, metrics and
-/// checkpoint bytes — of a fresh-allocation run, at 1 thread and at 4,
-/// under each kernel backend. The checkpoint bytes are additionally pinned
-/// *across* backends (the kernel-bits contract).
+/// checkpoint bytes — of a fresh-allocation run, at 1 thread and at 4, in
+/// every tile build; and every cell of that matrix must agree.
 #[test]
 fn pooled_and_fresh_training_are_bit_identical() {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let was = pool::is_enabled();
     let train_fingerprint = |tag: &str| model_fingerprint(ssdrec_on(&tiny_world(), 7), tag);
-    let mut cross: Option<Fingerprint> = None;
-    with_each_backend(|kind| {
-        let be = kind.name();
+    let mut want: Option<Fingerprint> = None;
+    each_tile_build(|isa| {
+        let build = isa.name();
         for &t in &[1usize, 4] {
             ssdrec::runtime::set_threads(t);
             pool::set_enabled(true);
-            let pooled = train_fingerprint(&format!("pooled_{be}_t{t}"));
+            let pooled = train_fingerprint(&format!("pooled_{build}_t{t}"));
             pool::set_enabled(false);
-            let fresh = train_fingerprint(&format!("fresh_{be}_t{t}"));
+            let fresh = train_fingerprint(&format!("fresh_{build}_t{t}"));
             assert_eq!(
                 pooled.0, fresh.0,
-                "epoch loss bits diverged between pooled and fresh at {t} threads ({be})"
+                "epoch loss bits diverged between pooled and fresh at {t} threads ({build})"
             );
             assert_eq!(
                 (pooled.1, pooled.2),
                 (fresh.1, fresh.2),
-                "HR@10/NDCG@10 bits diverged between pooled and fresh at {t} threads ({be})"
+                "HR@10/NDCG@10 bits diverged between pooled and fresh at {t} threads ({build})"
             );
             assert_eq!(
                 pooled.3, fresh.3,
-                "checkpoint bytes diverged between pooled and fresh at {t} threads ({be})"
+                "checkpoint bytes diverged between pooled and fresh at {t} threads ({build})"
             );
-            match &cross {
-                None => cross = Some(pooled),
-                Some(want) => {
+            match &want {
+                None => want = Some(pooled),
+                Some(w) => {
                     assert_eq!(
-                        &pooled.0, &want.0,
-                        "loss bits diverged across the backend matrix ({be}, {t} threads)"
+                        &pooled.0, &w.0,
+                        "loss bits diverged across the matrix ({build}, {t} threads)"
                     );
                     assert_eq!(
                         (pooled.1, pooled.2),
-                        (want.1, want.2),
-                        "HR@10/NDCG@10 bits diverged across the backend matrix ({be}, {t} threads)"
+                        (w.1, w.2),
+                        "HR@10/NDCG@10 bits diverged across the matrix ({build}, {t} threads)"
                     );
                     assert_eq!(
-                        pooled.3, want.3,
-                        "checkpoint bytes diverged across the backend matrix ({be}, {t} threads)"
+                        pooled.3, w.3,
+                        "checkpoint bytes diverged across the matrix ({build}, {t} threads)"
                     );
                 }
             }
@@ -416,8 +393,8 @@ fn pooled_and_fresh_training_are_bit_identical() {
 /// The two newest loss paths — the contrastive joint CE + InfoNCE loss
 /// (whose per-example view RNG must be immune to batch sharding) and the
 /// multi-granularity weakly supervised loss — run through the full matrix:
-/// backend × {1, 2, 7} threads × pooled-vs-fresh allocation, with the
-/// checkpoint bytes additionally pinned across backends.
+/// tile build × {1, 2, 7} threads × pooled-vs-fresh allocation, every cell
+/// with the same fingerprint, checkpoint bytes included.
 #[test]
 fn new_loss_paths_are_bit_identical_across_matrix() {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
@@ -436,35 +413,26 @@ fn new_loss_paths_are_bit_identical_across_matrix() {
                 model_fingerprint(Mgsd::new(num_users, num_items, 8, 50, 7), tag)
             }
         };
-        let mut cross: Option<Fingerprint> = None;
-        with_each_backend(|kind| {
-            let be = kind.name();
-            let mut reference: Option<Fingerprint> = None;
+        let mut want: Option<Fingerprint> = None;
+        each_tile_build(|isa| {
+            let build = isa.name();
             for &t in &THREAD_COUNTS {
                 ssdrec::runtime::set_threads(t);
                 pool::set_enabled(true);
-                let pooled = run(&format!("{scenario}_pooled_{be}_t{t}"));
+                let pooled = run(&format!("{scenario}_pooled_{build}_t{t}"));
                 pool::set_enabled(false);
-                let fresh = run(&format!("{scenario}_fresh_{be}_t{t}"));
+                let fresh = run(&format!("{scenario}_fresh_{build}_t{t}"));
                 assert_eq!(
                     pooled, fresh,
-                    "{scenario}: pooled and fresh runs diverged at {t} threads ({be})"
+                    "{scenario}: pooled and fresh runs diverged at {t} threads ({build})"
                 );
-                match &reference {
-                    None => reference = Some(pooled),
-                    Some(want) => assert_eq!(
-                        &pooled, want,
-                        "{scenario}: output diverged at {t} threads ({be})"
+                match &want {
+                    None => want = Some(pooled),
+                    Some(w) => assert_eq!(
+                        &pooled, w,
+                        "{scenario}: output diverged at {t} threads ({build})"
                     ),
                 }
-            }
-            let got = reference.take().unwrap();
-            match &cross {
-                None => cross = Some(got),
-                Some(want) => assert_eq!(
-                    &got, want,
-                    "{scenario}: output diverged between backends (at {be})"
-                ),
             }
         });
     }
