@@ -243,6 +243,27 @@ impl PositionalEmbedding {
     }
 }
 
+/// `blocks` over `x` (`B×T×d`), read out at position `T − 1` (`B×d`): the
+/// inner blocks at every position under `mask`, the last block in its
+/// readout-only form (`TransformerBlock::forward_last`) under `last_mask`,
+/// the mask's last row. Bit-equal to `select_time` of the full stack, whose
+/// last block computed `T − 1` rows nobody read.
+fn encode_last(
+    g: &mut Graph,
+    bind: &Binding,
+    blocks: &[TransformerBlock],
+    x: Var,
+    mask: Option<Var>,
+    last_mask: Option<Var>,
+) -> Var {
+    let Some((last, inner)) = blocks.split_last() else {
+        let (_b, t, _d) = g.value(x).dims3();
+        return g.select_time(x, t - 1);
+    };
+    let x = inner.iter().fold(x, |x, blk| blk.forward(g, bind, x, mask));
+    last.forward_last(g, bind, x, last_mask)
+}
+
 /// SASRec [16]: stacked causal self-attention blocks; the representation is
 /// the output at the last position.
 pub struct SasRecEncoder {
@@ -269,12 +290,16 @@ impl SasRecEncoder {
 }
 
 impl SeqEncoder for SasRecEncoder {
+    /// The inner blocks at every position, the last block in its
+    /// readout-only form: bit-equal to the last row of
+    /// [`encode_causal_all`](SeqEncoder::encode_causal_all).
     fn encode(&self, g: &mut Graph, bind: &Binding, h_seq: Var) -> Var {
         let (_b, t, _d) = g.value(h_seq).dims3();
-        let all = self
-            .encode_causal_all(g, bind, h_seq)
-            .expect("SASRec is causal");
-        g.select_time(all, t - 1)
+        let x = self.pos.add_to(g, bind, h_seq);
+        let mask = g.constant(causal_mask(t));
+        // The causal mask's last row: nothing after `T − 1` to hide.
+        let last_row = g.constant(Tensor::zeros(&[1, t]));
+        encode_last(g, bind, &self.blocks, x, Some(mask), Some(last_row))
     }
 
     fn encode_causal_all(&self, g: &mut Graph, bind: &Binding, h_seq: Var) -> Option<Var> {
@@ -323,13 +348,11 @@ impl Bert4RecEncoder {
 }
 
 impl SeqEncoder for Bert4RecEncoder {
+    /// The inner blocks at every position, the last block in its
+    /// readout-only form.
     fn encode(&self, g: &mut Graph, bind: &Binding, h_seq: Var) -> Var {
-        let (_b, t, _d) = g.value(h_seq).dims3();
-        let mut x = self.pos.add_to(g, bind, h_seq);
-        for blk in &self.blocks {
-            x = blk.forward(g, bind, x, None);
-        }
-        g.select_time(x, t - 1)
+        let x = self.pos.add_to(g, bind, h_seq);
+        encode_last(g, bind, &self.blocks, x, None, None)
     }
 
     fn name(&self) -> &'static str {
@@ -426,6 +449,83 @@ mod tests {
             g.value(out).data().to_vec()
         };
         assert_ne!(run(x1), run(x2));
+    }
+
+    /// Value, every parameter gradient and the input gradient of one
+    /// `Σ w ⊙ out` loss, as bits.
+    fn readout_bits(
+        store: &ParamStore,
+        x: &Tensor,
+        w: &Tensor,
+        out: impl Fn(&mut Graph, &Binding, Var) -> Var,
+    ) -> Vec<Vec<u32>> {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut g = Graph::new();
+        let bind = store.bind_all(&mut g);
+        let xv = g.param(x.clone());
+        let y = out(&mut g, &bind, xv);
+        let wv = g.constant(w.clone());
+        let weighted = g.mul(y, wv);
+        let loss = g.sum_all(weighted);
+        let mut all = vec![bits(g.value(y))];
+        let grads = g.backward(loss);
+        for i in 0..store.num_tensors() {
+            let var = bind.var(ParamStore::param_ref_by_index(i));
+            all.push(grads.get(var).map(bits).unwrap_or_default());
+        }
+        all.push(bits(grads.get(xv).expect("input gradient")));
+        all
+    }
+
+    /// The readout-only last block is the full stack's last row, bit for
+    /// bit: SASRec's and BERT4Rec's `encode` against `select_time` of every
+    /// block run at every position (what `encode` computed before), for the
+    /// value, each parameter's gradient and the input's gradient, at 0, 1
+    /// and 2 layers.
+    #[test]
+    fn readout_only_last_block_equals_the_full_stacks_last_row() {
+        let (d, max_len) = (32, 50);
+        for layers in [0, 1, 2] {
+            for heads in [1, 2] {
+                let mut store = ParamStore::new();
+                let mut rng = Rng::seed((layers * 2 + heads) as u64);
+                let sasrec = SasRecEncoder::new(&mut store, d, max_len, layers, heads, &mut rng);
+                let bert = Bert4RecEncoder::new(&mut store, d, max_len, layers, heads, &mut rng);
+                let encoders: [(
+                    &dyn SeqEncoder,
+                    &PositionalEmbedding,
+                    &[TransformerBlock],
+                    bool,
+                ); 2] = [
+                    (&sasrec, &sasrec.pos, &sasrec.blocks, true),
+                    (&bert, &bert.pos, &bert.blocks, false),
+                ];
+                for (enc, pos, blocks, causal) in encoders {
+                    for b in [1, 3, 8] {
+                        for t in [1, 2, 7, 50] {
+                            let x = rand_seq(b, t, d, (b * 100 + t) as u64);
+                            let w = rand_seq(1, b, d, t as u64).reshaped(&[b, d]);
+                            let got =
+                                readout_bits(&store, &x, &w, |g, bind, h| enc.encode(g, bind, h));
+                            let want = readout_bits(&store, &x, &w, |g, bind, h| {
+                                let mut x = pos.add_to(g, bind, h);
+                                let mask = causal.then(|| g.constant(causal_mask(t)));
+                                for blk in blocks {
+                                    x = blk.forward(g, bind, x, mask);
+                                }
+                                g.select_time(x, t - 1)
+                            });
+                            assert!(
+                                got == want,
+                                "{} layers={layers} heads={heads} B={b} T={t}: the readout-only \
+                                 bits differ from the full stack's",
+                                enc.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

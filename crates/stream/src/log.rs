@@ -28,6 +28,13 @@
 //! * a *complete* record whose CRC does not match cannot have been produced
 //!   by a torn sequential append — that is **corruption**, rejected with the
 //!   typed [`LogError::Corrupt`] carrying the record's offset.
+//!
+//! Every read ([`StreamLog::open`] and [`replay`]) also holds each record to
+//! the header's catalog with the predicate [`StreamLog::append`] checks
+//! before writing ([`LogHeader::contains`]). A CRC-valid record outside it
+//! was never appended to this log, so it is refused with
+//! [`LogError::RecordOutOfCatalog`] at its offset, before its IDs can index
+//! anything downstream.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -77,6 +84,16 @@ pub enum LogError {
         /// Catalog item count.
         num_items: usize,
     },
+    /// A CRC-valid record at `offset` names an event outside the header's
+    /// catalog ([`LogHeader::contains`]): `append` never writes one.
+    RecordOutOfCatalog {
+        /// Absolute file offset of the record.
+        offset: u64,
+        /// The record's user ID.
+        user: u64,
+        /// The record's item ID.
+        item: u64,
+    },
     /// A replay offset does not lie within `[HEADER_LEN, end]`.
     BadOffset {
         /// The requested offset.
@@ -125,6 +142,11 @@ impl fmt::Display for LogError {
                 "event ({user}, {item}) outside the log catalog \
                  ({num_users} users, {num_items} items)"
             ),
+            LogError::RecordOutOfCatalog { offset, user, item } => write!(
+                f,
+                "log record at offset {offset} holds event ({user}, {item}) outside the \
+                 log catalog"
+            ),
             LogError::BadOffset { offset, end } => write!(
                 f,
                 "offset {offset} is not inside the log (records span {HEADER_LEN}..={end})"
@@ -164,6 +186,15 @@ pub struct LogHeader {
     pub num_users: usize,
     /// Item IDs are `1..=num_items` (0 is padding, never logged).
     pub num_items: usize,
+}
+
+impl LogHeader {
+    /// Whether `(user, item)` lies in the catalog: what
+    /// [`StreamLog::append`] checks before it writes a record and every
+    /// read checks of each record it returns.
+    pub fn contains(&self, user: u64, item: u64) -> bool {
+        user < self.num_users as u64 && item != 0 && item <= self.num_items as u64
+    }
 }
 
 /// What [`StreamLog::open`] found on disk.
@@ -222,41 +253,45 @@ fn parse_header(buf: &[u8]) -> Result<LogHeader, LogError> {
 ///
 /// Returns `(records, end_offset)`; `end_offset < bytes.len()` means the
 /// trailing bytes are a torn tail.
-fn scan(bytes: &[u8]) -> Result<(u64, u64), LogError> {
+fn scan(bytes: &[u8], header: &LogHeader) -> Result<(u64, u64), LogError> {
     let mut off = HEADER_LEN as usize;
     let mut records = 0u64;
-    while off < bytes.len() {
-        let have = bytes.len() - off;
-        if have < RECORD_LEN as usize {
-            break; // torn tail: record bytes run past EOF
-        }
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-        if len != PAYLOAD_LEN {
-            // A sequential append writes the whole record buffer in order, so
-            // a complete length field with an impossible value is corruption,
-            // not a crash artifact.
-            return Err(LogError::Corrupt { offset: off as u64 });
-        }
-        let payload = &bytes[off + 4..off + 4 + PAYLOAD_LEN as usize];
-        let stored = u32::from_le_bytes(
-            bytes[off + 4 + PAYLOAD_LEN as usize..off + RECORD_LEN as usize]
-                .try_into()
-                .unwrap(),
-        );
-        if stored != crc32(payload) {
-            return Err(LogError::Corrupt { offset: off as u64 });
-        }
+    // A record whose bytes run past EOF is a torn tail.
+    while bytes.len() - off >= RECORD_LEN as usize {
+        read_record(bytes, off, header)?;
         off += RECORD_LEN as usize;
         records += 1;
     }
     Ok((records, off as u64))
 }
 
-fn decode_record(payload: &[u8]) -> Interaction {
-    Interaction {
-        user: u64::from_le_bytes(payload[0..8].try_into().unwrap()) as usize,
-        item: u64::from_le_bytes(payload[8..16].try_into().unwrap()) as usize,
+/// The complete record at `off`, checked: its length field, its CRC and its
+/// IDs against `header`'s catalog.
+fn read_record(bytes: &[u8], off: usize, header: &LogHeader) -> Result<Interaction, LogError> {
+    let record = &bytes[off..off + RECORD_LEN as usize];
+    let word = |at: usize| u32::from_le_bytes(record[at..at + 4].try_into().expect("4 bytes"));
+    let len = word(0);
+    let payload = &record[4..4 + PAYLOAD_LEN as usize];
+    let stored = word(4 + PAYLOAD_LEN as usize);
+    // A sequential append writes the whole record buffer in order, so a
+    // complete length field with an impossible value is corruption, not a
+    // crash artifact.
+    if len != PAYLOAD_LEN || stored != crc32(payload) {
+        return Err(LogError::Corrupt { offset: off as u64 });
     }
+    let id = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
+    let (user, item) = (id(0), id(8));
+    if !header.contains(user, item) {
+        return Err(LogError::RecordOutOfCatalog {
+            offset: off as u64,
+            user,
+            item,
+        });
+    }
+    Ok(Interaction {
+        user: user as usize,
+        item: item as usize,
+    })
 }
 
 impl StreamLog {
@@ -286,14 +321,15 @@ impl StreamLog {
     /// Open an existing log for appending.
     ///
     /// Validates the header, scans every record, truncates a torn tail, and
-    /// rejects mid-log corruption with [`LogError::Corrupt`].
+    /// rejects mid-log corruption with [`LogError::Corrupt`] and a record
+    /// outside the catalog with [`LogError::RecordOutOfCatalog`].
     pub fn open(path: impl AsRef<Path>) -> Result<(StreamLog, OpenReport), LogError> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
         let header = parse_header(&bytes)?;
-        let (records, end) = scan(&bytes)?;
+        let (records, end) = scan(&bytes, &header)?;
         let truncated = bytes.len() as u64 - end;
         if truncated > 0 {
             file.set_len(end)?;
@@ -342,7 +378,7 @@ impl StreamLog {
     /// Fault site `stream.append` fires before any bytes are written, so an
     /// injected error never leaves a partial record.
     pub fn append(&mut self, user: usize, item: usize) -> Result<u64, LogError> {
-        if user >= self.header.num_users || item == 0 || item > self.header.num_items {
+        if !self.header.contains(user as u64, item as u64) {
             return Err(LogError::OutOfCatalog {
                 user,
                 item,
@@ -414,12 +450,13 @@ impl StreamLog {
 /// `from = HEADER_LEN` replays from the start; `to` is typically a consumed
 /// offset recorded in a versioned checkpoint, or [`StreamLog::end`]. Both
 /// bounds must lie on record boundaries. Replay never truncates the file —
-/// bytes at or past `to` (including a torn tail) are ignored.
+/// bytes at or past `to` (including a torn tail) are ignored. Every record
+/// is checked as [`StreamLog::open`] checks it.
 pub fn replay(path: impl AsRef<Path>, from: u64, to: u64) -> Result<Vec<Interaction>, LogError> {
     let mut file = File::open(path.as_ref())?;
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes)?;
-    parse_header(&bytes)?;
+    let header = parse_header(&bytes)?;
     let end = bytes.len() as u64;
     let bound_ok =
         |off: u64| off >= HEADER_LEN && off <= end && (off - HEADER_LEN) % RECORD_LEN == 0;
@@ -427,23 +464,10 @@ pub fn replay(path: impl AsRef<Path>, from: u64, to: u64) -> Result<Vec<Interact
         let bad = if bound_ok(from) { to } else { from };
         return Err(LogError::BadOffset { offset: bad, end });
     }
-    let mut out = Vec::with_capacity(((to - from) / RECORD_LEN) as usize);
-    let mut off = from as usize;
-    while (off as u64) < to {
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-        let payload = &bytes[off + 4..off + 4 + PAYLOAD_LEN as usize];
-        let stored = u32::from_le_bytes(
-            bytes[off + 4 + PAYLOAD_LEN as usize..off + RECORD_LEN as usize]
-                .try_into()
-                .unwrap(),
-        );
-        if len != PAYLOAD_LEN || stored != crc32(payload) {
-            return Err(LogError::Corrupt { offset: off as u64 });
-        }
-        out.push(decode_record(payload));
-        off += RECORD_LEN as usize;
-    }
-    Ok(out)
+    (from..to)
+        .step_by(RECORD_LEN as usize)
+        .map(|off| read_record(&bytes, off as usize, &header))
+        .collect()
 }
 
 /// Read a log's header without opening it for writing.

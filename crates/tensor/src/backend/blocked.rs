@@ -44,9 +44,18 @@
 //!   gain from streaming each `b` row once per 8 output rows instead of
 //!   once per row.
 //! * Every tile runs at full width: the last `n mod W` columns of `b` are
-//!   copied once per call into a zero-padded `W`-column strip, and a last
-//!   partial row panel packs zeros into its unused lanes. The padding lanes
-//!   compute products nobody stores; no stored lane ever sees them.
+//!   copied once per call into a zero-padded `W`-column strip, whose tile
+//!   runs on a padded copy of its output corner. The padding lanes compute
+//!   products nobody stores; no stored lane ever sees them.
+//! * A partial row panel runs on tiles of the rows it has. Up to
+//!   [`ROW_TILE_ROWS`] rows — every `B = 1` product, like a served
+//!   request's recurrent `h·U` and its scorer — go one row at a time through
+//!   [`row_tile`]s `4·W` lanes wide, reading `a` in place: four independent
+//!   chains per row instead of an 8-row tile seven eighths padding. The
+//!   choice reads the row count alone. A longer partial panel (the training
+//!   tail's 6 or 7 rows) packs zeros into the 8-row tile's unused lanes,
+//!   which is faster there. Either way each output element is still its one
+//!   `p`-ascending chain from the same start.
 //! * [`bias_act_rows`] runs in one pass instead of add-then-activate.
 //! * [`scaled_masked_softmax_rows`] fuses the scale/mask pass with the row-max
 //!   scan.
@@ -69,6 +78,11 @@ use crate::math;
 
 /// Register-tile rows (output rows advanced together per A panel).
 const MR: usize = super::TILE_ROWS;
+
+/// The most rows a partial row panel runs one row at a time on
+/// [`row_tile`]s ([`rows`]); a longer one runs the `MR`-row [`tile`]
+/// zero-padded ([`panels`]).
+const ROW_TILE_ROWS: usize = 5;
 
 /// Accumulate one `MR×W` register tile over the whole contraction, from a
 /// packed A panel (`k×MR`, `p`-major) and the `W` columns of a `p`-major B
@@ -135,6 +149,51 @@ fn row_axpy<const W: usize>(row: &mut [f32; W], av: f32, brow: &[f32; W]) {
     }
 }
 
+/// Accumulate one output row's `L` lanes over the whole contraction: the
+/// row's `a` values at `ar[p·lda]`, the `L` columns of a `p`-major B
+/// starting at `b` (row stride `ldb`), into `c`. Each lane is one output
+/// element's chain, as in [`tile`]; an `L` of several `W` gives the row
+/// several independent chains.
+#[inline(always)]
+fn row_tile<const L: usize>(
+    k: usize,
+    ar: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32; L],
+    from_out: bool,
+) {
+    let mut acc = if from_out { *c } else { [0.0f32; L] };
+    for p in 0..k {
+        let brow: &[f32; L] = b[p * ldb..p * ldb + L].try_into().expect("L columns");
+        row_axpy(&mut acc, ar[p * lda], brow);
+    }
+    if from_out {
+        *c = acc;
+    } else {
+        for (d, &v) in c.iter_mut().zip(&acc) {
+            *d += v;
+        }
+    }
+}
+
+/// The columns of the `p`-major `k×n` B past its last whole `W` block, as a
+/// `k×W` strip zero-padded past `n` (`None` when `W` divides `n`), and
+/// where they start.
+#[inline(always)]
+fn edge_strip<const W: usize>(bm: &[f32], k: usize, n: usize) -> (usize, Option<Vec<f32>>) {
+    let full = n - n % W;
+    let strip = (full < n).then(|| {
+        let mut strip = crate::pool::take_zeroed(k * W);
+        for (srow, brow) in strip.chunks_exact_mut(W).zip(bm.chunks_exact(n)) {
+            srow[..n - full].copy_from_slice(&brow[full..]);
+        }
+        strip
+    });
+    (full, strip)
+}
+
 /// Rows `[r0, r1)` of `a · bm` into `block` with `8×W` tiles: `bm` is the
 /// `p`-major (`k×n`) B, `a` is `m×k` (`k×m` when `ta`), `k, n ≥ 1`.
 #[inline(always)]
@@ -153,14 +212,7 @@ fn panels<const W: usize>(
 ) {
     // The columns past the last whole `W` block, zero-padded to `W` once
     // for every row panel.
-    let full = n - n % W;
-    let edge = (full < n).then(|| {
-        let mut strip = crate::pool::take_zeroed(k * W);
-        for (srow, brow) in strip.chunks_exact_mut(W).zip(bm.chunks_exact(n)) {
-            srow[..n - full].copy_from_slice(&brow[full..]);
-        }
-        strip
-    });
+    let (full, edge) = edge_strip::<W>(bm, k, n);
     let mut ap = crate::pool::take(k * MR);
     for i0 in (r0..r1).step_by(MR) {
         let mr = MR.min(r1 - i0);
@@ -206,6 +258,65 @@ fn panels<const W: usize>(
     if let Some(strip) = edge {
         crate::pool::recycle(strip);
     }
+}
+
+/// The rows of `block`, rows `r0..` of `a · bm`, one at a time, each on
+/// [`row_tile`]s: `L` columns while they fit, then `W`, then the zero-padded
+/// edge strip through a padded copy of the row's tail. Operands as in
+/// [`panels`]; no A panel is packed, a row's `a` values are read in place.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn rows<const W: usize, const L: usize>(
+    a: &[f32],
+    ta: bool,
+    bm: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    from_out: bool,
+    block: &mut [f32],
+    r0: usize,
+) {
+    let (full, edge) = edge_strip::<W>(bm, k, n);
+    for (ri, c) in block.chunks_exact_mut(n).enumerate() {
+        let i = r0 + ri;
+        let (ar, lda) = if ta { (&a[i..], m) } else { (&a[i * k..], 1) };
+        let mut j0 = 0;
+        while full - j0 >= L {
+            let dst: &mut [f32; L] = (&mut c[j0..j0 + L]).try_into().expect("L lanes");
+            row_tile::<L>(k, ar, lda, &bm[j0..], n, dst, from_out);
+            j0 += L;
+        }
+        while j0 < full {
+            let dst: &mut [f32; W] = (&mut c[j0..j0 + W]).try_into().expect("W lanes");
+            row_tile::<W>(k, ar, lda, &bm[j0..], n, dst, from_out);
+            j0 += W;
+        }
+        if let Some(strip) = edge.as_deref() {
+            let mut ct: [f32; W] = lanes(&c[full..]);
+            row_tile::<W>(k, ar, lda, strip, W, &mut ct, from_out);
+            store_lanes(&mut c[full..], &ct);
+        }
+    }
+    if let Some(strip) = edge {
+        crate::pool::recycle(strip);
+    }
+}
+
+per_isa! {
+    /// [`rows`] in the active build, `4·W` lanes a row tile.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_rows_one_by_one(
+        a: &[f32],
+        ta: bool,
+        bm: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        from_out: bool,
+        block: &mut [f32],
+        r0: usize,
+    ) = |W| rows::<W, { 4 * W }>(a, ta, bm, m, k, n, from_out, block, r0);
 }
 
 per_isa! {
@@ -315,13 +426,25 @@ pub fn gemm_rows(
     // contiguous rows instead of strided dot products. (A row-parallel
     // 2-D gemm never gets here with `tb`: `kernels` packs once for all
     // of its blocks.)
-    if tb {
+    let packed = tb.then(|| {
         let mut bp = crate::pool::take(k * n);
         crate::kernels::transpose_into(b, n, k, &mut bp);
-        gemm_panels(a, ta, &bp, m, k, n, false, block, r0, r1);
+        bp
+    });
+    let bm = packed.as_deref().unwrap_or(b);
+    // Whole 8-row panels, and a partial last one unless it is short enough
+    // for row tiles.
+    let tail = (r1 - r0) % MR;
+    let split = if tail <= ROW_TILE_ROWS { r1 - tail } else { r1 };
+    let (panel_rows, short_rows) = block.split_at_mut((split - r0) * n);
+    if split > r0 {
+        gemm_panels(a, ta, bm, m, k, n, !tb, panel_rows, r0, split);
+    }
+    if split < r1 {
+        gemm_rows_one_by_one(a, ta, bm, m, k, n, !tb, short_rows, split);
+    }
+    if let Some(bp) = packed {
         crate::pool::recycle(bp);
-    } else {
-        gemm_panels(a, ta, b, m, k, n, true, block, r0, r1);
     }
 }
 

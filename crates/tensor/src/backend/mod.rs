@@ -74,7 +74,7 @@ pub(crate) const LN_EPS: f32 = 1e-5;
 
 /// Rows of [`gemm_rows`]' register tile. [`crate::kernels`] cuts parallel
 /// gemm row blocks at multiples of it, so only a call's last block can end
-/// in a partial (unvectorised) tile.
+/// in a partial row panel (which runs on row-sized tiles, `blocked.rs`).
 pub(crate) const TILE_ROWS: usize = 8;
 
 /// Element-wise activations understood by [`bias_act_rows`].

@@ -1,5 +1,19 @@
 //! Multi-head self-attention and transformer blocks (SASRec, BERT4Rec,
 //! STEAM's bidirectional encoder, DCRec's transformer layer).
+//!
+//! Both take a *readout-only* form, `forward_last`, for a model that reads
+//! the last position alone: keys and values still span all `T` rows, but
+//! the query, the attention row, the output projection, both residuals,
+//! both LayerNorms and the FFN run at row `T − 1` only, a `B×d` result
+//! bit-equal to `select_time(forward(x), T − 1)`. Every kernel on that path
+//! is row-independent, with a per-element chain fixed by the shape, so the
+//! kept row's forward bits do not depend on the rows dropped. The gradients
+//! match too: in the full form the dropped rows' query, projection, norm
+//! and FFN gradients are `±0`, no-ops on the `+0`-started chains they were
+//! added to, and `forward_last` takes the last row of `x` twice — once for
+//! the query, before the keys and values, and once for the residual, after
+//! the attention — so the tape hands `x` its gradient contributions in the
+//! full block's order: residual, values, keys, query.
 
 use crate::backend::Activation;
 use crate::graph::{Graph, Var};
@@ -75,9 +89,26 @@ impl MultiHeadAttention {
     /// Apply self-attention. `mask` is an additive score mask of shape
     /// `T×T` (broadcast over batch) or `B×T×T`.
     pub fn forward(&self, g: &mut Graph, bind: &Binding, x: Var, mask: Option<Var>) -> Var {
+        let q = self.q.forward(g, bind, x);
+        self.attend(g, bind, q, x, mask)
+    }
+
+    /// [`forward`](Self::forward)'s last position only, `B×1×d`: the query
+    /// of row `T − 1` over the keys and values of all `T` rows. `mask` is
+    /// the full mask's last row (`1×T`, or `B×1×T`); a causal mask's last
+    /// row is all zeros.
+    pub fn forward_last(&self, g: &mut Graph, bind: &Binding, x: Var, mask: Option<Var>) -> Var {
+        let (_b, t, _d) = g.value(x).dims3();
+        let last = g.slice_time(x, t - 1, 1);
+        let q = self.q.forward(g, bind, last);
+        self.attend(g, bind, q, x, mask)
+    }
+
+    /// The attention body both forms share: queries `q` (`B×Tq×d`) over the
+    /// keys and values of `x` (`B×T×d`), through the output projection.
+    fn attend(&self, g: &mut Graph, bind: &Binding, q: Var, x: Var, mask: Option<Var>) -> Var {
         let dk = self.dim / self.heads;
         let scale = 1.0 / (dk as f32).sqrt();
-        let q = self.q.forward(g, bind, x);
         let k = self.k.forward(g, bind, x);
         let v = self.v.forward(g, bind, x);
 
@@ -159,6 +190,26 @@ impl TransformerBlock {
     /// Apply the block.
     pub fn forward(&self, g: &mut Graph, bind: &Binding, x: Var, mask: Option<Var>) -> Var {
         let a = self.attn.forward(g, bind, x, mask);
+        self.residual_ffn(g, bind, x, a)
+    }
+
+    /// The block's output at the last position only, `B×d`: bit-equal to
+    /// `select_time(forward(x, mask), T − 1)`, values and gradients (module
+    /// docs). `mask` is the full mask's last row, as in
+    /// [`MultiHeadAttention::forward_last`].
+    pub fn forward_last(&self, g: &mut Graph, bind: &Binding, x: Var, mask: Option<Var>) -> Var {
+        let (b, t, d) = g.value(x).dims3();
+        let a = self.attn.forward_last(g, bind, x, mask);
+        // The residual's own copy of row `T − 1`, taken after the attention
+        // so that `x`'s gradient arrives in the full block's order.
+        let last = g.slice_time(x, t - 1, 1);
+        let y = self.residual_ffn(g, bind, last, a);
+        g.reshape(y, &[b, d])
+    }
+
+    /// Residual + LayerNorm, FFN + residual + LayerNorm over the attention
+    /// output `a` of the rows `x`.
+    fn residual_ffn(&self, g: &mut Graph, bind: &Binding, x: Var, a: Var) -> Var {
         let r1 = g.add(x, a);
         let n1 = self.ln1.forward(g, bind, r1);
         let f = self.ffn.forward(g, bind, n1);

@@ -773,16 +773,34 @@ fn gemm_ignores_stale_pool_contents() {
 }
 
 /// Every tile build the host can run against the oracle, all four
-/// transpose variants, at the edges of both tile widths. Prints the builds
-/// it ran: `ci.sh` fails when the host's CPU flags name an instruction set
-/// this line leaves out.
+/// transpose variants: every remainder of the 8-row panel (`m` = 0..=17 and
+/// 63..=65, so the one-row tiles of a short panel and the padded 8-row tile
+/// of a longer one both run), and `n mod W ∈ {0, 1, W − 1}` around one, two,
+/// four and nine column blocks of the build's width `W` (a short panel's
+/// `4·W`-lane row tile, its `W`-lane tail and the edge strip). Prints the
+/// builds it ran: `ci.sh` fails when the host's CPU flags name an
+/// instruction set this line leaves out.
 #[test]
 fn every_tile_build_matches_the_oracle() {
     let mut covered = Vec::new();
     each_tile_build(|isa| {
-        for m in [0, 1, 7, 8, 9, 17, 65] {
+        let w = isa.width();
+        let ns = [
+            0,
+            1,
+            w - 1,
+            w,
+            w + 1,
+            2 * w - 1,
+            4 * w,
+            4 * w + 1,
+            5 * w - 1,
+            9 * w - 1,
+            9 * w,
+        ];
+        for m in (0..=17).chain(63..=65) {
             for k in [0, 1, 2, 9, 33] {
-                for n in [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65] {
+                for n in ns {
                     for variant in 0..4 {
                         let seed = m * 1000 + k * 100 + n;
                         assert_within_ulps(
@@ -1148,8 +1166,8 @@ mod parent_lstm {
 
 /// The sequence-chunked, per-instruction-set LSTM kernels against the
 /// whole-batch scalar ones they replaced: hidden states and all four
-/// gradients bit for bit at `B ∈ {1, 7, 8, 9, 63, 64, 65}` (one partial
-/// chunk, whole chunks, whole chunks plus one sequence), `T ∈ {1, 2, 9}` and
+/// gradients bit for bit at `B` = 1..=9 and 63..=65 (every partial chunk,
+/// whole chunks, whole chunks plus one sequence), `T ∈ {1, 2, 9}` and
 /// hidden widths below, at and past one vector register of every build
 /// (`h ∈ {7, 8, 17, 32}`), both directions, pooled and fresh, in every
 /// tile build.
@@ -1157,7 +1175,7 @@ mod parent_lstm {
 fn lstm_seq_chunks_match_the_whole_batch_recurrence() {
     let was = ssdrec_tensor::pool::is_enabled();
     each_tile_build(|isa| {
-        for (bi, b) in [1, 7, 8, 9, 63, 64, 65].into_iter().enumerate() {
+        for (bi, b) in (1..=9).chain(63..=65).enumerate() {
             for t in [1, 2, 9] {
                 let (d, h) = [(5, 8), (9, 7), (3, 17), (6, 32)][(bi + t) % 4];
                 let salt = (b * 10 + t) as u64;

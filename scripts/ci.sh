@@ -21,9 +21,11 @@
 #      10 000 '[' — it must get a 400, and /health and the baseline
 #      /recommend bytes must still answer afterwards.
 #   8. Thread determinism: the golden HR@10/NDCG@10 test, the graph
-#      builder's and SSDRec stages' pins and oracles, and a CLI train run
-#      must pass or produce byte-identical metrics under SSDREC_THREADS=1
-#      and SSDREC_THREADS=4 (capped at the host's cores).
+#      builder's, SSDRec stages' and backbones' pins and oracles (the
+#      readout-only last block's wall among them), and CLI train runs of
+#      SSDRec, SSDRec over BERT4Rec and the bare backbone must pass or
+#      produce byte-identical metrics and checkpoints under
+#      SSDREC_THREADS=1 and SSDREC_THREADS=4 (capped at the host's cores).
 #   9. Kernel parity: the parity suite, which holds the production kernels
 #      to the test-only oracle (the v2 kernel bits-contract), must have run
 #      every tile build (portable, AVX2, AVX-512F) the host's CPU flags
@@ -258,21 +260,25 @@ SSDREC_THREADS=4 cargo test --release -q --test golden_determinism
 SSDREC_THREADS=1 cargo test --release -q -p ssdrec-tensor --test backend_parity --test grad_layers
 SSDREC_THREADS=4 cargo test --release -q -p ssdrec-tensor --test backend_parity --test grad_layers
 # The row-parallel graph builder against its pins and its sort-and-merge
-# oracle, and SSDRec's stages (sparse stage 1, the sequence-chunked
-# Bi-LSTMs) against theirs, run sequentially and over four threads (capped
-# at the host's cores).
-SSDREC_THREADS=1 cargo test --release -q -p ssdrec-graph -p ssdrec-core
-SSDREC_THREADS=4 cargo test --release -q -p ssdrec-graph -p ssdrec-core
-# And a CLI train run must emit byte-identical metric lines and checkpoint
-# bytes either way.
-SSDREC_THREADS=1 train_metrics "$SMOKE_DIR/metrics_t1.txt" $SMOKE_FLAGS --epochs 1 \
-    --out "$SMOKE_DIR/ckpt_t1.ssdt"
-train_metrics "$SMOKE_DIR/metrics_t4.txt" $SMOKE_FLAGS --epochs 1 --threads 4 \
-    --out "$SMOKE_DIR/ckpt_t4.ssdt"
-diff -u "$SMOKE_DIR/metrics_t1.txt" "$SMOKE_DIR/metrics_t4.txt" ||
-    die "thread determinism: metrics differ between 1 and 4 threads"
-cmp "$SMOKE_DIR/ckpt_t1.ssdt" "$SMOKE_DIR/ckpt_t4.ssdt" ||
-    die "thread determinism: checkpoints differ between 1 and 4 threads"
+# oracle, SSDRec's stages (sparse stage 1, the sequence-chunked Bi-LSTMs)
+# and the backbones (the readout-only last block against the full stack)
+# against theirs, run sequentially and over four threads (capped at the
+# host's cores).
+SSDREC_THREADS=1 cargo test --release -q -p ssdrec-graph -p ssdrec-core -p ssdrec-models
+SSDREC_THREADS=4 cargo test --release -q -p ssdrec-graph -p ssdrec-core -p ssdrec-models
+# And CLI train runs — SSDRec, SSDRec over BERT4Rec, the bare backbone —
+# must emit byte-identical metric lines and checkpoint bytes either way.
+for run in ssdrec:"" bert4rec:"--backbone BERT4Rec" baseline:"--baseline"; do
+    name=${run%%:*}
+    SSDREC_THREADS=1 train_metrics "$SMOKE_DIR/metrics_${name}_t1.txt" $SMOKE_FLAGS ${run#*:} \
+        --epochs 1 --out "$SMOKE_DIR/ckpt_${name}_t1.ssdt"
+    train_metrics "$SMOKE_DIR/metrics_${name}_t4.txt" $SMOKE_FLAGS ${run#*:} --epochs 1 \
+        --threads 4 --out "$SMOKE_DIR/ckpt_${name}_t4.ssdt"
+    diff -u "$SMOKE_DIR/metrics_${name}_t1.txt" "$SMOKE_DIR/metrics_${name}_t4.txt" ||
+        die "thread determinism: $name metrics differ between 1 and 4 threads"
+    cmp "$SMOKE_DIR/ckpt_${name}_t1.ssdt" "$SMOKE_DIR/ckpt_${name}_t4.ssdt" ||
+        die "thread determinism: $name checkpoints differ between 1 and 4 threads"
+done
 echo "ok: golden + CLI metrics and checkpoints identical at 1 and 4 threads"
 
 echo "== kernel parity (every tile build the host runs vs the oracle) =="

@@ -189,6 +189,14 @@ fn trained_sasrec_checksum() -> u64 {
     )
 }
 
+fn trained_bert4rec_checksum() -> u64 {
+    let items = pinned_world().dataset.num_items;
+    trained_ssdt_checksum(
+        SeqRec::new(BackboneKind::Bert4Rec, items, DIM, MAX_LEN, 7),
+        "bert4rec",
+    )
+}
+
 /// The pin named `key` in `parent_pins.txt` (one `key value` per line).
 fn pin(key: &str) -> String {
     let pins = std::fs::read_to_string(fixture("parent_pins.txt")).expect("pins fixture");
@@ -214,11 +222,12 @@ fn record_parent_fixtures() {
         save_params(&model.store, fixture("parent_trained.ssdt")).unwrap();
     }
     let pins = format!(
-        "eval_scores_fnv64 {:016x}\ntop8 {}\ntrained_ssdt_fnv64_ssdrec {:016x}\ntrained_ssdt_fnv64_sasrec {:016x}\n",
+        "eval_scores_fnv64 {:016x}\ntop8 {}\ntrained_ssdt_fnv64_ssdrec {:016x}\ntrained_ssdt_fnv64_sasrec {:016x}\ntrained_ssdt_fnv64_bert4rec {:016x}\n",
         untrained_eval_scores_checksum(),
         served_from_parent_checkpoint(),
         trained_ssdrec_checksum(),
         trained_sasrec_checksum(),
+        trained_bert4rec_checksum(),
     );
     std::fs::write(fixture("parent_pins.txt"), pins).unwrap();
 }
@@ -242,9 +251,9 @@ fn forward_bits_and_parent_checkpoint_are_unchanged() {
 }
 
 /// Training bits are unchanged: two epochs of SSDRec (augmentation active)
-/// and of a SASRec baseline write the very `.ssdt` bytes they wrote on the
-/// commit the pins were recorded on (the parent of the one-gemm-per-product
-/// change).
+/// and of bare SASRec and BERT4Rec write the very `.ssdt` bytes they wrote
+/// on the commit each pin was recorded on (the BERT4Rec pin on the parent of
+/// the readout-only last block).
 #[test]
 fn trained_checkpoint_bytes_are_unchanged() {
     assert_eq!(
@@ -256,5 +265,10 @@ fn trained_checkpoint_bytes_are_unchanged() {
         format!("{:016x}", trained_sasrec_checksum()),
         pin("trained_ssdt_fnv64_sasrec"),
         "SASRec training bits moved"
+    );
+    assert_eq!(
+        format!("{:016x}", trained_bert4rec_checksum()),
+        pin("trained_ssdt_fnv64_bert4rec"),
+        "BERT4Rec training bits moved"
     );
 }
