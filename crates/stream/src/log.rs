@@ -32,9 +32,9 @@
 //! Every read ([`StreamLog::open`] and [`replay`]) also holds each record to
 //! the header's catalog with the predicate [`StreamLog::append`] checks
 //! before writing ([`LogHeader::contains`]). A CRC-valid record outside it
-//! was never appended to this log, so it is refused with
-//! [`LogError::RecordOutOfCatalog`] at its offset, before its IDs can index
-//! anything downstream.
+//! was never appended to this log, so it is corruption too: refused with
+//! [`LogError::Corrupt`] at its offset, before its IDs can index anything
+//! downstream.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -68,7 +68,8 @@ pub enum LogError {
     BadVersion(u32),
     /// The header CRC does not match its contents.
     HeaderCorrupt,
-    /// A complete record at `offset` failed its CRC check.
+    /// A complete record at `offset` failed its checks: its length field,
+    /// its CRC, or its IDs against the header's catalog.
     Corrupt {
         /// Absolute file offset of the corrupt record.
         offset: u64,
@@ -83,16 +84,6 @@ pub enum LogError {
         num_users: usize,
         /// Catalog item count.
         num_items: usize,
-    },
-    /// A CRC-valid record at `offset` names an event outside the header's
-    /// catalog ([`LogHeader::contains`]): `append` never writes one.
-    RecordOutOfCatalog {
-        /// Absolute file offset of the record.
-        offset: u64,
-        /// The record's user ID.
-        user: u64,
-        /// The record's item ID.
-        item: u64,
     },
     /// A replay offset does not lie within `[HEADER_LEN, end]`.
     BadOffset {
@@ -130,7 +121,7 @@ impl fmt::Display for LogError {
             }
             LogError::HeaderCorrupt => write!(f, "log header CRC mismatch"),
             LogError::Corrupt { offset } => {
-                write!(f, "corrupt log record at offset {offset} (CRC mismatch)")
+                write!(f, "corrupt log record at offset {offset}")
             }
             LogError::OutOfCatalog {
                 user,
@@ -141,11 +132,6 @@ impl fmt::Display for LogError {
                 f,
                 "event ({user}, {item}) outside the log catalog \
                  ({num_users} users, {num_items} items)"
-            ),
-            LogError::RecordOutOfCatalog { offset, user, item } => write!(
-                f,
-                "log record at offset {offset} holds event ({user}, {item}) outside the \
-                 log catalog"
             ),
             LogError::BadOffset { offset, end } => write!(
                 f,
@@ -282,11 +268,7 @@ fn read_record(bytes: &[u8], off: usize, header: &LogHeader) -> Result<Interacti
     let id = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
     let (user, item) = (id(0), id(8));
     if !header.contains(user, item) {
-        return Err(LogError::RecordOutOfCatalog {
-            offset: off as u64,
-            user,
-            item,
-        });
+        return Err(LogError::Corrupt { offset: off as u64 });
     }
     Ok(Interaction {
         user: user as usize,
@@ -321,8 +303,8 @@ impl StreamLog {
     /// Open an existing log for appending.
     ///
     /// Validates the header, scans every record, truncates a torn tail, and
-    /// rejects mid-log corruption with [`LogError::Corrupt`] and a record
-    /// outside the catalog with [`LogError::RecordOutOfCatalog`].
+    /// rejects mid-log corruption, a record outside the catalog included,
+    /// with [`LogError::Corrupt`].
     pub fn open(path: impl AsRef<Path>) -> Result<(StreamLog, OpenReport), LogError> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;

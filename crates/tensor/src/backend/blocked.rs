@@ -47,15 +47,13 @@
 //!   copied once per call into a zero-padded `W`-column strip, whose tile
 //!   runs on a padded copy of its output corner. The padding lanes compute
 //!   products nobody stores; no stored lane ever sees them.
-//! * A partial row panel runs on tiles of the rows it has. Up to
-//!   [`ROW_TILE_ROWS`] rows — every `B = 1` product, like a served
-//!   request's recurrent `h·U` and its scorer — go one row at a time through
-//!   [`row_tile`]s `4·W` lanes wide, reading `a` in place: four independent
-//!   chains per row instead of an 8-row tile seven eighths padding. The
-//!   choice reads the row count alone. A longer partial panel (the training
-//!   tail's 6 or 7 rows) packs zeros into the 8-row tile's unused lanes,
-//!   which is faster there. Either way each output element is still its one
-//!   `p`-ascending chain from the same start.
+//! * A partial row panel runs on tiles of the rows it has: its rows — every
+//!   `B = 1` product, like a served request's recurrent `h·U` and its
+//!   scorer, and the training tail's last few rows — go one row at a time
+//!   through [`row_tile`]s `4·W` lanes wide, reading `a` in place: four
+//!   independent chains per row instead of an 8-row tile with padding rows.
+//!   Each output element is still its one `p`-ascending chain from the
+//!   same start.
 //! * [`bias_act_rows`] runs in one pass instead of add-then-activate.
 //! * [`scaled_masked_softmax_rows`] fuses the scale/mask pass with the row-max
 //!   scan.
@@ -78,11 +76,6 @@ use crate::math;
 
 /// Register-tile rows (output rows advanced together per A panel).
 const MR: usize = super::TILE_ROWS;
-
-/// The most rows a partial row panel runs one row at a time on
-/// [`row_tile`]s ([`rows`]); a longer one runs the `MR`-row [`tile`]
-/// zero-padded ([`panels`]).
-const ROW_TILE_ROWS: usize = 5;
 
 /// Accumulate one `MR×W` register tile over the whole contraction, from a
 /// packed A panel (`k×MR`, `p`-major) and the `W` columns of a `p`-major B
@@ -194,8 +187,9 @@ fn edge_strip<const W: usize>(bm: &[f32], k: usize, n: usize) -> (usize, Option<
     (full, strip)
 }
 
-/// Rows `[r0, r1)` of `a · bm` into `block` with `8×W` tiles: `bm` is the
-/// `p`-major (`k×n`) B, `a` is `m×k` (`k×m` when `ta`), `k, n ≥ 1`.
+/// The whole 8-row panels `[r0, r1)` of `a · bm` into `block` with `8×W`
+/// tiles: `bm` is the `p`-major (`k×n`) B, `a` is `m×k` (`k×m` when `ta`),
+/// `k, n ≥ 1`, and `MR` divides `r1 − r0`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn panels<const W: usize>(
@@ -210,47 +204,48 @@ fn panels<const W: usize>(
     r0: usize,
     r1: usize,
 ) {
+    debug_assert_eq!((r1 - r0) % MR, 0);
     // The columns past the last whole `W` block, zero-padded to `W` once
     // for every row panel.
     let (full, edge) = edge_strip::<W>(bm, k, n);
     let mut ap = crate::pool::take(k * MR);
     for i0 in (r0..r1).step_by(MR) {
-        let mr = MR.min(r1 - i0);
-        if mr < MR {
-            ap.fill(0.0);
-        }
         // Pack the A panel p-major: ap[p·MR + ii] = a[i0+ii, p].
         if ta {
             for (p, dst) in ap.chunks_exact_mut(MR).enumerate() {
-                dst[..mr].copy_from_slice(&a[p * m + i0..p * m + i0 + mr]);
+                dst.copy_from_slice(&a[p * m + i0..p * m + i0 + MR]);
             }
         } else {
-            for (ii, arow) in a[i0 * k..(i0 + mr) * k].chunks_exact(k).enumerate() {
+            for (ii, arow) in a[i0 * k..(i0 + MR) * k].chunks_exact(k).enumerate() {
                 for (p, &av) in arow.iter().enumerate() {
                     ap[p * MR + ii] = av;
                 }
             }
         }
         let ri0 = i0 - r0;
-        let column_blocks = (0..full)
-            .step_by(W)
-            .map(|j0| (j0, W, &bm[j0..], n))
-            .chain(edge.as_deref().map(|strip| (full, n - full, strip, W)));
-        for (j0, nr, b, ldb) in column_blocks {
-            if mr == MR && nr == W {
-                tile::<W>(k, &ap, b, ldb, &mut block[ri0 * n + j0..], n, from_out);
-            } else {
-                // An edge tile runs on a zero-padded copy of its corner.
-                let mut ct = [[0.0f32; W]; MR];
-                for (ii, row) in ct.iter_mut().enumerate().take(mr) {
-                    let o = (ri0 + ii) * n + j0;
-                    row[..nr].copy_from_slice(&block[o..o + nr]);
-                }
-                tile::<W>(k, &ap, b, ldb, ct.as_flattened_mut(), W, from_out);
-                for (ii, row) in ct.iter().enumerate().take(mr) {
-                    let o = (ri0 + ii) * n + j0;
-                    block[o..o + nr].copy_from_slice(&row[..nr]);
-                }
+        for j0 in (0..full).step_by(W) {
+            tile::<W>(
+                k,
+                &ap,
+                &bm[j0..],
+                n,
+                &mut block[ri0 * n + j0..],
+                n,
+                from_out,
+            );
+        }
+        if let Some(strip) = edge.as_deref() {
+            // The edge tile runs on a zero-padded copy of its corner.
+            let nr = n - full;
+            let mut ct = [[0.0f32; W]; MR];
+            for (ii, row) in ct.iter_mut().enumerate() {
+                let o = (ri0 + ii) * n + full;
+                row[..nr].copy_from_slice(&block[o..o + nr]);
+            }
+            tile::<W>(k, &ap, strip, W, ct.as_flattened_mut(), W, from_out);
+            for (ii, row) in ct.iter().enumerate() {
+                let o = (ri0 + ii) * n + full;
+                block[o..o + nr].copy_from_slice(&row[..nr]);
             }
         }
     }
@@ -432,10 +427,8 @@ pub fn gemm_rows(
         bp
     });
     let bm = packed.as_deref().unwrap_or(b);
-    // Whole 8-row panels, and a partial last one unless it is short enough
-    // for row tiles.
-    let tail = (r1 - r0) % MR;
-    let split = if tail <= ROW_TILE_ROWS { r1 - tail } else { r1 };
+    // Whole 8-row panels, then the rows of a partial last one on row tiles.
+    let split = r1 - (r1 - r0) % MR;
     let (panel_rows, short_rows) = block.split_at_mut((split - r0) * n);
     if split > r0 {
         gemm_panels(a, ta, bm, m, k, n, !tb, panel_rows, r0, split);

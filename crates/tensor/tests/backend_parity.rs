@@ -774,33 +774,36 @@ fn gemm_ignores_stale_pool_contents() {
 
 /// Every tile build the host can run against the oracle, all four
 /// transpose variants: every remainder of the 8-row panel (`m` = 0..=17 and
-/// 63..=65, so the one-row tiles of a short panel and the padded 8-row tile
-/// of a longer one both run), and `n mod W ∈ {0, 1, W − 1}` around one, two,
-/// four and nine column blocks of the build's width `W` (a short panel's
-/// `4·W`-lane row tile, its `W`-lane tail and the edge strip). Prints the
-/// builds it ran: `ci.sh` fails when the host's CPU flags name an
-/// instruction set this line leaves out.
+/// 63..=65, so whole 8-row tiles and the one-row tiles of a partial panel
+/// both run), and the literal `n`s around the portable and AVX-512F widths
+/// together with `n mod W ∈ {0, 1, W − 1}` around one, two, four, five and
+/// nine column blocks of the build's width `W`: a partial panel's row runs
+/// `4·W`-lane row tiles, then `W`-lane ones, then the edge strip, and
+/// `5·W + 1` takes all three at once. Prints the builds it ran: `ci.sh`
+/// fails when the host's CPU flags name an instruction set this line
+/// leaves out.
 #[test]
 fn every_tile_build_matches_the_oracle() {
     let mut covered = Vec::new();
     each_tile_build(|isa| {
         let w = isa.width();
-        let ns = [
-            0,
-            1,
+        let mut ns = vec![0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65];
+        ns.extend([
             w - 1,
             w,
             w + 1,
             2 * w - 1,
+            2 * w,
+            2 * w + 1,
             4 * w,
             4 * w + 1,
-            5 * w - 1,
-            9 * w - 1,
-            9 * w,
-        ];
+        ]);
+        ns.extend([5 * w - 1, 5 * w + 1, 9 * w - 1, 9 * w]);
+        ns.sort_unstable();
+        ns.dedup();
         for m in (0..=17).chain(63..=65) {
             for k in [0, 1, 2, 9, 33] {
-                for n in ns {
+                for &n in &ns {
                     for variant in 0..4 {
                         let seed = m * 1000 + k * 100 + n;
                         assert_within_ulps(
