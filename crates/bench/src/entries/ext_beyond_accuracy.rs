@@ -8,19 +8,16 @@
 use crate::{prepare_profile, run_model, run_ssdrec, write_results, Args};
 use ssdrec_core::{ModelKind, Prepared};
 use ssdrec_metrics::RecListAccumulator;
-use ssdrec_models::{BackboneKind, RecModel};
+use ssdrec_models::{recommend_each, BackboneKind, RecModel};
 
 fn measure<M: RecModel + ?Sized>(model: &M, prep: &Prepared, k: usize) -> (f64, f64, f64) {
     let mut acc = RecListAccumulator::new(prep.dataset.num_items);
-    for ex in &prep.split.test {
+    let test = &prep.split.test;
+    for (ex, list) in test.iter().zip(recommend_each(model, test, k)) {
         if ex.seq.is_empty() {
             continue;
         }
-        let items: Vec<usize> = model
-            .recommend(ex.user, &ex.seq, k)
-            .into_iter()
-            .map(|(i, _)| i)
-            .collect();
+        let items: Vec<usize> = list.into_iter().map(|(i, _)| i).collect();
         acc.push(&items);
     }
     (

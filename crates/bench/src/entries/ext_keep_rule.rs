@@ -5,6 +5,7 @@
 //! more clean items.
 
 use crate::{noisy_ml100k, oup, run_ssdrec_with, write_results, Args};
+use ssdrec_denoise::keep_each;
 use ssdrec_models::BackboneKind;
 
 pub(crate) fn run(a: &Args) {
@@ -21,7 +22,8 @@ pub(crate) fn run(a: &Args) {
             let (model, report) = run_ssdrec_with(BackboneKind::SasRec, &prep, &h, |c| {
                 (c.keep_beta, c.keep_kappa) = (beta, kappa);
             });
-            let acc = oup(&model, &prep.split);
+            let test = &prep.split.test;
+            let acc = oup(test, &keep_each(&model, test));
             println!(
                 "{beta:>5.1} {kappa:>6.0} {:>8.4} {:>8.4} {:>8.4}",
                 report.test.hr20,

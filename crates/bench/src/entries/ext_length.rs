@@ -8,21 +8,22 @@ use crate::{prepare_profile, run_model, run_ssdrec, write_results, Args};
 use ssdrec_core::ModelKind;
 use ssdrec_data::make_batches;
 use ssdrec_metrics::{full_rank, LengthBuckets};
-use ssdrec_models::{BackboneKind, RecModel};
+use ssdrec_models::{BackboneKind, FrozenPass, RecModel};
 use ssdrec_tensor::Graph;
 
 fn bucketed<M: RecModel + ?Sized>(model: &M, split: &ssdrec_data::Split) -> LengthBuckets {
     let mut buckets = LengthBuckets::short_medium_long();
+    let mut g = Graph::new();
+    let mut pass = FrozenPass::new(model, &mut g);
     for batch in make_batches(&split.test, 64, 0) {
-        let mut g = Graph::new();
-        let bind = model.store().bind_all(&mut g);
-        let scores = model.eval_scores(&mut g, &bind, &batch);
-        let sv = g.value(scores);
-        let v = sv.shape()[1];
-        for (i, &target) in batch.targets.iter().enumerate() {
-            let row = &sv.data()[i * v..(i + 1) * v];
-            buckets.push(batch.seq_len, full_rank(row, target));
-        }
+        pass.run(|g, bind, frozen| {
+            let scores = model.eval_scores_frozen(g, bind, &batch, frozen);
+            let sv = g.value(scores);
+            let v = sv.shape()[1];
+            for (row, &target) in sv.data().chunks(v).zip(&batch.targets) {
+                buckets.push(batch.seq_len, full_rank(row, target));
+            }
+        });
     }
     buckets
 }

@@ -12,22 +12,19 @@
 
 use crate::{noisy_ml100k, oup, write_results, Args, HarnessConfig};
 use ssdrec_core::SsdRec;
-use ssdrec_denoise::{Denoiser, Hsd, Steam};
+use ssdrec_denoise::{keep_each, Denoiser, Hsd, Steam};
 use ssdrec_models::{train, BackboneKind};
 
 /// Returns (under-denoising ratio, over-denoising ratio, mean keep score on
 /// noise positions, mean keep score on clean positions). The score gap is a
 /// threshold-free view of how well the denoiser separates injected noise.
 fn measure(model: &dyn Denoiser, split: &ssdrec_data::Split) -> (f64, f64, f64, f64) {
-    let acc = oup(model, split);
+    let keeps = keep_each(model, &split.test);
+    let acc = oup(&split.test, &keeps);
     let (mut ns, mut nn, mut cs, mut nc) = (0.0f64, 0usize, 0.0f64, 0usize);
-    for ex in &split.test {
+    for (ex, keep) in split.test.iter().zip(&keeps) {
         let Some(noise) = &ex.noise else { continue };
-        if ex.seq.is_empty() {
-            continue;
-        }
-        let scores = model.keep_scores(&ex.seq, ex.user);
-        for (&is_noise, &s) in noise.iter().zip(&scores) {
+        for (&is_noise, &s) in noise.iter().zip(&keep.scores) {
             if is_noise {
                 ns += s as f64;
                 nn += 1;

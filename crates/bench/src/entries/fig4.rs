@@ -4,6 +4,8 @@
 //! true next item's score evolves raw → augmented → denoised.
 
 use crate::{prepare_profile, run_ssdrec, write_results, Args};
+use ssdrec_data::Example;
+use ssdrec_denoise::keep_each;
 use ssdrec_models::BackboneKind;
 use ssdrec_tensor::Rng;
 
@@ -16,14 +18,20 @@ pub(crate) fn run(a: &Args) {
         report.test.hr20
     );
 
-    let mut rng = Rng::seed(h.seed);
+    // Compact sequences, like the paper's 6-item view.
+    let traced: Vec<Example> = prep
+        .split
+        .test
+        .iter()
+        .filter(|ex| (5..=12).contains(&ex.seq.len()))
+        .take(a.users.max(1))
+        .cloned()
+        .collect();
     let mut csv = Vec::new();
-    let mut shown = 0usize;
-    for ex in &prep.split.test {
-        if ex.seq.len() < 5 || ex.seq.len() > 12 {
-            continue; // pick compact sequences, like the paper's 6-item view
-        }
-        let cs = model.explain(&ex.seq, ex.user, ex.target, &mut rng);
+    for (ex, cs) in traced
+        .iter()
+        .zip(model.explain(&traced, &mut Rng::seed(h.seed)))
+    {
         println!("=== user {} (next item {}) ===", ex.user, ex.target);
         println!("raw sequence : {:?}", cs.seq);
         if let (Some(p), Some((l, r))) = (cs.position, cs.inserted) {
@@ -50,22 +58,15 @@ pub(crate) fn run(a: &Args) {
             cs.denoised_score,
             removed.len()
         ));
-        shown += 1;
-        if shown >= a.users {
-            break;
-        }
     }
 
     // The paper also reports overall drop ratios per dataset (§IV-E).
     let mut dropped = 0usize;
     let mut total = 0usize;
-    for ex in prep.split.test.iter().take(200) {
-        if ex.seq.is_empty() {
-            continue;
-        }
-        let kept = model.keep_decisions_for(&ex.seq, ex.user);
-        dropped += kept.iter().filter(|&&k| !k).count();
-        total += kept.len();
+    let test = &prep.split.test;
+    for keep in keep_each(&model, &test[..test.len().min(200)]) {
+        dropped += keep.kept.iter().filter(|&&k| !k).count();
+        total += keep.kept.len();
     }
     if total > 0 {
         println!(

@@ -19,8 +19,8 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use ssdrec_core::{build_model, ModelKind, Prepared, SsdRec, SsdRecConfig};
-use ssdrec_data::{inject_unobserved, Split, SyntheticConfig};
-use ssdrec_denoise::Denoiser;
+use ssdrec_data::{inject_unobserved, Example, SyntheticConfig};
+use ssdrec_denoise::Keep;
 use ssdrec_metrics::{MetricReport, OupAccumulator};
 use ssdrec_models::{train, BackboneKind, RecModel, TrainConfig, TrainReport};
 
@@ -291,13 +291,14 @@ pub(crate) fn noisy_ml100k(h: &HarnessConfig, per_seq: usize) -> Prepared {
     Prepared::new(&noisy, 50, h.max_train_prefixes)
 }
 
-/// Over/under-denoising of `model`'s keep decisions against the test
-/// split's noise labels.
-pub(crate) fn oup(model: &dyn Denoiser, split: &Split) -> OupAccumulator {
+/// Over/under-denoising of the keep decisions `keeps` (one per example,
+/// from [`keep_each`](ssdrec_denoise::keep_each)) against `examples`' noise
+/// labels.
+pub(crate) fn oup(examples: &[Example], keeps: &[Keep]) -> OupAccumulator {
     let mut acc = OupAccumulator::new();
-    for ex in &split.test {
+    for (ex, keep) in examples.iter().zip(keeps) {
         if let (Some(noise), false) = (&ex.noise, ex.seq.is_empty()) {
-            acc.push(noise, &model.keep_decisions(&ex.seq, ex.user));
+            acc.push(noise, &keep.kept);
         }
     }
     acc

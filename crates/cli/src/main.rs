@@ -49,9 +49,9 @@ use args::Args;
 use ssdrec_core::{build_model, ModelContext, ModelKind, Prepared, SsdRec};
 use ssdrec_data::{
     decode_dataset, load_interactions, load_to_columnar, plan_leave_one_out, ColumnarReader,
-    Dataset, LoadOptions, SequenceStore, SyntheticConfig, TruncatedStore,
+    Dataset, Example, LoadOptions, SequenceStore, SyntheticConfig, TruncatedStore,
 };
-use ssdrec_denoise::Denoiser;
+use ssdrec_denoise::keep_each;
 use ssdrec_graph::{build_graph, build_graph_from_store, GraphConfig};
 use ssdrec_models::{
     fit, train, BackboneKind, CheckpointConfig, RecModel, SeqRec, SourceSplit, TrainConfig,
@@ -449,16 +449,19 @@ fn cmd_denoise(a: &Args) -> Result<(), String> {
     println!("training SSDRec for denoising …");
     train(&mut model, &prep.split, &tc);
     let user: usize = a.get_parse("user", usize::MAX)?;
+    let examples: Vec<Example> = prep
+        .split
+        .test
+        .iter()
+        .filter(|ex| user == usize::MAX || ex.user == user)
+        .cloned()
+        .collect();
     let mut shown = 0;
-    for ex in &prep.split.test {
-        if user != usize::MAX && ex.user != user {
-            continue;
-        }
-        let kept = model.keep_decisions(&ex.seq, ex.user);
+    for (ex, keep) in examples.iter().zip(keep_each(&model, &examples)) {
         let denoised: Vec<usize> = ex
             .seq
             .iter()
-            .zip(&kept)
+            .zip(&keep.kept)
             .filter(|(_, &k)| k)
             .map(|(&i, _)| i)
             .collect();

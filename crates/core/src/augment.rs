@@ -133,9 +133,7 @@ impl SelfAugmenter {
 
         // Rank the item universe: k = q·H_vᵀ, pad masked out.
         let tt = g.transpose_last(item_table); // d×V
-        let mut pad = Tensor::zeros(&[vocab]);
-        pad.data_mut()[0] = -1e9;
-        let padv = g.constant(pad);
+        let padv = ssdrec_models::pad_mask(g, vocab);
 
         let pick = |g: &mut Graph, rng: &mut Rng, q: Var| -> (Var, Vec<usize>) {
             let k = g.matmul(q, tt); // B×V

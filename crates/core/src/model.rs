@@ -10,9 +10,12 @@
 //!
 //! Each stage can be ablated independently (Table V's variants).
 
-use ssdrec_data::Batch;
+use ssdrec_data::{Batch, Example};
+use ssdrec_denoise::Keep;
 use ssdrec_graph::MultiRelationGraph;
-use ssdrec_models::{build_encoder, BackboneKind, RecModel, SeqEncoder};
+use ssdrec_models::{
+    build_encoder, pad_mask, score_catalogue, BackboneKind, FrozenPass, RecModel, SeqEncoder,
+};
 use ssdrec_tensor::nn::Embedding;
 use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
 
@@ -266,20 +269,21 @@ impl SsdRec {
         (h_seq, hu)
     }
 
-    /// Score a sequence representation against the relation-encoded item
-    /// table (pad masked).
-    fn score_repr(&self, g: &mut Graph, items_table: Var, h_s: Var) -> Var {
-        let tt = g.transpose_last(items_table);
-        let logits = g.matmul(h_s, tt);
-        let mv = self.pad_mask(g);
-        g.add_bcast(logits, mv)
+    /// Whether stage 2 augments a sequence of length `t`: only short ones
+    /// (the paper inserts "if the sequence is short"), and only where there
+    /// are two positions to insert around. Training also waits for the
+    /// `aug_active` warm-up; the case study does not.
+    fn augments(&self, t: usize) -> bool {
+        self.cfg.stage2 && (2..self.cfg.aug_short_len).contains(&t)
     }
 
-    /// The `[V+1]` additive mask row with `−1e9` at the pad index.
-    fn pad_mask(&self, g: &mut Graph) -> Var {
-        let mut mask = Tensor::zeros(&[self.num_items + 1]);
-        mask.data_mut()[0] = -1e9;
-        g.constant(mask)
+    /// The backbone over `h_in`, scored against the frozen transposed item
+    /// table with the pad item masked: the eval pass's `B×(V+1)` logits.
+    fn frozen_logits(&self, g: &mut Graph, bind: &Binding, h_in: Var, frozen: &[Var]) -> Var {
+        let [_, _, items_t, pad_mask] = unfreeze(frozen);
+        let h_s = self.backbone.encode(g, bind, h_in);
+        let logits = g.matmul(h_s, items_t);
+        g.add_bcast(logits, pad_mask)
     }
 
     /// Training forward: full three-stage pipeline; returns logits plus the
@@ -300,10 +304,7 @@ impl SsdRec {
         }
 
         let prior = self.coherence_prior(g, batch);
-        let do_aug = self.cfg.stage2
-            && self.aug_active
-            && batch.seq_len < self.cfg.aug_short_len
-            && batch.seq_len >= 2;
+        let do_aug = self.aug_active && self.augments(batch.seq_len);
         let mut gate = None;
         let h_in = if do_aug {
             let aug = self.augmenter.augment(g, bind, rng, h_seq, items, self.tau);
@@ -347,81 +348,66 @@ impl SsdRec {
         };
 
         let h_s = self.backbone.encode(g, bind, h_in);
-        (self.score_repr(g, items, h_s), gate, items)
+        (score_catalogue(g, items, h_s), gate, items)
     }
 
-    /// Continuous keep probabilities over a raw sequence.
-    pub fn keep_scores_for(&self, seq: &[usize], user: usize) -> Vec<f32> {
+    /// Fig. 4 case-study traces for `examples` (non-empty histories), in
+    /// order, under one [`FrozenPass`]: stage 1 runs once for the whole
+    /// list. Each example runs alone (B = 1), so stage 2's Gumbel draws
+    /// consume `rng` in example order.
+    pub fn explain(&self, examples: &[Example], rng: &mut Rng) -> Vec<CaseStudy> {
+        let mut g = Graph::new();
+        let mut pass = FrozenPass::new(self, &mut g);
+        examples
+            .iter()
+            .map(|ex| pass.run(|g, bind, frozen| self.explain_one(g, bind, frozen, ex, rng)))
+            .collect()
+    }
+
+    /// One example's trace on the frozen pass.
+    fn explain_one(
+        &self,
+        g: &mut Graph,
+        bind: &Binding,
+        frozen: &[Var],
+        ex: &Example,
+        rng: &mut Rng,
+    ) -> CaseStudy {
+        let [items, users, ..] = unfreeze(frozen);
         let batch = Batch {
-            users: vec![user],
-            items: seq.to_vec(),
-            seq_len: seq.len(),
-            targets: vec![seq[seq.len() - 1]],
+            users: vec![ex.user],
+            items: ex.seq.clone(),
+            seq_len: ex.seq.len(),
+            targets: vec![ex.target],
             noise: None,
         };
-        let mut g = Graph::new();
-        let bind = self.store.bind_all(&mut g);
-        let (items, users) = self.tables(&mut g, &bind);
-        let (h_seq, hu) = self.sequence_reprs(&mut g, items, users, &batch);
-        let mut probs = self.denoiser.raw_keep_probs(&mut g, &bind, h_seq, None, hu);
-        if let Some(p) = self.coherence_prior(&mut g, &batch) {
-            probs = g.mul(probs, p);
-        }
-        g.value(probs).data().to_vec()
-    }
-
-    /// Deterministic keep decisions over a raw sequence (for OUP / Fig. 1),
-    /// using the workspace's relative keep rule.
-    pub fn keep_decisions_for(&self, seq: &[usize], user: usize) -> Vec<bool> {
-        ssdrec_denoise::relative_keep(&self.keep_scores_for(seq, user), self.cfg.keep_beta)
-    }
-
-    /// Produce the Fig. 4 case-study trace for one example.
-    pub fn explain(&self, seq: &[usize], user: usize, target: usize, rng: &mut Rng) -> CaseStudy {
-        let batch = Batch {
-            users: vec![user],
-            items: seq.to_vec(),
-            seq_len: seq.len(),
-            targets: vec![target],
-            noise: None,
+        let (h_seq, hu) = self.sequence_reprs(g, items, users, &batch);
+        let target_score = |g: &mut Graph, h_in: Var| {
+            let logits = self.frozen_logits(g, bind, h_in, frozen);
+            g.value(logits).data()[ex.target]
         };
-        let mut g = Graph::new();
-        let bind = self.store.bind_all(&mut g);
-        let (items, users) = self.tables(&mut g, &bind);
-        let (h_seq, hu) = self.sequence_reprs(&mut g, items, users, &batch);
-
-        // Raw score.
-        let h_raw = self.backbone.encode(&mut g, &bind, h_seq);
-        let raw_logits = self.score_repr(&mut g, items, h_raw);
-        let raw_score = g.value(raw_logits).data()[target];
+        let raw_score = target_score(g, h_seq);
 
         // Augmented score (stage 2, pre-denoising).
-        let (position, inserted, augmented_score) = if self.cfg.stage2 && seq.len() >= 2 {
-            let aug = self
-                .augmenter
-                .augment(&mut g, &bind, rng, h_seq, items, self.tau);
-            let h_a = self.backbone.encode(&mut g, &bind, aug.h_aug);
-            let a_logits = self.score_repr(&mut g, items, h_a);
-            let s = g.value(a_logits).data()[target];
+        let (position, inserted, augmented_score) = if self.augments(ex.seq.len()) {
+            let aug = self.augmenter.augment(g, bind, rng, h_seq, items, self.tau);
             (
                 Some(aug.positions[0]),
                 Some((aug.left_items[0], aug.right_items[0])),
-                s,
+                target_score(g, aug.h_aug),
             )
         } else {
             (None, None, raw_score)
         };
 
         // Denoised score (stage 3).
-        let prior = self.coherence_prior(&mut g, &batch);
-        let (den, probs) = self.denoiser.denoise_eval(&mut g, &bind, h_seq, hu, prior);
-        let h_d = self.backbone.encode(&mut g, &bind, den);
-        let d_logits = self.score_repr(&mut g, items, h_d);
-        let denoised_score = g.value(d_logits).data()[target];
+        let prior = self.coherence_prior(g, &batch);
+        let (den, probs) = self.denoiser.denoise_eval(g, bind, h_seq, hu, prior);
+        let denoised_score = target_score(g, den);
         let kept = ssdrec_denoise::relative_keep(g.value(probs).data(), self.cfg.keep_beta);
 
         CaseStudy {
-            seq: seq.to_vec(),
+            seq: ex.seq.clone(),
             position,
             inserted,
             kept,
@@ -430,6 +416,16 @@ impl SsdRec {
             denoised_score,
         }
     }
+}
+
+/// The four nodes [`SsdRec`]'s `precompute_frozen` returns.
+fn unfreeze(frozen: &[Var]) -> [Var; 4] {
+    frozen.try_into().unwrap_or_else(|_| {
+        panic!(
+            "SSDRec freezes [items, users, itemsᵀ, pad mask], got {} nodes",
+            frozen.len()
+        )
+    })
 }
 
 impl RecModel for SsdRec {
@@ -470,11 +466,6 @@ impl RecModel for SsdRec {
         }
     }
 
-    fn eval_scores(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var {
-        let frozen = self.precompute_frozen(g, bind);
-        self.eval_scores_frozen(g, bind, batch, &frozen)
-    }
-
     /// `[items, users, itemsᵀ, pad mask]`: stage 1's relation-encoded (raw,
     /// when stage 1 is ablated) item `(V+1)×d` and user tables — the
     /// expensive, input-independent part of the eval pass (paper §III-F) —
@@ -483,7 +474,7 @@ impl RecModel for SsdRec {
     fn precompute_frozen(&self, g: &mut Graph, bind: &Binding) -> Vec<Var> {
         let (items, users) = self.tables(g, bind);
         let items_t = g.transpose_last(items);
-        vec![items, users, items_t, self.pad_mask(g)]
+        vec![items, users, items_t, pad_mask(g, self.num_items + 1)]
     }
 
     /// Per batch: no augmentation (paper §III-F) and deterministic
@@ -495,12 +486,7 @@ impl RecModel for SsdRec {
         batch: &Batch,
         frozen: &[Var],
     ) -> Var {
-        let &[items, users, items_t, pad_mask] = frozen else {
-            panic!(
-                "SSDRec freezes [items, users, itemsᵀ, pad mask], got {} nodes",
-                frozen.len()
-            );
-        };
+        let [items, users, ..] = unfreeze(frozen);
         let (h_seq, hu) = self.sequence_reprs(g, items, users, batch);
         let prior = self.coherence_prior(g, batch);
         let h_in = if self.cfg.stage3 {
@@ -509,9 +495,7 @@ impl RecModel for SsdRec {
         } else {
             h_seq
         };
-        let h_s = self.backbone.encode(g, bind, h_in);
-        let logits = g.matmul(h_s, items_t);
-        g.add_bcast(logits, pad_mask)
+        self.frozen_logits(g, bind, h_in, frozen)
     }
 
     fn on_epoch_start(&mut self, epoch: usize, total: usize) {
@@ -562,16 +546,17 @@ impl RecModel for SsdRec {
 }
 
 impl ssdrec_denoise::Denoiser for SsdRec {
-    fn keep_decisions(&self, seq: &[usize], user: usize) -> Vec<bool> {
-        self.keep_decisions_for(seq, user)
-    }
-
-    fn keep_scores(&self, seq: &[usize], user: usize) -> Vec<f32> {
-        self.keep_scores_for(seq, user)
-    }
-
-    fn denoiser_dim(&self) -> usize {
-        self.cfg.dim
+    /// Stage 3's keep probabilities over the raw sequence, times the
+    /// stage-1 coherence prior, decided by the relative rule at
+    /// `cfg.keep_beta`.
+    fn keep(&self, g: &mut Graph, bind: &Binding, batch: &Batch, frozen: &[Var]) -> Vec<Keep> {
+        let [items, users, ..] = unfreeze(frozen);
+        let (h_seq, hu) = self.sequence_reprs(g, items, users, batch);
+        let mut probs = self.denoiser.raw_keep_probs(g, bind, h_seq, None, hu);
+        if let Some(p) = self.coherence_prior(g, batch) {
+            probs = g.mul(probs, p);
+        }
+        Keep::relative_rows(g.value(probs).data(), batch.seq_len, self.cfg.keep_beta)
     }
 }
 
@@ -666,24 +651,41 @@ mod tests {
     }
 
     #[test]
-    fn keep_decisions_cover_sequence() {
-        let m = toy_model(|_| {});
-        let seq: Vec<usize> = (1..=7).map(|i| (i % m.num_items()) + 1).collect();
-        let d = m.keep_decisions_for(&seq, 0);
-        assert_eq!(d.len(), 7);
-    }
-
-    #[test]
     fn explain_produces_trace() {
         let m = toy_model(|_| {});
         let mut rng = Rng::seed(3);
         let seq: Vec<usize> = (1..=6).map(|i| (i % m.num_items()) + 1).collect();
-        let cs = m.explain(&seq, 0, 1, &mut rng);
+        let ex = Example {
+            user: 0,
+            seq,
+            target: 1,
+            noise: None,
+        };
+        let cs = &m.explain(&[ex], &mut rng)[0];
         assert_eq!(cs.kept.len(), 6);
         assert!(cs.position.is_some());
         assert!(cs.inserted.is_some());
         assert!(cs.raw_score.is_finite());
         assert!(cs.denoised_score.is_finite());
+    }
+
+    /// A history at or past `aug_short_len` is not short: the case study,
+    /// like training, leaves it unaugmented and draws nothing from `rng`.
+    #[test]
+    fn explain_does_not_augment_long_sequences() {
+        let m = toy_model(|c| c.aug_short_len = 5);
+        let seq: Vec<usize> = (1..=5).map(|i| (i % m.num_items()) + 1).collect();
+        let ex = Example {
+            user: 0,
+            seq,
+            target: 1,
+            noise: None,
+        };
+        let mut rng = Rng::seed(3);
+        let cs = &m.explain(&[ex], &mut rng)[0];
+        assert_eq!((cs.position, cs.inserted), (None, None));
+        assert_eq!(cs.augmented_score.to_bits(), cs.raw_score.to_bits());
+        assert_eq!(rng.next_u64(), Rng::seed(3).next_u64());
     }
 
     #[test]
@@ -841,8 +843,13 @@ mod fden_tests {
         let grads = g.backward(loss);
         assert!(grads.get(bind.var(m.item_emb.weight())).is_some());
         // Keep decisions still work through the alternative gate.
-        let seq: Vec<usize> = (1..=6).map(|i| (i % m.num_items()) + 1).collect();
-        assert_eq!(m.keep_decisions_for(&seq, 0).len(), 6);
+        let ex = Example {
+            user: 0,
+            seq: (1..=6).map(|i| (i % m.num_items()) + 1).collect(),
+            target: 1,
+            noise: None,
+        };
+        assert_eq!(ssdrec_denoise::keep_each(&m, &[ex])[0].kept.len(), 6);
     }
 
     #[test]
@@ -857,9 +864,271 @@ mod fden_tests {
                 ..SsdRecConfig::default()
             };
             let m = SsdRec::new(&mg, cfg);
-            let seq: Vec<usize> = (1..=6).map(|i| (i % m.num_items()) + 1).collect();
-            m.keep_scores_for(&seq, 0)
+            let ex = Example {
+                user: 0,
+                seq: (1..=6).map(|i| (i % m.num_items()) + 1).collect(),
+                target: 1,
+                noise: None,
+            };
+            ssdrec_denoise::keep_each(&m, &[ex]).remove(0).scores
         };
         assert_ne!(run(FdenKind::Hsd), run(FdenKind::AttentionGate));
+    }
+}
+
+/// The oracle wall of the batched analysis path: keep output, offline
+/// top-K and case-study traces against SSDRec's per-sequence code as it
+/// stood before they moved onto the frozen eval pass, kept verbatim here.
+#[cfg(test)]
+mod oracle_tests {
+    use super::*;
+    use crate::fden::FdenKind;
+    use ssdrec_data::SyntheticConfig;
+    use ssdrec_denoise::keep_each;
+    use ssdrec_graph::{build_graph, GraphConfig};
+    use ssdrec_models::recommend_each;
+
+    /// The default model, stage 1 ablated, and the attention-gate `f_den`.
+    fn variants() -> Vec<SsdRec> {
+        let ds = SyntheticConfig::beauty().scaled(0.1).generate();
+        let mg = build_graph(&ds, &GraphConfig::default());
+        let tweaks: [fn(&mut SsdRecConfig); 3] = [
+            |_| {},
+            |c| c.stage1 = false,
+            |c| c.fden = FdenKind::AttentionGate,
+        ];
+        tweaks
+            .iter()
+            .map(|tweak| {
+                let mut cfg = SsdRecConfig {
+                    dim: 8,
+                    max_len: 50,
+                    ..SsdRecConfig::default()
+                };
+                tweak(&mut cfg);
+                SsdRec::new(&mg, cfg)
+            })
+            .collect()
+    }
+
+    /// Histories of every length in {0, 1, 2, 3, 7, 12, 50}, nine of them
+    /// of length 7 (one whole 8-row panel and a partial one).
+    fn mixed_examples(m: &SsdRec) -> Vec<Example> {
+        let mut lens = vec![1, 2, 7, 7, 7, 3, 7, 12, 0, 7, 7, 50];
+        lens.extend([7; 3]);
+        lens.iter()
+            .enumerate()
+            .map(|(i, &len)| Example {
+                user: (i * 5) % m.num_users(),
+                seq: (0..len)
+                    .map(|j| (i * 7 + j * 3) % m.num_items() + 1)
+                    .collect(),
+                target: (i * 11) % m.num_items() + 1,
+                noise: None,
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    // ---- Per-sequence code before the batched path, verbatim. ----
+
+    fn oracle_pad_mask(m: &SsdRec, g: &mut Graph) -> Var {
+        let mut mask = Tensor::zeros(&[m.num_items + 1]);
+        mask.data_mut()[0] = -1e9;
+        g.constant(mask)
+    }
+
+    fn oracle_score_repr(m: &SsdRec, g: &mut Graph, items_table: Var, h_s: Var) -> Var {
+        let tt = g.transpose_last(items_table);
+        let logits = g.matmul(h_s, tt);
+        let mv = oracle_pad_mask(m, g);
+        g.add_bcast(logits, mv)
+    }
+
+    fn oracle_keep_scores_for(m: &SsdRec, seq: &[usize], user: usize) -> Vec<f32> {
+        let batch = Batch {
+            users: vec![user],
+            items: seq.to_vec(),
+            seq_len: seq.len(),
+            targets: vec![seq[seq.len() - 1]],
+            noise: None,
+        };
+        let mut g = Graph::new();
+        let bind = m.store.bind_all(&mut g);
+        let (items, users) = m.tables(&mut g, &bind);
+        let (h_seq, hu) = m.sequence_reprs(&mut g, items, users, &batch);
+        let mut probs = m.denoiser.raw_keep_probs(&mut g, &bind, h_seq, None, hu);
+        if let Some(p) = m.coherence_prior(&mut g, &batch) {
+            probs = g.mul(probs, p);
+        }
+        g.value(probs).data().to_vec()
+    }
+
+    fn oracle_keep_decisions_for(m: &SsdRec, seq: &[usize], user: usize) -> Vec<bool> {
+        ssdrec_denoise::relative_keep(&oracle_keep_scores_for(m, seq, user), m.cfg.keep_beta)
+    }
+
+    fn oracle_recommend(m: &SsdRec, user: usize, seq: &[usize], k: usize) -> Vec<(usize, f32)> {
+        assert!(!seq.is_empty(), "cannot recommend from an empty history");
+        let batch = Batch {
+            users: vec![user],
+            items: seq.to_vec(),
+            seq_len: seq.len(),
+            targets: vec![seq[seq.len() - 1]],
+            noise: None,
+        };
+        let mut g = Graph::new();
+        let bind = m.store().bind_all(&mut g);
+        let scores = m.eval_scores(&mut g, &bind, &batch);
+        ssdrec_metrics::par_top_k(g.value(scores).data(), k)
+    }
+
+    fn oracle_explain(
+        m: &SsdRec,
+        seq: &[usize],
+        user: usize,
+        target: usize,
+        rng: &mut Rng,
+    ) -> CaseStudy {
+        let batch = Batch {
+            users: vec![user],
+            items: seq.to_vec(),
+            seq_len: seq.len(),
+            targets: vec![target],
+            noise: None,
+        };
+        let mut g = Graph::new();
+        let bind = m.store.bind_all(&mut g);
+        let (items, users) = m.tables(&mut g, &bind);
+        let (h_seq, hu) = m.sequence_reprs(&mut g, items, users, &batch);
+
+        // Raw score.
+        let h_raw = m.backbone.encode(&mut g, &bind, h_seq);
+        let raw_logits = oracle_score_repr(m, &mut g, items, h_raw);
+        let raw_score = g.value(raw_logits).data()[target];
+
+        // Augmented score (stage 2, pre-denoising).
+        let (position, inserted, augmented_score) = if m.cfg.stage2 && seq.len() >= 2 {
+            let aug = m.augmenter.augment(&mut g, &bind, rng, h_seq, items, m.tau);
+            let h_a = m.backbone.encode(&mut g, &bind, aug.h_aug);
+            let a_logits = oracle_score_repr(m, &mut g, items, h_a);
+            let s = g.value(a_logits).data()[target];
+            (
+                Some(aug.positions[0]),
+                Some((aug.left_items[0], aug.right_items[0])),
+                s,
+            )
+        } else {
+            (None, None, raw_score)
+        };
+
+        // Denoised score (stage 3).
+        let prior = m.coherence_prior(&mut g, &batch);
+        let (den, probs) = m.denoiser.denoise_eval(&mut g, &bind, h_seq, hu, prior);
+        let h_d = m.backbone.encode(&mut g, &bind, den);
+        let d_logits = oracle_score_repr(m, &mut g, items, h_d);
+        let denoised_score = g.value(d_logits).data()[target];
+        let kept = ssdrec_denoise::relative_keep(g.value(probs).data(), m.cfg.keep_beta);
+
+        CaseStudy {
+            seq: seq.to_vec(),
+            position,
+            inserted,
+            kept,
+            raw_score,
+            augmented_score,
+            denoised_score,
+        }
+    }
+
+    // ---- The wall. ----
+
+    #[test]
+    fn batched_keep_matches_the_per_sequence_oracle() {
+        for m in variants() {
+            let examples = mixed_examples(&m);
+            let rows = keep_each(&m, &examples);
+            for (ex, row) in examples.iter().zip(&rows) {
+                if ex.seq.is_empty() {
+                    assert!(row.scores.is_empty() && row.kept.is_empty());
+                    continue;
+                }
+                let want = oracle_keep_scores_for(&m, &ex.seq, ex.user);
+                assert_eq!(
+                    bits(&row.scores),
+                    bits(&want),
+                    "{} {:?}",
+                    m.model_name(),
+                    ex.seq
+                );
+                assert_eq!(row.kept, oracle_keep_decisions_for(&m, &ex.seq, ex.user));
+            }
+        }
+    }
+
+    #[test]
+    fn recommendations_match_the_per_sequence_oracle() {
+        for m in variants() {
+            let examples = mixed_examples(&m);
+            let lists = recommend_each(&m, &examples, 7);
+            for (ex, list) in examples.iter().zip(&lists) {
+                if ex.seq.is_empty() {
+                    assert!(list.is_empty());
+                    continue;
+                }
+                let want = oracle_recommend(&m, ex.user, &ex.seq, 7);
+                let as_bits = |l: &[(usize, f32)]| -> Vec<(usize, u32)> {
+                    l.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+                };
+                assert_eq!(as_bits(list), as_bits(&want), "{:?}", ex.seq);
+                assert_eq!(as_bits(&m.recommend(ex.user, &ex.seq, 7)), as_bits(&want));
+            }
+        }
+    }
+
+    /// Every field of every trace, with one `rng` seed across the list.
+    /// Histories shorter than `aug_short_len` only: the oracle also
+    /// augmented long ones, which was the bug `augments` fixes.
+    #[test]
+    fn explain_matches_the_per_sequence_oracle() {
+        for m in variants() {
+            let examples: Vec<Example> = mixed_examples(&m)
+                .into_iter()
+                .filter(|ex| (1..m.cfg.aug_short_len).contains(&ex.seq.len()))
+                .collect();
+            let traces = m.explain(&examples, &mut Rng::seed(9));
+            let mut rng = Rng::seed(9);
+            for (ex, cs) in examples.iter().zip(&traces) {
+                let want = oracle_explain(&m, &ex.seq, ex.user, ex.target, &mut rng);
+                assert_eq!(cs.seq, want.seq);
+                assert_eq!(cs.position, want.position, "{:?}", ex.seq);
+                assert_eq!(cs.inserted, want.inserted);
+                assert_eq!(cs.kept, want.kept);
+                assert_eq!(cs.raw_score.to_bits(), want.raw_score.to_bits());
+                assert_eq!(cs.augmented_score.to_bits(), want.augmented_score.to_bits());
+                assert_eq!(cs.denoised_score.to_bits(), want.denoised_score.to_bits());
+            }
+        }
+    }
+
+    /// Past `aug_short_len` the trace differs from the oracle only in the
+    /// augmentation it no longer runs.
+    #[test]
+    fn explain_of_a_long_history_matches_the_oracle_but_for_augmentation() {
+        let m = &variants()[0];
+        let ex = mixed_examples(m)
+            .into_iter()
+            .find(|e| e.seq.len() >= m.cfg.aug_short_len)
+            .expect("a long history");
+        let cs = &m.explain(std::slice::from_ref(&ex), &mut Rng::seed(1))[0];
+        let want = oracle_explain(m, &ex.seq, ex.user, ex.target, &mut Rng::seed(1));
+        assert_eq!((cs.position, cs.inserted), (None, None));
+        assert_eq!(cs.augmented_score.to_bits(), cs.raw_score.to_bits());
+        assert_eq!(cs.kept, want.kept);
+        assert_eq!(cs.raw_score.to_bits(), want.raw_score.to_bits());
+        assert_eq!(cs.denoised_score.to_bits(), want.denoised_score.to_bits());
     }
 }

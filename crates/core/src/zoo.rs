@@ -4,7 +4,7 @@
 //! the CLI's `train`, the table/figure harness, the efficiency benches —
 //! builds it here, from a [`ModelKind`] and one [`ModelContext`], and gets a
 //! `Box<dyn RecModel>`. Code that needs a concrete type (SSDRec's stage
-//! toggles, a denoiser's `keep_decisions`, the serving engine's frozen
+//! toggles, a denoiser's `keep`, the serving engine's frozen
 //! forward) constructs that type directly.
 
 use ssdrec_data::{prepare, Dataset, Split};

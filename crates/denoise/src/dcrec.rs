@@ -10,7 +10,7 @@ use ssdrec_data::Batch;
 use ssdrec_tensor::nn::Embedding;
 use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
 
-use ssdrec_models::{RecModel, SasRecEncoder, SeqEncoder};
+use ssdrec_models::{score_catalogue, RecModel, SasRecEncoder, SeqEncoder};
 
 /// The DCRec model.
 pub struct DcRec {
@@ -18,8 +18,6 @@ pub struct DcRec {
     pub store: ParamStore,
     item_emb: Embedding,
     encoder: SasRecEncoder,
-    dim: usize,
-    num_items: usize,
     /// Item conformity in `[0,1]` (popularity, normalised by the max).
     conformity: Vec<f32>,
     /// Weight of the contrastive term.
@@ -51,8 +49,6 @@ impl DcRec {
             store,
             item_emb,
             encoder,
-            dim,
-            num_items,
             conformity,
             beta: 0.2,
             cl_tau: 0.5,
@@ -77,16 +73,6 @@ impl DcRec {
             }
         }
         self.encoder.encode(g, bind, h)
-    }
-
-    fn score_repr(&self, g: &mut Graph, bind: &Binding, h_s: Var) -> Var {
-        let table = self.item_emb.table(bind);
-        let tt = g.transpose_last(table);
-        let logits = g.matmul(h_s, tt);
-        let mut mask = Tensor::zeros(&[self.num_items + 1]);
-        mask.data_mut()[0] = -1e9;
-        let mv = g.constant(mask);
-        g.add_bcast(logits, mv)
     }
 
     /// Conformity-weighted InfoNCE between two views `z1, z2` (`B×d`):
@@ -119,7 +105,7 @@ impl RecModel for DcRec {
 
     fn loss(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: &mut Rng) -> Var {
         let z1 = self.encode_view(g, bind, batch, Some(rng));
-        let logits = self.score_repr(g, bind, z1);
+        let logits = score_catalogue(g, self.item_emb.table(bind), z1);
         let logp = g.log_softmax_last(logits);
         let picked = g.pick_per_row(logp, &batch.targets);
         let ce_mean = g.mean_all(picked);
@@ -134,9 +120,9 @@ impl RecModel for DcRec {
         }
     }
 
-    fn eval_scores(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var {
+    fn eval_scores_frozen(&self, g: &mut Graph, bind: &Binding, batch: &Batch, _: &[Var]) -> Var {
         let z = self.encode_view(g, bind, batch, None);
-        self.score_repr(g, bind, z)
+        score_catalogue(g, self.item_emb.table(bind), z)
     }
 
     fn model_name(&self) -> String {
@@ -146,19 +132,14 @@ impl RecModel for DcRec {
 
 impl crate::Denoiser for DcRec {
     /// DCRec debiases rather than denoises: it never removes items.
-    fn keep_decisions(&self, seq: &[usize], _user: usize) -> Vec<bool> {
-        vec![true; seq.len()]
-    }
-
-    fn denoiser_dim(&self) -> usize {
-        self.dim
+    fn keep(&self, _: &mut Graph, _: &Binding, batch: &Batch, _: &[Var]) -> Vec<crate::Keep> {
+        crate::Keep::all(batch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Denoiser;
 
     fn toy_batch() -> Batch {
         Batch {
@@ -222,10 +203,21 @@ mod tests {
         assert!(1.0 - m.conformity[1] < 1.0 - m.conformity[10]);
     }
 
+    /// The per-sequence keep decisions DCRec reported before the batched
+    /// keep output, verbatim, with the trait's default all-ones scores:
+    /// the oracle [`crate::Denoiser::keep`] is walled against.
+    fn oracle_keep_decisions(seq: &[usize], _user: usize) -> Vec<bool> {
+        vec![true; seq.len()]
+    }
+
     #[test]
-    fn keeps_everything() {
-        let m = DcRec::new(10, 8, 20, &freq(), 5);
-        assert_eq!(m.keep_decisions(&[1, 2], 0), vec![true, true]);
+    fn batched_keep_matches_the_per_sequence_oracle() {
+        let m = DcRec::new(10, 8, 50, &freq(), 5);
+        crate::wall::assert_keep_matches(&m, &crate::wall::mixed_examples(4, 10), |seq, user| {
+            let kept = oracle_keep_decisions(seq, user);
+            let scores = kept.iter().map(|&k| if k { 1.0 } else { 0.0 }).collect();
+            (scores, kept)
+        });
     }
 
     #[test]

@@ -9,9 +9,9 @@
 
 use ssdrec_data::Batch;
 use ssdrec_tensor::nn::{Embedding, Linear};
-use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
+use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Var};
 
-use ssdrec_models::RecModel;
+use ssdrec_models::{score_catalogue, RecModel};
 
 /// The DSAN model.
 pub struct Dsan {
@@ -24,7 +24,6 @@ pub struct Dsan {
     wk: Linear,
     out: Linear,
     dim: usize,
-    num_items: usize,
     /// Sparsity threshold factor: weights below `gamma / T` are dropped.
     pub gamma: f32,
     /// Dropout on embeddings during training.
@@ -49,7 +48,6 @@ impl Dsan {
             wk,
             out,
             dim,
-            num_items,
             gamma: 0.5,
             dropout: 0.1,
         }
@@ -98,31 +96,7 @@ impl Dsan {
         let last = g.select_time(h, t - 1);
         let cat = g.concat_last(&[agg, last]);
         let h_s = self.out.forward(g, bind, cat);
-        let table = self.item_emb.table(bind);
-        let tt = g.transpose_last(table);
-        let logits = g.matmul(h_s, tt);
-        let mut mask = Tensor::zeros(&[self.num_items + 1]);
-        mask.data_mut()[0] = -1e9;
-        let mv = g.constant(mask);
-        g.add_bcast(logits, mv)
-    }
-
-    /// The sparse-attention support for one sequence (true = kept).
-    pub fn attention_support(&self, seq: &[usize]) -> Vec<bool> {
-        let batch = Batch {
-            users: vec![0],
-            items: seq.to_vec(),
-            seq_len: seq.len(),
-            targets: vec![seq[seq.len() - 1]],
-            noise: None,
-        };
-        let mut g = Graph::new();
-        let bind = self.store.bind_all(&mut g);
-        let h = self
-            .item_emb
-            .lookup_seq(&mut g, &bind, &batch.items, 1, batch.seq_len);
-        let attn = self.sparse_attention(&mut g, &bind, h);
-        g.value(attn).data().iter().map(|&w| w > 0.0).collect()
+        score_catalogue(g, self.item_emb.table(bind), h_s)
     }
 }
 
@@ -143,7 +117,7 @@ impl RecModel for Dsan {
         g.neg(mean)
     }
 
-    fn eval_scores(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var {
+    fn eval_scores_frozen(&self, g: &mut Graph, bind: &Binding, batch: &Batch, _: &[Var]) -> Var {
         self.forward(g, bind, batch, None)
     }
 
@@ -153,36 +127,28 @@ impl RecModel for Dsan {
 }
 
 impl crate::Denoiser for Dsan {
-    fn keep_decisions(&self, seq: &[usize], _user: usize) -> Vec<bool> {
-        self.attention_support(seq)
-    }
-
-    fn keep_scores(&self, seq: &[usize], _user: usize) -> Vec<f32> {
-        let batch = Batch {
-            users: vec![0],
-            items: seq.to_vec(),
-            seq_len: seq.len(),
-            targets: vec![seq[seq.len() - 1]],
-            noise: None,
-        };
-        let mut g = Graph::new();
-        let bind = self.store.bind_all(&mut g);
+    /// Keep score = the sparse attention weight; kept iff it survived the
+    /// threshold (`w > 0`).
+    fn keep(&self, g: &mut Graph, bind: &Binding, batch: &Batch, _: &[Var]) -> Vec<crate::Keep> {
+        let t = batch.seq_len;
         let h = self
             .item_emb
-            .lookup_seq(&mut g, &bind, &batch.items, 1, batch.seq_len);
-        let attn = self.sparse_attention(&mut g, &bind, h);
-        g.value(attn).data().to_vec()
-    }
-
-    fn denoiser_dim(&self) -> usize {
-        self.dim
+            .lookup_seq(g, bind, &batch.items, batch.len(), t);
+        let attn = self.sparse_attention(g, bind, h);
+        g.value(attn)
+            .data()
+            .chunks(t)
+            .map(|row| crate::Keep {
+                scores: row.to_vec(),
+                kept: row.iter().map(|&w| w > 0.0).collect(),
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Denoiser;
 
     fn toy_batch() -> Batch {
         Batch {
@@ -219,16 +185,66 @@ mod tests {
     fn high_gamma_produces_exact_zeros() {
         let mut m = Dsan::new(20, 8, 2);
         m.gamma = 1.0; // threshold 1/T: cuts the below-average half
-        let support = m.attention_support(&[1, 5, 9, 13, 17, 3, 7, 11]);
+        let ex = ssdrec_data::Example {
+            user: 0,
+            seq: vec![1, 5, 9, 13, 17, 3, 7, 11],
+            target: 1,
+            noise: None,
+        };
+        let support = &crate::keep_each(&m, &[ex])[0].kept;
         assert!(support.iter().any(|&k| !k), "no position was dropped");
         assert!(support.iter().any(|&k| k), "everything was dropped");
     }
 
+    /// The per-sequence attention support and keep scores DSAN computed
+    /// before the batched keep output, verbatim (two forwards): the oracle
+    /// [`crate::Denoiser::keep`] is walled against.
+    fn oracle_attention_support(m: &Dsan, seq: &[usize]) -> Vec<bool> {
+        let batch = Batch {
+            users: vec![0],
+            items: seq.to_vec(),
+            seq_len: seq.len(),
+            targets: vec![seq[seq.len() - 1]],
+            noise: None,
+        };
+        let mut g = Graph::new();
+        let bind = m.store.bind_all(&mut g);
+        let h = m
+            .item_emb
+            .lookup_seq(&mut g, &bind, &batch.items, 1, batch.seq_len);
+        let attn = m.sparse_attention(&mut g, &bind, h);
+        g.value(attn).data().iter().map(|&w| w > 0.0).collect()
+    }
+
+    fn oracle_keep_scores(m: &Dsan, seq: &[usize], _user: usize) -> Vec<f32> {
+        let batch = Batch {
+            users: vec![0],
+            items: seq.to_vec(),
+            seq_len: seq.len(),
+            targets: vec![seq[seq.len() - 1]],
+            noise: None,
+        };
+        let mut g = Graph::new();
+        let bind = m.store.bind_all(&mut g);
+        let h = m
+            .item_emb
+            .lookup_seq(&mut g, &bind, &batch.items, 1, batch.seq_len);
+        let attn = m.sparse_attention(&mut g, &bind, h);
+        g.value(attn).data().to_vec()
+    }
+
     #[test]
-    fn keep_decisions_match_support_length() {
-        let m = Dsan::new(10, 8, 3);
-        let d = m.keep_decisions(&[2, 4, 6, 8], 0);
-        assert_eq!(d.len(), 4);
+    fn batched_keep_matches_the_per_sequence_oracle() {
+        for gamma in [0.5, 1.0] {
+            let mut m = Dsan::new(10, 8, 3);
+            m.gamma = gamma;
+            crate::wall::assert_keep_matches(&m, &crate::wall::mixed_examples(4, 10), |seq, u| {
+                (
+                    oracle_keep_scores(&m, seq, u),
+                    oracle_attention_support(&m, seq),
+                )
+            });
+        }
     }
 
     #[test]

@@ -11,9 +11,9 @@
 
 use ssdrec_data::Batch;
 use ssdrec_tensor::nn::{DftFilter, Embedding, FeedForward, LayerNorm};
-use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
+use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Var};
 
-use ssdrec_models::RecModel;
+use ssdrec_models::{score_catalogue, RecModel};
 
 struct FmlpLayer {
     filter: DftFilter,
@@ -29,8 +29,6 @@ pub struct FmlpRec {
     item_emb: Embedding,
     layers: Vec<FmlpLayer>,
     max_len: usize,
-    dim: usize,
-    num_items: usize,
     /// Dropout on embeddings during training.
     pub dropout: f32,
 }
@@ -54,8 +52,6 @@ impl FmlpRec {
             item_emb,
             layers,
             max_len,
-            dim,
-            num_items,
             dropout: 0.1,
         }
     }
@@ -94,14 +90,7 @@ impl FmlpRec {
             h = layer.ln2.forward(g, bind, r2);
         }
         let h_s = g.select_time(h, self.max_len - 1);
-        // Tied-weight scorer with the pad item masked.
-        let table = self.item_emb.table(bind);
-        let tt = g.transpose_last(table);
-        let logits = g.matmul(h_s, tt);
-        let mut mask = Tensor::zeros(&[self.num_items + 1]);
-        mask.data_mut()[0] = -1e9;
-        let mv = g.constant(mask);
-        g.add_bcast(logits, mv)
+        score_catalogue(g, self.item_emb.table(bind), h_s)
     }
 }
 
@@ -122,7 +111,7 @@ impl RecModel for FmlpRec {
         g.neg(mean)
     }
 
-    fn eval_scores(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var {
+    fn eval_scores_frozen(&self, g: &mut Graph, bind: &Binding, batch: &Batch, _: &[Var]) -> Var {
         self.forward(g, bind, batch, None)
     }
 
@@ -135,19 +124,14 @@ impl crate::Denoiser for FmlpRec {
     /// FMLP denoises implicitly at the representation level: it never drops
     /// an item, so every position is kept (maximal under-denoising by
     /// construction — the paper's critique).
-    fn keep_decisions(&self, seq: &[usize], _user: usize) -> Vec<bool> {
-        vec![true; seq.len()]
-    }
-
-    fn denoiser_dim(&self) -> usize {
-        self.dim
+    fn keep(&self, _: &mut Graph, _: &Binding, batch: &Batch, _: &[Var]) -> Vec<crate::Keep> {
+        crate::Keep::all(batch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Denoiser;
 
     fn toy_batch() -> Batch {
         Batch {
@@ -184,10 +168,21 @@ mod tests {
         assert_eq!(&ids[..2], &[2, 3]);
     }
 
+    /// The per-sequence keep decisions FMLP-Rec reported before the batched
+    /// keep output, verbatim, with the trait's default all-ones scores:
+    /// the oracle [`crate::Denoiser::keep`] is walled against.
+    fn oracle_keep_decisions(seq: &[usize], _user: usize) -> Vec<bool> {
+        vec![true; seq.len()]
+    }
+
     #[test]
-    fn keeps_everything() {
+    fn batched_keep_matches_the_per_sequence_oracle() {
         let m = FmlpRec::new(10, 8, 12, 1, 0);
-        assert_eq!(m.keep_decisions(&[1, 2, 3], 0), vec![true; 3]);
+        crate::wall::assert_keep_matches(&m, &crate::wall::mixed_examples(4, 10), |seq, user| {
+            let kept = oracle_keep_decisions(seq, user);
+            let scores = kept.iter().map(|&k| if k { 1.0 } else { 0.0 }).collect();
+            (scores, kept)
+        });
     }
 
     #[test]

@@ -17,7 +17,7 @@ use ssdrec_data::Batch;
 use ssdrec_tensor::nn::{gumbel_softmax, BiLstm, Embedding, GumbelMode, Linear};
 use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
 
-use ssdrec_models::{Bert4RecEncoder, RecModel, SeqEncoder};
+use ssdrec_models::{score_catalogue, Bert4RecEncoder, RecModel, SeqEncoder};
 
 /// The reusable denoising core: inconsistency signals + differentiable
 /// keep/drop masking. SSDRec's hierarchical denoising module instantiates
@@ -172,8 +172,6 @@ pub struct Hsd {
     /// The reusable denoising core.
     pub core: HsdCore,
     backbone: Bert4RecEncoder,
-    dim: usize,
-    num_items: usize,
     /// Current Gumbel temperature (annealed during training).
     pub tau: f32,
     /// Multiplicative τ decay applied every `anneal_every` steps.
@@ -204,8 +202,6 @@ impl Hsd {
             user_emb,
             core,
             backbone,
-            dim,
-            num_items,
             tau: 1.0,
             tau_decay: 0.98,
             anneal_every: 40,
@@ -216,14 +212,13 @@ impl Hsd {
         }
     }
 
-    fn score_repr(&self, g: &mut Graph, bind: &Binding, h_s: Var) -> Var {
-        let table = self.item_emb.table(bind);
-        let tt = g.transpose_last(table);
-        let logits = g.matmul(h_s, tt);
-        let mut mask = Tensor::zeros(&[self.num_items + 1]);
-        mask.data_mut()[0] = -1e9;
-        let mv = g.constant(mask);
-        g.add_bcast(logits, mv)
+    /// The embedded batch `B×T×d` and its keep probabilities `B×T`.
+    fn keep_probs(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> (Var, Var) {
+        let h = self
+            .item_emb
+            .lookup_seq(g, bind, &batch.items, batch.len(), batch.seq_len);
+        let u = self.user_emb.lookup(g, bind, &batch.users);
+        (h, self.core.keep_probs(g, bind, h, u))
     }
 }
 
@@ -252,7 +247,7 @@ impl RecModel for Hsd {
         let mask = self.core.sample_mask(g, rng, cal, self.tau);
         let h_masked = self.core.apply_mask(g, h, mask);
         let h_s = self.backbone.encode(g, bind, h_masked);
-        let logits = self.score_repr(g, bind, h_s);
+        let logits = score_catalogue(g, self.item_emb.table(bind), h_s);
         let logp = g.log_softmax_last(logits);
         let picked = g.pick_per_row(logp, &batch.targets);
         let mean = g.mean_all(picked);
@@ -265,16 +260,12 @@ impl RecModel for Hsd {
         g.add(ce, gl)
     }
 
-    fn eval_scores(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var {
-        let h = self
-            .item_emb
-            .lookup_seq(g, bind, &batch.items, batch.len(), batch.seq_len);
-        let u = self.user_emb.lookup(g, bind, &batch.users);
-        let probs = self.core.keep_probs(g, bind, h, u);
+    fn eval_scores_frozen(&self, g: &mut Graph, bind: &Binding, batch: &Batch, _: &[Var]) -> Var {
+        let (h, probs) = self.keep_probs(g, bind, batch);
         let mask = self.core.hard_mask(g, probs);
         let h = self.core.apply_mask(g, h, mask);
         let h_s = self.backbone.encode(g, bind, h);
-        self.score_repr(g, bind, h_s)
+        score_catalogue(g, self.item_emb.table(bind), h_s)
     }
 
     fn after_step(&mut self) {
@@ -290,28 +281,19 @@ impl RecModel for Hsd {
 }
 
 impl crate::Denoiser for Hsd {
-    fn keep_decisions(&self, seq: &[usize], user: usize) -> Vec<bool> {
-        crate::relative_keep(&self.keep_scores(seq, user), crate::RELATIVE_KEEP_BETA)
-    }
-
-    fn keep_scores(&self, seq: &[usize], user: usize) -> Vec<f32> {
-        let mut g = Graph::new();
-        let bind = self.store.bind_all(&mut g);
-        let h = self.item_emb.lookup_seq(&mut g, &bind, seq, 1, seq.len());
-        let u = self.user_emb.lookup(&mut g, &bind, &[user]);
-        let probs = self.core.keep_probs(&mut g, &bind, h, u);
-        g.value(probs).data().to_vec()
-    }
-
-    fn denoiser_dim(&self) -> usize {
-        self.dim
+    fn keep(&self, g: &mut Graph, bind: &Binding, batch: &Batch, _: &[Var]) -> Vec<crate::Keep> {
+        let (_, probs) = self.keep_probs(g, bind, batch);
+        crate::Keep::relative_rows(
+            g.value(probs).data(),
+            batch.seq_len,
+            crate::RELATIVE_KEEP_BETA,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Denoiser;
 
     fn toy_batch() -> Batch {
         Batch {
@@ -450,11 +432,26 @@ mod tests {
         assert!(grads.get(bind.var(m.user_emb.weight())).is_some());
     }
 
+    /// The per-sequence keep scores HSD computed before the batched keep
+    /// output, verbatim: the oracle [`crate::Denoiser::keep`] is walled
+    /// against.
+    fn oracle_keep_scores(m: &Hsd, seq: &[usize], user: usize) -> Vec<f32> {
+        let mut g = Graph::new();
+        let bind = m.store.bind_all(&mut g);
+        let h = m.item_emb.lookup_seq(&mut g, &bind, seq, 1, seq.len());
+        let u = m.user_emb.lookup(&mut g, &bind, &[user]);
+        let probs = m.core.keep_probs(&mut g, &bind, h, u);
+        g.value(probs).data().to_vec()
+    }
+
     #[test]
-    fn keep_decisions_shape() {
-        let m = Hsd::new(4, 10, 8, 20, 6);
-        let d = m.keep_decisions(&[1, 2, 3, 4, 5, 6, 7], 2);
-        assert_eq!(d.len(), 7);
+    fn batched_keep_matches_the_per_sequence_oracle() {
+        let m = Hsd::new(4, 10, 8, 50, 6);
+        crate::wall::assert_keep_matches(&m, &crate::wall::mixed_examples(4, 10), |seq, user| {
+            let scores = oracle_keep_scores(&m, seq, user);
+            let kept = crate::relative_keep(&scores, crate::RELATIVE_KEEP_BETA);
+            (scores, kept)
+        });
     }
 
     #[test]

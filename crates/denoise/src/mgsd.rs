@@ -27,7 +27,7 @@ use ssdrec_data::Batch;
 use ssdrec_tensor::nn::{Embedding, Linear};
 use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
 
-use ssdrec_models::{RecModel, SasRecEncoder, SeqEncoder};
+use ssdrec_models::{score_catalogue, RecModel, SasRecEncoder, SeqEncoder};
 
 use crate::hsd::HsdCore;
 
@@ -44,8 +44,6 @@ pub struct Mgsd {
     pub core: HsdCore,
     w_seg: Linear,
     backbone: SasRecEncoder,
-    dim: usize,
-    num_items: usize,
     /// Segment width of the coarse granularity.
     pub seg_width: usize,
     /// Dropout on embeddings during training.
@@ -72,8 +70,6 @@ impl Mgsd {
             core,
             w_seg,
             backbone,
-            dim,
-            num_items,
             seg_width: DEFAULT_SEG_WIDTH,
             dropout: 0.1,
             ws_weight: 1.0,
@@ -146,14 +142,14 @@ impl Mgsd {
         }
     }
 
-    fn score_repr(&self, g: &mut Graph, bind: &Binding, h_s: Var) -> Var {
-        let table = self.item_emb.table(bind);
-        let tt = g.transpose_last(table);
-        let logits = g.matmul(h_s, tt);
-        let mut mask = Tensor::zeros(&[self.num_items + 1]);
-        mask.data_mut()[0] = -1e9;
-        let mv = g.constant(mask);
-        g.add_bcast(logits, mv)
+    /// The embedded batch `B×T×d` and its multi-granularity keep
+    /// probabilities `B×T`.
+    fn batch_keep_probs(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> (Var, Var) {
+        let h = self
+            .item_emb
+            .lookup_seq(g, bind, &batch.items, batch.len(), batch.seq_len);
+        let u = self.user_emb.lookup(g, bind, &batch.users);
+        (h, self.keep_probs_multi(g, bind, h, u))
     }
 }
 
@@ -185,7 +181,7 @@ impl RecModel for Mgsd {
         let mask3 = g.reshape(cal, &[b, t, 1]);
         let h_masked = self.core.apply_mask(g, h, mask3);
         let h_s = self.backbone.encode(g, bind, h_masked);
-        let logits = self.score_repr(g, bind, h_s);
+        let logits = score_catalogue(g, self.item_emb.table(bind), h_s);
         let logp = g.log_softmax_last(logits);
         let picked = g.pick_per_row(logp, &batch.targets);
         let mean = g.mean_all(picked);
@@ -197,16 +193,12 @@ impl RecModel for Mgsd {
         g.add(ce, ws)
     }
 
-    fn eval_scores(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var {
-        let b = batch.len();
-        let t = batch.seq_len;
-        let h = self.item_emb.lookup_seq(g, bind, &batch.items, b, t);
-        let u = self.user_emb.lookup(g, bind, &batch.users);
-        let probs = self.keep_probs_multi(g, bind, h, u);
+    fn eval_scores_frozen(&self, g: &mut Graph, bind: &Binding, batch: &Batch, _: &[Var]) -> Var {
+        let (h, probs) = self.batch_keep_probs(g, bind, batch);
         let mask = self.core.hard_mask(g, probs);
         let h_masked = self.core.apply_mask(g, h, mask);
         let h_s = self.backbone.encode(g, bind, h_masked);
-        self.score_repr(g, bind, h_s)
+        score_catalogue(g, self.item_emb.table(bind), h_s)
     }
 
     fn model_name(&self) -> String {
@@ -215,31 +207,19 @@ impl RecModel for Mgsd {
 }
 
 impl crate::Denoiser for Mgsd {
-    fn keep_decisions(&self, seq: &[usize], user: usize) -> Vec<bool> {
-        crate::relative_keep(&self.keep_scores(seq, user), crate::RELATIVE_KEEP_BETA)
-    }
-
-    fn keep_scores(&self, seq: &[usize], user: usize) -> Vec<f32> {
-        if seq.is_empty() {
-            return Vec::new();
-        }
-        let mut g = Graph::new();
-        let bind = self.store.bind_all(&mut g);
-        let h = self.item_emb.lookup_seq(&mut g, &bind, seq, 1, seq.len());
-        let u = self.user_emb.lookup(&mut g, &bind, &[user]);
-        let probs = self.keep_probs_multi(&mut g, &bind, h, u);
-        g.value(probs).data().to_vec()
-    }
-
-    fn denoiser_dim(&self) -> usize {
-        self.dim
+    fn keep(&self, g: &mut Graph, bind: &Binding, batch: &Batch, _: &[Var]) -> Vec<crate::Keep> {
+        let (_, probs) = self.batch_keep_probs(g, bind, batch);
+        crate::Keep::relative_rows(
+            g.value(probs).data(),
+            batch.seq_len,
+            crate::RELATIVE_KEEP_BETA,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Denoiser;
 
     fn toy_batch(noise: Option<Vec<bool>>) -> Batch {
         Batch {
@@ -325,15 +305,29 @@ mod tests {
         assert!(grads.get(bind.var(m.w_seg.weight())).is_some());
     }
 
+    /// The per-sequence keep scores MGSD computed before the batched keep
+    /// output, verbatim: the oracle [`crate::Denoiser::keep`] is walled
+    /// against.
+    fn oracle_keep_scores(m: &Mgsd, seq: &[usize], user: usize) -> Vec<f32> {
+        if seq.is_empty() {
+            return Vec::new();
+        }
+        let mut g = Graph::new();
+        let bind = m.store.bind_all(&mut g);
+        let h = m.item_emb.lookup_seq(&mut g, &bind, seq, 1, seq.len());
+        let u = m.user_emb.lookup(&mut g, &bind, &[user]);
+        let probs = m.keep_probs_multi(&mut g, &bind, h, u);
+        g.value(probs).data().to_vec()
+    }
+
     #[test]
-    fn keep_decisions_shape_and_scores() {
-        let m = Mgsd::new(4, 10, 8, 20, 6);
-        let d = m.keep_decisions(&[1, 2, 3, 4, 5, 6, 7], 2);
-        assert_eq!(d.len(), 7);
-        let s = m.keep_scores(&[1, 2, 3, 4, 5, 6, 7], 2);
-        assert_eq!(s.len(), 7);
-        assert!(s.iter().all(|x| x.is_finite()));
-        assert!(m.keep_scores(&[], 0).is_empty());
+    fn batched_keep_matches_the_per_sequence_oracle() {
+        let m = Mgsd::new(4, 10, 8, 50, 6);
+        crate::wall::assert_keep_matches(&m, &crate::wall::mixed_examples(4, 10), |seq, user| {
+            let scores = oracle_keep_scores(&m, seq, user);
+            let kept = crate::relative_keep(&scores, crate::RELATIVE_KEEP_BETA);
+            (scores, kept)
+        });
     }
 
     #[test]

@@ -12,7 +12,7 @@ use ssdrec_data::Batch;
 use ssdrec_tensor::nn::{Embedding, Linear};
 use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
 
-use ssdrec_models::{Bert4RecEncoder, RecModel, SeqEncoder};
+use ssdrec_models::{score_catalogue, Bert4RecEncoder, RecModel, SeqEncoder};
 
 /// The STEAM model.
 pub struct Steam {
@@ -82,16 +82,6 @@ impl Steam {
         g.reshape(l, &[b, t])
     }
 
-    fn score_repr(&self, g: &mut Graph, bind: &Binding, h_s: Var) -> Var {
-        let table = self.item_emb.table(bind);
-        let tt = g.transpose_last(table);
-        let logits = g.matmul(h_s, tt);
-        let mut mask = Tensor::zeros(&[self.num_items + 1]);
-        mask.data_mut()[0] = -1e9;
-        let mv = g.constant(mask);
-        g.add_bcast(logits, mv)
-    }
-
     /// Mask positions whose detector probability exceeds 0.5 (delete).
     fn apply_keep_mask(&self, g: &mut Graph, h: Var, det_logits: Var) -> Var {
         let pv = g.value(det_logits).clone();
@@ -149,7 +139,7 @@ impl RecModel for Steam {
         // Recommendation loss on the corrected (masked) sequence.
         let h_corr = self.apply_keep_mask(g, h, det);
         let h_s = self.encoder.encode(g, bind, h_corr);
-        let logits = self.score_repr(g, bind, h_s);
+        let logits = score_catalogue(g, self.item_emb.table(bind), h_s);
         let logp = g.log_softmax_last(logits);
         let picked = g.pick_per_row(logp, &batch.targets);
         let ce_mean = g.mean_all(picked);
@@ -159,14 +149,14 @@ impl RecModel for Steam {
         g.add(ce, wbce)
     }
 
-    fn eval_scores(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var {
+    fn eval_scores_frozen(&self, g: &mut Graph, bind: &Binding, batch: &Batch, _: &[Var]) -> Var {
         let b = batch.len();
         let t = batch.seq_len;
         let (h, ctx) = self.contextual_states(g, bind, &batch.items, b, t);
         let det = self.detect_logits(g, bind, ctx);
         let h_corr = self.apply_keep_mask(g, h, det);
         let h_s = self.encoder.encode(g, bind, h_corr);
-        self.score_repr(g, bind, h_s)
+        score_catalogue(g, self.item_emb.table(bind), h_s)
     }
 
     fn model_name(&self) -> String {
@@ -175,39 +165,33 @@ impl RecModel for Steam {
 }
 
 impl crate::Denoiser for Steam {
-    fn keep_decisions(&self, seq: &[usize], _user: usize) -> Vec<bool> {
-        // STEAM's detector is trained with explicit corruption labels, so
-        // its absolute 0.5 threshold is meaningful (unlike the calibration-
-        // free inconsistency products of HSD/SSDRec).
-        let mut g = Graph::new();
-        let bind = self.store.bind_all(&mut g);
-        let (_h, ctx) = self.contextual_states(&mut g, &bind, seq, 1, seq.len());
-        let det = self.detect_logits(&mut g, &bind, ctx);
-        g.value(det).data().iter().map(|&l| l <= 0.0).collect()
-    }
-
-    fn keep_scores(&self, seq: &[usize], _user: usize) -> Vec<f32> {
-        let mut g = Graph::new();
-        let bind = self.store.bind_all(&mut g);
-        let (_h, ctx) = self.contextual_states(&mut g, &bind, seq, 1, seq.len());
-        let det = self.detect_logits(&mut g, &bind, ctx);
-        // Keep score = 1 − σ(corruption logit).
+    /// Keep score `1 − σ(l)` on the detector's corruption logit `l`, kept
+    /// iff `l ≤ 0`. STEAM's detector is trained with explicit corruption
+    /// labels, so its absolute threshold is meaningful (unlike the
+    /// calibration-free inconsistency products of HSD/SSDRec). The rule
+    /// reads the logit, not the score: `1 − σ(l)` rounds to 0.5 for small
+    /// positive `l`.
+    fn keep(&self, g: &mut Graph, bind: &Binding, batch: &Batch, _: &[Var]) -> Vec<crate::Keep> {
+        let t = batch.seq_len;
+        let (_h, ctx) = self.contextual_states(g, bind, &batch.items, batch.len(), t);
+        let det = self.detect_logits(g, bind, ctx);
         g.value(det)
             .data()
-            .iter()
-            .map(|&l| 1.0 - ssdrec_tensor::math::sigmoid(l))
+            .chunks(t)
+            .map(|row| crate::Keep {
+                scores: row
+                    .iter()
+                    .map(|&l| 1.0 - ssdrec_tensor::math::sigmoid(l))
+                    .collect(),
+                kept: row.iter().map(|&l| l <= 0.0).collect(),
+            })
             .collect()
-    }
-
-    fn denoiser_dim(&self) -> usize {
-        self.dim
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Denoiser;
 
     fn toy_batch() -> Batch {
         Batch {
@@ -249,10 +233,39 @@ mod tests {
         assert_eq!(g.value(s).shape(), &[2, 11]);
     }
 
+    /// The per-sequence keep decisions and scores STEAM computed before
+    /// the batched keep output, verbatim (two forwards): the oracle
+    /// [`crate::Denoiser::keep`] is walled against.
+    fn oracle_keep_decisions(m: &Steam, seq: &[usize], _user: usize) -> Vec<bool> {
+        let mut g = Graph::new();
+        let bind = m.store.bind_all(&mut g);
+        let (_h, ctx) = m.contextual_states(&mut g, &bind, seq, 1, seq.len());
+        let det = m.detect_logits(&mut g, &bind, ctx);
+        g.value(det).data().iter().map(|&l| l <= 0.0).collect()
+    }
+
+    fn oracle_keep_scores(m: &Steam, seq: &[usize], _user: usize) -> Vec<f32> {
+        let mut g = Graph::new();
+        let bind = m.store.bind_all(&mut g);
+        let (_h, ctx) = m.contextual_states(&mut g, &bind, seq, 1, seq.len());
+        let det = m.detect_logits(&mut g, &bind, ctx);
+        // Keep score = 1 − σ(corruption logit).
+        g.value(det)
+            .data()
+            .iter()
+            .map(|&l| 1.0 - ssdrec_tensor::math::sigmoid(l))
+            .collect()
+    }
+
     #[test]
-    fn keep_decisions_length() {
-        let m = Steam::new(10, 8, 20, 3);
-        assert_eq!(m.keep_decisions(&[1, 2, 3, 4], 0).len(), 4);
+    fn batched_keep_matches_the_per_sequence_oracle() {
+        let m = Steam::new(10, 8, 50, 3);
+        crate::wall::assert_keep_matches(&m, &crate::wall::mixed_examples(4, 10), |seq, user| {
+            (
+                oracle_keep_scores(&m, seq, user),
+                oracle_keep_decisions(&m, seq, user),
+            )
+        });
     }
 
     #[test]

@@ -3,7 +3,19 @@
 
 use ssdrec_testkit::{gens, property};
 
-use ssdrec_denoise::{relative_keep, Denoiser, FmlpRec, Mgsd, RELATIVE_KEEP_BETA};
+use ssdrec_data::Example;
+use ssdrec_denoise::{keep_each, relative_keep, Denoiser, FmlpRec, Keep, Mgsd, RELATIVE_KEEP_BETA};
+
+/// One history's keep output through the batched path.
+fn keep_one(model: &impl Denoiser, seq: &[usize], user: usize) -> Keep {
+    let ex = Example {
+        user,
+        seq: seq.to_vec(),
+        target: 1,
+        noise: None,
+    };
+    keep_each(model, &[ex]).remove(0)
+}
 
 property! {
     cases = 64;
@@ -78,10 +90,10 @@ property! {
         seed in gens::u64s(),
     ) {
         let model = FmlpRec::new(12, 4, 10, 1, seed);
-        let kept = model.keep_decisions(&seq, user);
+        let Keep { scores, kept } = keep_one(&model, &seq, user);
         assert_eq!(kept.len(), seq.len());
         assert!(kept.iter().all(|&k| k));
-        assert!(model.keep_scores(&seq, user).iter().all(|&s| s == 1.0));
+        assert!(scores.iter().all(|&s| s == 1.0));
     }
 
     /// The multi-granularity denoiser yields one finite keep probability in
@@ -93,10 +105,9 @@ property! {
         seed in gens::u64s(),
     ) {
         let model = Mgsd::new(5, 12, 4, 10, seed);
-        let scores = model.keep_scores(&seq, user);
+        let Keep { scores, kept } = keep_one(&model, &seq, user);
         assert_eq!(scores.len(), seq.len());
         assert!(scores.iter().all(|s| s.is_finite() && *s > 0.0 && *s <= 1.0));
-        let kept = model.keep_decisions(&seq, user);
         assert_eq!(kept.len(), seq.len());
     }
 
@@ -109,8 +120,7 @@ property! {
         seed in gens::u64s(),
     ) {
         let model = Mgsd::new(5, 12, 4, 10, seed);
-        let scores = model.keep_scores(&seq, user);
-        let kept = model.keep_decisions(&seq, user);
+        let Keep { scores, kept } = keep_one(&model, &seq, user);
         let argmax = scores
             .iter()
             .enumerate()

@@ -219,10 +219,6 @@ impl RecModel for ContrastiveSeqRec {
         g.add(ce, weighted)
     }
 
-    fn eval_scores(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var {
-        self.base.eval_scores(g, bind, batch)
-    }
-
     fn precompute_frozen(&self, g: &mut Graph, bind: &Binding) -> Vec<Var> {
         self.base.precompute_frozen(g, bind)
     }

@@ -26,8 +26,8 @@ pub use contrastive::{
     DEFAULT_CL_TAU, DEFAULT_CL_WEIGHT,
 };
 pub use encoder::{BackboneKind, SeqEncoder};
-pub use model::{build_encoder, Objective, RecModel, SeqRec};
+pub use model::{build_encoder, pad_mask, score_catalogue, Objective, RecModel, SeqRec};
 pub use trainer::{
-    evaluate, evaluate_with, fit, train, LrSchedule, SourceSplit, TrainConfig, TrainError,
-    TrainOptions, TrainReport,
+    evaluate, evaluate_with, fit, per_example, recommend_each, train, FrozenPass, LrSchedule,
+    SourceSplit, TrainConfig, TrainError, TrainOptions, TrainReport,
 };

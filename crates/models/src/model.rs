@@ -2,7 +2,7 @@
 //! backbone encoder + a tied-weight full-catalogue scorer, plus the
 //! [`RecModel`] trait every trainable model in the workspace implements.
 
-use ssdrec_data::Batch;
+use ssdrec_data::{Batch, Example};
 use ssdrec_tensor::nn::Embedding;
 use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
 
@@ -32,6 +32,25 @@ pub fn build_encoder(
     }
 }
 
+/// The `[rows]` additive row with `−1e9` at the pad index 0, which keeps
+/// the pad item out of every softmax and every top-K.
+pub fn pad_mask(g: &mut Graph, rows: usize) -> Var {
+    let mut mask = Tensor::zeros(&[rows]);
+    mask.data_mut()[0] = -1e9;
+    g.constant(mask)
+}
+
+/// The tied-weight scorer every model shares: sequence representations
+/// `h_s` (`B×d`) against a `(V+1)×d` item table, `h_s · tableᵀ` with the pad
+/// item masked by [`pad_mask`].
+pub fn score_catalogue(g: &mut Graph, table: Var, h_s: Var) -> Var {
+    let tt = g.transpose_last(table);
+    let logits = g.matmul(h_s, tt);
+    let rows = g.value(table).shape()[0];
+    let mask = pad_mask(g, rows);
+    g.add_bcast(logits, mask)
+}
+
 /// Anything the shared trainer can optimise and evaluate.
 pub trait RecModel {
     /// The parameter store (for binding/optimizer steps).
@@ -40,33 +59,36 @@ pub trait RecModel {
     fn store_mut(&mut self) -> &mut ParamStore;
     /// Training loss for one batch (stochastic parts enabled).
     fn loss(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: &mut Rng) -> Var;
-    /// Full-catalogue logits `B×(V+1)` for evaluation (deterministic).
-    fn eval_scores(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var;
-
     /// The frozen half of the eval forward: the nodes that depend on the
     /// parameters but on no batch, built once on `g` below a
-    /// [`Graph::mark`] the caller [`truncate`](Graph::truncate)s back to
-    /// before every batch. Every eval pass and every serving engine makes
-    /// this call once, then [`RecModel::eval_scores_frozen`] per batch.
-    /// The default freezes nothing.
+    /// [`Graph::mark`] that [`FrozenPass`](crate::FrozenPass)
+    /// [`truncate`](Graph::truncate)s back to before every batch. Every eval
+    /// pass, every analysis pass and every serving engine makes this call
+    /// once, then [`RecModel::eval_scores_frozen`] per batch. The default
+    /// freezes nothing.
     fn precompute_frozen(&self, _g: &mut Graph, _bind: &Binding) -> Vec<Var> {
         Vec::new()
     }
 
-    /// A batch's `B×(V+1)` logits given what
+    /// A batch's full-catalogue `B×(V+1)` logits (deterministic) given what
     /// [`RecModel::precompute_frozen`] returned on the same graph — or the
-    /// same values bound as constants on another. Bit-identical to
-    /// [`RecModel::eval_scores`]. The default ignores `frozen` and runs
-    /// `eval_scores` whole.
+    /// same values bound as constants on another.
     fn eval_scores_frozen(
         &self,
         g: &mut Graph,
         bind: &Binding,
         batch: &Batch,
-        _frozen: &[Var],
-    ) -> Var {
-        self.eval_scores(g, bind, batch)
+        frozen: &[Var],
+    ) -> Var;
+
+    /// [`RecModel::eval_scores_frozen`] after this graph's own
+    /// [`RecModel::precompute_frozen`]: one batch's logits on a graph that
+    /// holds nothing frozen yet.
+    fn eval_scores(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var {
+        let frozen = self.precompute_frozen(g, bind);
+        self.eval_scores_frozen(g, bind, batch, &frozen)
     }
+
     /// Hook called after every optimisation step (e.g. τ annealing).
     fn after_step(&mut self) {}
     /// Hook called at the start of each epoch with `(epoch, total_epochs)`
@@ -100,23 +122,19 @@ pub trait RecModel {
     }
 
     /// Recommend the top-`k` items for a user given their history, as
-    /// `(item, score)` pairs in descending score order. This is the
-    /// serving-time API every model in the workspace shares.
+    /// `(item, score)` pairs in descending score order: the one-example call
+    /// of [`recommend_each`](crate::recommend_each), the offline side of
+    /// every serving parity check.
     fn recommend(&self, user: usize, seq: &[usize], k: usize) -> Vec<(usize, f32)> {
         assert!(!seq.is_empty(), "cannot recommend from an empty history");
-        let batch = Batch {
-            users: vec![user],
-            items: seq.to_vec(),
-            seq_len: seq.len(),
-            targets: vec![seq[seq.len() - 1]],
+        let example = Example {
+            user,
+            seq: seq.to_vec(),
+            target: seq[seq.len() - 1],
             noise: None,
         };
-        let mut g = Graph::new();
-        let bind = self.store().bind_all(&mut g);
-        let scores = self.eval_scores(&mut g, &bind, &batch);
-        // Partial select shared with the serving engine; the pad item
-        // (index 0) is never returned and ties break to the lower item ID.
-        ssdrec_metrics::par_top_k(g.value(scores).data(), k)
+        let mut lists = crate::recommend_each(self, std::slice::from_ref(&example), k);
+        lists.pop().expect("one list per example")
     }
 }
 
@@ -194,23 +212,6 @@ impl SeqRec {
             .lookup_seq(g, bind, &batch.items, batch.len(), batch.seq_len)
     }
 
-    /// Score a sequence representation `B×d` against the whole catalogue,
-    /// with the padding item masked out: `h_S · Eᵀ` (tied weights).
-    pub fn score_repr(&self, g: &mut Graph, bind: &Binding, h_s: Var) -> Var {
-        let table = self.item_emb.table(bind);
-        let tt = g.transpose_last(table); // d×(V+1)
-        let logits = g.matmul(h_s, tt); // B×(V+1)
-        let mv = self.pad_mask(g);
-        g.add_bcast(logits, mv)
-    }
-
-    /// The `[V+1]` additive mask row with `−1e9` at the pad index.
-    fn pad_mask(&self, g: &mut Graph) -> Var {
-        let mut mask = Tensor::zeros(&[self.num_items + 1]);
-        mask.data_mut()[0] = -1e9;
-        g.constant(mask)
-    }
-
     /// Full forward for a batch; `rng` enables dropout (training mode).
     pub fn forward(
         &self,
@@ -227,7 +228,7 @@ impl SeqRec {
             }
         }
         let h_s = self.encoder.encode(g, bind, h);
-        self.score_repr(g, bind, h_s)
+        score_catalogue(g, self.item_emb.table(bind), h_s)
     }
 
     /// Full-catalogue cross-entropy against the batch targets.
@@ -307,8 +308,8 @@ impl SeqRec {
         }
         let states = self.encoder.encode_causal_all(g, bind, h)?; // B×T×d
         let flat = g.reshape(states, &[b * t, self.dim]);
-        let logits = self.score_repr(g, bind, flat); // (B·T)×(V+1)
-                                                     // Position t predicts s_{t+1}; the last position predicts the target.
+        let logits = score_catalogue(g, self.item_emb.table(bind), flat); // (B·T)×(V+1)
+                                                                          // Position t predicts s_{t+1}; the last position predicts the target.
         let mut targets = Vec::with_capacity(b * t);
         for i in 0..b {
             let seq = batch.seq(i);
@@ -349,16 +350,11 @@ impl RecModel for SeqRec {
         self.ce_loss(g, logits, &batch.targets)
     }
 
-    fn eval_scores(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var {
-        let frozen = self.precompute_frozen(g, bind);
-        self.eval_scores_frozen(g, bind, batch, &frozen)
-    }
-
     /// `[Eᵀ, pad mask]`: the transposed tied-weight scorer (`d×(V+1)`) and
     /// the pad-masking row, once per pass.
     fn precompute_frozen(&self, g: &mut Graph, bind: &Binding) -> Vec<Var> {
         let table_t = g.transpose_last(self.item_emb.table(bind));
-        vec![table_t, self.pad_mask(g)]
+        vec![table_t, pad_mask(g, self.num_items + 1)]
     }
 
     fn eval_scores_frozen(
@@ -385,7 +381,6 @@ impl RecModel for SeqRec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssdrec_data::Example;
 
     fn toy_batch() -> Batch {
         Batch {
@@ -448,6 +443,58 @@ mod tests {
         assert!(recs.iter().all(|&(i, _)| (1..=10).contains(&i)));
         for w in recs.windows(2) {
             assert!(w[0].1 >= w[1].1, "not sorted: {recs:?}");
+        }
+    }
+
+    /// The per-sequence `recommend` every model shared before it became
+    /// the one-example call of `recommend_each`, verbatim: the oracle the
+    /// batched top-K is walled against.
+    fn oracle_recommend(m: &SeqRec, user: usize, seq: &[usize], k: usize) -> Vec<(usize, f32)> {
+        assert!(!seq.is_empty(), "cannot recommend from an empty history");
+        let batch = Batch {
+            users: vec![user],
+            items: seq.to_vec(),
+            seq_len: seq.len(),
+            targets: vec![seq[seq.len() - 1]],
+            noise: None,
+        };
+        let mut g = Graph::new();
+        let bind = m.store().bind_all(&mut g);
+        let scores = m.eval_scores(&mut g, &bind, &batch);
+        ssdrec_metrics::par_top_k(g.value(scores).data(), k)
+    }
+
+    /// Histories of every length in {0, 1, 2, 3, 7, 12, 50}, nine of length
+    /// 7 (one whole 8-row panel and a partial one), for every backbone.
+    #[test]
+    fn recommendations_match_the_per_sequence_oracle() {
+        let mut lens = vec![1, 2, 7, 7, 7, 3, 7, 12, 0, 7, 7, 50];
+        lens.extend([7; 3]);
+        let examples: Vec<Example> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| Example {
+                user: i,
+                seq: (0..len).map(|j| (i * 7 + j * 3) % 10 + 1).collect(),
+                target: 1,
+                noise: None,
+            })
+            .collect();
+        let as_bits = |l: &[(usize, f32)]| -> Vec<(usize, u32)> {
+            l.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+        };
+        for kind in BackboneKind::all() {
+            let model = SeqRec::new(kind, 10, 8, 50, 8);
+            let lists = crate::recommend_each(&model, &examples, 4);
+            for (ex, list) in examples.iter().zip(&lists) {
+                if ex.seq.is_empty() {
+                    assert!(list.is_empty());
+                    continue;
+                }
+                let want = as_bits(&oracle_recommend(&model, ex.user, &ex.seq, 4));
+                assert_eq!(as_bits(list), want, "{kind:?} {:?}", ex.seq);
+                assert_eq!(as_bits(&model.recommend(ex.user, &ex.seq, 4)), want);
+            }
         }
     }
 

@@ -3,9 +3,9 @@
 
 use std::time::Instant;
 
-use ssdrec_data::{BatchSource, Example, Split, StoreExamples};
-use ssdrec_metrics::{rank_rows, RankingAccumulator};
-use ssdrec_tensor::{Adam, Gradients, Graph, Rng};
+use ssdrec_data::{plan_batches, Batch, BatchSource, Example, Split, StoreExamples};
+use ssdrec_metrics::{par_top_k, rank_rows, RankingAccumulator};
+use ssdrec_tensor::{Adam, Binding, Gradients, Graph, Rng, Var};
 
 use crate::checkpoint::{self, CheckpointConfig, TrainState};
 use crate::model::RecModel;
@@ -162,10 +162,9 @@ pub fn evaluate<M: RecModel + ?Sized>(
 /// (and hence the accumulator) are bit-identical across sources for the
 /// same examples.
 ///
-/// The pass binds the parameters and runs [`RecModel::precompute_frozen`]
-/// once, below a [`Graph::mark`]; each batch then appends its
-/// [`RecModel::eval_scores_frozen`] nodes and is
-/// [`truncate`](Graph::truncate)d away, its storage recycled through the
+/// One [`FrozenPass`] over the source: each batch's
+/// [`RecModel::eval_scores_frozen`] nodes are ranked and
+/// [`truncate`](Graph::truncate)d away, their storage recycled through the
 /// buffer pool — the two calls a serving engine makes. Scores are
 /// bit-identical to a fresh graph and a whole [`RecModel::eval_scores`] per
 /// batch.
@@ -176,22 +175,107 @@ pub fn evaluate_with<M: RecModel + ?Sized>(
     g: &mut Graph,
 ) -> RankingAccumulator {
     let mut acc = RankingAccumulator::new();
-    g.reset();
-    let bind = model.store().bind_all(g);
-    let frozen = model.precompute_frozen(g, &bind);
-    let mark = g.mark();
+    let mut pass = FrozenPass::new(model, g);
     source.for_each_batch(batch_size, 0, &mut |batch| {
-        g.truncate(mark);
-        let scores = model.eval_scores_frozen(g, &bind, batch, &frozen);
-        let sv = g.value(scores);
-        let v = sv.shape()[1];
-        // Rank the whole batch on the runtime pool; row order (and hence
-        // the accumulator contents) matches the per-row sequential loop.
-        for rank in rank_rows(sv.data(), v, &batch.targets) {
-            acc.push_rank(rank);
-        }
+        pass.run(|g, bind, frozen| {
+            let scores = model.eval_scores_frozen(g, bind, batch, frozen);
+            let sv = g.value(scores);
+            // Rank the whole batch on the runtime pool; row order (and
+            // hence the accumulator contents) matches the per-row loop.
+            for rank in rank_rows(sv.data(), sv.shape()[1], &batch.targets) {
+                acc.push_rank(rank);
+            }
+        })
     });
     acc
+}
+
+/// The one frozen eval forward outside training and serving: the
+/// parameters bound and [`RecModel::precompute_frozen`] run once on a graph,
+/// below a [`Graph::mark`]; every [`FrozenPass::run`] then starts from a
+/// graph [`truncate`](Graph::truncate)d back to that mark. Evaluation,
+/// batched analysis ([`per_example`]) and SSDRec's case-study traces all
+/// run on it, so stage 1 runs once per pass, not once per batch or example.
+pub struct FrozenPass<'g> {
+    g: &'g mut Graph,
+    bind: Binding,
+    frozen: Vec<Var>,
+    mark: usize,
+}
+
+impl<'g> FrozenPass<'g> {
+    /// Reset `g`, bind `model`'s parameters and freeze its tables.
+    pub fn new<M: RecModel + ?Sized>(model: &M, g: &'g mut Graph) -> Self {
+        g.reset();
+        let bind = model.store().bind_all(g);
+        let frozen = model.precompute_frozen(g, &bind);
+        let mark = g.mark();
+        FrozenPass {
+            g,
+            bind,
+            frozen,
+            mark,
+        }
+    }
+
+    /// Run `f` on the graph truncated back to the frozen mark, with the
+    /// binding and what [`RecModel::precompute_frozen`] returned.
+    pub fn run<R>(&mut self, f: impl FnOnce(&mut Graph, &Binding, &[Var]) -> R) -> R {
+        self.g.truncate(self.mark);
+        f(self.g, &self.bind, &self.frozen)
+    }
+}
+
+/// Examples per batch of a [`per_example`] pass. Every kernel on the eval
+/// path is row-independent, so no output depends on it.
+const ANALYSIS_BATCH: usize = 256;
+
+/// One value per example, **in `examples` order**, from one [`FrozenPass`]
+/// over length-bucketed batches: `rows` maps a batch to one value per batch
+/// row, and each row lands at its example's index (recovered from
+/// [`plan_batches`]' `idxs`). An empty history is never batched and gets
+/// `R::default()`.
+pub fn per_example<M, R, F>(model: &M, examples: &[Example], mut rows: F) -> Vec<R>
+where
+    M: RecModel + ?Sized,
+    R: Default,
+    F: FnMut(&mut Graph, &Binding, &Batch, &[Var]) -> Vec<R>,
+{
+    let lengths: Vec<usize> = examples.iter().map(|e| e.seq.len()).collect();
+    // `make_batches` plans with the same (lengths, batch size, seed), so
+    // the k-th batch holds the k-th plan's examples in its row order.
+    let mut plans = plan_batches(&lengths, ANALYSIS_BATCH, 0).into_iter();
+    let mut out: Vec<R> = examples.iter().map(|_| R::default()).collect();
+    let mut g = Graph::new();
+    let mut pass = FrozenPass::new(model, &mut g);
+    examples.for_each_batch(ANALYSIS_BATCH, 0, &mut |batch| {
+        let plan = plans.next().expect("one plan per batch");
+        let values = pass.run(|g, bind, frozen| rows(g, bind, batch, frozen));
+        assert_eq!(values.len(), plan.idxs.len(), "one value per batch row");
+        for (i, v) in plan.idxs.into_iter().zip(values) {
+            out[i] = v;
+        }
+    });
+    out
+}
+
+/// The top-`k` `(item, score)` list of every example, in `examples` order:
+/// one [`per_example`] pass of [`RecModel::eval_scores_frozen`] with the
+/// serving engine's partial select per row (the pad item is never returned;
+/// ties break to the lower item ID). An empty history gets an empty list.
+pub fn recommend_each<M: RecModel + ?Sized>(
+    model: &M,
+    examples: &[Example],
+    k: usize,
+) -> Vec<Vec<(usize, f32)>> {
+    per_example(model, examples, |g, bind, batch, frozen| {
+        let scores = model.eval_scores_frozen(g, bind, batch, frozen);
+        let sv = g.value(scores);
+        sv.data()
+            .chunks(sv.shape()[1])
+            .map(|row| par_top_k(row, k))
+            .collect()
+    })
 }
 
 /// Train a model with Adam + early stopping; restores the best checkpoint
@@ -512,13 +596,21 @@ mod tests {
             let loss = self.0.loss(g, bind, batch, rng);
             g.scale(loss, f32::NAN)
         }
-        fn eval_scores(
+        fn precompute_frozen(
+            &self,
+            g: &mut Graph,
+            bind: &ssdrec_tensor::Binding,
+        ) -> Vec<ssdrec_tensor::Var> {
+            self.0.precompute_frozen(g, bind)
+        }
+        fn eval_scores_frozen(
             &self,
             g: &mut Graph,
             bind: &ssdrec_tensor::Binding,
             batch: &ssdrec_data::Batch,
+            frozen: &[ssdrec_tensor::Var],
         ) -> ssdrec_tensor::Var {
-            self.0.eval_scores(g, bind, batch)
+            self.0.eval_scores_frozen(g, bind, batch, frozen)
         }
         fn model_name(&self) -> String {
             "diverged".into()

@@ -30,8 +30,17 @@ impl RecModel for NanOnSteps {
             loss
         }
     }
-    fn eval_scores(&self, g: &mut Graph, bind: &Binding, batch: &Batch) -> Var {
-        self.inner.eval_scores(g, bind, batch)
+    fn precompute_frozen(&self, g: &mut Graph, bind: &Binding) -> Vec<Var> {
+        self.inner.precompute_frozen(g, bind)
+    }
+    fn eval_scores_frozen(
+        &self,
+        g: &mut Graph,
+        bind: &Binding,
+        batch: &Batch,
+        frozen: &[Var],
+    ) -> Var {
+        self.inner.eval_scores_frozen(g, bind, batch, frozen)
     }
     fn model_name(&self) -> String {
         self.inner.model_name()

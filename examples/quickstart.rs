@@ -5,6 +5,7 @@
 
 use ssdrec::core::{SsdRec, SsdRecConfig};
 use ssdrec::data::{prepare, SyntheticConfig};
+use ssdrec::denoise::keep_each;
 use ssdrec::graph::{build_graph, GraphConfig};
 use ssdrec::models::{train, BackboneKind, TrainConfig};
 
@@ -62,11 +63,11 @@ fn main() {
 
     // 6. Inspect the denoiser on one test user.
     let ex = &split.test[0];
-    let kept = model.keep_decisions_for(&ex.seq, ex.user);
+    let keep = keep_each(&model, std::slice::from_ref(ex)).remove(0);
     let dropped: Vec<usize> = ex
         .seq
         .iter()
-        .zip(&kept)
+        .zip(&keep.kept)
         .filter(|(_, &k)| !k)
         .map(|(&it, _)| it)
         .collect();

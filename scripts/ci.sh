@@ -49,7 +49,11 @@
 #      SSDREC_THREADS=1 and --threads 4.
 #  15. ssdrec-bench smoke: `table4 --fast` runs every method and writes
 #      results/table4_fast.json with the CL4SRec and MGSD-WSS rows;
-#      `data-scale --fast` runs the out-of-core phases end to end.
+#      `data-scale --fast` runs the out-of-core phases end to end; the
+#      batched analysis path (`fig1 --fast`, `fig4 --fast --users 3`) must
+#      write byte-identical results/fig1_oup.csv and
+#      results/fig4_case_study.csv under SSDREC_THREADS=1 and
+#      SSDREC_THREADS=4 (capped at the host's cores); prints its wall time.
 #  16. Repo benchmark: benchmark/probes and benchmark/driver build against
 #      the working tree (removing a public item a probe times fails here
 #      instead of silently nulling a per-layer metric), then
@@ -406,7 +410,7 @@ for sc in contrastive mgsd; do
 done
 echo "ok: --contrastive and --mgsd metrics byte-identical at 1 and 4 threads"
 
-echo "== ssdrec-bench smoke (table4, data-scale --fast) =="
+echo "== ssdrec-bench smoke (table4, data-scale --fast, fig1/fig4 at 1 vs 4 threads) =="
 # results/ is not under version control; a fresh checkout has none.
 rm -f results/table4_fast.json
 ./target/release/ssdrec-bench table4 --fast >/dev/null
@@ -415,6 +419,18 @@ for want in DSAN FMLP-Rec HSD DCRec STEAM CL4SRec MGSD-WSS SSDRec; do
 done
 ./target/release/ssdrec-bench data-scale --fast >/dev/null
 echo "ok: table4_fast.json has a row per method; data-scale ran"
+ANALYSIS_START=$SECONDS
+for threads in 1 4; do
+    SSDREC_THREADS=$threads ./target/release/ssdrec-bench fig1 --fast >/dev/null
+    cp results/fig1_oup.csv "$SMOKE_DIR/fig1_oup_t$threads.csv"
+    SSDREC_THREADS=$threads ./target/release/ssdrec-bench fig4 --fast --users 3 >/dev/null
+    cp results/fig4_case_study.csv "$SMOKE_DIR/fig4_case_study_t$threads.csv"
+done
+for csv in fig1_oup fig4_case_study; do
+    cmp "$SMOKE_DIR/${csv}_t1.csv" "$SMOKE_DIR/${csv}_t4.csv" ||
+        die "batched analysis: results/$csv.csv differs between 1 and 4 threads"
+done
+echo "ok: fig1 and fig4 results byte-identical at 1 and 4 threads (+$((SECONDS - ANALYSIS_START)) s)"
 
 echo "== repo benchmark (probes + driver API wall, then run.sh --smoke) =="
 for pkg in probes driver; do

@@ -7,13 +7,24 @@ mod common;
 
 use common::train_config;
 use ssdrec::core::{build_model, ModelKind, Prepared};
-use ssdrec::data::{inject_unobserved, prepare, SyntheticConfig};
-use ssdrec::denoise::{DcRec, Denoiser, Dsan, FmlpRec, Hsd, Mgsd, Steam};
+use ssdrec::data::{inject_unobserved, prepare, Example, SyntheticConfig};
+use ssdrec::denoise::{keep_each, DcRec, Denoiser, Dsan, FmlpRec, Hsd, Keep, Mgsd, Steam};
 use ssdrec::metrics::OupAccumulator;
 use ssdrec::models::{train, BackboneKind, RecModel};
 
 fn tiny_world() -> Prepared {
     common::sports_world(0.12, 5)
+}
+
+/// User 0's keep output for `seq` through the batched path.
+fn keep_one(model: &dyn Denoiser, seq: &[usize]) -> Keep {
+    let ex = Example {
+        user: 0,
+        seq: seq.to_vec(),
+        target: 1,
+        noise: None,
+    };
+    keep_each(model, &[ex]).remove(0)
 }
 
 /// Every kind, built from the model table, trains two epochs on the tiny
@@ -45,8 +56,11 @@ fn implicit_methods_never_drop_items() {
     let fmlp = FmlpRec::new(ds.num_items, 8, 50, 1, 0);
     let dcrec = DcRec::new(ds.num_items, 8, 50, &prep.item_freq, 0);
     let seq: Vec<usize> = (1..=6).map(|i| (i % ds.num_items) + 1).collect();
-    assert!(fmlp.keep_decisions(&seq, 0).iter().all(|&k| k));
-    assert!(dcrec.keep_decisions(&seq, 0).iter().all(|&k| k));
+    for model in [&fmlp as &dyn Denoiser, &dcrec] {
+        let kept = keep_one(model, &seq).kept;
+        assert_eq!(kept.len(), seq.len());
+        assert!(kept.iter().all(|&k| k));
+    }
 }
 
 #[test]
@@ -56,19 +70,15 @@ fn keep_scores_align_with_decisions_length() {
     let steam = Steam::new(ds.num_items, 8, 50, 1);
     let dsan = Dsan::new(ds.num_items, 8, 1);
     let seq: Vec<usize> = (1..=7).map(|i| (i % ds.num_items) + 1).collect();
-    for (name, scores, decisions) in [
-        ("hsd", hsd.keep_scores(&seq, 0), hsd.keep_decisions(&seq, 0)),
-        (
-            "steam",
-            steam.keep_scores(&seq, 0),
-            steam.keep_decisions(&seq, 0),
-        ),
-        (
-            "dsan",
-            dsan.keep_scores(&seq, 0),
-            dsan.keep_decisions(&seq, 0),
-        ),
+    for (name, model) in [
+        ("hsd", &hsd as &dyn Denoiser),
+        ("steam", &steam),
+        ("dsan", &dsan),
     ] {
+        let Keep {
+            scores,
+            kept: decisions,
+        } = keep_one(model, &seq);
         assert_eq!(scores.len(), seq.len(), "{name} scores");
         assert_eq!(decisions.len(), seq.len(), "{name} decisions");
         assert!(
@@ -92,12 +102,12 @@ fn oup_measurement_pipeline_runs() {
     train(&mut hsd, &split, &train_config(2, 7));
 
     let mut acc = OupAccumulator::new();
-    for ex in &split.test {
+    for (ex, keep) in split.test.iter().zip(keep_each(&hsd, &split.test)) {
         let Some(noise) = &ex.noise else { continue };
         if ex.seq.is_empty() {
             continue;
         }
-        acc.push(noise, &hsd.keep_decisions(&ex.seq, ex.user));
+        acc.push(noise, &keep.kept);
     }
     assert!(acc.total() > 0, "no labelled positions measured");
     assert!((0.0..=1.0).contains(&acc.under_denoising_ratio()));
@@ -136,13 +146,12 @@ fn mgsd_weak_supervision_recovers_injected_noise() {
     let mut labelled = 0usize;
     let mut noisy_positions = 0usize;
     let mut acc = OupAccumulator::new();
-    for ex in &split.test {
+    for (ex, Keep { scores, kept }) in split.test.iter().zip(keep_each(&mgsd, &split.test)) {
         let Some(noise) = &ex.noise else { continue };
         if ex.seq.is_empty() {
             continue;
         }
-        let scores = mgsd.keep_scores(&ex.seq, ex.user);
-        acc.push(noise, &mgsd.keep_decisions(&ex.seq, ex.user));
+        acc.push(noise, &kept);
         labelled += noise.len();
         let k = noise.iter().filter(|&&n| n).count();
         noisy_positions += k;

@@ -100,12 +100,16 @@ fn keep_decisions_and_explain_work_after_training() {
         .iter()
         .find(|e| e.seq.len() >= 4)
         .expect("a long-enough test example");
-    let kept = model.keep_decisions_for(&ex.seq, ex.user);
-    assert_eq!(kept.len(), ex.seq.len());
+    let one = std::slice::from_ref(ex);
+    let keep = ssdrec::denoise::keep_each(&model, one).remove(0);
+    assert_eq!(keep.kept.len(), ex.seq.len());
 
     let mut rng = ssdrec::tensor::Rng::seed(0);
-    let cs = model.explain(&ex.seq, ex.user, ex.target, &mut rng);
-    assert_eq!(cs.kept.len(), ex.seq.len());
+    let cs = model.explain(one, &mut rng).remove(0);
+    assert_eq!(
+        cs.kept, keep.kept,
+        "the trace and the keep pass decide alike"
+    );
     assert!(cs.raw_score.is_finite() && cs.denoised_score.is_finite());
 }
 
