@@ -7,7 +7,7 @@
 //!                  [--baseline | --contrastive | --mgsd] [--out CKPT] [--verbose]
 //!                  [--cl-weight W] [--cl-tau T] [--aug-rate R]
 //!                  [--state PATH [--resume] [--checkpoint-every N]]
-//! ssdrec recommend --model CKPT --user U [--k K] (same data/arch flags as train)
+//! ssdrec recommend --model CKPT --user U [--k K] (same data/arch/scenario flags as train)
 //! ssdrec denoise   (same data/arch flags as train) [--user U]
 //! ssdrec serve     --model CKPT [--addr HOST:PORT] [--workers N] [--max-batch B]
 //!                  [--linger-ms MS] [--cache N] [--max-queue N]
@@ -23,11 +23,10 @@
 //! ```
 //!
 //! `gen-data` materializes a dataset as a binary columnar `.ssdc` file;
-//! `train --data FILE.ssdc` trains straight off it. `--data-mode windowed`
-//! (the default) streams sequences through a bounded window so peak RAM
-//! stays independent of corpus size; `--data-mode ram` decodes the file
-//! fully first. Both modes are bit-identical: same batches, same metrics,
-//! same checkpoints.
+//! `train --data FILE.ssdc` trains straight off it, streaming sequences
+//! through a bounded window so peak RAM stays independent of corpus size.
+//! The result is bit-identical to training the same dataset in RAM: same
+//! batches, same metrics, same checkpoints.
 //!
 //! `--baseline` trains the bare backbone instead of wrapping it in SSDRec.
 //! `--state PATH` checkpoints full training state (params, optimizer
@@ -48,8 +47,8 @@ use std::process::ExitCode;
 use args::Args;
 use ssdrec_core::{build_model, ModelContext, ModelKind, Prepared, SsdRec};
 use ssdrec_data::{
-    decode_dataset, load_interactions, load_to_columnar, plan_leave_one_out, ColumnarReader,
-    Dataset, Example, LoadOptions, SequenceStore, SyntheticConfig, TruncatedStore,
+    load_interactions, load_to_columnar, plan_leave_one_out, ColumnarReader, Dataset, Example,
+    LoadOptions, SequenceStore, SyntheticConfig, TruncatedStore,
 };
 use ssdrec_denoise::keep_each;
 use ssdrec_graph::{build_graph, build_graph_from_store, GraphConfig};
@@ -77,8 +76,6 @@ fn usage() -> &'static str {
      --file PATH --format movielens|csv           load real interaction data instead\n\
      --out FILE.ssdc  destination columnar file (gen-data)\n\
      --data FILE.ssdc train/ingest from a columnar file (train, ingest)\n\
-     --data-mode windowed|ram   how train reads --data (default windowed;\n\
-                     both modes are bit-identical, windowed bounds peak RAM)\n\
      --backbone SASRec|GRU4Rec|NARM|STAMP|Caser|BERT4Rec (default SASRec)\n\
      --dim D --epochs E --batch-size B --max-len L --seed S\n\
      --patience P    early-stopping patience in epochs (default 5; train, denoise)\n\
@@ -288,42 +285,27 @@ fn print_report(report: &TrainReport) {
 /// then build the model from the table and run the trainer.
 ///
 /// `--profile`/`--file` take the in-RAM path: k-core filter, owned split.
-/// `--data FILE.ssdc [--data-mode windowed|ram]` is the out-of-core path:
-/// sequences are truncated lazily to `--max-len`, split with leave-one-out
-/// (min length 3, up to 3 training prefixes per user), the graph is built
-/// over the store only when the model [reads it](ModelKind::reads_graph),
-/// and the trainer pulls batches through
-/// [`StoreExamples`](ssdrec_data::StoreExamples) — in `windowed` mode
-/// nothing ever materializes the whole corpus. Both modes print identical
-/// metric lines, which CI diffs to pin the bit-identity contract.
+/// `--data FILE.ssdc` is the out-of-core path: the file is read through a
+/// bounded window, sequences are truncated lazily to `--max-len`, split
+/// with leave-one-out (min length 3, up to 3 training prefixes per user),
+/// the graph is built over the store only when the model
+/// [reads it](ModelKind::reads_graph), and the trainer pulls batches
+/// through [`StoreExamples`](ssdrec_data::StoreExamples) — nothing ever
+/// materializes the whole corpus. Its metric lines are bit-identical to
+/// training the same dataset in RAM.
 fn cmd_train(a: &Args) -> Result<(), String> {
     // A bad model flag is reported where the model is built, after the
     // lines printed before it; resolving it here only decides the graph.
     let kind = model_kind(a);
     // Whichever backing the input resolves to must outlive the training run.
-    let (prep, reader, decoded, store, plan, views, graph);
+    let (prep, reader, store, plan, views, graph);
     let (ctx, sources): (ModelContext<'_>, SourceSplit<'_>) = if let Some(data) = a.get("data") {
         if a.get("file").is_some() || a.get("profile").is_some() {
             return Err("--data is exclusive with --file/--profile".into());
         }
-        let mode = a.get_or("data-mode", "windowed");
         let max_len: usize = a.get_parse("max-len", 50)?;
-        let base: &dyn SequenceStore = match mode {
-            "windowed" => {
-                reader = ColumnarReader::open(data).map_err(|e| e.to_string())?;
-                &reader
-            }
-            "ram" => {
-                decoded = decode_dataset(data).map_err(|e| e.to_string())?;
-                &decoded
-            }
-            other => {
-                return Err(format!(
-                    "unknown --data-mode {other} (expected \"windowed\" or \"ram\")"
-                ))
-            }
-        };
-        store = TruncatedStore::new(base, max_len);
+        reader = ColumnarReader::open(data).map_err(|e| e.to_string())?;
+        store = TruncatedStore::new(&reader, max_len);
         plan = plan_leave_one_out(&store, 3, 3);
         if plan.test.is_empty() {
             return Err("no usable sequences in the columnar file (need length ≥ 3)".into());
@@ -331,7 +313,7 @@ fn cmd_train(a: &Args) -> Result<(), String> {
         views = plan.views(&store);
         let sources = SourceSplit::from(&views);
         print_data_line(store.num_items(), &sources);
-        println!("mode : {mode} ({data})");
+        println!("mode : windowed ({data})");
         graph = kind
             .as_ref()
             .is_ok_and(|k| k.reads_graph())
@@ -404,17 +386,21 @@ fn cmd_gen_data(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The model `train` builds for these flags, its parameters loaded from
+/// `ckpt`: any checkpoint `train --out` wrote with the same flags loads.
+fn load_trained_model(a: &Args, prep: &Prepared, ckpt: &str) -> Result<Box<dyn RecModel>, String> {
+    let mut model = build_model(model_kind(a)?, &model_context(a, prep)?);
+    load_params(model.store_mut(), ckpt).map_err(|e| e.to_string())?;
+    Ok(model)
+}
+
 fn cmd_recommend(a: &Args) -> Result<(), String> {
     let prep = prepare_data(a)?;
-    let mut model = build_ssdrec(a, &prep)?;
-    if let Some(ckpt) = a.get("model") {
-        load_params(&mut model.store, ckpt).map_err(|e| e.to_string())?;
-        println!("loaded checkpoint {ckpt}");
-    } else {
-        return Err(
-            "recommend requires --model CKPT (train one with `ssdrec train --out ...`)".into(),
-        );
-    }
+    let ckpt = a
+        .get("model")
+        .ok_or("recommend requires --model CKPT (train one with `ssdrec train --out ...`)")?;
+    let model = load_trained_model(a, &prep, ckpt)?;
+    println!("loaded checkpoint {ckpt}");
     let user: usize = a.get_parse("user", 0)?;
     let k: usize = a.get_parse("k", 10)?;
     let ex = prep
@@ -725,11 +711,19 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     if a.has_flag("watch-current") || a.get("reload-poll-ms").is_some() {
         return Err("--watch-current/--reload-poll-ms require serving from --ckpt-dir".into());
     }
+    let kind = model_kind(a)?;
+    if !matches!(kind, ModelKind::Backbone | ModelKind::SsdRec) {
+        return Err(
+            "serve --model serves two kinds: SSDRec (the default) and the bare backbone \
+             (--baseline)"
+                .into(),
+        );
+    }
     let prep = prepare_data(a)?;
     let ckpt = a
         .get("model")
         .ok_or("serve requires --model CKPT (train one with `ssdrec train --out ...`)")?;
-    let model: InferenceModel = if a.has_flag("baseline") {
+    let model: InferenceModel = if kind == ModelKind::Backbone {
         let ctx = model_context(a, &prep)?;
         let mut m = SeqRec::new(ctx.backbone, ctx.num_items, ctx.dim, ctx.max_len, ctx.seed);
         load_params(&mut m.store, ckpt).map_err(|e| e.to_string())?;
@@ -858,7 +852,6 @@ mod cli_tests {
             "cl-weight",
             "contrastive",
             "data",
-            "data-mode",
             "dim",
             "epochs",
             "events",
@@ -892,7 +885,7 @@ mod cli_tests {
         ] {
             assert!(known.contains(name), "usage text omits --{name}");
         }
-        assert_eq!(known.len(), 43, "{known:?}");
+        assert_eq!(known.len(), 42, "{known:?}");
     }
 
     #[test]
@@ -950,6 +943,50 @@ mod cli_tests {
             let model = build_model(model_kind(&a).unwrap(), &model_context(&a, &prep).unwrap());
             assert_eq!(model.model_name(), name, "for {flags:?}");
         }
+    }
+
+    #[test]
+    fn recommend_loads_the_checkpoint_train_writes_for_each_scenario() {
+        let data = "--profile beauty --scale 0.05 --dim 8 --max-len 12";
+        let prep = prepare_data(&parse(&format!("train {data}"))).unwrap();
+        let ex = &prep.split.test[0];
+        let path = std::env::temp_dir().join(format!("ssdrec-cli-{}.ssdt", std::process::id()));
+        let ckpt = path.to_str().unwrap();
+        for flags in ["", "--baseline", "--contrastive", "--mgsd"] {
+            let train = parse(&format!("train {data} {flags}"));
+            let trained = build_model(
+                model_kind(&train).unwrap(),
+                &model_context(&train, &prep).unwrap(),
+            );
+            save_params(trained.store(), ckpt).unwrap();
+            let recommend = parse(&format!("recommend {data} {flags} --model {ckpt}"));
+            let model = load_trained_model(&recommend, &prep, ckpt)
+                .unwrap_or_else(|e| panic!("for {flags:?}: {e}"));
+            assert_eq!(model.model_name(), trained.model_name());
+            assert_eq!(
+                model.recommend(ex.user, &ex.seq, 5).len(),
+                5,
+                "for {flags:?}"
+            );
+        }
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn serve_refuses_the_kinds_it_cannot_serve_before_loading() {
+        // `--model` names no file: the refusal comes before any load.
+        for flags in ["--contrastive", "--mgsd"] {
+            let err =
+                cmd_serve(&parse(&format!("serve {flags} --model missing.ssdt"))).unwrap_err();
+            assert_eq!(
+                err,
+                "serve --model serves two kinds: SSDRec (the default) and the bare backbone \
+                 (--baseline)",
+                "for {flags:?}"
+            );
+        }
+        let err = cmd_serve(&parse("serve --baseline --mgsd --model missing.ssdt")).unwrap_err();
+        assert!(err.contains("mutually exclusive"), "got: {err}");
     }
 
     #[test]

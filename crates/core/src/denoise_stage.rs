@@ -11,17 +11,13 @@ use ssdrec_denoise::HsdCore;
 use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Var};
 
 use crate::augment::{Augmented, SelfAugmenter};
-use crate::fden::{AttentionGate, FdenKind};
 
-/// The hierarchical denoiser: HDM scorer + pluggable `f_den` (HSD core).
+/// The hierarchical denoiser: HDM scorer + `f_den` (HSD core).
 pub struct HierarchicalDenoiser {
     /// `Θ_hdm`: an independent instance of the position-selector scorer.
     pub hdm: SelfAugmenter,
-    /// `f_den`: HSD's inconsistency-signal denoiser (always constructed; its
-    /// calibration/masking machinery is shared by every gate).
+    /// `f_den`: HSD's inconsistency-signal denoiser.
     pub hsd: HsdCore,
-    /// Alternative gate, present when `fden == FdenKind::AttentionGate`.
-    attention_gate: Option<AttentionGate>,
     /// Relative keep threshold β (see `ssdrec_denoise::relative_keep`).
     pub keep_beta: f32,
     /// Calibration sharpness κ (see `HsdCore::calibrate`).
@@ -45,36 +41,12 @@ impl HierarchicalDenoiser {
         keep_kappa: f32,
         rng: &mut Rng,
     ) -> Self {
-        Self::with_options(store, name, d, keep_beta, keep_kappa, FdenKind::Hsd, rng)
-    }
-
-    /// Build with every option explicit, including the `f_den` gate kind.
-    pub fn with_options(
-        store: &mut ParamStore,
-        name: &str,
-        d: usize,
-        keep_beta: f32,
-        keep_kappa: f32,
-        fden: FdenKind,
-        rng: &mut Rng,
-    ) -> Self {
-        let attention_gate = (fden == FdenKind::AttentionGate)
-            .then(|| AttentionGate::new(store, &format!("{name}.attn_gate"), d, rng));
         HierarchicalDenoiser {
             hdm: SelfAugmenter::new(store, &format!("{name}.hdm"), d, rng),
             hsd: HsdCore::new(store, &format!("{name}.hsd"), d, rng),
-            attention_gate,
             keep_beta,
             keep_kappa,
             dim: d,
-        }
-    }
-
-    /// Raw per-position keep scores from whichever `f_den` gate is active.
-    fn gate_probs(&self, g: &mut Graph, bind: &Binding, h_seq: Var, user: Var) -> Var {
-        match &self.attention_gate {
-            Some(gate) => gate.keep_probs(g, bind, h_seq, user),
-            None => self.hsd.keep_probs(g, bind, h_seq, user),
         }
     }
 
@@ -168,7 +140,7 @@ impl HierarchicalDenoiser {
         user: Var,
         prior: Option<Var>,
     ) -> (Var, Var) {
-        let mut probs = self.gate_probs(g, bind, h_raw, user);
+        let mut probs = self.hsd.keep_probs(g, bind, h_raw, user);
         if let Some(p) = prior {
             probs = g.mul(probs, p);
         }
@@ -187,7 +159,7 @@ impl HierarchicalDenoiser {
         copy_matrix: Option<Var>,
         user: Var,
     ) -> Var {
-        let probs_ctx = self.gate_probs(g, bind, h_ctx, user); // B×T'
+        let probs_ctx = self.hsd.keep_probs(g, bind, h_ctx, user); // B×T'
         match copy_matrix {
             None => probs_ctx,
             Some(cm) => {

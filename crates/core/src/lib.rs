@@ -22,7 +22,6 @@
 
 pub mod augment;
 pub mod denoise_stage;
-pub mod fden;
 pub mod model;
 pub mod relation_encoder;
 pub mod util;
@@ -30,7 +29,6 @@ pub mod zoo;
 
 pub use augment::{Augmented, SelfAugmenter};
 pub use denoise_stage::HierarchicalDenoiser;
-pub use fden::{AttentionGate, FdenKind};
 pub use model::{CaseStudy, SsdRec, SsdRecConfig};
 pub use relation_encoder::{GlobalRelationEncoder, RelationAdjacency, RelationOutput};
 pub use zoo::{build_model, ModelContext, ModelKind, Prepared};

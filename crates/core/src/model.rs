@@ -66,9 +66,6 @@ pub struct SsdRecConfig {
     pub keep_beta: f32,
     /// Calibration sharpness κ for the stage-3 gate.
     pub keep_kappa: f32,
-    /// Which `f_den` gate stage 3 uses (paper: HSD; attention gate is the
-    /// cheap DSAN-style alternative).
-    pub fden: crate::fden::FdenKind,
     /// Parameter-init / sampling seed.
     pub seed: u64,
 }
@@ -94,7 +91,6 @@ impl Default for SsdRecConfig {
             coherence_kappa: 2.0,
             keep_beta: ssdrec_denoise::RELATIVE_KEEP_BETA,
             keep_kappa: 8.0,
-            fden: crate::fden::FdenKind::Hsd,
             seed: 20_24,
         }
     }
@@ -173,13 +169,12 @@ impl SsdRec {
             )
         });
         let augmenter = SelfAugmenter::new(&mut store, "ssdrec.aug", d, &mut rng);
-        let denoiser = HierarchicalDenoiser::with_options(
+        let denoiser = HierarchicalDenoiser::with_keep_rule(
             &mut store,
             "ssdrec.den",
             d,
             cfg.keep_beta,
             cfg.keep_kappa,
-            cfg.fden,
             &mut rng,
         );
         let backbone = build_encoder(cfg.backbone, &mut store, d, cfg.max_len + 2, &mut rng);
@@ -809,94 +804,22 @@ mod curriculum_tests {
     }
 }
 
-#[cfg(test)]
-mod fden_tests {
-    use super::*;
-    use crate::fden::FdenKind;
-    use ssdrec_data::SyntheticConfig;
-    use ssdrec_graph::{build_graph, GraphConfig};
-    use ssdrec_models::RecModel;
-
-    #[test]
-    fn attention_gate_fden_trains_end_to_end() {
-        let ds = SyntheticConfig::beauty().scaled(0.1).generate();
-        let mg = build_graph(&ds, &GraphConfig::default());
-        let cfg = SsdRecConfig {
-            dim: 8,
-            max_len: 50,
-            fden: FdenKind::AttentionGate,
-            ..SsdRecConfig::default()
-        };
-        let m = SsdRec::new(&mg, cfg);
-        let batch = Batch {
-            users: vec![0, 1],
-            items: (0..10).map(|i| (i % m.num_items()) + 1).collect(),
-            seq_len: 5,
-            targets: vec![1, 2],
-            noise: None,
-        };
-        let mut g = Graph::new();
-        let bind = m.store.bind_all(&mut g);
-        let mut rng = Rng::seed(0);
-        let loss = m.loss(&mut g, &bind, &batch, &mut rng);
-        assert!(g.value(loss).item().is_finite());
-        let grads = g.backward(loss);
-        assert!(grads.get(bind.var(m.item_emb.weight())).is_some());
-        // Keep decisions still work through the alternative gate.
-        let ex = Example {
-            user: 0,
-            seq: (1..=6).map(|i| (i % m.num_items()) + 1).collect(),
-            target: 1,
-            noise: None,
-        };
-        assert_eq!(ssdrec_denoise::keep_each(&m, &[ex])[0].kept.len(), 6);
-    }
-
-    #[test]
-    fn hsd_and_attention_gates_differ() {
-        let ds = SyntheticConfig::beauty().scaled(0.1).generate();
-        let mg = build_graph(&ds, &GraphConfig::default());
-        let run = |fden: FdenKind| {
-            let cfg = SsdRecConfig {
-                dim: 8,
-                max_len: 50,
-                fden,
-                ..SsdRecConfig::default()
-            };
-            let m = SsdRec::new(&mg, cfg);
-            let ex = Example {
-                user: 0,
-                seq: (1..=6).map(|i| (i % m.num_items()) + 1).collect(),
-                target: 1,
-                noise: None,
-            };
-            ssdrec_denoise::keep_each(&m, &[ex]).remove(0).scores
-        };
-        assert_ne!(run(FdenKind::Hsd), run(FdenKind::AttentionGate));
-    }
-}
-
 /// The oracle wall of the batched analysis path: keep output, offline
 /// top-K and case-study traces against SSDRec's per-sequence code as it
 /// stood before they moved onto the frozen eval pass, kept verbatim here.
 #[cfg(test)]
 mod oracle_tests {
     use super::*;
-    use crate::fden::FdenKind;
     use ssdrec_data::SyntheticConfig;
     use ssdrec_denoise::keep_each;
     use ssdrec_graph::{build_graph, GraphConfig};
     use ssdrec_models::recommend_each;
 
-    /// The default model, stage 1 ablated, and the attention-gate `f_den`.
+    /// The default model and stage 1 ablated.
     fn variants() -> Vec<SsdRec> {
         let ds = SyntheticConfig::beauty().scaled(0.1).generate();
         let mg = build_graph(&ds, &GraphConfig::default());
-        let tweaks: [fn(&mut SsdRecConfig); 3] = [
-            |_| {},
-            |c| c.stage1 = false,
-            |c| c.fden = FdenKind::AttentionGate,
-        ];
+        let tweaks: [fn(&mut SsdRecConfig); 2] = [|_| {}, |c| c.stage1 = false];
         tweaks
             .iter()
             .map(|tweak| {

@@ -1,11 +1,15 @@
 //! The model table: how a named scenario becomes a trainable model.
 //!
 //! Every caller that only needs something the shared trainer can optimise —
-//! the CLI's `train`, the table/figure harness, the efficiency benches —
-//! builds it here, from a [`ModelKind`] and one [`ModelContext`], and gets a
-//! `Box<dyn RecModel>`. Code that needs a concrete type (SSDRec's stage
-//! toggles, a denoiser's `keep`, the serving engine's frozen
-//! forward) constructs that type directly.
+//! the CLI's `train` and `recommend`, the table/figure harness, the
+//! efficiency benches — builds it here, from a [`ModelKind`] and one
+//! [`ModelContext`], and gets a `Box<dyn RecModel>`. The serving engine
+//! holds a boxed model too, but three callers still construct a concrete
+//! type, each for a bound the trait object does not carry:
+//! - `denoise` needs SSDRec's `Denoiser::keep`;
+//! - `serve --model` and `stream::materialize_model` need the concrete
+//!   types behind `InferenceModel`'s catalogue bounds, which the probes
+//!   also reach through `.into()`.
 
 use ssdrec_data::{prepare, Dataset, Split};
 use ssdrec_denoise::{DcRec, Dsan, FmlpRec, Hsd, Mgsd, Steam};

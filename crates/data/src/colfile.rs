@@ -771,8 +771,3 @@ pub fn encode_dataset(
     }
     w.finish()
 }
-
-/// Read a columnar file fully into an in-RAM [`Dataset`].
-pub fn decode_dataset(path: impl AsRef<Path>) -> Result<Dataset, FormatError> {
-    Ok(ColumnarReader::open(path)?.to_dataset())
-}

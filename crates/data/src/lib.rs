@@ -23,9 +23,7 @@ pub mod synthetic;
 pub use batch::{
     make_batches, plan_batches, Batch, BatchIter, BatchPlan, BatchSource, StoreExamples,
 };
-pub use colfile::{
-    decode_dataset, encode_dataset, ColumnarReader, ColumnarSummary, ColumnarWriter,
-};
+pub use colfile::{encode_dataset, ColumnarReader, ColumnarSummary, ColumnarWriter};
 pub use format::{crc32, Crc32, FormatError};
 pub use interaction::{Dataset, Example, Interaction, Split, PAD_ITEM};
 pub use loader::{

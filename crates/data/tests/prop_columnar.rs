@@ -11,8 +11,8 @@ use ssdrec_testkit::fault::{assert_fired_exactly, FaultPlan};
 use ssdrec_testkit::{property, Gen};
 
 use ssdrec_data::{
-    decode_dataset, encode_dataset, make_batches, plan_leave_one_out, BatchIter, ColumnarReader,
-    Dataset, FormatError, SequenceStore, SyntheticConfig, TruncatedStore,
+    encode_dataset, make_batches, plan_leave_one_out, BatchIter, ColumnarReader, Dataset,
+    FormatError, SequenceStore, SyntheticConfig, TruncatedStore,
 };
 
 /// A unique scratch path per call (property cases run many files through
@@ -65,7 +65,7 @@ property! {
         let p1 = scratch("rt1");
         let p2 = scratch("rt2");
         encode_dataset(&ds, &p1).expect("encode");
-        let back = decode_dataset(&p1).expect("decode");
+        let back = ColumnarReader::open(&p1).expect("decode").to_dataset();
         assert_eq!(back.name, ds.name);
         assert_eq!(back.num_users, ds.num_users);
         assert_eq!(back.num_items, ds.num_items);
@@ -214,7 +214,7 @@ fn windowed_random_access_matches_sequential() {
     let path = scratch("window");
     cfg.generate_to(&path).expect("generate_to");
     let reader = ColumnarReader::open(&path).expect("open");
-    let ds = decode_dataset(&path).expect("decode");
+    let ds = ColumnarReader::open(&path).expect("decode").to_dataset();
     let mut buf = Vec::new();
     let n = SequenceStore::num_users(&reader);
     assert_eq!(n, ds.num_users);

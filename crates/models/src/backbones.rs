@@ -31,12 +31,6 @@ impl SeqEncoder for Gru4RecEncoder {
         last
     }
 
-    fn encode_causal_all(&self, g: &mut Graph, bind: &Binding, h_seq: Var) -> Option<Var> {
-        // A left-to-right GRU is causal by construction.
-        let (all, _) = self.gru.forward(g, bind, h_seq);
-        Some(all)
-    }
-
     fn name(&self) -> &'static str {
         "GRU4Rec"
     }
@@ -291,8 +285,8 @@ impl SasRecEncoder {
 
 impl SeqEncoder for SasRecEncoder {
     /// The inner blocks at every position, the last block in its
-    /// readout-only form: bit-equal to the last row of
-    /// [`encode_causal_all`](SeqEncoder::encode_causal_all).
+    /// readout-only form: bit-equal to the last row of every block run at
+    /// every position, then `select_time`.
     fn encode(&self, g: &mut Graph, bind: &Binding, h_seq: Var) -> Var {
         let (_b, t, _d) = g.value(h_seq).dims3();
         let x = self.pos.add_to(g, bind, h_seq);
@@ -300,16 +294,6 @@ impl SeqEncoder for SasRecEncoder {
         // The causal mask's last row: nothing after `T − 1` to hide.
         let last_row = g.constant(Tensor::zeros(&[1, t]));
         encode_last(g, bind, &self.blocks, x, Some(mask), Some(last_row))
-    }
-
-    fn encode_causal_all(&self, g: &mut Graph, bind: &Binding, h_seq: Var) -> Option<Var> {
-        let (_b, t, _d) = g.value(h_seq).dims3();
-        let mut x = self.pos.add_to(g, bind, h_seq);
-        let mask = g.constant(causal_mask(t));
-        for blk in &self.blocks {
-            x = blk.forward(g, bind, x, Some(mask));
-        }
-        Some(x)
     }
 
     fn name(&self) -> &'static str {

@@ -18,14 +18,6 @@ pub trait SeqEncoder: Send + Sync {
     /// representation per sequence.
     fn encode(&self, g: &mut Graph, bind: &Binding, h_seq: Var) -> Var;
 
-    /// Per-position states `B×T×d` where position `t`'s state may only
-    /// depend on inputs `≤ t` — the prerequisite for autoregressive
-    /// training. `None` (the default) means the encoder is not causal
-    /// position-wise and only supports last-position training.
-    fn encode_causal_all(&self, _g: &mut Graph, _bind: &Binding, _h_seq: Var) -> Option<Var> {
-        None
-    }
-
     /// The model's display name (as used in the paper's tables).
     fn name(&self) -> &'static str;
 }

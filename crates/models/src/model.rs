@@ -138,28 +138,6 @@ pub trait RecModel {
     }
 }
 
-/// Which training objective a [`SeqRec`] uses.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum Objective {
-    /// Cross-entropy at the final position only (the workspace default,
-    /// shared by every model so Table III compares encoders, not losses).
-    #[default]
-    LastPosition,
-    /// Autoregressive cross-entropy at *every* position (how the original
-    /// SASRec is trained). Requires a causal encoder
-    /// ([`SeqEncoder::encode_causal_all`]); falls back to last-position for
-    /// non-causal backbones.
-    AllPositions,
-    /// Bayesian Personalized Ranking with sampled negatives — the
-    /// "ranking-based loss" the paper attributes to GRU4Rec [12]. Pairwise:
-    /// `−log σ(score(target) − score(negative))` averaged over `negatives`
-    /// uniform non-target samples per example.
-    Bpr {
-        /// Negatives sampled per example.
-        negatives: usize,
-    },
-}
-
 /// A vanilla sequential recommender: embeddings → encoder → tied scorer.
 pub struct SeqRec {
     /// Trainable parameters.
@@ -172,8 +150,6 @@ pub struct SeqRec {
     pub dim: usize,
     /// Dropout probability on embedded sequences during training.
     pub dropout: f32,
-    /// Training objective.
-    pub objective: Objective,
     num_items: usize,
 }
 
@@ -196,7 +172,6 @@ impl SeqRec {
             encoder,
             dim,
             dropout: 0.1,
-            objective: Objective::default(),
             num_items,
         }
     }
@@ -238,91 +213,6 @@ impl SeqRec {
         let mean = g.mean_all(picked);
         g.neg(mean)
     }
-
-    /// BPR pairwise ranking loss over sampled negatives.
-    fn bpr_loss(
-        &self,
-        g: &mut Graph,
-        bind: &Binding,
-        batch: &Batch,
-        rng: &mut Rng,
-        negatives: usize,
-    ) -> Var {
-        assert!(negatives > 0, "BPR needs at least one negative");
-        let mut h = self.embed_batch(g, bind, batch);
-        if self.dropout > 0.0 {
-            let mask = rng.dropout_mask(g.value(h).len(), self.dropout);
-            h = g.dropout_with_mask(h, mask);
-        }
-        let h_s = self.encoder.encode(g, bind, h); // B×d
-        let tgt = self.item_emb.lookup(g, bind, &batch.targets); // B×d
-        let pm = g.mul(h_s, tgt);
-        let pos = g.sum_last(pm); // B
-
-        let mut total: Option<Var> = None;
-        for _ in 0..negatives {
-            let neg_ids: Vec<usize> = batch
-                .targets
-                .iter()
-                .map(|&t| {
-                    let mut n = rng.below(self.num_items) + 1;
-                    if n == t {
-                        n = n % self.num_items + 1;
-                    }
-                    n
-                })
-                .collect();
-            let neg = self.item_emb.lookup(g, bind, &neg_ids);
-            let nm = g.mul(h_s, neg);
-            let negs = g.sum_last(nm);
-            let diff = g.sub(pos, negs);
-            let p = g.sigmoid(diff);
-            let l = g.ln(p);
-            let l = g.mean_all(l);
-            total = Some(match total {
-                None => l,
-                Some(t) => g.add(t, l),
-            });
-        }
-        let sum = total.expect("negatives > 0");
-        let mean = g.scale(sum, 1.0 / negatives as f32);
-        g.neg(mean)
-    }
-
-    /// Autoregressive loss: every causal position `t` predicts the item at
-    /// `t+1` (the batch target for the final position). Returns `None` when
-    /// the encoder is not position-wise causal.
-    fn all_positions_loss(
-        &self,
-        g: &mut Graph,
-        bind: &Binding,
-        batch: &Batch,
-        rng: &mut Rng,
-    ) -> Option<Var> {
-        let b = batch.len();
-        let t = batch.seq_len;
-        let mut h = self.embed_batch(g, bind, batch);
-        if self.dropout > 0.0 {
-            let mask = rng.dropout_mask(g.value(h).len(), self.dropout);
-            h = g.dropout_with_mask(h, mask);
-        }
-        let states = self.encoder.encode_causal_all(g, bind, h)?; // B×T×d
-        let flat = g.reshape(states, &[b * t, self.dim]);
-        let logits = score_catalogue(g, self.item_emb.table(bind), flat); // (B·T)×(V+1)
-                                                                          // Position t predicts s_{t+1}; the last position predicts the target.
-        let mut targets = Vec::with_capacity(b * t);
-        for i in 0..b {
-            let seq = batch.seq(i);
-            for ti in 0..t {
-                targets.push(if ti + 1 < t {
-                    seq[ti + 1]
-                } else {
-                    batch.targets[i]
-                });
-            }
-        }
-        Some(self.ce_loss(g, logits, &targets))
-    }
 }
 
 impl RecModel for SeqRec {
@@ -335,17 +225,6 @@ impl RecModel for SeqRec {
     }
 
     fn loss(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: &mut Rng) -> Var {
-        match self.objective {
-            Objective::AllPositions => {
-                if let Some(loss) = self.all_positions_loss(g, bind, batch, rng) {
-                    return loss;
-                }
-            }
-            Objective::Bpr { negatives } => {
-                return self.bpr_loss(g, bind, batch, rng, negatives);
-            }
-            Objective::LastPosition => {}
-        }
         let logits = self.forward(g, bind, batch, Some(rng));
         self.ce_loss(g, logits, &batch.targets)
     }

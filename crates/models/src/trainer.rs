@@ -548,7 +548,7 @@ pub fn fit<M: RecModel + ?Sized>(
 mod tests {
     use super::*;
     use crate::encoder::BackboneKind;
-    use crate::model::{Objective, SeqRec};
+    use crate::model::SeqRec;
     use ssdrec_data::{prepare, SyntheticConfig};
 
     /// `(num_items, split)` of the beauty profile at `scale`.
@@ -671,50 +671,6 @@ mod tests {
         assert!(report.train_secs_per_epoch > 0.0);
         assert!(report.infer_secs > 0.0);
         assert_eq!(report.epochs_run, 1);
-    }
-
-    #[test]
-    fn all_positions_objective_trains_causal_backbones() {
-        let (num_items, split) = small_split();
-        for kind in [BackboneKind::SasRec, BackboneKind::Gru4Rec] {
-            let mut model = SeqRec::new(kind, num_items, 8, 50, 0);
-            model.objective = Objective::AllPositions;
-            let report = train(&mut model, &split, &config(5, 10));
-            assert!(report.final_loss.is_finite(), "{kind:?} diverged");
-            let random = 20.0 / num_items as f64;
-            assert!(report.test.hr20 > random, "{kind:?} below random");
-        }
-    }
-
-    #[test]
-    fn all_positions_falls_back_for_non_causal() {
-        // STAMP has no causal per-position states; the objective must fall
-        // back to last-position rather than fail.
-        let (num_items, split) = split_at(0.12, 4);
-        let mut model = SeqRec::new(BackboneKind::Stamp, num_items, 8, 50, 1);
-        model.objective = Objective::AllPositions;
-        let report = train(&mut model, &split, &config(1, 10));
-        assert!(report.final_loss.is_finite());
-    }
-
-    #[test]
-    fn bpr_objective_learns_ranking() {
-        let (num_items, split) = split_at(0.3, 5);
-        let mut model = SeqRec::new(BackboneKind::Gru4Rec, num_items, 8, 50, 2);
-        model.objective = Objective::Bpr { negatives: 4 };
-        let report = train(&mut model, &split, &config(5, 10));
-        assert!(report.final_loss.is_finite() && report.final_loss > 0.0);
-        let random = 20.0 / num_items as f64;
-        assert!(report.test.hr20 > random, "BPR below random");
-    }
-
-    #[test]
-    #[should_panic]
-    fn bpr_rejects_zero_negatives() {
-        let (num_items, split) = split_at(0.1, 6);
-        let mut model = SeqRec::new(BackboneKind::Gru4Rec, num_items, 8, 50, 3);
-        model.objective = Objective::Bpr { negatives: 0 };
-        train(&mut model, &split, &config(1, 10));
     }
 
     #[test]

@@ -142,6 +142,11 @@ impl Rng {
     }
 
     /// Standard Gumbel(0,1) sample: `−ln(−ln U)`. One draw.
+    ///
+    /// No product code calls it: `gumbel_softmax` draws its noise a whole
+    /// vector at a time. It stays as the scalar oracle of that noise —
+    /// `noise_draws_the_stream_rng_gumbel_draws` pins the vectorised draws
+    /// to this one's place in the stream.
     pub fn gumbel(&mut self) -> f32 {
         let u = f32::EPSILON.max(self.next_f32());
         -(-u.ln()).ln()

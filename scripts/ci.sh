@@ -41,9 +41,9 @@
 #      /metrics must report swap_total:1 at the new model_version.
 #  13. Out-of-core smoke: gen-data writes a columnar .ssdc file; `train
 #      --data` runs off it — SSDRec, which builds the graph, and the bare
-#      backbone (`--baseline`), which builds none — windowed at 1 and 4
-#      threads and in ram mode, with byte-identical metric lines and
-#      checkpoints; and ingest bulk-loads it into a log.
+#      backbone (`--baseline`), which builds none — at 1 and 4 threads,
+#      with byte-identical metric lines and checkpoints; and ingest
+#      bulk-loads it into a log.
 #  14. Training-scenario smoke: `train --contrastive` and `train --mgsd`
 #      each run two epochs and must emit byte-identical metric lines at
 #      SSDREC_THREADS=1 and --threads 4.
@@ -366,7 +366,7 @@ done
 stop_server
 echo "ok: hot-swapped v1 → v2 with zero downtime; /metrics reports the swap"
 
-echo "== out-of-core smoke (gen-data → train --data windowed/ram → ingest --data) =="
+echo "== out-of-core smoke (gen-data → train --data → ingest --data) =="
 OOC_DIR=$SMOKE_DIR/ooc
 rm -rf "$OOC_DIR"
 mkdir -p "$OOC_DIR"
@@ -374,32 +374,28 @@ OOC_FILE="$OOC_DIR/smoke.ssdc"
 ./target/release/ssdrec gen-data --profile beauty --scale 0.1 --seed 7 \
     --out "$OOC_FILE" >/dev/null
 test -f "$OOC_FILE"
-# The same columnar file trained windowed and fully-decoded, at 1 thread
-# and at 4, must emit byte-identical metric lines and checkpoints: neither
-# the bounded-RAM path nor the thread count may cost a single bit of
-# output. SSDRec builds the graph over the store; the bare backbone builds
-# none.
+# The same columnar file trained at 1 thread and at 4 must emit
+# byte-identical metric lines and checkpoints: the thread count may not
+# cost a single bit of output. SSDRec builds the graph over the store; the
+# bare backbone builds none.
 for kind in ssdrec baseline; do
     flags="--data $OOC_FILE --epochs 1 --dim 8 --seed 7"
     [ "$kind" = baseline ] && flags="$flags --baseline"
-    SSDREC_THREADS=1 train_metrics "$OOC_DIR/${kind}_t1.txt" $flags --data-mode windowed \
+    SSDREC_THREADS=1 train_metrics "$OOC_DIR/${kind}_t1.txt" $flags \
         --out "$OOC_DIR/${kind}_t1.ssdt"
-    train_metrics "$OOC_DIR/${kind}_t4.txt" $flags --data-mode windowed --threads 4 \
+    train_metrics "$OOC_DIR/${kind}_t4.txt" $flags --threads 4 \
         --out "$OOC_DIR/${kind}_t4.ssdt"
-    train_metrics "$OOC_DIR/${kind}_ram.txt" $flags --data-mode ram
     diff -u "$OOC_DIR/${kind}_t1.txt" "$OOC_DIR/${kind}_t4.txt" ||
         die "out-of-core smoke: $kind metrics differ between 1 and 4 threads"
     cmp "$OOC_DIR/${kind}_t1.ssdt" "$OOC_DIR/${kind}_t4.ssdt" ||
         die "out-of-core smoke: $kind checkpoints differ between 1 and 4 threads"
-    diff -u "$OOC_DIR/${kind}_t1.txt" "$OOC_DIR/${kind}_ram.txt" ||
-        die "out-of-core smoke: $kind windowed and ram metrics differ"
 done
 # Bulk-load the columnar file into a fresh log; the record count must
 # match the file's interaction count.
 ./target/release/ssdrec ingest --log "$OOC_DIR/events.sslg" --data "$OOC_FILE" \
     >"$OOC_DIR/ingest.txt"
 grep -q '^created' "$OOC_DIR/ingest.txt"
-echo "ok: SSDRec and baseline metrics and checkpoints byte-identical across modes and threads; columnar bulk-load ingested"
+echo "ok: SSDRec and baseline metrics and checkpoints byte-identical across threads; columnar bulk-load ingested"
 
 echo "== training-scenario smoke (--contrastive / --mgsd at 1 vs 4 threads) =="
 for sc in contrastive mgsd; do
