@@ -4,6 +4,7 @@
 
 use ssdrec_ann::{rerank_score, AnnParams, HnswIndex};
 use ssdrec_metrics::{top_k, top_k_sparse};
+use ssdrec_testkit::fault::{assert_fired_exactly, FaultPlan};
 use ssdrec_testkit::Rng;
 
 fn gaussian_table(count: usize, dim: usize, seed: u64) -> Vec<f32> {
@@ -175,4 +176,20 @@ fn two_builds_are_byte_identical() {
     )
     .expect("c");
     assert_ne!(a.to_bytes(), c.to_bytes(), "seed is part of the contract");
+}
+
+#[test]
+fn injected_fault_fails_build_cleanly() {
+    let (dim, n) = (4, 200); // several 64-node batches, so nth=2 fires mid-build
+    let table = gaussian_table(n, dim, 5);
+    let armed = FaultPlan::new().error("ann.build", 2).arm();
+    let r = HnswIndex::build(&table, dim, n, AnnParams::default());
+    assert!(r.is_err(), "mid-build fault must surface as Err");
+    assert_fired_exactly("ann.build", 1);
+    drop(armed);
+    // No torn state can escape: build is all-or-nothing, so a clean rebuild
+    // is byte-identical to a never-faulted build.
+    let a = HnswIndex::build(&table, dim, n, AnnParams::default()).expect("rebuild");
+    let b = HnswIndex::build(&table, dim, n, AnnParams::default()).expect("fresh");
+    assert_eq!(a.to_bytes(), b.to_bytes());
 }

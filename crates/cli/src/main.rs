@@ -756,15 +756,19 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     // Chaos testing: SSDREC_FAULTS=site:kind:nth[,...] arms deterministic
-    // fault injection across every subsystem. Unset means zero overhead.
-    match ssdrec_faults::arm_from_env() {
-        Ok(0) => {}
-        Ok(n) => eprintln!("fault injection armed: {n} spec(s) from SSDREC_FAULTS"),
+    // fault injection across every thread, held until main returns. Unset
+    // means zero overhead.
+    let _faults = match ssdrec_faults::arm_from_env() {
+        Ok(None) => None,
+        Ok(Some((armed, n))) => {
+            eprintln!("fault injection armed: {n} spec(s) from SSDREC_FAULTS");
+            Some(armed)
+        }
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
-    }
+    };
     let result = match args.command.as_deref() {
         Some("stats") => cmd_stats(&args),
         Some("train") => cmd_train(&args),

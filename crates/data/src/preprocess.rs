@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use crate::interaction::{Dataset, Example, Split};
+use crate::interaction::{Dataset, Split};
 use crate::store::{ExampleRef, SequenceStore, SplitPlan};
 
 /// Iteratively drop items with frequency `< min_item_freq` and sequences
@@ -117,53 +117,14 @@ pub fn truncate_to_max_len(ds: &mut Dataset, max_len: usize) {
 /// generated per user (most recent prefixes are kept), bounding epoch cost
 /// for long-sequence profiles.
 pub fn leave_one_out(ds: &Dataset, min_len: usize, max_train_prefixes: usize) -> Split {
-    assert!(min_len >= 3, "leave-one-out needs ≥ 3 interactions");
-    let mut split = Split::default();
-    for (u, seq) in ds.sequences.iter().enumerate() {
-        let n = seq.len();
-        if n < min_len {
-            continue;
-        }
-        let noise_of = |upto: usize| -> Option<Vec<bool>> {
-            ds.noise_labels.as_ref().map(|l| l[u][..upto].to_vec())
-        };
-
-        split.test.push(Example {
-            user: u,
-            seq: seq[..n - 1].to_vec(),
-            target: seq[n - 1],
-            noise: noise_of(n - 1),
-        });
-        split.valid.push(Example {
-            user: u,
-            seq: seq[..n - 2].to_vec(),
-            target: seq[n - 2],
-            noise: noise_of(n - 2),
-        });
-
-        // Training prefixes: (s_1..s_t) → s_{t+1} for t+1 ≤ n-2.
-        let last_t = n - 2; // target index upper bound (exclusive of valid/test)
-        let first_t = 2usize.max(last_t.saturating_sub(max_train_prefixes));
-        for t in first_t..last_t {
-            split.train.push(Example {
-                user: u,
-                seq: seq[..t].to_vec(),
-                target: seq[t],
-                noise: noise_of(t),
-            });
-        }
-    }
-    split
+    plan_leave_one_out(ds, min_len, max_train_prefixes).materialize(ds)
 }
 
-/// The leave-one-out split as metadata only: identical example structure to
+/// The leave-one-out split as metadata only: the example structure of
 /// [`leave_one_out`] (same users, same prefix boundaries, same order), but
 /// over any [`SequenceStore`] and without materializing a single item
 /// vector — ~8 bytes per example instead of the full prefix.
-///
-/// `plan_leave_one_out(&ds, …).materialize(&ds)` equals
-/// `leave_one_out(&ds, …)` example for example (pinned by a test in
-/// [`crate::store`]).
+/// [`leave_one_out`] is this plan, materialized.
 pub fn plan_leave_one_out(
     store: &dyn SequenceStore,
     min_len: usize,

@@ -231,7 +231,7 @@ impl SplitPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::preprocess::{leave_one_out, plan_leave_one_out, truncate_to_max_len};
+    use crate::preprocess::truncate_to_max_len;
     use crate::synthetic::SyntheticConfig;
 
     #[test]
@@ -263,27 +263,6 @@ mod tests {
             assert_eq!(buf, eager.sequences[u]);
             lazy.read_noise(u, &mut nz);
             assert_eq!(&nz, &eager.noise_labels.as_ref().unwrap()[u]);
-        }
-    }
-
-    #[test]
-    fn plan_materializes_to_the_eager_split() {
-        let ds = SyntheticConfig::yelp().scaled(0.2).generate();
-        let split = leave_one_out(&ds, 5, 3);
-        let plan = plan_leave_one_out(&ds, 5, 3);
-        let from_plan = plan.materialize(&ds);
-        for (a, b) in [
-            (&split.train, &from_plan.train),
-            (&split.valid, &from_plan.valid),
-            (&split.test, &from_plan.test),
-        ] {
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.user, y.user);
-                assert_eq!(x.seq, y.seq);
-                assert_eq!(x.target, y.target);
-                assert_eq!(x.noise, y.noise);
-            }
         }
     }
 }

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ssdrec_testkit::fault::{assert_fired_exactly, FaultPlan};
-use ssdrec_testkit::{property, Gen};
+use ssdrec_testkit::{property, scratch_path, Gen};
 
 use ssdrec_data::{
     encode_dataset, make_batches, plan_leave_one_out, BatchIter, ColumnarReader, Dataset,
@@ -19,10 +19,11 @@ use ssdrec_data::{
 /// the same test thread; reused names would race the atomic rename).
 fn scratch(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("prop-columnar");
-    fs::create_dir_all(&dir).expect("create scratch dir");
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    dir.join(format!("{tag}-{n}.ssdc"))
+    scratch_path(
+        concat!(env!("CARGO_TARGET_TMPDIR"), "/prop-columnar"),
+        &format!("{tag}-{n}.ssdc"),
+    )
 }
 
 /// Random dataset: 2–8 users, 5–24 items, sequences of length 0–16, noise

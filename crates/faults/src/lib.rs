@@ -27,20 +27,35 @@
 //!   process. Callers that claim crash-resilience must catch it.
 //!
 //! Plans come from the environment (`SSDREC_FAULTS=site:kind:nth,...` via
-//! [`arm_from_env`], read once by the CLI at startup) or programmatically
-//! via [`arm`]. Per-site hit and fire counters ([`hits`], [`fired`],
-//! [`snapshot`]) let tests and `/metrics` assert exactly which faults
-//! triggered. Everything is deterministic: the Nth hit of a site fires the
-//! same way on every run — there is no probabilistic injection, so chaos
-//! tests are replayable bit-for-bit. (Test-side helpers — the `FaultPlan`
-//! builder and fire-count assertions — live in `ssdrec_testkit::fault`,
-//! which layers on this crate.)
+//! [`arm_from_env`], read once by the CLI at startup) or programmatically.
+//! Per-site hit and fire counters ([`hits`], [`fired`], [`snapshot`]) let
+//! tests and `/metrics` assert exactly which faults triggered. Everything
+//! is deterministic: the Nth hit of a site fires the same way on every
+//! run — there is no probabilistic injection, so chaos tests are
+//! replayable bit-for-bit. (Test-side helpers — the `FaultPlan` builder
+//! and fire-count assertions — live in `ssdrec_testkit::fault`, which
+//! layers on this crate.)
+//!
+//! **Where a plan is visible.** This module alone decides it:
+//!
+//! * [`arm`] arms the **calling thread**. Its sites fire from that plan
+//!   and count their hits in it; no other thread sees it.
+//! * [`arm_process`] (and [`arm_from_env`]) arm the **process default**,
+//!   which every thread without a plan of its own fires from — the scope
+//!   for sites reached on threads the caller does not run.
+//!
+//! Both return an [`Armed`] guard; dropping it restores the plan it
+//! replaced. The counter readers report the plan the calling thread fires
+//! from. So concurrent tests that each arm their own thread cannot eat or
+//! count each other's faults.
 
 #![warn(missing_docs)]
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// What an armed fault does when it fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -142,62 +157,118 @@ struct SiteStats {
     fired: u64,
 }
 
+/// One armed plan: its specs (each with a consumed flag) and the per-site
+/// counters of the threads that fire from it.
 #[derive(Default)]
-struct Registry {
-    specs: Vec<(FaultSpec, bool)>, // (spec, consumed)
+struct Plan {
+    specs: Vec<(FaultSpec, bool)>,
     sites: BTreeMap<String, SiteStats>,
 }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
-    specs: Vec::new(),
-    sites: BTreeMap::new(),
-});
+type Shared = Arc<Mutex<Plan>>;
 
-fn registry() -> std::sync::MutexGuard<'static, Registry> {
-    // A panic-kind fault unwinds through this lock by design; recover the
-    // poisoned state rather than wedging every later site.
-    REGISTRY.lock().unwrap_or_else(|p| p.into_inner())
+/// How many plans are armed, across every thread and the process default.
+/// Zero keeps [`point`] on its one-load fast path.
+static ARMED: AtomicUsize = AtomicUsize::new(0);
+/// The plan every thread without one of its own fires from.
+static PROCESS: Mutex<Option<Shared>> = Mutex::new(None);
+
+thread_local! {
+    /// The calling thread's own plan, which shadows the process default.
+    static THREAD: RefCell<Option<Shared>> = const { RefCell::new(None) };
 }
 
-/// Arm a plan, replacing any previous one and resetting all counters.
-/// An empty plan leaves the runtime disarmed.
-pub fn arm(specs: Vec<FaultSpec>) {
-    let mut reg = registry();
-    reg.sites.clear();
-    reg.specs = specs.into_iter().map(|s| (s, false)).collect();
-    ARMED.store(!reg.specs.is_empty(), Ordering::SeqCst);
+/// Recover a poisoned lock: a panic-kind fault unwinds by design, and a
+/// wedged plan would silence every later site.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Arm from the `SSDREC_FAULTS` environment variable (if set). Returns how
-/// many specs were armed; an unset or empty variable arms nothing.
-pub fn arm_from_env() -> Result<usize, String> {
+/// The plan the calling thread fires from: its own, else the process
+/// default, else none.
+fn current() -> Option<Shared> {
+    THREAD
+        .try_with(|t| t.borrow().clone())
+        .ok()
+        .flatten()
+        .or_else(|| lock(&PROCESS).clone())
+}
+
+/// Put `plan` in a scope's slot (the process default's, or the calling
+/// thread's) and return the plan it held.
+fn swap(process: bool, plan: Option<Shared>) -> Option<Shared> {
+    if process {
+        std::mem::replace(&mut *lock(&PROCESS), plan)
+    } else {
+        THREAD.try_with(|t| t.replace(plan)).ok().flatten()
+    }
+}
+
+/// An armed plan. Dropping it restores the plan it replaced in its scope.
+#[must_use = "the plan is disarmed when the guard drops"]
+pub struct Armed {
+    process: bool,
+    replaced: Option<Shared>,
+    // A thread-scoped guard must drop on the thread it armed.
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for Armed {
+    fn drop(&mut self) {
+        swap(self.process, self.replaced.take());
+        ARMED.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+fn install(process: bool, specs: Vec<FaultSpec>) -> Armed {
+    let plan = Plan {
+        specs: specs.into_iter().map(|s| (s, false)).collect(),
+        sites: BTreeMap::new(),
+    };
+    ARMED.fetch_add(1, Ordering::SeqCst);
+    Armed {
+        process,
+        replaced: swap(process, Some(Arc::new(Mutex::new(plan)))),
+        _not_send: PhantomData,
+    }
+}
+
+/// Arm a plan for the **calling thread** only, with fresh counters. Other
+/// threads neither fire from it nor count their hits in it. The plan
+/// shadows the process default on this thread until the guard drops; an
+/// empty plan leaves the thread's sites silent and uncounted.
+pub fn arm(specs: Vec<FaultSpec>) -> Armed {
+    install(false, specs)
+}
+
+/// Arm a plan as the **process default**, with fresh counters: every
+/// thread without a plan of its own fires from it. This is the scope for
+/// sites reached on threads the caller does not run (a server's
+/// connection threads, an engine's workers).
+pub fn arm_process(specs: Vec<FaultSpec>) -> Armed {
+    install(true, specs)
+}
+
+/// Arm the process default from the `SSDREC_FAULTS` environment variable.
+/// Returns the guard and the spec count, or `None` when the variable is
+/// unset or empty.
+pub fn arm_from_env() -> Result<Option<(Armed, usize)>, String> {
     match std::env::var("SSDREC_FAULTS") {
         Ok(v) if !v.trim().is_empty() => {
             let specs = FaultSpec::parse_list(&v).map_err(|e| format!("SSDREC_FAULTS: {e}"))?;
             let n = specs.len();
-            arm(specs);
-            Ok(n)
+            Ok(Some((arm_process(specs), n)))
         }
-        _ => Ok(0),
+        _ => Ok(None),
     }
 }
 
-/// Disarm everything and clear all counters. [`point`] returns to its
-/// single-atomic-load fast path.
-pub fn disarm() {
-    ARMED.store(false, Ordering::SeqCst);
-    let mut reg = registry();
-    reg.specs.clear();
-    reg.sites.clear();
-}
-
-/// A named injection site. Zero-cost when disarmed; with a plan armed,
-/// counts the hit and fires any spec scheduled for it (see crate docs for
-/// the three kinds).
+/// A named injection site. Zero-cost when nothing is armed; otherwise
+/// counts the hit in the calling thread's plan and fires any spec
+/// scheduled for it (see crate docs for the three kinds).
 #[inline]
 pub fn point(site: &str) -> Result<(), Injected> {
-    if !ARMED.load(Ordering::Relaxed) {
+    if ARMED.load(Ordering::Relaxed) == 0 {
         return Ok(());
     }
     hit_slow(site)
@@ -205,14 +276,20 @@ pub fn point(site: &str) -> Result<(), Injected> {
 
 #[cold]
 fn hit_slow(site: &str) -> Result<(), Injected> {
+    let Some(plan) = current() else {
+        return Ok(());
+    };
     let kind = {
-        let mut reg = registry();
+        let mut plan = lock(&plan);
+        if plan.specs.is_empty() {
+            return Ok(());
+        }
         let hits = {
-            let stats = reg.sites.entry(site.to_string()).or_default();
+            let stats = plan.sites.entry(site.to_string()).or_default();
             stats.hits += 1;
             stats.hits
         };
-        let kind = reg
+        let kind = plan
             .specs
             .iter_mut()
             .find(|(s, consumed)| !consumed && s.site == site && s.nth == hits)
@@ -221,7 +298,7 @@ fn hit_slow(site: &str) -> Result<(), Injected> {
                 s.kind
             });
         if kind.is_some() {
-            reg.sites.get_mut(site).expect("just inserted").fired += 1;
+            plan.sites.get_mut(site).expect("just inserted").fired += 1;
         }
         kind
     }; // lock released before any sleep/panic
@@ -238,45 +315,44 @@ fn hit_slow(site: &str) -> Result<(), Injected> {
     }
 }
 
-/// How many times `site` was traversed while armed.
+/// Apply `f` to the counters of the plan the calling thread fires from
+/// (empty when it fires from none).
+fn with_sites<R>(f: impl FnOnce(&BTreeMap<String, SiteStats>) -> R) -> R {
+    match current() {
+        Some(plan) => f(&lock(&plan).sites),
+        None => f(&BTreeMap::new()),
+    }
+}
+
+/// How many times `site` was traversed under the calling thread's plan.
 pub fn hits(site: &str) -> u64 {
-    registry().sites.get(site).map_or(0, |s| s.hits)
+    with_sites(|s| s.get(site).map_or(0, |s| s.hits))
 }
 
-/// How many faults fired at `site`.
+/// How many faults fired at `site` under the calling thread's plan.
 pub fn fired(site: &str) -> u64 {
-    registry().sites.get(site).map_or(0, |s| s.fired)
+    with_sites(|s| s.get(site).map_or(0, |s| s.fired))
 }
 
-/// Total faults fired across all sites since the plan was armed.
+/// Total faults fired across all sites of the calling thread's plan since
+/// it was armed.
 pub fn total_fired() -> u64 {
-    registry().sites.values().map(|s| s.fired).sum()
+    with_sites(|s| s.values().map(|s| s.fired).sum())
 }
 
-/// Per-site `(site, hits, fired)` counters, sorted by site name.
+/// Per-site `(site, hits, fired)` counters of the calling thread's plan,
+/// sorted by site name.
 pub fn snapshot() -> Vec<(String, u64, u64)> {
-    registry()
-        .sites
-        .iter()
-        .map(|(k, v)| (k.clone(), v.hits, v.fired))
-        .collect()
-}
-
-/// Whether any plan is currently armed.
-pub fn is_armed() -> bool {
-    ARMED.load(Ordering::SeqCst)
+    with_sites(|s| {
+        s.iter()
+            .map(|(k, v)| (k.clone(), v.hits, v.fired))
+            .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The registry is global; tests arming plans must not interleave.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
 
     #[test]
     fn parses_all_three_kinds() {
@@ -324,20 +400,8 @@ mod tests {
     }
 
     #[test]
-    fn disarmed_points_are_silent_and_uncounted() {
-        let _g = locked();
-        disarm();
-        for _ in 0..100 {
-            point("nowhere").unwrap();
-        }
-        assert_eq!(hits("nowhere"), 0);
-        assert_eq!(total_fired(), 0);
-    }
-
-    #[test]
     fn error_fires_on_exactly_the_nth_hit() {
-        let _g = locked();
-        arm(vec![FaultSpec {
+        let _armed = arm(vec![FaultSpec {
             site: "t.err".into(),
             kind: FaultKind::Error,
             nth: 3,
@@ -350,13 +414,11 @@ mod tests {
         assert!(point("t.err").is_ok());
         assert_eq!(hits("t.err"), 4);
         assert_eq!(fired("t.err"), 1);
-        disarm();
     }
 
     #[test]
     fn sites_count_independently() {
-        let _g = locked();
-        arm(vec![
+        let _armed = arm(vec![
             FaultSpec::parse("a:error:1").unwrap(),
             FaultSpec::parse("b:error:2").unwrap(),
         ]);
@@ -365,25 +427,21 @@ mod tests {
         assert!(point("b").is_err()); // b hit 2: fires
         assert_eq!(total_fired(), 2);
         assert_eq!(snapshot(), vec![("a".into(), 1, 1), ("b".into(), 2, 1)]);
-        disarm();
     }
 
     #[test]
     fn panic_kind_panics_and_registry_recovers() {
-        let _g = locked();
-        arm(vec![FaultSpec::parse("t.panic:panic:1").unwrap()]);
+        let _armed = arm(vec![FaultSpec::parse("t.panic:panic:1").unwrap()]);
         let r = std::panic::catch_unwind(|| point("t.panic"));
         assert!(r.is_err(), "panic kind must panic");
         // The runtime stays usable after the unwind.
         assert!(point("t.panic").is_ok());
         assert_eq!(fired("t.panic"), 1);
-        disarm();
     }
 
     #[test]
     fn delay_kind_blocks_then_proceeds() {
-        let _g = locked();
-        arm(vec![FaultSpec::parse("t.slow:delay30:1").unwrap()]);
+        let _armed = arm(vec![FaultSpec::parse("t.slow:delay30:1").unwrap()]);
         let t0 = std::time::Instant::now();
         assert!(point("t.slow").is_ok());
         assert!(t0.elapsed() >= std::time::Duration::from_millis(30));
@@ -391,24 +449,66 @@ mod tests {
         let t1 = std::time::Instant::now();
         assert!(point("t.slow").is_ok());
         assert!(t1.elapsed() < std::time::Duration::from_millis(30));
-        disarm();
     }
 
+    /// The only test here that arms the process default. Every other test
+    /// (and every thread one spawns) arms its own thread, which shadows
+    /// that default, so none of them can see it.
     #[test]
-    fn arm_from_env_roundtrip() {
-        let _g = locked();
-        // Not set → disarmed, Ok(0).
+    fn unarmed_points_are_silent_and_the_env_arms_the_process() {
         std::env::remove_var("SSDREC_FAULTS");
-        assert_eq!(arm_from_env().unwrap(), 0);
-        assert!(!is_armed());
+        assert!(arm_from_env().unwrap().is_none());
+        for _ in 0..100 {
+            point("nowhere").unwrap();
+        }
+        assert_eq!(hits("nowhere"), 0);
+        assert_eq!(total_fired(), 0);
+
         std::env::set_var("SSDREC_FAULTS", "e.x:error:1,e.y:delay10:2");
-        assert_eq!(arm_from_env().unwrap(), 2);
-        assert!(is_armed());
-        assert!(point("e.x").is_err());
+        let (armed, n) = arm_from_env().unwrap().expect("armed");
+        assert_eq!(n, 2);
+        // A thread with no plan of its own fires from the process default.
+        std::thread::spawn(|| assert!(point("e.x").is_err()))
+            .join()
+            .unwrap();
+        assert_eq!(fired("e.x"), 1);
         std::env::set_var("SSDREC_FAULTS", "broken-spec");
         assert!(arm_from_env().is_err());
         std::env::remove_var("SSDREC_FAULTS");
-        disarm();
+        drop(armed);
+        assert!(point("e.x").is_ok());
+        assert_eq!(hits("e.x"), 0);
+    }
+
+    #[test]
+    fn a_thread_plan_is_invisible_to_other_threads() {
+        let _armed = arm(vec![FaultSpec::parse("x:error:1").unwrap()]);
+        std::thread::spawn(|| {
+            // An empty plan of its own: the sibling neither fires nor counts,
+            // and cannot see the process default either.
+            let _own = arm(vec![]);
+            for _ in 0..10 {
+                assert!(point("x").is_ok());
+            }
+            assert_eq!(hits("x"), 0);
+        })
+        .join()
+        .unwrap();
+        assert!(point("x").is_err(), "the arming thread's first hit fires");
+        assert_eq!((hits("x"), fired("x")), (1, 1));
+    }
+
+    #[test]
+    fn dropping_a_guard_restores_the_plan_it_replaced() {
+        let _outer = arm(vec![FaultSpec::parse("r:error:2").unwrap()]);
+        assert!(point("r").is_ok());
+        {
+            let _inner = arm(vec![FaultSpec::parse("r:error:3").unwrap()]);
+            assert!(point("r").is_ok());
+            assert_eq!(hits("r"), 1, "the inner plan counts afresh");
+        }
+        assert!(point("r").is_err(), "the outer plan resumes at hit 2");
+        assert_eq!(hits("r"), 2);
     }
 
     #[test]

@@ -13,15 +13,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use ssdrec_metrics::MetricReport;
 use ssdrec_models::checkpoint::{load_train_state, save_train_state, TrainState};
 use ssdrec_tensor::Tensor;
-use ssdrec_testkit::{gens, property, Gen, Rng};
+use ssdrec_testkit::{gens, property, scratch_path, Gen, Rng};
 
 /// A unique scratch path per call.
 fn scratch(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("prop-sstc");
-    fs::create_dir_all(&dir).expect("create scratch dir");
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    dir.join(format!("{tag}-{n}.sstc"))
+    scratch_path(
+        concat!(env!("CARGO_TARGET_TMPDIR"), "/prop-sstc"),
+        &format!("{tag}-{n}.sstc"),
+    )
 }
 
 /// A tensor of 0–3 dims of 0–4 each, its values any bit pattern.

@@ -1,19 +1,15 @@
-//! A minimal blocking HTTP client over `std::net`, used by the load
-//! generator, the CI smoke test, and the integration tests — the workspace
-//! has no `curl` dependency.
+//! A minimal blocking HTTP client over `std::net` — the workspace has no
+//! `curl` dependency. Its users are the serve crate's and the root
+//! package's integration tests; neither the load generator nor the CI
+//! smoke goes through it.
 //!
 //! Failures are **typed** ([`ClientError`]): connect vs. transport I/O vs.
-//! a truncated response vs. a malformed one, so callers (and the retry
-//! layer) can tell a retryable fault from a broken request.
-//! [`request_with_retry`] adds deterministic exponential backoff with
-//! jitter drawn from the testkit RNG: the same [`RetryPolicy`] seed always
-//! produces the same delay sequence.
+//! a truncated response vs. a malformed one, so a caller can tell a
+//! retryable fault from a broken request.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
-
-use ssdrec_testkit::Rng;
 
 /// Why an HTTP request failed, separated by phase so callers can decide
 /// what is retryable (everything here is transport-level; HTTP error
@@ -136,93 +132,6 @@ pub fn post(addr: SocketAddr, path: &str, body: &str) -> Result<(u16, String), C
     request(addr, "POST", path, Some(body))
 }
 
-/// Deterministic exponential backoff with jitter for [`request_with_retry`].
-#[derive(Clone, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts including the first (≥ 1).
-    pub max_attempts: u32,
-    /// Delay before the first retry.
-    pub base_delay: Duration,
-    /// Multiplier per retry (2.0 = classic exponential backoff).
-    pub factor: f64,
-    /// Jitter fraction in `[0, 1]`: each delay is scaled by a factor drawn
-    /// uniformly from `[1 - jitter, 1]`, decorrelating clients that fail
-    /// at the same instant.
-    pub jitter: f64,
-    /// Seed for the testkit RNG the jitter is drawn from — the same seed
-    /// yields the same delay sequence, so chaos tests are reproducible.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_delay: Duration::from_millis(10),
-            factor: 2.0,
-            jitter: 0.5,
-            seed: 0x5eed,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The exact backoff delays this policy will sleep between attempts
-    /// (`max_attempts - 1` entries). Pure function of the policy fields.
-    pub fn backoff_delays(&self) -> Vec<Duration> {
-        let mut rng = Rng::seed(self.seed);
-        (0..self.max_attempts.saturating_sub(1))
-            .map(|i| {
-                let exp = self.base_delay.as_secs_f64() * self.factor.powi(i as i32);
-                let scale = 1.0 - self.jitter * rng.next_f64();
-                Duration::from_secs_f64(exp * scale)
-            })
-            .collect()
-    }
-}
-
-/// [`request`], retried under `policy`. Retries every transport-level
-/// [`ClientError`] and HTTP `503 Service Unavailable` (load shedding);
-/// any other status — including 4xx/5xx — is a definitive answer and is
-/// returned as-is. Returns the last error when every attempt fails.
-pub fn request_with_retry(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    policy: &RetryPolicy,
-) -> Result<(u16, String), ClientError> {
-    assert!(policy.max_attempts >= 1, "need at least one attempt");
-    let delays = policy.backoff_delays();
-    let mut last_err = None;
-    for (attempt, delay) in delays
-        .iter()
-        .map(Some)
-        .chain(std::iter::once(None))
-        .enumerate()
-    {
-        match request(addr, method, path, body) {
-            Ok((503, body)) => {
-                last_err = Some(ClientError::BadResponse(format!(
-                    "503 after retries: {body}"
-                )));
-                if attempt as u32 + 1 >= policy.max_attempts {
-                    return Ok((503, body));
-                }
-            }
-            Ok(ok) => return Ok(ok),
-            Err(e) => {
-                last_err = Some(e);
-            }
-        }
-        match delay {
-            Some(d) => std::thread::sleep(*d),
-            None => break,
-        }
-    }
-    Err(last_err.expect("at least one attempt ran"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,33 +173,6 @@ mod tests {
     fn bad_status_line_is_not_truncation() {
         let e = parse_response(b"garbage\r\n\r\nbody").unwrap_err();
         assert!(matches!(e, ClientError::BadResponse(_)));
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_exponential() {
-        let policy = RetryPolicy::default();
-        let a = policy.backoff_delays();
-        let b = policy.backoff_delays();
-        assert_eq!(a, b, "same seed must give the same delays");
-        assert_eq!(a.len(), 3);
-        // Jitter only shrinks: delay i is within (1-jitter)·base·2^i ..= base·2^i.
-        for (i, d) in a.iter().enumerate() {
-            let nominal = 0.010 * 2f64.powi(i as i32);
-            assert!(d.as_secs_f64() <= nominal + 1e-9, "delay {i} above nominal");
-            assert!(
-                d.as_secs_f64() >= nominal * 0.5 - 1e-9,
-                "delay {i} below jitter floor"
-            );
-        }
-        let other = RetryPolicy {
-            seed: 999,
-            ..RetryPolicy::default()
-        };
-        assert_ne!(
-            a,
-            other.backoff_delays(),
-            "different seed, different jitter"
-        );
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod server;
 pub mod stats;
 pub mod swap;
 
-pub use client::{request_with_retry, ClientError, RetryPolicy};
+pub use client::ClientError;
 pub use engine::{Engine, EngineConfig, InferenceModel, RecError, Recommendation};
 pub use server::{serve, serve_slot, serve_with, ServeConfig, ServerHandle};
 pub use stats::{LatencyHistogram, ServerStats};

@@ -207,7 +207,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     // Chaos hook `serve.read`: an injected fault here behaves exactly like
     // a socket-level read failure — the request is never parsed, the
     // connection is answered with a 500 and closed, and the server keeps
-    // accepting (the retrying client turns this into one extra attempt).
+    // accepting (a client that retries spends one extra attempt).
     let read = ssdrec_faults::point("serve.read")
         .map_err(io::Error::from)
         .and_then(|()| read_request(&mut stream));

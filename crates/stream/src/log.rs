@@ -489,10 +489,7 @@ mod tests {
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ssdrec-bulk-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        let path = dir.join(format!("{tag}.sslg"));
-        let _ = std::fs::remove_file(&path);
-        path
+        ssdrec_testkit::scratch_path(dir, &format!("{tag}.sslg"))
     }
 
     fn toy_dataset(num_users: usize, num_items: usize) -> ssdrec_data::Dataset {

@@ -6,13 +6,13 @@ use std::fs;
 use std::path::PathBuf;
 
 use ssdrec_stream::{replay, LogError, LogHeader, StreamLog, HEADER_LEN, RECORD_LEN};
+use ssdrec_testkit::scratch_path;
 
 fn scratch(tag: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("log-format");
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    let path = dir.join(format!("{tag}.sslg"));
-    let _ = fs::remove_file(&path);
-    path
+    scratch_path(
+        concat!(env!("CARGO_TARGET_TMPDIR"), "/log-format"),
+        &format!("{tag}.sslg"),
+    )
 }
 
 const CATALOG: LogHeader = LogHeader {

@@ -13,15 +13,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use ssdrec_stream::{
     crc32, materialize, replay, LogError, LogHeader, StreamLog, HEADER_LEN, RECORD_LEN,
 };
-use ssdrec_testkit::{gens, property, Gen, Rng};
+use ssdrec_testkit::{gens, property, scratch_path, Gen, Rng};
 
 /// A unique scratch path per call.
 fn scratch(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("prop-log");
-    fs::create_dir_all(&dir).expect("create scratch dir");
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    dir.join(format!("{tag}-{n}.sslg"))
+    scratch_path(
+        concat!(env!("CARGO_TARGET_TMPDIR"), "/prop-log"),
+        &format!("{tag}-{n}.sslg"),
+    )
 }
 
 /// A catalog of 1–6 users and 1–9 items and 0–20 events inside it.

@@ -26,14 +26,6 @@ pub fn xavier_uniform(shape: &[usize], rng: &mut Rng) -> Tensor {
     Tensor::new((0..n).map(|_| rng.uniform(-a, a)).collect(), shape)
 }
 
-/// Xavier/Glorot normal: `N(0, 2 / (fan_in + fan_out))`.
-pub fn xavier_normal(shape: &[usize], rng: &mut Rng) -> Tensor {
-    let (fi, fo) = fan_in_out(shape);
-    let std = (2.0 / (fi + fo) as f32).sqrt();
-    let n: usize = shape.iter().product();
-    Tensor::new((0..n).map(|_| rng.normal() * std).collect(), shape)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -44,18 +36,6 @@ mod tests {
         let t = xavier_uniform(&[64, 64], &mut rng);
         let a = (6.0f32 / 128.0).sqrt();
         assert!(t.data().iter().all(|&x| x.abs() <= a));
-    }
-
-    #[test]
-    fn normal_std_scales_with_fan() {
-        let mut rng = Rng::seed(1);
-        let big = xavier_normal(&[512, 512], &mut rng);
-        let small = xavier_normal(&[4, 4], &mut rng);
-        let std = |t: &Tensor| {
-            let m = t.data().iter().sum::<f32>() / t.len() as f32;
-            (t.data().iter().map(|x| (x - m) * (x - m)).sum::<f32>() / t.len() as f32).sqrt()
-        };
-        assert!(std(&big) < std(&small));
     }
 
     #[test]

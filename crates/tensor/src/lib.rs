@@ -44,7 +44,7 @@ pub mod tensor;
 pub use backend::Activation;
 pub use gradtest::fd_check_all_params;
 pub use graph::{Gradients, Graph, Var};
-pub use optim::{Adam, Binding, ParamRef, ParamStore, Sgd};
+pub use optim::{Adam, Binding, ParamRef, ParamStore};
 pub use persist::{load_params, save_params};
 pub use rng::Rng;
 pub use sparse::CsrMatrix;

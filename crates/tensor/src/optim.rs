@@ -280,35 +280,6 @@ impl Adam {
     }
 }
 
-/// Plain SGD, kept for ablations and tests.
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// A new SGD optimizer.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-
-    /// Apply one SGD update.
-    pub fn step(&mut self, store: &mut ParamStore, binding: &Binding, grads: &mut Gradients) {
-        for i in 0..store.slots.len() {
-            if let Some(g) = grads.take(binding.vars[i]) {
-                let slot = &mut store.slots[i];
-                for j in 0..slot.value.len() {
-                    let gj = g.data()[j];
-                    if gj.is_finite() {
-                        slot.value.data_mut()[j] -= self.lr * gj;
-                    }
-                }
-                crate::pool::recycle(g.into_data());
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,27 +306,6 @@ mod tests {
             "w = {}",
             store.get(w).item()
         );
-    }
-
-    #[test]
-    fn sgd_descends() {
-        let mut store = ParamStore::new();
-        let w = store.add("w", Tensor::scalar(5.0));
-        let mut opt = Sgd::new(0.2);
-        let mut last = f32::INFINITY;
-        for _ in 0..50 {
-            let mut g = Graph::new();
-            let b = store.bind_all(&mut g);
-            let wv = b.var(w);
-            let sq = g.mul(wv, wv);
-            let loss = g.sum_all(sq);
-            let lv = g.value(loss).item();
-            assert!(lv <= last + 1e-6);
-            last = lv;
-            let mut grads = g.backward(loss);
-            opt.step(&mut store, &b, &mut grads);
-        }
-        assert!(store.get(w).item().abs() < 0.1);
     }
 
     #[test]

@@ -283,14 +283,6 @@ pub fn reset_local_stats() {
     with_pool(|p| p.counters.reset(), || ())
 }
 
-/// Zero every thread's counters (bench runs isolate their measurements).
-pub fn reset_global_stats() {
-    let reg = registry().lock().unwrap_or_else(|p| p.into_inner());
-    for c in reg.iter() {
-        c.reset();
-    }
-}
-
 /// Drop every buffer held by the current thread's free-lists (memory
 /// pressure relief; the counters are unaffected).
 pub fn clear_local() {

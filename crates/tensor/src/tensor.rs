@@ -234,11 +234,6 @@ impl Tensor {
         self.data.iter().sum()
     }
 
-    /// Euclidean (L2) norm of all elements.
-    pub fn l2_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
     /// Index of the maximum element (ties resolve to the first).
     pub fn argmax(&self) -> usize {
         let mut best = 0usize;
@@ -306,12 +301,6 @@ mod tests {
         a.add_assign(&Tensor::new(vec![3.0, 4.0], &[2]));
         a.scale_assign(2.0);
         assert_eq!(a.data(), &[8.0, 12.0]);
-    }
-
-    #[test]
-    fn l2_norm() {
-        let t = Tensor::new(vec![3.0, 4.0], &[2]);
-        assert!((t.l2_norm() - 5.0).abs() < 1e-6);
     }
 
     #[test]

@@ -10,15 +10,16 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ssdrec_tensor::{load_params, save_params, ParamStore, Rng, Tensor};
-use ssdrec_testkit::{gens, property, Gen};
+use ssdrec_testkit::{gens, property, scratch_path, Gen};
 
 /// A unique scratch path per call.
 fn scratch(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("prop-persist");
-    fs::create_dir_all(&dir).expect("create scratch dir");
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    dir.join(format!("{tag}-{n}.ssdt"))
+    scratch_path(
+        concat!(env!("CARGO_TARGET_TMPDIR"), "/prop-persist"),
+        &format!("{tag}-{n}.ssdt"),
+    )
 }
 
 /// A store's architecture: 1–4 tensors, names of 1–12 bytes (some

@@ -1,7 +1,6 @@
 //! Test-side hooks for the `ssdrec-faults` injection runtime: a
-//! [`FaultPlan`] builder (programmatic or parsed from the `SSDREC_FAULTS`
-//! spec format), an RAII arming guard that serialises fault tests behind a
-//! global lock, and fire-count assertions.
+//! [`FaultPlan`] builder, armed on the calling thread or as the process
+//! default, and fire-count assertions.
 //!
 //! ```
 //! use ssdrec_testkit::fault::{assert_fired_exactly, FaultPlan};
@@ -9,17 +8,10 @@
 //! let armed = FaultPlan::new().error("demo.site", 1).arm();
 //! assert!(ssdrec_faults::point("demo.site").is_err());
 //! assert_fired_exactly("demo.site", 1);
-//! drop(armed); // disarms and releases the fault-test lock
+//! drop(armed); // restores the thread's previous plan
 //! ```
 
-use std::sync::{Mutex, MutexGuard};
-
-use ssdrec_faults::{FaultKind, FaultSpec};
-
-/// Serialises every armed plan across test threads: the fault registry is
-/// process-global, so two tests arming plans concurrently would observe
-/// each other's counters.
-static FAULT_TEST_LOCK: Mutex<()> = Mutex::new(());
+use ssdrec_faults::{Armed, FaultKind, FaultSpec};
 
 /// A builder for a set of fault specs, armed all at once via
 /// [`FaultPlan::arm`].
@@ -34,77 +26,45 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Parse a plan from the `SSDREC_FAULTS` spec format
-    /// (`site:kind:nth,...`, kinds `error` | `panic` | `delay<MS>`).
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        Ok(FaultPlan {
-            specs: FaultSpec::parse_list(spec)?,
-        })
+    fn with(mut self, site: &str, kind: FaultKind, nth: u64) -> Self {
+        self.specs.push(FaultSpec {
+            site: site.into(),
+            kind,
+            nth,
+        });
+        self
     }
 
     /// Add an error fault at `site`, firing on its `nth` (1-based) hit.
-    pub fn error(mut self, site: &str, nth: u64) -> Self {
-        self.specs.push(FaultSpec {
-            site: site.into(),
-            kind: FaultKind::Error,
-            nth,
-        });
-        self
+    pub fn error(self, site: &str, nth: u64) -> Self {
+        self.with(site, FaultKind::Error, nth)
     }
 
     /// Add a `ms`-millisecond delay fault at `site` on its `nth` hit.
-    pub fn delay_ms(mut self, site: &str, ms: u64, nth: u64) -> Self {
-        self.specs.push(FaultSpec {
-            site: site.into(),
-            kind: FaultKind::DelayMs(ms),
-            nth,
-        });
-        self
+    pub fn delay_ms(self, site: &str, ms: u64, nth: u64) -> Self {
+        self.with(site, FaultKind::DelayMs(ms), nth)
     }
 
     /// Add a panic fault at `site` on its `nth` hit.
-    pub fn panic(mut self, site: &str, nth: u64) -> Self {
-        self.specs.push(FaultSpec {
-            site: site.into(),
-            kind: FaultKind::Panic,
-            nth,
-        });
-        self
+    pub fn panic(self, site: &str, nth: u64) -> Self {
+        self.with(site, FaultKind::Panic, nth)
     }
 
-    /// Number of specs in the plan.
-    pub fn len(&self) -> usize {
-        self.specs.len()
+    /// Arm the plan on the calling thread (see [`ssdrec_faults::arm`]).
+    pub fn arm(self) -> Armed {
+        ssdrec_faults::arm(self.specs)
     }
 
-    /// Whether the plan is empty.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    /// Arm the plan, returning a guard that holds the global fault-test
-    /// lock and disarms everything when dropped.
-    pub fn arm(self) -> ArmedFaults {
-        let lock = FAULT_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        ssdrec_faults::arm(self.specs);
-        ArmedFaults { _lock: lock }
+    /// Arm the plan as the process default, for sites reached on threads
+    /// the test does not run (see [`ssdrec_faults::arm_process`]).
+    pub fn arm_process(self) -> Armed {
+        ssdrec_faults::arm_process(self.specs)
     }
 }
 
-/// RAII guard for an armed [`FaultPlan`]: serialises concurrent fault tests
-/// and disarms the runtime (clearing every counter) on drop.
-pub struct ArmedFaults {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for ArmedFaults {
-    fn drop(&mut self) {
-        ssdrec_faults::disarm();
-    }
-}
-
-/// Assert that exactly `n` faults fired at `site`, with a diagnostic that
-/// includes the site's hit count and the full registry snapshot.
+/// Assert that exactly `n` faults fired at `site` under the calling
+/// thread's plan, with a diagnostic that includes the site's hit count and
+/// the plan's full snapshot.
 #[track_caller]
 pub fn assert_fired_exactly(site: &str, n: u64) {
     let fired = ssdrec_faults::fired(site);
@@ -112,7 +72,7 @@ pub fn assert_fired_exactly(site: &str, n: u64) {
         fired,
         n,
         "fault site {site:?} fired {fired} time(s), expected {n} \
-         ({} armed hits; registry: {:?})",
+         ({} armed hits; plan: {:?})",
         ssdrec_faults::hits(site),
         ssdrec_faults::snapshot()
     );
@@ -128,9 +88,7 @@ mod tests {
             .error("tk.a", 1)
             .delay_ms("tk.b", 5, 1)
             .panic("tk.c", 2);
-        assert_eq!(plan.len(), 3);
         let _armed = plan.arm();
-        assert!(ssdrec_faults::is_armed());
         assert!(ssdrec_faults::point("tk.a").is_err());
         assert!(ssdrec_faults::point("tk.b").is_ok()); // delayed, not failed
         assert!(ssdrec_faults::point("tk.c").is_ok()); // fires on hit 2
@@ -140,24 +98,14 @@ mod tests {
     }
 
     #[test]
-    fn parse_matches_env_format() {
-        let plan = FaultPlan::parse("tk.p:error:2, tk.q:delay10:1").unwrap();
-        assert_eq!(plan.len(), 2);
-        let _armed = plan.arm();
-        assert!(ssdrec_faults::point("tk.p").is_ok());
-        assert!(ssdrec_faults::point("tk.p").is_err());
-        assert_fired_exactly("tk.p", 1);
-        assert!(FaultPlan::parse("nope").is_err());
-    }
-
-    #[test]
     fn guard_disarms_on_drop() {
         {
-            let _armed = FaultPlan::new().error("tk.drop", 1).arm();
-            assert!(ssdrec_faults::is_armed());
+            let _armed = FaultPlan::new().error("tk.drop", 2).arm();
+            assert!(ssdrec_faults::point("tk.drop").is_ok());
+            assert_eq!(ssdrec_faults::hits("tk.drop"), 1);
         }
-        assert!(!ssdrec_faults::is_armed());
         assert!(ssdrec_faults::point("tk.drop").is_ok());
+        assert_eq!(ssdrec_faults::hits("tk.drop"), 0);
         assert_eq!(ssdrec_faults::fired("tk.drop"), 0);
     }
 

@@ -19,9 +19,10 @@
 //!   of analytic gradients, used to validate the autograd tape layer by
 //!   layer.
 //! * [`fault`] — test-side hooks for the `ssdrec-faults` injection runtime:
-//!   the [`fault::FaultPlan`] builder (programmatic or parsed from the
-//!   `SSDREC_FAULTS` spec format), an RAII arming guard that serialises
-//!   chaos tests behind a global lock, and fire-count assertions.
+//!   the [`fault::FaultPlan`] builder, armed on the calling thread or as
+//!   the process default, and fire-count assertions.
+//! * [`scratch_path`] — a test's scratch file path with every leftover of
+//!   an earlier run removed.
 //!
 //! The workspace-level invariant this crate exists to protect:
 //! `CARGO_NET_OFFLINE=true cargo build --release && cargo test -q` passes
@@ -35,6 +36,20 @@ pub mod gradcheck;
 pub mod prop;
 pub mod rng;
 
+use std::path::{Path, PathBuf};
+
 pub use gradcheck::{check_grads, GradReport};
 pub use prop::{forall, gens, Config, Gen};
 pub use rng::{splitmix64, Rng};
+
+/// `dir/name` for a test's scratch file: `dir` is created, and any file or
+/// directory an earlier run left at the path is removed, so a run that
+/// failed half-way cannot poison the next one.
+pub fn scratch_path(dir: impl AsRef<Path>, name: &str) -> PathBuf {
+    let dir = dir.as_ref();
+    std::fs::create_dir_all(dir).expect("create scratch dir");
+    let path = dir.join(name);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
+    path
+}

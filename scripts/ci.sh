@@ -3,13 +3,16 @@
 #
 #   1. Deny-list: no Cargo.toml may name a registry dependency — only
 #      workspace path crates (ssdrec-*) are allowed — the CLI's normal
-#      dependency tree must not reach the retired ssdrec-ann crate, no
+#      dependency tree must not reach the retired ssdrec-ann crate,
+#      ssdrec-serve must not name ssdrec-testkit as a normal dependency, no
 #      file under crates/tensor/src but math.rs may call libm's exp, ln or
 #      tanh, and the SSDREC_* environment variables the code reads are
 #      exactly FAULTS, POOL, PROP_SEED and THREADS (option creep fails).
 #   2. cargo fmt --check
 #   3. Offline release build of the whole workspace.
-#   4. Offline test run.
+#   4. Offline test run: the tier-1 command itself, `cargo test -q`, which
+#      covers the whole workspace through the root manifest's
+#      default-members.
 #   5. Serve smoke: train a tiny checkpoint, serve it on an ephemeral
 #      port, issue one request over bash /dev/tcp (no curl), assert a
 #      well-formed response, shut down cleanly.
@@ -174,6 +177,14 @@ if printf '%s\n' "$CLI_TREE" | grep -q 'ssdrec-ann'; then
     die "the ssdrec CLI depends on ssdrec-ann again"
 fi
 echo "ok: the CLI does not link ssdrec-ann"
+# The test substrate is a dev-dependency of the server. ssdrec-tensor still
+# reaches it for its RNG, so only the server's direct normal dependencies
+# are checked.
+SERVE_DEPS=$(cargo tree --offline -e normal -p ssdrec-serve --depth 1)
+if printf '%s\n' "$SERVE_DEPS" | grep -q 'ssdrec-testkit'; then
+    die "ssdrec-serve depends on ssdrec-testkit again"
+fi
+echo "ok: ssdrec-serve has no normal dependency on ssdrec-testkit"
 # Kernel bits must not depend on the host's C library: every exp, ln and
 # tanh in the tensor crate is math.rs's. A float method call (`x.exp()`, no
 # argument — graph ops such as `g.exp(v)` take one) or an `f32::exp` path
@@ -203,7 +214,7 @@ echo "== offline release build =="
 cargo build --release --workspace
 
 echo "== offline tests =="
-cargo test --workspace -q
+cargo test -q
 
 echo "== serve smoke =="
 ./target/release/ssdrec train $SMOKE_FLAGS --epochs 1 --out "$SMOKE_DIR/ckpt.ssdt" >/dev/null

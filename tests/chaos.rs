@@ -9,9 +9,10 @@
 //!   bit-identical top-K, workers respawn, `/metrics` reports the recovery
 //!   counters, and an overloaded queue sheds with 503 instead of growing.
 //!
-//! The fault registry is process-global, so every test here serialises
-//! behind one mutex (arming guards alone are not enough: an unfaulted
-//! baseline phase would still bump another test's hit counters).
+//! The serving tests arm the process default: their sites run on the
+//! server's connection threads and engine workers. A process plan reaches
+//! every thread, so every test here serialises behind one mutex (an
+//! unfaulted baseline phase would still bump another test's hit counters).
 
 mod common;
 
@@ -28,8 +29,7 @@ use common::{
 use ssdrec::data::{prepare, SyntheticConfig};
 use ssdrec::models::{fit, BackboneKind, CheckpointConfig, SeqRec, TrainOptions};
 use ssdrec::serve::{
-    client, json, request_with_retry, serve, ClientError, Engine, EngineConfig, RecError,
-    RetryPolicy, ServerStats,
+    client, json, serve, ClientError, Engine, EngineConfig, RecError, ServerStats,
 };
 use ssdrec::stream::{load_current, open_or_create_log, retrain, CheckpointDir, RetrainOutcome};
 use ssdrec_testkit::fault::{assert_fired_exactly, FaultPlan};
@@ -114,7 +114,7 @@ fn read_fault_gives_500_then_recovers_bit_identically() {
     let addr = handle.addr();
     let baseline = post_ok(addr, REQ);
 
-    let _armed = FaultPlan::new().error("serve.read", 1).arm();
+    let _armed = FaultPlan::new().error("serve.read", 1).arm_process();
     // The fault fires the moment the connection opens, so depending on the
     // race with the client's own write the client sees either the server's
     // 500 or a transport error (the server closed while it was still
@@ -146,20 +146,15 @@ fn write_fault_is_healed_transparently_by_the_retrying_client() {
     let addr = handle.addr();
     let baseline = post_ok(addr, REQ);
 
-    // Two consecutive dropped responses: the client must retry through
-    // both (deterministic backoff) and land on the identical bytes.
+    // Two consecutive dropped responses: a client retrying three times
+    // gets through both and lands on the identical bytes.
     let _armed = FaultPlan::new()
         .error("serve.write", 1)
         .error("serve.write", 2)
-        .arm();
-    let (status, body) = request_with_retry(
-        addr,
-        "POST",
-        "/recommend",
-        Some(REQ),
-        &RetryPolicy::default(),
-    )
-    .expect("retry must eventually succeed");
+        .arm_process();
+    let (status, body) = (0..3)
+        .find_map(|_| client::post(addr, "/recommend", REQ).ok())
+        .expect("retry must eventually succeed");
     assert_eq!(status, 200, "{body}");
     assert_eq!(body, baseline, "healed response must match baseline bytes");
     assert_fired_exactly("serve.write", 2);
@@ -172,7 +167,7 @@ fn worker_panic_respawns_without_corrupting_results() {
     let addr = handle.addr();
     let baseline = post_ok(addr, REQ);
 
-    let _armed = FaultPlan::new().panic("engine.batch", 1).arm();
+    let _armed = FaultPlan::new().panic("engine.batch", 1).arm_process();
     // The panicked worker's job is dropped: its caller gets a clean 500.
     let (status, body) = client::post(addr, "/recommend", REQ).expect("request");
     assert_eq!(status, 500, "{body}");
@@ -182,7 +177,7 @@ fn worker_panic_respawns_without_corrupting_results() {
     assert_fired_exactly("engine.batch", 1);
 
     // /metrics reports the recovery, including the injection counter
-    // (read while still armed — disarming clears the registry).
+    // (read while still armed — dropping the guard drops its counters).
     let (status, metrics) = client::get(addr, "/metrics").expect("metrics");
     assert_eq!(status, 200);
     let m = json::parse(&metrics).expect("metrics JSON");
@@ -219,7 +214,9 @@ fn overloaded_queue_sheds_with_503_and_never_deadlocks() {
     // Stall the single worker on its first batch while six barrier-released
     // clients pile onto a one-slot queue: at most the stalled batch and one
     // queued job can be in flight, so several requests must shed.
-    let _armed = FaultPlan::new().delay_ms("engine.batch", 400, 1).arm();
+    let _armed = FaultPlan::new()
+        .delay_ms("engine.batch", 400, 1)
+        .arm_process();
     let clients = 6;
     let barrier = Arc::new(Barrier::new(clients));
     let threads: Vec<_> = (0..clients)

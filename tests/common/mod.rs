@@ -48,12 +48,7 @@ pub fn train_config(epochs: usize, seed: u64) -> TrainConfig {
 /// `name` under the suite's scratch directory; a stale file or directory
 /// of that name is removed first.
 pub fn scratch(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("ssdrec-test");
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let path = dir.join(name);
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_dir_all(&path);
-    path
+    ssdrec_testkit::scratch_path(concat!(env!("CARGO_TARGET_TMPDIR"), "/ssdrec-test"), name)
 }
 
 /// [`scratch`], created as an empty directory.
