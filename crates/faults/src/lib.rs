@@ -280,26 +280,22 @@ fn hit_slow(site: &str) -> Result<(), Injected> {
         return Ok(());
     };
     let kind = {
-        let mut plan = lock(&plan);
+        let mut guard = lock(&plan);
+        let plan = &mut *guard;
         if plan.specs.is_empty() {
             return Ok(());
         }
-        let hits = {
-            let stats = plan.sites.entry(site.to_string()).or_default();
-            stats.hits += 1;
-            stats.hits
-        };
+        let stats = plan.sites.entry(site.to_string()).or_default();
+        stats.hits += 1;
         let kind = plan
             .specs
             .iter_mut()
-            .find(|(s, consumed)| !consumed && s.site == site && s.nth == hits)
+            .find(|(s, consumed)| !consumed && s.site == site && s.nth == stats.hits)
             .map(|(s, consumed)| {
                 *consumed = true;
                 s.kind
             });
-        if kind.is_some() {
-            plan.sites.get_mut(site).expect("just inserted").fired += 1;
-        }
+        stats.fired += u64::from(kind.is_some());
         kind
     }; // lock released before any sleep/panic
     match kind {
@@ -483,17 +479,10 @@ mod tests {
     #[test]
     fn a_thread_plan_is_invisible_to_other_threads() {
         let _armed = arm(vec![FaultSpec::parse("x:error:1").unwrap()]);
-        std::thread::spawn(|| {
-            // An empty plan of its own: the sibling neither fires nor counts,
-            // and cannot see the process default either.
-            let _own = arm(vec![]);
-            for _ in 0..10 {
-                assert!(point("x").is_ok());
-            }
-            assert_eq!(hits("x"), 0);
-        })
-        .join()
-        .unwrap();
+        // No plan of its own: the sibling fires from the process default
+        // (which the env test may arm, so its counters are not read).
+        let sibling = std::thread::spawn(|| (0..10).all(|_| point("x").is_ok()));
+        assert!(sibling.join().unwrap(), "the sibling's ten hits all pass");
         assert!(point("x").is_err(), "the arming thread's first hit fires");
         assert_eq!((hits("x"), fired("x")), (1, 1));
     }

@@ -49,7 +49,6 @@ pub fn scratch_path(dir: impl AsRef<Path>, name: &str) -> PathBuf {
     let dir = dir.as_ref();
     std::fs::create_dir_all(dir).expect("create scratch dir");
     let path = dir.join(name);
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_dir_all(&path);
+    let _ = std::fs::remove_file(&path).or_else(|_| std::fs::remove_dir_all(&path));
     path
 }
