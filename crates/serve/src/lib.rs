@@ -7,9 +7,9 @@
 //! Pipeline per request:
 //!
 //! ```text
-//! TcpListener ──► connection thread ──► validate ──► session cache ──┐
-//!                                                                    │ miss
-//!                      mpsc queue ◄─────────────────────────────────┘
+//! TcpListener ──► acceptor thread ──► validate ──► session cache ──┐
+//!  (serves what it accepted)                                       │ miss
+//!                      mpsc queue ◄────────────────────────────────┘
 //!                          │  (take what is queued, up to max_batch; linger
 //!                          │   only on a batch that is already coalescing)
 //!                          ▼

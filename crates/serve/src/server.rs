@@ -1,5 +1,15 @@
-//! The HTTP front-end: a `TcpListener` accept loop dispatching
-//! one-connection-per-thread onto the shared [`Engine`].
+//! The HTTP front-end: **acceptor threads** that each block in `accept()`
+//! on the shared listener and serve the connection they accepted
+//! themselves, onto the shared [`Engine`]. There is no thread spawn and no
+//! hand-off per request: the acceptor that takes the last idle slot spawns
+//! one replacement before it serves, so someone always waits in `accept()`
+//! and steady traffic spawns nothing; idle acceptors above a fixed bound
+//! (16) exit. A busy acceptor holds no handle on the listener, so a
+//! stalled client pins its thread (until `read_timeout`) but neither keeps
+//! the port open nor delays shutdown.
+//!
+//! `/reload` and the `reload_poll` watcher run on one long-lived
+//! `ssdrec-reload` thread, so engine builds stay off the acceptors.
 //!
 //! Endpoints:
 //!
@@ -18,8 +28,9 @@
 use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -27,6 +38,10 @@ use crate::engine::{Engine, Recommendation};
 use crate::http::{read_request, write_json, Request};
 use crate::json::{self, Json};
 use crate::swap::{EngineSlot, ReloadOutcome};
+
+/// Idle acceptors above this many exit instead of waiting in `accept()`
+/// again, so the threads a burst needed do not all outlive it.
+const MAX_IDLE_ACCEPTORS: usize = 16;
 
 /// Connection-handling knobs for the HTTP front-end.
 #[derive(Clone, Debug)]
@@ -36,9 +51,10 @@ pub struct ServeConfig {
     pub read_timeout: Duration,
     /// Per-connection socket write timeout.
     pub write_timeout: Duration,
-    /// When set (and the slot is reloadable), a background thread polls the
-    /// checkpoint directory's `CURRENT` pointer at this interval and swaps
-    /// in newer versions automatically — `/reload` without the request.
+    /// When set (and the slot is reloadable), the `ssdrec-reload` thread
+    /// polls the checkpoint directory's `CURRENT` pointer whenever this long
+    /// passes without a `/reload`, and swaps in newer versions
+    /// automatically — `/reload` without the request.
     pub reload_poll: Option<Duration>,
 }
 
@@ -52,28 +68,60 @@ impl Default for ServeConfig {
     }
 }
 
+/// Where the reload thread sends one `/reload`'s outcome.
+type ReloadReply = Sender<Result<ReloadOutcome, String>>;
+
 struct Shared {
     slot: EngineSlot,
     cfg: ServeConfig,
-    stop: AtomicBool,
     addr: SocketAddr,
+    stop: AtomicBool,
+    /// Guards `stop`'s transition to true, for [`Shared::wait_for_stop`].
+    stop_lock: Mutex<()>,
+    stopped: Condvar,
+    /// Acceptors waiting in, or on their way into, `accept()`.
+    idle: AtomicUsize,
+    /// The `ssdrec-reload` thread's inbox (reloadable slots only); `None`
+    /// stops the thread.
+    reload_tx: Option<Sender<Option<ReloadReply>>>,
 }
 
 impl Shared {
-    /// Flag the accept loop to stop and poke it with a throwaway
-    /// connection so `accept()` returns.
+    /// Flag the server to stop and wake [`ServerHandle::join`]. Idle
+    /// acceptors are woken by [`ServerHandle::shutdown`].
     fn trigger_stop(&self) {
-        if !self.stop.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
+        let _guard = self.stop_lock.lock().unwrap_or_else(|p| p.into_inner());
+        self.stop.store(true, Ordering::SeqCst);
+        self.stopped.notify_all();
+    }
+
+    fn wait_for_stop(&self) {
+        let mut guard = self.stop_lock.lock().unwrap_or_else(|p| p.into_inner());
+        while !self.stop.load(Ordering::SeqCst) {
+            guard = self.stopped.wait(guard).unwrap_or_else(|p| p.into_inner());
         }
+    }
+
+    /// Run one reload on the reload thread and wait for its outcome. A
+    /// fixed slot has no reload thread and refuses here.
+    fn reload(&self) -> Result<ReloadOutcome, String> {
+        let Some(inbox) = &self.reload_tx else {
+            return self.slot.reload();
+        };
+        let gone = "the server is shutting down".to_string();
+        let (reply, outcome) = mpsc::channel();
+        inbox.send(Some(reply)).map_err(|_| gone.clone())?;
+        outcome.recv().map_err(|_| gone)?
     }
 }
 
 /// A running server. Dropping the handle shuts the server down.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    poller: Option<JoinHandle<()>>,
+    /// The handle's own hold on the listener: with it, the port stays open
+    /// even while every acceptor is busy.
+    listener: Option<Arc<TcpListener>>,
+    reloader: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -93,30 +141,39 @@ impl ServerHandle {
         &self.shared.slot
     }
 
-    /// Block until the server stops (via `POST /shutdown` or another
-    /// thread calling [`ServerHandle::shutdown`] on a clone-free handle).
+    /// Block until `POST /shutdown` arrives, then shut the server down.
     pub fn join(mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        self.stop_poller();
-        self.shared.slot.shutdown();
+        self.shared.wait_for_stop();
+        self.shutdown();
     }
 
-    /// Stop the accept loop and the engine workers. Idempotent.
+    /// Close the port, stop the reload thread and the engine workers.
+    /// Connections still being served finish on their own threads; none of
+    /// them delays this call. Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.trigger_stop();
-        if let Some(h) = self.accept.take() {
+        self.close_listener();
+        if let Some(h) = self.reloader.take() {
+            if let Some(inbox) = &self.shared.reload_tx {
+                let _ = inbox.send(None);
+            }
             let _ = h.join();
         }
-        self.stop_poller();
         self.shared.slot.shutdown();
     }
 
-    fn stop_poller(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.poller.take() {
-            let _ = h.join();
+    /// Drop the handle's hold on the listener and wake every idle acceptor
+    /// with a throwaway connection: each one accepts it, sees `stop` and
+    /// lets go of the listener. The last hold to go closes the port.
+    fn close_listener(&mut self) {
+        let Some(listener) = self.listener.take() else {
+            return;
+        };
+        let held = Arc::downgrade(&listener);
+        drop(listener);
+        while held.strong_count() > 0 {
+            let _ = TcpStream::connect_timeout(&self.shared.addr, Duration::from_millis(100));
+            std::thread::sleep(Duration::from_micros(100));
         }
     }
 }
@@ -144,61 +201,114 @@ pub fn serve_with(engine: Engine, addr: &str, cfg: ServeConfig) -> io::Result<Se
 /// `reload_poll` watcher) hot-swap newer model versions in with zero
 /// downtime.
 pub fn serve_slot(slot: EngineSlot, addr: &str, cfg: ServeConfig) -> io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
+    let listener = Arc::new(TcpListener::bind(addr)?);
     let addr = listener.local_addr()?;
-    let poll = cfg.reload_poll.filter(|_| slot.is_reloadable());
+    let (reload_tx, inbox) = slot.is_reloadable().then(mpsc::channel).unzip();
+    let poll = cfg.reload_poll;
     let shared = Arc::new(Shared {
         slot,
         cfg,
-        stop: AtomicBool::new(false),
         addr,
+        stop: AtomicBool::new(false),
+        stop_lock: Mutex::new(()),
+        stopped: Condvar::new(),
+        idle: AtomicUsize::new(0),
+        reload_tx,
     });
-    let accept_shared = Arc::clone(&shared);
-    let accept = std::thread::Builder::new()
-        .name("ssdrec-accept".into())
-        .spawn(move || {
-            for conn in listener.incoming() {
-                if accept_shared.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                let conn_shared = Arc::clone(&accept_shared);
-                let _ = std::thread::Builder::new()
-                    .name("ssdrec-conn".into())
-                    .spawn(move || handle_connection(stream, &conn_shared));
-            }
-        })?;
-    let poller = match poll {
-        Some(interval) => {
-            let poll_shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("ssdrec-reload-poll".into())
-                    .spawn(move || {
-                        // Sleep in short slices so shutdown is prompt even
-                        // with a long poll interval.
-                        let slice = Duration::from_millis(20).min(interval);
-                        let mut elapsed = Duration::ZERO;
-                        while !poll_shared.stop.load(Ordering::SeqCst) {
-                            std::thread::sleep(slice);
-                            elapsed += slice;
-                            if elapsed >= interval {
-                                elapsed = Duration::ZERO;
-                                // Errors keep the old model serving; they are
-                                // already counted in swap_failed_total.
-                                let _ = poll_shared.slot.reload();
-                            }
-                        }
-                    })?,
-            )
-        }
-        None => None,
+    // From here on an error drops `handle`, which stops whatever started.
+    let mut handle = ServerHandle {
+        shared: Arc::clone(&shared),
+        listener: Some(listener),
+        reloader: None,
     };
-    Ok(ServerHandle {
-        shared,
-        accept: Some(accept),
-        poller,
-    })
+    if let Some(inbox) = inbox {
+        let reload_shared = Arc::clone(&shared);
+        handle.reloader = Some(
+            std::thread::Builder::new()
+                .name("ssdrec-reload".into())
+                .spawn(move || reload_loop(&reload_shared.slot, &inbox, poll))?,
+        );
+    }
+    spawn_acceptor(&shared, handle.listener.as_ref().expect("just set"))?;
+    Ok(handle)
+}
+
+/// The `ssdrec-reload` thread: every `/reload`, and with `poll` a reload
+/// whenever that long passes without one, one at a time on this thread.
+fn reload_loop(slot: &EngineSlot, inbox: &Receiver<Option<ReloadReply>>, poll: Option<Duration>) {
+    loop {
+        let msg = match poll {
+            Some(interval) => inbox.recv_timeout(interval),
+            None => inbox.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        let reply = match msg {
+            Ok(Some(reply)) => Some(reply),
+            Err(RecvTimeoutError::Timeout) => None,
+            Ok(None) | Err(RecvTimeoutError::Disconnected) => return,
+        };
+        // Errors keep the old model serving; they are already counted in
+        // swap_failed_total.
+        let outcome = slot.reload();
+        // The replacement engine was built on this thread: give its
+        // scratch buffers back instead of keeping them for the server's
+        // lifetime.
+        ssdrec_tensor::pool::clear_local();
+        if let Some(reply) = reply {
+            let _ = reply.send(outcome);
+        }
+    }
+}
+
+/// Start one more acceptor, counted idle from the start so that no other
+/// acceptor spawns for the same gap.
+fn spawn_acceptor(shared: &Arc<Shared>, listener: &Arc<TcpListener>) -> io::Result<()> {
+    shared.idle.fetch_add(1, Ordering::SeqCst);
+    let (acc_shared, acc_listener) = (Arc::clone(shared), Arc::clone(listener));
+    std::thread::Builder::new()
+        .name("ssdrec-acceptor".into())
+        .spawn(move || acceptor(&acc_shared, acc_listener))
+        .map(drop)
+        .inspect_err(|_| {
+            shared.idle.fetch_sub(1, Ordering::SeqCst);
+        })
+}
+
+/// One acceptor's life: wait in `accept()`, serve the connection it
+/// accepted, and go back to waiting. It holds the listener only while it
+/// waits; while it serves it keeps a weak reference, so shutdown never
+/// waits for it.
+fn acceptor(shared: &Arc<Shared>, listener: Arc<TcpListener>) {
+    let weak = Arc::downgrade(&listener);
+    let mut held = Some(listener);
+    while let Some(listener) = held.take() {
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok((stream, _)) = accepted else {
+            held = Some(listener);
+            continue;
+        };
+        if shared.idle.fetch_sub(1, Ordering::SeqCst) == 1 {
+            // This thread took the last idle slot: keep someone in
+            // `accept()` while it serves.
+            let _ = spawn_acceptor(shared, &listener);
+        }
+        drop(listener);
+        handle_connection(stream, shared);
+        let rejoined = shared
+            .idle
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < MAX_IDLE_ACCEPTORS).then_some(n + 1)
+            })
+            .is_ok();
+        if rejoined {
+            held = weak.upgrade();
+        }
+    }
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Shared) {
@@ -251,7 +361,9 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
 
 fn route(req: &Request, shared: &Shared) -> (u16, String) {
     // One engine snapshot per request: everything below serves from this
-    // immutable Arc, even if a hot swap commits while we run.
+    // immutable Arc, even if a hot swap commits while we run. `/reload`
+    // holds it too while it waits for the reload thread, so the swap's
+    // drain waits it out.
     let engine = shared.slot.engine();
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/health") => (
@@ -282,7 +394,7 @@ fn route(req: &Request, shared: &Shared) -> (u16, String) {
                 (400, format!("{{\"error\":{}}}", json::quote(&e)))
             }
         },
-        ("POST", "/reload") => match shared.slot.reload() {
+        ("POST", "/reload") => match shared.reload() {
             Ok(ReloadOutcome::Swapped { version }) => (
                 200,
                 format!("{{\"status\":\"swapped\",\"model_version\":{version}}}"),

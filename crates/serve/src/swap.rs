@@ -131,8 +131,8 @@ impl EngineSlot {
 
     /// Consult the loader and, if it produces a newer model, swap it in.
     ///
-    /// Runs on the calling thread (the `/reload` connection thread or the
-    /// poller) — never on the serving path. On any failure the old engine
+    /// Runs on the calling thread (under a server, its `ssdrec-reload`
+    /// thread) — never on the serving path. On any failure the old engine
     /// keeps serving and `swap_failed_total` is bumped.
     pub fn reload(&self) -> Result<ReloadOutcome, String> {
         let loader = self.loader.as_ref().ok_or_else(|| {

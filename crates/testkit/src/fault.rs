@@ -1,7 +1,6 @@
 //! Test-side hooks for the `ssdrec-faults` injection runtime: a
-//! [`FaultPlan`] builder (programmatic or parsed from the `SSDREC_FAULTS`
-//! spec format), armed on the calling thread or as the process default,
-//! and fire-count assertions.
+//! [`FaultPlan`] builder, armed on the calling thread or as the process
+//! default, and fire-count assertions.
 //!
 //! ```
 //! use ssdrec_testkit::fault::{assert_fired_exactly, FaultPlan};
@@ -27,14 +26,6 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Parse a plan from the `SSDREC_FAULTS` spec format
-    /// (`site:kind:nth,...`, kinds `error` | `panic` | `delay<MS>`).
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        Ok(FaultPlan {
-            specs: FaultSpec::parse_list(spec)?,
-        })
-    }
-
     fn with(mut self, site: &str, kind: FaultKind, nth: u64) -> Self {
         self.specs.push(FaultSpec {
             site: site.into(),
@@ -57,16 +48,6 @@ impl FaultPlan {
     /// Add a panic fault at `site` on its `nth` hit.
     pub fn panic(self, site: &str, nth: u64) -> Self {
         self.with(site, FaultKind::Panic, nth)
-    }
-
-    /// Number of specs in the plan.
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// Whether the plan is empty.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
     }
 
     /// Arm the plan on the calling thread (see [`ssdrec_faults::arm`]).
@@ -103,29 +84,17 @@ mod tests {
 
     #[test]
     fn builder_composes_and_arms() {
-        let plan = FaultPlan::new()
+        let _armed = FaultPlan::new()
             .error("tk.a", 1)
             .delay_ms("tk.b", 5, 1)
-            .panic("tk.c", 2);
-        assert_eq!(plan.len(), 3);
-        let _armed = plan.arm();
+            .panic("tk.c", 2)
+            .arm();
         assert!(ssdrec_faults::point("tk.a").is_err());
         assert!(ssdrec_faults::point("tk.b").is_ok()); // delayed, not failed
         assert!(ssdrec_faults::point("tk.c").is_ok()); // fires on hit 2
         assert_fired_exactly("tk.a", 1);
         assert_fired_exactly("tk.b", 1);
         assert_fired_exactly("tk.c", 0);
-    }
-
-    #[test]
-    fn parse_matches_env_format() {
-        let plan = FaultPlan::parse("tk.p:error:2, tk.q:delay10:1").unwrap();
-        assert_eq!(plan.len(), 2);
-        let _armed = plan.arm();
-        assert!(ssdrec_faults::point("tk.p").is_ok());
-        assert!(ssdrec_faults::point("tk.p").is_err());
-        assert_fired_exactly("tk.p", 1);
-        assert!(FaultPlan::parse("nope").is_err());
     }
 
     #[test]

@@ -14,8 +14,9 @@
 #      covers the whole workspace through the root manifest's
 #      default-members.
 #   5. Serve smoke: train a tiny checkpoint, serve it on an ephemeral
-#      port, issue one request over bash /dev/tcp (no curl), assert a
-#      well-formed response, shut down cleanly.
+#      port, open a silent connection, issue one request over bash /dev/tcp
+#      (no curl), assert a well-formed response that did not wait on the
+#      silent connection, shut down cleanly within 10 s with it still open.
 #   6. Chaos smoke: re-serve the checkpoint with SSDREC_FAULTS arming one
 #      read fault and one worker panic; retry until the response matches
 #      the fault-free baseline byte-for-byte and /metrics reports the
@@ -122,10 +123,17 @@ http_status() {
     exec 3<&- 3>&-
 }
 
-# stop_server: POST /shutdown and wait for a clean exit.
+# stop_server: POST /shutdown and wait, at most 10 s, for a clean exit.
 stop_server() {
+    local status=0
     http_body POST /shutdown >/dev/null
-    wait "$SERVER_PID"
+    for _ in $(seq 1 100); do
+        kill -0 "$SERVER_PID" 2>/dev/null || break
+        sleep 0.1
+    done
+    ! kill -0 "$SERVER_PID" 2>/dev/null || die "server did not exit within 10 s of /shutdown"
+    wait "$SERVER_PID" || status=$?
+    [ "$status" -eq 0 ] || die "server exited with status $status"
     SERVER_PID=""
 }
 
@@ -219,12 +227,20 @@ cargo test -q
 echo "== serve smoke =="
 ./target/release/ssdrec train $SMOKE_FLAGS --epochs 1 --out "$SMOKE_DIR/ckpt.ssdt" >/dev/null
 start_server serve $SMOKE_FLAGS --model "$SMOKE_DIR/ckpt.ssdt"
+# A silent client: connected, never sends a byte, open until the server is
+# gone. It pins only the thread that accepted it (for the 30 s read
+# timeout); the baseline request and the server's exit must not wait on it.
+exec 4<>"/dev/tcp/127.0.0.1/$PORT"
+sleep 0.2
+START=$SECONDS
 # Scores are bit-identical across server instances of the same checkpoint,
 # so this body is the baseline of the chaos and hostile-body smokes.
 BASELINE=$(http_body GET "$RECOMMEND")
+[ $((SECONDS - START)) -lt 10 ] || die "serve smoke: the request waited on a silent connection"
 printf '%s' "$BASELINE" | grep -q '"items":\[' || die "serve smoke: malformed response: $BASELINE"
 stop_server
-echo "ok: served a request on port $PORT and shut down cleanly"
+exec 4<&- 4>&-
+echo "ok: served a request beside a silent connection on port $PORT and shut down cleanly"
 
 echo "== chaos smoke (SSDREC_FAULTS: injected faults + recovery) =="
 SSDREC_FAULTS="serve.read:error:1,engine.batch:panic:1" \
