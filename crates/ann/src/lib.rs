@@ -1,7 +1,7 @@
 //! Deterministic HNSW candidate retrieval over the frozen item table.
 //!
 //! **Retired from the product:** no workspace crate links this one and
-//! serving is exact only (DESIGN.md §12). It stays a workspace member only
+//! serving is exact only (DESIGN.md §5.6). It stays a workspace member only
 //! while `benchmark/probes`' `probe_ann` path-depends on it.
 //!
 //! Serving full-rank-scores every item per request — `O(items)` per user —

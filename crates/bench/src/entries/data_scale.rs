@@ -14,7 +14,7 @@
 //!
 //! Peak RSS (`VmHWM`) is read at the end and must stay under
 //! [`RSS_BUDGET`], pinning the bounded-RAM claim of the out-of-core
-//! pipeline (see DESIGN.md §14). `--fast` shrinks the corpus to a smoke of
+//! pipeline (see DESIGN.md §5.2–5.3). `--fast` shrinks the corpus to a smoke of
 //! the three phases and asserts no budget. The report goes to
 //! `results/data_scale.json`.
 
@@ -30,7 +30,7 @@ use crate::{repo_root, write_results, Args, Scale};
 /// The graph build dominates: the transitional intermediates (the
 /// contribution buffer, the outgoing / incoming / mass rows) and the
 /// finished CSRs peak at ≈ 3.6 GiB at this scale (measured on a 2-cpu
-/// host; see DESIGN.md §14, *RSS budget*). 8 GiB leaves headroom without
+/// host; see DESIGN.md §5.3). 8 GiB leaves headroom without
 /// letting the "bounded RAM" claim degenerate into "fits in a 128 GiB
 /// box".
 const RSS_BUDGET: u64 = 8 * 1024 * 1024 * 1024;

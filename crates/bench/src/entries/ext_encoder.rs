@@ -1,4 +1,4 @@
-//! Extension ablation (DESIGN.md §6.2): Eq. 2's attention-weighted directed
+//! Extension ablation (DESIGN.md §5.5): Eq. 2's attention-weighted directed
 //! aggregation vs an untyped mean in the global relation encoder.
 
 use crate::{metric_header, metric_row, prepare_profile, run_ssdrec_with, write_results, Args};

@@ -1,4 +1,4 @@
-//! Extension ablation (DESIGN.md §5.1): straight-through hard Gumbel vs the
+//! Extension ablation (DESIGN.md §5.5): straight-through hard Gumbel vs the
 //! soft relaxation inside the position selector — cost of the hard path at
 //! several vocabulary widths, and of the full augmentation step at several
 //! sequence lengths. Mean wall-clock per call over a fixed iteration count.

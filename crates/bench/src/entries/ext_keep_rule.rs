@@ -1,4 +1,4 @@
-//! Extension ablation (DESIGN.md §5.2): sweep the stage-3 keep rule's
+//! Extension ablation (DESIGN.md §5.5): sweep the stage-3 keep rule's
 //! relative threshold β and calibration sharpness κ, reporting accuracy and
 //! OUP on a noise-labelled ML-100K profile. Shows the precision/recall
 //! trade-off of explicit denoising: higher β removes more noise but drops

@@ -8,7 +8,7 @@
 //! keep/drop decisions.
 //!
 //! `--sweep-insert` additionally sweeps the number of inserted items
-//! (the DESIGN.md §5.3 ablation on insertion-count trade-offs).
+//! (the insertion-count trade-off ablation).
 
 use crate::{noisy_ml100k, oup, write_results, Args, HarnessConfig};
 use ssdrec_core::SsdRec;

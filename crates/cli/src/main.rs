@@ -35,8 +35,9 @@
 //! deterministic fault injection (`site:kind:nth`, see `ssdrec_faults`).
 //!
 //! The online loop: `ingest` appends interactions to an append-only log,
-//! `retrain` warm-starts from the latest published version and trains on
-//! the merged history into `--ckpt-dir/v000N/`, and a `serve --ckpt-dir`
+//! `retrain` is a warm-started full retrain — it starts from the latest
+//! published version's training state, replays the whole log and trains
+//! every user into `--ckpt-dir/v000N/` — and a `serve --ckpt-dir`
 //! server hot-swaps new versions in via `POST /reload` (or automatically
 //! with `--watch-current`) without dropping a request.
 
@@ -511,7 +512,10 @@ fn explicit_catalog(a: &Args) -> Result<Option<LogHeader>, String> {
 fn retrain_spec(a: &Args) -> Result<RetrainSpec, String> {
     let epochs: usize = a.get_parse("epochs", 1)?;
     if epochs == 0 {
-        return Err("--epochs must be ≥ 1 (incremental rounds run exactly N epochs)".into());
+        return Err(
+            "--epochs must be ≥ 1 (each round is a warm-started full retrain of exactly N epochs)"
+                .into(),
+        );
     }
     let defaults = TrainConfig::default();
     Ok(RetrainSpec {

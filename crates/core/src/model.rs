@@ -11,10 +11,11 @@
 //! Each stage can be ablated independently (Table V's variants).
 
 use ssdrec_data::{Batch, Example};
-use ssdrec_denoise::Keep;
+use ssdrec_denoise::{Keep, TauSchedule};
 use ssdrec_graph::MultiRelationGraph;
 use ssdrec_models::{
-    build_encoder, pad_mask, score_catalogue, BackboneKind, FrozenPass, RecModel, SeqEncoder,
+    build_encoder, next_item_ce, pad_mask, score_catalogue, BackboneKind, FrozenPass, RecModel,
+    SeqEncoder,
 };
 use ssdrec_tensor::nn::Embedding;
 use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
@@ -46,7 +47,7 @@ pub struct SsdRecConfig {
     /// Stage-1 toggle (global relation encoder).
     pub stage1: bool,
     /// Use Eq. 2's directed attention in the relation encoder (`false` =
-    /// untyped mean aggregation, the DESIGN §6.2 ablation).
+    /// untyped mean aggregation, the `ext-encoder` ablation).
     pub relation_attention: bool,
     /// Stage-2 toggle (self-augmentation).
     pub stage2: bool,
@@ -111,9 +112,8 @@ pub struct SsdRec {
     coherence_graph: Option<MultiRelationGraph>,
     /// Configuration used to build the model.
     pub cfg: SsdRecConfig,
-    /// Current Gumbel temperature.
-    pub tau: f32,
-    steps: u64,
+    /// The Gumbel temperature, annealed during training.
+    pub tau: TauSchedule,
     num_items: usize,
     num_users: usize,
     /// Whether stage-2 augmentation is currently active (it warms up after
@@ -178,7 +178,7 @@ impl SsdRec {
             &mut rng,
         );
         let backbone = build_encoder(cfg.backbone, &mut store, d, cfg.max_len + 2, &mut rng);
-        let tau = cfg.tau;
+        let tau = TauSchedule::new(cfg.tau, cfg.tau_decay, cfg.anneal_every, cfg.tau_min);
         let coherence_graph = cfg.stage1.then(|| mg.clone());
         SsdRec {
             store,
@@ -191,7 +191,6 @@ impl SsdRec {
             coherence_graph,
             cfg,
             tau,
-            steps: 0,
             num_items: mg.num_items,
             num_users: mg.num_users.max(1),
             aug_active: false,
@@ -292,17 +291,15 @@ impl SsdRec {
         rng: &mut Rng,
     ) -> (Var, Option<GateInfo>, Var) {
         let (items, users) = self.tables(g, bind);
-        let (mut h_seq, hu) = self.sequence_reprs(g, items, users, batch);
-        if self.cfg.dropout > 0.0 {
-            let mask = rng.dropout_mask(g.value(h_seq).len(), self.cfg.dropout);
-            h_seq = g.dropout_with_mask(h_seq, mask);
-        }
+        let (h_seq, hu) = self.sequence_reprs(g, items, users, batch);
+        let h_seq = g.dropout(h_seq, self.cfg.dropout, rng);
+        let tau = self.tau.tau;
 
         let prior = self.coherence_prior(g, batch);
         let do_aug = self.aug_active && self.augments(batch.seq_len);
         let mut gate = None;
         let h_in = if do_aug {
-            let aug = self.augmenter.augment(g, bind, rng, h_seq, items, self.tau);
+            let aug = self.augmenter.augment(g, bind, rng, h_seq, items, tau);
             if self.cfg.stage3 {
                 let (refined, _gl, _gr) = self.denoiser.refine(g, bind, h_seq, &aug);
                 let (denoised, probs) = self.denoiser.denoise_train(
@@ -313,7 +310,7 @@ impl SsdRec {
                     refined,
                     Some(aug.copy_matrix),
                     hu,
-                    self.tau,
+                    tau,
                     prior,
                 );
                 gate = Some(GateInfo {
@@ -331,7 +328,7 @@ impl SsdRec {
         } else if self.cfg.stage3 {
             let (denoised, probs) = self
                 .denoiser
-                .denoise_train(g, bind, rng, h_seq, h_seq, None, hu, self.tau, prior);
+                .denoise_train(g, bind, rng, h_seq, h_seq, None, hu, tau, prior);
             gate = Some(GateInfo {
                 probs,
                 h_seq,
@@ -385,7 +382,9 @@ impl SsdRec {
 
         // Augmented score (stage 2, pre-denoising).
         let (position, inserted, augmented_score) = if self.augments(ex.seq.len()) {
-            let aug = self.augmenter.augment(g, bind, rng, h_seq, items, self.tau);
+            let aug = self
+                .augmenter
+                .augment(g, bind, rng, h_seq, items, self.tau.tau);
             (
                 Some(aug.positions[0]),
                 Some((aug.left_items[0], aug.right_items[0])),
@@ -434,10 +433,7 @@ impl RecModel for SsdRec {
 
     fn loss(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: &mut Rng) -> Var {
         let (logits, gate, items) = self.forward_train(g, bind, batch, rng);
-        let logp = g.log_softmax_last(logits);
-        let picked = g.pick_per_row(logp, &batch.targets);
-        let mean = g.mean_all(picked);
-        let ce = g.neg(mean);
+        let ce = next_item_ce(g, logits, &batch.targets);
         match gate {
             Some(GateInfo {
                 probs,
@@ -502,27 +498,17 @@ impl RecModel for SsdRec {
     }
 
     fn after_step(&mut self) {
-        self.steps += 1;
-        if self.steps.is_multiple_of(self.cfg.anneal_every) {
-            self.tau = (self.tau * self.cfg.tau_decay).max(self.cfg.tau_min);
-        }
+        self.tau.after_step();
     }
 
-    // Resume support: the step counter and annealed τ are the only hidden
-    // training state (`aug_active` is recomputed by `on_epoch_start`).
+    // Resume support: the τ schedule is the only hidden training state
+    // (`aug_active` is recomputed by `on_epoch_start`).
     fn train_state(&self) -> Vec<u64> {
-        vec![self.steps, self.tau.to_bits() as u64]
+        self.tau.state()
     }
 
     fn restore_train_state(&mut self, state: &[u64]) {
-        assert_eq!(
-            state.len(),
-            2,
-            "SSDRec training state must be [steps, tau_bits], got {} words",
-            state.len()
-        );
-        self.steps = state[0];
-        self.tau = f32::from_bits(state[1] as u32);
+        self.tau.restore(state, "SSDRec");
     }
 
     fn model_name(&self) -> String {
@@ -686,9 +672,9 @@ mod tests {
     #[test]
     fn tau_anneals() {
         let mut m = toy_model(|c| c.anneal_every = 1);
-        let t0 = m.tau;
+        let t0 = m.tau.tau;
         m.after_step();
-        assert!(m.tau < t0);
+        assert!(m.tau.tau < t0);
     }
 
     #[test]
@@ -935,7 +921,9 @@ mod oracle_tests {
 
         // Augmented score (stage 2, pre-denoising).
         let (position, inserted, augmented_score) = if m.cfg.stage2 && seq.len() >= 2 {
-            let aug = m.augmenter.augment(&mut g, &bind, rng, h_seq, items, m.tau);
+            let aug = m
+                .augmenter
+                .augment(&mut g, &bind, rng, h_seq, items, m.tau.tau);
             let h_a = m.backbone.encode(&mut g, &bind, aug.h_aug);
             let a_logits = oracle_score_repr(m, &mut g, items, h_a);
             let s = g.value(a_logits).data()[target];

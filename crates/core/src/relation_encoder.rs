@@ -112,7 +112,7 @@ pub struct GlobalRelationEncoder {
     fuse_u2: Linear,
     adj: RelationAdjacency,
     /// Whether Eq. 2's directed attention is used; `false` replaces it with
-    /// an untyped mean of incoming/outgoing messages (the DESIGN §6.2
+    /// an untyped mean of incoming/outgoing messages (the `ext-encoder`
     /// ablation).
     use_attention: bool,
 }

@@ -10,7 +10,7 @@ use ssdrec_data::Batch;
 use ssdrec_tensor::nn::Embedding;
 use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
 
-use ssdrec_models::{score_catalogue, RecModel, SasRecEncoder, SeqEncoder};
+use ssdrec_models::{next_item_ce, score_catalogue, RecModel, SasRecEncoder, SeqEncoder};
 
 /// The DCRec model.
 pub struct DcRec {
@@ -67,10 +67,7 @@ impl DcRec {
         let t = batch.seq_len;
         let mut h = self.item_emb.lookup_seq(g, bind, &batch.items, b, t);
         if let Some(rng) = rng {
-            if self.dropout > 0.0 {
-                let mask = rng.dropout_mask(g.value(h).len(), self.dropout);
-                h = g.dropout_with_mask(h, mask);
-            }
+            h = g.dropout(h, self.dropout, rng);
         }
         self.encoder.encode(g, bind, h)
     }
@@ -106,10 +103,7 @@ impl RecModel for DcRec {
     fn loss(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: &mut Rng) -> Var {
         let z1 = self.encode_view(g, bind, batch, Some(rng));
         let logits = score_catalogue(g, self.item_emb.table(bind), z1);
-        let logp = g.log_softmax_last(logits);
-        let picked = g.pick_per_row(logp, &batch.targets);
-        let ce_mean = g.mean_all(picked);
-        let ce = g.neg(ce_mean);
+        let ce = next_item_ce(g, logits, &batch.targets);
         if batch.len() >= 2 && self.beta > 0.0 {
             let z2 = self.encode_view(g, bind, batch, Some(rng));
             let cl = self.contrastive_loss(g, z1, z2, &batch.targets);

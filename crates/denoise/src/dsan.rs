@@ -11,7 +11,7 @@ use ssdrec_data::Batch;
 use ssdrec_tensor::nn::{Embedding, Linear};
 use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Var};
 
-use ssdrec_models::{score_catalogue, RecModel};
+use ssdrec_models::{next_item_ce, score_catalogue, RecModel};
 
 /// The DSAN model.
 pub struct Dsan {
@@ -84,10 +84,7 @@ impl Dsan {
         let t = batch.seq_len;
         let mut h = self.item_emb.lookup_seq(g, bind, &batch.items, b, t);
         if let Some(rng) = rng {
-            if self.dropout > 0.0 {
-                let mask = rng.dropout_mask(g.value(h).len(), self.dropout);
-                h = g.dropout_with_mask(h, mask);
-            }
+            h = g.dropout(h, self.dropout, rng);
         }
         let attn = self.sparse_attention(g, bind, h); // B×T
         let a3 = g.reshape(attn, &[b, 1, t]);
@@ -111,10 +108,7 @@ impl RecModel for Dsan {
 
     fn loss(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: &mut Rng) -> Var {
         let logits = self.forward(g, bind, batch, Some(rng));
-        let logp = g.log_softmax_last(logits);
-        let picked = g.pick_per_row(logp, &batch.targets);
-        let mean = g.mean_all(picked);
-        g.neg(mean)
+        next_item_ce(g, logits, &batch.targets)
     }
 
     fn eval_scores_frozen(&self, g: &mut Graph, bind: &Binding, batch: &Batch, _: &[Var]) -> Var {

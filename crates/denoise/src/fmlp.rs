@@ -13,7 +13,7 @@ use ssdrec_data::Batch;
 use ssdrec_tensor::nn::{DftFilter, Embedding, FeedForward, LayerNorm};
 use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Var};
 
-use ssdrec_models::{score_catalogue, RecModel};
+use ssdrec_models::{next_item_ce, score_catalogue, RecModel};
 
 struct FmlpLayer {
     filter: DftFilter,
@@ -76,10 +76,7 @@ impl FmlpRec {
         let b = batch.len();
         let mut h = self.item_emb.lookup_seq(g, bind, &ids, b, self.max_len);
         if let Some(rng) = rng {
-            if self.dropout > 0.0 {
-                let mask = rng.dropout_mask(g.value(h).len(), self.dropout);
-                h = g.dropout_with_mask(h, mask);
-            }
+            h = g.dropout(h, self.dropout, rng);
         }
         for layer in &self.layers {
             let f = layer.filter.forward(g, bind, h);
@@ -105,10 +102,7 @@ impl RecModel for FmlpRec {
 
     fn loss(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: &mut Rng) -> Var {
         let logits = self.forward(g, bind, batch, Some(rng));
-        let logp = g.log_softmax_last(logits);
-        let picked = g.pick_per_row(logp, &batch.targets);
-        let mean = g.mean_all(picked);
-        g.neg(mean)
+        next_item_ce(g, logits, &batch.targets)
     }
 
     fn eval_scores_frozen(&self, g: &mut Graph, bind: &Binding, batch: &Batch, _: &[Var]) -> Var {

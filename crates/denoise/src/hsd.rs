@@ -17,7 +17,7 @@ use ssdrec_data::Batch;
 use ssdrec_tensor::nn::{gumbel_softmax, BiLstm, Embedding, GumbelMode, Linear};
 use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
 
-use ssdrec_models::{score_catalogue, Bert4RecEncoder, RecModel, SeqEncoder};
+use ssdrec_models::{next_item_ce, score_catalogue, Bert4RecEncoder, RecModel, SeqEncoder};
 
 /// The reusable denoising core: inconsistency signals + differentiable
 /// keep/drop masking. SSDRec's hierarchical denoising module instantiates
@@ -162,6 +162,63 @@ impl HsdCore {
     }
 }
 
+/// The Gumbel temperature schedule HSD and SSDRec share: τ starts at
+/// `tau`, and every `every` optimisation steps it is multiplied by `decay`,
+/// floored at `min`. The step counter and the current τ are the model's
+/// only hidden training state, so [`TauSchedule::state`] is what its
+/// [`RecModel::train_state`] persists for a bit-identical resume.
+#[derive(Clone, Copy, Debug)]
+pub struct TauSchedule {
+    /// Current temperature.
+    pub tau: f32,
+    /// Multiplicative decay per anneal.
+    decay: f32,
+    /// Steps between anneals (paper: every 40 batches).
+    every: u64,
+    /// Floor for τ.
+    min: f32,
+    steps: u64,
+}
+
+impl TauSchedule {
+    /// A schedule at step 0.
+    pub fn new(tau: f32, decay: f32, every: u64, min: f32) -> Self {
+        TauSchedule {
+            tau,
+            decay,
+            every,
+            min,
+            steps: 0,
+        }
+    }
+
+    /// Count one optimisation step, annealing τ on every `every`-th.
+    pub fn after_step(&mut self) {
+        self.steps += 1;
+        if self.steps.is_multiple_of(self.every) {
+            self.tau = (self.tau * self.decay).max(self.min);
+        }
+    }
+
+    /// `[steps, tau_bits]`.
+    pub fn state(&self) -> Vec<u64> {
+        vec![self.steps, self.tau.to_bits() as u64]
+    }
+
+    /// Restore [`TauSchedule::state`]; `model` names the owner in the panic
+    /// on a malformed state.
+    pub fn restore(&mut self, state: &[u64], model: &str) {
+        let &[steps, tau_bits] = state else {
+            panic!(
+                "{model} training state must be [steps, tau_bits], got {} words",
+                state.len()
+            );
+        };
+        self.steps = steps;
+        self.tau = f32::from_bits(tau_bits as u32);
+    }
+}
+
 /// The full HSD model: embeddings + core + BERT4Rec backbone (as in the
 /// original paper's experiments).
 pub struct Hsd {
@@ -172,15 +229,8 @@ pub struct Hsd {
     /// The reusable denoising core.
     pub core: HsdCore,
     backbone: Bert4RecEncoder,
-    /// Current Gumbel temperature (annealed during training).
-    pub tau: f32,
-    /// Multiplicative τ decay applied every `anneal_every` steps.
-    pub tau_decay: f32,
-    /// Steps between τ anneals (paper: every 40 batches).
-    pub anneal_every: u64,
-    /// Floor for τ.
-    pub tau_min: f32,
-    steps: u64,
+    /// The Gumbel temperature, annealed during training.
+    pub tau: TauSchedule,
     /// Dropout on embeddings during training.
     pub dropout: f32,
     /// Weight of the correlation gate loss.
@@ -202,11 +252,7 @@ impl Hsd {
             user_emb,
             core,
             backbone,
-            tau: 1.0,
-            tau_decay: 0.98,
-            anneal_every: 40,
-            tau_min: 0.1,
-            steps: 0,
+            tau: TauSchedule::new(1.0, 0.98, 40, 0.1),
             dropout: 0.1,
             gate_weight: 1.0,
         }
@@ -234,24 +280,18 @@ impl RecModel for Hsd {
     fn loss(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: &mut Rng) -> Var {
         let b = batch.len();
         let t = batch.seq_len;
-        let mut h = self.item_emb.lookup_seq(g, bind, &batch.items, b, t);
-        if self.dropout > 0.0 {
-            let mask = rng.dropout_mask(g.value(h).len(), self.dropout);
-            h = g.dropout_with_mask(h, mask);
-        }
+        let h = self.item_emb.lookup_seq(g, bind, &batch.items, b, t);
+        let h = g.dropout(h, self.dropout, rng);
         let u = self.user_emb.lookup(g, bind, &batch.users);
         let probs = self.core.keep_probs(g, bind, h, u);
         let cal = self
             .core
             .calibrate(g, probs, crate::RELATIVE_KEEP_BETA, 8.0);
-        let mask = self.core.sample_mask(g, rng, cal, self.tau);
+        let mask = self.core.sample_mask(g, rng, cal, self.tau.tau);
         let h_masked = self.core.apply_mask(g, h, mask);
         let h_s = self.backbone.encode(g, bind, h_masked);
         let logits = score_catalogue(g, self.item_emb.table(bind), h_s);
-        let logp = g.log_softmax_last(logits);
-        let picked = g.pick_per_row(logp, &batch.targets);
-        let mean = g.mean_all(picked);
-        let ce = g.neg(mean);
+        let ce = next_item_ce(g, logits, &batch.targets);
         // Correlation supervision of the keep gate (see HsdCore docs).
         let tgt = self.item_emb.lookup(g, bind, &batch.targets);
         let y = self.core.correlation_targets(g, h, tgt);
@@ -269,10 +309,15 @@ impl RecModel for Hsd {
     }
 
     fn after_step(&mut self) {
-        self.steps += 1;
-        if self.steps.is_multiple_of(self.anneal_every) {
-            self.tau = (self.tau * self.tau_decay).max(self.tau_min);
-        }
+        self.tau.after_step();
+    }
+
+    fn train_state(&self) -> Vec<u64> {
+        self.tau.state()
+    }
+
+    fn restore_train_state(&mut self, state: &[u64]) {
+        self.tau.restore(state, "HSD");
     }
 
     fn model_name(&self) -> String {
@@ -410,12 +455,12 @@ mod tests {
     #[test]
     fn tau_anneals_after_steps() {
         let mut m = Hsd::new(4, 10, 8, 20, 3);
-        m.anneal_every = 2;
-        let t0 = m.tau;
+        m.tau.every = 2;
+        let t0 = m.tau.tau;
         m.after_step();
-        assert_eq!(m.tau, t0);
+        assert_eq!(m.tau.tau, t0);
         m.after_step();
-        assert!(m.tau < t0);
+        assert!(m.tau.tau < t0);
     }
 
     #[test]

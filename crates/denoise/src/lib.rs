@@ -4,7 +4,7 @@
 //! (Table IV): FMLP-Rec (implicit), DSAN, HSD, STEAM (explicit), and DCRec
 //! (debiased contrastive) — plus the post-paper [`Mgsd`] (MGSD-WSS), a
 //! multi-granularity denoiser whose gate is weakly supervised by the
-//! synthetic generator's noise labels (DESIGN.md §15). All implement the
+//! synthetic generator's noise labels (DESIGN.md §5.4). All implement the
 //! shared [`RecModel`] trainer interface plus the [`Denoiser`] trait, whose
 //! one batched keep output feeds the Fig. 1 OUP experiment.
 
@@ -24,7 +24,7 @@ pub mod steam;
 pub use dcrec::DcRec;
 pub use dsan::Dsan;
 pub use fmlp::FmlpRec;
-pub use hsd::{Hsd, HsdCore};
+pub use hsd::{Hsd, HsdCore, TauSchedule};
 pub use mgsd::Mgsd;
 pub use steam::Steam;
 

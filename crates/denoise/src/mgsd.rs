@@ -27,7 +27,7 @@ use ssdrec_data::Batch;
 use ssdrec_tensor::nn::{Embedding, Linear};
 use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
 
-use ssdrec_models::{score_catalogue, RecModel, SasRecEncoder, SeqEncoder};
+use ssdrec_models::{next_item_ce, score_catalogue, RecModel, SasRecEncoder, SeqEncoder};
 
 use crate::hsd::HsdCore;
 
@@ -165,11 +165,8 @@ impl RecModel for Mgsd {
     fn loss(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: &mut Rng) -> Var {
         let b = batch.len();
         let t = batch.seq_len;
-        let mut h = self.item_emb.lookup_seq(g, bind, &batch.items, b, t);
-        if self.dropout > 0.0 {
-            let mask = rng.dropout_mask(g.value(h).len(), self.dropout);
-            h = g.dropout_with_mask(h, mask);
-        }
+        let h = self.item_emb.lookup_seq(g, bind, &batch.items, b, t);
+        let h = g.dropout(h, self.dropout, rng);
         let u = self.user_emb.lookup(g, bind, &batch.users);
         let probs = self.keep_probs_multi(g, bind, h, u);
         // Soft, differentiable denoising: attenuate each position by its
@@ -182,10 +179,7 @@ impl RecModel for Mgsd {
         let h_masked = self.core.apply_mask(g, h, mask3);
         let h_s = self.backbone.encode(g, bind, h_masked);
         let logits = score_catalogue(g, self.item_emb.table(bind), h_s);
-        let logp = g.log_softmax_last(logits);
-        let picked = g.pick_per_row(logp, &batch.targets);
-        let mean = g.mean_all(picked);
-        let ce = g.neg(mean);
+        let ce = next_item_ce(g, logits, &batch.targets);
         // Weak supervision of the multi-granularity gate.
         let y = self.supervision_targets(g, bind, batch, h);
         let ws = self.core.gate_loss(g, probs, y);

@@ -12,7 +12,7 @@ use ssdrec_data::Batch;
 use ssdrec_tensor::nn::{Embedding, Linear};
 use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
 
-use ssdrec_models::{score_catalogue, Bert4RecEncoder, RecModel, SeqEncoder};
+use ssdrec_models::{next_item_ce, score_catalogue, Bert4RecEncoder, RecModel, SeqEncoder};
 
 /// The STEAM model.
 pub struct Steam {
@@ -119,11 +119,8 @@ impl RecModel for Steam {
             }
         }
 
-        let (mut h, ctx) = self.contextual_states(g, bind, &ids, b, t);
-        if self.dropout > 0.0 {
-            let mask = rng.dropout_mask(g.value(h).len(), self.dropout);
-            h = g.dropout_with_mask(h, mask);
-        }
+        let (h, ctx) = self.contextual_states(g, bind, &ids, b, t);
+        let h = g.dropout(h, self.dropout, rng);
         let det = self.detect_logits(g, bind, ctx); // B×T logits
 
         // Detection loss: BCE with logits against the corruption labels.
@@ -140,10 +137,7 @@ impl RecModel for Steam {
         let h_corr = self.apply_keep_mask(g, h, det);
         let h_s = self.encoder.encode(g, bind, h_corr);
         let logits = score_catalogue(g, self.item_emb.table(bind), h_s);
-        let logp = g.log_softmax_last(logits);
-        let picked = g.pick_per_row(logp, &batch.targets);
-        let ce_mean = g.mean_all(picked);
-        let ce = g.neg(ce_mean);
+        let ce = next_item_ce(g, logits, &batch.targets);
 
         let wbce = g.scale(bce, self.detect_weight);
         g.add(ce, wbce)

@@ -156,7 +156,7 @@ const MAX_BLOCKS: usize = 256;
 
 /// Build the rows `0..n` of a relation over the global pool: `fill(i,
 /// scratch, out)` appends row `i` to `out`. Block bounds derive from `n`
-/// alone (DESIGN §8 rule 1); each block gets a fresh `scratch()` and an
+/// alone (DESIGN §4.1 rule 1); each block gets a fresh `scratch()` and an
 /// output of its own, and the blocks are joined in order, so the result is
 /// the same at every thread count.
 fn par_rows<S>(

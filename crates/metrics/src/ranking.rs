@@ -302,14 +302,6 @@ impl RankingAccumulator {
         &self.ranks
     }
 
-    /// Per-example binary hit indicators @ K (for significance testing).
-    pub fn hit_indicators(&self, k: usize) -> Vec<f64> {
-        self.ranks
-            .iter()
-            .map(|&r| if r <= k { 1.0 } else { 0.0 })
-            .collect()
-    }
-
     /// The paper's standard report: HR@{5,10,20}, NDCG@{5,10,20}, MRR@20.
     pub fn report(&self) -> MetricReport {
         MetricReport {

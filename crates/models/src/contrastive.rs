@@ -31,7 +31,7 @@ use ssdrec_data::Batch;
 use ssdrec_tensor::{Binding, Graph, Rng, Var};
 
 use crate::encoder::BackboneKind;
-use crate::model::{RecModel, SeqRec};
+use crate::model::{next_item_ce, RecModel, SeqRec};
 
 /// Default weight of the contrastive term (`--cl-weight`).
 pub const DEFAULT_CL_WEIGHT: f32 = 0.1;
@@ -204,7 +204,7 @@ impl RecModel for ContrastiveSeqRec {
 
     fn loss(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: &mut Rng) -> Var {
         let logits = self.base.forward(g, bind, batch, Some(rng));
-        let ce = self.base.ce_loss(g, logits, &batch.targets);
+        let ce = next_item_ce(g, logits, &batch.targets);
         // InfoNCE needs in-batch negatives; a single-example batch (or a
         // disabled head) trains on CE alone.
         if batch.len() < 2 || self.cl_weight <= 0.0 {

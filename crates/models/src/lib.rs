@@ -5,7 +5,7 @@
 //! the workspace's autograd substrate — plus the shared [`trainer`] used by
 //! every model in the workspace (Adam, full-ranking CE, early stopping) and
 //! the CL4SRec-style [`contrastive`] head (seeded view augmentation +
-//! InfoNCE, DESIGN.md §15).
+//! InfoNCE, DESIGN.md §5.4).
 
 #![warn(missing_docs)]
 
@@ -26,7 +26,7 @@ pub use contrastive::{
     DEFAULT_CL_TAU, DEFAULT_CL_WEIGHT,
 };
 pub use encoder::{BackboneKind, SeqEncoder};
-pub use model::{build_encoder, pad_mask, score_catalogue, RecModel, SeqRec};
+pub use model::{build_encoder, next_item_ce, pad_mask, score_catalogue, RecModel, SeqRec};
 pub use trainer::{
     evaluate, evaluate_with, fit, per_example, recommend_each, train, FrozenPass, LrSchedule,
     SourceSplit, TrainConfig, TrainError, TrainOptions, TrainReport,

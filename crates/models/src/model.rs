@@ -51,6 +51,15 @@ pub fn score_catalogue(g: &mut Graph, table: Var, h_s: Var) -> Var {
     g.add_bcast(logits, mask)
 }
 
+/// The next-item cross-entropy every model trains on: the mean over the
+/// batch of `−log softmax(logits)[target]`, full catalogue.
+pub fn next_item_ce(g: &mut Graph, logits: Var, targets: &[usize]) -> Var {
+    let logp = g.log_softmax_last(logits);
+    let picked = g.pick_per_row(logp, targets);
+    let mean = g.mean_all(picked);
+    g.neg(mean)
+}
+
 /// Anything the shared trainer can optimise and evaluate.
 pub trait RecModel {
     /// The parameter store (for binding/optimizer steps).
@@ -197,21 +206,10 @@ impl SeqRec {
     ) -> Var {
         let mut h = self.embed_batch(g, bind, batch);
         if let Some(rng) = rng {
-            if self.dropout > 0.0 {
-                let mask = rng.dropout_mask(g.value(h).len(), self.dropout);
-                h = g.dropout_with_mask(h, mask);
-            }
+            h = g.dropout(h, self.dropout, rng);
         }
         let h_s = self.encoder.encode(g, bind, h);
         score_catalogue(g, self.item_emb.table(bind), h_s)
-    }
-
-    /// Full-catalogue cross-entropy against the batch targets.
-    pub fn ce_loss(&self, g: &mut Graph, logits: Var, targets: &[usize]) -> Var {
-        let logp = g.log_softmax_last(logits);
-        let picked = g.pick_per_row(logp, targets);
-        let mean = g.mean_all(picked);
-        g.neg(mean)
     }
 }
 
@@ -226,7 +224,7 @@ impl RecModel for SeqRec {
 
     fn loss(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: &mut Rng) -> Var {
         let logits = self.forward(g, bind, batch, Some(rng));
-        self.ce_loss(g, logits, &batch.targets)
+        next_item_ce(g, logits, &batch.targets)
     }
 
     /// `[Eᵀ, pad mask]`: the transposed tied-weight scorer (`d×(V+1)`) and

@@ -324,13 +324,13 @@ impl<'a> From<&'a [StoreExamples<'a>; 3]> for SourceSplit<'a> {
 /// What [`fit`] takes beyond the data and the hyper-parameters.
 #[derive(Clone, Copy, Default)]
 pub struct TrainOptions<'a> {
-    /// Warm-start from a prior run's [`TrainState`] — the continual-training
-    /// input of `ssdrec-stream`'s incremental retrain driver.
+    /// Warm-start from a prior run's [`TrainState`] — the input of
+    /// `ssdrec-stream`'s warm-started full retrain.
     ///
     /// A warm start restores the *optimizer trajectory* (parameter values,
     /// Adam moments and step count, raw RNG stream, model-side state) of the
     /// prior run but starts fresh epoch/early-stopping counters: the loop
-    /// runs `cfg.epochs` incremental epochs from epoch 0. This differs from
+    /// runs `cfg.epochs` epochs from epoch 0. This differs from
     /// `ckpt.resume`, which continues the *same* run's epoch schedule.
     pub warm: Option<&'a TrainState>,
     /// Periodic checkpointing and resume.

@@ -34,7 +34,7 @@
 //! here are regular (gemm row blocks, rank rows, score chunks), so static
 //! chunking already balances well. A shared injector queue with
 //! caller-participation keeps the design ~300 lines, deadlock-free under
-//! nesting, and bit-stable; see `DESIGN.md` §8.
+//! nesting, and bit-stable; see `DESIGN.md` §4.1.
 //!
 //! ## Configuration
 //!

@@ -21,7 +21,7 @@
 //!                  responses + /metrics histograms
 //! ```
 //!
-//! See `DESIGN.md` §"Serving architecture" for the full rationale.
+//! See `DESIGN.md` §2.3 and §4.6–4.7 for the full rationale.
 
 #![warn(missing_docs)]
 

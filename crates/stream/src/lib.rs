@@ -3,8 +3,9 @@
 //! The online loop the offline frameworks stop short of: an append-only
 //! interaction [`log`] with a fixed catalog and CRC-checked records, a
 //! [`version`]ed checkpoint directory with an atomically flipped `CURRENT`
-//! pointer, and an incremental [`retrain`] driver that warm-starts from the
-//! previous version's full training state and consumes the log delta.
+//! pointer, and a [`retrain`] driver: a warm-started full retrain that
+//! replays the whole log and trains every user, starting from the previous
+//! version's full training state.
 //!
 //! Determinism contract: a retrain round is a pure function of the log
 //! prefix it pinned, the spec, and the base version — killed and resumed

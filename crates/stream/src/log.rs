@@ -17,7 +17,7 @@
 //!
 //! Offsets are absolute file byte offsets; the first record starts at
 //! [`HEADER_LEN`]. The catalog is fixed at creation so that every replay
-//! prefix yields the same item/user ID space — the incremental trainer
+//! prefix yields the same item/user ID space — the retrain
 //! warm-starts from earlier parameters, which is only sound if embedding row
 //! `i` keeps meaning item `i` forever.
 //!

@@ -1,16 +1,18 @@
-//! Incremental-training driver and serve-side version loaders.
+//! The retrain driver and serve-side version loaders.
 //!
-//! A retrain round is a deterministic function of `(log prefix, spec,
-//! base version)`: replay the merged history up to the round's pinned
-//! consumed offset, rebuild the split/graph/model skeleton, warm-start from
+//! A retrain round is a **warm-started full retrain**: it replays the whole
+//! log from [`HEADER_LEN`] up to the round's pinned consumed offset,
+//! rebuilds the split/graph/model skeleton over every user, warm-starts from
 //! the base version's full training state (params, Adam moments, raw RNG
-//! state), run exactly `spec.epochs` epochs, publish `v(N+1)/`, and flip
-//! `CURRENT`. Because every input is pinned (the offset in the work
+//! state), runs exactly `spec.epochs` epochs over all of it, publishes
+//! `v(N+1)/`, and flips `CURRENT`. Nothing is trained on the new records
+//! alone; `delta_records` only reports how many the round added. A round is
+//! a deterministic function of `(log prefix, spec, base version)`. Because every input is pinned (the offset in the work
 //! metadata, the knobs in the spec, the catalog in the log header), a round
 //! killed at any point and re-run lands on byte-identical published
 //! parameters — the chaos tests assert exactly that.
 //!
-//! Incremental rounds never early-stop (patience is set past `epochs`):
+//! Rounds never early-stop (patience is set past `epochs`):
 //! resuming a run that had early-stopped would otherwise keep training past
 //! the stop and diverge from an uninterrupted run.
 
@@ -52,7 +54,9 @@ pub struct TrainedVersion {
     pub version: u64,
     /// Log offset the version consumed up to.
     pub consumed: u64,
-    /// Records newly consumed by this round (0 for the first full round).
+    /// Records this round's prefix added over the base version's (0 for
+    /// the first round). A report field only: the round trains on the
+    /// whole prefix either way.
     pub delta_records: u64,
     /// Trainer report for the round.
     pub report: TrainReport,
@@ -106,8 +110,9 @@ fn records_at(offset: u64) -> u64 {
     (offset - HEADER_LEN) / RECORD_LEN
 }
 
-/// Run one incremental retrain round against `log_path`, publishing into the
-/// versioned checkpoint directory at `root`.
+/// Run one warm-started full retrain round against `log_path` (the whole
+/// log up to its current end, every user), publishing into the versioned
+/// checkpoint directory at `root`.
 ///
 /// Crash-safe and idempotent: the round's target version and consumed offset
 /// are pinned in `work/meta` before training starts, the trainer checkpoints
@@ -216,7 +221,7 @@ pub fn retrain(
         batch_size: spec.batch_size,
         lr: spec.lr,
         weight_decay: spec.weight_decay,
-        // Incremental rounds must run exactly `epochs` epochs: early stopping
+        // Rounds must run exactly `epochs` epochs: early stopping
         // would break resume-equals-uninterrupted determinism.
         patience: spec.epochs + 1,
         seed: spec.arch.seed,

@@ -48,12 +48,12 @@ pub struct ArchSpec {
     pub seed: u64,
 }
 
-/// Training knobs for one incremental retrain round.
+/// Training knobs for one retrain round (a warm-started full retrain).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetrainSpec {
     /// Architecture (must match the base version when warm-starting).
     pub arch: ArchSpec,
-    /// Incremental epochs per retrain round.
+    /// Epochs per retrain round, over the whole log.
     pub epochs: usize,
     /// Mini-batch size.
     pub batch_size: usize,

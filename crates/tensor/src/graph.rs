@@ -18,6 +18,7 @@ use crate::backend::Activation;
 use crate::kernels;
 use crate::math;
 use crate::pool;
+use crate::rng::Rng;
 use crate::sparse::CsrMatrix;
 use crate::tensor::Tensor;
 
@@ -667,6 +668,16 @@ impl Graph {
         let t = self.value(a).clone().reshaped(shape);
         let rg = self.rg(a);
         self.push(t, Op::Reshape(a), rg)
+    }
+
+    /// Inverted dropout at rate `p`, its mask drawn from `rng`
+    /// ([`Rng::dropout_mask`]); `p == 0` returns `a` and draws nothing.
+    pub fn dropout(&mut self, a: Var, p: f32, rng: &mut Rng) -> Var {
+        if p == 0.0 {
+            return a;
+        }
+        let mask = rng.dropout_mask(self.value(a).len(), p);
+        self.dropout_with_mask(a, mask)
     }
 
     /// Inverted dropout with keep-prob scaling; `mask[i] ∈ {0, 1/(1-p)}`.

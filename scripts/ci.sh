@@ -12,7 +12,10 @@
 #   3. Offline release build of the whole workspace.
 #   4. Offline test run: the tier-1 command itself, `cargo test -q`, which
 #      covers the whole workspace through the root manifest's
-#      default-members.
+#      default-members. Among its tests, tests/doc_citations.rs fails when
+#      DESIGN.md, README.md or EXPERIMENTS.md cites a path, Rust name,
+#      option, SSDREC_* variable, route, metric or fault site the code no
+#      longer has.
 #   5. Serve smoke: train a tiny checkpoint, serve it on an ephemeral
 #      port, open a silent connection, issue one request over bash /dev/tcp
 #      (no curl), assert a well-formed response that did not wait on the
@@ -63,8 +66,9 @@
 #      instead of silently nulling a per-layer metric), then
 #      `benchmark/run.sh --smoke` runs every workload's correctness checks
 #      and all seven probes at tiny sizes.
-#  17. Line-count ledger: the number ROADMAP item 7 tracks, and a check
-#      that the run left `git status` as it found it.
+#  17. Line-count ledger: the number ROADMAP item 7 tracks, the line counts
+#      of DESIGN.md and README.md beside it, and a check that the run left
+#      `git status` as it found it.
 #
 # Everything runs with CARGO_NET_OFFLINE=true: any attempt to reach the
 # registry fails the build immediately.
@@ -466,6 +470,7 @@ echo "ok: benchmark/probes and benchmark/driver build; every workload check and 
 
 echo "== line-count ledger + clean tree =="
 echo "rust lines: $(find crates src tests -name '*.rs' | xargs wc -l | tail -1)"
+echo "doc lines: $(wc -l DESIGN.md README.md | tr '\n' ' ')"
 STATUS_AFTER=$(git status --porcelain 2>/dev/null || true)
 if [ "$STATUS_AFTER" != "$STATUS_BEFORE" ]; then
     echo "clean-tree check FAILED: CI changed the working tree"

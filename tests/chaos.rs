@@ -24,9 +24,11 @@ use std::time::Duration;
 
 use common::{
     assert_kill_and_resume_is_bit_identical, delta_events, retrain_spec, scratch, scratch_dir,
-    seed_events, served_bits, train_config, CATALOG,
+    seed_events, served_bits, sports_world, ssdrec_on, train_config, CATALOG, DIM,
 };
-use ssdrec::data::{prepare, SyntheticConfig};
+use ssdrec::core::Prepared;
+use ssdrec::data::{plan_batches, prepare, SyntheticConfig};
+use ssdrec::denoise::Hsd;
 use ssdrec::models::{fit, BackboneKind, CheckpointConfig, SeqRec, TrainOptions};
 use ssdrec::serve::{
     client, json, serve, ClientError, Engine, EngineConfig, RecError, ServerStats,
@@ -47,7 +49,28 @@ fn locked() -> std::sync::MutexGuard<'static, ()> {
 #[test]
 fn killed_and_resumed_training_is_bit_identical() {
     let _g = locked();
-    assert_kill_and_resume_is_bit_identical("chaos");
+    let prep = sports_world(0.03, 7);
+    assert_kill_and_resume_is_bit_identical("chaos", &prep, 32, |p| ssdrec_on(p, 7));
+}
+
+/// HSD anneals its Gumbel τ every 40 steps, so its resumed run is
+/// bit-identical only if the checkpoint carries the τ schedule. Sports ×0.2
+/// at batch size 4 runs 34 steps an epoch, so the kill after epoch 2 (step
+/// 68) lands after the first anneal (step 40).
+#[test]
+fn killed_and_resumed_hsd_training_is_bit_identical() {
+    let _g = locked();
+    let prep = sports_world(0.2, 7);
+    // Batches are bucketed by length, so their count ignores the seed.
+    let lengths: Vec<usize> = prep.split.train.iter().map(|e| e.seq.len()).collect();
+    let steps = 2 * plan_batches(&lengths, 4, 0).len();
+    assert!(
+        steps >= 40,
+        "only {steps} steps before the kill: τ never anneals"
+    );
+    let build =
+        |p: &Prepared| Hsd::new(p.dataset.num_users, p.dataset.num_items, DIM, p.max_len, 7);
+    assert_kill_and_resume_is_bit_identical("chaos_hsd", &prep, 4, build);
 }
 
 #[test]

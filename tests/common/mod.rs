@@ -80,19 +80,27 @@ pub fn fingerprint<M: RecModel + ?Sized>(
     )
 }
 
-/// Kill + resume ≡ uninterrupted: a tiny SSDRec trained 4 epochs straight
-/// must be bit-identical — loss, metrics and checkpoint bytes — to a 4-epoch
-/// run killed after epoch 2 and resumed in a fresh model. `tag` keeps the
-/// scratch files of concurrent callers apart and labels the failures.
-pub fn assert_kill_and_resume_is_bit_identical(tag: &str) {
-    let tc = train_config(4, 7);
-    let prep = sports_world(0.03, 7);
+/// Kill + resume ≡ uninterrupted: a model built by `build` over `prep` and
+/// trained 4 epochs straight at `batch_size` must be bit-identical — loss,
+/// metrics and checkpoint bytes — to a 4-epoch run killed after epoch 2 and
+/// resumed in a fresh model. `tag` keeps the scratch files of concurrent
+/// callers apart and labels the failures.
+pub fn assert_kill_and_resume_is_bit_identical<M: RecModel>(
+    tag: &str,
+    prep: &Prepared,
+    batch_size: usize,
+    build: impl Fn(&Prepared) -> M,
+) {
+    let tc = TrainConfig {
+        batch_size,
+        ..train_config(4, 7)
+    };
     let split = &prep.split;
 
     // Reference: 4 epochs straight through (checkpointing on, so the save
     // path itself is part of both runs).
     let straight_state = scratch(&format!("resume_{tag}_straight.sstc"));
-    let mut straight = ssdrec_on(&prep, 7);
+    let mut straight = build(prep);
     let straight_report = fit(
         &mut straight,
         &split.into(),
@@ -108,7 +116,7 @@ pub fn assert_kill_and_resume_is_bit_identical(tag: &str) {
     // configured total, so only an interrupted 4-epoch run shares the
     // uninterrupted prefix.
     let killed_state = scratch(&format!("resume_{tag}_killed.sstc"));
-    let mut victim = ssdrec_on(&prep, 7);
+    let mut victim = build(prep);
     {
         let _armed = FaultPlan::new().panic("train.epoch", 2).arm();
         let ckpt = CheckpointConfig::new(&killed_state);
@@ -126,7 +134,7 @@ pub fn assert_kill_and_resume_is_bit_identical(tag: &str) {
 
     // Resume into a *fresh* process-equivalent: a brand-new model whose
     // every parameter, optimizer moment and RNG word comes from the file.
-    let mut resumed = ssdrec_on(&prep, 7);
+    let mut resumed = build(prep);
     let resumed_report = fit(
         &mut resumed,
         &split.into(),

@@ -1,5 +1,5 @@
 //! End-to-end online loop, no faults: ingest into the append-only log,
-//! run incremental retrain rounds into a versioned checkpoint directory,
+//! run warm-started full retrain rounds into a versioned checkpoint directory,
 //! and hot-swap the published versions into a serving [`EngineSlot`].
 
 mod common;
@@ -46,7 +46,7 @@ fn ingest_retrain_publish_and_reload_round_trips() {
         RetrainOutcome::UpToDate { version: 1 }
     ));
 
-    // Day 1: a delta lands, the incremental round publishes v2.
+    // Day 1: a delta lands, the next (warm-started, full) round publishes v2.
     let (mut log, created) = open_or_create_log(&log_path, None).expect("reopen log");
     assert!(!created);
     delta_events(&mut log);

@@ -448,9 +448,12 @@ fn new_loss_paths_are_bit_identical_across_matrix() {
 #[test]
 fn resumed_training_is_bit_identical_across_thread_counts() {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let prep = common::sports_world(0.03, 7);
     for t in [1usize, 4] {
         ssdrec::runtime::set_threads(t);
-        common::assert_kill_and_resume_is_bit_identical(&format!("t{t}"));
+        common::assert_kill_and_resume_is_bit_identical(&format!("t{t}"), &prep, 32, |p| {
+            common::ssdrec_on(p, 7)
+        });
     }
     ssdrec::runtime::set_threads(1);
 }
