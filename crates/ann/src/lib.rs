@@ -19,7 +19,7 @@
 //! of thread count, build repetition, and platform allocator state:
 //!
 //! - **Level assignment** draws every node's level upfront, in ascending id
-//!   order, from a single [`ssdrec_testkit::Rng`] stream seeded with
+//!   order, from a single [`ssdrec_base::Rng`] stream seeded with
 //!   [`AnnParams::seed`]. No draw happens during graph construction.
 //! - **Batched insertion.** Nodes are inserted in ascending id order in
 //!   fixed-size batches of [`AnnParams::batch`]. Within a batch every
@@ -49,7 +49,7 @@
 
 use std::collections::{BTreeSet, HashSet};
 
-use ssdrec_testkit::Rng;
+use ssdrec_base::Rng;
 
 /// Hard cap on HNSW levels (level 15 at `m = 16` has probability ~1e-18).
 const MAX_LEVEL: u8 = 15;
@@ -242,7 +242,7 @@ impl HnswIndex {
         // Batched insertion: parallel read-only search, sequential commit.
         let mut id = 1usize;
         while id <= count {
-            ssdrec_faults::point("ann.build")
+            ssdrec_base::faults::point("ann.build")
                 .map_err(|_| BuildError("injected fault at ann.build".into()))?;
             let hi = (id + params.batch - 1).min(count);
             let mut plans: Vec<NodePlan> = vec![NodePlan::default(); hi - id + 1];

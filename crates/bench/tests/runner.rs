@@ -4,7 +4,7 @@
 
 use std::process::{Command, Output};
 
-use ssdrec_serve::json;
+use ssdrec_base::json;
 
 fn bench(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ssdrec-bench"))

@@ -32,7 +32,7 @@
 //! `--state PATH` checkpoints full training state (params, optimizer
 //! moments, RNG) every `--checkpoint-every` epochs; `--resume` continues a
 //! killed run from it **bit-identically**. The `SSDREC_FAULTS` env var arms
-//! deterministic fault injection (`site:kind:nth`, see `ssdrec_faults`).
+//! deterministic fault injection (`site:kind:nth`, see `ssdrec_base::faults`).
 //!
 //! The online loop: `ingest` appends interactions to an append-only log,
 //! `retrain` is a warm-started full retrain — it starts from the latest
@@ -762,7 +762,7 @@ fn main() -> ExitCode {
     // Chaos testing: SSDREC_FAULTS=site:kind:nth[,...] arms deterministic
     // fault injection across every thread, held until main returns. Unset
     // means zero overhead.
-    let _faults = match ssdrec_faults::arm_from_env() {
+    let _faults = match ssdrec_base::faults::arm_from_env() {
         Ok(None) => None,
         Ok(Some((armed, n))) => {
             eprintln!("fault injection armed: {n} spec(s) from SSDREC_FAULTS");

@@ -3,7 +3,8 @@
 //! via the testkit checker bridged through `fd_check_all_params`.
 
 use ssdrec_core::relation_encoder::PairConv;
-use ssdrec_tensor::{fd_check_all_params, Binding, ParamStore, Rng, Tensor};
+use ssdrec_tensor::{Binding, ParamStore, Rng, Tensor};
+use ssdrec_testkit::fd_check_all_params;
 
 #[test]
 fn pair_conv_gradients() {

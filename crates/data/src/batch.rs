@@ -4,7 +4,7 @@
 //! need for padding or masking inside the models — every tensor in a batch
 //! is dense `B×T`. The paper's batch size (256) applies per bucket.
 
-use ssdrec_testkit::Rng;
+use ssdrec_base::Rng;
 use std::collections::BTreeMap;
 
 use crate::interaction::Example;

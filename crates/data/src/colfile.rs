@@ -270,7 +270,7 @@ impl ColumnarWriter {
             return Err(cleanup(&self.tmp, e.into()));
         }
         drop(inner);
-        if let Err(e) = ssdrec_faults::point("write.data") {
+        if let Err(e) = ssdrec_base::faults::point("write.data") {
             return Err(cleanup(
                 &self.tmp,
                 FormatError::Io(std::io::Error::other(e.to_string())),

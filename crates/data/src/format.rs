@@ -268,6 +268,7 @@ mod tests {
     fn crc_matches_known_vector() {
         // CRC-32("123456789") is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

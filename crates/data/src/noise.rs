@@ -4,7 +4,7 @@
 //! sequences and measures (a) how many inserted items a denoiser keeps
 //! (under-denoising) and (b) how many raw items it drops (over-denoising).
 
-use ssdrec_testkit::Rng;
+use ssdrec_base::Rng;
 use std::collections::HashSet;
 
 use crate::interaction::Dataset;

@@ -24,7 +24,7 @@
 
 use std::path::Path;
 
-use ssdrec_testkit::Rng;
+use ssdrec_base::Rng;
 
 use crate::colfile::{ColumnarSummary, ColumnarWriter};
 use crate::format::FormatError;

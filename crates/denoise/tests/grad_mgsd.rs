@@ -7,7 +7,8 @@
 use ssdrec_data::Batch;
 use ssdrec_denoise::Mgsd;
 use ssdrec_models::RecModel;
-use ssdrec_tensor::{fd_check_all_params, Binding, ParamStore, Rng};
+use ssdrec_tensor::{Binding, ParamStore, Rng};
+use ssdrec_testkit::fd_check_all_params;
 
 fn toy_batch(noise: Option<Vec<bool>>) -> Batch {
     Batch {

@@ -513,7 +513,7 @@ pub fn fit<M: RecModel + ?Sized>(
                 // Kill-simulation hook: arming `train.epoch:panic:N` aborts
                 // the run right after the Nth save, exactly like a crash
                 // between epochs; an `error` kind surfaces as Err instead.
-                ssdrec_faults::point("train.epoch").map_err(|e| e.to_string())?;
+                ssdrec_base::faults::point("train.epoch").map_err(|e| e.to_string())?;
             }
         }
 

@@ -4,7 +4,8 @@
 
 use ssdrec_models::backbones::CaserEncoder;
 use ssdrec_models::SeqEncoder;
-use ssdrec_tensor::{fd_check_all_params, Binding, ParamStore, Rng, Tensor};
+use ssdrec_tensor::{Binding, ParamStore, Rng, Tensor};
+use ssdrec_testkit::fd_check_all_params;
 
 #[test]
 fn caser_conv_gradients() {

@@ -5,7 +5,8 @@
 
 use ssdrec_data::Batch;
 use ssdrec_models::{info_nce, BackboneKind, ContrastiveSeqRec, RecModel};
-use ssdrec_tensor::{fd_check_all_params, Binding, ParamStore, Rng, Tensor};
+use ssdrec_tensor::{Binding, ParamStore, Rng, Tensor};
+use ssdrec_testkit::fd_check_all_params;
 
 fn rand_tensor(shape: &[usize], seed: u64) -> Tensor {
     let mut rng = Rng::seed(seed);

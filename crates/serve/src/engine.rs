@@ -515,7 +515,7 @@ fn worker_loop(
         // Chaos hook: `engine.batch:error:N` drops this round's jobs (their
         // responders close, callers see an internal error);
         // `engine.batch:panic:N` unwinds through the respawn loop above.
-        if ssdrec_faults::point("engine.batch").is_err() {
+        if ssdrec_base::faults::point("engine.batch").is_err() {
             continue;
         }
         // Busy time starts once there is work; idle blocking in

@@ -26,16 +26,17 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod client;
 pub mod engine;
 pub mod http;
-pub mod json;
 pub mod server;
 pub mod stats;
 pub mod swap;
 
-pub use client::ClientError;
 pub use engine::{Engine, EngineConfig, InferenceModel, RecError, Recommendation};
 pub use server::{serve, serve_slot, serve_with, ServeConfig, ServerHandle};
 pub use stats::{LatencyHistogram, ServerStats};
 pub use swap::{EngineSlot, LoadedModel, ModelLoader, ReloadOutcome};
+
+/// The codec lives in `ssdrec-base`; this path stays for the benchmark
+/// probes, which parse bodies through `ssdrec_serve::json`.
+pub use ssdrec_base::json;

@@ -36,8 +36,8 @@ use std::time::Duration;
 
 use crate::engine::{Engine, Recommendation};
 use crate::http::{read_request, write_json, Request};
-use crate::json::{self, Json};
 use crate::swap::{EngineSlot, ReloadOutcome};
+use ssdrec_base::json::{self, Json};
 
 /// Idle acceptors above this many exit instead of waiting in `accept()`
 /// again, so the threads a burst needed do not all outlive it.
@@ -318,7 +318,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     // a socket-level read failure — the request is never parsed, the
     // connection is answered with a 500 and closed, and the server keeps
     // accepting (a client that retries spends one extra attempt).
-    let read = ssdrec_faults::point("serve.read")
+    let read = ssdrec_base::faults::point("serve.read")
         .map_err(io::Error::from)
         .and_then(|()| read_request(&mut stream));
     let req = match read {
@@ -347,7 +347,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     // Chaos hook `serve.write`: drop the response on the floor, as a broken
     // pipe would — the client sees a truncated response (typed
     // `ClientError`) and retries.
-    if ssdrec_faults::point("serve.write").is_err() {
+    if ssdrec_base::faults::point("serve.write").is_err() {
         shared
             .slot
             .stats()

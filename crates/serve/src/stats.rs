@@ -229,7 +229,7 @@ impl ServerStats {
 
     /// The `/metrics` JSON document.
     pub fn to_json(&self) -> String {
-        use crate::json::f64_to_json;
+        use ssdrec_base::json::f64_to_json;
         let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
         // Per-worker busy fraction of server uptime, in registration order.
         let uptime_us = (self.uptime_secs() * 1e6).max(1.0);
@@ -297,7 +297,7 @@ impl ServerStats {
             get(&self.worker_panics),
             get(&self.shed_total),
             get(&self.io_faults),
-            ssdrec_faults::total_fired(),
+            ssdrec_base::faults::total_fired(),
             get(&self.errors_total),
         )
     }
@@ -341,7 +341,7 @@ mod tests {
         s.record_request(1_000);
         s.record_batch(3);
         s.cache_hits.fetch_add(1, Ordering::Relaxed);
-        let j = crate::json::parse(&s.to_json()).expect("valid JSON");
+        let j = ssdrec_base::json::parse(&s.to_json()).expect("valid JSON");
         assert_eq!(j.get("requests_total").unwrap().as_usize(), Some(1));
         assert!(
             j.get("latency_ms")
@@ -375,7 +375,7 @@ mod tests {
         let busy: Vec<_> = (0..2).map(|_| Arc::new(AtomicU64::new(0))).collect();
         s.set_workers(busy.clone());
         busy[0].fetch_add(10, Ordering::Relaxed);
-        let j = crate::json::parse(&s.to_json()).expect("valid JSON");
+        let j = ssdrec_base::json::parse(&s.to_json()).expect("valid JSON");
         let workers = j.get("workers").expect("workers section");
         assert_eq!(workers.get("count").unwrap().as_usize(), Some(2));
         let fracs = workers.get("busy_fraction").unwrap().as_arr().unwrap();
@@ -392,7 +392,7 @@ mod tests {
         s.worker_panics.fetch_add(2, Ordering::Relaxed);
         s.shed_total.fetch_add(5, Ordering::Relaxed);
         s.io_faults.fetch_add(1, Ordering::Relaxed);
-        let j = crate::json::parse(&s.to_json()).expect("valid JSON");
+        let j = ssdrec_base::json::parse(&s.to_json()).expect("valid JSON");
         let faults = j.get("faults").expect("faults section");
         assert_eq!(faults.get("worker_panics").unwrap().as_usize(), Some(2));
         assert_eq!(faults.get("shed_total").unwrap().as_usize(), Some(5));
@@ -405,7 +405,7 @@ mod tests {
         let s = ServerStats::new();
         s.set_model_version(1);
         s.note_swap(2, 1_500, 7);
-        let j = crate::json::parse(&s.to_json()).expect("valid JSON");
+        let j = ssdrec_base::json::parse(&s.to_json()).expect("valid JSON");
         let m = j.get("model").expect("model section");
         assert_eq!(m.get("model_version").unwrap().as_usize(), Some(2));
         assert_eq!(m.get("swap_total").unwrap().as_usize(), Some(1));
@@ -420,7 +420,7 @@ mod tests {
         let engine = |workers| (0..workers).map(|_| Arc::new(AtomicU64::new(0))).collect();
         s.set_workers(engine(2));
         s.set_workers(engine(1));
-        let j = crate::json::parse(&s.to_json()).expect("valid JSON");
+        let j = ssdrec_base::json::parse(&s.to_json()).expect("valid JSON");
         assert_eq!(
             j.get("workers").unwrap().get("count").unwrap().as_usize(),
             Some(1)

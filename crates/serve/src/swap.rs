@@ -150,7 +150,7 @@ impl EngineSlot {
                 // Deliberate kill point: after the replacement engine is fully
                 // built, before the commit. A fault here must leave the old
                 // engine serving.
-                ssdrec_faults::point("serve.swap").map_err(|e| e.to_string())?;
+                ssdrec_base::faults::point("serve.swap").map_err(|e| e.to_string())?;
                 Ok(Some((engine, version)))
             },
         ));

@@ -8,8 +8,10 @@
 
 use std::sync::{Arc, Barrier};
 
+use ssdrec_base::json;
 use ssdrec_models::{BackboneKind, RecModel, SeqRec};
-use ssdrec_serve::{client, json, serve, Engine, EngineConfig, ServerStats};
+use ssdrec_serve::{serve, Engine, EngineConfig, ServerStats};
+use ssdrec_testkit::client;
 use ssdrec_testkit::fault::{assert_fired_exactly, FaultPlan};
 
 const NUM_ITEMS: usize = 40;

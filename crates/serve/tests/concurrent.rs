@@ -10,8 +10,10 @@
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
+use ssdrec_base::json;
 use ssdrec_models::{BackboneKind, SeqRec};
-use ssdrec_serve::{client, json, serve, Engine, EngineConfig, ServerStats};
+use ssdrec_serve::{serve, Engine, EngineConfig, ServerStats};
+use ssdrec_testkit::client;
 
 const NUM_ITEMS: usize = 30;
 const CLIENTS: usize = 6;

@@ -7,7 +7,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ssdrec_models::{BackboneKind, SeqRec};
-use ssdrec_serve::{client, serve, Engine, EngineConfig, ServerHandle, ServerStats};
+use ssdrec_serve::{serve, Engine, EngineConfig, ServerHandle, ServerStats};
+use ssdrec_testkit::client;
 
 /// A server with the default 30 s read timeout, so a silent connection
 /// holds its acceptor for far longer than any assertion below waits.

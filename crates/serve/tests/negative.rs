@@ -10,9 +10,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ssdrec_models::{BackboneKind, SeqRec};
-use ssdrec_serve::{
-    client, serve_with, ClientError, Engine, EngineConfig, ServeConfig, ServerStats,
-};
+use ssdrec_serve::{serve_with, Engine, EngineConfig, ServeConfig, ServerStats};
+use ssdrec_testkit::client::{self, ClientError};
 
 const NUM_ITEMS: usize = 20;
 

@@ -9,8 +9,9 @@ use ssdrec_core::{SsdRec, SsdRecConfig};
 use ssdrec_data::{prepare, SyntheticConfig};
 use ssdrec_graph::{build_graph, GraphConfig, MultiRelationGraph};
 use ssdrec_models::{train, BackboneKind, RecModel, TrainConfig};
-use ssdrec_serve::{client, serve, Engine, EngineConfig, ServerStats};
+use ssdrec_serve::{serve, Engine, EngineConfig, ServerStats};
 use ssdrec_tensor::{load_params, save_params};
+use ssdrec_testkit::client;
 
 const MAX_LEN: usize = 12;
 

@@ -7,9 +7,10 @@ use std::time::{Duration, Instant};
 
 use ssdrec_models::{BackboneKind, SeqRec};
 use ssdrec_serve::{
-    client, serve, serve_slot, Engine, EngineConfig, EngineSlot, InferenceModel, LoadedModel,
-    ModelLoader, ServeConfig, ServerHandle, ServerStats,
+    serve, serve_slot, Engine, EngineConfig, EngineSlot, InferenceModel, LoadedModel, ModelLoader,
+    ServeConfig, ServerHandle, ServerStats,
 };
+use ssdrec_testkit::client;
 
 const NUM_ITEMS: usize = 30;
 

@@ -47,7 +47,7 @@ fn reference_bits(seed: u64, user: usize, seq: &[usize], k: usize) -> Vec<(usize
 
 /// `workers.count` as `/metrics` reports it.
 fn exported_workers(stats: &ServerStats) -> usize {
-    let metrics = ssdrec_serve::json::parse(&stats.to_json()).expect("metrics JSON");
+    let metrics = ssdrec_base::json::parse(&stats.to_json()).expect("metrics JSON");
     let workers = metrics.get("workers").expect("workers section");
     workers.get("count").unwrap().as_usize().unwrap()
 }

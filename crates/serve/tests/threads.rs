@@ -6,7 +6,8 @@
 use std::sync::Arc;
 
 use ssdrec_models::{BackboneKind, SeqRec};
-use ssdrec_serve::{client, serve, Engine, EngineConfig, ServerStats};
+use ssdrec_serve::{serve, Engine, EngineConfig, ServerStats};
+use ssdrec_testkit::client;
 
 const NUM_ITEMS: usize = 20;
 

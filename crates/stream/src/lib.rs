@@ -21,7 +21,7 @@ pub mod log;
 pub mod retrain;
 pub mod version;
 
-pub use log::{crc32, replay, LogError, LogHeader, OpenReport, StreamLog, HEADER_LEN, RECORD_LEN};
+pub use log::{replay, LogError, LogHeader, OpenReport, StreamLog, HEADER_LEN, RECORD_LEN};
 pub use retrain::{
     load_current, load_newer, load_version, materialize, materialize_model, open_or_create_log,
     retrain, LoadedVersion, RetrainOutcome, TrainedVersion, MAX_TRAIN_PREFIXES, MIN_SEQ_LEN,

@@ -41,11 +41,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use ssdrec_data::{Interaction, SequenceStore};
-
-// CRC-32 (IEEE 802.3) now lives in `ssdrec_data::format` (shared with the
-// columnar dataset file); re-exported here to keep the old API path.
-pub use ssdrec_data::crc32;
+use ssdrec_data::{crc32, Interaction, SequenceStore};
 
 /// Log format magic bytes.
 pub const MAGIC: [u8; 4] = *b"SSLG";
@@ -159,8 +155,8 @@ impl From<io::Error> for LogError {
     }
 }
 
-impl From<ssdrec_faults::Injected> for LogError {
-    fn from(e: ssdrec_faults::Injected) -> Self {
+impl From<ssdrec_base::faults::Injected> for LogError {
+    fn from(e: ssdrec_base::faults::Injected) -> Self {
         LogError::Io(e.into())
     }
 }
@@ -368,7 +364,7 @@ impl StreamLog {
                 num_items: self.header.num_items,
             });
         }
-        ssdrec_faults::point("stream.append")?;
+        ssdrec_base::faults::point("stream.append")?;
         let mut buf = [0u8; RECORD_LEN as usize];
         buf[0..4].copy_from_slice(&PAYLOAD_LEN.to_le_bytes());
         buf[4..12].copy_from_slice(&(user as u64).to_le_bytes());
@@ -421,7 +417,7 @@ impl StreamLog {
 
     /// Flush appended records to stable storage (fault site `stream.sync`).
     pub fn sync(&mut self) -> Result<(), LogError> {
-        ssdrec_faults::point("stream.sync")?;
+        ssdrec_base::faults::point("stream.sync")?;
         self.file.sync_data()?;
         Ok(())
     }
@@ -470,13 +466,6 @@ pub fn read_header(path: impl AsRef<Path>) -> Result<LogHeader, LogError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_ieee_vectors() {
-        // Standard check value for CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn header_roundtrip() {

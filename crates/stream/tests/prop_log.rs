@@ -10,9 +10,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ssdrec_stream::{
-    crc32, materialize, replay, LogError, LogHeader, StreamLog, HEADER_LEN, RECORD_LEN,
-};
+use ssdrec_data::crc32;
+use ssdrec_stream::{materialize, replay, LogError, LogHeader, StreamLog, HEADER_LEN, RECORD_LEN};
 use ssdrec_testkit::{gens, property, scratch_path, Gen, Rng};
 
 /// A unique scratch path per call.

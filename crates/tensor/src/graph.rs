@@ -18,9 +18,9 @@ use crate::backend::Activation;
 use crate::kernels;
 use crate::math;
 use crate::pool;
-use crate::rng::Rng;
 use crate::sparse::CsrMatrix;
 use crate::tensor::Tensor;
+use ssdrec_base::Rng;
 
 /// Handle to a node in a [`Graph`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]

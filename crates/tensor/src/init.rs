@@ -2,8 +2,8 @@
 //!
 //! The paper initialises embeddings and weights with Xavier/Glorot init [44].
 
-use crate::rng::Rng;
 use crate::tensor::Tensor;
+use ssdrec_base::Rng;
 
 fn fan_in_out(shape: &[usize]) -> (usize, usize) {
     match shape {

@@ -4,13 +4,15 @@
 //! constant sparse (CSR) operators, a tape-based reverse-mode autograd
 //! engine, standard neural layers (Linear, Embedding, GRU/LSTM/Bi-LSTM,
 //! multi-head attention, transformer blocks, Gumbel-Softmax,
-//! frequency-domain filtering) and optimizers (Adam, SGD).
+//! frequency-domain filtering) and the Adam optimizer.
 //!
 //! This crate exists because the SSDRec reproduction (ICDE 2024) needs a DL
 //! framework and the Rust ecosystem does not ship one suited to this
 //! workload; see `DESIGN.md` at the workspace root for the substitution
-//! rationale. Gradients are verified against central finite differences in
-//! the `graph` test module.
+//! rationale. Gradients are verified against central finite differences:
+//! each autograd op in the `graph` test module, each NN layer in
+//! `tests/grad_layers.rs`. All randomness (init, dropout, Gumbel noise)
+//! draws from [`Rng`], the workspace generator from `ssdrec-base`.
 //!
 //! ## Quick example
 //!
@@ -28,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod gradtest;
 pub mod graph;
 pub mod init;
 pub mod kernels;
@@ -37,15 +38,13 @@ pub mod nn;
 pub mod optim;
 pub mod persist;
 pub mod pool;
-pub mod rng;
 pub mod sparse;
 pub mod tensor;
 
 pub use backend::Activation;
-pub use gradtest::fd_check_all_params;
 pub use graph::{Gradients, Graph, Var};
 pub use optim::{Adam, Binding, ParamRef, ParamStore};
 pub use persist::{load_params, save_params};
-pub use rng::Rng;
 pub use sparse::CsrMatrix;
+pub use ssdrec_base::Rng;
 pub use tensor::Tensor;

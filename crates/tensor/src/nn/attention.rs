@@ -18,8 +18,8 @@
 use crate::backend::Activation;
 use crate::graph::{Graph, Var};
 use crate::optim::{Binding, ParamStore};
-use crate::rng::Rng;
 use crate::tensor::Tensor;
+use ssdrec_base::Rng;
 
 use super::linear::{LayerNorm, Linear};
 

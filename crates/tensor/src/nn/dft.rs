@@ -102,7 +102,7 @@ impl DftFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::Rng;
+    use ssdrec_base::Rng;
 
     #[test]
     fn identity_filter_is_passthrough() {

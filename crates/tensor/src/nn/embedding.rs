@@ -2,7 +2,7 @@
 
 use crate::graph::{Graph, Var};
 use crate::optim::{Binding, ParamRef, ParamStore};
-use crate::rng::Rng;
+use ssdrec_base::Rng;
 
 /// A `V×d` embedding look-up table.
 pub struct Embedding {

@@ -6,8 +6,8 @@
 use crate::backend::per_isa;
 use crate::graph::{Graph, Var};
 use crate::math;
-use crate::rng::Rng;
 use crate::tensor::Tensor;
+use ssdrec_base::Rng;
 
 /// How the relaxed sample is emitted.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]

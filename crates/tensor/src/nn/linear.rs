@@ -3,7 +3,7 @@
 use crate::backend::Activation;
 use crate::graph::{Graph, Var};
 use crate::optim::{Binding, ParamRef, ParamStore};
-use crate::rng::Rng;
+use ssdrec_base::Rng;
 
 /// A fully-connected layer `y = x·W (+ b)`.
 ///

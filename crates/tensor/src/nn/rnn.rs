@@ -16,8 +16,8 @@
 
 use crate::graph::{Graph, Var};
 use crate::optim::{Binding, ParamStore};
-use crate::rng::Rng;
 use crate::tensor::Tensor;
+use ssdrec_base::Rng;
 
 use super::linear::Linear;
 

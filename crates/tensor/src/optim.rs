@@ -7,8 +7,8 @@
 //! to their slots so the optimizer can apply an update.
 
 use crate::graph::{Gradients, Graph, Var};
-use crate::rng::Rng;
 use crate::tensor::Tensor;
+use ssdrec_base::Rng;
 
 /// Handle to a parameter slot inside a [`ParamStore`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]

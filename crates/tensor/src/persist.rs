@@ -62,7 +62,7 @@ pub fn atomic_write(
         let mut w = BufWriter::new(File::create(&tmp)?);
         write_fn(&mut w)?;
         w.flush()?;
-        ssdrec_faults::point(fault_site)?;
+        ssdrec_base::faults::point(fault_site)?;
         std::fs::rename(&tmp, path)
     })();
     if result.is_err() {
@@ -175,7 +175,7 @@ pub fn load_params(store: &mut ParamStore, path: impl AsRef<Path>) -> io::Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::Rng;
+    use ssdrec_base::Rng;
 
     fn demo_store() -> ParamStore {
         let mut store = ParamStore::new();

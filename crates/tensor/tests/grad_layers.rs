@@ -12,9 +12,8 @@ use ssdrec_tensor::nn::{
     causal_mask, gumbel_softmax, BiLstm, DftFilter, Embedding, FeedForward, Gru, GumbelMode,
     LayerNorm, Linear, Lstm, MultiHeadAttention, TransformerBlock,
 };
-use ssdrec_tensor::{
-    fd_check_all_params, Binding, CsrMatrix, Graph, ParamRef, ParamStore, Rng, Tensor, Var,
-};
+use ssdrec_tensor::{Binding, CsrMatrix, Graph, ParamRef, ParamStore, Rng, Tensor, Var};
+use ssdrec_testkit::fd_check_all_params;
 
 const EPS: f32 = 1e-2;
 const TOL: f32 = 1e-3;

@@ -1,7 +1,7 @@
 //! A minimal blocking HTTP client over `std::net` — the workspace has no
-//! `curl` dependency. Its users are the serve and root integration tests
-//! and the `probe_serve` benchmark probe (`benchmark/probes`); the load
-//! generator and the CI smoke do not go through it.
+//! `curl` dependency. Its users are the serve and root integration tests;
+//! the benchmark's load generator and probes use the driver's own `http`
+//! module, and the CI smoke uses bash's `/dev/tcp`.
 //!
 //! Failures are **typed** ([`ClientError`]): connect vs. transport I/O vs.
 //! a truncated response vs. a malformed one, so a caller can tell a

@@ -1,4 +1,4 @@
-//! Test-side hooks for the `ssdrec-faults` injection runtime: a
+//! Test-side hooks for the `ssdrec_base::faults` injection runtime: a
 //! [`FaultPlan`] builder, armed on the calling thread or as the process
 //! default, and fire-count assertions.
 //!
@@ -6,12 +6,12 @@
 //! use ssdrec_testkit::fault::{assert_fired_exactly, FaultPlan};
 //!
 //! let armed = FaultPlan::new().error("demo.site", 1).arm();
-//! assert!(ssdrec_faults::point("demo.site").is_err());
+//! assert!(ssdrec_base::faults::point("demo.site").is_err());
 //! assert_fired_exactly("demo.site", 1);
 //! drop(armed); // restores the thread's previous plan
 //! ```
 
-use ssdrec_faults::{Armed, FaultKind, FaultSpec};
+use ssdrec_base::faults::{self, Armed, FaultKind, FaultSpec};
 
 /// A builder for a set of fault specs, armed all at once via
 /// [`FaultPlan::arm`].
@@ -50,15 +50,15 @@ impl FaultPlan {
         self.with(site, FaultKind::Panic, nth)
     }
 
-    /// Arm the plan on the calling thread (see [`ssdrec_faults::arm`]).
+    /// Arm the plan on the calling thread (see [`faults::arm`]).
     pub fn arm(self) -> Armed {
-        ssdrec_faults::arm(self.specs)
+        faults::arm(self.specs)
     }
 
     /// Arm the plan as the process default, for sites reached on threads
-    /// the test does not run (see [`ssdrec_faults::arm_process`]).
+    /// the test does not run (see [`faults::arm_process`]).
     pub fn arm_process(self) -> Armed {
-        ssdrec_faults::arm_process(self.specs)
+        faults::arm_process(self.specs)
     }
 }
 
@@ -67,14 +67,14 @@ impl FaultPlan {
 /// the plan's full snapshot.
 #[track_caller]
 pub fn assert_fired_exactly(site: &str, n: u64) {
-    let fired = ssdrec_faults::fired(site);
+    let fired = faults::fired(site);
     assert_eq!(
         fired,
         n,
         "fault site {site:?} fired {fired} time(s), expected {n} \
          ({} armed hits; plan: {:?})",
-        ssdrec_faults::hits(site),
-        ssdrec_faults::snapshot()
+        faults::hits(site),
+        faults::snapshot()
     );
 }
 
@@ -89,9 +89,9 @@ mod tests {
             .delay_ms("tk.b", 5, 1)
             .panic("tk.c", 2)
             .arm();
-        assert!(ssdrec_faults::point("tk.a").is_err());
-        assert!(ssdrec_faults::point("tk.b").is_ok()); // delayed, not failed
-        assert!(ssdrec_faults::point("tk.c").is_ok()); // fires on hit 2
+        assert!(faults::point("tk.a").is_err());
+        assert!(faults::point("tk.b").is_ok()); // delayed, not failed
+        assert!(faults::point("tk.c").is_ok()); // fires on hit 2
         assert_fired_exactly("tk.a", 1);
         assert_fired_exactly("tk.b", 1);
         assert_fired_exactly("tk.c", 0);
@@ -101,12 +101,12 @@ mod tests {
     fn guard_disarms_on_drop() {
         {
             let _armed = FaultPlan::new().error("tk.drop", 2).arm();
-            assert!(ssdrec_faults::point("tk.drop").is_ok());
-            assert_eq!(ssdrec_faults::hits("tk.drop"), 1);
+            assert!(faults::point("tk.drop").is_ok());
+            assert_eq!(faults::hits("tk.drop"), 1);
         }
-        assert!(ssdrec_faults::point("tk.drop").is_ok());
-        assert_eq!(ssdrec_faults::hits("tk.drop"), 0);
-        assert_eq!(ssdrec_faults::fired("tk.drop"), 0);
+        assert!(faults::point("tk.drop").is_ok());
+        assert_eq!(faults::hits("tk.drop"), 0);
+        assert_eq!(faults::fired("tk.drop"), 0);
     }
 
     #[test]

@@ -2,10 +2,17 @@
 //!
 //! [`check_grads`] compares an analytic gradient (e.g. from the autograd
 //! tape) against central finite differences of the loss, parameter by
-//! parameter. It is deliberately framework-agnostic: the caller supplies a
-//! closure evaluating the loss at an arbitrary flat parameter vector, so the
-//! same helper verifies any layer of any crate without this crate depending
-//! on the tensor substrate.
+//! parameter. It speaks flat `&[f32]` vectors: the caller supplies a
+//! closure evaluating the loss at an arbitrary parameter vector.
+//!
+//! [`fd_check_all_params`] bridges it to `ssdrec-tensor`'s
+//! [`ParamStore`]/[`Graph`] world. A test hands it a closure that rebuilds
+//! the forward graph and returns a scalar loss; every tensor registered in
+//! the store — including inputs smuggled in as parameters — is then
+//! perturbed coordinate by coordinate and compared against the tape's
+//! gradients.
+
+use ssdrec_tensor::{Binding, Graph, ParamStore, Var};
 
 /// Outcome of a successful gradient check.
 #[derive(Clone, Debug)]
@@ -84,6 +91,65 @@ where
         report.max_abs_err = report.max_abs_err.max(abs);
     }
     Ok(report)
+}
+
+/// Verify the autograd gradients of `build`'s scalar loss with respect to
+/// **every** parameter tensor in `store`, using central finite differences.
+///
+/// `build` must be deterministic (reseed any internal RNG on each call) and
+/// must return a scalar (1-element) loss variable. Parameters the loss does
+/// not depend on are checked against a zero gradient. Panics with the
+/// offending parameter's name on the first mismatch; returns the worst
+/// relative error seen across all tensors otherwise.
+pub fn fd_check_all_params(
+    store: &mut ParamStore,
+    eps: f32,
+    tol: f32,
+    build: impl Fn(&mut Graph, &Binding) -> Var,
+) -> f32 {
+    // Analytic pass at the current parameter values.
+    let mut g = Graph::new();
+    let bind = store.bind_all(&mut g);
+    let loss = build(&mut g, &bind);
+    assert_eq!(g.value(loss).data().len(), 1, "loss must be scalar");
+    let grads = g.backward(loss);
+
+    let infos: Vec<(String, Vec<f32>, Vec<f32>)> = (0..store.num_tensors())
+        .map(|i| {
+            let p = ParamStore::param_ref_by_index(i);
+            let orig = store.get(p).data().to_vec();
+            let analytic = grads
+                .get(bind.var(p))
+                .map(|t| t.data().to_vec())
+                .unwrap_or_else(|| vec![0.0; orig.len()]);
+            (store.name(p).to_string(), orig, analytic)
+        })
+        .collect();
+    drop(g);
+
+    let mut worst = 0.0f32;
+    for (i, (name, orig, analytic)) in infos.iter().enumerate() {
+        let p = ParamStore::param_ref_by_index(i);
+        let result = check_grads(
+            |vals: &[f32]| {
+                store.get_mut(p).data_mut().copy_from_slice(vals);
+                let mut g = Graph::new();
+                let bind = store.bind_all(&mut g);
+                let loss = build(&mut g, &bind);
+                g.value(loss).data()[0]
+            },
+            orig,
+            analytic,
+            eps,
+            tol,
+        );
+        store.get_mut(p).data_mut().copy_from_slice(orig);
+        match result {
+            Ok(report) => worst = worst.max(report.max_rel_err),
+            Err(e) => panic!("gradient check failed for `{name}`: {e}"),
+        }
+    }
+    worst
 }
 
 #[cfg(test)]

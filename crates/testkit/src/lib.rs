@@ -3,24 +3,23 @@
 //! The workspace's zero-dependency test substrate. The offline build
 //! environment cannot fetch registry crates, so everything the reproduction
 //! needs for correctness tooling lives here, implemented from scratch on the
-//! standard library:
+//! standard library. It sits above the product: it depends on
+//! `ssdrec-base` and `ssdrec-tensor`, and every crate takes it as a
+//! dev-dependency only.
 //!
-//! * [`rng`] — a deterministic `xoshiro256**` generator (SplitMix64 seeding)
-//!   with the full sampling surface the workspace uses: uniform, integer
-//!   ranges, normal (Box–Muller), Gumbel, Bernoulli, dropout masks, shuffle,
-//!   choice, weighted sampling and independent [`Rng::split`] child streams.
-//!   This is a **runtime** dependency of `ssdrec-tensor` and `ssdrec-data`,
-//!   not just a test helper — every stochastic component of the stack draws
-//!   from it.
 //! * [`prop`] — a minimal property-testing framework (the
 //!   [`property!`](crate::property) macro): seeded generation, configurable
-//!   case counts, greedy input shrinking on failure.
+//!   case counts, greedy input shrinking on failure. Generators draw from
+//!   [`Rng`], the workspace generator from `ssdrec_base::rng`.
 //! * [`gradcheck`] — [`check_grads`], central finite-difference verification
-//!   of analytic gradients, used to validate the autograd tape layer by
+//!   of analytic gradients, and [`fd_check_all_params`], which runs it over
+//!   every tensor of a `ParamStore` to validate the autograd tape layer by
 //!   layer.
-//! * [`fault`] — test-side hooks for the `ssdrec-faults` injection runtime:
-//!   the [`fault::FaultPlan`] builder, armed on the calling thread or as
-//!   the process default, and fire-count assertions.
+//! * [`fault`] — test-side hooks for the `ssdrec_base::faults` injection
+//!   runtime: the [`fault::FaultPlan`] builder, armed on the calling thread
+//!   or as the process default, and fire-count assertions.
+//! * [`client`] — a blocking HTTP client with typed errors for the serving
+//!   tests.
 //! * [`scratch_path`] — a test's scratch file path with every leftover of
 //!   an earlier run removed.
 //!
@@ -31,16 +30,18 @@
 
 #![warn(missing_docs)]
 
+pub mod client;
 pub mod fault;
 pub mod gradcheck;
 pub mod prop;
-pub mod rng;
 
 use std::path::{Path, PathBuf};
 
-pub use gradcheck::{check_grads, GradReport};
+pub use gradcheck::{check_grads, fd_check_all_params, GradReport};
 pub use prop::{forall, gens, Config, Gen};
-pub use rng::{splitmix64, Rng};
+// The generator a `Gen` draws from. `ssdrec-base`'s own unit tests can name
+// the copy this crate links only through this path.
+pub use ssdrec_base::Rng;
 
 /// `dir/name` for a test's scratch file: `dir` is created, and any file or
 /// directory an earlier run left at the path is removed, so a run that

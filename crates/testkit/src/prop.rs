@@ -32,7 +32,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Once;
 
-use crate::rng::Rng;
+use ssdrec_base::Rng;
 
 /// Configuration for one [`forall`] run.
 #[derive(Clone, Debug)]

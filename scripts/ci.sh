@@ -3,8 +3,8 @@
 #
 #   1. Deny-list: no Cargo.toml may name a registry dependency — only
 #      workspace path crates (ssdrec-*) are allowed — the CLI's normal
-#      dependency tree must not reach the retired ssdrec-ann crate,
-#      ssdrec-serve must not name ssdrec-testkit as a normal dependency, no
+#      dependency tree must not reach the retired ssdrec-ann crate, no
+#      shipped package's normal dependency tree may reach ssdrec-testkit, no
 #      file under crates/tensor/src but math.rs may call libm's exp, ln or
 #      tanh, and the SSDREC_* environment variables the code reads are
 #      exactly FAULTS, POOL, PROP_SEED and THREADS (option creep fails).
@@ -189,14 +189,16 @@ if printf '%s\n' "$CLI_TREE" | grep -q 'ssdrec-ann'; then
     die "the ssdrec CLI depends on ssdrec-ann again"
 fi
 echo "ok: the CLI does not link ssdrec-ann"
-# The test substrate is a dev-dependency of the server. ssdrec-tensor still
-# reaches it for its RNG, so only the server's direct normal dependencies
-# are checked.
-SERVE_DEPS=$(cargo tree --offline -e normal -p ssdrec-serve --depth 1)
-if printf '%s\n' "$SERVE_DEPS" | grep -q 'ssdrec-testkit'; then
-    die "ssdrec-serve depends on ssdrec-testkit again"
-fi
-echo "ok: ssdrec-serve has no normal dependency on ssdrec-testkit"
+# The test substrate sits above the product: every crate takes it as a
+# dev-dependency only, so no shipped package may reach it through any chain
+# of normal dependencies.
+for pkg in ssdrec ssdrec-cli ssdrec-bench ssdrec-ann; do
+    TREE=$(cargo tree --offline -e normal -p "$pkg")
+    if grep -q 'ssdrec-testkit' <<<"$TREE"; then
+        die "$pkg links ssdrec-testkit through a normal dependency"
+    fi
+done
+echo "ok: no shipped package links ssdrec-testkit"
 # Kernel bits must not depend on the host's C library: every exp, ln and
 # tanh in the tensor crate is math.rs's. A float method call (`x.exp()`, no
 # argument — graph ops such as `g.exp(v)` take one) or an `f32::exp` path

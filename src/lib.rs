@@ -19,7 +19,7 @@
 //! | [`runtime`] | `ssdrec-runtime` | thread pool + deterministic parallel kernels |
 //! | [`serve`] | `ssdrec-serve` | the online inference HTTP server: the models' frozen eval forward, exact top-K |
 //! | [`stream`] | `ssdrec-stream` | interaction log, versioned checkpoints, incremental retrain |
-//! | [`faults`] | `ssdrec-faults` | deterministic fault-injection sites for chaos testing |
+//! | [`base`] | `ssdrec-base` | fault-injection sites, the frozen-stream RNG, the JSON codec |
 //!
 //! ## Quickstart
 //!
@@ -54,10 +54,10 @@
 //! [`core::ModelContext`] (usually [`core::Prepared::context`]); it returns
 //! a `Box<dyn RecModel>` that `train(&mut *model, ..)` and `fit` accept.
 
+pub use ssdrec_base as base;
 pub use ssdrec_core as core;
 pub use ssdrec_data as data;
 pub use ssdrec_denoise as denoise;
-pub use ssdrec_faults as faults;
 pub use ssdrec_graph as graph;
 pub use ssdrec_metrics as metrics;
 pub use ssdrec_models as models;

@@ -26,14 +26,14 @@ use common::{
     assert_kill_and_resume_is_bit_identical, delta_events, retrain_spec, scratch, scratch_dir,
     seed_events, served_bits, sports_world, ssdrec_on, train_config, CATALOG, DIM,
 };
+use ssdrec::base::json;
 use ssdrec::core::Prepared;
 use ssdrec::data::{plan_batches, prepare, SyntheticConfig};
 use ssdrec::denoise::Hsd;
 use ssdrec::models::{fit, BackboneKind, CheckpointConfig, SeqRec, TrainOptions};
-use ssdrec::serve::{
-    client, json, serve, ClientError, Engine, EngineConfig, RecError, ServerStats,
-};
+use ssdrec::serve::{serve, Engine, EngineConfig, RecError, ServerStats};
 use ssdrec::stream::{load_current, open_or_create_log, retrain, CheckpointDir, RetrainOutcome};
+use ssdrec_testkit::client::{self, ClientError};
 use ssdrec_testkit::fault::{assert_fired_exactly, FaultPlan};
 
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());

@@ -2,9 +2,9 @@
 //!
 //! **Golden values**: a fixed seed, a tiny synthetic dataset and two
 //! training epochs must reproduce *exactly* the HR@10 / NDCG@10 recorded
-//! here. This pins the full pipeline — testkit RNG stream, data generation,
-//! graph construction, training order, evaluation — across refactors; see
-//! the stream-stability contract in `ssdrec_testkit::rng`.
+//! here. This pins the full pipeline — the workspace RNG stream, data
+//! generation, graph construction, training order, evaluation — across
+//! refactors; see the stream-stability contract in `ssdrec_base::rng`.
 //!
 //! **Seed sensitivity**: the same pipeline run twice under one seed must be
 //! bit-identical, and must actually vary when the seed changes.
