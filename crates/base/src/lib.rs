@@ -3,6 +3,8 @@
 //! The std-only utilities every layer of the workspace shares, one home
 //! each:
 //!
+//! * [`atomic_file`] — [`atomic_file::AtomicFile`], the one way a file is
+//!   published: temp file, fsync, fault site, rename;
 //! * [`faults`] — named fault-injection sites ([`faults::point`]) and the
 //!   thread- and process-scoped plans that arm them, zero-cost when
 //!   disarmed;
@@ -18,6 +20,7 @@
 
 #![warn(missing_docs)]
 
+pub mod atomic_file;
 pub mod faults;
 pub mod json;
 pub mod rng;

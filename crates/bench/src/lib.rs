@@ -15,7 +15,7 @@
 
 mod entries;
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::Instant;
 
 use ssdrec_core::{build_model, ModelKind, Prepared, SsdRec, SsdRecConfig};
@@ -365,16 +365,14 @@ pub(crate) fn metric_csv(dataset: &str, name: &str, m: &MetricReport) -> String 
     )
 }
 
-/// The outermost ancestor of the working directory holding a `Cargo.lock` —
-/// the workspace root (cargo runs bin and test targets with cwd = the
-/// package dir).
-pub(crate) fn repo_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    cwd.ancestors()
-        .filter(|a| a.join("Cargo.lock").is_file())
-        .last()
-        .map(PathBuf::from)
-        .unwrap_or(cwd)
+/// The checkout this binary was built from (two levels above this crate's
+/// manifest, `crates/bench`), whatever the working directory.
+pub(crate) fn repo_root() -> &'static Path {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    manifest
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits in a checkout")
 }
 
 /// Write `header` then `lines` to `results/<file>` under the workspace

@@ -1,5 +1,6 @@
 //! The `ssdrec-bench` binary end to end: exit codes and messages of the
-//! rejected command lines, `--list`, and the `table4 --fast` JSON report.
+//! rejected command lines, `--list`, the `table4 --fast` JSON report, and
+//! where reports land.
 //! (Table lookups and selector parsing are unit-tested in `src/lib.rs`.)
 
 use std::process::{Command, Output};
@@ -99,4 +100,29 @@ fn table4_fast_reports_one_json_row_per_method() {
             assert!((0.0..=1.0).contains(&v), "{k} = {v}");
         }
     }
+}
+
+/// Reports land in the checkout's `results/` whatever the working
+/// directory: started outside any checkout, the binary writes nothing
+/// there.
+#[test]
+fn reports_land_in_the_checkout_from_any_working_directory() {
+    let cwd = std::env::temp_dir().join(format!("ssdrec-bench-cwd-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_ssdrec-bench"))
+        .args(["table2", "--fast"])
+        .current_dir(&cwd)
+        .output()
+        .expect("spawn ssdrec-bench");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let checkout = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2);
+    let want = checkout.unwrap().join("results/table2_stats.csv");
+    let announced = format!("results written to {}", want.display());
+    assert!(stderr.lines().any(|l| l == announced), "{stderr}");
+    assert!(want.is_file());
+    assert!(!cwd.join("results").exists(), "results/ written to the cwd");
+    std::fs::remove_dir_all(cwd).unwrap();
 }

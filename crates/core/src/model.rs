@@ -507,8 +507,8 @@ impl RecModel for SsdRec {
         self.tau.state()
     }
 
-    fn restore_train_state(&mut self, state: &[u64]) {
-        self.tau.restore(state, "SSDRec");
+    fn restore_train_state(&mut self, state: &[u64]) -> Result<(), String> {
+        self.tau.restore(state, "SSDRec")
     }
 
     fn model_name(&self) -> String {

@@ -22,9 +22,10 @@
 //! ([`crate::format::crc32`]). The encoder is a pure function of its input:
 //! bytes are identical across runs, hosts, and thread counts.
 //!
-//! Writes are atomic: everything goes to `<path>.tmp`, is flushed and
-//! fsynced, passes the `write.data` fault site, and only then is renamed
-//! over `path` — a crash or injected fault can never leave a torn `.ssdc`.
+//! Writes are atomic ([`ssdrec_base::atomic_file`]): everything goes to
+//! `<path>.tmp`, is flushed and fsynced, passes the `write.data` fault site,
+//! and only then is renamed over `path` — a crash or injected fault can
+//! never leave a torn `.ssdc`.
 //!
 //! [`ColumnarReader::open`] verifies the header, the footer table, and every
 //! section CRC (large sections are scanned in bounded chunks), and
@@ -33,10 +34,12 @@
 //! window buffer (`pread`, no full materialization).
 
 use std::cell::RefCell;
-use std::fs::{self, File};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+
+use ssdrec_base::atomic_file::AtomicFile;
 
 use crate::format::{crc32, read_varint, unzigzag, write_varint, zigzag, Crc32, FormatError};
 use crate::interaction::Dataset;
@@ -70,11 +73,10 @@ pub struct ColumnarSummary {
 /// Sequences are pushed one user at a time in user order; only the small
 /// index columns (lengths, offsets, noise bits, timestamps) are buffered in
 /// RAM — the item column streams straight to disk, so peak memory is
-/// independent of the dataset's interaction count.
+/// independent of the dataset's interaction count. A writer dropped before
+/// [`ColumnarWriter::finish`] deletes its temp file.
 pub struct ColumnarWriter {
-    tmp: PathBuf,
-    path: PathBuf,
-    file: Option<BufWriter<File>>,
+    file: AtomicFile,
     name: String,
     num_items: usize,
     has_noise: bool,
@@ -101,9 +103,7 @@ impl ColumnarWriter {
         has_noise: bool,
         has_times: bool,
     ) -> Result<Self, FormatError> {
-        let path = path.as_ref().to_path_buf();
-        let tmp = tmp_path(&path);
-        let mut file = BufWriter::new(File::create(&tmp)?);
+        let mut file = AtomicFile::create(path)?;
         let mut flags = 0u32;
         if has_noise {
             flags |= FLAG_NOISE;
@@ -118,9 +118,7 @@ impl ColumnarWriter {
         let mut offs = Vec::new();
         write_varint(&mut offs, 0); // first offset is always 0
         Ok(ColumnarWriter {
-            tmp,
-            path,
-            file: Some(file),
+            file,
             name: name.to_string(),
             num_items,
             has_noise,
@@ -172,10 +170,7 @@ impl ColumnarWriter {
         }
         self.item_crc.update(&self.scratch);
         self.item_bytes += self.scratch.len() as u64;
-        self.file
-            .as_mut()
-            .expect("writer already finished")
-            .write_all(&self.scratch)?;
+        self.file.write_all(&self.scratch)?;
 
         write_varint(&mut self.lens, seq.len() as u64);
         write_varint(&mut self.offs, self.scratch.len() as u64);
@@ -208,8 +203,6 @@ impl ColumnarWriter {
     /// Write the index sections and footer, fsync, pass the `write.data`
     /// fault site, and atomically rename into place.
     pub fn finish(mut self) -> Result<ColumnarSummary, FormatError> {
-        let mut file = self.file.take().expect("writer already finished");
-
         let mut meta = Vec::new();
         meta.extend_from_slice(&(self.name.len() as u32).to_le_bytes());
         meta.extend_from_slice(self.name.as_bytes());
@@ -234,7 +227,7 @@ impl ColumnarWriter {
             small.push((b"TIME", &self.times));
         }
         for (tag, payload) in small {
-            file.write_all(payload)?;
+            self.file.write_all(payload)?;
             table.push((tag, cursor, payload.len() as u64, crc32(payload)));
             cursor += payload.len() as u64;
         }
@@ -250,58 +243,15 @@ impl ColumnarWriter {
         let fcrc = crc32(&footer);
         footer.extend_from_slice(&fcrc.to_le_bytes());
         footer.extend_from_slice(FOOTER_MAGIC);
-        file.write_all(&footer)?;
+        self.file.write_all(&footer)?;
         let bytes = cursor + footer.len() as u64;
-
-        let cleanup = |tmp: &Path, e: FormatError| -> FormatError {
-            let _ = fs::remove_file(tmp);
-            e
-        };
-        if let Err(e) = file.flush() {
-            return Err(cleanup(&self.tmp, e.into()));
-        }
-        let inner = file.into_inner().map_err(|e| {
-            cleanup(
-                &self.tmp,
-                FormatError::Io(std::io::Error::other(e.to_string())),
-            )
-        })?;
-        if let Err(e) = inner.sync_all() {
-            return Err(cleanup(&self.tmp, e.into()));
-        }
-        drop(inner);
-        if let Err(e) = ssdrec_base::faults::point("write.data") {
-            return Err(cleanup(
-                &self.tmp,
-                FormatError::Io(std::io::Error::other(e.to_string())),
-            ));
-        }
-        if let Err(e) = fs::rename(&self.tmp, &self.path) {
-            return Err(cleanup(&self.tmp, e.into()));
-        }
+        self.file.commit("write.data")?;
         Ok(ColumnarSummary {
             num_users: self.num_users,
             num_interactions: self.num_interactions,
             bytes,
         })
     }
-}
-
-impl Drop for ColumnarWriter {
-    fn drop(&mut self) {
-        // An abandoned writer (error path, panic) must not leave its temp
-        // file behind; `finish` takes `self.file` so a completed writer
-        // skips this.
-        if self.file.take().is_some() {
-            let _ = fs::remove_file(&self.tmp);
-        }
-    }
-}
-
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".tmp");
-    PathBuf::from(os)
 }
 
 struct Window {

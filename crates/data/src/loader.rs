@@ -259,8 +259,8 @@ pub fn parse_interactions(content: &str, opts: &LoadOptions) -> Result<Dataset, 
 }
 
 /// Parse interaction text straight into a columnar `.ssdc` file at `out`,
-/// preserving timestamps in the TIME column. The write is atomic
-/// (temp + rename through the `write.data` fault site) and the produced
+/// preserving timestamps in the TIME column. The write is atomic (temp +
+/// fsync + rename through the `write.data` fault site) and the produced
 /// sequences are identical to `encode_dataset(&parse_interactions(…)?, …)`.
 pub fn parse_interactions_to_columnar(
     content: &str,
@@ -410,18 +410,19 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("ssdrec_loader");
+        let dir = std::env::temp_dir().join(format!("ssdrec-loader-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("u.data");
         std::fs::write(&path, ML_SAMPLE).unwrap();
         let ds = load_interactions(&path, &LoadOptions::movielens()).unwrap();
         assert_eq!(ds.num_users, 2);
         assert!(ds.validate().is_ok());
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn parse_to_columnar_matches_parse_then_encode() {
-        let dir = std::env::temp_dir().join("ssdrec_loader_col");
+        let dir = std::env::temp_dir().join(format!("ssdrec-loader-col-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let direct = dir.join("direct.ssdc");
         let summary =
@@ -438,5 +439,6 @@ mod tests {
         let times = r.read_all_times().unwrap();
         assert_eq!(times[0], vec![100, 150, 200]);
         assert_eq!(times[1], vec![50]);
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -205,17 +205,18 @@ impl TauSchedule {
         vec![self.steps, self.tau.to_bits() as u64]
     }
 
-    /// Restore [`TauSchedule::state`]; `model` names the owner in the panic
+    /// Restore [`TauSchedule::state`]; `model` names the owner in the error
     /// on a malformed state.
-    pub fn restore(&mut self, state: &[u64], model: &str) {
+    pub fn restore(&mut self, state: &[u64], model: &str) -> Result<(), String> {
         let &[steps, tau_bits] = state else {
-            panic!(
+            return Err(format!(
                 "{model} training state must be [steps, tau_bits], got {} words",
                 state.len()
-            );
+            ));
         };
         self.steps = steps;
         self.tau = f32::from_bits(tau_bits as u32);
+        Ok(())
     }
 }
 
@@ -316,8 +317,8 @@ impl RecModel for Hsd {
         self.tau.state()
     }
 
-    fn restore_train_state(&mut self, state: &[u64]) {
-        self.tau.restore(state, "HSD");
+    fn restore_train_state(&mut self, state: &[u64]) -> Result<(), String> {
+        self.tau.restore(state, "HSD")
     }
 
     fn model_name(&self) -> String {

@@ -20,21 +20,25 @@
 //!   data f32×len
 //! ```
 //!
-//! Writes are atomic (temp file + rename via
-//! [`ssdrec_tensor::persist::atomic_write`], fault site `ckpt.save`): a
-//! crash mid-save never replaces a good checkpoint with a torn one.
-//! Loading is strict — tensor names and shapes must match the live model
-//! exactly, and every failure names the offending tensor. It is also
-//! hostile-input safe: every count, length and shape is checked against the
-//! bytes left in the file before anything is allocated from it, so a
-//! corrupt or truncated file gives a typed `io::Error`, never a panic or a
-//! runaway allocation.
+//! The parameter and snapshot tensors are `.ssdt`'s records
+//! ([`ssdrec_tensor::persist::RecordWriter`]), and one codec reads both
+//! formats. Writes are atomic (temp file, fsync, rename via
+//! [`ssdrec_base::atomic_file`], fault site `ckpt.save`): a crash mid-save
+//! never replaces a good checkpoint with a torn one. Loading is strict —
+//! tensor names and shapes must match the live model exactly
+//! ([`ssdrec_tensor::persist::match_store`]), and every failure names the
+//! offending tensor. It is also hostile-input safe:
+//! [`ssdrec_tensor::persist::RecordReader`] checks every count, length and
+//! shape against the bytes left in the file before anything is allocated
+//! from it, so a corrupt or truncated file gives a typed `io::Error`, never
+//! a panic or a runaway allocation.
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::Path;
 
+use ssdrec_base::atomic_file::atomic_write;
 use ssdrec_metrics::MetricReport;
-use ssdrec_tensor::persist::atomic_write;
+use ssdrec_tensor::persist::{match_store, RecordReader, RecordWriter};
 use ssdrec_tensor::{ParamStore, Tensor};
 
 use crate::model::RecModel;
@@ -114,178 +118,63 @@ impl TrainState {
     }
 
     /// Restore parameter values, Adam moments and model-side state into a
-    /// freshly built model. Strict: names and shapes must match.
+    /// freshly built model. Strict: names and shapes must match, the
+    /// early-stopping snapshot must fit the same store, and the model must
+    /// accept the state words; a refused state changes nothing.
     pub fn apply_to<M: RecModel + ?Sized>(&self, model: &mut M) -> Result<(), String> {
+        let store = model.store();
+        match_store(
+            store,
+            self.params.iter().map(|(n, v, ..)| (n.as_str(), v.shape())),
+        )?;
+        // The snapshot is unnamed: it takes the store's names.
+        let snapshot = self.best_snapshot.iter().enumerate();
+        let name = |i| store.name(ParamStore::param_ref_by_index(i));
+        match_store(store, snapshot.map(|(i, t)| (name(i), t.shape())))
+            .map_err(|e| format!("snapshot: {e}"))?;
+        // Last of the checks, and the first write: a refused state leaves
+        // the model untouched.
+        model.restore_train_state(&self.model_state)?;
         let store = model.store_mut();
-        if self.params.len() != store.num_tensors() {
-            return Err(format!(
-                "checkpoint has {} tensors, model has {}",
-                self.params.len(),
-                store.num_tensors()
-            ));
-        }
-        for (i, (name, value, m, v)) in self.params.iter().enumerate() {
+        for (i, (_, value, m, v)) in self.params.iter().enumerate() {
             let p = ParamStore::param_ref_by_index(i);
-            if store.name(p) != name {
-                return Err(format!(
-                    "tensor {i}: checkpoint name {name:?} vs model {:?}",
-                    store.name(p)
-                ));
-            }
-            if store.get(p).shape() != value.shape() {
-                return Err(format!(
-                    "tensor {i} ({name}): checkpoint shape {:?} vs model {:?}",
-                    value.shape(),
-                    store.get(p).shape()
-                ));
-            }
             *store.get_mut(p) = value.clone();
             store.set_moments(p, m.clone(), v.clone());
         }
-        model.restore_train_state(&self.model_state);
         Ok(())
-    }
-}
-
-fn w_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn w_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn err(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn w_tensor(w: &mut impl Write, t: &Tensor) -> io::Result<()> {
-    w_u32(w, t.ndim() as u32)?;
-    for &d in t.shape() {
-        w_u32(w, d as u32)?;
-    }
-    for &x in t.data() {
-        w.write_all(&x.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-/// A training-state file being read, and how many of its bytes are left.
-struct StateReader<R> {
-    r: R,
-    left: u64,
-}
-
-impl<R: Read> StateReader<R> {
-    fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
-        let mut b = [0u8; N];
-        self.r.read_exact(&mut b)?;
-        self.left = self.left.saturating_sub(N as u64);
-        Ok(b)
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    /// Refuse `n` items of `item_bytes` each unless the rest of the file can
-    /// hold them.
-    fn check_fits(&self, n: u64, item_bytes: u64, what: &str) -> io::Result<()> {
-        match n.checked_mul(item_bytes) {
-            Some(need) if need <= self.left => Ok(()),
-            _ => Err(err(format!(
-                "{what} of {n} overruns the {} bytes left",
-                self.left
-            ))),
-        }
-    }
-
-    /// A `u32` count of items of at least `item_bytes` each, checked
-    /// against the bytes left.
-    fn count(&mut self, item_bytes: u64, what: &str) -> io::Result<usize> {
-        let n = self.u32()?;
-        self.check_fits(n as u64, item_bytes, what)?;
-        Ok(n as usize)
-    }
-
-    /// `n` raw bytes, `n` already checked.
-    fn bytes(&mut self, n: usize) -> io::Result<Vec<u8>> {
-        let mut b = vec![0u8; n];
-        self.r.read_exact(&mut b)?;
-        self.left = self.left.saturating_sub(n as u64);
-        Ok(b)
-    }
-
-    /// A rank and dims, refused unless `copies` tensors of that shape fit in
-    /// the bytes left.
-    fn shape(&mut self, copies: u64) -> io::Result<Vec<usize>> {
-        let ndim = self.count(4, "a rank")?;
-        let shape = (0..ndim)
-            .map(|_| Ok(self.u32()? as usize))
-            .collect::<io::Result<Vec<usize>>>()?;
-        let len = shape
-            .iter()
-            .try_fold(1u64, |n, &d| n.checked_mul(d as u64))
-            .ok_or_else(|| err(format!("shape {shape:?} overflows")))?;
-        self.check_fits(len, 4 * copies, &format!("shape {shape:?}"))?;
-        Ok(shape)
-    }
-
-    /// A tensor of `shape`, already checked.
-    fn tensor(&mut self, shape: &[usize]) -> io::Result<Tensor> {
-        let mut data = vec![0f32; shape.iter().product()];
-        for x in data.iter_mut() {
-            *x = f32::from_le_bytes(self.array()?);
-        }
-        Ok(Tensor::new(data, shape))
     }
 }
 
 /// Atomically serialise a [`TrainState`] to `path` (fault site `ckpt.save`).
 pub fn save_train_state(st: &TrainState, path: impl AsRef<Path>) -> io::Result<()> {
     atomic_write(path.as_ref(), "ckpt.save", |w| {
-        w.write_all(MAGIC)?;
-        w_u32(w, VERSION)?;
-        w_u32(w, st.next_epoch)?;
-        w_u32(w, st.since_best)?;
-        w_u64(w, st.adam_steps)?;
+        let mut w = RecordWriter::new(w, MAGIC, VERSION)?;
+        w.u32(st.next_epoch)?;
+        w.u32(st.since_best)?;
+        w.u64(st.adam_steps)?;
         for &s in &st.rng_state {
-            w_u64(w, s)?;
+            w.u64(s)?;
         }
-        w_u64(w, st.best_hr20.to_bits())?;
-        w_u64(w, st.total_train_secs.to_bits())?;
-        w_u32(w, st.final_loss.to_bits())?;
+        w.u64(st.best_hr20.to_bits())?;
+        w.u64(st.total_train_secs.to_bits())?;
+        w.u32(st.final_loss.to_bits())?;
         let bv = &st.best_valid;
         for m in [
             bv.hr5, bv.hr10, bv.hr20, bv.ndcg5, bv.ndcg10, bv.ndcg20, bv.mrr20,
         ] {
-            w_u64(w, m.to_bits())?;
+            w.u64(m.to_bits())?;
         }
-        w_u32(w, st.model_state.len() as u32)?;
+        w.u32(st.model_state.len() as u32)?;
         for &s in &st.model_state {
-            w_u64(w, s)?;
+            w.u64(s)?;
         }
-        w_u32(w, st.params.len() as u32)?;
+        w.u32(st.params.len() as u32)?;
         for (name, value, m, v) in &st.params {
-            w_u32(w, name.len() as u32)?;
-            w.write_all(name.as_bytes())?;
-            w_u32(w, value.ndim() as u32)?;
-            for &d in value.shape() {
-                w_u32(w, d as u32)?;
-            }
-            for t in [value, m, v] {
-                for &x in t.data() {
-                    w.write_all(&x.to_le_bytes())?;
-                }
-            }
+            w.record(name, &[value, m, v])?;
         }
-        w_u32(w, st.best_snapshot.len() as u32)?;
+        w.u32(st.best_snapshot.len() as u32)?;
         for t in &st.best_snapshot {
-            w_tensor(w, t)?;
+            w.tensors(&[t])?;
         }
         Ok(())
     })
@@ -294,21 +183,7 @@ pub fn save_train_state(st: &TrainState, path: impl AsRef<Path>) -> io::Result<(
 /// Load a [`TrainState`] from `path`. Validation against the live model
 /// happens in [`TrainState::apply_to`].
 pub fn load_train_state(path: impl AsRef<Path>) -> io::Result<TrainState> {
-    let file = std::fs::File::open(path)?;
-    let left = file.metadata()?.len();
-    let mut r = StateReader {
-        r: io::BufReader::new(file),
-        left,
-    };
-    if &r.array::<4>()? != MAGIC {
-        return Err(err("not an SSTC training checkpoint"));
-    }
-    let version = r.u32()?;
-    if version != VERSION {
-        return Err(err(format!(
-            "unsupported training-checkpoint version {version}"
-        )));
-    }
+    let mut r = RecordReader::open(path.as_ref(), MAGIC, VERSION, "SSTC training checkpoint")?;
     let next_epoch = r.u32()?;
     let since_best = r.u32()?;
     let adam_steps = r.u64()?;
@@ -338,25 +213,22 @@ pub fn load_train_state(path: impl AsRef<Path>) -> io::Result<TrainState> {
     let n_params = r.count(8, "a parameter count")?;
     let mut params = Vec::with_capacity(n_params);
     for i in 0..n_params {
-        let named = |name: &str, e: io::Error| err(format!("tensor {i} ({name}): {e}"));
-        let name_len = r
-            .count(1, "a name length")
-            .map_err(|e| named("<header>", e))?;
-        let name_bytes = r.bytes(name_len).map_err(|e| named("<header>", e))?;
-        let name = String::from_utf8(name_bytes)
-            .map_err(|_| err(format!("tensor {i}: invalid name encoding")))?;
         // The value and its two Adam moments.
-        let shape = r.shape(3).map_err(|e| named(&name, e))?;
-        let mut tensor = || r.tensor(&shape).map_err(|e| named(&name, e));
-        let (value, m, v) = (tensor()?, tensor()?, tensor()?);
+        let (name, t) = r.record(i, 3)?;
+        let [value, m, v] = <[Tensor; 3]>::try_from(t).expect("three copies");
         params.push((name, value, m, v));
     }
     // A snapshot tensor is at least its rank.
     let n_snap = r.count(4, "a snapshot count")?;
     let mut best_snapshot = Vec::with_capacity(n_snap);
     for i in 0..n_snap {
-        let snap = r.shape(1).and_then(|shape| r.tensor(&shape));
-        best_snapshot.push(snap.map_err(|e| err(format!("snapshot tensor {i}: {e}")))?);
+        let mut snap = r.tensors(1).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("snapshot tensor {i}: {e}"),
+            )
+        })?;
+        best_snapshot.extend(snap.pop());
     }
     Ok(TrainState {
         next_epoch,

@@ -115,19 +115,19 @@ pub trait RecModel {
         Vec::new()
     }
 
-    /// Restore state captured by [`RecModel::train_state`].
-    ///
-    /// # Panics
-    /// The default (stateless) implementation panics on non-empty state:
-    /// the checkpoint was written by a model with hidden training state
-    /// this one cannot absorb.
-    fn restore_train_state(&mut self, state: &[u64]) {
-        assert!(
-            state.is_empty(),
+    /// Restore state captured by [`RecModel::train_state`]. A state of the
+    /// wrong length (a checkpoint of another model, or a forged file) is an
+    /// `Err`; the default (stateless) implementation accepts only an empty
+    /// one.
+    fn restore_train_state(&mut self, state: &[u64]) -> Result<(), String> {
+        if state.is_empty() {
+            return Ok(());
+        }
+        Err(format!(
             "checkpoint carries {} words of model training state but {} is stateless",
             state.len(),
             self.model_name()
-        );
+        ))
     }
 
     /// Recommend the top-`k` items for a user given their history, as

@@ -6,7 +6,7 @@
 use ssdrec_data::{prepare, Split, SyntheticConfig};
 use ssdrec_models::checkpoint::{load_train_state, save_train_state, TrainState};
 use ssdrec_models::{fit, BackboneKind, CheckpointConfig, SeqRec, TrainConfig, TrainOptions};
-use ssdrec_testkit::{gens, property};
+use ssdrec_testkit::{gens, property, scratch_path};
 
 const KINDS: [BackboneKind; 6] = [
     BackboneKind::Gru4Rec,
@@ -29,10 +29,12 @@ fn tiny_split() -> (usize, Split) {
 /// Train one epoch with checkpointing so the state file carries real Adam
 /// moments and a real RNG position, then assert save→load→save identity.
 fn assert_roundtrip(kind: BackboneKind, seed: u64) {
-    let dir = std::env::temp_dir().join(format!("ssdrec_ckpt_rt_{kind:?}_{seed}"));
+    let dir = scratch_path(
+        concat!(env!("CARGO_TARGET_TMPDIR"), "/ckpt-roundtrip"),
+        &format!("{kind:?}-{seed}"),
+    );
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("state.sstc");
-    let _ = std::fs::remove_file(&path);
 
     let (num_items, split) = tiny_split();
     let cfg = TrainConfig {

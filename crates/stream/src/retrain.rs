@@ -17,8 +17,10 @@
 //! the stop and diverge from an uninterrupted run.
 
 use std::fs;
+use std::io::Write;
 use std::path::Path;
 
+use ssdrec_base::atomic_file::atomic_write;
 use ssdrec_core::{SsdRec, SsdRecConfig};
 use ssdrec_data::{leave_one_out, truncate_to_max_len, Dataset, Interaction, Split};
 use ssdrec_graph::{build_graph, GraphConfig};
@@ -28,7 +30,7 @@ use ssdrec_models::{
 use ssdrec_tensor::persist::{load_params, save_params};
 
 use crate::log::{replay, LogHeader, StreamLog, HEADER_LEN, RECORD_LEN};
-use crate::version::{CheckpointDir, RetrainSpec, VersionMeta};
+use crate::version::{CheckpointDir, RetrainSpec, VersionMeta, PUBLISH_SITE};
 
 /// Leave-one-out minimum sequence length (matches the offline CLI pipeline).
 pub const MIN_SEQ_LEN: usize = 3;
@@ -246,11 +248,9 @@ pub fn retrain(
         .map_err(|e| format!("publish model: {e}"))?;
     let state_bytes = fs::read(cd.work_state_path())
         .map_err(|e| format!("read {}: {e}", cd.work_state_path().display()))?;
-    ssdrec_tensor::persist::atomic_write(
-        &cd.state_path(target_version),
-        crate::version::PUBLISH_SITE,
-        |w| std::io::Write::write_all(w, &state_bytes),
-    )
+    atomic_write(&cd.state_path(target_version), PUBLISH_SITE, |w| {
+        w.write_all(&state_bytes)
+    })
     .map_err(|e| format!("publish state: {e}"))?;
     CheckpointDir::write_meta(&cd.meta_path(target_version), &target_meta)
         .map_err(|e| format!("publish meta: {e}"))?;

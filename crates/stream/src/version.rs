@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! root/
-//!   CURRENT          — "v0002\n", flipped atomically (temp + rename)
+//!   CURRENT          — "v0002\n", flipped atomically (temp + fsync + rename)
 //!   v0001/
 //!     model.ssdt     — published parameters (best snapshot; byte-deterministic)
 //!     state.sstc     — full training state for the next warm start
@@ -16,18 +16,19 @@
 //! ```
 //!
 //! Publish ordering: the new `vN/` directory is written completely (each file
-//! via atomic temp+rename), then `CURRENT` is flipped, then `work/` is
-//! removed. A crash at any point leaves either the old version fully current
-//! or the new one — readers following `CURRENT` never observe a partial
-//! version. All atomic writes here share the `stream.publish` fault site.
+//! through [`ssdrec_base::atomic_file`]: temp file, fsync, rename), then
+//! `CURRENT` is flipped, then `work/` is removed. A crash or power loss at
+//! any point leaves either the old version fully current or the new one —
+//! readers following `CURRENT` never observe a partial version. All atomic
+//! writes here share the `stream.publish` fault site.
 
 use std::fmt;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
+use ssdrec_base::atomic_file::atomic_write;
 use ssdrec_models::BackboneKind;
-use ssdrec_tensor::persist::atomic_write;
 
 /// Fault site guarding every atomic write in the publish path.
 pub const PUBLISH_SITE: &str = "stream.publish";

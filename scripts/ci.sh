@@ -6,8 +6,10 @@
 #      dependency tree must not reach the retired ssdrec-ann crate, no
 #      shipped package's normal dependency tree may reach ssdrec-testkit, no
 #      file under crates/tensor/src but math.rs may call libm's exp, ln or
-#      tanh, and the SSDREC_* environment variables the code reads are
-#      exactly FAULTS, POOL, PROP_SEED and THREADS (option creep fails).
+#      tanh, no file under crates/*/src but base's atomic_file.rs may call
+#      rename( (every published file goes through its fsync), and the
+#      SSDREC_* environment variables the code reads are exactly FAULTS,
+#      POOL, PROP_SEED and THREADS (option creep fails).
 #   2. cargo fmt --check
 #   3. Offline release build of the whole workspace.
 #   4. Offline test run: the tier-1 command itself, `cargo test -q`, which
@@ -66,9 +68,9 @@
 #      instead of silently nulling a per-layer metric), then
 #      `benchmark/run.sh --smoke` runs every workload's correctness checks
 #      and all seven probes at tiny sizes.
-#  17. Line-count ledger: the number ROADMAP item 7 tracks, the line counts
-#      of DESIGN.md and README.md beside it, and a check that the run left
-#      `git status` as it found it.
+#  17. Line-count ledger: the number ROADMAP item 8 tracks and its product
+#      share (crates/*/src + src), the line counts of DESIGN.md and README.md
+#      beside it, and a check that the run left `git status` as it found it.
 #
 # Everything runs with CARGO_NET_OFFLINE=true: any attempt to reach the
 # registry fails the build immediately.
@@ -210,6 +212,15 @@ if [ -n "$LIBM_CALLS" ]; then
     die "libm transcendentals in crates/tensor/src outside math.rs (call crate::math instead)"
 fi
 echo "ok: crates/tensor's transcendentals all go through math.rs"
+# A file published by anything but the one atomic writer skips its fsync:
+# after a power loss the rename could name bytes that never reached disk.
+RENAMES=$(grep -rnE '\brename\(' crates/*/src --include='*.rs' |
+    grep -v '^crates/base/src/atomic_file\.rs:' || true)
+if [ -n "$RENAMES" ]; then
+    printf '%s\n' "$RENAMES"
+    die "rename( outside crates/base/src/atomic_file.rs (publish through ssdrec_base::atomic_file)"
+fi
+echo "ok: every rename( in crates/*/src is the atomic writer's"
 # Every environment variable is an option nobody sees in --help: the set
 # the code spells may only change together with this line.
 ENV_WANT="FAULTS POOL PROP_SEED THREADS"
@@ -471,7 +482,8 @@ benchmark/run.sh --smoke >"$SMOKE_DIR/benchmark_smoke.log" ||
 echo "ok: benchmark/probes and benchmark/driver build; every workload check and probe passed"
 
 echo "== line-count ledger + clean tree =="
-echo "rust lines: $(find crates src tests -name '*.rs' | xargs wc -l | tail -1)"
+echo "rust lines: $(find crates src tests -name '*.rs' | xargs cat | wc -l)" \
+    "(product: $(find crates/*/src src -name '*.rs' | xargs cat | wc -l))"
 echo "doc lines: $(wc -l DESIGN.md README.md | tr '\n' ' ')"
 STATUS_AFTER=$(git status --porcelain 2>/dev/null || true)
 if [ "$STATUS_AFTER" != "$STATUS_BEFORE" ]; then

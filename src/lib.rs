@@ -19,7 +19,7 @@
 //! | [`runtime`] | `ssdrec-runtime` | thread pool + deterministic parallel kernels |
 //! | [`serve`] | `ssdrec-serve` | the online inference HTTP server: the models' frozen eval forward, exact top-K |
 //! | [`stream`] | `ssdrec-stream` | interaction log, versioned checkpoints, incremental retrain |
-//! | [`base`] | `ssdrec-base` | fault-injection sites, the frozen-stream RNG, the JSON codec |
+//! | [`base`] | `ssdrec-base` | the atomic file writer, fault-injection sites, the frozen-stream RNG, the JSON codec |
 //!
 //! ## Quickstart
 //!

@@ -24,13 +24,16 @@ use std::time::Duration;
 
 use common::{
     assert_kill_and_resume_is_bit_identical, delta_events, retrain_spec, scratch, scratch_dir,
-    seed_events, served_bits, sports_world, ssdrec_on, train_config, CATALOG, DIM,
+    seed_events, served_bits, sports_world, ssdrec_on, train_config, CATALOG, DIM, MAX_LEN,
 };
 use ssdrec::base::json;
 use ssdrec::core::Prepared;
 use ssdrec::data::{plan_batches, prepare, SyntheticConfig};
 use ssdrec::denoise::Hsd;
-use ssdrec::models::{fit, BackboneKind, CheckpointConfig, SeqRec, TrainOptions};
+use ssdrec::models::{
+    fit, load_train_state, save_train_state, BackboneKind, CheckpointConfig, RecModel, SeqRec,
+    TrainError, TrainOptions, TrainState,
+};
 use ssdrec::serve::{serve, Engine, EngineConfig, RecError, ServerStats};
 use ssdrec::stream::{load_current, open_or_create_log, retrain, CheckpointDir, RetrainOutcome};
 use ssdrec_testkit::client::{self, ClientError};
@@ -99,6 +102,74 @@ fn faulted_state_save_fails_cleanly_without_a_torn_file() {
         "no temp file may survive a failed save"
     );
     assert_fired_exactly("ckpt.save", 1);
+}
+
+/// SSTC carries no CRC, so a forged word count is a well-formed file.
+/// Resuming from one is a `TrainError::State` naming the file, never a
+/// panic: SSDRec's τ schedule takes exactly two model-state words, a bare
+/// SASRec none, and the early-stopping snapshot must fit the model's store.
+#[test]
+fn forged_training_state_is_refused_without_a_panic() {
+    let _g = locked();
+    let prep = sports_world(0.03, 7);
+    let sasrec = || {
+        SeqRec::new(
+            BackboneKind::SasRec,
+            prep.dataset.num_items,
+            DIM,
+            MAX_LEN,
+            7,
+        )
+    };
+    assert_resume_refused("ssdrec", ssdrec_on(&prep, 7), &prep, "SSDRec", |st| {
+        st.model_state = vec![1, 2, 3];
+    });
+    assert_resume_refused("sasrec", sasrec(), &prep, "stateless", |st| {
+        st.model_state = vec![1];
+    });
+    assert_resume_refused("snapshot", sasrec(), &prep, "snapshot", |st| {
+        st.best_snapshot.pop();
+    });
+}
+
+/// Train `model` one checkpointed epoch, `forge` the saved state, and
+/// resume from it: the error must name the file and contain `want`.
+fn assert_resume_refused<M: RecModel>(
+    tag: &str,
+    mut model: M,
+    prep: &Prepared,
+    want: &str,
+    forge: impl FnOnce(&mut TrainState),
+) {
+    let path = scratch(&format!("forged_{tag}.sstc"));
+    let ckpt = CheckpointConfig::new(&path);
+    let tc = train_config(1, 7);
+    fit(
+        &mut model,
+        &(&prep.split).into(),
+        &tc,
+        &TrainOptions::checkpointed(&ckpt),
+    )
+    .expect("the clean run");
+    let mut st = load_train_state(&path).expect("a saved state");
+    forge(&mut st);
+    save_train_state(&st, &path).expect("the forged state");
+    let resume = CheckpointConfig {
+        resume: true,
+        ..ckpt
+    };
+    match fit(
+        &mut model,
+        &(&prep.split).into(),
+        &tc,
+        &TrainOptions::checkpointed(&resume),
+    ) {
+        Err(TrainError::State(msg)) => assert!(
+            msg.contains(&path.display().to_string()) && msg.contains(want),
+            "{tag}: {msg}"
+        ),
+        other => panic!("{tag}: resuming a forged state gave {other:?}"),
+    }
 }
 
 // ---------------------------------------------------------------------------

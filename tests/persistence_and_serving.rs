@@ -39,7 +39,7 @@ fn checkpoint_roundtrip_preserves_predictions() {
     };
     train(&mut model, &split, &tc);
 
-    let path = std::env::temp_dir().join("ssdrec_it_roundtrip.ssdt");
+    let path = scratch("it_roundtrip.ssdt");
     save_params(&model.store, &path).unwrap();
 
     let mut reloaded = SsdRec::new(&graph, cfg);
@@ -58,7 +58,7 @@ fn checkpoint_rejects_different_architecture() {
     let (_split, graph) = setup();
     let cfg8 = config(8);
     let model = SsdRec::new(&graph, cfg8);
-    let path = std::env::temp_dir().join("ssdrec_it_arch.ssdt");
+    let path = scratch("it_arch.ssdt");
     save_params(&model.store, &path).unwrap();
 
     let cfg16 = config(16);
