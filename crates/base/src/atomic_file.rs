@@ -1,9 +1,12 @@
 //! The one way the workspace publishes a file: write it whole under
-//! `<path>.tmp`, flush, fsync, pass the caller's fault site, then rename it
-//! over `path`. A reader of `path` sees the old bytes or the new ones,
-//! never a torn file. The fsync comes before the rename, so this holds
-//! after a power loss too, not only after a killed process: the rename can
-//! be lost, but it cannot reach the disk ahead of the data it names. The
+//! `<path>.tmp`, flush, fsync, pass the caller's fault site, rename it over
+//! `path`, then fsync the directory. A reader of `path` sees the old bytes
+//! or the new ones, never a torn file. The fsync comes before the rename,
+//! so this holds after a power loss too, not only after a killed process:
+//! the rename cannot reach the disk ahead of the data it names. The
+//! directory fsync makes the rename itself durable before `commit`
+//! returns, so a later step (removing a work directory, flipping
+//! `CURRENT`) cannot persist while the publish it followed is lost. The
 //! fault site fires in the widest window — data durable, rename not done.
 //! A file that fails or is dropped before [`AtomicFile::commit`] deletes
 //! its temp file.
@@ -38,16 +41,22 @@ impl AtomicFile {
         })
     }
 
-    /// Flush and fsync the temp file, pass `fault_site`, then rename it
-    /// over the destination. On any error the temp file is deleted and the
-    /// destination keeps its old bytes.
+    /// Flush and fsync the temp file, pass `fault_site`, rename it over
+    /// the destination, then fsync the destination's directory. On an
+    /// error before the rename the temp file is deleted and the
+    /// destination keeps its old bytes; an error of the directory fsync is
+    /// passed on with the new bytes already in place.
     pub fn commit(mut self, fault_site: &str) -> io::Result<()> {
         self.out.flush()?;
         self.out.get_ref().sync_all()?;
         crate::faults::point(fault_site)?;
         fs::rename(&self.tmp, &self.path)?;
         self.committed = true;
-        Ok(())
+        let dir = match self.path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()
     }
 }
 

@@ -3,7 +3,6 @@
 mod data_scale;
 mod ext_beyond_accuracy;
 mod ext_encoder;
-mod ext_gumbel_cost;
 mod ext_keep_rule;
 mod ext_length;
 mod fig1;
@@ -23,7 +22,7 @@ const fn entry(name: &'static str, what: &'static str, run: fn(&crate::Args)) ->
 
 /// Every entry, in the order `all` runs them. Reports land in `results/`.
 #[rustfmt::skip]
-pub(crate) const ENTRIES: [Entry; 14] = [
+pub(crate) const ENTRIES: [Entry; 13] = [
     entry("table2", "Table II: dataset statistics vs the paper's [--datasets]", table2::run),
     entry("table3", "Table III: six backbones with and without SSDRec [--datasets --models]", table3::run),
     entry("table4", "Table IV: SSDRec vs seven denoising baselines; --fast also writes table4_fast.json [--datasets]", table4::run),
@@ -36,6 +35,5 @@ pub(crate) const ENTRIES: [Entry; 14] = [
     entry("ext-keep-rule", "stage-3 keep rule: beta x kappa sweep, accuracy and OUP on noise-labelled ML-100K", ext_keep_rule::run),
     entry("ext-beyond-accuracy", "coverage, Gini, popularity bias: SASRec vs SSDRec [--datasets, default beauty,sports]", ext_beyond_accuracy::run),
     entry("ext-length", "HR@20 by history length: SASRec vs SSDRec [--datasets, default ml-100k,beauty]", ext_length::run),
-    entry("ext-gumbel-cost", "cost of hard vs soft Gumbel and of the augmentation step, by size", ext_gumbel_cost::run),
     entry("data-scale", "out-of-core pipeline at 1M users x 100K items under an asserted 8 GiB peak RSS (--fast: 2K x 1K smoke)", data_scale::run),
 ];

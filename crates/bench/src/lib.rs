@@ -8,7 +8,7 @@
 //! [--datasets a,b] [--models A,B] [--users N]`, `-- --list`, `-- all`.
 //!
 //! Performance is measured by `benchmark/run.sh`, not here. The one
-//! measuring entry kept (`data-scale`) reaches corpus sizes the benchmark's
+//! measuring entry (`data-scale`) reaches corpus sizes the benchmark's
 //! CLI-driven workloads cannot.
 
 #![warn(missing_docs)]
@@ -16,7 +16,6 @@
 mod entries;
 
 use std::path::Path;
-use std::time::Instant;
 
 use ssdrec_core::{build_model, ModelKind, Prepared, SsdRec, SsdRecConfig};
 use ssdrec_data::{inject_unobserved, Example, SyntheticConfig};
@@ -396,13 +395,6 @@ pub(crate) fn write_results(file: &str, header: &str, lines: &[String]) {
     } else {
         eprintln!("results written to {}", path.display());
     }
-}
-
-/// Time a closure, returning `(result, seconds)`.
-pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let t0 = Instant::now();
-    let r = f();
-    (r, t0.elapsed().as_secs_f64())
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ fn unknown_entry_prints_the_list_and_list_exits_0() {
     let listed = bench(&["--list"]);
     assert_eq!(listed.status.code(), Some(0));
     let list = String::from_utf8_lossy(&listed.stdout);
-    for name in ["table2", "fig5", "ext-gumbel-cost", "data-scale"] {
+    for name in ["table2", "fig5", "ext-keep-rule", "data-scale"] {
         assert!(list.contains(&format!("\n  {name} ")), "{name} not listed");
     }
 
@@ -107,11 +107,10 @@ fn table4_fast_reports_one_json_row_per_method() {
 /// there.
 #[test]
 fn reports_land_in_the_checkout_from_any_working_directory() {
-    let cwd = std::env::temp_dir().join(format!("ssdrec-bench-cwd-{}", std::process::id()));
-    std::fs::create_dir_all(&cwd).unwrap();
+    let cwd = ssdrec_testkit::TempDir::new("ssdrec-bench-cwd");
     let out = Command::new(env!("CARGO_BIN_EXE_ssdrec-bench"))
         .args(["table2", "--fast"])
-        .current_dir(&cwd)
+        .current_dir(cwd.path())
         .output()
         .expect("spawn ssdrec-bench");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -124,5 +123,4 @@ fn reports_land_in_the_checkout_from_any_working_directory() {
     assert!(stderr.lines().any(|l| l == announced), "{stderr}");
     assert!(want.is_file());
     assert!(!cwd.join("results").exists(), "results/ written to the cwd");
-    std::fs::remove_dir_all(cwd).unwrap();
 }

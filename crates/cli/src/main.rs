@@ -958,7 +958,8 @@ mod cli_tests {
         let data = "--profile beauty --scale 0.05 --dim 8 --max-len 12";
         let prep = prepare_data(&parse(&format!("train {data}"))).unwrap();
         let ex = &prep.split.test[0];
-        let path = std::env::temp_dir().join(format!("ssdrec-cli-{}.ssdt", std::process::id()));
+        let dir = ssdrec_testkit::TempDir::new("ssdrec-cli");
+        let path = dir.join("model.ssdt");
         let ckpt = path.to_str().unwrap();
         for flags in ["", "--baseline", "--contrastive", "--mgsd"] {
             let train = parse(&format!("train {data} {flags}"));
@@ -977,7 +978,6 @@ mod cli_tests {
                 "for {flags:?}"
             );
         }
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]

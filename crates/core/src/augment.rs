@@ -14,7 +14,7 @@
 //! (`B×(T+2)×1`) place the inserted representations. Gradients flow to the
 //! inserted item representations via the straight-through Gumbel samples.
 
-use ssdrec_tensor::nn::{gumbel_softmax, BiLstm, GumbelMode};
+use ssdrec_tensor::nn::{gumbel_softmax, BiLstm};
 use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
 
 /// The position + item selector pair. Per the paper's parameter analysis
@@ -91,7 +91,7 @@ impl SelfAugmenter {
         r_s: Var,
         tau: f32,
     ) -> (Var, Vec<usize>) {
-        let onehot = gumbel_softmax(g, rng, r_s, tau, GumbelMode::Hard);
+        let onehot = gumbel_softmax(g, rng, r_s, tau);
         let (b, t) = {
             let s = g.value(onehot).shape();
             (s[0], s[1])
@@ -140,7 +140,7 @@ impl SelfAugmenter {
             let k = g.scale(k, 1.0 / (d as f32).sqrt());
             let k = g.add_bcast(k, padv);
             let probs = g.softmax_last(k);
-            let khat = gumbel_softmax(g, rng, probs, tau, GumbelMode::Hard); // B×V one-hot
+            let khat = gumbel_softmax(g, rng, probs, tau); // B×V one-hot
             let ids = {
                 let v = g.value(khat);
                 (0..b)

@@ -27,9 +27,17 @@ pub struct HierarchicalDenoiser {
 
 impl HierarchicalDenoiser {
     /// Build for representation width `d` with the workspace-default keep
-    /// rule (β = `ssdrec_denoise::RELATIVE_KEEP_BETA`, κ = 8).
+    /// rule (β = `ssdrec_denoise::RELATIVE_KEEP_BETA`, κ =
+    /// `ssdrec_denoise::RELATIVE_KEEP_KAPPA`).
     pub fn new(store: &mut ParamStore, name: &str, d: usize, rng: &mut Rng) -> Self {
-        Self::with_keep_rule(store, name, d, ssdrec_denoise::RELATIVE_KEEP_BETA, 8.0, rng)
+        Self::with_keep_rule(
+            store,
+            name,
+            d,
+            ssdrec_denoise::RELATIVE_KEEP_BETA,
+            ssdrec_denoise::RELATIVE_KEEP_KAPPA,
+            rng,
+        )
     }
 
     /// Build with an explicit keep rule (for the β/κ ablation).

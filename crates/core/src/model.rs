@@ -33,14 +33,9 @@ pub struct SsdRecConfig {
     pub max_len: usize,
     /// The backbone `f_seq` (paper plugs in all six of Table III).
     pub backbone: BackboneKind,
-    /// Initial Gumbel temperature τ (paper searches 1e-2 … 1e3, Fig. 5).
+    /// Initial Gumbel temperature τ (paper searches 1e-2 … 1e3, Fig. 5);
+    /// [`TauSchedule`] anneals it.
     pub tau: f32,
-    /// Multiplicative τ decay, applied every `anneal_every` steps.
-    pub tau_decay: f32,
-    /// Steps between anneals (paper: every 40 batches).
-    pub anneal_every: u64,
-    /// τ floor.
-    pub tau_min: f32,
     /// Only sequences shorter than this are augmented (the paper inserts
     /// "if the sequence is short").
     pub aug_short_len: usize,
@@ -53,8 +48,6 @@ pub struct SsdRecConfig {
     pub stage2: bool,
     /// Stage-3 toggle (hierarchical denoising).
     pub stage3: bool,
-    /// Dropout on embedded sequences during training.
-    pub dropout: f32,
     /// Fraction of training epochs before stage-2 augmentation activates.
     pub aug_warmup_frac: f64,
     /// Context window for the graph-coherence prior (stage-1 knowledge
@@ -78,20 +71,16 @@ impl Default for SsdRecConfig {
             max_len: 50,
             backbone: BackboneKind::SasRec,
             tau: 1.0,
-            tau_decay: 0.98,
-            anneal_every: 40,
-            tau_min: 0.1,
             aug_short_len: 25,
             stage1: true,
             relation_attention: true,
             stage2: true,
             stage3: true,
-            dropout: 0.1,
             aug_warmup_frac: 0.34,
             coherence_window: 3,
             coherence_kappa: 2.0,
             keep_beta: ssdrec_denoise::RELATIVE_KEEP_BETA,
-            keep_kappa: 8.0,
+            keep_kappa: ssdrec_denoise::RELATIVE_KEEP_KAPPA,
             seed: 20_24,
         }
     }
@@ -178,7 +167,7 @@ impl SsdRec {
             &mut rng,
         );
         let backbone = build_encoder(cfg.backbone, &mut store, d, cfg.max_len + 2, &mut rng);
-        let tau = TauSchedule::new(cfg.tau, cfg.tau_decay, cfg.anneal_every, cfg.tau_min);
+        let tau = TauSchedule::new(cfg.tau);
         let coherence_graph = cfg.stage1.then(|| mg.clone());
         SsdRec {
             store,
@@ -292,7 +281,7 @@ impl SsdRec {
     ) -> (Var, Option<GateInfo>, Var) {
         let (items, users) = self.tables(g, bind);
         let (h_seq, hu) = self.sequence_reprs(g, items, users, batch);
-        let h_seq = g.dropout(h_seq, self.cfg.dropout, rng);
+        let h_seq = g.dropout(h_seq, ssdrec_models::DROPOUT, rng);
         let tau = self.tau.tau;
 
         let prior = self.coherence_prior(g, batch);
@@ -671,8 +660,12 @@ mod tests {
 
     #[test]
     fn tau_anneals() {
-        let mut m = toy_model(|c| c.anneal_every = 1);
+        let mut m = toy_model(|_| {});
         let t0 = m.tau.tau;
+        for _ in 1..ssdrec_denoise::hsd::TAU_ANNEAL_EVERY {
+            m.after_step();
+        }
+        assert_eq!(m.tau.tau, t0, "annealed before the 40th step");
         m.after_step();
         assert!(m.tau.tau < t0);
     }

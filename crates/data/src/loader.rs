@@ -410,20 +410,17 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("ssdrec-loader-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ssdrec_testkit::TempDir::new("ssdrec-loader");
         let path = dir.join("u.data");
         std::fs::write(&path, ML_SAMPLE).unwrap();
         let ds = load_interactions(&path, &LoadOptions::movielens()).unwrap();
         assert_eq!(ds.num_users, 2);
         assert!(ds.validate().is_ok());
-        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn parse_to_columnar_matches_parse_then_encode() {
-        let dir = std::env::temp_dir().join(format!("ssdrec-loader-col-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ssdrec_testkit::TempDir::new("ssdrec-loader-col");
         let direct = dir.join("direct.ssdc");
         let summary =
             parse_interactions_to_columnar(ML_SAMPLE, &LoadOptions::movielens(), &direct).unwrap();
@@ -439,6 +436,5 @@ mod tests {
         let times = r.read_all_times().unwrap();
         assert_eq!(times[0], vec![100, 150, 200]);
         assert_eq!(times[1], vec![50]);
-        std::fs::remove_dir_all(dir).unwrap();
     }
 }

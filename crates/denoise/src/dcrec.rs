@@ -12,6 +12,11 @@ use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
 
 use ssdrec_models::{next_item_ce, score_catalogue, RecModel, SasRecEncoder, SeqEncoder};
 
+/// Contrastive temperature τ of the InfoNCE between the two views.
+const CL_TAU: f32 = 0.5;
+/// Dropout used both for regularisation and for view generation.
+const DROPOUT: f32 = 0.2;
+
 /// The DCRec model.
 pub struct DcRec {
     /// Trainable parameters.
@@ -22,10 +27,6 @@ pub struct DcRec {
     conformity: Vec<f32>,
     /// Weight of the contrastive term.
     pub beta: f32,
-    /// Contrastive temperature.
-    pub cl_tau: f32,
-    /// Dropout used both for regularisation and for view generation.
-    pub dropout: f32,
 }
 
 impl DcRec {
@@ -51,8 +52,6 @@ impl DcRec {
             encoder,
             conformity,
             beta: 0.2,
-            cl_tau: 0.5,
-            dropout: 0.2,
         }
     }
 
@@ -67,7 +66,7 @@ impl DcRec {
         let t = batch.seq_len;
         let mut h = self.item_emb.lookup_seq(g, bind, &batch.items, b, t);
         if let Some(rng) = rng {
-            h = g.dropout(h, self.dropout, rng);
+            h = g.dropout(h, DROPOUT, rng);
         }
         self.encoder.encode(g, bind, h)
     }
@@ -78,7 +77,7 @@ impl DcRec {
         let b = g.value(z1).shape()[0];
         let z2t = g.transpose_last(z2);
         let sim = g.matmul(z1, z2t); // B×B
-        let sim = g.scale(sim, 1.0 / self.cl_tau);
+        let sim = g.scale(sim, 1.0 / CL_TAU);
         let logp = g.log_softmax_last(sim);
         let diag: Vec<usize> = (0..b).collect();
         let pos = g.pick_per_row(logp, &diag); // B

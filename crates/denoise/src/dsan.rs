@@ -26,8 +26,6 @@ pub struct Dsan {
     dim: usize,
     /// Sparsity threshold factor: weights below `gamma / T` are dropped.
     pub gamma: f32,
-    /// Dropout on embeddings during training.
-    pub dropout: f32,
 }
 
 impl Dsan {
@@ -49,7 +47,6 @@ impl Dsan {
             out,
             dim,
             gamma: 0.5,
-            dropout: 0.1,
         }
     }
 
@@ -84,7 +81,7 @@ impl Dsan {
         let t = batch.seq_len;
         let mut h = self.item_emb.lookup_seq(g, bind, &batch.items, b, t);
         if let Some(rng) = rng {
-            h = g.dropout(h, self.dropout, rng);
+            h = g.dropout(h, ssdrec_models::DROPOUT, rng);
         }
         let attn = self.sparse_attention(g, bind, h); // B×T
         let a3 = g.reshape(attn, &[b, 1, t]);

@@ -29,8 +29,6 @@ pub struct FmlpRec {
     item_emb: Embedding,
     layers: Vec<FmlpLayer>,
     max_len: usize,
-    /// Dropout on embeddings during training.
-    pub dropout: f32,
 }
 
 impl FmlpRec {
@@ -52,7 +50,6 @@ impl FmlpRec {
             item_emb,
             layers,
             max_len,
-            dropout: 0.1,
         }
     }
 
@@ -76,7 +73,7 @@ impl FmlpRec {
         let b = batch.len();
         let mut h = self.item_emb.lookup_seq(g, bind, &ids, b, self.max_len);
         if let Some(rng) = rng {
-            h = g.dropout(h, self.dropout, rng);
+            h = g.dropout(h, ssdrec_models::DROPOUT, rng);
         }
         for layer in &self.layers {
             let f = layer.filter.forward(g, bind, h);

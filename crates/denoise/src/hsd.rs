@@ -14,7 +14,7 @@
 //! the representation sequence — batch-friendly removal.
 
 use ssdrec_data::Batch;
-use ssdrec_tensor::nn::{gumbel_softmax, BiLstm, Embedding, GumbelMode, Linear};
+use ssdrec_tensor::nn::{gumbel_softmax, BiLstm, Embedding, Linear};
 use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
 
 use ssdrec_models::{next_item_ce, score_catalogue, Bert4RecEncoder, RecModel, SeqEncoder};
@@ -102,7 +102,7 @@ impl HsdCore {
         let one = g.constant(Tensor::ones(&[b, t, 1]));
         let q3 = g.sub(one, p3);
         let cat = g.concat_last(&[p3, q3]); // B×T×2
-        let gs = gumbel_softmax(g, rng, cat, tau, GumbelMode::Hard);
+        let gs = gumbel_softmax(g, rng, cat, tau);
         g.slice_last(gs, 0, 1) // B×T×1
     }
 
@@ -162,41 +162,41 @@ impl HsdCore {
     }
 }
 
+/// τ's multiplicative decay per anneal.
+pub const TAU_DECAY: f32 = 0.98;
+/// Optimisation steps between anneals (paper: every 40 batches).
+pub const TAU_ANNEAL_EVERY: u64 = 40;
+/// The floor τ never anneals below.
+pub const TAU_MIN: f32 = 0.1;
+
 /// The Gumbel temperature schedule HSD and SSDRec share: τ starts at
-/// `tau`, and every `every` optimisation steps it is multiplied by `decay`,
-/// floored at `min`. The step counter and the current τ are the model's
-/// only hidden training state, so [`TauSchedule::state`] is what its
-/// [`RecModel::train_state`] persists for a bit-identical resume.
+/// `tau0`, and every [`TAU_ANNEAL_EVERY`] optimisation steps it is
+/// multiplied by [`TAU_DECAY`], floored at [`TAU_MIN`]. The step counter
+/// and the current τ are the model's only hidden training state, so
+/// [`TauSchedule::state`] is what its [`RecModel::train_state`] persists
+/// for a bit-identical resume.
 #[derive(Clone, Copy, Debug)]
 pub struct TauSchedule {
     /// Current temperature.
     pub tau: f32,
-    /// Multiplicative decay per anneal.
-    decay: f32,
-    /// Steps between anneals (paper: every 40 batches).
-    every: u64,
-    /// Floor for τ.
-    min: f32,
     steps: u64,
 }
 
 impl TauSchedule {
-    /// A schedule at step 0.
-    pub fn new(tau: f32, decay: f32, every: u64, min: f32) -> Self {
+    /// A schedule at step 0, starting at `tau0`.
+    pub fn new(tau0: f32) -> Self {
         TauSchedule {
-            tau,
-            decay,
-            every,
-            min,
+            tau: tau0,
             steps: 0,
         }
     }
 
-    /// Count one optimisation step, annealing τ on every `every`-th.
+    /// Count one optimisation step, annealing τ on every
+    /// [`TAU_ANNEAL_EVERY`]-th.
     pub fn after_step(&mut self) {
         self.steps += 1;
-        if self.steps.is_multiple_of(self.every) {
-            self.tau = (self.tau * self.decay).max(self.min);
+        if self.steps.is_multiple_of(TAU_ANNEAL_EVERY) {
+            self.tau = (self.tau * TAU_DECAY).max(TAU_MIN);
         }
     }
 
@@ -232,10 +232,6 @@ pub struct Hsd {
     backbone: Bert4RecEncoder,
     /// The Gumbel temperature, annealed during training.
     pub tau: TauSchedule,
-    /// Dropout on embeddings during training.
-    pub dropout: f32,
-    /// Weight of the correlation gate loss.
-    pub gate_weight: f32,
 }
 
 impl Hsd {
@@ -253,9 +249,7 @@ impl Hsd {
             user_emb,
             core,
             backbone,
-            tau: TauSchedule::new(1.0, 0.98, 40, 0.1),
-            dropout: 0.1,
-            gate_weight: 1.0,
+            tau: TauSchedule::new(1.0),
         }
     }
 
@@ -282,12 +276,15 @@ impl RecModel for Hsd {
         let b = batch.len();
         let t = batch.seq_len;
         let h = self.item_emb.lookup_seq(g, bind, &batch.items, b, t);
-        let h = g.dropout(h, self.dropout, rng);
+        let h = g.dropout(h, ssdrec_models::DROPOUT, rng);
         let u = self.user_emb.lookup(g, bind, &batch.users);
         let probs = self.core.keep_probs(g, bind, h, u);
-        let cal = self
-            .core
-            .calibrate(g, probs, crate::RELATIVE_KEEP_BETA, 8.0);
+        let cal = self.core.calibrate(
+            g,
+            probs,
+            crate::RELATIVE_KEEP_BETA,
+            crate::RELATIVE_KEEP_KAPPA,
+        );
         let mask = self.core.sample_mask(g, rng, cal, self.tau.tau);
         let h_masked = self.core.apply_mask(g, h, mask);
         let h_s = self.backbone.encode(g, bind, h_masked);
@@ -297,7 +294,6 @@ impl RecModel for Hsd {
         let tgt = self.item_emb.lookup(g, bind, &batch.targets);
         let y = self.core.correlation_targets(g, h, tgt);
         let gl = self.core.gate_loss(g, probs, y);
-        let gl = g.scale(gl, self.gate_weight);
         g.add(ce, gl)
     }
 
@@ -406,7 +402,12 @@ mod tests {
         let _bind = store.bind_all(&mut g);
         let raw = vec![0.5f32, 0.5, 0.1, 0.4, 0.55];
         let p = g.constant(Tensor::new(raw.clone(), &[1, 5]));
-        let cal = core.calibrate(&mut g, p, crate::RELATIVE_KEEP_BETA, 8.0);
+        let cal = core.calibrate(
+            &mut g,
+            p,
+            crate::RELATIVE_KEEP_BETA,
+            crate::RELATIVE_KEEP_KAPPA,
+        );
         let rule = crate::relative_keep(&raw, crate::RELATIVE_KEEP_BETA);
         for (cv, keep) in g.value(cal).data().iter().zip(rule) {
             assert_eq!(
@@ -456,12 +457,13 @@ mod tests {
     #[test]
     fn tau_anneals_after_steps() {
         let mut m = Hsd::new(4, 10, 8, 20, 3);
-        m.tau.every = 2;
         let t0 = m.tau.tau;
-        m.after_step();
+        for _ in 1..TAU_ANNEAL_EVERY {
+            m.after_step();
+        }
         assert_eq!(m.tau.tau, t0);
         m.after_step();
-        assert!(m.tau.tau < t0);
+        assert_eq!(m.tau.tau, t0 * TAU_DECAY);
     }
 
     #[test]

@@ -104,6 +104,10 @@ pub fn relative_keep(scores: &[f32], beta: f32) -> Vec<bool> {
 /// The default `beta` used by [`relative_keep`] across the workspace.
 pub const RELATIVE_KEEP_BETA: f32 = 0.6;
 
+/// The default calibration sharpness κ of [`HsdCore::calibrate`], the
+/// training-time counterpart of [`RELATIVE_KEEP_BETA`].
+pub const RELATIVE_KEEP_KAPPA: f32 = 8.0;
+
 #[cfg(test)]
 mod tests {
     use super::*;

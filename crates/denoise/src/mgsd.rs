@@ -5,7 +5,7 @@
 //!
 //! 1. **item level** — the position's own coherence, scored by the shared
 //!    [`HsdCore`] signals (Bi-LSTM sequentiality × user interest);
-//! 2. **segment level** — mean-pooled windows of `seg_width` consecutive
+//! 2. **segment level** — mean-pooled windows of [`SEG_WIDTH`] consecutive
 //!    positions are scored as a whole, so a *burst* of noise (which looks
 //!    locally self-consistent and fools item-level scoring) is caught by
 //!    its segment standing out from the sequence.
@@ -31,8 +31,8 @@ use ssdrec_models::{next_item_ce, score_catalogue, RecModel, SasRecEncoder, SeqE
 
 use crate::hsd::HsdCore;
 
-/// Default segment width for the segment-granularity signal.
-pub const DEFAULT_SEG_WIDTH: usize = 4;
+/// Segment width of the coarse granularity.
+pub const SEG_WIDTH: usize = 4;
 
 /// The MGSD-WSS model.
 pub struct Mgsd {
@@ -44,10 +44,6 @@ pub struct Mgsd {
     pub core: HsdCore,
     w_seg: Linear,
     backbone: SasRecEncoder,
-    /// Segment width of the coarse granularity.
-    pub seg_width: usize,
-    /// Dropout on embeddings during training.
-    pub dropout: f32,
     /// Weight of the (weak) noise-supervision loss.
     pub ws_weight: f32,
 }
@@ -70,16 +66,14 @@ impl Mgsd {
             core,
             w_seg,
             backbone,
-            seg_width: DEFAULT_SEG_WIDTH,
-            dropout: 0.1,
             ws_weight: 1.0,
         }
     }
 
     /// Segment boundaries for a sequence of length `t`: `⌈t/w⌉` contiguous
-    /// windows, the last one possibly short.
-    fn segments(&self, t: usize) -> Vec<(usize, usize)> {
-        let w = self.seg_width.max(1);
+    /// windows of `w` = [`SEG_WIDTH`], the last one possibly short.
+    fn segments(t: usize) -> Vec<(usize, usize)> {
+        let w = SEG_WIDTH;
         (0..t.div_ceil(w))
             .map(|s| (s * w, ((s + 1) * w).min(t) - s * w))
             .collect()
@@ -92,7 +86,7 @@ impl Mgsd {
     pub fn segment_keep_probs(&self, g: &mut Graph, bind: &Binding, h: Var) -> Var {
         const KEEP_PRIOR: f32 = 1.0;
         let (b, t, d) = g.value(h).dims3();
-        let segs = self.segments(t);
+        let segs = Self::segments(t);
         let s = segs.len();
         // Pool matrix T×S: column j holds 1/len(j) over segment j's rows.
         let mut pool = Tensor::zeros(&[t, s]);
@@ -166,15 +160,18 @@ impl RecModel for Mgsd {
         let b = batch.len();
         let t = batch.seq_len;
         let h = self.item_emb.lookup_seq(g, bind, &batch.items, b, t);
-        let h = g.dropout(h, self.dropout, rng);
+        let h = g.dropout(h, ssdrec_models::DROPOUT, rng);
         let u = self.user_emb.lookup(g, bind, &batch.users);
         let probs = self.keep_probs_multi(g, bind, h, u);
         // Soft, differentiable denoising: attenuate each position by its
         // calibrated keep probability (no mask sampling — the relative
         // rule's calibration keeps average-coherence items near 1).
-        let cal = self
-            .core
-            .calibrate(g, probs, crate::RELATIVE_KEEP_BETA, 8.0);
+        let cal = self.core.calibrate(
+            g,
+            probs,
+            crate::RELATIVE_KEEP_BETA,
+            crate::RELATIVE_KEEP_KAPPA,
+        );
         let mask3 = g.reshape(cal, &[b, t, 1]);
         let h_masked = self.core.apply_mask(g, h, mask3);
         let h_s = self.backbone.encode(g, bind, h_masked);
@@ -227,11 +224,10 @@ mod tests {
 
     #[test]
     fn segments_cover_the_sequence() {
-        let m = Mgsd::new(4, 10, 8, 20, 0);
-        let segs = m.segments(10);
+        let segs = Mgsd::segments(10);
         assert_eq!(segs, vec![(0, 4), (4, 4), (8, 2)]);
-        assert_eq!(m.segments(3), vec![(0, 3)]);
-        assert_eq!(m.segments(1), vec![(0, 1)]);
+        assert_eq!(Mgsd::segments(3), vec![(0, 3)]);
+        assert_eq!(Mgsd::segments(1), vec![(0, 1)]);
     }
 
     #[test]
@@ -257,7 +253,7 @@ mod tests {
         let s = m.segment_keep_probs(&mut g, &bind, h);
         let v = g.value(s).data();
         assert_eq!(v.len(), 8);
-        for seg in v.chunks(m.seg_width) {
+        for seg in v.chunks(SEG_WIDTH) {
             for &x in seg {
                 assert_eq!(x.to_bits(), seg[0].to_bits(), "segment not constant: {v:?}");
             }

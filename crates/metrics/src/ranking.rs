@@ -67,46 +67,17 @@ impl Ord for HeapEntry {
     }
 }
 
-/// Partial top-`k` selection over full-catalogue `scores` (index = item ID,
-/// index 0 = padding, never returned), using a bounded min-heap: `O(V log
-/// k)` instead of a full `O(V log V)` sort. Returns at most `k` items in
-/// descending score order with the same pessimistic tie rule as
-/// [`full_rank`] — ties go to the lower item ID, so the result is exactly
-/// the prefix of the full ranking.
-///
-/// Shared by offline evaluation (`RecModel::recommend` in `ssdrec-models`)
-/// and the online retrieval engine in `ssdrec-serve`.
-pub fn top_k(scores: &[f32], k: usize) -> Vec<Scored> {
+/// The best `k` of `cands` under [`better`], best first, kept in a bounded
+/// min-heap: `O(n log k)` instead of a full `O(n log n)` sort. Candidates
+/// are offered in iteration order; the order is total over distinct IDs,
+/// so the result is the best-`k` prefix of the candidates' full ranking.
+fn select(cands: impl IntoIterator<Item = Scored>, k: usize) -> Vec<Scored> {
     use std::collections::BinaryHeap;
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
     if k == 0 {
         return Vec::new();
     }
-    for (i, &s) in scores.iter().enumerate().skip(1) {
-        if heap.len() < k {
-            heap.push(HeapEntry((i, s)));
-        } else if better((i, s), heap.peek().expect("non-empty").0) {
-            heap.pop();
-            heap.push(HeapEntry((i, s)));
-        }
-    }
-    let mut out: Vec<Scored> = heap.into_iter().map(|e| e.0).collect();
-    out.sort_by(|&a, &b| {
-        if better(a, b) {
-            std::cmp::Ordering::Less
-        } else {
-            std::cmp::Ordering::Greater
-        }
-    });
-    out
-}
-
-/// [`top_k`] restricted to item IDs in `[lo, hi)` (index 0 still skipped).
-fn top_k_range(scores: &[f32], k: usize, lo: usize, hi: usize) -> Vec<Scored> {
-    use std::collections::BinaryHeap;
     let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
-    for i in lo.max(1)..hi {
-        let cand = (i, scores[i]);
+    for cand in cands {
         if heap.len() < k {
             heap.push(HeapEntry(cand));
         } else if better(cand, heap.peek().expect("non-empty").0) {
@@ -125,41 +96,34 @@ fn top_k_range(scores: &[f32], k: usize, lo: usize, hi: usize) -> Vec<Scored> {
     out
 }
 
+/// Partial top-`k` selection over full-catalogue `scores` (index = item ID,
+/// index 0 = padding, never returned) by [`select`]. Returns at most `k`
+/// items in descending score order with the same pessimistic tie rule as
+/// [`full_rank`] — ties go to the lower item ID, so the result is exactly
+/// the prefix of the full ranking.
+///
+/// Shared by offline evaluation (`RecModel::recommend` in `ssdrec-models`)
+/// and the online retrieval engine in `ssdrec-serve`.
+pub fn top_k(scores: &[f32], k: usize) -> Vec<Scored> {
+    select(scores.iter().copied().enumerate().skip(1), k)
+}
+
+/// [`top_k`] restricted to item IDs in `[lo, hi)` (index 0 still skipped).
+fn top_k_range(scores: &[f32], k: usize, lo: usize, hi: usize) -> Vec<Scored> {
+    select((lo.max(1)..hi).map(|i| (i, scores[i])), k)
+}
+
 /// [`top_k`] over a sparse candidate set `(item ID, score)` instead of a
 /// dense score row — the selection stage of two-stage (ANN + exact re-rank)
 /// retrieval, which serving no longer runs; only the benchmark's ANN probe
-/// calls it. Same bounded min-heap, same [`better`]
-/// total order: fed the full catalogue it returns exactly what [`top_k`]
-/// returns on the dense row, and on any subset the result is the best-`k`
-/// prefix of that subset under the pessimistic tie rule (equal scores break
-/// to the lower item ID). The pad item 0 is skipped, duplicate IDs are the
-/// caller's bug (the duplicate entries would compete independently).
+/// calls it. Same [`select`], same [`better`] total order: fed the full
+/// catalogue it returns exactly what [`top_k`] returns on the dense row,
+/// and on any subset the result is the best-`k` prefix of that subset
+/// under the pessimistic tie rule (equal scores break to the lower item
+/// ID). The pad item 0 is skipped, duplicate IDs are the caller's bug (the
+/// duplicate entries would compete independently).
 pub fn top_k_sparse(cands: impl IntoIterator<Item = Scored>, k: usize) -> Vec<Scored> {
-    use std::collections::BinaryHeap;
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
-    for (i, s) in cands {
-        if i == 0 {
-            continue;
-        }
-        if heap.len() < k {
-            heap.push(HeapEntry((i, s)));
-        } else if better((i, s), heap.peek().expect("non-empty").0) {
-            heap.pop();
-            heap.push(HeapEntry((i, s)));
-        }
-    }
-    let mut out: Vec<Scored> = heap.into_iter().map(|e| e.0).collect();
-    out.sort_by(|&a, &b| {
-        if better(a, b) {
-            std::cmp::Ordering::Less
-        } else {
-            std::cmp::Ordering::Greater
-        }
-    });
-    out
+    select(cands.into_iter().filter(|&(i, _)| i != 0), k)
 }
 
 /// Catalogue size below which [`par_top_k`] falls through to [`top_k`].

@@ -26,7 +26,9 @@ pub use contrastive::{
     DEFAULT_CL_TAU, DEFAULT_CL_WEIGHT,
 };
 pub use encoder::{BackboneKind, SeqEncoder};
-pub use model::{build_encoder, next_item_ce, pad_mask, score_catalogue, RecModel, SeqRec};
+pub use model::{
+    build_encoder, next_item_ce, pad_mask, score_catalogue, RecModel, SeqRec, DROPOUT,
+};
 pub use trainer::{
     evaluate, evaluate_with, fit, per_example, recommend_each, train, FrozenPass, LrSchedule,
     SourceSplit, TrainConfig, TrainError, TrainOptions, TrainReport,

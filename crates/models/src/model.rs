@@ -147,6 +147,10 @@ pub trait RecModel {
     }
 }
 
+/// Dropout probability on embedded sequences during training, shared by
+/// every model that does not state its own.
+pub const DROPOUT: f32 = 0.1;
+
 /// A vanilla sequential recommender: embeddings → encoder → tied scorer.
 pub struct SeqRec {
     /// Trainable parameters.
@@ -157,8 +161,6 @@ pub struct SeqRec {
     pub encoder: Box<dyn SeqEncoder>,
     /// Embedding width.
     pub dim: usize,
-    /// Dropout probability on embedded sequences during training.
-    pub dropout: f32,
     num_items: usize,
 }
 
@@ -180,7 +182,6 @@ impl SeqRec {
             item_emb,
             encoder,
             dim,
-            dropout: 0.1,
             num_items,
         }
     }
@@ -206,7 +207,7 @@ impl SeqRec {
     ) -> Var {
         let mut h = self.embed_batch(g, bind, batch);
         if let Some(rng) = rng {
-            h = g.dropout(h, self.dropout, rng);
+            h = g.dropout(h, DROPOUT, rng);
         }
         let h_s = self.encoder.encode(g, bind, h);
         score_catalogue(g, self.item_emb.table(bind), h_s)

@@ -79,13 +79,13 @@ fn served_topk_is_bit_identical_to_offline_scoring() {
             ..TrainConfig::default()
         },
     );
-    let ckpt = std::env::temp_dir().join(format!("ssdrec-parity-{}.ssdt", std::process::id()));
+    let dir = ssdrec_testkit::TempDir::new("ssdrec-parity");
+    let ckpt = dir.join("model.ssdt");
     save_params(&trained.store, &ckpt).expect("write checkpoint");
 
     // Reload into a *fresh* model, exactly as the CLI serve path does.
     let mut served_model = SsdRec::new(&graph, tiny_config());
     load_params(&mut served_model.store, &ckpt).expect("read checkpoint");
-    std::fs::remove_file(&ckpt).ok();
 
     let engine = Engine::new(
         served_model.into(),

@@ -476,9 +476,8 @@ mod tests {
         assert_eq!(parse_header(&header_bytes(&h)).unwrap(), h);
     }
 
-    fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ssdrec-bulk-{}", std::process::id()));
-        ssdrec_testkit::scratch_path(dir, &format!("{tag}.sslg"))
+    fn scratch() -> ssdrec_testkit::TempDir {
+        ssdrec_testkit::TempDir::new("ssdrec-bulk")
     }
 
     fn toy_dataset(num_users: usize, num_items: usize) -> ssdrec_data::Dataset {
@@ -495,8 +494,9 @@ mod tests {
 
     #[test]
     fn bulk_load_rejects_oversized_catalog() {
+        let dir = scratch();
         let mut log = StreamLog::create(
-            scratch("mismatch"),
+            dir.join("mismatch.sslg"),
             LogHeader {
                 num_users: 2,
                 num_items: 5,
@@ -526,12 +526,13 @@ mod tests {
         };
         let ds = toy_dataset(4, 6);
 
-        let mut bulk = StreamLog::create(scratch("bulk"), header).unwrap();
+        let dir = scratch();
+        let mut bulk = StreamLog::create(dir.join("bulk.sslg"), header).unwrap();
         let appended = bulk.bulk_load(&ds).unwrap();
         bulk.sync().unwrap();
         assert_eq!(appended, ds.num_actions() as u64);
 
-        let mut manual = StreamLog::create(scratch("manual"), header).unwrap();
+        let mut manual = StreamLog::create(dir.join("manual.sslg"), header).unwrap();
         let events: Vec<(usize, usize)> = ds
             .sequences
             .iter()

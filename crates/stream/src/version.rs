@@ -329,13 +329,11 @@ mod tests {
 
     #[test]
     fn current_pointer_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("ssdrec-cur-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let cd = CheckpointDir::new(&dir);
+        let dir = ssdrec_testkit::TempDir::new("ssdrec-cur");
+        let cd = CheckpointDir::new(dir.path());
         cd.ensure().unwrap();
         assert_eq!(cd.current_version().unwrap(), None);
         cd.set_current(5).unwrap();
         assert_eq!(cd.current_version().unwrap(), Some(5));
-        fs::remove_dir_all(&dir).unwrap();
     }
 }

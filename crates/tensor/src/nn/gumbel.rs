@@ -9,22 +9,43 @@ use crate::math;
 use crate::tensor::Tensor;
 use ssdrec_base::Rng;
 
-/// How the relaxed sample is emitted.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum GumbelMode {
-    /// The soft relaxation `softmax((log p + g)/τ)`.
-    Soft,
-    /// Straight-through: a hard one-hot in the forward pass, soft gradients
-    /// in the backward pass.
-    Hard,
-}
-
-/// Sample a Gumbel-Softmax over the last dimension of `probs`.
+/// Sample a straight-through Gumbel-Softmax over the last dimension of
+/// `probs` (paper Eq. 11–12): the forward value is the one-hot of each
+/// row's argmax of the relaxed sample `softmax((log p + g)/τ)`, and the
+/// backward pass is that relaxation's gradient.
 ///
 /// `probs` holds (unnormalised, non-negative) probabilities; logs are taken
 /// internally with clamping, matching the paper's
 /// `exp((log r + g)/τ) / Σ exp((log r + g)/τ)` formulation.
-pub fn gumbel_softmax(g: &mut Graph, rng: &mut Rng, probs: Var, tau: f32, mode: GumbelMode) -> Var {
+pub fn gumbel_softmax(g: &mut Graph, rng: &mut Rng, probs: Var, tau: f32) -> Var {
+    let soft = relaxed(g, rng, probs, tau);
+    // One-hot of the per-row argmax of the soft sample.
+    let sv = g.value(soft);
+    let shape = sv.shape().to_vec();
+    let last = *shape.last().unwrap();
+    let rows = sv.len() / last;
+    let mut hard = Tensor::zeros(&shape);
+    for r in 0..rows {
+        let row = &sv.data()[r * last..(r + 1) * last];
+        let mut best = 0;
+        let mut bv = f32::NEG_INFINITY;
+        for (i, &v) in row.iter().enumerate() {
+            if v > bv {
+                bv = v;
+                best = i;
+            }
+        }
+        hard.data_mut()[r * last + best] = 1.0;
+    }
+    let hc = g.constant(hard);
+    let det = g.detach(soft);
+    let diff = g.sub(hc, det);
+    g.add(diff, soft)
+}
+
+/// The soft relaxation `softmax((log p + g)/τ)` of [`gumbel_softmax`], one
+/// Gumbel draw from `rng` per element of `probs`.
+fn relaxed(g: &mut Graph, rng: &mut Rng, probs: Var, tau: f32) -> Var {
     assert!(tau > 0.0, "gumbel temperature must be positive");
     let shape = g.value(probs).shape().to_vec();
     let n: usize = shape.iter().product();
@@ -42,34 +63,7 @@ pub fn gumbel_softmax(g: &mut Graph, rng: &mut Rng, probs: Var, tau: f32, mode: 
     let z = g.add(logp, gn);
     // Fused 1/τ scale + softmax; the noise add stays a separate node
     // because `(a + b)·s` and `a·s + b` differ bitwise.
-    let soft = g.scaled_masked_softmax(z, 1.0 / tau, None);
-
-    match mode {
-        GumbelMode::Soft => soft,
-        GumbelMode::Hard => {
-            // One-hot of the per-row argmax of the soft sample.
-            let sv = g.value(soft);
-            let last = *shape.last().unwrap();
-            let rows = n / last;
-            let mut hard = Tensor::zeros(&shape);
-            for r in 0..rows {
-                let row = &sv.data()[r * last..(r + 1) * last];
-                let mut best = 0;
-                let mut bv = f32::NEG_INFINITY;
-                for (i, &v) in row.iter().enumerate() {
-                    if v > bv {
-                        bv = v;
-                        best = i;
-                    }
-                }
-                hard.data_mut()[r * last + best] = 1.0;
-            }
-            let hc = g.constant(hard);
-            let det = g.detach(soft);
-            let diff = g.sub(hc, det);
-            g.add(diff, soft)
-        }
-    }
+    g.scaled_masked_softmax(z, 1.0 / tau, None)
 }
 
 /// `u ← −ln(−ln u)`: standard Gumbel noise from uniforms in `(0, 1)`.
@@ -94,7 +88,7 @@ mod tests {
         let mut g = Graph::new();
         let mut rng = Rng::seed(0);
         let p = g.constant(Tensor::new(vec![0.2, 0.3, 0.5, 0.9, 0.05, 0.05], &[2, 3]));
-        let s = gumbel_softmax(&mut g, &mut rng, p, 1.0, GumbelMode::Soft);
+        let s = relaxed(&mut g, &mut rng, p, 1.0);
         for row in g.value(s).data().chunks(3) {
             assert!((row.iter().sum::<f32>() - 1.0).abs() < 1e-5);
         }
@@ -105,7 +99,7 @@ mod tests {
         let mut g = Graph::new();
         let mut rng = Rng::seed(1);
         let p = g.constant(Tensor::new(vec![0.1, 0.1, 0.8], &[1, 3]));
-        let s = gumbel_softmax(&mut g, &mut rng, p, 0.5, GumbelMode::Hard);
+        let s = gumbel_softmax(&mut g, &mut rng, p, 0.5);
         let row = g.value(s).data();
         let ones = row.iter().filter(|&&v| (v - 1.0).abs() < 1e-6).count();
         let zeros = row.iter().filter(|&&v| v.abs() < 1e-6).count();
@@ -117,7 +111,7 @@ mod tests {
         let mut g = Graph::new();
         let mut rng = Rng::seed(2);
         let x = g.param(Tensor::new(vec![0.4, 0.6], &[1, 2]));
-        let s = gumbel_softmax(&mut g, &mut rng, x, 1.0, GumbelMode::Hard);
+        let s = gumbel_softmax(&mut g, &mut rng, x, 1.0);
         let w = g.constant(Tensor::new(vec![1.0, 2.0], &[1, 2]));
         let sw = g.mul(s, w);
         let loss = g.sum_all(sw);
@@ -134,7 +128,7 @@ mod tests {
             let mut g = Graph::new();
             let mut rng = Rng::seed(seed);
             let p = g.constant(Tensor::new(vec![0.01, 0.01, 0.98], &[1, 3]));
-            let s = gumbel_softmax(&mut g, &mut rng, p, 0.1, GumbelMode::Hard);
+            let s = gumbel_softmax(&mut g, &mut rng, p, 0.1);
             if g.value(s).data()[2] > 0.5 {
                 hits += 1;
             }
@@ -149,7 +143,7 @@ mod tests {
         let (mut a, mut b) = (Rng::seed(9), Rng::seed(9));
         let mut g = Graph::new();
         let p = g.constant(Tensor::new((1..=15).map(|v| v as f32).collect(), &[3, 5]));
-        gumbel_softmax(&mut g, &mut a, p, 0.7, GumbelMode::Soft);
+        gumbel_softmax(&mut g, &mut a, p, 0.7);
         for _ in 0..15 {
             b.gumbel();
         }
@@ -166,7 +160,7 @@ mod tests {
             let mut g = Graph::new();
             let mut rng = Rng::seed(seed);
             let p = g.constant(Tensor::new(probs.to_vec(), &[1, 3]));
-            let s = gumbel_softmax(&mut g, &mut rng, p, 1.0, GumbelMode::Hard);
+            let s = gumbel_softmax(&mut g, &mut rng, p, 1.0);
             let row = g.value(s).data();
             counts[row.iter().position(|&v| v > 0.5).unwrap()] += 1;
         }

@@ -14,6 +14,6 @@ mod rnn;
 pub use attention::{causal_mask, padding_mask, FeedForward, MultiHeadAttention, TransformerBlock};
 pub use dft::DftFilter;
 pub use embedding::Embedding;
-pub use gumbel::{gumbel_softmax, GumbelMode};
+pub use gumbel::gumbel_softmax;
 pub use linear::{LayerNorm, Linear};
 pub use rnn::{BiLstm, Gru, GruCell, Lstm, LstmCell};

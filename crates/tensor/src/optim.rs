@@ -178,34 +178,32 @@ impl ParamStore {
     }
 }
 
+/// Adam's first-moment decay β₁.
+const BETA1: f32 = 0.9;
+/// Adam's second-moment decay β₂.
+const BETA2: f32 = 0.999;
+/// Adam's numerical-stability epsilon.
+const EPS: f32 = 1e-8;
+/// Gradients are rescaled so their global L2 norm is at most this.
+const CLIP_NORM: f32 = 5.0;
+
 /// Adam optimizer with optional decoupled L2 regularisation and global
-/// gradient-norm clipping (the paper trains everything with Adam, lr 1e-3).
+/// gradient-norm clipping at 5 (the paper trains everything with Adam,
+/// lr 1e-3, β₁ 0.9, β₂ 0.999).
 pub struct Adam {
     /// Learning rate.
     pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical-stability epsilon.
-    pub eps: f32,
     /// L2 regularisation coefficient (paper searches {0, 1e-3, 1e-4}).
     pub weight_decay: f32,
-    /// If set, gradients are rescaled so their global L2 norm is at most this.
-    pub clip_norm: Option<f32>,
     step: u64,
 }
 
 impl Adam {
-    /// Adam with the paper's defaults (lr 1e-3, β₁ 0.9, β₂ 0.999).
+    /// Adam at learning rate `lr`, without weight decay.
     pub fn new(lr: f32) -> Self {
         Adam {
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
             weight_decay: 0.0,
-            clip_norm: Some(5.0),
             step: 0,
         }
     }
@@ -233,8 +231,8 @@ impl Adam {
     /// left untouched, as are their moment estimates.
     pub fn step(&mut self, store: &mut ParamStore, binding: &Binding, grads: &mut Gradients) {
         self.step += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.step as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.step as i32);
+        let bc1 = 1.0 - BETA1.powi(self.step as i32);
+        let bc2 = 1.0 - BETA2.powi(self.step as i32);
 
         // Collect (slot index, grad) pairs first so we can clip globally.
         let mut pairs: Vec<(usize, Tensor)> = Vec::new();
@@ -243,17 +241,15 @@ impl Adam {
                 pairs.push((i, gt));
             }
         }
-        if let Some(maxn) = self.clip_norm {
-            let total: f32 = pairs
-                .iter()
-                .map(|(_, g)| g.data().iter().map(|x| x * x).sum::<f32>())
-                .sum();
-            let norm = total.sqrt();
-            if norm > maxn {
-                let s = maxn / norm;
-                for (_, g) in pairs.iter_mut() {
-                    g.scale_assign(s);
-                }
+        let total: f32 = pairs
+            .iter()
+            .map(|(_, g)| g.data().iter().map(|x| x * x).sum::<f32>())
+            .sum();
+        let norm = total.sqrt();
+        if norm > CLIP_NORM {
+            let s = CLIP_NORM / norm;
+            for (_, g) in pairs.iter_mut() {
+                g.scale_assign(s);
             }
         }
 
@@ -268,12 +264,12 @@ impl Adam {
                     gj += self.weight_decay * slot.value.data()[j];
                 }
                 let m = &mut slot.m.data_mut()[j];
-                *m = self.beta1 * *m + (1.0 - self.beta1) * gj;
+                *m = BETA1 * *m + (1.0 - BETA1) * gj;
                 let v = &mut slot.v.data_mut()[j];
-                *v = self.beta2 * *v + (1.0 - self.beta2) * gj * gj;
+                *v = BETA2 * *v + (1.0 - BETA2) * gj * gj;
                 let mhat = *m / bc1;
                 let vhat = *v / bc2;
-                slot.value.data_mut()[j] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+                slot.value.data_mut()[j] -= self.lr * mhat / (vhat.sqrt() + EPS);
             }
             crate::pool::recycle(g.into_data());
         }
@@ -310,20 +306,26 @@ mod tests {
 
     #[test]
     fn clip_norm_caps_updates() {
+        // Two parameters whose joint gradient (3e6, 4e6) has norm 5e6, far
+        // above CLIP_NORM: clipping rescales it to norm CLIP_NORM, keeping
+        // its direction, before the moments see it.
         let mut store = ParamStore::new();
-        let w = store.add("w", Tensor::scalar(0.0));
+        let w = store.add("w", Tensor::new(vec![0.0, 0.0], &[2]));
         let mut opt = Adam::new(1.0);
-        opt.clip_norm = Some(1e-3);
         let mut g = Graph::new();
         let b = store.bind_all(&mut g);
         let wv = b.var(w);
-        let big = g.scale(wv, 1e6);
-        let c = g.add_scalar(big, 1.0);
-        let loss = g.sum_all(c);
+        let k = g.constant(Tensor::new(vec![3e6, 4e6], &[2]));
+        let big = g.mul(wv, k);
+        let loss = g.sum_all(big);
         let mut grads = g.backward(loss);
         opt.step(&mut store, &b, &mut grads);
+        let (m, _) = store.moments(w);
+        let norm = m.data().iter().map(|x| x * x).sum::<f32>().sqrt() / (1.0 - BETA1);
+        assert!((norm - CLIP_NORM).abs() < 1e-4, "clipped norm {norm}");
+        assert!((m.data()[1] / m.data()[0] - 4.0 / 3.0).abs() < 1e-5);
         // Even with a huge gradient, clipped Adam moves at most ~lr.
-        assert!(store.get(w).item().abs() <= 1.001);
+        assert!(store.get(w).data().iter().all(|x| x.abs() <= 1.001));
     }
 
     #[test]

@@ -268,6 +268,7 @@ pub fn load_params(store: &mut ParamStore, path: impl AsRef<Path>) -> io::Result
 mod tests {
     use super::*;
     use ssdrec_base::Rng;
+    use ssdrec_testkit::TempDir;
 
     fn demo_store() -> ParamStore {
         let mut store = ParamStore::new();
@@ -278,17 +279,16 @@ mod tests {
         store
     }
 
-    /// `<tag>.ssdt` in a directory of this process's own, so two test runs
-    /// on one host never share a file.
-    fn scratch(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("ssdrec-persist-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{tag}.ssdt"))
+    /// `<tag>.ssdt` in a fresh directory, removed when the guard drops.
+    fn scratch(tag: &str) -> (TempDir, std::path::PathBuf) {
+        let dir = TempDir::new("ssdrec-persist");
+        let path = dir.join(format!("{tag}.ssdt"));
+        (dir, path)
     }
 
     #[test]
     fn roundtrip_preserves_values() {
-        let path = scratch("rt");
+        let (_dir, path) = scratch("rt");
 
         let store = demo_store();
         save_params(&store, &path).unwrap();
@@ -302,7 +302,7 @@ mod tests {
 
     #[test]
     fn rejects_mismatched_architecture() {
-        let path = scratch("mm");
+        let (_dir, path) = scratch("mm");
         save_params(&demo_store(), &path).unwrap();
 
         let mut smaller = ParamStore::new();
@@ -325,7 +325,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let path = scratch("magic");
+        let (_dir, path) = scratch("magic");
         save_params(&demo_store(), &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[..4].copy_from_slice(b"NOPE");
@@ -336,7 +336,7 @@ mod tests {
 
     #[test]
     fn rejects_version_mismatch() {
-        let path = scratch("ver");
+        let (_dir, path) = scratch("ver");
         save_params(&demo_store(), &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
@@ -347,7 +347,7 @@ mod tests {
 
     #[test]
     fn truncated_file_error_names_the_tensor() {
-        let path = scratch("trunc");
+        let (_dir, path) = scratch("trunc");
         save_params(&demo_store(), &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         // Cut inside the very last tensor's data section.
@@ -358,7 +358,7 @@ mod tests {
 
     #[test]
     fn shape_mismatch_error_names_the_tensor() {
-        let path = scratch("shape");
+        let (_dir, path) = scratch("shape");
         save_params(&demo_store(), &path).unwrap();
         let mut reshaped = ParamStore::new();
         let mut rng = Rng::seed(1);
@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn faulted_save_leaves_original_untouched() {
         use ssdrec_testkit::fault::FaultPlan;
-        let path = scratch("atomic");
+        let (_dir, path) = scratch("atomic");
         let tmp = path.with_extension("ssdt.tmp");
 
         let store = demo_store();
@@ -403,7 +403,7 @@ mod tests {
 
     #[test]
     fn rejects_garbage_files() {
-        let path = scratch("bad");
+        let (_dir, path) = scratch("bad");
         std::fs::write(&path, b"not a checkpoint at all").unwrap();
         let mut store = demo_store();
         assert!(load_params(&mut store, &path).is_err());

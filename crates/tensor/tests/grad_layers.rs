@@ -9,10 +9,10 @@
 //! cannot flake.
 
 use ssdrec_tensor::nn::{
-    causal_mask, gumbel_softmax, BiLstm, DftFilter, Embedding, FeedForward, Gru, GumbelMode,
-    LayerNorm, Linear, Lstm, MultiHeadAttention, TransformerBlock,
+    causal_mask, gumbel_softmax, BiLstm, DftFilter, Embedding, FeedForward, Gru, LayerNorm, Linear,
+    Lstm, MultiHeadAttention, TransformerBlock,
 };
-use ssdrec_tensor::{Binding, CsrMatrix, Graph, ParamRef, ParamStore, Rng, Tensor, Var};
+use ssdrec_tensor::{math, Binding, CsrMatrix, Graph, ParamRef, ParamStore, Rng, Tensor, Var};
 use ssdrec_testkit::fd_check_all_params;
 
 const EPS: f32 = 1e-2;
@@ -163,21 +163,55 @@ fn layer_norm_gradients() {
     });
 }
 
+/// The soft relaxation `softmax((ln p + g)/τ)` that `gumbel_softmax`
+/// back-propagates, rebuilt from public ops with the node's noise: the
+/// uniforms `Rng::gumbel` draws, through `math::ln`.
+fn gumbel_relaxation(g: &mut Graph, rng: &mut Rng, probs: Var, tau: f32) -> Var {
+    let shape = g.value(probs).shape().to_vec();
+    let noise = (0..shape.iter().product::<usize>())
+        .map(|_| -math::ln(-math::ln(f32::EPSILON.max(rng.next_f32()))))
+        .collect();
+    let logp = g.ln(probs);
+    let gn = g.constant(Tensor::new(noise, &shape));
+    let z = g.add(logp, gn);
+    g.scaled_masked_softmax(z, 1.0 / tau, None)
+}
+
 #[test]
 fn gumbel_softmax_soft_gradients() {
-    // The soft relaxation is differentiable end-to-end; freezing the Gumbel
-    // noise (fresh seeded RNG per rebuild) makes the loss deterministic so
-    // finite differences are valid. The hard mode's forward is piecewise
-    // constant, so only its soft surrogate gradient path is checked here.
+    // The straight-through node's forward is piecewise constant, so what
+    // it back-propagates is the soft relaxation's gradient. The relaxation
+    // is differentiable end-to-end; freezing the Gumbel noise (fresh seeded
+    // RNG per rebuild) makes the loss deterministic so finite differences
+    // are valid.
     let mut store = ParamStore::new();
     let x = input_param(&mut store, &[3, 5], 27);
     fd_check_all_params(&mut store, EPS, TOL, |g, bind: &Binding| {
-        let xv = bind.var(x);
-        let probs = g.exp(xv);
-        let mut rng = Rng::seed(123);
-        let y = gumbel_softmax(g, &mut rng, probs, 0.7, GumbelMode::Soft);
+        let probs = g.exp(bind.var(x));
+        let y = gumbel_relaxation(g, &mut Rng::seed(123), probs, 0.7);
         readout(g, y, 28)
     });
+
+    // Under a linear readout the node's gradient is the relaxation's, bit
+    // for bit: the hard one-hot and the detached copy carry none.
+    let grad_of = |straight_through: bool| {
+        let mut g = Graph::new();
+        let bind = store.bind_all(&mut g);
+        let probs = g.exp(bind.var(x));
+        let mut rng = Rng::seed(123);
+        let y = if straight_through {
+            gumbel_softmax(&mut g, &mut rng, probs, 0.7)
+        } else {
+            gumbel_relaxation(&mut g, &mut rng, probs, 0.7)
+        };
+        let w = g.constant(rand_tensor(&[3, 5], 28));
+        let yw = g.mul(y, w);
+        let loss = g.sum_all(yw);
+        let grads = g.backward(loss);
+        let gx = grads.get(bind.var(x)).expect("gradient reaches the input");
+        gx.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    };
+    assert_eq!(grad_of(true), grad_of(false));
 }
 
 #[test]

@@ -21,7 +21,9 @@
 //! * [`client`] — a blocking HTTP client with typed errors for the serving
 //!   tests.
 //! * [`scratch_path`] — a test's scratch file path with every leftover of
-//!   an earlier run removed.
+//!   an earlier run removed; [`TempDir`] — a scratch directory under the
+//!   system temp directory that is removed when it drops, also when the
+//!   test panics.
 //!
 //! The workspace-level invariant this crate exists to protect:
 //! `CARGO_NET_OFFLINE=true cargo build --release && cargo test -q` passes
@@ -36,6 +38,7 @@ pub mod gradcheck;
 pub mod prop;
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub use gradcheck::{check_grads, fd_check_all_params, GradReport};
 pub use prop::{forall, gens, Config, Gen};
@@ -52,4 +55,39 @@ pub fn scratch_path(dir: impl AsRef<Path>, name: &str) -> PathBuf {
     let path = dir.join(name);
     let _ = std::fs::remove_file(&path).or_else(|_| std::fs::remove_dir_all(&path));
     path
+}
+
+/// A test's scratch directory under the system temp directory, named
+/// `<prefix>-<pid>-<n>` with `n` unique within the process, so concurrent
+/// tests and concurrent runs never share one. Dropping the guard removes
+/// the directory and everything in it — also when the test holding it
+/// panics, so a failing run leaves nothing behind.
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    /// Create an empty directory for a test; `prefix` names what made it.
+    pub fn new(prefix: &str) -> TempDir {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("{prefix}-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        TempDir(dir)
+    }
+
+    /// The directory.
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+
+    /// `name` inside the directory.
+    pub fn join(&self, name: impl AsRef<Path>) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }

@@ -17,7 +17,8 @@
 #      default-members. Among its tests, tests/doc_citations.rs fails when
 #      DESIGN.md, README.md or EXPERIMENTS.md cites a path, Rust name,
 #      option, SSDREC_* variable, route, metric or fault site the code no
-#      longer has.
+#      longer has. It runs with TMPDIR set to a fresh empty directory and
+#      fails, naming them, if any ssdrec-* entry is left there.
 #   5. Serve smoke: train a tiny checkpoint, serve it on an ephemeral
 #      port, open a silent connection, issue one request over bash /dev/tcp
 #      (no curl), assert a well-formed response that did not wait on the
@@ -239,7 +240,15 @@ echo "== offline release build =="
 cargo build --release --workspace
 
 echo "== offline tests =="
-cargo test -q
+# Under a fresh, empty TMPDIR: a test that leaves an ssdrec-* scratch entry
+# in the system temp directory (rather than holding it in an
+# ssdrec_testkit::TempDir, which removes it on drop) fails the stage.
+TEST_TMP=$(mktemp -d "$PWD/$SMOKE_DIR/tmpdir.XXXXXX")
+TMPDIR="$TEST_TMP" cargo test -q
+LEFT=$(find "$TEST_TMP" -mindepth 1 -maxdepth 1 -name 'ssdrec-*' -printf '%f\n' | sort | tr '\n' ' ')
+[ -z "$LEFT" ] || die "tests left temp entries behind in $TEST_TMP: $LEFT"
+rm -rf "$TEST_TMP"
+echo "ok: the tests left no ssdrec-* entry in their temp directory"
 
 echo "== serve smoke =="
 ./target/release/ssdrec train $SMOKE_FLAGS --epochs 1 --out "$SMOKE_DIR/ckpt.ssdt" >/dev/null
