@@ -117,11 +117,12 @@ impl TrainState {
             .collect()
     }
 
-    /// Restore parameter values, Adam moments and model-side state into a
-    /// freshly built model. Strict: names and shapes must match, the
-    /// early-stopping snapshot must fit the same store, and the model must
-    /// accept the state words; a refused state changes nothing.
-    pub fn apply_to<M: RecModel + ?Sized>(&self, model: &mut M) -> Result<(), String> {
+    /// Move parameter values, Adam moments and model-side state into a
+    /// freshly built model, and hand back the early-stopping snapshot (the
+    /// trainer's, not the model's). Strict: names and shapes must match, the
+    /// snapshot must fit the same store, and the model must accept the state
+    /// words; a refused state changes nothing.
+    pub fn apply_to<M: RecModel + ?Sized>(self, model: &mut M) -> Result<Vec<Tensor>, String> {
         let store = model.store();
         match_store(
             store,
@@ -136,12 +137,12 @@ impl TrainState {
         // the model untouched.
         model.restore_train_state(&self.model_state)?;
         let store = model.store_mut();
-        for (i, (_, value, m, v)) in self.params.iter().enumerate() {
+        for (i, (_, value, m, v)) in self.params.into_iter().enumerate() {
             let p = ParamStore::param_ref_by_index(i);
-            *store.get_mut(p) = value.clone();
-            store.set_moments(p, m.clone(), v.clone());
+            *store.get_mut(p) = value;
+            store.set_moments(p, m, v);
         }
-        Ok(())
+        Ok(self.best_snapshot)
     }
 }
 

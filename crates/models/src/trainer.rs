@@ -395,18 +395,18 @@ pub fn fit<M: RecModel + ?Sized>(
     if let Some(c) = resume_from {
         let st = checkpoint::load_train_state(&c.path)
             .map_err(|e| format!("resume from {}: {e}", c.path.display()))?;
-        st.apply_to(model)
-            .map_err(|e| format!("resume from {}: {e}", c.path.display()))?;
         opt.set_steps(st.adam_steps);
         rng = Rng::from_state(st.rng_state);
         best_hr20 = st.best_hr20;
-        best_valid = st.best_valid;
-        best_snapshot = st.best_snapshot;
+        best_valid = st.best_valid.clone();
         since_best = st.since_best as usize;
         total_train_secs = st.total_train_secs;
         final_loss = st.final_loss;
         start_epoch = st.next_epoch as usize;
         epochs_run = start_epoch;
+        best_snapshot = st
+            .apply_to(model)
+            .map_err(|e| format!("resume from {}: {e}", c.path.display()))?;
         if cfg.verbose {
             eprintln!(
                 "[{}] resumed from {} at epoch {start_epoch}",
@@ -415,7 +415,10 @@ pub fn fit<M: RecModel + ?Sized>(
             );
         }
     } else if let Some(w) = opts.warm {
-        w.apply_to(model).map_err(|e| format!("warm start: {e}"))?;
+        // The caller keeps its state, so this copy is the one apply_to moves.
+        w.clone()
+            .apply_to(model)
+            .map_err(|e| format!("warm start: {e}"))?;
         opt.set_steps(w.adam_steps);
         rng = Rng::from_state(w.rng_state);
         // The early-stopping baseline is the warm-started parameters, not
@@ -522,7 +525,7 @@ pub fn fit<M: RecModel + ?Sized>(
         }
     }
 
-    model.store_mut().restore(&best_snapshot);
+    model.store_mut().restore(best_snapshot);
 
     let t0 = Instant::now();
     let tacc = evaluate_with(model, split.test, cfg.batch_size, &mut g);

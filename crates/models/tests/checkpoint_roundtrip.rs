@@ -62,7 +62,7 @@ fn assert_roundtrip(kind: BackboneKind, seed: u64) {
     // Apply to a model built from a *different* init seed: every value must
     // come from the checkpoint, not survive from initialisation.
     let mut fresh = SeqRec::new(kind, num_items, 8, 20, seed.wrapping_add(999));
-    st.apply_to(&mut fresh).unwrap();
+    st.clone().apply_to(&mut fresh).unwrap();
     let st2 = TrainState {
         params: TrainState::capture_params(&fresh),
         model_state: vec![],

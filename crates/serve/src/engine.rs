@@ -1,4 +1,4 @@
-//! The inference engine: a frozen model behind an mpsc micro-batching queue.
+//! The inference engine: a frozen model behind a micro-batching job queue.
 //!
 //! The request-independent tensors — [`RecModel::precompute_frozen`]'s
 //! output: for SSDRec the stage-1 relation-encoded tables, the transposed
@@ -11,9 +11,12 @@
 //! steady-state serving allocates no parameter copies and no autograd
 //! bookkeeping, and no worker holds a copy of stage 1's adjacency operators.
 //!
-//! Coalescing is queue-driven ([`drain_jobs`]): a worker takes whatever is
-//! already queued and lingers only on a batch that is already coalescing, so
-//! a lone request goes straight to its forward pass.
+//! Coalescing is queue-driven ([`JobQueue::take`]): a worker takes the
+//! oldest queued job and every queued job of the same history length, so
+//! one take is one forward pass and other lengths stay queued for the next
+//! free worker. It lingers only on a batch that is already coalescing, and
+//! it waits on a condition variable, so the queue stays open to the other
+//! workers while it does. A lone request goes straight to its forward pass.
 //!
 //! Scores are **bit-identical** to the offline
 //! [`RecModel::recommend`] path: a worker makes the same two calls as the
@@ -22,10 +25,10 @@
 //! the same order; batching is over equal-length rows only (the
 //! workspace's `Batch` invariant), and every kernel is row-independent.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -140,9 +143,10 @@ pub struct EngineConfig {
     /// Most requests coalesced into one forward pass.
     pub max_batch: usize,
     /// Upper bound, from the first request's dequeue, on how long a worker
-    /// waits for more requests to join a batch that is already coalescing
-    /// (≥ 2 requests). A lone request never waits; what is already queued
-    /// joins without a timer.
+    /// waits for more requests of its batch's history length to join a
+    /// batch that is already coalescing (≥ 2 requests of that length). A
+    /// lone request never waits; what is already queued joins without a
+    /// timer; other lengths stay queued for the other workers meanwhile.
     pub linger: Duration,
     /// Session-cache capacity in users (0 disables caching).
     pub cache_capacity: usize,
@@ -196,13 +200,10 @@ struct Job {
 pub struct Engine {
     model: Arc<InferenceModel>,
     cfg: EngineConfig,
-    tx: Mutex<Option<Sender<Job>>>,
+    queue: Arc<JobQueue>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     cache: Mutex<SessionCache>,
     stats: Arc<ServerStats>,
-    /// Jobs enqueued but not yet picked up by a worker (load-shedding
-    /// signal; incremented on send, decremented on dequeue).
-    queue_depth: Arc<AtomicUsize>,
     /// Busy time in µs, one counter per worker thread (a respawned worker
     /// keeps its counter).
     worker_busy_us: Vec<Arc<AtomicU64>>,
@@ -232,9 +233,7 @@ impl Engine {
         // Stage 1 once per engine: the scratch graph inside `freeze` is gone
         // before any worker exists.
         let frozen: Arc<[Tensor]> = model.freeze().into();
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let queue_depth = Arc::new(AtomicUsize::new(0));
+        let queue = Arc::new(JobQueue::new(cfg.max_queue));
         // Shared graph high-water mark: every worker publishes the largest
         // tape it has seen, and later workers (or restarts) pre-size their
         // node Vec from it instead of the hard-coded default.
@@ -248,11 +247,10 @@ impl Engine {
             .map(|(i, busy)| {
                 let model = Arc::clone(&model);
                 let frozen = Arc::clone(&frozen);
-                let rx = Arc::clone(&rx);
+                let queue = Arc::clone(&queue);
                 let stats = Arc::clone(&stats);
                 let busy = Arc::clone(busy);
                 let hwm = Arc::clone(&hwm);
-                let depth = Arc::clone(&queue_depth);
                 let (max_batch, linger) = (cfg.max_batch, cfg.linger);
                 std::thread::Builder::new()
                     .name(format!("ssdrec-worker-{i}"))
@@ -267,12 +265,12 @@ impl Engine {
                             let ran =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                     worker_loop(
-                                        &model, &frozen, &rx, &stats, &busy, &hwm, &depth,
-                                        max_batch, linger,
+                                        &model, &frozen, &queue, &stats, &busy, &hwm, max_batch,
+                                        linger,
                                     )
                                 }));
                             match ran {
-                                Ok(()) => return, // channel closed: shutdown
+                                Ok(()) => return, // queue closed and empty: shutdown
                                 Err(_) => {
                                     stats.worker_panics.fetch_add(1, Ordering::Relaxed);
                                 }
@@ -286,10 +284,9 @@ impl Engine {
             model,
             cache: Mutex::new(SessionCache::new(cfg.cache_capacity)),
             cfg,
-            tx: Mutex::new(Some(tx)),
+            queue,
             workers: Mutex::new(workers),
             stats,
-            queue_depth,
             worker_busy_us,
         }
     }
@@ -348,7 +345,7 @@ impl Engine {
 
     /// Jobs currently enqueued for the workers (load-shedding signal).
     pub fn queue_depth(&self) -> usize {
-        self.queue_depth.load(Ordering::Relaxed)
+        self.queue.len()
     }
 
     /// Answer one request: validate, consult the session cache, otherwise
@@ -377,37 +374,18 @@ impl Engine {
             return Ok(hit);
         }
 
-        // Shed before enqueueing: claim a queue slot, back out if over
-        // the bound. A 503 is retryable; an unbounded queue is a latency
-        // collapse and eventually an OOM.
-        if self.queue_depth.fetch_add(1, Ordering::SeqCst) >= self.cfg.max_queue {
-            self.queue_depth.fetch_sub(1, Ordering::SeqCst);
-            self.stats.shed_total.fetch_add(1, Ordering::Relaxed);
-            return Err(RecError::Overloaded);
-        }
-
-        let undo_depth = || {
-            self.queue_depth.fetch_sub(1, Ordering::SeqCst);
-        };
-        let tx = match lock(&self.tx).as_ref().cloned() {
-            Some(tx) => tx,
-            None => {
-                undo_depth();
-                return Err(RecError::Internal("engine is shut down".into()));
-            }
-        };
         let (resp_tx, resp_rx) = mpsc::channel();
-        if tx
-            .send(Job {
-                user,
-                seq: seq.to_vec(),
-                k,
-                resp: resp_tx,
-            })
-            .is_err()
-        {
-            undo_depth();
-            return Err(RecError::Internal("engine is shut down".into()));
+        let pushed = self.queue.push(Job {
+            user,
+            seq: seq.to_vec(),
+            k,
+            resp: resp_tx,
+        });
+        if let Err(e) = pushed {
+            if e == RecError::Overloaded {
+                self.stats.shed_total.fetch_add(1, Ordering::Relaxed);
+            }
+            return Err(e);
         }
         let rec = resp_rx
             .recv()
@@ -420,9 +398,10 @@ impl Engine {
         Ok(rec)
     }
 
-    /// Stop accepting work and join every worker. Idempotent.
+    /// Stop accepting work and join every worker once it has answered what
+    /// was already queued. Idempotent.
     pub fn shutdown(&self) {
-        lock(&self.tx).take();
+        self.queue.close();
         let handles: Vec<_> = lock(&self.workers).drain(..).collect();
         for h in handles {
             let _ = h.join();
@@ -438,49 +417,123 @@ impl Drop for Engine {
 
 /// Lock a mutex, recovering the data from a poisoned lock (a panicked
 /// worker must not take the whole server down).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The engine's job queue: one FIFO under one lock, bounded by `max_queue`,
+/// open until [`JobQueue::close`]. Workers wait on condition variables, so a
+/// worker that lingers does not hold the queue.
+struct JobQueue {
+    state: Mutex<QueueState>,
+    max_queue: usize,
+    /// Workers with an empty batch wait here; a push wakes one of them.
+    work: Condvar,
+    /// Lingering workers wait here; a push wakes all of them, since only a
+    /// lingerer of the new job's length can use it.
+    more: Condvar,
+}
+
+struct QueueState {
+    jobs: VecDeque<Job>,
+    open: bool,
+}
+
+impl JobQueue {
+    fn new(max_queue: usize) -> JobQueue {
+        JobQueue {
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                open: true,
+            }),
+            max_queue,
+            work: Condvar::new(),
+            more: Condvar::new(),
+        }
+    }
+
+    /// Jobs queued and not yet taken by a worker.
+    fn len(&self) -> usize {
+        lock(&self.state).jobs.len()
+    }
+
+    /// Enqueue a job, or shed it with [`RecError::Overloaded`] when
+    /// `max_queue` jobs are already waiting. A 503 is retryable; an
+    /// unbounded queue is a latency collapse and eventually an OOM.
+    fn push(&self, job: Job) -> Result<(), RecError> {
+        let mut q = lock(&self.state);
+        if !q.open {
+            return Err(RecError::Internal("engine is shut down".into()));
+        }
+        if q.jobs.len() >= self.max_queue {
+            return Err(RecError::Overloaded);
+        }
+        q.jobs.push_back(job);
+        drop(q);
+        // Both: a lingerer of another length must not swallow the wake-up
+        // an idle worker needs.
+        self.work.notify_one();
+        self.more.notify_all();
+        Ok(())
+    }
+
+    /// Refuse new jobs and wake every worker. Jobs already queued are still
+    /// handed out; a take returns empty once none is left.
+    fn close(&self) {
+        lock(&self.state).open = false;
+        self.work.notify_all();
+        self.more.notify_all();
+    }
+
+    /// Block for the oldest job and take every queued job of its history
+    /// length, up to `max_batch`; other lengths stay queued. Only a batch
+    /// that holds ≥ 2 jobs — there is concurrency to extend — then waits, up
+    /// to `linger` from the first dequeue, for arrivals of its length. A
+    /// lone request goes straight to its forward pass and a backlog
+    /// coalesces to `max_batch` with no timer at all. Empty result means the
+    /// queue is closed and drained.
+    fn take(&self, max_batch: usize, linger: Duration) -> Vec<Job> {
+        let mut q = lock(&self.state);
+        let first = loop {
+            if let Some(job) = q.jobs.pop_front() {
+                break job;
+            }
+            if !q.open {
+                return Vec::new();
+            }
+            q = self.work.wait(q).unwrap_or_else(PoisonError::into_inner);
+        };
+        let deadline = Instant::now() + linger;
+        let len = first.seq.len();
+        let mut batch = vec![first];
+        take_len(&mut q.jobs, len, &mut batch, max_batch);
+        while batch.len() >= 2 && batch.len() < max_batch && q.open {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            q = self
+                .more
+                .wait_timeout(q, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            take_len(&mut q.jobs, len, &mut batch, max_batch);
+        }
+        batch
     }
 }
 
-/// Block for the first job, take whatever else is already queued, and wait
-/// on the linger deadline only while the batch holds ≥ 2 jobs — there is
-/// concurrency to extend. A lone request goes straight to its forward pass
-/// and a backlog coalesces to `max_batch` with no timer at all. Empty result
-/// means the channel closed. Each dequeued job releases one queue-depth slot.
-fn drain_jobs(
-    rx: &Mutex<Receiver<Job>>,
-    depth: &AtomicUsize,
-    max_batch: usize,
-    linger: Duration,
-) -> Vec<Job> {
-    let rx = lock(rx);
-    let first = match rx.recv() {
-        Ok(j) => j,
-        Err(_) => return Vec::new(),
-    };
-    depth.fetch_sub(1, Ordering::SeqCst);
-    let mut jobs = vec![first];
-    let deadline = Instant::now() + linger;
-    while jobs.len() < max_batch {
-        let next = rx.try_recv().ok().or_else(|| {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if jobs.len() < 2 || left.is_zero() {
-                return None;
-            }
-            rx.recv_timeout(left).ok()
-        });
-        match next {
-            Some(j) => {
-                depth.fetch_sub(1, Ordering::SeqCst);
-                jobs.push(j);
-            }
-            None => break,
+/// Move the queued jobs of history length `len` into `batch`, oldest first,
+/// until it holds `max_batch`.
+fn take_len(jobs: &mut VecDeque<Job>, len: usize, batch: &mut Vec<Job>, max_batch: usize) {
+    let mut i = 0;
+    while i < jobs.len() && batch.len() < max_batch {
+        if jobs[i].seq.len() == len {
+            batch.extend(jobs.remove(i));
+        } else {
+            i += 1;
         }
     }
-    jobs
 }
 
 /// Bind an engine's frozen values into a worker's graph as constants.
@@ -492,11 +545,10 @@ fn bind_frozen(g: &mut Graph, frozen: &[Tensor]) -> Vec<Var> {
 fn worker_loop(
     model: &InferenceModel,
     frozen: &[Tensor],
-    rx: &Mutex<Receiver<Job>>,
+    queue: &JobQueue,
     stats: &ServerStats,
     busy_us: &AtomicU64,
     hwm: &AtomicUsize,
-    depth: &AtomicUsize,
     max_batch: usize,
     linger: Duration,
 ) {
@@ -508,7 +560,9 @@ fn worker_loop(
     let mark = g.mark();
 
     loop {
-        let jobs = drain_jobs(rx, depth, max_batch, linger);
+        // One take is one length (Batch is a dense B×T block with no
+        // padding), so one forward pass.
+        let jobs = queue.take(max_batch, linger);
         if jobs.is_empty() {
             return; // engine shut down
         }
@@ -518,44 +572,36 @@ fn worker_loop(
         if ssdrec_base::faults::point("engine.batch").is_err() {
             continue;
         }
-        // Busy time starts once there is work; idle blocking in
-        // drain_jobs is excluded from the /metrics busy fraction.
+        // Busy time starts once there is work; idle blocking in take is
+        // excluded from the /metrics busy fraction.
         let busy_start = Instant::now();
-        // The workspace batches equal-length sequences only (Batch is a
-        // dense B×T block with no padding), so group the coalesced jobs by
-        // history length and run one forward per group.
-        let mut groups: BTreeMap<usize, Vec<Job>> = BTreeMap::new();
-        for job in jobs {
-            groups.entry(job.seq.len()).or_default().push(job);
+        let seq_len = jobs[0].seq.len();
+        let batch = Batch {
+            users: jobs.iter().map(|j| j.user).collect(),
+            items: jobs.iter().flat_map(|j| j.seq.iter().copied()).collect(),
+            seq_len,
+            // Same placeholder target the offline recommend path uses;
+            // targets never enter the eval forward.
+            targets: jobs.iter().map(|j| j.seq[seq_len - 1]).collect(),
+            noise: None,
+        };
+        // Full-rank score row + bounded-heap top-K.
+        let scores = model.eval_scores_frozen(&mut g, &bind, &batch, &frozen);
+        let values = g.value(scores);
+        for (row, job) in jobs.iter().enumerate() {
+            let row_scores = &values.data()[row * width..(row + 1) * width];
+            let items = ssdrec_metrics::par_top_k(row_scores, job.k);
+            let _ = job.resp.send(Arc::new(Recommendation {
+                user: job.user,
+                k: job.k,
+                items,
+                batch_size: jobs.len(),
+            }));
         }
-        for (seq_len, group) in groups {
-            let batch = Batch {
-                users: group.iter().map(|j| j.user).collect(),
-                items: group.iter().flat_map(|j| j.seq.iter().copied()).collect(),
-                seq_len,
-                // Same placeholder target the offline recommend path uses;
-                // targets never enter the eval forward.
-                targets: group.iter().map(|j| j.seq[seq_len - 1]).collect(),
-                noise: None,
-            };
-            // Full-rank score row + bounded-heap top-K.
-            let scores = model.eval_scores_frozen(&mut g, &bind, &batch, &frozen);
-            let values = g.value(scores);
-            for (row, job) in group.iter().enumerate() {
-                let row_scores = &values.data()[row * width..(row + 1) * width];
-                let items = ssdrec_metrics::par_top_k(row_scores, job.k);
-                let _ = job.resp.send(Arc::new(Recommendation {
-                    user: job.user,
-                    k: job.k,
-                    items,
-                    batch_size: group.len(),
-                }));
-            }
-            stats.record_batch(group.len() as u64);
-            // Drop this request's activation nodes; parameters and the
-            // frozen tables below the mark stay bound.
-            g.truncate(mark);
-        }
+        stats.record_batch(jobs.len() as u64);
+        // Drop this request's activation nodes; parameters and the frozen
+        // tables below the mark stay bound.
+        g.truncate(mark);
         hwm.fetch_max(g.high_water(), Ordering::Relaxed);
         busy_us.fetch_add(busy_start.elapsed().as_micros() as u64, Ordering::Relaxed);
     }
@@ -565,6 +611,7 @@ fn worker_loop(
 mod tests {
     use super::*;
     use ssdrec_models::BackboneKind;
+    use std::sync::mpsc::Receiver;
 
     fn tiny_engine(cfg: EngineConfig) -> (Engine, SeqRec) {
         // Two identically-seeded models: one served, one for offline
@@ -643,14 +690,14 @@ mod tests {
         assert!(engine.recommend(0, &[1], 3).is_err());
     }
 
-    /// A channel pre-filled with `n` jobs (what a backlog looks like to a
-    /// worker), its queue-depth counter, and the sender to add more.
-    fn backlog(n: usize) -> (Mutex<Receiver<Job>>, AtomicUsize, Sender<Job>) {
-        let (tx, rx) = mpsc::channel();
+    /// A queue pre-filled with `n` jobs of length 3 (what a backlog looks
+    /// like to a worker), shared so another thread can add more.
+    fn backlog(n: usize) -> Arc<JobQueue> {
+        let queue = Arc::new(JobQueue::new(usize::MAX));
         for user in 0..n {
-            tx.send(job(user, vec![1, 2, 3]).0).expect("receiver alive");
+            queue.push(job(user, vec![1, 2, 3]).0).expect("queue open");
         }
-        (Mutex::new(rx), AtomicUsize::new(n), tx)
+        queue
     }
 
     fn job(user: usize, seq: Vec<usize>) -> (Job, Receiver<Arc<Recommendation>>) {
@@ -669,37 +716,37 @@ mod tests {
 
     #[test]
     fn a_lone_job_is_not_lingered_on() {
-        let (rx, depth, _tx) = backlog(1);
+        let queue = backlog(1);
         let t0 = Instant::now();
-        let jobs = drain_jobs(&rx, &depth, 32, LONG_LINGER);
+        let jobs = queue.take(32, LONG_LINGER);
         assert_eq!(jobs.len(), 1);
         assert!(t0.elapsed() < LONG_LINGER / 2, "waited {:?}", t0.elapsed());
-        assert_eq!(depth.load(Ordering::SeqCst), 0);
+        assert_eq!(queue.len(), 0);
     }
 
     #[test]
     fn a_backlog_coalesces_to_max_batch_without_a_timer() {
         // Exactly max_batch queued: all of it in one call, no wait.
-        let (rx, depth, _tx) = backlog(8);
+        let queue = backlog(8);
         let t0 = Instant::now();
-        let jobs = drain_jobs(&rx, &depth, 8, LONG_LINGER);
+        let jobs = queue.take(8, LONG_LINGER);
         assert_eq!(jobs.len(), 8);
         assert!(t0.elapsed() < LONG_LINGER / 2, "waited {:?}", t0.elapsed());
-        assert_eq!(depth.load(Ordering::SeqCst), 0);
+        assert_eq!(queue.len(), 0);
 
         // More than max_batch: exactly max_batch, in arrival order, one
         // queue-depth slot released per job taken; the rest stay queued.
-        let (rx, depth, _tx) = backlog(11);
+        let queue = backlog(11);
         let t0 = Instant::now();
-        let jobs = drain_jobs(&rx, &depth, 8, LONG_LINGER);
+        let jobs = queue.take(8, LONG_LINGER);
         assert_eq!(
             jobs.iter().map(|j| j.user).collect::<Vec<_>>(),
             (0..8).collect::<Vec<_>>()
         );
         assert!(t0.elapsed() < LONG_LINGER / 2, "waited {:?}", t0.elapsed());
-        assert_eq!(depth.load(Ordering::SeqCst), 3);
-        assert_eq!(drain_jobs(&rx, &depth, 8, Duration::ZERO).len(), 3);
-        assert_eq!(depth.load(Ordering::SeqCst), 0);
+        assert_eq!(queue.len(), 3);
+        assert_eq!(queue.take(8, Duration::ZERO).len(), 3);
+        assert_eq!(queue.len(), 0);
     }
 
     #[test]
@@ -707,20 +754,22 @@ mod tests {
         // Fewer than max_batch but ≥ 2: everything queued is taken, then the
         // batch waits out the linger for company that never comes.
         let linger = Duration::from_millis(30);
-        let (rx, depth, _tx) = backlog(3);
+        let queue = backlog(3);
         let t0 = Instant::now();
-        assert_eq!(drain_jobs(&rx, &depth, 8, linger).len(), 3);
+        assert_eq!(queue.take(8, linger).len(), 3);
         assert!(t0.elapsed() >= linger, "returned after {:?}", t0.elapsed());
 
-        // Two queued, a third arriving 10 ms later joins them — and fills
-        // the batch, which ends the wait long before the deadline.
-        let (rx, depth, tx) = backlog(2);
+        // Two queued, a third of their length arriving 10 ms later joins
+        // them — and fills the batch, which ends the wait long before the
+        // deadline.
+        let queue = backlog(2);
+        let tx = Arc::clone(&queue);
         let late = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
-            tx.send(job(2, vec![4, 5]).0).expect("receiver alive");
+            tx.push(job(2, vec![4, 5, 6]).0).expect("queue open");
         });
         let t0 = Instant::now();
-        let jobs = drain_jobs(&rx, &depth, 3, LONG_LINGER);
+        let jobs = queue.take(3, LONG_LINGER);
         assert_eq!(jobs.len(), 3, "the late job must join the batch");
         assert!(t0.elapsed() < LONG_LINGER / 2, "waited {:?}", t0.elapsed());
         late.join().expect("sender thread");
@@ -728,9 +777,99 @@ mod tests {
 
     #[test]
     fn a_closed_queue_drains_to_nothing() {
-        let (rx, depth, tx) = backlog(0);
-        drop(tx);
-        assert!(drain_jobs(&rx, &depth, 8, LONG_LINGER).is_empty());
+        let queue = backlog(0);
+        queue.close();
+        assert!(queue.take(8, LONG_LINGER).is_empty());
+    }
+
+    #[test]
+    fn a_take_holds_one_length_and_leaves_the_rest_queued() {
+        // Two lengths queued: the oldest job rides alone, at once — nothing
+        // queued can join it, so there is no batch to linger on — and the
+        // other length stays for the next take.
+        let queue = backlog(0);
+        queue.push(job(0, vec![1, 2, 3]).0).expect("queue open");
+        queue.push(job(1, vec![4, 5]).0).expect("queue open");
+        let t0 = Instant::now();
+        let jobs = queue.take(32, LONG_LINGER);
+        assert_eq!(jobs.iter().map(|j| j.user).collect::<Vec<_>>(), [0]);
+        assert!(t0.elapsed() < LONG_LINGER / 2, "waited {:?}", t0.elapsed());
+        assert_eq!(queue.len(), 1);
+
+        // Lengths interleaved: the take gathers the oldest job's length from
+        // anywhere in the queue, oldest first, and leaves the rest in order.
+        for (user, seq) in [(2, vec![1]), (3, vec![2, 3]), (4, vec![4]), (5, vec![5])] {
+            queue.push(job(user, seq).0).expect("queue open");
+        }
+        let jobs = queue.take(32, Duration::ZERO);
+        assert_eq!(jobs.iter().map(|j| j.user).collect::<Vec<_>>(), [1, 3]);
+        let jobs = queue.take(32, Duration::ZERO);
+        assert_eq!(jobs.iter().map(|j| j.user).collect::<Vec<_>>(), [2, 4, 5]);
+        assert_eq!(queue.len(), 0);
+    }
+
+    #[test]
+    fn a_lingering_worker_leaves_the_queue_to_the_others() {
+        // Worker A lingers on a coalescing batch of length 3. A job of
+        // another length pushed meanwhile must reach worker B, waiting idle,
+        // long before A's deadline: A neither holds the queue nor swallows
+        // the wake-up.
+        let queue = backlog(2);
+        let a_queue = Arc::clone(&queue);
+        let t0 = Instant::now();
+        let a = std::thread::spawn(move || {
+            let t0 = Instant::now();
+            (a_queue.take(8, LONG_LINGER), t0.elapsed())
+        });
+        while queue.len() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (b_queue, (b_tx, b_rx)) = (Arc::clone(&queue), mpsc::channel());
+        std::thread::spawn(move || b_tx.send(b_queue.take(8, LONG_LINGER)));
+        // Time for B to find the queue empty and wait.
+        std::thread::sleep(Duration::from_millis(20));
+        queue.push(job(2, vec![4, 5]).0).expect("queue open");
+        let b_jobs = b_rx.recv_timeout(LONG_LINGER / 2);
+        let waited = t0.elapsed();
+        let (a_jobs, a_waited) = a.join().expect("worker A");
+        queue.close(); // releases B if the push never reached it
+        let b_jobs = b_jobs.expect("B got no job while A lingered");
+        assert!(
+            waited < LONG_LINGER / 2,
+            "B answered {waited:?} after A began"
+        );
+        assert_eq!(b_jobs.iter().map(|j| j.user).collect::<Vec<_>>(), [2]);
+        assert_eq!(a_jobs.iter().map(|j| j.user).collect::<Vec<_>>(), [0, 1]);
+        assert!(a_waited >= LONG_LINGER, "A returned after {a_waited:?}");
+    }
+
+    #[test]
+    fn a_closed_queue_still_hands_out_what_was_queued() {
+        // Jobs queued before the close are answered, as a drained channel
+        // would answer them: no linger (nothing more can arrive), one length
+        // per take, then empty. Pushes after the close are refused.
+        let queue = backlog(2);
+        queue.push(job(2, vec![4, 5]).0).expect("queue open");
+        queue.close();
+        assert!(matches!(
+            queue.push(job(3, vec![1, 2, 3]).0),
+            Err(RecError::Internal(_))
+        ));
+        let t0 = Instant::now();
+        assert_eq!(queue.take(8, LONG_LINGER).len(), 2);
+        assert!(t0.elapsed() < LONG_LINGER / 2, "waited {:?}", t0.elapsed());
+        let jobs = queue.take(8, LONG_LINGER);
+        assert_eq!(jobs.iter().map(|j| j.user).collect::<Vec<_>>(), [2]);
+        assert!(queue.take(8, LONG_LINGER).is_empty());
+        assert_eq!(queue.len(), 0);
+
+        // Through the engine: a request after shutdown is an internal error.
+        let (engine, _) = tiny_engine(EngineConfig::default());
+        engine.shutdown();
+        assert!(matches!(
+            engine.recommend(0, &[1], 3),
+            Err(RecError::Internal(_))
+        ));
     }
 
     #[test]
@@ -742,7 +881,7 @@ mod tests {
         let reference = SeqRec::new(BackboneKind::SasRec, 20, 8, 10, 42);
         let frozen = model.freeze();
         let stats = ServerStats::new();
-        let (tx, rx) = mpsc::channel();
+        let queue = JobQueue::new(usize::MAX);
         let mut answers = Vec::new();
         for user in 0..6 {
             let seq = if user < 4 {
@@ -751,20 +890,19 @@ mod tests {
                 vec![user + 1, 3]
             };
             let (job, answer) = job(user, seq.clone());
-            tx.send(job).expect("receiver alive");
+            queue.push(job).expect("queue open");
             answers.push((seq, answer));
         }
-        drop(tx); // the worker returns once the backlog is served
-        let (busy, depth) = (AtomicU64::new(0), AtomicUsize::new(6));
+        queue.close(); // the worker returns once the backlog is served
+        let busy = AtomicU64::new(0);
         let hwm = AtomicUsize::new(Graph::DEFAULT_CAPACITY);
         worker_loop(
             &model,
             &frozen,
-            &Mutex::new(rx),
+            &queue,
             &stats,
             &busy,
             &hwm,
-            &depth,
             32,
             Duration::ZERO,
         );
@@ -780,7 +918,7 @@ mod tests {
         assert_eq!(stats.batches_total.load(Ordering::Relaxed), 2);
         assert_eq!(stats.batched_requests_total.load(Ordering::Relaxed), 6);
         assert_eq!(stats.max_batch.load(Ordering::Relaxed), 4);
-        assert_eq!(depth.load(Ordering::SeqCst), 0);
+        assert_eq!(queue.len(), 0);
     }
 
     /// `(shape, bits)` of every frozen node, read off `g`.

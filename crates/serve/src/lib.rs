@@ -9,9 +9,10 @@
 //! ```text
 //! TcpListener ──► acceptor thread ──► validate ──► session cache ──┐
 //!  (serves what it accepted)                                       │ miss
-//!                      mpsc queue ◄────────────────────────────────┘
-//!                          │  (take what is queued, up to max_batch; linger
-//!                          │   only on a batch that is already coalescing)
+//!                      job queue ◄─────────────────────────────────┘
+//!                          │  (take the oldest job's length, up to
+//!                          │   max_batch; linger off the lock, only on a
+//!                          │   batch that is already coalescing)
 //!                          ▼
 //!             worker thread: frozen Graph (params and the engine's stage-1
 //!             tables + scorer transpose bound once, below a mark — the

@@ -4,8 +4,9 @@
 //!
 //! Whether those requests *coalesce* is a property of the queue, not of six
 //! sockets and a timer: `engine::tests` pins it against pre-filled queues
-//! (`queued_requests_share_one_forward_pass_per_length` and the `drain_jobs`
-//! policy tests), where it can be forced instead of inferred.
+//! (`queued_requests_share_one_forward_pass_per_length` and the
+//! `JobQueue::take` policy tests), where it can be forced instead of
+//! inferred.
 
 use std::sync::{Arc, Barrier};
 use std::time::Duration;

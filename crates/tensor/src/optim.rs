@@ -6,6 +6,8 @@
 //! graph leaf; after `backward` the returned [`Binding`] maps gradients back
 //! to their slots so the optimizer can apply an update.
 
+use std::borrow::Cow;
+
 use crate::graph::{Gradients, Graph, Var};
 use crate::tensor::Tensor;
 use ssdrec_base::Rng;
@@ -160,11 +162,13 @@ impl ParamStore {
         self.slots.iter().map(|s| s.value.clone()).collect()
     }
 
-    /// Restore parameter values from a [`ParamStore::snapshot`].
+    /// Restore parameter values from a [`ParamStore::snapshot`]. An owned
+    /// snapshot moves into the store; a borrowed one is copied.
     ///
     /// # Panics
     /// Panics if the snapshot does not match the store's layout.
-    pub fn restore(&mut self, snap: &[Tensor]) {
+    pub fn restore<'s>(&mut self, snap: impl Into<Cow<'s, [Tensor]>>) {
+        let snap = snap.into().into_owned();
         assert_eq!(snap.len(), self.slots.len(), "snapshot layout mismatch");
         for (slot, t) in self.slots.iter_mut().zip(snap) {
             assert_eq!(
@@ -173,7 +177,7 @@ impl ParamStore {
                 "snapshot shape mismatch for {}",
                 slot.name
             );
-            slot.value = t.clone();
+            slot.value = t;
         }
     }
 }

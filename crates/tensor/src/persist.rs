@@ -260,7 +260,7 @@ pub fn load_params(store: &mut ParamStore, path: impl AsRef<Path>) -> io::Result
         records.iter().map(|(n, t)| (n.as_str(), t[0].shape())),
     )
     .map_err(invalid)?;
-    store.restore(&records.into_iter().flat_map(|(_, t)| t).collect::<Vec<_>>());
+    store.restore(records.into_iter().flat_map(|(_, t)| t).collect::<Vec<_>>());
     Ok(())
 }
 

@@ -23,6 +23,8 @@
 #      port, open a silent connection, issue one request over bash /dev/tcp
 #      (no curl), assert a well-formed response that did not wait on the
 #      silent connection, shut down cleanly within 10 s with it still open.
+#      Two requests of different history lengths sent at once must answer
+#      with the bytes each gets alone, batch_size aside.
 #   6. Chaos smoke: re-serve the checkpoint with SSDREC_FAULTS arming one
 #      read fault and one worker panic; retry until the response matches
 #      the fault-free baseline byte-for-byte and /metrics reports the
@@ -264,9 +266,30 @@ START=$SECONDS
 BASELINE=$(http_body GET "$RECOMMEND")
 [ $((SECONDS - START)) -lt 10 ] || die "serve smoke: the request waited on a silent connection"
 printf '%s' "$BASELINE" | grep -q '"items":\[' || die "serve smoke: malformed response: $BASELINE"
+# Two histories of different lengths in flight at once on the default
+# configuration: a worker takes one length per forward pass, so each must
+# come back with the bytes it gets alone, batch_size aside. Both requests
+# are written before either answer is read; the cache starts cold for both
+# users, and two length-1 requests replace their entries before the
+# requests are repeated alone.
+PAIR=('/recommend?user=1&seq=1,2,1&k=5' '/recommend?user=2&seq=2,1&k=5')
+exec 5<>"/dev/tcp/127.0.0.1/$PORT" 6<>"/dev/tcp/127.0.0.1/$PORT"
+printf 'GET %s HTTP/1.1\r\nHost: ci\r\nContent-Length: 0\r\nConnection: close\r\n\r\n' "${PAIR[0]}" >&5
+printf 'GET %s HTTP/1.1\r\nHost: ci\r\nContent-Length: 0\r\nConnection: close\r\n\r\n' "${PAIR[1]}" >&6
+TOGETHER=("$(awk 'body {print} /^\r?$/ {body=1}' <&5)" "$(awk 'body {print} /^\r?$/ {body=1}' <&6)")
+exec 5<&- 5>&- 6<&- 6>&-
+http_body GET '/recommend?user=1&seq=1&k=5' >/dev/null
+http_body GET '/recommend?user=2&seq=1&k=5' >/dev/null
+for i in 0 1; do
+    ALONE=$(http_body GET "${PAIR[$i]}")
+    printf '%s' "$ALONE" | grep -q '"items":\[' || die "serve smoke: malformed response: $ALONE"
+    [ "$(sed 's/"batch_size":[0-9]*//' <<<"${TOGETHER[$i]}")" = "$(sed 's/"batch_size":[0-9]*//' <<<"$ALONE")" ] ||
+        die "serve smoke: ${PAIR[$i]} answered ${TOGETHER[$i]} beside a request of another length, $ALONE alone"
+done
 stop_server
 exec 4<&- 4>&-
 echo "ok: served a request beside a silent connection on port $PORT and shut down cleanly"
+echo "ok: two concurrent requests of different lengths answered with the bytes each gets alone"
 
 echo "== chaos smoke (SSDREC_FAULTS: injected faults + recovery) =="
 SSDREC_FAULTS="serve.read:error:1,engine.batch:panic:1" \
