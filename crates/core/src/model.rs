@@ -14,8 +14,7 @@ use ssdrec_data::{Batch, Example};
 use ssdrec_denoise::{Keep, TauSchedule};
 use ssdrec_graph::MultiRelationGraph;
 use ssdrec_models::{
-    build_encoder, next_item_ce, pad_mask, score_catalogue, BackboneKind, FrozenPass, RecModel,
-    SeqEncoder,
+    build_encoder, next_item_ce, pad_mask, BackboneKind, FrozenPass, RecModel, SeqEncoder,
 };
 use ssdrec_tensor::nn::Embedding;
 use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
@@ -269,9 +268,10 @@ impl SsdRec {
         g.add_bcast(logits, pad_mask)
     }
 
-    /// Training forward: full three-stage pipeline; returns logits plus the
-    /// pieces the gate-supervision loss needs (keep probs, the raw sequence
-    /// representations, and the item table for target look-ups).
+    /// Training forward: full three-stage pipeline; returns the backbone's
+    /// sequence representations `h_s` plus the pieces the gate-supervision
+    /// loss needs (keep probs, the raw sequence representations, and the
+    /// item table, which also scores `h_s`).
     fn forward_train(
         &self,
         g: &mut Graph,
@@ -328,8 +328,7 @@ impl SsdRec {
             h_seq
         };
 
-        let h_s = self.backbone.encode(g, bind, h_in);
-        (score_catalogue(g, items, h_s), gate, items)
+        (self.backbone.encode(g, bind, h_in), gate, items)
     }
 
     /// Fig. 4 case-study traces for `examples` (non-empty histories), in
@@ -421,8 +420,8 @@ impl RecModel for SsdRec {
     }
 
     fn loss(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: &mut Rng) -> Var {
-        let (logits, gate, items) = self.forward_train(g, bind, batch, rng);
-        let ce = next_item_ce(g, logits, &batch.targets);
+        let (h_s, gate, items) = self.forward_train(g, bind, batch, rng);
+        let ce = next_item_ce(g, items, h_s, &batch.targets);
         match gate {
             Some(GateInfo {
                 probs,

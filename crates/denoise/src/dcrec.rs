@@ -101,8 +101,7 @@ impl RecModel for DcRec {
 
     fn loss(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: &mut Rng) -> Var {
         let z1 = self.encode_view(g, bind, batch, Some(rng));
-        let logits = score_catalogue(g, self.item_emb.table(bind), z1);
-        let ce = next_item_ce(g, logits, &batch.targets);
+        let ce = next_item_ce(g, self.item_emb.table(bind), z1, &batch.targets);
         if batch.len() >= 2 && self.beta > 0.0 {
             let z2 = self.encode_view(g, bind, batch, Some(rng));
             let cl = self.contrastive_loss(g, z1, z2, &batch.targets);

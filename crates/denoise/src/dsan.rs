@@ -76,7 +76,14 @@ impl Dsan {
         g.div(kept, denom)
     }
 
-    fn forward(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: Option<&mut Rng>) -> Var {
+    /// The `B×d` sequence representations; `rng` enables dropout.
+    fn represent(
+        &self,
+        g: &mut Graph,
+        bind: &Binding,
+        batch: &Batch,
+        rng: Option<&mut Rng>,
+    ) -> Var {
         let b = batch.len();
         let t = batch.seq_len;
         let mut h = self.item_emb.lookup_seq(g, bind, &batch.items, b, t);
@@ -89,8 +96,7 @@ impl Dsan {
         let agg = g.reshape(agg, &[b, self.dim]);
         let last = g.select_time(h, t - 1);
         let cat = g.concat_last(&[agg, last]);
-        let h_s = self.out.forward(g, bind, cat);
-        score_catalogue(g, self.item_emb.table(bind), h_s)
+        self.out.forward(g, bind, cat)
     }
 }
 
@@ -104,12 +110,13 @@ impl RecModel for Dsan {
     }
 
     fn loss(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: &mut Rng) -> Var {
-        let logits = self.forward(g, bind, batch, Some(rng));
-        next_item_ce(g, logits, &batch.targets)
+        let h_s = self.represent(g, bind, batch, Some(rng));
+        next_item_ce(g, self.item_emb.table(bind), h_s, &batch.targets)
     }
 
     fn eval_scores_frozen(&self, g: &mut Graph, bind: &Binding, batch: &Batch, _: &[Var]) -> Var {
-        self.forward(g, bind, batch, None)
+        let h_s = self.represent(g, bind, batch, None);
+        score_catalogue(g, self.item_emb.table(bind), h_s)
     }
 
     fn model_name(&self) -> String {

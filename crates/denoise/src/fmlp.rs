@@ -68,7 +68,14 @@ impl FmlpRec {
         ids
     }
 
-    fn forward(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: Option<&mut Rng>) -> Var {
+    /// The `B×d` sequence representations; `rng` enables dropout.
+    fn represent(
+        &self,
+        g: &mut Graph,
+        bind: &Binding,
+        batch: &Batch,
+        rng: Option<&mut Rng>,
+    ) -> Var {
         let ids = self.padded_ids(batch);
         let b = batch.len();
         let mut h = self.item_emb.lookup_seq(g, bind, &ids, b, self.max_len);
@@ -83,8 +90,7 @@ impl FmlpRec {
             let r2 = g.add(n1, ff);
             h = layer.ln2.forward(g, bind, r2);
         }
-        let h_s = g.select_time(h, self.max_len - 1);
-        score_catalogue(g, self.item_emb.table(bind), h_s)
+        g.select_time(h, self.max_len - 1)
     }
 }
 
@@ -98,12 +104,13 @@ impl RecModel for FmlpRec {
     }
 
     fn loss(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: &mut Rng) -> Var {
-        let logits = self.forward(g, bind, batch, Some(rng));
-        next_item_ce(g, logits, &batch.targets)
+        let h_s = self.represent(g, bind, batch, Some(rng));
+        next_item_ce(g, self.item_emb.table(bind), h_s, &batch.targets)
     }
 
     fn eval_scores_frozen(&self, g: &mut Graph, bind: &Binding, batch: &Batch, _: &[Var]) -> Var {
-        self.forward(g, bind, batch, None)
+        let h_s = self.represent(g, bind, batch, None);
+        score_catalogue(g, self.item_emb.table(bind), h_s)
     }
 
     fn model_name(&self) -> String {

@@ -288,8 +288,7 @@ impl RecModel for Hsd {
         let mask = self.core.sample_mask(g, rng, cal, self.tau.tau);
         let h_masked = self.core.apply_mask(g, h, mask);
         let h_s = self.backbone.encode(g, bind, h_masked);
-        let logits = score_catalogue(g, self.item_emb.table(bind), h_s);
-        let ce = next_item_ce(g, logits, &batch.targets);
+        let ce = next_item_ce(g, self.item_emb.table(bind), h_s, &batch.targets);
         // Correlation supervision of the keep gate (see HsdCore docs).
         let tgt = self.item_emb.lookup(g, bind, &batch.targets);
         let y = self.core.correlation_targets(g, h, tgt);

@@ -175,8 +175,7 @@ impl RecModel for Mgsd {
         let mask3 = g.reshape(cal, &[b, t, 1]);
         let h_masked = self.core.apply_mask(g, h, mask3);
         let h_s = self.backbone.encode(g, bind, h_masked);
-        let logits = score_catalogue(g, self.item_emb.table(bind), h_s);
-        let ce = next_item_ce(g, logits, &batch.targets);
+        let ce = next_item_ce(g, self.item_emb.table(bind), h_s, &batch.targets);
         // Weak supervision of the multi-granularity gate.
         let y = self.supervision_targets(g, bind, batch, h);
         let ws = self.core.gate_loss(g, probs, y);

@@ -132,8 +132,7 @@ impl RecModel for Steam {
         // Recommendation loss on the corrected (masked) sequence.
         let h_corr = self.apply_keep_mask(g, h, det);
         let h_s = self.encoder.encode(g, bind, h_corr);
-        let logits = score_catalogue(g, self.item_emb.table(bind), h_s);
-        let ce = next_item_ce(g, logits, &batch.targets);
+        let ce = next_item_ce(g, self.item_emb.table(bind), h_s, &batch.targets);
 
         let wbce = g.scale(bce, DETECT_WEIGHT);
         g.add(ce, wbce)

@@ -124,18 +124,12 @@ impl TrainState {
     /// words; a refused state changes nothing.
     pub fn apply_to<M: RecModel + ?Sized>(self, model: &mut M) -> Result<Vec<Tensor>, String> {
         let store = model.store();
-        match_store(
-            store,
-            self.params.iter().map(|(n, v, ..)| (n.as_str(), v.shape())),
-        )?;
         // The snapshot is unnamed: it takes the store's names.
         let snapshot = self.best_snapshot.iter().enumerate();
         let name = |i| store.name(ParamStore::param_ref_by_index(i));
         match_store(store, snapshot.map(|(i, t)| (name(i), t.shape())))
             .map_err(|e| format!("snapshot: {e}"))?;
-        // Last of the checks, and the first write: a refused state leaves
-        // the model untouched.
-        model.restore_train_state(&self.model_state)?;
+        self.check_and_restore(model)?;
         let store = model.store_mut();
         for (i, (_, value, m, v)) in self.params.into_iter().enumerate() {
             let p = ParamStore::param_ref_by_index(i);
@@ -144,11 +138,66 @@ impl TrainState {
         }
         Ok(self.best_snapshot)
     }
+
+    /// A warm start: copy the parameter values, Adam moments and
+    /// model-side state into `model`, which keeps its own buffers. The
+    /// snapshot is not read. Checks as [`TrainState::apply_to`].
+    pub fn warm_start<M: RecModel + ?Sized>(&self, model: &mut M) -> Result<(), String> {
+        self.check_and_restore(model)?;
+        let store = model.store_mut();
+        for (i, (_, value, m, v)) in self.params.iter().enumerate() {
+            let p = ParamStore::param_ref_by_index(i);
+            store.get_mut(p).data_mut().copy_from_slice(value.data());
+            store.set_moments(p, m.clone(), v.clone());
+        }
+        Ok(())
+    }
+
+    /// Check the parameters' names and shapes against `model`'s store, then
+    /// hand it the model-side state: the last check and the first write,
+    /// so a refused state leaves the model untouched.
+    fn check_and_restore<M: RecModel + ?Sized>(&self, model: &mut M) -> Result<(), String> {
+        match_store(
+            model.store(),
+            self.params.iter().map(|(n, v, ..)| (n.as_str(), v.shape())),
+        )?;
+        model.restore_train_state(&self.model_state)
+    }
 }
 
 /// Atomically serialise a [`TrainState`] to `path` (fault site `ckpt.save`).
 pub fn save_train_state(st: &TrainState, path: impl AsRef<Path>) -> io::Result<()> {
-    atomic_write(path.as_ref(), "ckpt.save", |w| {
+    let params = st.params.iter().map(|(n, v, m, a)| (n.as_str(), [v, m, a]));
+    write_state(st, params, &st.best_snapshot, path.as_ref())
+}
+
+/// The file [`save_train_state`] writes for `st` with `model`'s live
+/// parameters and Adam moments and `snapshot` in place of `st.params` and
+/// `st.best_snapshot` (which are not read): the trainer's checkpoint,
+/// written from what it borrows instead of from a captured copy.
+pub fn save_live_state<M: RecModel + ?Sized>(
+    st: &TrainState,
+    model: &M,
+    snapshot: &[Tensor],
+    path: impl AsRef<Path>,
+) -> io::Result<()> {
+    let store = model.store();
+    let params = (0..store.num_tensors()).map(|i| {
+        let p = ParamStore::param_ref_by_index(i);
+        let (m, v) = store.moments(p);
+        (store.name(p), [store.get(p), m, v])
+    });
+    write_state(st, params, snapshot, path.as_ref())
+}
+
+/// The `.sstc` encoder: `st`'s counters, then `params`, then `snapshot`.
+fn write_state<'a>(
+    st: &TrainState,
+    params: impl ExactSizeIterator<Item = (&'a str, [&'a Tensor; 3])>,
+    snapshot: &[Tensor],
+    path: &Path,
+) -> io::Result<()> {
+    atomic_write(path, "ckpt.save", |w| {
         let mut w = RecordWriter::new(w, MAGIC, VERSION)?;
         w.u32(st.next_epoch)?;
         w.u32(st.since_best)?;
@@ -169,12 +218,12 @@ pub fn save_train_state(st: &TrainState, path: impl AsRef<Path>) -> io::Result<(
         for &s in &st.model_state {
             w.u64(s)?;
         }
-        w.u32(st.params.len() as u32)?;
-        for (name, value, m, v) in &st.params {
-            w.record(name, &[value, m, v])?;
+        w.u32(params.len() as u32)?;
+        for (name, tensors) in params {
+            w.record(name, &tensors)?;
         }
-        w.u32(st.best_snapshot.len() as u32)?;
-        for t in &st.best_snapshot {
+        w.u32(snapshot.len() as u32)?;
+        for t in snapshot {
             w.tensors(&[t])?;
         }
         Ok(())

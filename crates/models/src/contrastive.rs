@@ -31,7 +31,7 @@ use ssdrec_data::Batch;
 use ssdrec_tensor::{Binding, Graph, Rng, Var};
 
 use crate::encoder::BackboneKind;
-use crate::model::{next_item_ce, RecModel, SeqRec};
+use crate::model::{RecModel, SeqRec};
 
 /// Default weight of the contrastive term (`--cl-weight`).
 pub const DEFAULT_CL_WEIGHT: f32 = 0.1;
@@ -115,18 +115,15 @@ pub fn augment_views(
 
 /// InfoNCE between two view representations `z1, z2` (`B×d`): positives
 /// are the diagonal of `z1 z2ᵀ / τ`, negatives the rest of the batch.
-/// Built from matmul + log-softmax only, so the kernels and the tape-free
-/// pooled path run it unchanged.
+/// `−mean_i log_softmax(sim)[i, i]` is the cross-entropy node over given
+/// logits ([`Graph::softmax_ce`]) with the diagonal as the targets.
 pub fn info_nce(g: &mut Graph, z1: Var, z2: Var, tau: f32) -> Var {
     let b = g.value(z1).shape()[0];
     let z2t = g.transpose_last(z2);
     let sim = g.matmul(z1, z2t); // B×B
     let sim = g.scale(sim, 1.0 / tau);
-    let logp = g.log_softmax_last(sim);
     let diag: Vec<usize> = (0..b).collect();
-    let pos = g.pick_per_row(logp, &diag);
-    let mean = g.mean_all(pos);
-    g.neg(mean)
+    g.softmax_ce(sim, &diag)
 }
 
 /// The contrastive training scenario: a [`SeqRec`] backbone whose loss is
@@ -203,8 +200,7 @@ impl RecModel for ContrastiveSeqRec {
     }
 
     fn loss(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: &mut Rng) -> Var {
-        let logits = self.base.forward(g, bind, batch, Some(rng));
-        let ce = next_item_ce(g, logits, &batch.targets);
+        let ce = self.base.ce_loss(g, bind, batch, rng);
         // InfoNCE needs in-batch negatives; a single-example batch (or a
         // disabled head) trains on CE alone.
         if batch.len() < 2 || self.cl_weight <= 0.0 {

@@ -52,12 +52,14 @@ pub fn score_catalogue(g: &mut Graph, table: Var, h_s: Var) -> Var {
 }
 
 /// The next-item cross-entropy every model trains on: the mean over the
-/// batch of `−log softmax(logits)[target]`, full catalogue.
-pub fn next_item_ce(g: &mut Graph, logits: Var, targets: &[usize]) -> Var {
-    let logp = g.log_softmax_last(logits);
-    let picked = g.pick_per_row(logp, targets);
-    let mean = g.mean_all(picked);
-    g.neg(mean)
+/// batch of `−log softmax(logits)[target]`, full catalogue, for the logits
+/// [`score_catalogue`] gives `h_s` against `table`. One tape node
+/// ([`Graph::catalogue_ce`]), bit-identical to that scorer followed by
+/// `log_softmax_last → pick_per_row → mean_all → neg`.
+pub fn next_item_ce(g: &mut Graph, table: Var, h_s: Var, targets: &[usize]) -> Var {
+    let rows = g.value(table).shape()[0];
+    let mask = pad_mask(g, rows);
+    g.catalogue_ce(h_s, table, mask, targets)
 }
 
 /// Anything the shared trainer can optimise and evaluate.
@@ -197,8 +199,9 @@ impl SeqRec {
             .lookup_seq(g, bind, &batch.items, batch.len(), batch.seq_len)
     }
 
-    /// Full forward for a batch; `rng` enables dropout (training mode).
-    pub fn forward(
+    /// A batch's `B×d` sequence representations; `rng` enables dropout
+    /// (training mode).
+    pub fn represent(
         &self,
         g: &mut Graph,
         bind: &Binding,
@@ -209,8 +212,25 @@ impl SeqRec {
         if let Some(rng) = rng {
             h = g.dropout(h, DROPOUT, rng);
         }
-        let h_s = self.encoder.encode(g, bind, h);
+        self.encoder.encode(g, bind, h)
+    }
+
+    /// Full forward for a batch; `rng` enables dropout (training mode).
+    pub fn forward(
+        &self,
+        g: &mut Graph,
+        bind: &Binding,
+        batch: &Batch,
+        rng: Option<&mut Rng>,
+    ) -> Var {
+        let h_s = self.represent(g, bind, batch, rng);
         score_catalogue(g, self.item_emb.table(bind), h_s)
+    }
+
+    /// The next-item cross-entropy of a batch (dropout on).
+    pub fn ce_loss(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: &mut Rng) -> Var {
+        let h_s = self.represent(g, bind, batch, Some(rng));
+        next_item_ce(g, self.item_emb.table(bind), h_s, &batch.targets)
     }
 }
 
@@ -224,8 +244,7 @@ impl RecModel for SeqRec {
     }
 
     fn loss(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: &mut Rng) -> Var {
-        let logits = self.forward(g, bind, batch, Some(rng));
-        next_item_ce(g, logits, &batch.targets)
+        self.ce_loss(g, bind, batch, rng)
     }
 
     /// `[Eᵀ, pad mask]`: the transposed tied-weight scorer (`d×(V+1)`) and

@@ -322,7 +322,7 @@ impl<'a> From<&'a [StoreExamples<'a>; 3]> for SourceSplit<'a> {
 }
 
 /// What [`fit`] takes beyond the data and the hyper-parameters.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Default)]
 pub struct TrainOptions<'a> {
     /// Warm-start from a prior run's [`TrainState`] — the input of
     /// `ssdrec-stream`'s warm-started full retrain.
@@ -331,8 +331,10 @@ pub struct TrainOptions<'a> {
     /// Adam moments and step count, raw RNG stream, model-side state) of the
     /// prior run but starts fresh epoch/early-stopping counters: the loop
     /// runs `cfg.epochs` epochs from epoch 0. This differs from
-    /// `ckpt.resume`, which continues the *same* run's epoch schedule.
-    pub warm: Option<&'a TrainState>,
+    /// `ckpt.resume`, which continues the *same* run's epoch schedule. The
+    /// state is copied into the model's own buffers; its snapshot is not
+    /// read.
+    pub warm: Option<TrainState>,
     /// Periodic checkpointing and resume.
     ///
     /// The full trainer state (parameters, Adam moments and step count, RNG
@@ -414,10 +416,8 @@ pub fn fit<M: RecModel + ?Sized>(
                 c.path.display()
             );
         }
-    } else if let Some(w) = opts.warm {
-        // The caller keeps its state, so this copy is the one apply_to moves.
-        w.clone()
-            .apply_to(model)
+    } else if let Some(w) = &opts.warm {
+        w.warm_start(model)
             .map_err(|e| format!("warm start: {e}"))?;
         opt.set_steps(w.adam_steps);
         rng = Rng::from_state(w.rng_state);
@@ -498,6 +498,8 @@ pub fn fit<M: RecModel + ?Sized>(
             let every = c.every.max(1);
             let done = epoch + 1;
             if done % every == 0 || stopping || done == cfg.epochs {
+                // The counters; the parameters, moments and snapshot are
+                // written from where they live.
                 let st = checkpoint::TrainState {
                     next_epoch: done as u32,
                     since_best: since_best as u32,
@@ -508,10 +510,10 @@ pub fn fit<M: RecModel + ?Sized>(
                     final_loss,
                     best_valid: best_valid.clone(),
                     model_state: model.train_state(),
-                    params: checkpoint::TrainState::capture_params(model),
-                    best_snapshot: best_snapshot.clone(),
+                    params: Vec::new(),
+                    best_snapshot: Vec::new(),
                 };
-                checkpoint::save_train_state(&st, &c.path)
+                checkpoint::save_live_state(&st, model, &best_snapshot, &c.path)
                     .map_err(|e| format!("checkpoint to {}: {e}", c.path.display()))?;
                 // Kill-simulation hook: arming `train.epoch:panic:N` aborts
                 // the run right after the Nth save, exactly like a crash

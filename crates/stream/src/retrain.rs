@@ -236,7 +236,7 @@ pub fn retrain(
         resume: true,
     };
     let opts = TrainOptions {
-        warm: warm_state.as_ref(),
+        warm: warm_state,
         ckpt: Some(&ckpt),
     };
     let report = fit(&mut model, &(&split).into(), &train_cfg, &opts)?;

@@ -57,14 +57,29 @@
 //! * [`bias_act_rows`] runs in one pass instead of add-then-activate.
 //! * [`scaled_masked_softmax_rows`] fuses the scale/mask pass with the row-max
 //!   scan.
-//! * The softmax family (softmax, log-softmax, scale+mask+softmax) splits
-//!   the oracle's exponential-and-sum loop. Every row's `x − max` is
-//!   written first; then one pass over the call's whole output takes the
-//!   exponentials ([`crate::math::exp`], no reduction) at the vector width
-//!   of the [`TileIsa`](super::TileIsa) build; then each row is summed and
+//! * Softmax and scale+mask+softmax split the oracle's
+//!   exponential-and-sum loop. Every row's `x − max` is written first; then
+//!   one pass over the call's whole output takes the exponentials
+//!   ([`crate::math::exp`], no reduction) at the vector width of the
+//!   [`TileIsa`](super::TileIsa) build; then each row is summed and
 //!   divided. The row max and the row sum stay one scalar chain each in the
 //!   oracle's order. Every element goes through the oracle's operations,
-//!   so the bits are its bits.
+//!   so the bits are its bits. Their rows are short (≤ the catalogue of a
+//!   toy run, the sequence length), and the out-of-order core overlaps
+//!   consecutive rows' chains.
+//! * Log-softmax and the cross-entropy nodes reduce rows stored as
+//!   columns ([`log_sum_exp_cols`]): `W` rows' max and sum chains advance
+//!   in one register per index, each chain still one chain in index order,
+//!   with the exponentials taken inside the sum at the build's width. A
+//!   catalogue row (thousands of entries) is one long serial chain, so
+//!   rows side by side are what keeps the adder busy. The nodes keep their
+//!   logits in that layout; [`log_softmax_rows`] transposes 16-row blocks
+//!   into scratch. The max is the compare `v > acc` rather than
+//!   `f32::max` — written as a fold over `f32::max` the vectoriser turns
+//!   the loop inside out, gathering across indices. The two differ at most
+//!   in which zero a `±0` tie keeps, which no output can see: tied zeros
+//!   exponentiate to 1 each, so the sum is at least 2 and
+//!   `ln(sum) + max` ignores the max's sign.
 //!
 //! [`layer_norm_rows`] has no bit-safe pass fusion (a one-pass
 //! `E[x²]−E[x]²` variance, or multiplying by `1/σ` differently, would
@@ -354,6 +369,172 @@ per_isa! {
     fn exp_in_place(xs: &mut [f32]) = |W| exp_in_place_in::<W>(xs);
 }
 
+/// Rows the row-major log-softmax kernels reduce together: one AVX-512F
+/// register's lanes, two of the narrower builds'.
+const ROW_BLOCK: usize = 16;
+
+/// `f(xt, rows, nr)` for each block of up to [`ROW_BLOCK`] rows of the
+/// row-major `buf` (rows of `n ≥ 1`): `rows` is the block's slice of `buf`
+/// and `xt` a scratch copy of it transposed to `n × nr`, the layout the
+/// column chains ([`col_max`], [`col_sum`]) reduce.
+fn row_blocks(buf: &mut [f32], n: usize, mut f: impl FnMut(&mut [f32], &mut [f32], usize)) {
+    let total = buf.len() / n;
+    let mut scratch = crate::pool::take(n * ROW_BLOCK.min(total));
+    for rows in buf.chunks_mut(n * ROW_BLOCK) {
+        let nr = rows.len() / n;
+        let xt = &mut scratch[..n * nr];
+        crate::kernels::transpose_into(rows, nr, n, xt);
+        f(xt, rows, nr);
+    }
+    crate::pool::recycle(scratch);
+}
+
+/// `out[c] = max_j xt[j·ld + c]` for the `out.len()` leading columns of the
+/// row-major `n × ld` `xt`: column `c` is one row of a softmax, and its max
+/// is the oracle's, one fold from `−∞` in `j` order (as the compare
+/// `v > acc`, see the module docs). `W` columns share a register, so `W`
+/// rows' chains advance together; that changes which register holds a
+/// chain, never its order.
+#[inline(always)]
+fn col_max_in<const W: usize>(xt: &[f32], n: usize, ld: usize, out: &mut [f32]) {
+    for (c0, o) in (0..).step_by(W).zip(out.chunks_mut(W)) {
+        let w = o.len();
+        let mut acc = [f32::NEG_INFINITY; W];
+        for j in 0..n {
+            let x = lanes::<W>(&xt[j * ld + c0..j * ld + c0 + w]);
+            for (a, &v) in acc.iter_mut().zip(&x) {
+                *a = if v > *a { v } else { *a };
+            }
+        }
+        store_lanes(o, &acc);
+    }
+}
+
+/// `out[c] = start + Σ_j t(xt[j·ld + c])` for the `out.len()` leading
+/// columns of the `n × ld` `xt`, one chain per column in `j` order, `W`
+/// columns to a register as in [`col_max_in`]. `t` is `exp(x − shift[c])`
+/// (the exponentials at the build's width) when `shift` is given, else the
+/// identity.
+#[inline(always)]
+fn col_sum_in<const W: usize>(
+    xt: &[f32],
+    n: usize,
+    ld: usize,
+    shift: Option<&[f32]>,
+    start: f32,
+    out: &mut [f32],
+) {
+    for (c0, o) in (0..).step_by(W).zip(out.chunks_mut(W)) {
+        let w = o.len();
+        let col = |j: usize| lanes::<W>(&xt[j * ld + c0..j * ld + c0 + w]);
+        let mut acc = [start; W];
+        match shift {
+            Some(shift) => {
+                let m = lanes::<W>(&shift[c0..c0 + w]);
+                for j in 0..n {
+                    let x = col(j);
+                    for ((a, &v), &mv) in acc.iter_mut().zip(&x).zip(&m) {
+                        *a += math::exp(v - mv);
+                    }
+                }
+            }
+            None => {
+                for j in 0..n {
+                    for (a, &v) in acc.iter_mut().zip(&col(j)) {
+                        *a += v;
+                    }
+                }
+            }
+        }
+        store_lanes(o, &acc);
+    }
+}
+
+per_isa! {
+    /// [`col_max_in`] in the active build.
+    fn col_max(xt: &[f32], n: usize, ld: usize, out: &mut [f32]) =
+        |W| col_max_in::<W>(xt, n, ld, out);
+}
+
+per_isa! {
+    /// [`col_sum_in`] in the active build.
+    fn col_sum(
+        xt: &[f32],
+        n: usize,
+        ld: usize,
+        shift: Option<&[f32]>,
+        start: f32,
+        out: &mut [f32],
+    ) = |W| col_sum_in::<W>(xt, n, ld, shift, start, out);
+}
+
+/// `lse[c] = ln(Σ_j exp(x − max)) + max` of each of the `lse.len()` rows
+/// stored as the leading columns of the `n × ld` `xt`: the oracle
+/// log-softmax's log-sum-exp, its max and its sum each one chain in index
+/// order ([`col_max`], [`col_sum`]). The sum starts from `−0`, as
+/// `Iterator::sum` does.
+pub fn log_sum_exp_cols(xt: &[f32], n: usize, ld: usize, lse: &mut [f32]) {
+    col_max(xt, n, ld, lse);
+    let mut sum = crate::pool::take(lse.len());
+    col_sum(xt, n, ld, Some(lse), -0.0, &mut sum);
+    for (l, &s) in lse.iter_mut().zip(&sum) {
+        *l += math::ln(s);
+    }
+    crate::pool::recycle(sum);
+}
+
+/// The cross-entropy gradient over logits stored as columns, as the
+/// unfused `log_softmax → pick → mean → neg` chain builds it:
+/// `gt[j·ld + c] = gv − exp(xt[j·ld + c] − lse[c]) · gsum[c]`, where `gv`
+/// is `g` at `j = targets[c]` and `+0` elsewhere, and `gsum[c]` is the
+/// chain's row sum of those `gv`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn ce_grad_cols_in<const W: usize>(
+    xt: &[f32],
+    n: usize,
+    ld: usize,
+    lse: &[f32],
+    gsum: &[f32],
+    targets: &[usize],
+    g: f32,
+    gt: &mut [f32],
+) {
+    let rows = lse.len();
+    for (xr, gr) in xt.chunks(ld).zip(gt.chunks_mut(ld)).take(n) {
+        for c0 in (0..rows).step_by(W) {
+            let w = W.min(rows - c0);
+            let x = lanes::<W>(&xr[c0..c0 + w]);
+            let l = lanes::<W>(&lse[c0..c0 + w]);
+            let s = lanes::<W>(&gsum[c0..c0 + w]);
+            let mut d = [0.0; W];
+            for (((o, &xv), &lv), &sv) in d.iter_mut().zip(&x).zip(&l).zip(&s) {
+                *o = 0.0 - math::exp(xv - lv) * sv;
+            }
+            store_lanes(&mut gr[c0..c0 + w], &d);
+        }
+    }
+    for (c, &t) in targets.iter().enumerate() {
+        let o = t * ld + c;
+        gt[o] = g - math::exp(xt[o] - lse[c]) * gsum[c];
+    }
+}
+
+per_isa! {
+    /// [`ce_grad_cols_in`] in the active build.
+    #[allow(clippy::too_many_arguments)]
+    pub fn ce_grad_cols(
+        xt: &[f32],
+        n: usize,
+        ld: usize,
+        lse: &[f32],
+        gsum: &[f32],
+        targets: &[usize],
+        g: f32,
+        gt: &mut [f32],
+    ) = |W| ce_grad_cols_in::<W>(xt, n, ld, lse, gsum, targets, g, gt);
+}
+
 /// The oracle's row max: one `f32::max` fold from `−∞` in index order.
 fn row_max(row: &[f32]) -> f32 {
     row.iter().cloned().fold(f32::NEG_INFINITY, f32::max)
@@ -451,19 +632,37 @@ pub fn softmax_rows(src: &[f32], dst: &mut [f32], n: usize) {
     dst.chunks_mut(n).for_each(normalise);
 }
 
-/// Row-wise numerically-stable log-softmax (`n ≥ 1`).
+/// Row-wise numerically-stable log-softmax (`n ≥ 1`): `s − lse` with the
+/// row's [`log_sum_exp_cols`].
 pub fn log_softmax_rows(src: &[f32], dst: &mut [f32], n: usize) {
-    // The exponentials are parked in `dst` while their sum runs.
-    for (srow, drow) in src.chunks(n).zip(dst.chunks_mut(n)) {
-        shifted(srow, drow);
-    }
-    exp_in_place(dst);
-    for (srow, drow) in src.chunks(n).zip(dst.chunks_mut(n)) {
-        let lse = math::ln(drow.iter().sum::<f32>()) + row_max(srow);
-        for (d, &s) in drow.iter_mut().zip(srow) {
-            *d = s - lse;
+    dst.copy_from_slice(src);
+    let mut lse = [0.0; ROW_BLOCK];
+    row_blocks(dst, n, |xt, rows, nr| {
+        log_sum_exp_cols(xt, n, nr, &mut lse[..nr]);
+        for (row, &l) in rows.chunks_mut(n).zip(&lse) {
+            for d in row {
+                *d -= l;
+            }
         }
-    }
+    });
+}
+
+/// The gradient of [`log_softmax_rows`]: `g` holds the output gradient on
+/// entry and `dx = dy − exp(y) · Σ dy` per row on return, `y` the forward
+/// output. The row sum is `−0`-started, as `Iterator::sum` is.
+pub fn log_softmax_backward_rows(y: &[f32], g: &mut [f32], n: usize) {
+    let mut gsum = [0.0; ROW_BLOCK];
+    let mut r0 = 0;
+    row_blocks(g, n, |gt, rows, nr| {
+        col_sum(gt, n, nr, None, -0.0, &mut gsum[..nr]);
+        let ys = y[r0 * n..(r0 + nr) * n].chunks(n);
+        for ((row, yr), &s) in rows.chunks_mut(n).zip(ys).zip(&gsum) {
+            for (d, &lv) in row.iter_mut().zip(yr) {
+                *d -= math::exp(lv) * s;
+            }
+        }
+        r0 += nr;
+    });
 }
 
 /// Row-wise LayerNorm with scale/shift: `gamma`/`beta` have length `n`.

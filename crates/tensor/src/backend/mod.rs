@@ -50,8 +50,8 @@ mod isa;
 use crate::math;
 
 pub use blocked::{
-    bias_act_rows, gemm_rows, layer_norm_rows, log_softmax_rows, scaled_masked_softmax_rows,
-    softmax_rows,
+    bias_act_rows, ce_grad_cols, gemm_rows, layer_norm_rows, log_softmax_backward_rows,
+    log_softmax_rows, log_sum_exp_cols, scaled_masked_softmax_rows, softmax_rows,
 };
 pub(crate) use isa::{lanes, per_isa, store_lanes};
 pub use isa::{with_tile_isa, TileIsa};

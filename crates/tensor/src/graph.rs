@@ -66,6 +66,16 @@ enum Op {
     TransposeLast(Var),
     SoftmaxLast(Var),
     LogSoftmaxLast(Var),
+    /// Fused `−mean_i log_softmax(h · tableᵀ + mask)[i, targets[i]]` (see
+    /// [`Graph::catalogue_ce`]), keeping the logits and row log-sum-exps.
+    CatalogueCe {
+        h: Var,
+        table: Var,
+        saved: kernels::CeSaved,
+    },
+    /// Fused `−mean_i log_softmax(logits)[i, targets[i]]` (see
+    /// [`Graph::softmax_ce`]).
+    SoftmaxCe(Var, kernels::CeSaved),
     /// Fused `act(a + broadcast(bias))` — one backend pass replacing an
     /// [`Op::AddBcast`] followed by an activation node, bit-identical to
     /// that chain.
@@ -297,9 +307,7 @@ impl Graph {
     /// Drop nodes `start..` into the pool, keeping the `Vec` allocation.
     fn recycle_from(&mut self, start: usize) {
         for node in self.nodes.drain(start..) {
-            if let Op::Dropout(_, buf) | Op::LstmSeq { saved: buf, .. } = node.op {
-                pool::recycle(buf);
-            }
+            recycle_op(node.op);
             pool::recycle(node.value.into_data());
         }
     }
@@ -347,6 +355,7 @@ impl Graph {
         } else {
             // Inference graphs keep no tape: every node degenerates to a
             // gradient-free leaf holding only its forward value.
+            recycle_op(op);
             (Op::Leaf, false)
         };
         self.nodes.push(Node {
@@ -531,6 +540,34 @@ impl Graph {
         let t = kernels::log_softmax_last(self.value(a));
         let rg = self.rg(a);
         self.push(t, Op::LogSoftmaxLast(a), rg)
+    }
+
+    /// The mean cross-entropy of a catalogue's scores as one node:
+    /// `−mean_i log_softmax(h · tableᵀ + mask)[i, targets[i]]` for `h`
+    /// `B×d`, `table` `n×d` and a constant `[n]` `mask`. The loss and both
+    /// gradients are bit-identical to `transpose_last → matmul → add_bcast
+    /// → log_softmax_last → pick_per_row → mean_all → neg`; the node keeps
+    /// only the `B×n` logits and one log-sum-exp per row
+    /// ([`kernels::catalogue_ce`]).
+    pub fn catalogue_ce(&mut self, h: Var, table: Var, mask: Var, targets: &[usize]) -> Var {
+        assert!(!self.rg(mask), "catalogue_ce: the mask is a constant");
+        let (loss, saved) =
+            kernels::catalogue_ce(self.value(h), self.value(table), self.value(mask), targets);
+        let rg = self.rg(h) || self.rg(table);
+        self.push(
+            Tensor::scalar(loss),
+            Op::CatalogueCe { h, table, saved },
+            rg,
+        )
+    }
+
+    /// `−mean_i log_softmax(logits)[i, targets[i]]` over `B×n` logits as
+    /// one node, bit-identical to `log_softmax_last → pick_per_row →
+    /// mean_all → neg` ([`kernels::softmax_ce`]).
+    pub fn softmax_ce(&mut self, logits: Var, targets: &[usize]) -> Var {
+        let (loss, saved) = kernels::softmax_ce(self.value(logits), targets);
+        let rg = self.rg(logits);
+        self.push(Tensor::scalar(loss), Op::SoftmaxCe(logits, saved), rg)
     }
 
     /// Fused `act(a + broadcast(bias))` where `bias`'s shape is a suffix of
@@ -984,6 +1021,20 @@ impl Graph {
                     kernels::log_softmax_last_backward(&node.value, gout),
                 );
             }
+            Op::CatalogueCe { h, table, saved } => {
+                let inputs = [*h, *table];
+                let gs = kernels::catalogue_ce_backward(
+                    self.value(*h),
+                    self.value(*table),
+                    saved,
+                    gout.item(),
+                    inputs.map(|v| self.rg(v)),
+                );
+                self.accum_requested(grads, inputs, gs);
+            }
+            Op::SoftmaxCe(a, saved) => {
+                self.accum(grads, *a, kernels::softmax_ce_backward(saved, gout.item()));
+            }
             Op::BiasAct(a, bias, act) => {
                 // Gradient through the activation via the fused output,
                 // then the AddBcast split — the exact unfused chain.
@@ -1141,6 +1192,15 @@ impl Graph {
             }
             Op::Detach => {}
         }
+    }
+}
+
+/// Return the buffers an op owns beside its node's value to the pool.
+fn recycle_op(op: Op) {
+    match op {
+        Op::Dropout(_, buf) | Op::LstmSeq { saved: buf, .. } => pool::recycle(buf),
+        Op::CatalogueCe { saved, .. } | Op::SoftmaxCe(_, saved) => saved.recycle(),
+        _ => {}
     }
 }
 

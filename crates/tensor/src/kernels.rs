@@ -41,8 +41,9 @@
 //! scalar bits.
 
 use crate::backend::{
-    bias_act_rows, gemm_rows, lanes, layer_norm_rows, log_softmax_rows, per_isa,
-    scaled_masked_softmax_rows, softmax_rows, store_lanes, Activation, LN_EPS, TILE_ROWS,
+    bias_act_rows, ce_grad_cols, gemm_rows, lanes, layer_norm_rows, log_softmax_backward_rows,
+    log_softmax_rows, log_sum_exp_cols, per_isa, scaled_masked_softmax_rows, softmax_rows,
+    store_lanes, Activation, LN_EPS, TILE_ROWS,
 };
 use crate::math;
 use crate::sparse::{CsrMatrix, CsrRows};
@@ -663,21 +664,190 @@ pub fn log_softmax_last(a: &Tensor) -> Tensor {
 /// Backward of [`log_softmax_last`]: `dx = dy − softmax(x) · Σ dy` per row.
 pub fn log_softmax_last_backward(y: &Tensor, gout: &Tensor) -> Tensor {
     let n = last_dim(y.shape());
-    let mut out = Tensor::zeros(y.shape());
-    if n == 0 {
-        return out;
+    let mut out = gout.clone();
+    if n > 0 {
+        log_softmax_backward_rows(y.data(), out.data_mut(), n);
     }
-    for ((yr, gr), dr) in y
-        .data()
-        .chunks(n)
-        .zip(gout.data().chunks(n))
-        .zip(out.data_mut().chunks_mut(n))
-    {
-        let gsum: f32 = gr.iter().sum();
-        for ((d, &lv), &gv) in dr.iter_mut().zip(yr.iter()).zip(gr.iter()) {
-            *d = gv - math::exp(lv) * gsum;
+    out
+}
+
+/// What a fused cross-entropy node keeps for its backward: the `n × B`
+/// logits, transposed so that each of the `B` rows is a column, each row's
+/// log-sum-exp, and the targets.
+///
+/// The transposed layout is what makes the node cheap. A row's max and sum
+/// are each one chain in index order, so a row-major pass is latency-bound;
+/// with the rows as columns, `W` rows' chains advance in one register per
+/// index, each chain still in its own order
+/// ([`log_sum_exp_cols`]), and the backward's `dh` reads them as a
+/// contiguous packed panel.
+#[derive(Debug)]
+pub struct CeSaved {
+    logits_t: Vec<f32>,
+    lse: Vec<f32>,
+    targets: Vec<usize>,
+}
+
+impl CeSaved {
+    /// Take `n × B` logits (`B = targets.len()`) and compute each row's
+    /// log-sum-exp.
+    fn new(logits_t: Vec<f32>, targets: &[usize]) -> Self {
+        let b = targets.len();
+        let n = logits_t.len().checked_div(b).unwrap_or(0);
+        assert!(targets.iter().all(|&t| t < n), "a target is not a column");
+        let mut lse = crate::pool::take(b);
+        log_sum_exp_cols(&logits_t, n, b, &mut lse);
+        CeSaved {
+            logits_t,
+            lse,
+            targets: targets.to_vec(),
         }
     }
+
+    /// `−mean_i (s[i, t_i] − lse_i)`: the unfused `pick_per_row → mean_all
+    /// → neg` chain over the log-softmax, as that chain rounds it (`neg` is
+    /// a multiply by −1, which keeps a NaN's sign where `-x` would flip it).
+    #[allow(clippy::neg_multiply)]
+    fn loss(&self) -> f32 {
+        let b = self.targets.len();
+        let picked: f32 = self
+            .targets
+            .iter()
+            .zip(&self.lse)
+            .enumerate()
+            .map(|(i, (&t, &lse))| self.logits_t[t * b + i] - lse)
+            .sum();
+        picked / b as f32 * -1.0
+    }
+
+    /// The loss gradient w.r.t. the `n × B` logits for a loss gradient
+    /// `gout`: `−gout / B` at each target, through the log-softmax backward,
+    /// rounded as the unfused chain rounds it.
+    #[allow(clippy::neg_multiply)]
+    fn logit_grad(&self, gout: f32) -> Vec<f32> {
+        let b = self.targets.len();
+        let n = self.logits_t.len() / b.max(1);
+        // neg, then mean_all: the gradient every picked entry receives.
+        let g = gout * -1.0 / b as f32;
+        // The log-softmax backward's row sum of that row: `Iterator::sum`'s
+        // `−0`-started chain over `+0`s and `g`, each run of `+0` one add.
+        let gsum: Vec<f32> = self
+            .targets
+            .iter()
+            .map(|&t| {
+                let mut s = -0.0f32;
+                if t > 0 {
+                    s += 0.0;
+                }
+                s += g;
+                if t + 1 < n {
+                    s += 0.0;
+                }
+                s
+            })
+            .collect();
+        let mut gt = crate::pool::take(n * b);
+        ce_grad_cols(
+            &self.logits_t,
+            n,
+            b,
+            &self.lse,
+            &gsum,
+            &self.targets,
+            g,
+            &mut gt,
+        );
+        gt
+    }
+
+    /// Return the buffers to the pool.
+    pub fn recycle(self) {
+        crate::pool::recycle(self.logits_t);
+        crate::pool::recycle(self.lse);
+    }
+}
+
+/// The next-item cross-entropy over a catalogue: `−mean_i log softmax(h ·
+/// tableᵀ + mask)[i, targets[i]]` for `h` `B×d`, `table` `n×d` and `mask`
+/// `[n]`, bit-identical to the unfused `transpose_last → matmul →
+/// add_bcast → log_softmax_last → pick_per_row → mean_all → neg` chain.
+///
+/// The logits come out of one gemm as `table · hᵀ` (each element the same
+/// `p`-ascending chain of the same products), and the mask is added to
+/// them as the chain adds it.
+pub fn catalogue_ce(
+    h: &Tensor,
+    table: &Tensor,
+    mask: &Tensor,
+    targets: &[usize],
+) -> (f32, CeSaved) {
+    let (b, d) = h.dims2();
+    let (n, d2) = table.dims2();
+    assert_eq!(d, d2, "catalogue_ce: h is B×{d}, the table n×{d2}");
+    assert_eq!(targets.len(), b, "catalogue_ce: one target per row");
+    assert_eq!(mask.shape(), &[n], "catalogue_ce: the mask is one row");
+    let mut lt = crate::pool::take_zeroed(n * b);
+    gemm(table.data(), false, h.data(), true, n, d, b, &mut lt);
+    for (row, &m) in lt.chunks_mut(b.max(1)).zip(mask.data()) {
+        for x in row {
+            *x += m;
+        }
+    }
+    let saved = CeSaved::new(lt, targets);
+    (saved.loss(), saved)
+}
+
+/// Gradients of [`catalogue_ce`] w.r.t. `(h, table)` for a loss gradient
+/// `gout`, each only when its `need` flag is set: `dh = G·table` and
+/// `dtable = Gᵀ·h`, `G` the logits' gradient — the unfused chain's two
+/// gemms, each element the same chain of the same products.
+pub fn catalogue_ce_backward(
+    h: &Tensor,
+    table: &Tensor,
+    saved: &CeSaved,
+    gout: f32,
+    need: [bool; 2],
+) -> [Option<Tensor>; 2] {
+    let (b, d) = h.dims2();
+    let n = table.shape()[0];
+    let gt = saved.logit_grad(gout);
+    let grads = [
+        need[0].then(|| {
+            let mut dh = Tensor::zeros(&[b, d]);
+            gemm(&gt, true, table.data(), false, b, n, d, dh.data_mut());
+            dh
+        }),
+        need[1].then(|| {
+            let mut dt = Tensor::zeros(&[n, d]);
+            gemm(&gt, false, h.data(), false, n, b, d, dt.data_mut());
+            dt
+        }),
+    ];
+    crate::pool::recycle(gt);
+    grads
+}
+
+/// `−mean_i log_softmax(logits)[i, targets[i]]` over given `B×n` logits,
+/// bit-identical to the unfused `log_softmax_last → pick_per_row →
+/// mean_all → neg` chain.
+pub fn softmax_ce(logits: &Tensor, targets: &[usize]) -> (f32, CeSaved) {
+    let (b, n) = logits.dims2();
+    assert_eq!(targets.len(), b, "softmax_ce: one target per row");
+    let mut lt = crate::pool::take(n * b);
+    transpose_into(logits.data(), b, n, &mut lt);
+    let saved = CeSaved::new(lt, targets);
+    (saved.loss(), saved)
+}
+
+/// Gradient of [`softmax_ce`] w.r.t. its `B×n` logits for a loss gradient
+/// `gout`.
+pub fn softmax_ce_backward(saved: &CeSaved, gout: f32) -> Tensor {
+    let b = saved.targets.len();
+    let n = saved.logits_t.len() / b.max(1);
+    let gt = saved.logit_grad(gout);
+    let mut out = Tensor::new(crate::pool::take(b * n), &[b, n]);
+    transpose_into(&gt, n, b, out.data_mut());
+    crate::pool::recycle(gt);
     out
 }
 

@@ -24,7 +24,9 @@
 #      (no curl), assert a well-formed response that did not wait on the
 #      silent connection, shut down cleanly within 10 s with it still open.
 #      Two requests of different history lengths sent at once must answer
-#      with the bytes each gets alone, batch_size aside.
+#      with the bytes each gets alone, batch_size aside — on the default
+#      server, and on one worker lingering 500 ms while both arrive during
+#      the linger of a batch of a third length.
 #   6. Chaos smoke: re-serve the checkpoint with SSDREC_FAULTS arming one
 #      read fault and one worker panic; retry until the response matches
 #      the fault-free baseline byte-for-byte and /metrics reports the
@@ -71,9 +73,11 @@
 #      instead of silently nulling a per-layer metric), then
 #      `benchmark/run.sh --smoke` runs every workload's correctness checks
 #      and all seven probes at tiny sizes.
-#  17. Line-count ledger: the number ROADMAP item 8 tracks and its product
-#      share (crates/*/src + src), the line counts of DESIGN.md and README.md
-#      beside it, and a check that the run left `git status` as it found it.
+#  17. Line-count ledger: the Rust lines ROADMAP item 8 tracks, split into
+#      shipped code, inline #[cfg(test)] modules, crates/testkit and the
+#      test directories (the counting rule is written at the stage), the
+#      line counts of DESIGN.md and README.md beside it, and a check that
+#      the run left `git status` as it found it.
 #
 # Everything runs with CARGO_NET_OFFLINE=true: any attempt to reach the
 # registry fails the build immediately.
@@ -280,16 +284,70 @@ TOGETHER=("$(awk 'body {print} /^\r?$/ {body=1}' <&5)" "$(awk 'body {print} /^\r
 exec 5<&- 5>&- 6<&- 6>&-
 http_body GET '/recommend?user=1&seq=1&k=5' >/dev/null
 http_body GET '/recommend?user=2&seq=1&k=5' >/dev/null
+ALONE=()
 for i in 0 1; do
-    ALONE=$(http_body GET "${PAIR[$i]}")
-    printf '%s' "$ALONE" | grep -q '"items":\[' || die "serve smoke: malformed response: $ALONE"
-    [ "$(sed 's/"batch_size":[0-9]*//' <<<"${TOGETHER[$i]}")" = "$(sed 's/"batch_size":[0-9]*//' <<<"$ALONE")" ] ||
-        die "serve smoke: ${PAIR[$i]} answered ${TOGETHER[$i]} beside a request of another length, $ALONE alone"
+    ALONE[i]=$(http_body GET "${PAIR[$i]}")
+    printf '%s' "${ALONE[$i]}" | grep -q '"items":\[' || die "serve smoke: malformed response: ${ALONE[$i]}"
+    [ "$(sed 's/"batch_size":[0-9]*//' <<<"${TOGETHER[$i]}")" = "$(sed 's/"batch_size":[0-9]*//' <<<"${ALONE[$i]}")" ] ||
+        die "serve smoke: ${PAIR[$i]} answered ${TOGETHER[$i]} beside a request of another length, ${ALONE[$i]} alone"
 done
 stop_server
 exec 4<&- 4>&-
 echo "ok: served a request beside a silent connection on port $PORT and shut down cleanly"
 echo "ok: two concurrent requests of different lengths answered with the bytes each gets alone"
+# Two idle workers may take the pair one request each, which says nothing
+# about how a take groups lengths. On one worker lingering 500 ms, eight
+# length-5 requests put a batch of them into a linger, and the pair
+# arrives during it: a take that let other lengths join would run all of
+# them in one forward. Each pair answer must still be its alone bytes.
+# Whether a burst queues together is timing (the server accepts it one
+# connection at a time), so it is tried three times, each with histories
+# the cache has not seen.
+start_server take $SMOKE_FLAGS --model "$SMOKE_DIR/ckpt.ssdt" --workers 1 --linger-ms 500
+# send_burst SEQ: sixteen length-5 requests, written back to back on
+# sixteen fresh connections, from the smoke data's users other than the
+# pair's (it has nine); leaves their descriptors in BLOCKERS.
+send_burst() {
+    local users=(0 3 4 5 6 7 8)
+    BLOCKERS=()
+    for _ in $(seq 16); do
+        exec {fd}<>"/dev/tcp/127.0.0.1/$PORT"
+        BLOCKERS+=("$fd")
+    done
+    for i in "${!BLOCKERS[@]}"; do
+        printf 'GET /recommend?user=%s&seq=%s&k=5 HTTP/1.1\r\nHost: ci\r\nContent-Length: 0\r\nConnection: close\r\n\r\n' \
+            "${users[i % 7]}" "$1" >&"${BLOCKERS[$i]}"
+    done
+}
+drain_burst() {
+    for fd in "${BLOCKERS[@]}"; do
+        cat <&"$fd" >/dev/null
+        exec {fd}<&- {fd}>&-
+    done
+}
+# The first burst only leaves idle acceptors behind (the server keeps up
+# to 16), so that later bursts are parsed in parallel.
+send_burst 1,1,1,1,1
+drain_burst
+for burst in 2,1,1,1,1 1,2,1,1,1 1,1,2,1,1; do
+    send_burst "$burst"
+    sleep 0.1
+    exec 5<>"/dev/tcp/127.0.0.1/$PORT" 6<>"/dev/tcp/127.0.0.1/$PORT"
+    printf 'GET %s HTTP/1.1\r\nHost: ci\r\nContent-Length: 0\r\nConnection: close\r\n\r\n' "${PAIR[0]}" >&5
+    printf 'GET %s HTTP/1.1\r\nHost: ci\r\nContent-Length: 0\r\nConnection: close\r\n\r\n' "${PAIR[1]}" >&6
+    TOGETHER=("$(awk 'body {print} /^\r?$/ {body=1}' <&5)" "$(awk 'body {print} /^\r?$/ {body=1}' <&6)")
+    exec 5<&- 5>&- 6<&- 6>&-
+    drain_burst
+    for i in 0 1; do
+        [ "$(sed 's/"batch_size":[0-9]*//' <<<"${TOGETHER[$i]}")" = "$(sed 's/"batch_size":[0-9]*//' <<<"${ALONE[$i]}")" ] ||
+            die "serve smoke: ${PAIR[$i]} answered ${TOGETHER[$i]} during a lingering batch of another length on one worker, ${ALONE[$i]} alone"
+    done
+    # Evict the pair's cache entries for the next burst.
+    http_body GET '/recommend?user=1&seq=1&k=5' >/dev/null
+    http_body GET '/recommend?user=2&seq=1&k=5' >/dev/null
+done
+stop_server
+echo "ok: on one lingering worker, requests of other lengths did not join a batch"
 
 echo "== chaos smoke (SSDREC_FAULTS: injected faults + recovery) =="
 SSDREC_FAULTS="serve.read:error:1,engine.batch:panic:1" \
@@ -514,8 +572,22 @@ benchmark/run.sh --smoke >"$SMOKE_DIR/benchmark_smoke.log" ||
 echo "ok: benchmark/probes and benchmark/driver build; every workload check and probe passed"
 
 echo "== line-count ledger + clean tree =="
-echo "rust lines: $(find crates src tests -name '*.rs' | xargs cat | wc -l)" \
-    "(product: $(find crates/*/src src -name '*.rs' | xargs cat | wc -l))"
+# The ledger: every Rust line under crates, src and tests, in four
+# disjoint counts.
+#   shipped    crates/*/src and src, less the other two below;
+#   inline     #[cfg(test)] modules in those files: each from a column-0
+#              `#[cfg(test)]` line through the next column-0 `}`;
+#   testkit    crates/testkit/src;
+#   test dirs  every other .rs file: crates/*/tests and tests.
+count_lines() { cat "$@" /dev/null | wc -l; }
+PRODUCT=($(find crates/*/src src -name '*.rs' -not -path 'crates/testkit/*' | sort))
+INLINE=$(awk 'FNR == 1 {t = 0} /^#\[cfg\(test\)\]/ {t = 1} t {n++} t && /^}/ {t = 0} END {print n + 0}' \
+    "${PRODUCT[@]}")
+TESTKIT=$(count_lines $(find crates/testkit/src -name '*.rs'))
+ALL=$(count_lines $(find crates src tests -name '*.rs'))
+SHIPPED=$(($(count_lines "${PRODUCT[@]}") - INLINE))
+echo "rust lines: $ALL = shipped $SHIPPED + inline tests $INLINE + testkit $TESTKIT" \
+    "+ test dirs $((ALL - SHIPPED - INLINE - TESTKIT))"
 echo "doc lines: $(wc -l DESIGN.md README.md | tr '\n' ' ')"
 STATUS_AFTER=$(git status --porcelain 2>/dev/null || true)
 if [ "$STATUS_AFTER" != "$STATUS_BEFORE" ]; then
