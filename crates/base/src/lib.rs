@@ -5,6 +5,9 @@
 //!
 //! * [`atomic_file`] — [`atomic_file::AtomicFile`], the one way a file is
 //!   published: temp file, fsync, fault site, rename;
+//! * [`bytes`] — the one byte codec of the file formats: a
+//!   [`bytes::Cursor`] that bounds every count by the bytes left, the
+//!   [`bytes::Put`] writer, LEB128 varints, zigzag and CRC-32;
 //! * [`faults`] — named fault-injection sites ([`faults::point`]) and the
 //!   thread- and process-scoped plans that arm them, zero-cost when
 //!   disarmed;
@@ -21,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod atomic_file;
+pub mod bytes;
 pub mod faults;
 pub mod json;
 pub mod rng;

@@ -19,7 +19,7 @@
 //! ```
 //!
 //! Section payload CRCs and the footer CRC are IEEE CRC-32
-//! ([`crate::format::crc32`]). The encoder is a pure function of its input:
+//! (`ssdrec_base::bytes::crc32`). The encoder is a pure function of its input:
 //! bytes are identical across runs, hosts, and thread counts.
 //!
 //! Writes are atomic ([`ssdrec_base::atomic_file`]): everything goes to
@@ -31,17 +31,21 @@
 //! section CRC (large sections are scanned in bounded chunks), and
 //! structurally validates the whole item column once — after a successful
 //! open, per-user reads are infallible and served through a small reusable
-//! window buffer (`pread`, no full materialization).
+//! window buffer (`pread`, no full materialization). Bounds are enforced
+//! there, through `ssdrec_base::bytes`: the footer count by the file,
+//! META's user count by LENS (at least a byte a user), and every field by
+//! its section, so a forged count is a typed error before any allocation.
 
 use std::cell::RefCell;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use ssdrec_base::atomic_file::AtomicFile;
+use ssdrec_base::bytes::{bounded, crc32, read_varint, unzigzag, zigzag, Crc32, Cursor, Put};
 
-use crate::format::{crc32, read_varint, unzigzag, write_varint, zigzag, Crc32, FormatError};
+use crate::format::FormatError;
 use crate::interaction::Dataset;
 
 const MAGIC: &[u8; 4] = b"SSDC";
@@ -51,7 +55,7 @@ const HEADER_LEN: u64 = 16;
 const FLAG_NOISE: u32 = 1;
 const FLAG_TIME: u32 = 1 << 1;
 /// Bytes per footer-table entry: tag + offset + len + crc.
-const SECTION_ENTRY_LEN: usize = 4 + 8 + 8 + 4;
+const SECTION_ENTRY_LEN: u64 = 4 + 8 + 8 + 4;
 /// Default reusable read-window size (bytes).
 const WINDOW_LEN: usize = 1 << 20;
 /// Chunk size for streaming CRC verification of large sections.
@@ -104,19 +108,14 @@ impl ColumnarWriter {
         has_times: bool,
     ) -> Result<Self, FormatError> {
         let mut file = AtomicFile::create(path)?;
-        let mut flags = 0u32;
-        if has_noise {
-            flags |= FLAG_NOISE;
+        let flags = (FLAG_NOISE * has_noise as u32) | (FLAG_TIME * has_times as u32);
+        let mut header = MAGIC.to_vec();
+        for field in [VERSION, flags, 0] {
+            header.put_u32(field);
         }
-        if has_times {
-            flags |= FLAG_TIME;
-        }
-        file.write_all(MAGIC)?;
-        file.write_all(&VERSION.to_le_bytes())?;
-        file.write_all(&flags.to_le_bytes())?;
-        file.write_all(&0u32.to_le_bytes())?;
+        file.write_all(&header)?;
         let mut offs = Vec::new();
-        write_varint(&mut offs, 0); // first offset is always 0
+        offs.put_varint(0); // first offset is always 0
         Ok(ColumnarWriter {
             file,
             name: name.to_string(),
@@ -126,7 +125,7 @@ impl ColumnarWriter {
             num_users: 0,
             num_interactions: 0,
             item_bytes: 0,
-            item_crc: Crc32::new(),
+            item_crc: Crc32::default(),
             scratch: Vec::new(),
             lens: Vec::new(),
             offs,
@@ -165,15 +164,15 @@ impl ColumnarWriter {
                     num_items: self.num_items,
                 });
             }
-            write_varint(&mut self.scratch, zigzag(it as i64 - prev));
+            self.scratch.put_varint(zigzag(it as i64 - prev));
             prev = it as i64;
         }
         self.item_crc.update(&self.scratch);
         self.item_bytes += self.scratch.len() as u64;
         self.file.write_all(&self.scratch)?;
 
-        write_varint(&mut self.lens, seq.len() as u64);
-        write_varint(&mut self.offs, self.scratch.len() as u64);
+        self.lens.put_varint(seq.len() as u64);
+        self.offs.put_varint(self.scratch.len() as u64);
         if let Some(nz) = noise {
             assert_eq!(nz.len(), seq.len(), "noise labels must align with seq");
             for &b in nz {
@@ -191,7 +190,7 @@ impl ColumnarWriter {
             assert_eq!(ts.len(), seq.len(), "timestamps must align with seq");
             let mut prev = 0i64;
             for &t in ts {
-                write_varint(&mut self.times, zigzag(t.wrapping_sub(prev)));
+                self.times.put_varint(zigzag(t.wrapping_sub(prev)));
                 prev = t;
             }
         }
@@ -204,16 +203,14 @@ impl ColumnarWriter {
     /// fault site, and atomically rename into place.
     pub fn finish(mut self) -> Result<ColumnarSummary, FormatError> {
         let mut meta = Vec::new();
-        meta.extend_from_slice(&(self.name.len() as u32).to_le_bytes());
-        meta.extend_from_slice(self.name.as_bytes());
-        meta.extend_from_slice(&(self.num_users as u64).to_le_bytes());
-        meta.extend_from_slice(&(self.num_items as u64).to_le_bytes());
-        meta.extend_from_slice(&self.num_interactions.to_le_bytes());
+        meta.put_name(&self.name);
+        meta.put_u64(self.num_users as u64);
+        meta.put_u64(self.num_items as u64);
+        meta.put_u64(self.num_interactions);
 
         // Section table: ITEM first (streamed behind the header), then the
         // buffered index columns in a fixed order.
-        let mut table: Vec<(&[u8; 4], u64, u64, u32)> = Vec::new();
-        table.push((b"ITEM", HEADER_LEN, self.item_bytes, self.item_crc.finish()));
+        let mut table = vec![(b"ITEM", HEADER_LEN, self.item_bytes, self.item_crc.finish())];
         let mut cursor = HEADER_LEN + self.item_bytes;
         let mut small: Vec<(&[u8; 4], &[u8])> = vec![
             (b"META", &meta),
@@ -235,13 +232,13 @@ impl ColumnarWriter {
         let mut footer = Vec::new();
         for &(tag, off, len, crc) in &table {
             footer.extend_from_slice(tag);
-            footer.extend_from_slice(&off.to_le_bytes());
-            footer.extend_from_slice(&len.to_le_bytes());
-            footer.extend_from_slice(&crc.to_le_bytes());
+            footer.put_u64(off);
+            footer.put_u64(len);
+            footer.put_u32(crc);
         }
-        footer.extend_from_slice(&(table.len() as u32).to_le_bytes());
+        footer.put_u32(table.len() as u32);
         let fcrc = crc32(&footer);
-        footer.extend_from_slice(&fcrc.to_le_bytes());
+        footer.put_u32(fcrc);
         footer.extend_from_slice(FOOTER_MAGIC);
         self.file.write_all(&footer)?;
         let bytes = cursor + footer.len() as u64;
@@ -254,8 +251,10 @@ impl ColumnarWriter {
     }
 }
 
+#[derive(Default)]
 struct Window {
-    /// Byte offset of the window start within the ITEM payload.
+    /// Byte offset of the window start within the ITEM payload (an empty
+    /// window holds no run but an empty one).
     start: u64,
     buf: Vec<u8>,
 }
@@ -286,221 +285,160 @@ pub struct ColumnarReader {
     window: RefCell<Window>,
 }
 
-fn section_payload(file: &mut File, off: u64, len: u64) -> Result<Vec<u8>, FormatError> {
-    let mut buf = vec![0u8; len as usize];
-    file.seek(SeekFrom::Start(off))?;
-    file.read_exact(&mut buf)
-        .map_err(|_| FormatError::Truncated { what: "section" })?;
-    Ok(buf)
+fn corrupt(detail: impl Into<String>) -> FormatError {
+    FormatError::Corrupt(detail.into())
 }
 
-fn verify_crc_streaming(
+/// Section `tag` at `(offset, length, crc)`, its CRC checked in bounded
+/// chunks; its bytes are kept only when `keep` (the index sections, not
+/// ITEM or TIME).
+fn checked_section(
     file: &File,
-    off: u64,
-    len: u64,
-    expect: u32,
-    tag: &str,
-) -> Result<(), FormatError> {
-    let mut crc = Crc32::new();
-    let mut chunk = vec![0u8; SCAN_CHUNK.min(len as usize).max(1)];
+    (off, len, crc): (u64, u64, u32),
+    tag: &'static str,
+    keep: bool,
+) -> Result<Vec<u8>, FormatError> {
+    let mut sum = Crc32::default();
+    let mut kept = Vec::new();
+    let mut chunk = vec![0u8; SCAN_CHUNK.min(len as usize)];
     let mut pos = 0u64;
     while pos < len {
         let n = chunk.len().min((len - pos) as usize);
-        file.read_exact_at(&mut chunk[..n], off + pos)
-            .map_err(|_| FormatError::Truncated { what: "section" })?;
-        crc.update(&chunk[..n]);
+        file.read_exact_at(&mut chunk[..n], off + pos)?;
+        sum.update(&chunk[..n]);
+        if keep {
+            kept.extend_from_slice(&chunk[..n]);
+        }
         pos += n as u64;
     }
-    if crc.finish() != expect {
-        return Err(FormatError::SectionCrc {
-            section: tag.to_string(),
-        });
+    if sum.finish() != crc {
+        return Err(FormatError::SectionCrc(tag));
     }
-    Ok(())
+    Ok(kept)
 }
 
 impl ColumnarReader {
     /// Open and fully validate a columnar file.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, FormatError> {
-        let mut file = File::open(path.as_ref())?;
+        let file = File::open(path.as_ref())?;
         let file_len = file.metadata()?.len();
+        bounded(HEADER_LEN + 12, 1, file_len, || {
+            "a header and footer".into()
+        })?;
 
         // Header.
-        if file_len < HEADER_LEN {
-            return Err(FormatError::Truncated { what: "header" });
-        }
-        let mut header = [0u8; HEADER_LEN as usize];
-        file.read_exact(&mut header)?;
-        if &header[0..4] != MAGIC {
+        let mut head = [0u8; HEADER_LEN as usize];
+        file.read_exact_at(&mut head, 0)?;
+        let mut h = Cursor::new(&head);
+        if &h.array::<4>()? != MAGIC {
             return Err(FormatError::BadMagic);
         }
-        let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
+        let (version, flags, reserved) = (h.u32()?, h.u32()?, h.u32()?);
         if version != VERSION {
-            return Err(FormatError::BadVersion { found: version });
+            return Err(FormatError::BadVersion(version));
         }
-        let flags = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        if flags & !(FLAG_NOISE | FLAG_TIME) != 0 {
-            return Err(FormatError::Corrupt {
-                detail: format!("unknown flag bits 0x{flags:08x} in a v{VERSION} file"),
-            });
-        }
-        let reserved = u32::from_le_bytes(header[12..16].try_into().unwrap());
-        if reserved != 0 {
-            return Err(FormatError::Corrupt {
-                detail: format!("reserved header field must be zero, found 0x{reserved:08x}"),
-            });
+        if flags & !(FLAG_NOISE | FLAG_TIME) != 0 || reserved != 0 {
+            return Err(corrupt(format!(
+                "flags 0x{flags:08x} and reserved 0x{reserved:08x} in a v{VERSION} header"
+            )));
         }
 
-        // Footer: trailing magic, then count, then the section table.
-        if file_len < HEADER_LEN + 12 {
-            return Err(FormatError::Truncated { what: "footer" });
-        }
+        // Footer: the section table, then count, footer CRC and magic. Every
+        // table entry sits between the header and those 12 bytes.
         let mut tail = [0u8; 12];
         file.read_exact_at(&mut tail, file_len - 12)?;
-        if &tail[8..12] != FOOTER_MAGIC {
+        let mut t = Cursor::new(&tail);
+        let (count, fcrc) = (t.u32()?, t.u32()?);
+        if &t.array::<4>()? != FOOTER_MAGIC {
             return Err(FormatError::BadFooter);
         }
-        let count = u32::from_le_bytes(tail[0..4].try_into().unwrap()) as usize;
-        let fcrc = u32::from_le_bytes(tail[4..8].try_into().unwrap());
-        let table_len = count
-            .checked_mul(SECTION_ENTRY_LEN)
-            .ok_or(FormatError::BadFooter)? as u64;
-        if count == 0 || table_len + 12 + HEADER_LEN > file_len {
-            return Err(FormatError::BadFooter);
-        }
+        let count = bounded(
+            count as u64,
+            SECTION_ENTRY_LEN,
+            file_len - 12 - HEADER_LEN,
+            || format!("a footer count of {count} sections"),
+        )?;
+        let table_len = count as u64 * SECTION_ENTRY_LEN;
         let table_off = file_len - 12 - table_len;
         let mut table = vec![0u8; table_len as usize + 4]; // + count field
         file.read_exact_at(&mut table, table_off)?;
-        if crc32(&table) != fcrc {
+        if count == 0 || crc32(&table) != fcrc {
             return Err(FormatError::BadFooter);
         }
-
-        let mut sections: Vec<([u8; 4], u64, u64, u32)> = Vec::with_capacity(count);
-        for i in 0..count {
-            let e = &table[i * SECTION_ENTRY_LEN..(i + 1) * SECTION_ENTRY_LEN];
-            let tag: [u8; 4] = e[0..4].try_into().unwrap();
-            let off = u64::from_le_bytes(e[4..12].try_into().unwrap());
-            let len = u64::from_le_bytes(e[12..20].try_into().unwrap());
-            let crc = u32::from_le_bytes(e[20..24].try_into().unwrap());
+        let mut t = Cursor::new(&table);
+        let mut sections = Vec::with_capacity(count);
+        for _ in 0..count {
+            let (tag, off, len, crc) = (t.array::<4>()?, t.u64()?, t.u64()?, t.u32()?);
             if off < HEADER_LEN || off.checked_add(len).is_none_or(|end| end > table_off) {
                 return Err(FormatError::BadFooter);
             }
-            sections.push((tag, off, len, crc));
+            sections.push((tag, (off, len, crc)));
         }
-        let find = |tag: &'static str| -> Result<(u64, u64, u32), FormatError> {
-            sections
-                .iter()
-                .find(|(t, _, _, _)| t == tag.as_bytes())
-                .map(|&(_, o, l, c)| (o, l, c))
-                .ok_or(FormatError::MissingSection { section: tag })
+        let find = |tag: &'static str| {
+            let found = sections.iter().find(|(t, _)| t == tag.as_bytes());
+            found.map(|s| s.1).ok_or(FormatError::MissingSection(tag))
         };
+        let section = |tag, keep| checked_section(&file, find(tag)?, tag, keep);
 
-        // META.
-        let (moff, mlen, mcrc) = find("META")?;
-        let meta = section_payload(&mut file, moff, mlen)?;
-        if crc32(&meta) != mcrc {
-            return Err(FormatError::SectionCrc {
-                section: "META".into(),
-            });
-        }
-        if meta.len() < 4 {
-            return Err(FormatError::Truncated { what: "META" });
-        }
-        let name_len = u32::from_le_bytes(meta[0..4].try_into().unwrap()) as usize;
-        if meta.len() != 4 + name_len + 24 {
-            return Err(FormatError::Corrupt {
-                detail: "META length inconsistent".into(),
-            });
-        }
-        let name = std::str::from_utf8(&meta[4..4 + name_len])
-            .map_err(|_| FormatError::Corrupt {
-                detail: "dataset name is not UTF-8".into(),
-            })?
+        let meta = section("META", true)?;
+        let mut m = Cursor::new(&meta);
+        let name = std::str::from_utf8(m.name()?)
+            .map_err(|_| corrupt("dataset name is not UTF-8"))?
             .to_string();
-        let rest = &meta[4 + name_len..];
-        let num_users = u64::from_le_bytes(rest[0..8].try_into().unwrap()) as usize;
-        let num_items = u64::from_le_bytes(rest[8..16].try_into().unwrap()) as usize;
-        let num_interactions = u64::from_le_bytes(rest[16..24].try_into().unwrap());
-
-        // LENS.
-        let (loff, llen, lcrc) = find("LENS")?;
-        let lens_raw = section_payload(&mut file, loff, llen)?;
-        if crc32(&lens_raw) != lcrc {
-            return Err(FormatError::SectionCrc {
-                section: "LENS".into(),
-            });
+        let (num_users, num_items, num_interactions) = (m.u64()?, m.u64()?, m.u64()?);
+        if m.left() != 0 {
+            return Err(corrupt("META length inconsistent"));
         }
+
+        // LENS: every user takes at least one byte of it.
+        let lens_raw = section("LENS", true)?;
+        let mut c = Cursor::new(&lens_raw);
+        let num_users = c.count(num_users, 1, || format!("a user count of {num_users}"))?;
         let mut lens = Vec::with_capacity(num_users);
         let mut prefix = Vec::with_capacity(num_users + 1);
-        let mut pos = 0usize;
         let mut total = 0u64;
         prefix.push(0);
         for u in 0..num_users {
-            let n = read_varint(&lens_raw, &mut pos).ok_or(FormatError::Corrupt {
-                detail: format!("LENS truncated at user {u}"),
-            })?;
-            if n > u32::MAX as u64 {
-                return Err(FormatError::Corrupt {
-                    detail: format!("user {u} length {n} impossible"),
-                });
-            }
-            lens.push(n as u32);
-            total += n;
+            let n = c.varint()?;
+            let n =
+                u32::try_from(n).map_err(|_| corrupt(format!("user {u} length {n} impossible")))?;
+            lens.push(n);
+            total += n as u64;
             prefix.push(total);
         }
-        if pos != lens_raw.len() || total != num_interactions {
-            return Err(FormatError::Corrupt {
-                detail: "LENS inconsistent with META interaction count".into(),
-            });
+        if c.left() != 0 || total != num_interactions {
+            return Err(corrupt("LENS inconsistent with META interaction count"));
         }
 
-        // OFFS.
-        let (ooff, olen, ocrc) = find("OFFS")?;
-        let offs_raw = section_payload(&mut file, ooff, olen)?;
-        if crc32(&offs_raw) != ocrc {
-            return Err(FormatError::SectionCrc {
-                section: "OFFS".into(),
-            });
-        }
-        let (item_off, item_len, item_crc) = find("ITEM")?;
+        // OFFS: a start offset per user and the end, non-decreasing, so
+        // ending at ITEM's length bounds every one of them.
+        let offs_raw = section("OFFS", true)?;
+        let (item_off, item_len, _) = find("ITEM")?;
+        let mut c = Cursor::new(&offs_raw);
         let mut offs = Vec::with_capacity(num_users + 1);
-        let mut pos = 0usize;
         let mut cur = 0u64;
-        for u in 0..=num_users {
-            let d = read_varint(&offs_raw, &mut pos).ok_or(FormatError::Corrupt {
-                detail: format!("OFFS truncated at user {u}"),
-            })?;
-            cur = if u == 0 { d } else { cur + d };
+        for _ in 0..=num_users {
+            cur = cur.saturating_add(c.varint()?);
             offs.push(cur);
         }
-        if pos != offs_raw.len() || offs[0] != 0 || *offs.last().unwrap() != item_len {
-            return Err(FormatError::Corrupt {
-                detail: "OFFS inconsistent with ITEM section".into(),
-            });
+        if c.left() != 0 || offs[0] != 0 || cur != item_len {
+            return Err(corrupt("OFFS inconsistent with ITEM section"));
         }
 
         // NOIS / TIME presence must match the header flags.
         let noise = if flags & FLAG_NOISE != 0 {
-            let (noff, nlen, ncrc) = find("NOIS")?;
-            let bits = section_payload(&mut file, noff, nlen)?;
-            if crc32(&bits) != ncrc {
-                return Err(FormatError::SectionCrc {
-                    section: "NOIS".into(),
-                });
-            }
+            let bits = section("NOIS", true)?;
             if bits.len() as u64 != num_interactions.div_ceil(8) {
-                return Err(FormatError::Corrupt {
-                    detail: "NOIS bitmap length mismatch".into(),
-                });
+                return Err(corrupt("NOIS bitmap length mismatch"));
             }
             Some(bits)
         } else {
             None
         };
         let time_span = if flags & FLAG_TIME != 0 {
-            let (toff, tlen, tcrc) = find("TIME")?;
-            verify_crc_streaming(&file, toff, tlen, tcrc, "TIME")?;
-            Some((toff, tlen))
+            section("TIME", false)?;
+            let (off, len, _) = find("TIME")?;
+            Some((off, len))
         } else {
             None
         };
@@ -508,11 +446,11 @@ impl ColumnarReader {
         // ITEM: stream the CRC and structurally validate every sequence in
         // one bounded-RAM pass, so the per-user accessors below can be
         // infallible.
-        verify_crc_streaming(&file, item_off, item_len, item_crc, "ITEM")?;
+        section("ITEM", false)?;
         let reader = ColumnarReader {
             file,
             name,
-            num_items,
+            num_items: num_items as usize,
             num_interactions,
             offs,
             lens,
@@ -520,10 +458,7 @@ impl ColumnarReader {
             noise,
             time_span,
             item_file_off: item_off,
-            window: RefCell::new(Window {
-                start: u64::MAX,
-                buf: Vec::new(),
-            }),
+            window: RefCell::default(),
         };
         reader.validate_items()?;
         Ok(reader)
@@ -536,24 +471,18 @@ impl ColumnarReader {
             let mut pos = 0usize;
             let mut prev = 0i64;
             for t in 0..self.lens[u] as usize {
-                let z = read_varint(raw, &mut pos).ok_or(FormatError::Corrupt {
-                    detail: format!("ITEM truncated at user {u} position {t}"),
-                })?;
-                let it = prev + unzigzag(z);
-                if it < 1 || it > self.num_items as i64 {
-                    return Err(FormatError::Corrupt {
-                        detail: format!(
-                            "user {u} position {t}: item {it} outside 1..={}",
-                            self.num_items
-                        ),
-                    });
+                let z = read_varint(raw, &mut pos)
+                    .ok_or_else(|| corrupt(format!("ITEM truncated at user {u} position {t}")))?;
+                let (it, n) = (prev.wrapping_add(unzigzag(z)), self.num_items);
+                if it < 1 || it > n as i64 {
+                    return Err(corrupt(format!(
+                        "user {u} position {t}: item {it} outside 1..={n}"
+                    )));
                 }
                 prev = it;
             }
             if pos != raw.len() {
-                return Err(FormatError::Corrupt {
-                    detail: format!("user {u}: trailing bytes in item run"),
-                });
+                return Err(corrupt(format!("user {u}: trailing bytes in item run")));
             }
         }
         Ok(())
@@ -565,9 +494,7 @@ impl ColumnarReader {
     fn user_window<'w>(&self, win: &'w mut Window, u: usize) -> &'w [u8] {
         let (start, end) = (self.offs[u], self.offs[u + 1]);
         let len = (end - start) as usize;
-        let hit =
-            win.start != u64::MAX && start >= win.start && end <= win.start + win.buf.len() as u64;
-        if !hit {
+        if start < win.start || end > win.start + win.buf.len() as u64 {
             let want = WINDOW_LEN.max(len);
             let avail = (*self.offs.last().unwrap() - start) as usize;
             win.buf.resize(want.min(avail), 0);
@@ -655,24 +582,19 @@ impl ColumnarReader {
         self.file
             .read_exact_at(&mut raw, off)
             .map_err(FormatError::Io)?;
-        let mut pos = 0usize;
+        let mut c = Cursor::new(&raw);
         let mut all = Vec::with_capacity(self.num_users());
         for u in 0..self.num_users() {
             let mut prev = 0i64;
             let mut ts = Vec::with_capacity(self.lens[u] as usize);
-            for t in 0..self.lens[u] {
-                let z = read_varint(&raw, &mut pos).ok_or(FormatError::Corrupt {
-                    detail: format!("TIME truncated at user {u} position {t}"),
-                })?;
-                prev = prev.wrapping_add(unzigzag(z));
+            for _ in 0..self.lens[u] {
+                prev = prev.wrapping_add(unzigzag(c.varint()?));
                 ts.push(prev);
             }
             all.push(ts);
         }
-        if pos != raw.len() {
-            return Err(FormatError::Corrupt {
-                detail: "trailing bytes in TIME section".into(),
-            });
+        if c.left() != 0 {
+            return Err(corrupt("trailing bytes in TIME section"));
         }
         Ok(all)
     }

@@ -1,128 +1,12 @@
-//! Binary encoding primitives shared by the columnar dataset file
-//! ([`crate::colfile`]) and the streaming log in `ssdrec-stream`.
-//!
-//! * **varint** — LEB128: 7 payload bits per byte, high bit = continuation.
-//! * **zigzag** — maps signed deltas onto unsigned varints so that small
-//!   negative jumps (common in delta-coded item ids) stay short:
-//!   `0, -1, 1, -2, … → 0, 1, 2, 3, …`.
-//! * **CRC-32** — the IEEE polynomial (0xEDB88320), table-driven, with a
-//!   streaming [`Crc32`] for sections too large to hold in RAM.
-//!
-//! Every encoder here is a pure function of its input: encoded bytes are
-//! byte-identical across runs, hosts, and thread counts — the same canonical
-//! discipline the rest of the workspace applies to checkpoints and logs.
+//! The columnar dataset format's typed error, [`FormatError`]. Its byte
+//! primitives (LEB128 varint, zigzag, CRC-32, the bounded cursor) are
+//! `ssdrec_base::bytes`'; the tests below pin the encodings the `.ssdc` and
+//! `.sslg` bytes on disk depend on.
 
 use std::fmt;
 use std::io;
 
-/// Maximum encoded size of a `u64` varint (⌈64/7⌉ bytes).
-pub const MAX_VARINT_LEN: usize = 10;
-
-/// Append `v` to `out` as a LEB128 varint.
-pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Decode a LEB128 varint from `buf[pos..]`, advancing `pos`.
-///
-/// Returns `None` on truncation or on a varint longer than
-/// [`MAX_VARINT_LEN`] bytes (an overlong/corrupt encoding).
-pub fn read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    for _ in 0..MAX_VARINT_LEN {
-        let &byte = buf.get(*pos)?;
-        *pos += 1;
-        v |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return None;
-        }
-    }
-    None
-}
-
-/// Zigzag-encode a signed value for varint storage.
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// The IEEE CRC-32 lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE 802.3) of `bytes` in one shot.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finish()
-}
-
-/// Streaming CRC-32 for data processed in chunks.
-#[derive(Clone, Debug)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    /// A fresh accumulator.
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    /// Fold `bytes` into the running checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut c = self.state;
-        for &b in bytes {
-            c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
-        }
-        self.state = c;
-    }
-
-    /// The final checksum value.
-    pub fn finish(&self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32::new()
-    }
-}
+use ssdrec_base::bytes::Overrun;
 
 /// Typed errors for the columnar dataset format.
 ///
@@ -134,34 +18,22 @@ pub enum FormatError {
     Io(io::Error),
     /// The file does not start with the `SSDC` magic.
     BadMagic,
-    /// The file carries a format version this reader does not understand.
-    BadVersion {
-        /// Version number found in the header.
-        found: u32,
-    },
-    /// The file ends before a complete structure could be read.
-    Truncated {
-        /// Which structure was cut short.
-        what: &'static str,
-    },
+    /// The file carries a format version (the one found) this reader does
+    /// not understand.
+    BadVersion(u32),
     /// The footer (section table) is missing or malformed.
     BadFooter,
-    /// A section's stored CRC-32 does not match its payload.
-    SectionCrc {
-        /// Four-character section tag, e.g. `"ITEM"`.
-        section: String,
-    },
-    /// A required section is absent from the footer table.
-    MissingSection {
-        /// Four-character section tag.
-        section: &'static str,
-    },
-    /// A decoded value is structurally impossible (overlong varint,
-    /// out-of-range id, inconsistent counts…).
-    Corrupt {
-        /// Human-readable description of the inconsistency.
-        detail: String,
-    },
+    /// The stored CRC-32 of a section (its four-character tag, e.g.
+    /// `"ITEM"`) does not match its payload.
+    SectionCrc(&'static str),
+    /// A required section (its tag) is absent from the footer table.
+    MissingSection(&'static str),
+    /// A decoded value is structurally impossible (out-of-range id,
+    /// inconsistent counts…), described.
+    Corrupt(String),
+    /// A field, count or length needs more bytes than its section, or the
+    /// file, holds (the bounded cursor's refusal).
+    Overrun(Overrun),
     /// An item id pushed to the writer falls outside `1..=num_items`.
     ItemOutOfRange {
         /// User whose sequence contained the offending id.
@@ -178,18 +50,12 @@ impl fmt::Display for FormatError {
         match self {
             FormatError::Io(e) => write!(f, "columnar I/O error: {e}"),
             FormatError::BadMagic => write!(f, "not a columnar dataset (bad magic)"),
-            FormatError::BadVersion { found } => {
-                write!(f, "unsupported columnar format version {found}")
-            }
-            FormatError::Truncated { what } => write!(f, "truncated columnar file ({what})"),
+            FormatError::BadVersion(found) => write!(f, "unsupported version {found}"),
             FormatError::BadFooter => write!(f, "missing or malformed columnar footer"),
-            FormatError::SectionCrc { section } => {
-                write!(f, "CRC mismatch in section {section}")
-            }
-            FormatError::MissingSection { section } => {
-                write!(f, "required section {section} missing")
-            }
-            FormatError::Corrupt { detail } => write!(f, "corrupt columnar data: {detail}"),
+            FormatError::SectionCrc(tag) => write!(f, "CRC mismatch in section {tag}"),
+            FormatError::MissingSection(tag) => write!(f, "section {tag} missing"),
+            FormatError::Corrupt(detail) => write!(f, "corrupt columnar data: {detail}"),
+            FormatError::Overrun(e) => write!(f, "corrupt columnar data: {e}"),
             FormatError::ItemOutOfRange {
                 user,
                 item,
@@ -217,9 +83,15 @@ impl From<io::Error> for FormatError {
     }
 }
 
+impl From<Overrun> for FormatError {
+    fn from(e: Overrun) -> Self {
+        FormatError::Overrun(e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use ssdrec_base::bytes::{crc32, read_varint, unzigzag, zigzag, Crc32, Put, MAX_VARINT_LEN};
 
     #[test]
     fn varint_round_trips_edge_values() {
@@ -235,7 +107,7 @@ mod tests {
             u64::MAX,
         ] {
             let mut buf = Vec::new();
-            write_varint(&mut buf, v);
+            buf.put_varint(v);
             assert!(buf.len() <= MAX_VARINT_LEN);
             let mut pos = 0;
             assert_eq!(read_varint(&buf, &mut pos), Some(v));
@@ -246,7 +118,7 @@ mod tests {
     #[test]
     fn varint_rejects_truncation_and_overlong() {
         let mut buf = Vec::new();
-        write_varint(&mut buf, u64::MAX);
+        buf.put_varint(u64::MAX);
         let mut pos = 0;
         assert_eq!(read_varint(&buf[..buf.len() - 1], &mut pos), None);
         // 11 continuation bytes can never be a valid u64.
@@ -274,7 +146,7 @@ mod tests {
     #[test]
     fn streaming_crc_equals_one_shot() {
         let data: Vec<u8> = (0..10_000u32).map(|i| (i * 31 % 251) as u8).collect();
-        let mut c = Crc32::new();
+        let mut c = Crc32::default();
         for chunk in data.chunks(97) {
             c.update(chunk);
         }

@@ -1,14 +1,18 @@
 //! Property suite for the columnar `.ssdc` pipeline: byte-exact round
 //! trips, windowed-vs-in-RAM batch bit-identity (across compute thread
-//! counts), and typed rejection of truncated, corrupted, and
-//! fault-interrupted files — with no torn output ever left on disk.
+//! counts), and typed rejection of truncated, corrupted, forged and
+//! fault-interrupted files — with no torn output ever left on disk. The
+//! hostile-input properties run on the conformance harness
+//! (`ssdrec_testkit::conformance`).
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ssdrec_base::bytes::{crc32, Cursor};
+use ssdrec_testkit::conformance::{self, Field, Format};
 use ssdrec_testkit::fault::{assert_fired_exactly, FaultPlan};
-use ssdrec_testkit::{property, scratch_path, Gen};
+use ssdrec_testkit::{gens, property, scratch_path, Gen};
 
 use ssdrec_data::{
     encode_dataset, make_batches, plan_leave_one_out, BatchIter, ColumnarReader, Dataset,
@@ -54,6 +58,103 @@ fn arb_dataset() -> Gen<Dataset> {
             noise_labels,
         }
     })
+}
+
+/// The `.ssdc` format.
+struct Ssdc;
+
+/// The bytes `ds` encodes to.
+fn encoded(ds: &Dataset) -> Vec<u8> {
+    let path = scratch("encoded");
+    encode_dataset(ds, &path).expect("encode");
+    let bytes = fs::read(&path).unwrap();
+    let _ = fs::remove_file(path);
+    bytes
+}
+
+/// The footer's section table: each entry's offset in the file, and its
+/// section's offset and length.
+fn sections(bytes: &[u8]) -> Vec<(usize, usize, usize)> {
+    let count = Cursor::new(&bytes[bytes.len() - 12..]).u32().unwrap() as usize;
+    let table = bytes.len() - 12 - 24 * count;
+    let mut c = Cursor::new(&bytes[table..]);
+    (0..count)
+        .map(|i| {
+            let (_tag, off, len, _crc) = (c.u32(), c.u64().unwrap(), c.u64().unwrap(), c.u32());
+            (table + 24 * i, off as usize, len as usize)
+        })
+        .collect()
+}
+
+impl Format for Ssdc {
+    type Value = Dataset;
+    type Error = FormatError;
+
+    fn encode(&self, ds: &Dataset) -> Vec<u8> {
+        encoded(ds)
+    }
+
+    fn decode(&self, _: &Dataset, bytes: &[u8]) -> Result<Vec<u8>, FormatError> {
+        let path = scratch("decode");
+        fs::write(&path, bytes).unwrap();
+        let res = ColumnarReader::open(&path).map(|r| encoded(&r.to_dataset()));
+        let _ = fs::remove_file(path);
+        res
+    }
+
+    /// The footer count, each section's length, and META's name length,
+    /// user count and interaction count.
+    fn fields(&self, bytes: &[u8]) -> Vec<Field> {
+        let table = sections(bytes);
+        let mut fields = vec![Field {
+            at: bytes.len() - 12,
+            width: 4,
+            says: &["footer count", "overruns"],
+        }];
+        for &(entry, _, _) in &table {
+            let says = &["malformed columnar footer"];
+            fields.push(Field {
+                at: entry + 12,
+                width: 8,
+                says,
+            });
+        }
+        let &(_, meta, _) = table
+            .iter()
+            .find(|s| &bytes[s.0..s.0 + 4] == b"META")
+            .unwrap();
+        let name_len = Cursor::new(&bytes[meta..]).u32().unwrap() as usize;
+        fields.push(Field {
+            at: meta,
+            width: 4,
+            says: &["name is", "overruns"],
+        });
+        let users = meta + 4 + name_len;
+        fields.push(Field {
+            at: users,
+            width: 8,
+            says: &["user count", "overruns"],
+        });
+        let says = &["interaction count"];
+        fields.push(Field {
+            at: users + 16,
+            width: 8,
+            says,
+        });
+        fields
+    }
+
+    /// Every section's CRC, then the footer's, laid out as in `original`.
+    fn reseal(&self, original: &[u8], forged: &mut [u8]) {
+        let table = sections(original);
+        for &(entry, off, len) in &table {
+            let crc = crc32(&forged[off..off + len]);
+            forged[entry + 20..entry + 24].copy_from_slice(&crc.to_le_bytes());
+        }
+        let end = forged.len() - 8;
+        let crc = crc32(&forged[table[0].0..end]);
+        forged[end..end + 4].copy_from_slice(&crc.to_le_bytes());
+    }
 }
 
 property! {
@@ -119,23 +220,16 @@ property! {
     /// Every strict prefix of a valid file is rejected with a typed
     /// [`FormatError`] — never a panic, never a silently short dataset.
     fn truncated_files_are_rejected(ds in arb_dataset()) {
-        let path = scratch("trunc");
-        encode_dataset(&ds, &path).expect("encode");
-        let bytes = fs::read(&path).unwrap();
-        // Every boundary region plus a spread of interior cut points.
-        let cuts: Vec<usize> = (0..bytes.len()).step_by(7.max(bytes.len() / 24)).chain([
-            0, 1, 15, 16, bytes.len().saturating_sub(1),
-        ]).filter(|&c| c < bytes.len()).collect();
-        for cut in cuts {
-            let p = scratch("trunc-cut");
-            fs::write(&p, &bytes[..cut]).unwrap();
-            match ColumnarReader::open(&p) {
-                Err(_) => {}
-                Ok(_) => panic!("truncation at {cut}/{} bytes must be rejected", bytes.len()),
-            }
-            let _ = fs::remove_file(p);
-        }
-        let _ = fs::remove_file(path);
+        conformance::strict_prefixes(&Ssdc, &ds);
+    }
+
+    /// 1–6 flipped bytes anywhere never panic the reader.
+    fn byte_flips_never_panic(
+        ds in arb_dataset(),
+        flips in gens::usizes(1, 7),
+        salt in gens::u64s(),
+    ) {
+        conformance::byte_flips(&Ssdc, &ds, flips, salt);
     }
 
     /// Flipping any single byte of a valid file is rejected with a typed
@@ -158,6 +252,16 @@ property! {
         }
         let _ = fs::remove_file(path);
     }
+}
+
+/// The footer count, every section length and META's counts forged to
+/// their largest value, CRCs recomputed, are refused before the reader
+/// allocates from them: a user count takes at least a LENS byte per user,
+/// and a footer count a table entry per section.
+#[test]
+fn forged_counts_are_refused_before_allocation() {
+    let ds = SyntheticConfig::beauty().scaled(0.05).generate();
+    conformance::forged_counts(&Ssdc, &ds);
 }
 
 /// The streaming generator writes the byte-identical file to encoding the

@@ -21,24 +21,27 @@
 //! ```
 //!
 //! The parameter and snapshot tensors are `.ssdt`'s records
-//! ([`ssdrec_tensor::persist::RecordWriter`]), and one codec reads both
-//! formats. Writes are atomic (temp file, fsync, rename via
+//! ([`ssdrec_tensor::persist::put_tensors`]), and one record layer reads
+//! both formats. Writes are atomic (temp file, fsync, rename via
 //! [`ssdrec_base::atomic_file`], fault site `ckpt.save`): a crash mid-save
 //! never replaces a good checkpoint with a torn one. Loading is strict —
 //! tensor names and shapes must match the live model exactly
 //! ([`ssdrec_tensor::persist::match_store`]), and every failure names the
-//! offending tensor. It is also hostile-input safe:
-//! [`ssdrec_tensor::persist::RecordReader`] checks every count, length and
-//! shape against the bytes left in the file before anything is allocated
+//! offending tensor. It is also hostile-input safe: the file is read whole
+//! and decoded with `ssdrec_base::bytes`' cursor, which checks every count,
+//! length and shape against the bytes left before anything is allocated
 //! from it, so a corrupt or truncated file gives a typed `io::Error`, never
 //! a panic or a runaway allocation.
 
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 
 use ssdrec_base::atomic_file::atomic_write;
+use ssdrec_base::bytes::Put;
 use ssdrec_metrics::MetricReport;
-use ssdrec_tensor::persist::{match_store, RecordReader, RecordWriter};
+use ssdrec_tensor::persist::{
+    invalid, match_store, open_records, put_tensors, read_record, read_tensors, record_file,
+};
 use ssdrec_tensor::{ParamStore, Tensor};
 
 use crate::model::RecModel;
@@ -197,43 +200,43 @@ fn write_state<'a>(
     snapshot: &[Tensor],
     path: &Path,
 ) -> io::Result<()> {
-    atomic_write(path, "ckpt.save", |w| {
-        let mut w = RecordWriter::new(w, MAGIC, VERSION)?;
-        w.u32(st.next_epoch)?;
-        w.u32(st.since_best)?;
-        w.u64(st.adam_steps)?;
-        for &s in &st.rng_state {
-            w.u64(s)?;
-        }
-        w.u64(st.best_hr20.to_bits())?;
-        w.u64(st.total_train_secs.to_bits())?;
-        w.u32(st.final_loss.to_bits())?;
-        let bv = &st.best_valid;
-        for m in [
-            bv.hr5, bv.hr10, bv.hr20, bv.ndcg5, bv.ndcg10, bv.ndcg20, bv.mrr20,
-        ] {
-            w.u64(m.to_bits())?;
-        }
-        w.u32(st.model_state.len() as u32)?;
-        for &s in &st.model_state {
-            w.u64(s)?;
-        }
-        w.u32(params.len() as u32)?;
-        for (name, tensors) in params {
-            w.record(name, &tensors)?;
-        }
-        w.u32(snapshot.len() as u32)?;
-        for t in snapshot {
-            w.tensors(&[t])?;
-        }
-        Ok(())
-    })
+    let mut w = record_file(MAGIC, VERSION);
+    w.put_u32(st.next_epoch);
+    w.put_u32(st.since_best);
+    w.put_u64(st.adam_steps);
+    for &s in &st.rng_state {
+        w.put_u64(s);
+    }
+    w.put_u64(st.best_hr20.to_bits());
+    w.put_u64(st.total_train_secs.to_bits());
+    w.put_u32(st.final_loss.to_bits());
+    let bv = &st.best_valid;
+    for m in [
+        bv.hr5, bv.hr10, bv.hr20, bv.ndcg5, bv.ndcg10, bv.ndcg20, bv.mrr20,
+    ] {
+        w.put_u64(m.to_bits());
+    }
+    w.put_u32(st.model_state.len() as u32);
+    for &s in &st.model_state {
+        w.put_u64(s);
+    }
+    w.put_u32(params.len() as u32);
+    for (name, tensors) in params {
+        w.put_name(name);
+        put_tensors(&mut w, &tensors);
+    }
+    w.put_u32(snapshot.len() as u32);
+    for t in snapshot {
+        put_tensors(&mut w, &[t]);
+    }
+    atomic_write(path, "ckpt.save", |f| f.write_all(&w))
 }
 
 /// Load a [`TrainState`] from `path`. Validation against the live model
 /// happens in [`TrainState::apply_to`].
 pub fn load_train_state(path: impl AsRef<Path>) -> io::Result<TrainState> {
-    let mut r = RecordReader::open(path.as_ref(), MAGIC, VERSION, "SSTC training checkpoint")?;
+    let bytes = std::fs::read(path)?;
+    let mut r = open_records(&bytes, MAGIC, VERSION, "SSTC training checkpoint")?;
     let next_epoch = r.u32()?;
     let since_best = r.u32()?;
     let adam_steps = r.u64()?;
@@ -257,27 +260,23 @@ pub fn load_train_state(path: impl AsRef<Path>) -> io::Result<TrainState> {
         ndcg20: bv[5],
         mrr20: bv[6],
     };
-    let n_state = r.count(8, "a model state")?;
-    let model_state = (0..n_state).map(|_| r.u64()).collect::<io::Result<_>>()?;
+    let n_state = r.u32_count(8, "a model state")?;
+    let model_state = (0..n_state).map(|_| r.u64()).collect::<Result<_, _>>()?;
     // A parameter is at least its name length and its rank.
-    let n_params = r.count(8, "a parameter count")?;
+    let n_params = r.u32_count(8, "a parameter count")?;
     let mut params = Vec::with_capacity(n_params);
     for i in 0..n_params {
         // The value and its two Adam moments.
-        let (name, t) = r.record(i, 3)?;
+        let (name, t) = read_record(&mut r, i, 3)?;
         let [value, m, v] = <[Tensor; 3]>::try_from(t).expect("three copies");
         params.push((name, value, m, v));
     }
     // A snapshot tensor is at least its rank.
-    let n_snap = r.count(4, "a snapshot count")?;
+    let n_snap = r.u32_count(4, "a snapshot count")?;
     let mut best_snapshot = Vec::with_capacity(n_snap);
     for i in 0..n_snap {
-        let mut snap = r.tensors(1).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("snapshot tensor {i}: {e}"),
-            )
-        })?;
+        let mut snap =
+            read_tensors(&mut r, 1).map_err(|e| invalid(format!("snapshot tensor {i}: {e}")))?;
         best_snapshot.extend(snap.pop());
     }
     Ok(TrainState {

@@ -1,18 +1,20 @@
-//! Hostile-input wall for the `.sstc` training-state loader, in the style
-//! of `ssdrec-tensor`'s `prop_persist`: every strict prefix of a valid file
-//! is rejected with a typed `io::Error`, 1–6 flipped bytes never panic or
-//! abort (a corrupt count, length or shape is refused before anything is
-//! allocated from it), `u32::MAX` counts and lengths are refused, and an
-//! unflipped file loads to identical bits.
+//! Hostile-input wall for the `.sstc` training-state loader, on the
+//! conformance harness (`ssdrec_testkit::conformance`): an unflipped file
+//! loads to identical bits, every strict prefix is rejected with a typed
+//! `io::Error`, 1–6 flipped bytes never panic or abort, and every count,
+//! length and shape forged to `u32::MAX` is refused before anything is
+//! allocated from it.
 
 use std::fs;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ssdrec_base::bytes::Cursor;
 use ssdrec_metrics::MetricReport;
 use ssdrec_models::checkpoint::{load_train_state, save_train_state, TrainState};
 use ssdrec_tensor::Tensor;
+use ssdrec_testkit::conformance::{self, Field, Format};
 use ssdrec_testkit::{gens, property, scratch_path, Gen, Rng};
 
 /// A unique scratch path per call.
@@ -89,25 +91,80 @@ fn saved(st: &TrainState) -> Vec<u8> {
     bytes
 }
 
-/// Load a state from `bytes`.
-fn load(bytes: &[u8]) -> io::Result<TrainState> {
-    let path = scratch("load");
-    fs::write(&path, bytes).unwrap();
-    let res = load_train_state(&path);
-    let _ = fs::remove_file(path);
-    res
-}
+/// The `.sstc` format.
+struct Sstc;
 
-/// The error kinds the loader reports: a malformed file, or one that ends
-/// early.
-fn assert_typed(e: &io::Error, ctx: &str) {
-    assert!(
+impl Format for Sstc {
+    type Value = TrainState;
+    type Error = io::Error;
+
+    fn encode(&self, st: &TrainState) -> Vec<u8> {
+        saved(st)
+    }
+
+    fn decode(&self, _: &TrainState, bytes: &[u8]) -> io::Result<Vec<u8>> {
+        let path = scratch("load");
+        fs::write(&path, bytes).unwrap();
+        let res = load_train_state(&path);
+        let _ = fs::remove_file(path);
+        res.map(|st| saved(&st))
+    }
+
+    /// A malformed file, or one that ends early.
+    fn typed(&self, e: &io::Error) -> bool {
         matches!(
             e.kind(),
             io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
-        ),
-        "{ctx}: untyped error {e:?}"
-    );
+        )
+    }
+
+    /// The model-state, parameter and snapshot counts, each parameter's
+    /// name length, and every rank and (in a tensor that is not empty) dim.
+    fn fields(&self, bytes: &[u8]) -> Vec<Field> {
+        let u32_at = |at, says| Field { at, width: 4, says };
+        let tensors = |c: &mut Cursor, fields: &mut Vec<Field>, copies| {
+            fields.push(u32_at(bytes.len() - c.left(), &["rank", "overruns"]));
+            let dims: Vec<(usize, usize)> = (0..c.u32().unwrap())
+                .map(|_| (bytes.len() - c.left(), c.u32().unwrap() as usize))
+                .collect();
+            let len: usize = dims.iter().map(|d| d.1).product();
+            if len > 0 {
+                fields.extend(
+                    dims.iter()
+                        .map(|&(at, _)| u32_at(at, &["shape", "overruns"])),
+                );
+            }
+            c.f32s(copies * len).unwrap();
+        };
+        // The fixed header is 132 bytes.
+        let mut c = Cursor::new(bytes);
+        c.bytes(132, String::new).unwrap();
+        let mut fields = vec![u32_at(
+            bytes.len() - c.left(),
+            &["model state", "overruns"][..],
+        )];
+        let n_state = c.u32().unwrap() as usize;
+        c.bytes(8 * n_state, String::new).unwrap();
+        fields.push(u32_at(
+            bytes.len() - c.left(),
+            &["parameter count", "overruns"],
+        ));
+        let n_params = c.u32().unwrap();
+        for _ in 0..n_params {
+            fields.push(u32_at(bytes.len() - c.left(), &["name length", "overruns"]));
+            c.name().unwrap();
+            tensors(&mut c, &mut fields, 3);
+        }
+        fields.push(u32_at(
+            bytes.len() - c.left(),
+            &["snapshot count", "overruns"],
+        ));
+        for _ in 0..c.u32().unwrap() {
+            tensors(&mut c, &mut fields, 1);
+        }
+        assert_eq!(c.left(), 0, "layout");
+        fields
+    }
 }
 
 property! {
@@ -116,20 +173,12 @@ property! {
     /// An unflipped file loads to identical bits: saving what was loaded
     /// gives the same bytes back.
     fn unflipped_file_loads_identical_bits(st in arb_state()) {
-        let bytes = saved(&st);
-        let loaded = load(&bytes).expect("a valid training state loads");
-        assert_eq!(saved(&loaded), bytes);
+        conformance::round_trip(&Sstc, &st);
     }
 
     /// Every strict prefix of a valid file is rejected with a typed error.
     fn every_strict_prefix_is_rejected(st in arb_state()) {
-        let bytes = saved(&st);
-        for cut in 0..bytes.len() {
-            match load(&bytes[..cut]) {
-                Err(e) => assert_typed(&e, &format!("prefix {cut}/{}", bytes.len())),
-                Ok(_) => panic!("prefix {cut}/{} bytes must be rejected", bytes.len()),
-            }
-        }
+        conformance::strict_prefixes(&Sstc, &st);
     }
 
     /// 1–6 flipped bytes anywhere never panic or abort: the load either
@@ -139,15 +188,7 @@ property! {
         flips in gens::usizes(1, 7),
         salt in gens::u64s(),
     ) {
-        let mut bytes = saved(&st);
-        let mut rng = Rng::seed(salt);
-        for _ in 0..flips {
-            let pos = rng.below(bytes.len());
-            bytes[pos] ^= 1 + rng.below(255) as u8;
-        }
-        if let Err(e) = load(&bytes) {
-            assert_typed(&e, &format!("{flips} flips"));
-        }
+        conformance::byte_flips(&Sstc, &st, flips, salt);
     }
 }
 
@@ -171,34 +212,6 @@ fn u32_max_counts_and_lengths_are_refused() {
         params: vec![("w".into(), w(), w(), w())],
         best_snapshot: vec![w()],
     };
-    let bytes = saved(&st);
-    // The fixed header is 132 bytes; then the model state (count + 2
-    // words), one parameter ("w", rank 2, three 2×3 tensors) and one
-    // snapshot tensor.
-    let n_state = 132;
-    let n_params = n_state + 4 + 2 * 8;
-    let name_len = n_params + 4;
-    let rank = name_len + 4 + 1;
-    let dim = rank + 4;
-    let n_snap = dim + 2 * 4 + 3 * 6 * 4;
-    let snap_rank = n_snap + 4;
-    assert_eq!(bytes.len(), snap_rank + 4 + 2 * 4 + 6 * 4, "layout");
-    for (at, what) in [
-        (n_state, "model state"),
-        (n_params, "parameter count"),
-        (name_len, "name length"),
-        (rank, "rank"),
-        (dim, "shape"),
-        (n_snap, "snapshot count"),
-        (snap_rank, "rank"),
-    ] {
-        let mut bad = bytes.clone();
-        bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let e = load(&bad).expect_err("a huge count must be refused");
-        assert_typed(&e, what);
-        assert!(
-            e.to_string().contains(what) && e.to_string().contains("overruns"),
-            "{what}: {e}"
-        );
-    }
+    assert_eq!(Sstc.fields(&saved(&st)).len(), 10, "layout");
+    conformance::forged_counts(&Sstc, &st);
 }

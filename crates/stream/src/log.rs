@@ -35,13 +35,19 @@
 //! was never appended to this log, so it is corruption too: refused with
 //! [`LogError::Corrupt`] at its offset, before its IDs can index anything
 //! downstream.
+//!
+//! Bounds: every field is read through `ssdrec_base::bytes`' cursor, and
+//! the catalog, which sizes per-user tables downstream (`materialize`), is
+//! at most [`MAX_CATALOG`] users and items: [`StreamLog::create`] and every
+//! header read refuse a larger one, before anything is sized by it.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use ssdrec_data::{crc32, Interaction, SequenceStore};
+use ssdrec_base::bytes::{crc32, Cursor, Overrun, Put};
+use ssdrec_data::{Interaction, SequenceStore};
 
 /// Log format magic bytes.
 pub const MAGIC: [u8; 4] = *b"SSLG";
@@ -52,6 +58,9 @@ pub const HEADER_LEN: u64 = 28;
 /// Size of one record in bytes (`len` + 16-byte payload + `crc`).
 pub const RECORD_LEN: u64 = 24;
 const PAYLOAD_LEN: u32 = 16;
+/// The most users, and the most items, a log's catalog may hold: 2²⁴, far
+/// past any dataset profile.
+pub const MAX_CATALOG: usize = 1 << 24;
 
 /// Typed errors for log open/append/replay.
 #[derive(Debug)]
@@ -81,6 +90,8 @@ pub enum LogError {
         /// Catalog item count.
         num_items: usize,
     },
+    /// A catalog of `(users, items)` past [`MAX_CATALOG`].
+    CatalogTooLarge(u64, u64),
     /// A replay offset does not lie within `[HEADER_LEN, end]`.
     BadOffset {
         /// The requested offset.
@@ -116,9 +127,7 @@ impl fmt::Display for LogError {
                 )
             }
             LogError::HeaderCorrupt => write!(f, "log header CRC mismatch"),
-            LogError::Corrupt { offset } => {
-                write!(f, "corrupt log record at offset {offset}")
-            }
+            LogError::Corrupt { offset } => write!(f, "corrupt log record at offset {offset}"),
             LogError::OutOfCatalog {
                 user,
                 item,
@@ -128,6 +137,10 @@ impl fmt::Display for LogError {
                 f,
                 "event ({user}, {item}) outside the log catalog \
                  ({num_users} users, {num_items} items)"
+            ),
+            LogError::CatalogTooLarge(users, items) => write!(
+                f,
+                "log catalog ({users} users, {items} items) exceeds the bound of {MAX_CATALOG}"
             ),
             LogError::BadOffset { offset, end } => write!(
                 f,
@@ -155,6 +168,12 @@ impl From<io::Error> for LogError {
     }
 }
 
+impl From<Overrun> for LogError {
+    fn from(e: Overrun) -> Self {
+        LogError::Io(e.into())
+    }
+}
+
 impl From<ssdrec_base::faults::Injected> for LogError {
     fn from(e: ssdrec_base::faults::Injected) -> Self {
         LogError::Io(e.into())
@@ -176,6 +195,41 @@ impl LogHeader {
     /// read checks of each record it returns.
     pub fn contains(&self, user: u64, item: u64) -> bool {
         user < self.num_users as u64 && item != 0 && item <= self.num_items as u64
+    }
+
+    /// The header's bytes: magic, version, catalog, CRC.
+    fn encode(&self) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.put_u32(FORMAT_VERSION);
+        buf.put_u64(self.num_users as u64);
+        buf.put_u64(self.num_items as u64);
+        let crc = crc32(&buf);
+        buf.put_u32(crc);
+        buf
+    }
+
+    /// The header at the start of `bytes`, checked: magic, version, CRC,
+    /// then the catalog bound.
+    fn decode(bytes: &[u8]) -> Result<LogHeader, LogError> {
+        if bytes.len() < HEADER_LEN as usize || bytes[..4] != MAGIC {
+            return Err(LogError::BadMagic);
+        }
+        let mut c = Cursor::new(&bytes[4..]);
+        let version = c.u32()?;
+        if version != FORMAT_VERSION {
+            return Err(LogError::BadVersion(version));
+        }
+        let (num_users, num_items) = (c.u64()?, c.u64()?);
+        if c.u32()? != crc32(&bytes[..HEADER_LEN as usize - 4]) {
+            return Err(LogError::HeaderCorrupt);
+        }
+        if num_users.max(num_items) > MAX_CATALOG as u64 {
+            return Err(LogError::CatalogTooLarge(num_users, num_items));
+        }
+        Ok(LogHeader {
+            num_users: num_users as usize,
+            num_items: num_items as usize,
+        })
     }
 }
 
@@ -199,94 +253,47 @@ pub struct StreamLog {
     records: u64,
 }
 
-fn header_bytes(h: &LogHeader) -> [u8; HEADER_LEN as usize] {
-    let mut buf = [0u8; HEADER_LEN as usize];
-    buf[0..4].copy_from_slice(&MAGIC);
-    buf[4..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-    buf[8..16].copy_from_slice(&(h.num_users as u64).to_le_bytes());
-    buf[16..24].copy_from_slice(&(h.num_items as u64).to_le_bytes());
-    let crc = crc32(&buf[0..24]);
-    buf[24..28].copy_from_slice(&crc.to_le_bytes());
-    buf
-}
-
-fn parse_header(buf: &[u8]) -> Result<LogHeader, LogError> {
-    if buf.len() < HEADER_LEN as usize {
-        return Err(LogError::BadMagic);
-    }
-    if buf[0..4] != MAGIC {
-        return Err(LogError::BadMagic);
-    }
-    let version = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return Err(LogError::BadVersion(version));
-    }
-    let stored = u32::from_le_bytes(buf[24..28].try_into().unwrap());
-    if stored != crc32(&buf[0..24]) {
-        return Err(LogError::HeaderCorrupt);
-    }
-    Ok(LogHeader {
-        num_users: u64::from_le_bytes(buf[8..16].try_into().unwrap()) as usize,
-        num_items: u64::from_le_bytes(buf[16..24].try_into().unwrap()) as usize,
-    })
-}
-
-/// Scan `bytes` (a whole log file) and classify its records.
-///
-/// Returns `(records, end_offset)`; `end_offset < bytes.len()` means the
-/// trailing bytes are a torn tail.
-fn scan(bytes: &[u8], header: &LogHeader) -> Result<(u64, u64), LogError> {
-    let mut off = HEADER_LEN as usize;
-    let mut records = 0u64;
-    // A record whose bytes run past EOF is a torn tail.
-    while bytes.len() - off >= RECORD_LEN as usize {
-        read_record(bytes, off, header)?;
-        off += RECORD_LEN as usize;
-        records += 1;
-    }
-    Ok((records, off as u64))
-}
-
-/// The complete record at `off`, checked: its length field, its CRC and its
-/// IDs against `header`'s catalog.
-fn read_record(bytes: &[u8], off: usize, header: &LogHeader) -> Result<Interaction, LogError> {
-    let record = &bytes[off..off + RECORD_LEN as usize];
-    let word = |at: usize| u32::from_le_bytes(record[at..at + 4].try_into().expect("4 bytes"));
-    let len = word(0);
-    let payload = &record[4..4 + PAYLOAD_LEN as usize];
-    let stored = word(4 + PAYLOAD_LEN as usize);
-    // A sequential append writes the whole record buffer in order, so a
-    // complete length field with an impossible value is corruption, not a
-    // crash artifact.
-    if len != PAYLOAD_LEN || stored != crc32(payload) {
-        return Err(LogError::Corrupt { offset: off as u64 });
-    }
-    let id = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
-    let (user, item) = (id(0), id(8));
-    if !header.contains(user, item) {
-        return Err(LogError::Corrupt { offset: off as u64 });
-    }
-    Ok(Interaction {
-        user: user as usize,
-        item: item as usize,
-    })
+/// The records in `bytes[from..to)`, each checked: its length field, its
+/// CRC and its IDs against `header`'s catalog.
+fn checked<'a>(
+    bytes: &'a [u8],
+    from: u64,
+    to: u64,
+    header: &'a LogHeader,
+) -> impl Iterator<Item = Result<Interaction, LogError>> + 'a {
+    (from as usize..to as usize)
+        .step_by(RECORD_LEN as usize)
+        .map(move |off| {
+            let record = &bytes[off..off + RECORD_LEN as usize];
+            let mut c = Cursor::new(record);
+            let (len, user, item, crc) = (c.u32()?, c.u64()?, c.u64()?, c.u32()?);
+            // A sequential append writes the whole record buffer in order,
+            // so a complete length field with an impossible value is
+            // corruption, not a crash artifact.
+            if len != PAYLOAD_LEN || crc != crc32(&record[4..20]) || !header.contains(user, item) {
+                return Err(LogError::Corrupt { offset: off as u64 });
+            }
+            let (user, item) = (user as usize, item as usize);
+            Ok(Interaction { user, item })
+        })
 }
 
 impl StreamLog {
     /// Create a new, empty log at `path` with a fixed catalog.
     ///
-    /// Fails if the file already exists.
+    /// Fails if the file already exists, or with
+    /// [`LogError::CatalogTooLarge`] past [`MAX_CATALOG`].
     pub fn create(path: impl AsRef<Path>, header: LogHeader) -> Result<StreamLog, LogError> {
+        // What a header read refuses, create refuses too.
+        let bytes = header.encode();
+        LogHeader::decode(&bytes)?;
         let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create_new(true)
             .open(&path)?;
-        let mut w = BufWriter::new(&file);
-        w.write_all(&header_bytes(&header))?;
-        w.flush()?;
-        drop(w);
+        file.write_all(&bytes)?;
         Ok(StreamLog {
             path,
             file,
@@ -306,10 +313,13 @@ impl StreamLog {
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        let header = parse_header(&bytes)?;
-        let (records, end) = scan(&bytes, &header)?;
-        let truncated = bytes.len() as u64 - end;
-        if truncated > 0 {
+        let header = LogHeader::decode(&bytes)?;
+        // A record whose bytes run past EOF is a torn tail.
+        let records = (bytes.len() as u64 - HEADER_LEN) / RECORD_LEN;
+        let end = HEADER_LEN + records * RECORD_LEN;
+        checked(&bytes, HEADER_LEN, end, &header).try_for_each(|r| r.map(drop))?;
+        let truncated_bytes = bytes.len() as u64 - end;
+        if truncated_bytes > 0 {
             file.set_len(end)?;
             file.sync_data()?;
         }
@@ -317,18 +327,16 @@ impl StreamLog {
         let report = OpenReport {
             records,
             end,
-            truncated_bytes: truncated,
+            truncated_bytes,
         };
-        Ok((
-            StreamLog {
-                path,
-                file,
-                header,
-                end,
-                records,
-            },
-            report,
-        ))
+        let log = StreamLog {
+            path,
+            file,
+            header,
+            end,
+            records,
+        };
+        Ok((log, report))
     }
 
     /// Path the log was opened from.
@@ -365,13 +373,13 @@ impl StreamLog {
             });
         }
         ssdrec_base::faults::point("stream.append")?;
-        let mut buf = [0u8; RECORD_LEN as usize];
-        buf[0..4].copy_from_slice(&PAYLOAD_LEN.to_le_bytes());
-        buf[4..12].copy_from_slice(&(user as u64).to_le_bytes());
-        buf[12..20].copy_from_slice(&(item as u64).to_le_bytes());
-        let crc = crc32(&buf[4..20]);
-        buf[20..24].copy_from_slice(&crc.to_le_bytes());
-        self.file.write_all(&buf)?;
+        let mut rec = Vec::with_capacity(RECORD_LEN as usize);
+        rec.put_u32(PAYLOAD_LEN);
+        rec.put_u64(user as u64);
+        rec.put_u64(item as u64);
+        let crc = crc32(&rec[4..]);
+        rec.put_u32(crc);
+        self.file.write_all(&rec)?;
         self.end += RECORD_LEN;
         self.records += 1;
         Ok(self.end)
@@ -431,10 +439,8 @@ impl StreamLog {
 /// bytes at or past `to` (including a torn tail) are ignored. Every record
 /// is checked as [`StreamLog::open`] checks it.
 pub fn replay(path: impl AsRef<Path>, from: u64, to: u64) -> Result<Vec<Interaction>, LogError> {
-    let mut file = File::open(path.as_ref())?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    let header = parse_header(&bytes)?;
+    let bytes = std::fs::read(path)?;
+    let header = LogHeader::decode(&bytes)?;
     let end = bytes.len() as u64;
     let bound_ok =
         |off: u64| off >= HEADER_LEN && off <= end && (off - HEADER_LEN) % RECORD_LEN == 0;
@@ -442,25 +448,16 @@ pub fn replay(path: impl AsRef<Path>, from: u64, to: u64) -> Result<Vec<Interact
         let bad = if bound_ok(from) { to } else { from };
         return Err(LogError::BadOffset { offset: bad, end });
     }
-    (from..to)
-        .step_by(RECORD_LEN as usize)
-        .map(|off| read_record(&bytes, off as usize, &header))
-        .collect()
+    checked(&bytes, from, to, &header).collect()
 }
 
 /// Read a log's header without opening it for writing.
 pub fn read_header(path: impl AsRef<Path>) -> Result<LogHeader, LogError> {
-    let mut file = File::open(path.as_ref())?;
-    let mut buf = [0u8; HEADER_LEN as usize];
-    let mut filled = 0;
-    while filled < buf.len() {
-        let n = file.read(&mut buf[filled..])?;
-        if n == 0 {
-            return Err(LogError::BadMagic);
-        }
-        filled += n;
-    }
-    parse_header(&buf)
+    let mut buf = Vec::new();
+    File::open(path.as_ref())?
+        .take(HEADER_LEN)
+        .read_to_end(&mut buf)?;
+    LogHeader::decode(&buf)
 }
 
 #[cfg(test)]
@@ -473,7 +470,7 @@ mod tests {
             num_users: 12,
             num_items: 34,
         };
-        assert_eq!(parse_header(&header_bytes(&h)).unwrap(), h);
+        assert_eq!(LogHeader::decode(&h.encode()).unwrap(), h);
     }
 
     fn scratch() -> ssdrec_testkit::TempDir {
@@ -490,6 +487,33 @@ mod tests {
                 .collect(),
             noise_labels: None,
         }
+    }
+
+    #[test]
+    fn create_refuses_a_catalog_past_the_bound_and_the_bound_opens() {
+        let dir = scratch();
+        let at = |users, items| LogHeader {
+            num_users: users,
+            num_items: items,
+        };
+        for (header, name) in [
+            (at(MAX_CATALOG + 1, 1), "users"),
+            (at(1, MAX_CATALOG + 1), "items"),
+        ] {
+            let path = dir.join(format!("{name}.sslg"));
+            match StreamLog::create(&path, header) {
+                Err(e @ LogError::CatalogTooLarge(..)) => {
+                    assert!(e.to_string().contains("exceeds"))
+                }
+                other => panic!("{name}: expected CatalogTooLarge, got {:?}", other.err()),
+            }
+            assert!(!path.exists(), "{name}: a refused log leaves no file");
+        }
+        // A log written at the bound reads back.
+        let path = dir.join("bound.sslg");
+        drop(StreamLog::create(&path, at(MAX_CATALOG, MAX_CATALOG)).unwrap());
+        let (log, _) = StreamLog::open(&path).unwrap();
+        assert_eq!(log.header(), at(MAX_CATALOG, MAX_CATALOG));
     }
 
     #[test]

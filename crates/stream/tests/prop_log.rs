@@ -1,18 +1,20 @@
-//! Hostile-input wall for the interaction-log reader, in the style of
-//! `ssdrec-models`' `prop_sstc`: every strict prefix of a valid log either
-//! opens with its torn tail truncated or is refused with a typed
-//! `LogError`; 1–6 flipped bytes never panic anywhere in `open` → `replay`
-//! → `materialize`; a CRC-valid record outside the header's catalog is
-//! refused at its offset by both readers; and an unflipped log replays to
-//! exactly the events appended.
+//! Hostile-input wall for the interaction-log reader, on the conformance
+//! harness (`ssdrec_testkit::conformance`): every strict prefix of a valid
+//! log either opens with its torn tail truncated or is refused with a
+//! typed `LogError`; 1–6 flipped bytes never panic anywhere in `open` →
+//! `replay` → `materialize`; a header catalog or record length forged to
+//! its largest value is refused; a CRC-valid record outside the header's
+//! catalog is refused at its offset by both readers; and an unflipped log
+//! replays to exactly the events appended.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ssdrec_data::crc32;
+use ssdrec_base::bytes::{crc32, Put};
 use ssdrec_stream::{materialize, replay, LogError, LogHeader, StreamLog, HEADER_LEN, RECORD_LEN};
-use ssdrec_testkit::{gens, property, scratch_path, Gen, Rng};
+use ssdrec_testkit::conformance::{self, Field, Format};
+use ssdrec_testkit::{gens, property, scratch_path, Gen};
 
 /// A unique scratch path per call.
 fn scratch(tag: &str) -> PathBuf {
@@ -24,8 +26,11 @@ fn scratch(tag: &str) -> PathBuf {
     )
 }
 
+/// A catalog and the events appended under it.
+type Log = (LogHeader, Vec<(usize, usize)>);
+
 /// A catalog of 1–6 users and 1–9 items and 0–20 events inside it.
-fn arb_log() -> Gen<(LogHeader, Vec<(usize, usize)>)> {
+fn arb_log() -> Gen<Log> {
     Gen::from_fn(|rng| {
         let header = LogHeader {
             num_users: rng.between(1, 6),
@@ -67,13 +72,91 @@ fn replayed(path: &Path, end: u64) -> Result<Vec<(usize, usize)>, LogError> {
 
 /// One CRC-valid record for `(user, item)`, whatever the catalog.
 fn forged(user: u64, item: u64) -> Vec<u8> {
-    let mut rec = 16u32.to_le_bytes().to_vec();
-    rec.extend(user.to_le_bytes());
-    rec.extend(item.to_le_bytes());
+    let mut rec = Vec::new();
+    rec.put_u32(16);
+    rec.put_u64(user);
+    rec.put_u64(item);
     let crc = crc32(&rec[4..]);
-    rec.extend(crc.to_le_bytes());
+    rec.put_u32(crc);
     assert_eq!(rec.len() as u64, RECORD_LEN);
     rec
+}
+
+/// The `.sslg` format.
+struct Sslg;
+
+impl Format for Sslg {
+    type Value = Log;
+    type Error = LogError;
+
+    fn encode(&self, (header, events): &Log) -> Vec<u8> {
+        written(*header, events)
+    }
+
+    /// `open` (which truncates a torn tail), `replay` and `materialize`,
+    /// then the log of the events replayed under the header read.
+    fn decode(&self, _: &Log, bytes: &[u8]) -> Result<Vec<u8>, LogError> {
+        let path = on_disk(bytes);
+        let res = StreamLog::open(&path).and_then(|(log, report)| {
+            assert_eq!(report.end, log.end());
+            assert_eq!(report.truncated_bytes, bytes.len() as u64 - log.end());
+            assert_eq!(fs::metadata(&path).unwrap().len(), log.end());
+            let events = replayed(&path, log.end())?;
+            let ds = materialize(log.header(), &replay(&path, HEADER_LEN, log.end())?);
+            assert_eq!(
+                ds.sequences.iter().map(Vec::len).sum::<usize>(),
+                events.len()
+            );
+            Ok(written(log.header(), &events))
+        });
+        let _ = fs::remove_file(path);
+        res
+    }
+
+    /// A prefix shorter than the header is refused as a bad magic; a longer
+    /// one opens with its torn tail truncated and keeps the whole records
+    /// before the cut.
+    fn prefix_ok(&self, bytes: &[u8], cut: usize, got: &Result<Vec<u8>, LogError>) -> bool {
+        let header = HEADER_LEN as usize;
+        match got {
+            Ok(kept) => {
+                let whole = header + (cut - header) / RECORD_LEN as usize * RECORD_LEN as usize;
+                cut >= header && kept[..] == bytes[..whole]
+            }
+            Err(LogError::BadMagic) => cut < header,
+            Err(_) => false,
+        }
+    }
+
+    /// The header's user and item counts, and each record's length field.
+    fn fields(&self, bytes: &[u8]) -> Vec<Field> {
+        let says = &["exceeds the bound"];
+        let mut fields = vec![
+            Field {
+                at: 8,
+                width: 8,
+                says,
+            },
+            Field {
+                at: 16,
+                width: 8,
+                says,
+            },
+        ];
+        let records = (HEADER_LEN as usize..bytes.len()).step_by(RECORD_LEN as usize);
+        fields.extend(records.map(|at| Field {
+            at,
+            width: 4,
+            says: &["corrupt log record"],
+        }));
+        fields
+    }
+
+    /// The header CRC (a record's CRC covers its payload, not its length).
+    fn reseal(&self, _: &[u8], forged: &mut [u8]) {
+        let crc = crc32(&forged[..24]);
+        forged[24..28].copy_from_slice(&crc.to_le_bytes());
+    }
 }
 
 property! {
@@ -82,14 +165,10 @@ property! {
     /// An unflipped log opens clean and replays to exactly the events
     /// appended, in order, and `materialize` groups them per user.
     fn unflipped_log_replays_the_events_appended(log in arb_log()) {
+        conformance::round_trip(&Sslg, &log);
         let (header, events) = log;
         let path = on_disk(&written(header, &events));
-        let (log, report) = StreamLog::open(&path).expect("a valid log opens");
-        assert_eq!((report.records, report.truncated_bytes), (events.len() as u64, 0));
-        assert_eq!(log.header(), header);
-        let got = replayed(&path, log.end()).expect("a valid log replays");
-        assert_eq!(got, events);
-        let ds = materialize(header, &replay(&path, HEADER_LEN, log.end()).unwrap());
+        let ds = materialize(header, &replay(&path, HEADER_LEN, fs::metadata(&path).unwrap().len()).unwrap());
         for (u, seq) in ds.sequences.iter().enumerate() {
             let want: Vec<usize> = events.iter().filter(|e| e.0 == u).map(|e| e.1).collect();
             assert_eq!(seq, &want, "user {u}");
@@ -101,25 +180,7 @@ property! {
     /// whole records before the cut survive and replay — or, shorter than
     /// the header, is refused with a typed error.
     fn every_strict_prefix_opens_truncated_or_is_refused(log in arb_log()) {
-        let (header, events) = log;
-        let bytes = written(header, &events);
-        for cut in 0..bytes.len() {
-            let path = on_disk(&bytes[..cut]);
-            match StreamLog::open(&path) {
-                Ok((log, report)) => {
-                    let whole = (cut as u64 - HEADER_LEN) / RECORD_LEN;
-                    assert_eq!(report.records, whole, "prefix {cut}");
-                    assert_eq!(report.end, HEADER_LEN + whole * RECORD_LEN, "prefix {cut}");
-                    assert_eq!(report.truncated_bytes, cut as u64 - report.end, "prefix {cut}");
-                    assert_eq!(fs::metadata(&path).unwrap().len(), log.end(), "prefix {cut}");
-                    let got = replayed(&path, log.end()).expect("a recovered prefix replays");
-                    assert_eq!(got, events[..whole as usize], "prefix {cut}");
-                }
-                Err(LogError::BadMagic) => assert!((cut as u64) < HEADER_LEN, "prefix {cut}"),
-                Err(e) => panic!("prefix {cut}/{}: unexpected {e:?}", bytes.len()),
-            }
-            let _ = fs::remove_file(path);
-        }
+        conformance::strict_prefixes(&Sslg, &log);
     }
 
     /// 1–6 flipped bytes anywhere never panic in `open` → `replay` →
@@ -130,20 +191,7 @@ property! {
         flips in gens::usizes(1, 7),
         salt in gens::u64s(),
     ) {
-        let (header, events) = log;
-        let mut bytes = written(header, &events);
-        let mut rng = Rng::seed(salt);
-        for _ in 0..flips {
-            let pos = rng.below(bytes.len());
-            bytes[pos] ^= 1 + rng.below(255) as u8;
-        }
-        let path = on_disk(&bytes);
-        if let Ok((log, _)) = StreamLog::open(&path) {
-            let events = replay(&path, HEADER_LEN, log.end()).expect("an opened log replays");
-            let ds = materialize(log.header(), &events);
-            assert_eq!(ds.sequences.iter().map(Vec::len).sum::<usize>(), events.len());
-        }
-        let _ = fs::remove_file(path);
+        let bytes = conformance::byte_flips(&Sslg, &log, flips, salt);
         // The read-only reader, on the file as flipped (`open` may have
         // truncated it), at every record boundary it may be asked for.
         let path = on_disk(&bytes);
@@ -156,6 +204,18 @@ property! {
         }
         let _ = fs::remove_file(path);
     }
+}
+
+/// A header catalog forged to `u64::MAX` users or items (CRC recomputed)
+/// is refused before `materialize` sizes a per-user table by it, and a
+/// record length forged to `u32::MAX` is corruption at its offset.
+#[test]
+fn forged_catalog_and_lengths_are_refused() {
+    let header = LogHeader {
+        num_users: 4,
+        num_items: 5,
+    };
+    conformance::forged_counts(&Sslg, &(header, vec![(0, 1), (3, 5)]));
 }
 
 /// A CRC-valid record outside the catalog — a user at or past `num_users`,

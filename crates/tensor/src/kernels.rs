@@ -163,11 +163,25 @@ fn gemm_row_grain(m: usize) -> usize {
     m.div_ceil(32).next_multiple_of(TILE_ROWS)
 }
 
-/// `dst[cols×rows] = srcᵀ` for a row-major `src[rows×cols]`.
+/// Side of [`transpose_into`]'s square tiles.
+const TRANSPOSE_TILE: usize = 32;
+
+/// `dst[cols×rows] = srcᵀ` for a row-major `src[rows×cols]` in 32×32 tiles,
+/// so strided writes stay in 32 cache lines. Median µs of [`transpose_last`]
+/// (allocation included), row-by-row vs tiled, 10 alternating release runs,
+/// 2-cpu AVX-512F host: `64×2 601` 376 vs 248, `16×2 601` 75 vs 60,
+/// `2 601×16` 65 vs 62, `256×256` 248 vs 93.
 pub(crate) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
-    for i in 0..rows {
-        for j in 0..cols {
-            dst[j * rows + i] = src[i * cols + j];
+    for i0 in (0..rows).step_by(TRANSPOSE_TILE) {
+        let i1 = (i0 + TRANSPOSE_TILE).min(rows);
+        for j0 in (0..cols).step_by(TRANSPOSE_TILE) {
+            let j1 = (j0 + TRANSPOSE_TILE).min(cols);
+            for i in i0..i1 {
+                let row = &src[i * cols + j0..i * cols + j1];
+                for (j, &x) in (j0..j1).zip(row) {
+                    dst[j * rows + i] = x;
+                }
+            }
         }
     }
 }

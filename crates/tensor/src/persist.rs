@@ -1,6 +1,6 @@
 //! Parameter persistence: save/load a [`ParamStore`]'s values to a simple,
 //! self-describing binary format (no external dependencies), and the
-//! tensor-record codec it shares with the trainer's `.sstc` state files.
+//! tensor-record layer it shares with the trainer's `.sstc` state files.
 //!
 //! Format (little-endian):
 //! ```text
@@ -16,15 +16,16 @@
 //! Loading is strict: the target store must have the same tensor names,
 //! order and shapes ([`match_store`]; it is a *checkpoint* format, not a
 //! model format — the code that built the store defines the architecture).
-//! [`RecordReader`] checks every count and length against the bytes left in
-//! the file before it allocates anything from it, so a hostile or corrupt
-//! file is a typed `Err`, never a multi-GiB allocation or a panic.
+//! A file is read whole and decoded with `ssdrec_base::bytes`' cursor,
+//! which bounds every count, length and shape by the bytes left before
+//! anything is allocated from it, so a hostile or corrupt file is a typed
+//! `Err`, never a multi-GiB allocation or a panic.
 
-use std::fs::File;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 use ssdrec_base::atomic_file::atomic_write;
+use ssdrec_base::bytes::{Cursor, Put};
 
 use crate::optim::ParamStore;
 use crate::tensor::Tensor;
@@ -32,171 +33,79 @@ use crate::tensor::Tensor;
 const MAGIC: &[u8; 4] = b"SSDT";
 const VERSION: u32 = 1;
 
-/// Writes a tensor-record file: a magic and version header, then `u32` /
-/// `u64` fields and tensor records, all little-endian.
-pub struct RecordWriter<W: Write> {
-    w: W,
-}
-
-impl<W: Write> RecordWriter<W> {
-    /// Start a file of format `magic` at `version`.
-    pub fn new(mut w: W, magic: &[u8; 4], version: u32) -> io::Result<Self> {
-        w.write_all(magic)?;
-        w.write_all(&version.to_le_bytes())?;
-        Ok(RecordWriter { w })
-    }
-
-    /// One `u32` field.
-    pub fn u32(&mut self, v: u32) -> io::Result<()> {
-        self.w.write_all(&v.to_le_bytes())
-    }
-
-    /// One `u64` field.
-    pub fn u64(&mut self, v: u64) -> io::Result<()> {
-        self.w.write_all(&v.to_le_bytes())
-    }
-
-    /// One or more tensors of one shape: the rank and dims once, then each
-    /// tensor's data.
-    pub fn tensors(&mut self, tensors: &[&Tensor]) -> io::Result<()> {
-        let shape = tensors[0].shape();
-        self.u32(shape.len() as u32)?;
-        for &d in shape {
-            self.u32(d as u32)?;
-        }
-        for t in tensors {
-            debug_assert_eq!(t.shape(), shape, "one record, one shape");
-            for &x in t.data() {
-                self.w.write_all(&x.to_le_bytes())?;
-            }
-        }
-        Ok(())
-    }
-
-    /// A named record: the name's byte count and bytes, then
-    /// [`RecordWriter::tensors`].
-    pub fn record(&mut self, name: &str, tensors: &[&Tensor]) -> io::Result<()> {
-        self.u32(name.len() as u32)?;
-        self.w.write_all(name.as_bytes())?;
-        self.tensors(tensors)
-    }
-}
-
-/// Reads a file [`RecordWriter`] wrote. It tracks the bytes left in the
-/// file and refuses any count or length they cannot hold before it
-/// allocates from it; every refusal says "overruns".
-pub struct RecordReader {
-    r: BufReader<File>,
-    left: u64,
-}
-
-fn invalid(msg: String) -> io::Error {
+/// A malformed-file error: what the record layer's refusals are.
+pub fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-impl RecordReader {
-    /// Open `path` and check its magic and version; `kind` names the
-    /// format in the errors (`"SSDT checkpoint"`).
-    pub fn open(path: &Path, magic: &[u8; 4], version: u32, kind: &str) -> io::Result<Self> {
-        let file = File::open(path)?;
-        let left = file.metadata()?.len();
-        let mut r = RecordReader {
-            r: BufReader::new(file),
-            left,
-        };
-        if &r.array::<4>()? != magic {
-            return Err(invalid(format!("not an {kind}")));
-        }
-        let found = r.u32()?;
-        if found != version {
-            return Err(invalid(format!("unsupported {kind} version {found}")));
-        }
-        Ok(r)
-    }
+/// The start of a tensor-record file of format `magic` at `version`.
+pub fn record_file(magic: &[u8; 4], version: u32) -> Vec<u8> {
+    let mut out = magic.to_vec();
+    out.put_u32(version);
+    out
+}
 
-    fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
-        let mut b = [0u8; N];
-        self.r.read_exact(&mut b)?;
-        self.left = self.left.saturating_sub(N as u64);
-        Ok(b)
+/// One or more tensors of one shape: the rank and dims once, then each
+/// tensor's data.
+pub fn put_tensors(out: &mut Vec<u8>, tensors: &[&Tensor]) {
+    let shape = tensors[0].shape();
+    out.put_u32(shape.len() as u32);
+    for &d in shape {
+        out.put_u32(d as u32);
     }
+    for t in tensors {
+        debug_assert_eq!(t.shape(), shape, "one record, one shape");
+        out.put_f32s(t.data());
+    }
+}
 
-    /// One `u32` field.
-    pub fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.array()?))
+/// A cursor over a file [`record_file`] started, past its magic and
+/// version, which must be `magic` and `version`; `kind` names the format
+/// in the errors (`"SSDT checkpoint"`).
+pub fn open_records<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 4],
+    version: u32,
+    kind: &str,
+) -> io::Result<Cursor<'a>> {
+    let mut c = Cursor::new(bytes);
+    if &c.array::<4>()? != magic {
+        return Err(invalid(format!("not an {kind}")));
     }
+    let found = c.u32()?;
+    if found != version {
+        return Err(invalid(format!("unsupported {kind} version {found}")));
+    }
+    Ok(c)
+}
 
-    /// One `u64` field.
-    pub fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
+/// `copies` tensors of one shape, as [`put_tensors`] wrote them. The rank
+/// and the shape are checked before anything is allocated.
+pub fn read_tensors(c: &mut Cursor, copies: usize) -> io::Result<Vec<Tensor>> {
+    let ndim = c.u32()?;
+    c.count(ndim as u64, 4, || format!("a rank of {ndim} dims"))?;
+    let shape = (0..ndim)
+        .map(|_| Ok(c.u32()? as usize))
+        .collect::<io::Result<Vec<usize>>>()?;
+    let len = shape
+        .iter()
+        .try_fold(1u64, |n, &d| n.checked_mul(d as u64))
+        .unwrap_or(u64::MAX);
+    let len = c.count(len, 4 * copies as u64, || format!("shape {shape:?}"))?;
+    (0..copies)
+        .map(|_| Ok(Tensor::new(c.f32s(len)?, &shape)))
+        .collect()
+}
 
-    /// Refuse `n` items of `item_bytes` each unless the rest of the file
-    /// can hold them; `what` describes them in the error.
-    fn fits(&self, n: u64, item_bytes: u64, what: impl FnOnce() -> String) -> io::Result<()> {
-        match n.checked_mul(item_bytes) {
-            Some(need) if need <= self.left => Ok(()),
-            _ => Err(invalid(format!(
-                "{} overruns the {} bytes left",
-                what(),
-                self.left
-            ))),
-        }
-    }
-
-    /// A `u32` count of items of at least `item_bytes` each, checked
-    /// against the bytes left; `what` names it in the error (`"a parameter
-    /// count"`).
-    pub fn count(&mut self, item_bytes: u64, what: &str) -> io::Result<usize> {
-        let n = self.u32()?;
-        self.fits(n as u64, item_bytes, || format!("{what} of {n}"))?;
-        Ok(n as usize)
-    }
-
-    /// `copies` tensors of one shape, as [`RecordWriter::tensors`] wrote
-    /// them. The rank and the shape are checked before anything is
-    /// allocated.
-    pub fn tensors(&mut self, copies: usize) -> io::Result<Vec<Tensor>> {
-        let ndim = self.u32()?;
-        self.fits(ndim as u64, 4, || format!("a rank of {ndim} dims"))?;
-        let shape = (0..ndim)
-            .map(|_| Ok(self.u32()? as usize))
-            .collect::<io::Result<Vec<usize>>>()?;
-        let len = shape
-            .iter()
-            .try_fold(1u64, |n, &d| n.checked_mul(d as u64))
-            .ok_or_else(|| invalid(format!("shape {shape:?} overflows")))?;
-        self.fits(len, 4 * copies as u64, || format!("shape {shape:?}"))?;
-        let mut tensors = Vec::with_capacity(copies);
-        for _ in 0..copies {
-            let mut data = vec![0f32; len as usize];
-            for x in &mut data {
-                *x = f32::from_le_bytes(self.array()?);
-            }
-            tensors.push(Tensor::new(data, &shape));
-        }
-        Ok(tensors)
-    }
-
-    /// Record `i`, as [`RecordWriter::record`] wrote it with `copies`
-    /// tensors. Errors name the record.
-    pub fn record(&mut self, i: usize, copies: usize) -> io::Result<(String, Vec<Tensor>)> {
-        let named = |name: &str, e: io::Error| invalid(format!("tensor {i} ({name}): {e}"));
-        let len = self.u32().map_err(|e| named("<header>", e))?;
-        self.fits(len as u64, 1, || {
-            format!("the name is {len} bytes: a name length that")
-        })
-        .map_err(|e| named("<header>", e))?;
-        let mut bytes = vec![0u8; len as usize];
-        self.r
-            .read_exact(&mut bytes)
-            .map_err(|e| named("<header>", e))?;
-        self.left -= len as u64;
-        let name = String::from_utf8(bytes)
-            .map_err(|_| invalid(format!("tensor {i}: invalid name encoding")))?;
-        let tensors = self.tensors(copies).map_err(|e| named(&name, e))?;
-        Ok((name, tensors))
-    }
+/// Record `i` — a name, then `copies` tensors as [`put_tensors`] wrote
+/// them. Errors name the record.
+pub fn read_record(c: &mut Cursor, i: usize, copies: usize) -> io::Result<(String, Vec<Tensor>)> {
+    let named = |name: &str, e: io::Error| invalid(format!("tensor {i} ({name}): {e}"));
+    let name = c.name().map_err(|e| named("<header>", e.into()))?;
+    let name = String::from_utf8(name.to_vec())
+        .map_err(|_| invalid(format!("tensor {i}: invalid name encoding")))?;
+    let tensors = read_tensors(c, copies).map_err(|e| named(&name, e))?;
+    Ok((name, tensors))
 }
 
 /// Check that `records` — each tensor's `(name, shape)`, in file order —
@@ -235,25 +144,25 @@ pub fn match_store<'a>(
 /// `persist.save`: a partially written checkpoint never replaces a good
 /// one).
 pub fn save_params(store: &ParamStore, path: impl AsRef<Path>) -> io::Result<()> {
-    atomic_write(path.as_ref(), "persist.save", |w| {
-        let mut w = RecordWriter::new(w, MAGIC, VERSION)?;
-        w.u32(store.num_tensors() as u32)?;
-        for i in 0..store.num_tensors() {
-            let p = ParamStore::param_ref_by_index(i);
-            w.record(store.name(p), &[store.get(p)])?;
-        }
-        Ok(())
-    })
+    let mut out = record_file(MAGIC, VERSION);
+    out.put_u32(store.num_tensors() as u32);
+    for i in 0..store.num_tensors() {
+        let p = ParamStore::param_ref_by_index(i);
+        out.put_name(store.name(p));
+        put_tensors(&mut out, &[store.get(p)]);
+    }
+    atomic_write(path.as_ref(), "persist.save", |w| w.write_all(&out))
 }
 
 /// Load a checkpoint into `store`. Names, order and shapes must match the
 /// store exactly; optimizer moments are left untouched.
 pub fn load_params(store: &mut ParamStore, path: impl AsRef<Path>) -> io::Result<()> {
-    let mut r = RecordReader::open(path.as_ref(), MAGIC, VERSION, "SSDT checkpoint")?;
+    let bytes = std::fs::read(path)?;
+    let mut c = open_records(&bytes, MAGIC, VERSION, "SSDT checkpoint")?;
     // A record is at least its name length and its rank.
-    let count = r.count(8, "a tensor count")?;
+    let count = c.u32_count(8, "a tensor count")?;
     let records = (0..count)
-        .map(|i| r.record(i, 1))
+        .map(|i| read_record(&mut c, i, 1))
         .collect::<io::Result<Vec<_>>>()?;
     match_store(
         store,
@@ -339,7 +248,7 @@ mod tests {
         let (_dir, path) = scratch("ver");
         save_params(&demo_store(), &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
+        bytes[4..8].copy_from_slice(&[99, 0, 0, 0]); // version 99, little-endian
         std::fs::write(&path, &bytes).unwrap();
         let e = load_params(&mut demo_store(), &path).unwrap_err();
         assert!(e.to_string().contains("version 99"), "{e}");

@@ -1,15 +1,18 @@
-//! Hostile-input wall for the `.ssdt` checkpoint loader, in the style of
-//! the columnar suite: every strict prefix of a valid file is rejected with
-//! a typed `io::Error`, 1–6 flipped bytes never panic (a corrupt length
-//! field is refused before anything is allocated from it), and an
-//! unflipped file loads identical bits.
+//! Hostile-input wall for the `.ssdt` checkpoint loader, on the
+//! conformance harness (`ssdrec_testkit::conformance`): an unflipped file
+//! loads identical bits, every strict prefix is rejected with a typed
+//! `io::Error`, 1–6 flipped bytes never panic, and every count, length and
+//! dim forged to `u32::MAX` is refused before anything is allocated from
+//! it.
 
 use std::fs;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ssdrec_base::bytes::Cursor;
 use ssdrec_tensor::{load_params, save_params, ParamStore, Rng, Tensor};
+use ssdrec_testkit::conformance::{self, Field, Format};
 use ssdrec_testkit::{gens, property, scratch_path, Gen};
 
 /// A unique scratch path per call.
@@ -53,44 +56,70 @@ fn store_of(spec: &Spec, seed: u64) -> ParamStore {
     store
 }
 
-fn bits(store: &ParamStore) -> Vec<Vec<u32>> {
-    store
-        .snapshot()
-        .iter()
-        .map(|t| t.data().iter().map(|x| x.to_bits()).collect())
-        .collect()
+/// The `.ssdt` format: a store's architecture and the seed of its values.
+struct Ssdt;
+
+/// The bytes `store` saves to.
+fn saved(store: &ParamStore) -> Vec<u8> {
+    let path = scratch("saved");
+    save_params(store, &path).expect("save");
+    let bytes = fs::read(&path).unwrap();
+    let _ = fs::remove_file(path);
+    bytes
 }
 
-/// The error kinds the loader reports: a malformed file, or one that ends
-/// early.
-fn assert_typed(e: &io::Error, ctx: &str) {
-    assert!(
+impl Format for Ssdt {
+    type Value = (Spec, u64);
+    type Error = io::Error;
+
+    fn encode(&self, (spec, seed): &(Spec, u64)) -> Vec<u8> {
+        saved(&store_of(spec, *seed))
+    }
+
+    /// Load into a store of the same architecture (values from another
+    /// seed) and save what it holds.
+    fn decode(&self, (spec, _): &(Spec, u64), bytes: &[u8]) -> io::Result<Vec<u8>> {
+        let path = scratch("load");
+        fs::write(&path, bytes).unwrap();
+        let mut store = store_of(spec, 999);
+        let res = load_params(&mut store, &path);
+        let _ = fs::remove_file(path);
+        res.map(|()| saved(&store))
+    }
+
+    /// A malformed file, or one that ends early.
+    fn typed(&self, e: &io::Error) -> bool {
         matches!(
             e.kind(),
             io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
-        ),
-        "{ctx}: untyped error {e:?}"
-    );
-}
+        )
+    }
 
-/// A saved checkpoint of `spec` and its bytes.
-fn saved(spec: &Spec, seed: u64) -> (ParamStore, Vec<u8>) {
-    let store = store_of(spec, seed);
-    let path = scratch("saved");
-    save_params(&store, &path).expect("save");
-    let bytes = fs::read(&path).unwrap();
-    let _ = fs::remove_file(path);
-    (store, bytes)
-}
-
-/// Load `bytes` into a store of `spec` (values from another seed).
-fn load(spec: &Spec, bytes: &[u8]) -> (ParamStore, io::Result<()>) {
-    let path = scratch("load");
-    fs::write(&path, bytes).unwrap();
-    let mut store = store_of(spec, 999);
-    let res = load_params(&mut store, &path);
-    let _ = fs::remove_file(path);
-    (store, res)
+    /// The tensor count, then per record its name length, its rank and,
+    /// unless the tensor is empty (a dim of it sizes nothing), its dims.
+    fn fields(&self, bytes: &[u8]) -> Vec<Field> {
+        let u32_at = |at, says| Field { at, width: 4, says };
+        let mut fields = vec![u32_at(8, &["tensor count", "overruns"][..])];
+        let mut c = Cursor::new(bytes);
+        c.bytes(8, String::new).unwrap();
+        for _ in 0..c.u32().unwrap() {
+            fields.push(u32_at(bytes.len() - c.left(), &["name is", "overruns"]));
+            c.name().unwrap();
+            fields.push(u32_at(bytes.len() - c.left(), &["dims", "overruns"]));
+            let dims: Vec<(usize, usize)> = (0..c.u32().unwrap())
+                .map(|_| (bytes.len() - c.left(), c.u32().unwrap() as usize))
+                .collect();
+            let len = dims.iter().map(|d| d.1).product();
+            if len > 0 {
+                fields.extend(
+                    dims.iter()
+                        .map(|&(at, _)| u32_at(at, &["shape", "overruns"])),
+                );
+            }
+            c.f32s(len).unwrap();
+        }
+        fields
+    }
 }
 
 property! {
@@ -98,21 +127,12 @@ property! {
 
     /// An unflipped file loads the saved bits exactly.
     fn unflipped_file_loads_identical_bits(spec in arb_spec(), seed in gens::u64s()) {
-        let (want, bytes) = saved(&spec, seed);
-        let (got, res) = load(&spec, &bytes);
-        res.expect("a valid checkpoint loads");
-        assert_eq!(bits(&got), bits(&want));
+        conformance::round_trip(&Ssdt, &(spec, seed));
     }
 
     /// Every strict prefix of a valid file is rejected with a typed error.
     fn every_strict_prefix_is_rejected(spec in arb_spec(), seed in gens::u64s()) {
-        let (_, bytes) = saved(&spec, seed);
-        for cut in 0..bytes.len() {
-            match load(&spec, &bytes[..cut]).1 {
-                Err(e) => assert_typed(&e, &format!("prefix {cut}/{}", bytes.len())),
-                Ok(()) => panic!("prefix {cut}/{} bytes must be rejected", bytes.len()),
-            }
-        }
+        conformance::strict_prefixes(&Ssdt, &(spec, seed));
     }
 
     /// 1–6 flipped bytes anywhere never panic: the load either fails with a
@@ -123,35 +143,15 @@ property! {
         flips in gens::usizes(1, 7),
         salt in gens::u64s(),
     ) {
-        let (_, mut bytes) = saved(&spec, seed);
-        let mut rng = Rng::seed(salt);
-        for _ in 0..flips {
-            let pos = rng.below(bytes.len());
-            bytes[pos] ^= 1 + rng.below(255) as u8;
-        }
-        if let Err(e) = load(&spec, &bytes).1 {
-            assert_typed(&e, &format!("{flips} flips"));
-        }
+        conformance::byte_flips(&Ssdt, &(spec, seed), flips, salt);
     }
 }
 
-/// A length field flipped to its largest value is refused before the
-/// loader allocates from it — the name's byte count and the shape's rank
-/// (which would ask for 4 GiB and 32 GiB).
+/// Every length field flipped to its largest value is refused before the
+/// loader allocates from it — the tensor count, each name's byte count,
+/// each rank and each dim (which would ask for 4 to 48 GiB).
 #[test]
 fn corrupt_length_fields_are_refused_before_allocation() {
     let spec: Spec = vec![("w".into(), vec![2, 3]), ("b".into(), vec![3])];
-    let (_, bytes) = saved(&spec, 1);
-    // Header: magic, version, count; tensor 0: name_len, "w", ndim.
-    let name_len_at = 12;
-    let ndim_at = name_len_at + 4 + 1;
-    for (at, what) in [(name_len_at, "name is"), (ndim_at, "dims")] {
-        let mut bad = bytes.clone();
-        bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let e = load(&spec, &bad)
-            .1
-            .expect_err("a huge length must be refused");
-        assert_typed(&e, what);
-        assert!(e.to_string().contains(what), "{what}: {e}");
-    }
+    conformance::forged_counts(&Ssdt, &(spec, 1));
 }

@@ -15,6 +15,9 @@
 //!   of analytic gradients, and [`fd_check_all_params`], which runs it over
 //!   every tensor of a `ParamStore` to validate the autograd tape layer by
 //!   layer.
+//! * [`conformance`] — one hostile-input harness for the byte formats:
+//!   round trip, strict prefixes, byte flips and forged counts, generic
+//!   over a [`conformance::Format`].
 //! * [`fault`] — test-side hooks for the `ssdrec_base::faults` injection
 //!   runtime: the [`fault::FaultPlan`] builder, armed on the calling thread
 //!   or as the process default, and fire-count assertions.
@@ -33,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod conformance;
 pub mod fault;
 pub mod gradcheck;
 pub mod prop;

@@ -7,7 +7,10 @@
 #      shipped package's normal dependency tree may reach ssdrec-testkit, no
 #      file under crates/tensor/src but math.rs may call libm's exp, ln or
 #      tanh, no file under crates/*/src but base's atomic_file.rs may call
-#      rename( (every published file goes through its fsync), and the
+#      rename( (every published file goes through its fsync), none but
+#      base's bytes.rs may call from_le_bytes or to_le_bytes (every file
+#      format reads and writes through its bounded codec; crates/ann's
+#      canonical to_bytes is exempt until the crate goes), and the
 #      SSDREC_* environment variables the code reads are exactly FAULTS,
 #      POOL, PROP_SEED and THREADS (option creep fails).
 #   2. cargo fmt --check
@@ -228,6 +231,15 @@ if [ -n "$RENAMES" ]; then
     die "rename( outside crates/base/src/atomic_file.rs (publish through ssdrec_base::atomic_file)"
 fi
 echo "ok: every rename( in crates/*/src is the atomic writer's"
+# A byte decoded outside the one codec skips its bounds: a forged count
+# could size an allocation before anything checks it against the file.
+LE_CALLS=$(grep -rnE '\b(from|to)_le_bytes\b' crates/*/src --include='*.rs' |
+    grep -v '^crates/base/src/bytes\.rs:' | grep -v '^crates/ann/src/' || true)
+if [ -n "$LE_CALLS" ]; then
+    printf '%s\n' "$LE_CALLS"
+    die "from_le_bytes/to_le_bytes outside crates/base/src/bytes.rs (read and write through ssdrec_base::bytes)"
+fi
+echo "ok: every from_le_bytes/to_le_bytes in crates/*/src is base::bytes'"
 # Every environment variable is an option nobody sees in --help: the set
 # the code spells may only change together with this line.
 ENV_WANT="FAULTS POOL PROP_SEED THREADS"
