@@ -33,7 +33,8 @@
 //! open, per-user reads are infallible and served through a small reusable
 //! window buffer (`pread`, no full materialization). Bounds are enforced
 //! there, through `ssdrec_base::bytes`: the footer count by the file,
-//! META's user count by LENS (at least a byte a user), and every field by
+//! META's user count by LENS (at least a byte a user), its item count by
+//! [`MAX_CATALOG`] (which the writer holds to as well), and every field by
 //! its section, so a forged count is a typed error before any allocation.
 
 use std::cell::RefCell;
@@ -45,7 +46,7 @@ use std::path::Path;
 use ssdrec_base::atomic_file::AtomicFile;
 use ssdrec_base::bytes::{bounded, crc32, read_varint, unzigzag, zigzag, Crc32, Cursor, Put};
 
-use crate::format::FormatError;
+use crate::format::{FormatError, MAX_CATALOG};
 use crate::interaction::Dataset;
 
 const MAGIC: &[u8; 4] = b"SSDC";
@@ -107,6 +108,9 @@ impl ColumnarWriter {
         has_noise: bool,
         has_times: bool,
     ) -> Result<Self, FormatError> {
+        if num_items > MAX_CATALOG {
+            return Err(FormatError::CatalogTooLarge(num_items as u64));
+        }
         let mut file = AtomicFile::create(path)?;
         let flags = (FLAG_NOISE * has_noise as u32) | (FLAG_TIME * has_times as u32);
         let mut header = MAGIC.to_vec();
@@ -388,6 +392,9 @@ impl ColumnarReader {
         let (num_users, num_items, num_interactions) = (m.u64()?, m.u64()?, m.u64()?);
         if m.left() != 0 {
             return Err(corrupt("META length inconsistent"));
+        }
+        if num_items > MAX_CATALOG as u64 {
+            return Err(FormatError::CatalogTooLarge(num_items));
         }
 
         // LENS: every user takes at least one byte of it.

@@ -1,4 +1,5 @@
-//! The columnar dataset format's typed error, [`FormatError`]. Its byte
+//! The columnar dataset format's typed error, [`FormatError`], and the
+//! catalogue bound every dataset file shares, [`MAX_CATALOG`]. Its byte
 //! primitives (LEB128 varint, zigzag, CRC-32, the bounded cursor) are
 //! `ssdrec_base::bytes`'; the tests below pin the encodings the `.ssdc` and
 //! `.sslg` bytes on disk depend on.
@@ -7,6 +8,13 @@ use std::fmt;
 use std::io;
 
 use ssdrec_base::bytes::Overrun;
+
+/// The most items (and, in an interaction log, the most users) a dataset
+/// file's catalogue may hold: 2²⁴, far past any dataset profile. A
+/// catalogue sizes embedding tables and per-user tables downstream, so
+/// every writer and reader refuses a larger one before anything is sized
+/// by it.
+pub const MAX_CATALOG: usize = 1 << 24;
 
 /// Typed errors for the columnar dataset format.
 ///
@@ -34,6 +42,8 @@ pub enum FormatError {
     /// A field, count or length needs more bytes than its section, or the
     /// file, holds (the bounded cursor's refusal).
     Overrun(Overrun),
+    /// A catalogue of this many items, past [`MAX_CATALOG`].
+    CatalogTooLarge(u64),
     /// An item id pushed to the writer falls outside `1..=num_items`.
     ItemOutOfRange {
         /// User whose sequence contained the offending id.
@@ -56,6 +66,10 @@ impl fmt::Display for FormatError {
             FormatError::MissingSection(tag) => write!(f, "section {tag} missing"),
             FormatError::Corrupt(detail) => write!(f, "corrupt columnar data: {detail}"),
             FormatError::Overrun(e) => write!(f, "corrupt columnar data: {e}"),
+            FormatError::CatalogTooLarge(items) => write!(
+                f,
+                "a catalogue of {items} items exceeds the bound of {MAX_CATALOG}"
+            ),
             FormatError::ItemOutOfRange {
                 user,
                 item,

@@ -24,7 +24,7 @@ pub use batch::{
     make_batches, plan_batches, Batch, BatchIter, BatchPlan, BatchSource, StoreExamples,
 };
 pub use colfile::{encode_dataset, ColumnarReader, ColumnarSummary, ColumnarWriter};
-pub use format::FormatError;
+pub use format::{FormatError, MAX_CATALOG};
 pub use interaction::{Dataset, Example, Interaction, Split, PAD_ITEM};
 pub use loader::{
     load_interactions, load_to_columnar, parse_interactions, parse_interactions_to_columnar,

@@ -15,8 +15,8 @@ use ssdrec_testkit::fault::{assert_fired_exactly, FaultPlan};
 use ssdrec_testkit::{gens, property, scratch_path, Gen};
 
 use ssdrec_data::{
-    encode_dataset, make_batches, plan_leave_one_out, BatchIter, ColumnarReader, Dataset,
-    FormatError, SequenceStore, SyntheticConfig, TruncatedStore,
+    encode_dataset, make_batches, plan_leave_one_out, BatchIter, ColumnarReader, ColumnarWriter,
+    Dataset, FormatError, SequenceStore, SyntheticConfig, TruncatedStore, MAX_CATALOG,
 };
 
 /// A unique scratch path per call (property cases run many files through
@@ -103,7 +103,7 @@ impl Format for Ssdc {
     }
 
     /// The footer count, each section's length, and META's name length,
-    /// user count and interaction count.
+    /// user count, item count and interaction count.
     fn fields(&self, bytes: &[u8]) -> Vec<Field> {
         let table = sections(bytes);
         let mut fields = vec![Field {
@@ -134,6 +134,14 @@ impl Format for Ssdc {
             at: users,
             width: 8,
             says: &["user count", "overruns"],
+        });
+        fields.push(Field {
+            at: users + 8,
+            width: 8,
+            says: &[
+                "catalogue of 18446744073709551615 items",
+                "exceeds the bound",
+            ],
         });
         let says = &["interaction count"];
         fields.push(Field {
@@ -257,11 +265,35 @@ property! {
 /// The footer count, every section length and META's counts forged to
 /// their largest value, CRCs recomputed, are refused before the reader
 /// allocates from them: a user count takes at least a LENS byte per user,
-/// and a footer count a table entry per section.
+/// an item count is at most `MAX_CATALOG`, and a footer count takes a
+/// table entry per section.
 #[test]
 fn forged_counts_are_refused_before_allocation() {
     let ds = SyntheticConfig::beauty().scaled(0.05).generate();
     conformance::forged_counts(&Ssdc, &ds);
+}
+
+/// The writer takes a catalogue of `MAX_CATALOG` items, which the reader
+/// opens, and refuses one item more, naming the count, before it creates
+/// any file.
+#[test]
+fn the_writer_holds_the_catalogue_bound() {
+    let path = scratch("bound");
+    let w = ColumnarWriter::create(&path, "bound", MAX_CATALOG, false, false).expect("create");
+    w.finish().expect("finish");
+    assert_eq!(
+        ColumnarReader::open(&path).expect("open").num_items(),
+        MAX_CATALOG
+    );
+    let _ = fs::remove_file(&path);
+    let too_many = MAX_CATALOG + 1;
+    match ColumnarWriter::create(&path, "bound", too_many, false, false) {
+        Err(e @ FormatError::CatalogTooLarge(_)) => {
+            assert!(e.to_string().contains(&format!("{too_many} items")), "{e}");
+        }
+        other => panic!("expected CatalogTooLarge, got {:?}", other.err()),
+    }
+    assert!(!path.exists() && !path.with_extension("ssdc.tmp").exists());
 }
 
 /// The streaming generator writes the byte-identical file to encoding the

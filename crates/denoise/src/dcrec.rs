@@ -8,12 +8,14 @@
 
 use ssdrec_data::Batch;
 use ssdrec_tensor::nn::Embedding;
-use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Tensor, Var};
+use ssdrec_tensor::{Binding, Graph, ParamStore, Rng, Var};
 
-use ssdrec_models::{next_item_ce, score_catalogue, RecModel, SasRecEncoder, SeqEncoder};
+use ssdrec_models::{info_nce, next_item_ce, score_catalogue, RecModel, SasRecEncoder, SeqEncoder};
 
 /// Contrastive temperature τ of the InfoNCE between the two views.
 const CL_TAU: f32 = 0.5;
+/// Weight β of the contrastive term.
+const CL_WEIGHT: f32 = 0.2;
 /// Dropout used both for regularisation and for view generation.
 const DROPOUT: f32 = 0.2;
 
@@ -25,8 +27,6 @@ pub struct DcRec {
     encoder: SasRecEncoder,
     /// Item conformity in `[0,1]` (popularity, normalised by the max).
     conformity: Vec<f32>,
-    /// Weight of the contrastive term.
-    pub beta: f32,
 }
 
 impl DcRec {
@@ -51,7 +51,6 @@ impl DcRec {
             item_emb,
             encoder,
             conformity,
-            beta: 0.2,
         }
     }
 
@@ -70,24 +69,6 @@ impl DcRec {
         }
         self.encoder.encode(g, bind, h)
     }
-
-    /// Conformity-weighted InfoNCE between two views `z1, z2` (`B×d`):
-    /// positives are the diagonal of `z1 z2ᵀ / τ`, negatives in-batch.
-    fn contrastive_loss(&self, g: &mut Graph, z1: Var, z2: Var, targets: &[usize]) -> Var {
-        let b = g.value(z1).shape()[0];
-        let z2t = g.transpose_last(z2);
-        let sim = g.matmul(z1, z2t); // B×B
-        let sim = g.scale(sim, 1.0 / CL_TAU);
-        let logp = g.log_softmax_last(sim);
-        let diag: Vec<usize> = (0..b).collect();
-        let pos = g.pick_per_row(logp, &diag); // B
-                                               // Debias: weight each example by 1 − conformity(target).
-        let w: Vec<f32> = targets.iter().map(|&t| 1.0 - self.conformity[t]).collect();
-        let wv = g.constant(Tensor::new(w, &[b]));
-        let weighted = g.mul(pos, wv);
-        let mean = g.mean_all(weighted);
-        g.neg(mean)
-    }
 }
 
 impl RecModel for DcRec {
@@ -102,10 +83,16 @@ impl RecModel for DcRec {
     fn loss(&self, g: &mut Graph, bind: &Binding, batch: &Batch, rng: &mut Rng) -> Var {
         let z1 = self.encode_view(g, bind, batch, Some(rng));
         let ce = next_item_ce(g, self.item_emb.table(bind), z1, &batch.targets);
-        if batch.len() >= 2 && self.beta > 0.0 {
+        if batch.len() >= 2 {
             let z2 = self.encode_view(g, bind, batch, Some(rng));
-            let cl = self.contrastive_loss(g, z1, z2, &batch.targets);
-            let wcl = g.scale(cl, self.beta);
+            // Debias: weight each example by 1 − conformity(target).
+            let w: Vec<f32> = batch
+                .targets
+                .iter()
+                .map(|&t| 1.0 - self.conformity[t])
+                .collect();
+            let cl = info_nce(g, z1, z2, CL_TAU, Some(&w));
+            let wcl = g.scale(cl, CL_WEIGHT);
             g.add(ce, wcl)
         } else {
             ce
@@ -156,17 +143,15 @@ mod tests {
 
     #[test]
     fn loss_with_and_without_contrast() {
-        let mut m = DcRec::new(10, 8, 20, &freq(), 1);
-        let mut rng = Rng::seed(0);
+        let m = DcRec::new(10, 8, 20, &freq(), 1);
+        let batch = toy_batch();
         let mut g = Graph::new();
         let bind = m.store.bind_all(&mut g);
-        let with_var = m.loss(&mut g, &bind, &toy_batch(), &mut rng);
-        let with = g.value(with_var).item();
-        m.beta = 0.0;
-        let mut g2 = Graph::new();
-        let bind2 = m.store.bind_all(&mut g2);
-        let without_var = m.loss(&mut g2, &bind2, &toy_batch(), &mut rng);
-        let without = g2.value(without_var).item();
+        let with = m.loss(&mut g, &bind, &batch, &mut Rng::seed(0));
+        // The next-item term alone, on the same first view.
+        let z1 = m.encode_view(&mut g, &bind, &batch, Some(&mut Rng::seed(0)));
+        let without = next_item_ce(&mut g, m.item_emb.table(&bind), z1, &batch.targets);
+        let (with, without) = (g.value(with).item(), g.value(without).item());
         assert!(with.is_finite() && without.is_finite());
         assert_ne!(with, without);
     }

@@ -115,15 +115,16 @@ pub fn augment_views(
 
 /// InfoNCE between two view representations `z1, z2` (`B×d`): positives
 /// are the diagonal of `z1 z2ᵀ / τ`, negatives the rest of the batch.
-/// `−mean_i log_softmax(sim)[i, i]` is the cross-entropy node over given
-/// logits ([`Graph::softmax_ce`]) with the diagonal as the targets.
-pub fn info_nce(g: &mut Graph, z1: Var, z2: Var, tau: f32) -> Var {
+/// `−mean_i w_i · log_softmax(sim)[i, i]` is the cross-entropy node over
+/// given logits ([`Graph::softmax_ce`]) with the diagonal as the targets,
+/// `w_i` the row's weight in `weights` (1 for every row without them).
+pub fn info_nce(g: &mut Graph, z1: Var, z2: Var, tau: f32, weights: Option<&[f32]>) -> Var {
     let b = g.value(z1).shape()[0];
     let z2t = g.transpose_last(z2);
     let sim = g.matmul(z1, z2t); // B×B
     let sim = g.scale(sim, 1.0 / tau);
     let diag: Vec<usize> = (0..b).collect();
-    g.softmax_ce(sim, &diag)
+    g.softmax_ce(sim, &diag, weights)
 }
 
 /// The contrastive training scenario: a [`SeqRec`] backbone whose loss is
@@ -210,7 +211,7 @@ impl RecModel for ContrastiveSeqRec {
         let (view1, view2) = self.view_batches(batch, salt);
         let z1 = self.encode_view(g, bind, &view1);
         let z2 = self.encode_view(g, bind, &view2);
-        let nce = info_nce(g, z1, z2, self.cl_tau);
+        let nce = info_nce(g, z1, z2, self.cl_tau, None);
         let weighted = g.scale(nce, self.cl_weight);
         g.add(ce, weighted)
     }

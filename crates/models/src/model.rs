@@ -54,8 +54,9 @@ pub fn score_catalogue(g: &mut Graph, table: Var, h_s: Var) -> Var {
 /// The next-item cross-entropy every model trains on: the mean over the
 /// batch of `−log softmax(logits)[target]`, full catalogue, for the logits
 /// [`score_catalogue`] gives `h_s` against `table`. One tape node
-/// ([`Graph::catalogue_ce`]), bit-identical to that scorer followed by
-/// `log_softmax_last → pick_per_row → mean_all → neg`.
+/// ([`Graph::catalogue_ce`]), bit-identical to the reference chain
+/// `crates/tensor/tests/ce_node.rs` writes out: that scorer's logits, the
+/// oracle's row log-softmax, then pick the target, mean and negate.
 pub fn next_item_ce(g: &mut Graph, table: Var, h_s: Var, targets: &[usize]) -> Var {
     let rows = g.value(table).shape()[0];
     let mask = pad_mask(g, rows);

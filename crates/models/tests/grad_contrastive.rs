@@ -25,7 +25,7 @@ fn info_nce_gradients() {
     fd_check_all_params(&mut store, 1e-2, 1e-3, |g, bind: &Binding| {
         let a = bind.var(z1);
         let b = bind.var(z2);
-        info_nce(g, a, b, 0.5)
+        info_nce(g, a, b, 0.5, None)
     });
 }
 

@@ -47,7 +47,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use ssdrec_base::bytes::{crc32, Cursor, Overrun, Put};
-use ssdrec_data::{Interaction, SequenceStore};
+use ssdrec_data::{Interaction, SequenceStore, MAX_CATALOG};
 
 /// Log format magic bytes.
 pub const MAGIC: [u8; 4] = *b"SSLG";
@@ -58,9 +58,6 @@ pub const HEADER_LEN: u64 = 28;
 /// Size of one record in bytes (`len` + 16-byte payload + `crc`).
 pub const RECORD_LEN: u64 = 24;
 const PAYLOAD_LEN: u32 = 16;
-/// The most users, and the most items, a log's catalog may hold: 2²⁴, far
-/// past any dataset profile.
-pub const MAX_CATALOG: usize = 1 << 24;
 
 /// Typed errors for log open/append/replay.
 #[derive(Debug)]

@@ -67,14 +67,13 @@
 //!   so the bits are its bits. Their rows are short (≤ the catalogue of a
 //!   toy run, the sequence length), and the out-of-order core overlaps
 //!   consecutive rows' chains.
-//! * Log-softmax and the cross-entropy nodes reduce rows stored as
-//!   columns ([`log_sum_exp_cols`]): `W` rows' max and sum chains advance
-//!   in one register per index, each chain still one chain in index order,
-//!   with the exponentials taken inside the sum at the build's width. A
+//! * The cross-entropy nodes reduce rows stored as columns
+//!   ([`log_sum_exp_cols`]): `W` rows' max and sum chains advance in one
+//!   register per index, each chain still one chain in index order, with
+//!   the exponentials taken inside the sum at the build's width. A
 //!   catalogue row (thousands of entries) is one long serial chain, so
 //!   rows side by side are what keeps the adder busy. The nodes keep their
-//!   logits in that layout; [`log_softmax_rows`] transposes 16-row blocks
-//!   into scratch. The max is the compare `v > acc` rather than
+//!   logits in that layout. The max is the compare `v > acc` rather than
 //!   `f32::max` — written as a fold over `f32::max` the vectoriser turns
 //!   the loop inside out, gathering across indices. The two differ at most
 //!   in which zero a `±0` tie keeps, which no output can see: tied zeros
@@ -369,26 +368,6 @@ per_isa! {
     fn exp_in_place(xs: &mut [f32]) = |W| exp_in_place_in::<W>(xs);
 }
 
-/// Rows the row-major log-softmax kernels reduce together: one AVX-512F
-/// register's lanes, two of the narrower builds'.
-const ROW_BLOCK: usize = 16;
-
-/// `f(xt, rows, nr)` for each block of up to [`ROW_BLOCK`] rows of the
-/// row-major `buf` (rows of `n ≥ 1`): `rows` is the block's slice of `buf`
-/// and `xt` a scratch copy of it transposed to `n × nr`, the layout the
-/// column chains ([`col_max`], [`col_sum`]) reduce.
-fn row_blocks(buf: &mut [f32], n: usize, mut f: impl FnMut(&mut [f32], &mut [f32], usize)) {
-    let total = buf.len() / n;
-    let mut scratch = crate::pool::take(n * ROW_BLOCK.min(total));
-    for rows in buf.chunks_mut(n * ROW_BLOCK) {
-        let nr = rows.len() / n;
-        let xt = &mut scratch[..n * nr];
-        crate::kernels::transpose_into(rows, nr, n, xt);
-        f(xt, rows, nr);
-    }
-    crate::pool::recycle(scratch);
-}
-
 /// `out[c] = max_j xt[j·ld + c]` for the `out.len()` leading columns of the
 /// row-major `n × ld` `xt`: column `c` is one row of a softmax, and its max
 /// is the oracle's, one fold from `−∞` in `j` order (as the compare
@@ -410,40 +389,20 @@ fn col_max_in<const W: usize>(xt: &[f32], n: usize, ld: usize, out: &mut [f32]) 
     }
 }
 
-/// `out[c] = start + Σ_j t(xt[j·ld + c])` for the `out.len()` leading
-/// columns of the `n × ld` `xt`, one chain per column in `j` order, `W`
-/// columns to a register as in [`col_max_in`]. `t` is `exp(x − shift[c])`
-/// (the exponentials at the build's width) when `shift` is given, else the
-/// identity.
+/// `out[c] = −0 + Σ_j exp(xt[j·ld + c] − shift[c])` for the `out.len()`
+/// leading columns of the `n × ld` `xt`, one chain per column in `j` order,
+/// `W` columns to a register as in [`col_max_in`], the exponentials at the
+/// build's width.
 #[inline(always)]
-fn col_sum_in<const W: usize>(
-    xt: &[f32],
-    n: usize,
-    ld: usize,
-    shift: Option<&[f32]>,
-    start: f32,
-    out: &mut [f32],
-) {
+fn col_sum_exp_in<const W: usize>(xt: &[f32], n: usize, ld: usize, shift: &[f32], out: &mut [f32]) {
     for (c0, o) in (0..).step_by(W).zip(out.chunks_mut(W)) {
         let w = o.len();
-        let col = |j: usize| lanes::<W>(&xt[j * ld + c0..j * ld + c0 + w]);
-        let mut acc = [start; W];
-        match shift {
-            Some(shift) => {
-                let m = lanes::<W>(&shift[c0..c0 + w]);
-                for j in 0..n {
-                    let x = col(j);
-                    for ((a, &v), &mv) in acc.iter_mut().zip(&x).zip(&m) {
-                        *a += math::exp(v - mv);
-                    }
-                }
-            }
-            None => {
-                for j in 0..n {
-                    for (a, &v) in acc.iter_mut().zip(&col(j)) {
-                        *a += v;
-                    }
-                }
+        let m = lanes::<W>(&shift[c0..c0 + w]);
+        let mut acc = [-0.0; W];
+        for j in 0..n {
+            let x = lanes::<W>(&xt[j * ld + c0..j * ld + c0 + w]);
+            for ((a, &v), &mv) in acc.iter_mut().zip(&x).zip(&m) {
+                *a += math::exp(v - mv);
             }
         }
         store_lanes(o, &acc);
@@ -457,26 +416,20 @@ per_isa! {
 }
 
 per_isa! {
-    /// [`col_sum_in`] in the active build.
-    fn col_sum(
-        xt: &[f32],
-        n: usize,
-        ld: usize,
-        shift: Option<&[f32]>,
-        start: f32,
-        out: &mut [f32],
-    ) = |W| col_sum_in::<W>(xt, n, ld, shift, start, out);
+    /// [`col_sum_exp_in`] in the active build.
+    fn col_sum_exp(xt: &[f32], n: usize, ld: usize, shift: &[f32], out: &mut [f32]) =
+        |W| col_sum_exp_in::<W>(xt, n, ld, shift, out);
 }
 
 /// `lse[c] = ln(Σ_j exp(x − max)) + max` of each of the `lse.len()` rows
 /// stored as the leading columns of the `n × ld` `xt`: the oracle
 /// log-softmax's log-sum-exp, its max and its sum each one chain in index
-/// order ([`col_max`], [`col_sum`]). The sum starts from `−0`, as
+/// order ([`col_max`], [`col_sum_exp`]). The sum starts from `−0`, as
 /// `Iterator::sum` does.
 pub fn log_sum_exp_cols(xt: &[f32], n: usize, ld: usize, lse: &mut [f32]) {
     col_max(xt, n, ld, lse);
     let mut sum = crate::pool::take(lse.len());
-    col_sum(xt, n, ld, Some(lse), -0.0, &mut sum);
+    col_sum_exp(xt, n, ld, lse, &mut sum);
     for (l, &s) in lse.iter_mut().zip(&sum) {
         *l += math::ln(s);
     }
@@ -484,9 +437,9 @@ pub fn log_sum_exp_cols(xt: &[f32], n: usize, ld: usize, lse: &mut [f32]) {
 }
 
 /// The cross-entropy gradient over logits stored as columns, as the
-/// unfused `log_softmax → pick → mean → neg` chain builds it:
+/// reference chain (log-softmax, pick, weight, mean, negate) builds it:
 /// `gt[j·ld + c] = gv − exp(xt[j·ld + c] − lse[c]) · gsum[c]`, where `gv`
-/// is `g` at `j = targets[c]` and `+0` elsewhere, and `gsum[c]` is the
+/// is `g[c]` at `j = targets[c]` and `+0` elsewhere, and `gsum[c]` is the
 /// chain's row sum of those `gv`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
@@ -497,7 +450,7 @@ fn ce_grad_cols_in<const W: usize>(
     lse: &[f32],
     gsum: &[f32],
     targets: &[usize],
-    g: f32,
+    g: &[f32],
     gt: &mut [f32],
 ) {
     let rows = lse.len();
@@ -514,9 +467,9 @@ fn ce_grad_cols_in<const W: usize>(
             store_lanes(&mut gr[c0..c0 + w], &d);
         }
     }
-    for (c, &t) in targets.iter().enumerate() {
+    for (c, (&t, &gv)) in targets.iter().zip(g).enumerate() {
         let o = t * ld + c;
-        gt[o] = g - math::exp(xt[o] - lse[c]) * gsum[c];
+        gt[o] = gv - math::exp(xt[o] - lse[c]) * gsum[c];
     }
 }
 
@@ -530,7 +483,7 @@ per_isa! {
         lse: &[f32],
         gsum: &[f32],
         targets: &[usize],
-        g: f32,
+        g: &[f32],
         gt: &mut [f32],
     ) = |W| ce_grad_cols_in::<W>(xt, n, ld, lse, gsum, targets, g, gt);
 }
@@ -630,39 +583,6 @@ pub fn softmax_rows(src: &[f32], dst: &mut [f32], n: usize) {
     }
     exp_in_place(dst);
     dst.chunks_mut(n).for_each(normalise);
-}
-
-/// Row-wise numerically-stable log-softmax (`n ≥ 1`): `s − lse` with the
-/// row's [`log_sum_exp_cols`].
-pub fn log_softmax_rows(src: &[f32], dst: &mut [f32], n: usize) {
-    dst.copy_from_slice(src);
-    let mut lse = [0.0; ROW_BLOCK];
-    row_blocks(dst, n, |xt, rows, nr| {
-        log_sum_exp_cols(xt, n, nr, &mut lse[..nr]);
-        for (row, &l) in rows.chunks_mut(n).zip(&lse) {
-            for d in row {
-                *d -= l;
-            }
-        }
-    });
-}
-
-/// The gradient of [`log_softmax_rows`]: `g` holds the output gradient on
-/// entry and `dx = dy − exp(y) · Σ dy` per row on return, `y` the forward
-/// output. The row sum is `−0`-started, as `Iterator::sum` is.
-pub fn log_softmax_backward_rows(y: &[f32], g: &mut [f32], n: usize) {
-    let mut gsum = [0.0; ROW_BLOCK];
-    let mut r0 = 0;
-    row_blocks(g, n, |gt, rows, nr| {
-        col_sum(gt, n, nr, None, -0.0, &mut gsum[..nr]);
-        let ys = y[r0 * n..(r0 + nr) * n].chunks(n);
-        for ((row, yr), &s) in rows.chunks_mut(n).zip(ys).zip(&gsum) {
-            for (d, &lv) in row.iter_mut().zip(yr) {
-                *d -= math::exp(lv) * s;
-            }
-        }
-        r0 += nr;
-    });
 }
 
 /// Row-wise LayerNorm with scale/shift: `gamma`/`beta` have length `n`.

@@ -1,13 +1,14 @@
 //! The production CPU kernels and their bits-contract.
 //!
-//! Every compute-dense kernel — gemm, softmax, log-softmax, LayerNorm, and
-//! the fused bias+activation / scale+mask+softmax passes — is one free
-//! function here, over flat `&[f32]` slices; shape-level concerns (rank
-//! promotion, batching, thread partitioning, degenerate shapes) live in
-//! [`crate::kernels`]. There is one implementation of each: the gemm packs
-//! operands into p-major panels and computes `8×W` output tiles, `W` one
-//! vector register of the [`TileIsa`] build the host runs, and the
-//! element-wise passes are single-pass and fused (see `blocked.rs`).
+//! Every compute-dense kernel — gemm, softmax, the cross-entropy column
+//! chains, LayerNorm, and the fused bias+activation / scale+mask+softmax
+//! passes — is one free function here, over flat `&[f32]` slices;
+//! shape-level concerns (rank promotion, batching, thread partitioning,
+//! degenerate shapes) live in [`crate::kernels`]. There is one
+//! implementation of each: the gemm packs operands into p-major panels and
+//! computes `8×W` output tiles, `W` one vector register of the [`TileIsa`]
+//! build the host runs, and the element-wise passes are single-pass and
+//! fused (see `blocked.rs`).
 //!
 //! # The kernel bits-contract
 //!
@@ -50,8 +51,8 @@ mod isa;
 use crate::math;
 
 pub use blocked::{
-    bias_act_rows, ce_grad_cols, gemm_rows, layer_norm_rows, log_softmax_backward_rows,
-    log_softmax_rows, log_sum_exp_cols, scaled_masked_softmax_rows, softmax_rows,
+    bias_act_rows, ce_grad_cols, gemm_rows, layer_norm_rows, log_sum_exp_cols,
+    scaled_masked_softmax_rows, softmax_rows,
 };
 pub(crate) use isa::{lanes, per_isa, store_lanes};
 pub use isa::{with_tile_isa, TileIsa};

@@ -55,7 +55,6 @@ enum Op {
     Sigmoid(Var),
     Tanh(Var),
     Relu(Var),
-    Sqrt(Var),
     /// Element-wise maximum; gradient routes to the larger input (ties → lhs).
     Max2(Var, Var),
     /// Matrix product supporting 2×2, 3×3 (batched), 3×2 and 2×3 operand ranks.
@@ -65,7 +64,6 @@ enum Op {
     /// Swap the last two dimensions (2-D or 3-D input).
     TransposeLast(Var),
     SoftmaxLast(Var),
-    LogSoftmaxLast(Var),
     /// Fused `−mean_i log_softmax(h · tableᵀ + mask)[i, targets[i]]` (see
     /// [`Graph::catalogue_ce`]), keeping the logits and row log-sum-exps.
     CatalogueCe {
@@ -73,7 +71,7 @@ enum Op {
         table: Var,
         saved: kernels::CeSaved,
     },
-    /// Fused `−mean_i log_softmax(logits)[i, targets[i]]` (see
+    /// Fused `−mean_i w_i · log_softmax(logits)[i, targets[i]]` (see
     /// [`Graph::softmax_ce`]).
     SoftmaxCe(Var, kernels::CeSaved),
     /// Fused `act(a + broadcast(bias))` — one backend pass replacing an
@@ -104,8 +102,6 @@ enum Op {
     StackTime(Vec<Var>),
     /// Row gather from a `V×d` weight by indices, yielding `N×d`.
     Embedding(Var, Vec<usize>),
-    /// Pick one column per row of a 2-D tensor, yielding shape `[B]`.
-    PickPerRow(Var, Vec<usize>),
     Reshape(Var),
     /// Multiply by a fixed 0/1 (already scaled) dropout mask.
     Dropout(Var, Vec<f32>),
@@ -446,11 +442,6 @@ impl Graph {
         self.push(t, Op::AddScalar(a), rg)
     }
 
-    /// `-a`.
-    pub fn neg(&mut self, a: Var) -> Var {
-        self.scale(a, -1.0)
-    }
-
     /// `exp(a)`.
     pub fn exp(&mut self, a: Var) -> Var {
         let t = self.value(a).map(math::exp);
@@ -484,13 +475,6 @@ impl Graph {
         let t = self.value(a).map(|x| x.max(0.0));
         let rg = self.rg(a);
         self.push(t, Op::Relu(a), rg)
-    }
-
-    /// `sqrt(a)` (inputs must be non-negative).
-    pub fn sqrt(&mut self, a: Var) -> Var {
-        let t = self.value(a).map(f32::sqrt);
-        let rg = self.rg(a);
-        self.push(t, Op::Sqrt(a), rg)
     }
 
     /// Element-wise maximum of two same-shape tensors.
@@ -535,20 +519,13 @@ impl Graph {
         self.push(t, Op::SoftmaxLast(a), rg)
     }
 
-    /// Log-softmax over the last dimension.
-    pub fn log_softmax_last(&mut self, a: Var) -> Var {
-        let t = kernels::log_softmax_last(self.value(a));
-        let rg = self.rg(a);
-        self.push(t, Op::LogSoftmaxLast(a), rg)
-    }
-
     /// The mean cross-entropy of a catalogue's scores as one node:
     /// `−mean_i log_softmax(h · tableᵀ + mask)[i, targets[i]]` for `h`
     /// `B×d`, `table` `n×d` and a constant `[n]` `mask`. The loss and both
-    /// gradients are bit-identical to `transpose_last → matmul → add_bcast
-    /// → log_softmax_last → pick_per_row → mean_all → neg`; the node keeps
-    /// only the `B×n` logits and one log-sum-exp per row
-    /// ([`kernels::catalogue_ce`]).
+    /// gradients are bit-identical to the reference chain
+    /// `tests/ce_node.rs` writes out (the scores, the oracle's row
+    /// log-softmax, then pick, mean and negate); the node keeps only the
+    /// `B×n` logits and one log-sum-exp per row ([`kernels::catalogue_ce`]).
     pub fn catalogue_ce(&mut self, h: Var, table: Var, mask: Var, targets: &[usize]) -> Var {
         assert!(!self.rg(mask), "catalogue_ce: the mask is a constant");
         let (loss, saved) =
@@ -561,11 +538,13 @@ impl Graph {
         )
     }
 
-    /// `−mean_i log_softmax(logits)[i, targets[i]]` over `B×n` logits as
-    /// one node, bit-identical to `log_softmax_last → pick_per_row →
-    /// mean_all → neg` ([`kernels::softmax_ce`]).
-    pub fn softmax_ce(&mut self, logits: Var, targets: &[usize]) -> Var {
-        let (loss, saved) = kernels::softmax_ce(self.value(logits), targets);
+    /// `−mean_i w_i · log_softmax(logits)[i, targets[i]]` over `B×n`
+    /// logits as one node, `w_i` the constant `weights[i]` or 1 without
+    /// them. The loss and the gradient are bit-identical to the reference
+    /// chain `tests/ce_node.rs` writes out (the oracle's row log-softmax,
+    /// then pick, weight, mean and negate; [`kernels::softmax_ce`]).
+    pub fn softmax_ce(&mut self, logits: Var, targets: &[usize], weights: Option<&[f32]>) -> Var {
+        let (loss, saved) = kernels::softmax_ce(self.value(logits), targets, weights);
         let rg = self.rg(logits);
         self.push(Tensor::scalar(loss), Op::SoftmaxCe(logits, saved), rg)
     }
@@ -691,13 +670,6 @@ impl Graph {
         let t = kernels::gather_rows(self.value(weight), indices);
         let rg = self.rg(weight);
         self.push(t, Op::Embedding(weight, indices.to_vec()), rg)
-    }
-
-    /// For a `B×V` tensor, pick `a[i, idx[i]]` per row, yielding shape `[B]`.
-    pub fn pick_per_row(&mut self, a: Var, idx: &[usize]) -> Var {
-        let t = kernels::pick_per_row(self.value(a), idx);
-        let rg = self.rg(a);
-        self.push(t, Op::PickPerRow(a, idx.to_vec()), rg)
     }
 
     /// Reinterpret under a new shape with equal element count.
@@ -964,17 +936,6 @@ impl Graph {
                     kernels::zip(gout, av, |g, x| if x > 0.0 { g } else { 0.0 }),
                 );
             }
-            Op::Sqrt(a) => {
-                self.accum(
-                    grads,
-                    *a,
-                    kernels::zip(
-                        gout,
-                        &node.value,
-                        |g, y| if y > 0.0 { g / (2.0 * y) } else { 0.0 },
-                    ),
-                );
-            }
             Op::Max2(a, b) => {
                 let av = self.value(*a);
                 let bv = self.value(*b);
@@ -1013,13 +974,6 @@ impl Graph {
             }
             Op::SoftmaxLast(a) => {
                 self.accum(grads, *a, kernels::softmax_last_backward(&node.value, gout));
-            }
-            Op::LogSoftmaxLast(a) => {
-                self.accum(
-                    grads,
-                    *a,
-                    kernels::log_softmax_last_backward(&node.value, gout),
-                );
             }
             Op::CatalogueCe { h, table, saved } => {
                 let inputs = [*h, *table];
@@ -1147,15 +1101,6 @@ impl Graph {
                         kernels::scatter_rows(self.value(*w).shape(), idx, gout),
                     );
                 }
-            }
-            Op::PickPerRow(a, idx) => {
-                let shape = self.value(*a).shape();
-                let mut g = Tensor::zeros(shape);
-                let cols = shape[1];
-                for (i, &j) in idx.iter().enumerate() {
-                    g.data_mut()[i * cols + j] = gout.data()[i];
-                }
-                self.accum(grads, *a, g);
             }
             Op::Reshape(a) => {
                 let ash = self.value(*a).shape().to_vec();
@@ -1293,12 +1238,11 @@ mod tests {
     }
 
     #[test]
-    fn grad_ln_sqrt() {
+    fn grad_ln() {
         check_grad(
             |g, x| {
                 let l = g.ln(x);
-                let s = g.sqrt(x);
-                let y = g.add(l, s);
+                let y = g.mul(l, x);
                 g.sum_all(y)
             },
             t(&[0.5, 1.5, 3.0], &[3]),
@@ -1380,12 +1324,11 @@ mod tests {
         check_grad(
             |g, x| {
                 let s = g.softmax_last(x);
-                let l = g.log_softmax_last(x);
                 let w = g.constant(t(&[1.0, -2.0, 0.5, 0.3, 2.0, -0.7], &[2, 3]));
                 let sw = g.mul(s, w);
-                let lw = g.mul(l, w);
-                let y = g.add(sw, lw);
-                g.sum_all(y)
+                let ssum = g.sum_all(sw);
+                let ce = g.softmax_ce(x, &[2, 0], Some(&[0.6, 1.7]));
+                g.add(ssum, ce)
             },
             t(&[0.1, 0.9, -0.5, 1.2, 0.0, 0.4], &[2, 3]),
             1e-2,
@@ -1490,15 +1433,6 @@ mod tests {
                 &(0..8).map(|i| 0.25 * i as f32 - 1.0).collect::<Vec<_>>(),
                 &[4, 2],
             ),
-            1e-2,
-        );
-        check_grad(
-            |g, x| {
-                let p = g.pick_per_row(x, &[1, 0]);
-                let sq = g.mul(p, p);
-                g.sum_all(sq)
-            },
-            t(&[0.3, -0.4, 0.9, 1.5], &[2, 2]),
             1e-2,
         );
     }

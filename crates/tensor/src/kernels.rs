@@ -41,9 +41,8 @@
 //! scalar bits.
 
 use crate::backend::{
-    bias_act_rows, ce_grad_cols, gemm_rows, lanes, layer_norm_rows, log_softmax_backward_rows,
-    log_softmax_rows, log_sum_exp_cols, per_isa, scaled_masked_softmax_rows, softmax_rows,
-    store_lanes, Activation, LN_EPS, TILE_ROWS,
+    bias_act_rows, ce_grad_cols, gemm_rows, lanes, layer_norm_rows, log_sum_exp_cols, per_isa,
+    scaled_masked_softmax_rows, softmax_rows, store_lanes, Activation, LN_EPS, TILE_ROWS,
 };
 use crate::math;
 use crate::sparse::{CsrMatrix, CsrRows};
@@ -664,30 +663,9 @@ pub fn softmax_last_backward(y: &Tensor, gout: &Tensor) -> Tensor {
     out
 }
 
-/// Numerically-stable log-softmax over the last dimension.
-pub fn log_softmax_last(a: &Tensor) -> Tensor {
-    let n = last_dim(a.shape());
-    let mut out = Tensor::zeros(a.shape());
-    if n == 0 {
-        return out;
-    }
-    log_softmax_rows(a.data(), out.data_mut(), n);
-    out
-}
-
-/// Backward of [`log_softmax_last`]: `dx = dy − softmax(x) · Σ dy` per row.
-pub fn log_softmax_last_backward(y: &Tensor, gout: &Tensor) -> Tensor {
-    let n = last_dim(y.shape());
-    let mut out = gout.clone();
-    if n > 0 {
-        log_softmax_backward_rows(y.data(), out.data_mut(), n);
-    }
-    out
-}
-
 /// What a fused cross-entropy node keeps for its backward: the `n × B`
 /// logits, transposed so that each of the `B` rows is a column, each row's
-/// log-sum-exp, and the targets.
+/// log-sum-exp, the targets and the rows' weights, if any.
 ///
 /// The transposed layout is what makes the node cheap. A row's max and sum
 /// are each one chain in index order, so a row-major pass is latency-bound;
@@ -700,27 +678,32 @@ pub struct CeSaved {
     logits_t: Vec<f32>,
     lse: Vec<f32>,
     targets: Vec<usize>,
+    /// Each row's weight in the mean; `None` weighs every row 1.
+    weights: Option<Vec<f32>>,
 }
 
 impl CeSaved {
     /// Take `n × B` logits (`B = targets.len()`) and compute each row's
     /// log-sum-exp.
-    fn new(logits_t: Vec<f32>, targets: &[usize]) -> Self {
+    fn new(logits_t: Vec<f32>, targets: &[usize], weights: Option<&[f32]>) -> Self {
         let b = targets.len();
         let n = logits_t.len().checked_div(b).unwrap_or(0);
         assert!(targets.iter().all(|&t| t < n), "a target is not a column");
+        assert!(weights.is_none_or(|w| w.len() == b), "one weight per row");
         let mut lse = crate::pool::take(b);
         log_sum_exp_cols(&logits_t, n, b, &mut lse);
         CeSaved {
             logits_t,
             lse,
             targets: targets.to_vec(),
+            weights: weights.map(<[f32]>::to_vec),
         }
     }
 
-    /// `−mean_i (s[i, t_i] − lse_i)`: the unfused `pick_per_row → mean_all
-    /// → neg` chain over the log-softmax, as that chain rounds it (`neg` is
-    /// a multiply by −1, which keeps a NaN's sign where `-x` would flip it).
+    /// `−mean_i w_i·(s[i, t_i] − lse_i)`, the weight left out when there is
+    /// none: the reference chain's pick, weight, mean and negate over the
+    /// log-softmax, as that chain rounds them (the negation is a multiply
+    /// by −1, which keeps a NaN's sign where `-x` would flip it).
     #[allow(clippy::neg_multiply)]
     fn loss(&self) -> f32 {
         let b = self.targets.len();
@@ -729,26 +712,35 @@ impl CeSaved {
             .iter()
             .zip(&self.lse)
             .enumerate()
-            .map(|(i, (&t, &lse))| self.logits_t[t * b + i] - lse)
+            .map(|(i, (&t, &lse))| {
+                let lp = self.logits_t[t * b + i] - lse;
+                self.weights.as_ref().map_or(lp, |w| lp * w[i])
+            })
             .sum();
         picked / b as f32 * -1.0
     }
 
     /// The loss gradient w.r.t. the `n × B` logits for a loss gradient
-    /// `gout`: `−gout / B` at each target, through the log-softmax backward,
-    /// rounded as the unfused chain rounds it.
+    /// `gout`: `−gout / B · w_i` at each target, through the log-softmax
+    /// backward, rounded as the reference chain rounds it.
     #[allow(clippy::neg_multiply)]
     fn logit_grad(&self, gout: f32) -> Vec<f32> {
         let b = self.targets.len();
         let n = self.logits_t.len() / b.max(1);
-        // neg, then mean_all: the gradient every picked entry receives.
+        // Negate, then mean: the gradient of every picked log-probability,
+        // times its row's weight.
         let g = gout * -1.0 / b as f32;
+        let gv = match &self.weights {
+            Some(w) => w.iter().map(|&w| g * w).collect(),
+            None => vec![g; b],
+        };
         // The log-softmax backward's row sum of that row: `Iterator::sum`'s
         // `−0`-started chain over `+0`s and `g`, each run of `+0` one add.
         let gsum: Vec<f32> = self
             .targets
             .iter()
-            .map(|&t| {
+            .zip(&gv)
+            .map(|(&t, &g)| {
                 let mut s = -0.0f32;
                 if t > 0 {
                     s += 0.0;
@@ -768,7 +760,7 @@ impl CeSaved {
             &self.lse,
             &gsum,
             &self.targets,
-            g,
+            &gv,
             &mut gt,
         );
         gt
@@ -783,8 +775,9 @@ impl CeSaved {
 
 /// The next-item cross-entropy over a catalogue: `−mean_i log softmax(h ·
 /// tableᵀ + mask)[i, targets[i]]` for `h` `B×d`, `table` `n×d` and `mask`
-/// `[n]`, bit-identical to the unfused `transpose_last → matmul →
-/// add_bcast → log_softmax_last → pick_per_row → mean_all → neg` chain.
+/// `[n]`, bit-identical to the reference chain `tests/ce_node.rs` writes
+/// out: the oracle's gemm against the transposed table, the mask added to
+/// each row, the oracle's row log-softmax, then pick, mean and negate.
 ///
 /// The logits come out of one gemm as `table · hᵀ` (each element the same
 /// `p`-ascending chain of the same products), and the mask is added to
@@ -807,7 +800,7 @@ pub fn catalogue_ce(
             *x += m;
         }
     }
-    let saved = CeSaved::new(lt, targets);
+    let saved = CeSaved::new(lt, targets, None);
     (saved.loss(), saved)
 }
 
@@ -841,15 +834,16 @@ pub fn catalogue_ce_backward(
     grads
 }
 
-/// `−mean_i log_softmax(logits)[i, targets[i]]` over given `B×n` logits,
-/// bit-identical to the unfused `log_softmax_last → pick_per_row →
-/// mean_all → neg` chain.
-pub fn softmax_ce(logits: &Tensor, targets: &[usize]) -> (f32, CeSaved) {
+/// `−mean_i w_i · log_softmax(logits)[i, targets[i]]` over given `B×n`
+/// logits, `w_i = 1` without `weights`, bit-identical to the reference
+/// chain `tests/ce_node.rs` writes out: the oracle's row log-softmax, then
+/// pick, weight (when given), mean and negate.
+pub fn softmax_ce(logits: &Tensor, targets: &[usize], weights: Option<&[f32]>) -> (f32, CeSaved) {
     let (b, n) = logits.dims2();
     assert_eq!(targets.len(), b, "softmax_ce: one target per row");
     let mut lt = crate::pool::take(n * b);
     transpose_into(logits.data(), b, n, &mut lt);
-    let saved = CeSaved::new(lt, targets);
+    let saved = CeSaved::new(lt, targets, weights);
     (saved.loss(), saved)
 }
 
@@ -1176,18 +1170,6 @@ pub fn scatter_rows(weight_shape: &[usize], indices: &[usize], gout: &Tensor) ->
         for (o, &s) in dst.iter_mut().zip(src.iter()) {
             *o += s;
         }
-    }
-    out
-}
-
-/// For a `B×V` matrix, pick `a[i, idx[i]]` per row, yielding shape `[B]`.
-pub fn pick_per_row(a: &Tensor, idx: &[usize]) -> Tensor {
-    let (b, v) = a.dims2();
-    assert_eq!(idx.len(), b, "pick_per_row index length");
-    let mut out = Tensor::zeros(&[b]);
-    for (i, &j) in idx.iter().enumerate() {
-        assert!(j < v, "pick index {j} out of {v}");
-        out.data_mut()[i] = a.data()[i * v + j];
     }
     out
 }
@@ -1655,7 +1637,7 @@ mod tests {
     }
 
     #[test]
-    fn row_blocks_are_whole_tiles() {
+    fn gemm_row_grains_are_whole_tiles() {
         for m in 1..2000 {
             let rows = gemm_row_grain(m);
             assert_eq!(rows % TILE_ROWS, 0, "m={m}");
@@ -1696,10 +1678,15 @@ mod tests {
     #[test]
     fn log_softmax_matches_softmax_log() {
         let a = t(&[0.5, -1.0, 2.0, 0.1], &[2, 2]);
-        let ls = log_softmax_last(&a);
         let s = softmax_last(&a);
-        for (x, y) in ls.data().iter().zip(s.data()) {
-            assert!((math::exp(*x) - y).abs() < 1e-6);
+        let ln_s = |i: usize, j: usize| math::ln(s.data()[i * 2 + j]);
+        for j in 0..2 {
+            let (loss, saved) = softmax_ce(&a, &[j, j], None);
+            saved.recycle();
+            assert!((loss + (ln_s(0, j) + ln_s(1, j)) / 2.0).abs() < 1e-6);
+            let (loss, saved) = softmax_ce(&a, &[j, j], Some(&[0.25, 2.0]));
+            saved.recycle();
+            assert!((loss + (0.25 * ln_s(0, j) + 2.0 * ln_s(1, j)) / 2.0).abs() < 1e-6);
         }
     }
 

@@ -163,7 +163,9 @@ property! {
 
     /// Row softmax / log-softmax / scale+mask+softmax / LayerNorm parity on
     /// ragged shapes, in every tile build (the softmax family's
-    /// exponentials run at the build's width). Inputs span `[-40, 40)` so
+    /// exponentials run at the build's width). The log-softmax is the
+    /// cross-entropy nodes': `s − lse`, the log-sum-exps reduced over the
+    /// rows stored as columns. Inputs span `[-40, 40)` so
     /// row maxima sit far from most entries, and the mask pads with `-1e9`.
     fn row_kernel_parity(
         rows in dims(),
@@ -195,7 +197,13 @@ property! {
                     }
                     1 => {
                         oracle::log_softmax_rows(&src, &mut want, n);
-                        backend::log_softmax_rows(&src, &mut got, n);
+                        let xt: Vec<f32> =
+                            (0..n * rows).map(|k| src[k % rows * n + k / rows]).collect();
+                        let mut lse = vec![0.0f32; rows];
+                        backend::log_sum_exp_cols(&xt, n, rows, &mut lse);
+                        for (i, (o, &s)) in got.iter_mut().zip(&src).enumerate() {
+                            *o = s - lse[i / n];
+                        }
                     }
                     2 => {
                         oracle::scaled_masked_softmax_rows(&src, 0.37, Some(&mask), &mut want, n);
@@ -857,13 +865,12 @@ fn matmul_zero_dims_all_rank_cases() {
     }
 }
 
-/// Zero-sized last dimension through softmax/log-softmax/LayerNorm and the
-/// fused ops (regression: `chunks(0)` used to panic).
+/// Zero-sized last dimension through softmax/LayerNorm and the fused ops
+/// (regression: `chunks(0)` used to panic).
 #[test]
 fn row_ops_zero_last_dim() {
     let x = Tensor::zeros(&[3, 0]);
     assert_eq!(kernels::softmax_last(&x).shape(), &[3, 0]);
-    assert_eq!(kernels::log_softmax_last(&x).shape(), &[3, 0]);
     let y = kernels::layer_norm(&x, &Tensor::zeros(&[0]), &Tensor::zeros(&[0]));
     assert_eq!(y.shape(), &[3, 0]);
     let f = kernels::bias_act(&x, &Tensor::zeros(&[0]), Activation::Relu);

@@ -1,14 +1,17 @@
-//! The fused cross-entropy nodes against the chains they replace.
+//! The fused cross-entropy nodes against the reference chain.
 //!
 //! `Graph::catalogue_ce` must give, bit for bit, the loss, `dh` and
-//! `dtable` of the unfused `transpose_last → matmul → add_bcast(pad mask)
-//! → log_softmax_last → pick_per_row → mean_all → neg` chain, and
-//! `Graph::softmax_ce` the loss and logit gradient of its
-//! `log_softmax_last → …` tail. The reference below is that chain written
-//! out with the oracle's gemm and the graph ops' per-element loops,
-//! verbatim, so neither the node nor the production kernels it shares can
-//! vouch for themselves. Every case runs in every tile build the host has
-//! and at 1 and 2 threads.
+//! `dtable` of the chain the node replaced: the scores `h · tableᵀ`, the
+//! pad mask added, a row log-softmax, pick each row's target, mean and
+//! negate. `Graph::softmax_ce` must give the loss and logit gradient of
+//! that chain's tail from the log-softmax on, with each picked entry
+//! multiplied by its row's weight before the mean when weights are given
+//! (DCRec's conformity-weighted InfoNCE). The reference below is that
+//! chain written out with the oracle's gemm and log-softmax and the
+//! per-element loops of the graph ops it once was, verbatim, so neither
+//! the node nor the production kernels it shares can vouch for
+//! themselves. Every case runs in every tile build the host has and at 1
+//! and 2 threads.
 
 mod oracle;
 
@@ -36,19 +39,31 @@ fn transposed(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 }
 
 /// The unfused chain's `(loss, dlogits)` over `b × n` logits for a loss
-/// gradient `gout`: log-softmax, pick, mean, neg, then their backwards,
-/// each as its graph op computes it.
-fn chain_tail(logits: &[f32], b: usize, n: usize, targets: &[usize], gout: f32) -> (f32, Vec<f32>) {
+/// gradient `gout`: log-softmax, pick, weight (when given), mean, neg,
+/// then their backwards, each as its graph op computed it.
+#[allow(clippy::neg_multiply)] // `neg` multiplied by −1
+fn chain_tail(
+    logits: &[f32],
+    b: usize,
+    n: usize,
+    targets: &[usize],
+    weights: Option<&[f32]>,
+    gout: f32,
+) -> (f32, Vec<f32>) {
     let mut logp = vec![0.0; b * n];
     oracle::log_softmax_rows(logits, &mut logp, n);
-    let picked: Vec<f32> = (0..b).map(|i| logp[i * n + targets[i]]).collect();
+    let mut picked: Vec<f32> = (0..b).map(|i| logp[i * n + targets[i]]).collect();
+    if let Some(w) = weights {
+        picked = picked.iter().zip(w).map(|(&x, &y)| x * y).collect();
+    }
     let mean = picked.iter().sum::<f32>() / b as f32;
     let loss = mean * -1.0;
-    // neg: `g·c`; mean_all: `g / n`; pick_per_row: the value at the target.
+    // neg: `g·c`; mean_all: `g / n`; mul: `g·w`; pick_per_row: the value
+    // at the target.
     let g = gout * -1.0 / b as f32;
     let mut gpick = vec![0.0f32; b * n];
     for (i, &t) in targets.iter().enumerate() {
-        gpick[i * n + t] = g;
+        gpick[i * n + t] = weights.map_or(g, |w| g * w[i]);
     }
     // log_softmax_last's backward: `dy − exp(y) · Σ dy` per row.
     let mut dl = vec![0.0f32; b * n];
@@ -83,7 +98,7 @@ fn chain(
             *x += m;
         }
     }
-    let (loss, dl) = chain_tail(&logits, b, n, targets, gout);
+    let (loss, dl) = chain_tail(&logits, b, n, targets, None, gout);
     let mut dh = vec![0.0; b * d];
     oracle::gemm_rows(&dl, false, &tt, true, b, n, d, &mut dh, 0, b);
     let mut dtt = vec![0.0; d * n];
@@ -205,40 +220,105 @@ fn catalogue_ce_targets_at_the_edges_and_tied_maxima() {
     check(&c, 1.0, "edges");
 }
 
+/// Logits in `[-6, 6)` with, when the shape allows, row 0 holding `−0.0`
+/// beside `+0.0` at its max and row 1 all `−0.0` (every entry tied).
+fn tied_logits(b: usize, n: usize) -> Vec<f32> {
+    let mut logits = fill(b * n, (b * 100 + n) as u64, -6.0, 6.0);
+    if n >= 3 {
+        // Row 0: −0 and +0 tie at the max; the rest below.
+        for x in &mut logits[..n] {
+            *x = -x.abs() - 1.0;
+        }
+        logits[0] = -0.0;
+        logits[n - 1] = 0.0;
+    }
+    if b >= 2 {
+        logits[n..2 * n].fill(-0.0);
+    }
+    logits
+}
+
+/// The given-logits node's `(loss, dlogits)` bits against the chain's,
+/// in every tile build and thread count.
+fn check_softmax_ce(
+    logits: &[f32],
+    b: usize,
+    n: usize,
+    targets: &[usize],
+    weights: Option<&[f32]>,
+    gout: f32,
+    label: &str,
+) {
+    let want = chain_tail(logits, b, n, targets, weights, gout);
+    everywhere(|at| {
+        let mut g = Graph::new();
+        let x = g.param(Tensor::new(logits.to_vec(), &[b, n]));
+        let ce = g.softmax_ce(x, targets, weights);
+        let scaled = g.scale(ce, gout);
+        let grads = g.backward(scaled);
+        let ctx = format!("{label} b={b} n={n} gout={gout} {at}");
+        assert_eq!(g.value(ce).item().to_bits(), want.0.to_bits(), "loss {ctx}");
+        assert_eq!(
+            bits(grads.get(x).expect("dx").data()),
+            bits(&want.1),
+            "dx {ctx}"
+        );
+    });
+}
+
+const SOFTMAX_CE_SHAPES: [(usize, usize); 6] =
+    [(1, 1), (1, 7), (5, 5), (13, 40), (64, 64), (3, 2601)];
+
 /// The given-logits node against the chain's tail, rows holding `−0.0`
 /// beside `+0.0` at the max, whole-row ties and the InfoNCE diagonal.
 #[test]
 fn softmax_ce_is_the_unfused_tail_bit_for_bit() {
-    for (b, n) in [(1, 1), (1, 7), (5, 5), (13, 40), (64, 64), (3, 2601)] {
-        let mut logits = fill(b * n, (b * 100 + n) as u64, -6.0, 6.0);
-        if n >= 3 {
-            // Row 0: −0 and +0 tie at the max; the rest below.
-            for x in &mut logits[..n] {
-                *x = -x.abs() - 1.0;
-            }
-            logits[0] = -0.0;
-            logits[n - 1] = 0.0;
-        }
-        if b >= 2 {
-            logits[n..2 * n].fill(-0.0);
-        }
+    for (b, n) in SOFTMAX_CE_SHAPES {
+        let logits = tied_logits(b, n);
         let targets: Vec<usize> = (0..b).map(|i| i % n).collect();
         for gout in [1.0, 0.37, 0.0] {
-            let (loss, dl) = chain_tail(&logits, b, n, &targets, gout);
-            everywhere(|at| {
-                let mut g = Graph::new();
-                let x = g.param(Tensor::new(logits.clone(), &[b, n]));
-                let ce = g.softmax_ce(x, &targets);
-                let scaled = g.scale(ce, gout);
-                let grads = g.backward(scaled);
-                let ctx = format!("b={b} n={n} gout={gout} {at}");
-                assert_eq!(g.value(ce).item().to_bits(), loss.to_bits(), "loss {ctx}");
-                assert_eq!(
-                    bits(grads.get(x).expect("dx").data()),
-                    bits(&dl),
-                    "dx {ctx}"
-                );
-            });
+            check_softmax_ce(&logits, b, n, &targets, None, gout, "unweighted");
+        }
+    }
+}
+
+/// The weighted node against the chain with its weight multiply: weights
+/// of 1 (which must also give the unweighted bits), of 0, fractional and
+/// mixed with 0, on the same tied rows, and a row whose maximum two
+/// entries tie away from zero.
+#[test]
+fn weighted_softmax_ce_is_the_weighted_chain_bit_for_bit() {
+    for (b, n) in SOFTMAX_CE_SHAPES {
+        let mut logits = tied_logits(b, n);
+        if b >= 3 && n >= 2 {
+            logits[2 * n..3 * n].fill(-1.0);
+            logits[2 * n] = 4.5;
+            logits[3 * n - 1] = 4.5;
+        }
+        let targets: Vec<usize> = (0..b).map(|i| i % n).collect();
+        let fractional = fill(b, (b + n) as u64, 0.0, 1.0);
+        let mixed: Vec<f32> = fractional
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| if i % 3 == 0 { 0.0 } else { w })
+            .collect();
+        for gout in [1.0, 0.37, 0.0] {
+            // Weights of 1 give the unweighted chain's bits, so the node
+            // weighted by 1 and the plain node answer to the same chain.
+            let ones = vec![1.0; b];
+            let weighted = chain_tail(&logits, b, n, &targets, Some(&ones), gout);
+            let plain = chain_tail(&logits, b, n, &targets, None, gout);
+            let ctx = format!("weights 1 b={b} n={n} gout={gout}");
+            assert_eq!(weighted.0.to_bits(), plain.0.to_bits(), "loss {ctx}");
+            assert_eq!(bits(&weighted.1), bits(&plain.1), "dx {ctx}");
+            for (label, w) in [
+                ("ones", ones),
+                ("zeros", vec![0.0; b]),
+                ("fractional", fractional.clone()),
+                ("mixed", mixed.clone()),
+            ] {
+                check_softmax_ce(&logits, b, n, &targets, Some(&w), gout, label);
+            }
         }
     }
 }
